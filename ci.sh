@@ -32,6 +32,16 @@ for seed in 7 11 23; do
     FARGO_SIMNET_SEED=$seed cargo test -q -p fargo-core --test failure_injection
 done
 
+# Envelope mutation fuzz across the same seeds: each seed mutates every
+# sample envelope >=10k times (byte, bit and length mutations); a mutant
+# must decode to Err or to a valid message, without a panic and without
+# asking the allocator for more than a small multiple of the frame.
+for seed in 7 11 23; do
+    echo "==> proto mutation fuzz (seed $seed)"
+    FARGO_PROTO_FUZZ_SEED=$seed cargo test -q -p fargo-core --lib \
+        proto::tests::mutation_fuzz_never_panics_or_over_allocates
+done
+
 # Smoke-test the experiments runner's JSON exposition: the binary
 # self-validates the report (tables + metrics + journal snapshot) and
 # exits nonzero on renderer drift; also insist the journal key shipped.
@@ -161,5 +171,11 @@ for seed in 7 11 23; do
     echo "$e23" | grep -q 'fault sweep clean'
     if echo "$e23" | grep -q 'FAILED'; then exit 1; fi
 done
+
+# The standing benchmark's own tests: its unit tests plus one second of
+# each of the four workloads with the oracle on, so a wire or runtime
+# change that breaks a workload fails here before the driver sees it.
+echo "==> benchmark smoke (1 s of each workload, oracle on)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

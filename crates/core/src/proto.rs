@@ -1,14 +1,37 @@
 //! The Core-to-Core peer protocol (the paper's *Peer Interface*).
 //!
-//! Every message is a [`Value`] tree encoded with `fargo-wire`. Requests
-//! carry a correlation id minted by the origin Core; replies walk back
-//! along the recorded forwarding path so every tracker on an invocation
-//! chain learns the target's final location (§3.1's chain shortening).
+//! Requests carry a correlation id minted by the origin Core; replies
+//! walk back along the recorded forwarding path so every tracker on an
+//! invocation chain learns the target's final location (§3.1's chain
+//! shortening).
+//!
+//! # Wire format
+//!
+//! A [`Message`] is written straight to bytes by [`Message::encode`] and
+//! read back by [`Message::decode`] — one typed layout, no intermediate
+//! tree (DESIGN.md, "Wire format", has the tables):
+//!
+//! ```text
+//! [version u8][kind u8][flags u8]
+//! request: req_id, origin        reply: req_id, route        notify: -
+//! flags, in bit order: trace (trace_id, span_id) · hlc (wall_us, logical)
+//!                      · ts (send µs) · nd (counted shard deltas)
+//! [body tag u8] positional fields
+//! ```
+//!
+//! Integers are `fargo-wire` varints, sequences are a count followed by
+//! their items, options are a presence byte followed by the value. Only
+//! application payloads — invocation `args`, return `value`, complet
+//! `state`, event payloads — are self-describing [`Value`] trees, and
+//! they are encoded by reference. A decoder accepts exactly
+//! [`ENVELOPE_VERSION`]: a format change bumps the byte, and anything
+//! else (unknown version, kind, flag bit or tag, a truncated or
+//! over-long frame) is an `Err` the receiver drops and counts.
 
 use fargo_telemetry::{
     AccountRecord, Hlc, JournalEvent, JournalKind, MatrixCell, SpanRecord, TraceContext,
 };
-use fargo_wire::{decode_value, encode_value, CompletId, RefDescriptor, Value};
+use fargo_wire::{CompletId, RefDescriptor, Value, WireReader, WireWriter};
 
 use crate::error::{FargoError, Result};
 use crate::events::EventPayload;
@@ -36,9 +59,8 @@ pub(crate) struct CompletPacket {
     pub names: Vec<String>,
     /// Monotonic per-complet move counter, bumped by the source on every
     /// departure. Lets the two-phase handshake distinguish *this* move
-    /// from any earlier or later one when resolving in-doubt outcomes.
-    /// Optional on the wire (`epoch` field, default `0`), so streams from
-    /// peers that never heard of epochs stay byte-compatible.
+    /// from any earlier or later one when resolving in-doubt outcomes
+    /// (0 = never moved).
     pub epoch: u64,
 }
 
@@ -54,27 +76,6 @@ pub(crate) enum MoveTxnState {
     Aborted,
     /// The peer has no record of this `(root, epoch)` transaction.
     Unknown,
-}
-
-impl MoveTxnState {
-    fn as_str(self) -> &'static str {
-        match self {
-            MoveTxnState::Held => "held",
-            MoveTxnState::Committed => "committed",
-            MoveTxnState::Aborted => "aborted",
-            MoveTxnState::Unknown => "unknown",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "held" => MoveTxnState::Held,
-            "committed" => MoveTxnState::Committed,
-            "aborted" => MoveTxnState::Aborted,
-            "unknown" => MoveTxnState::Unknown,
-            _ => return None,
-        })
-    }
 }
 
 /// Where an event subscription delivers.
@@ -105,8 +106,8 @@ pub(crate) enum Request {
         hops: u32,
     },
     /// A marshaled move stream: the root complet plus all co-movers.
-    /// Single-round move, kept for wire compatibility; new code uses the
-    /// two-phase `MovePrepare`/`MoveCommit` handshake.
+    /// The single-round move; the runtime's own moves use the two-phase
+    /// `MovePrepare`/`MoveCommit` handshake.
     Move {
         packets: Vec<CompletPacket>,
         continuation: Option<Continuation>,
@@ -274,7 +275,7 @@ pub(crate) enum Reply {
         target: CompletId,
         /// Move epoch of the target at the executing Core, so shortening
         /// from a delayed reply cannot repoint a tracker away from a
-        /// newer location (0 = never moved; omitted on the wire).
+        /// newer location (0 = never moved).
         epoch: u64,
     },
     MoveOk {
@@ -305,8 +306,7 @@ pub(crate) enum Reply {
     },
     /// A location shard's answer to [`Request::LocateQuery`]: the node
     /// the shard believes hosts the complet (`None` = no entry or a
-    /// tombstone) and the move epoch of that belief (0 = never moved;
-    /// omitted on the wire).
+    /// tombstone) and the move epoch of that belief (0 = never moved).
     LocateOk {
         node: Option<u32>,
         epoch: u64,
@@ -346,13 +346,17 @@ pub(crate) enum Reply {
     Err(FargoError),
 }
 
+/// One location-shard delta: `(complet, node, epoch, alive)`; `alive =
+/// false` is a tombstone (the complet was released).
+pub(crate) type DeltaTuple = (CompletId, u32, u64, bool);
+
 /// One-way notifications (no reply expected).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Notify {
     /// A complet now lives at `now_at` (home-registry update, and direct
     /// tracker refresh after moves). `epoch` is the move epoch that put
     /// it there, so delayed updates cannot regress the registry
-    /// (0 = never moved; omitted on the wire).
+    /// (0 = never moved).
     LocationUpdate {
         target: CompletId,
         now_at: u32,
@@ -361,11 +365,8 @@ pub(crate) enum Notify {
     /// An event fired at a remote Core this Core subscribed to.
     Event { token: u64, payload: EventPayload },
     /// A batch of location-shard deltas gossiped to the owning shard (or
-    /// anti-entropy peers): `(complet, node, epoch, alive)`. `alive =
-    /// false` is a tombstone (the complet was released).
-    ShardDelta {
-        entries: Vec<(CompletId, u32, u64, bool)>,
-    },
+    /// anti-entropy peers).
+    ShardDelta { entries: Vec<DeltaTuple> },
     /// The sending Core is about to shut down.
     CoreShutdown { node: u32 },
 }
@@ -378,8 +379,7 @@ pub(crate) enum Message {
         /// Node index of the Core awaiting the reply.
         origin: u32,
         /// Trace context propagated from the caller, if the operation is
-        /// being traced. Optional on the wire (`tr` field), so envelopes
-        /// from untraced callers stay byte-compatible.
+        /// being traced (the envelope's `trace` flag).
         trace: Option<TraceContext>,
         body: Request,
     },
@@ -392,1003 +392,295 @@ pub(crate) enum Message {
     Notify(Notify),
 }
 
-// --- encoding helpers ----------------------------------------------------
-
-fn id_to_value(id: CompletId) -> Value {
-    Value::list([Value::from(id.origin), Value::I64(id.seq as i64)])
+/// What rides on an envelope beside the message itself.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct EnvelopeMeta {
+    /// The sender's hybrid logical clock; the receiver merges it so the
+    /// journal's global timeline stays causally consistent.
+    pub hlc: Option<Hlc>,
+    /// The sender's shared-clock send time in µs, from which the
+    /// receiver attributes the network phase of a request's latency.
+    pub ts: Option<u64>,
+    /// Piggybacked location-shard gossip (empty = section absent).
+    pub nd: Vec<DeltaTuple>,
 }
 
-fn id_from_value(v: &Value) -> Result<CompletId> {
-    let origin = v
-        .index(0)
-        .and_then(Value::as_i64)
-        .ok_or_else(|| FargoError::Protocol("bad complet id".into()))?;
-    let seq = v
-        .index(1)
-        .and_then(Value::as_i64)
-        .ok_or_else(|| FargoError::Protocol("bad complet id".into()))?;
-    Ok(CompletId::new(origin as u32, seq as u64))
+/// The one envelope layout this build reads and writes.
+pub(crate) const ENVELOPE_VERSION: u8 = 1;
+
+const KIND_REQUEST: u8 = 0;
+const KIND_REPLY: u8 = 1;
+const KIND_NOTIFY: u8 = 2;
+
+const FLAG_TRACE: u8 = 1 << 0;
+const FLAG_HLC: u8 = 1 << 1;
+const FLAG_TS: u8 = 1 << 2;
+const FLAG_ND: u8 = 1 << 3;
+const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC | FLAG_TS | FLAG_ND;
+
+fn unknown(what: &str, tag: u8) -> FargoError {
+    FargoError::Protocol(format!("unknown {what} {tag}"))
 }
 
-fn ids_to_value(ids: &[CompletId]) -> Value {
-    Value::List(ids.iter().map(|&i| id_to_value(i)).collect())
+// --- positional fields -------------------------------------------------------
+
+/// One positional wire field: how a type appends itself to a writer and
+/// reads itself back. Scalars map onto the `fargo-wire` primitives,
+/// `Vec<T>` is a count then the items (bounded by
+/// `WireReader::get_count`), `Option<T>` a presence byte then the value,
+/// a tuple its elements, a record its fields and an enum a tag byte
+/// then the variant's fields — in the order the tables below list them.
+trait Wire: Sized {
+    fn put(&self, w: &mut WireWriter);
+    fn get(r: &mut WireReader) -> Result<Self>;
 }
 
-fn ids_from_value(v: &Value) -> Result<Vec<CompletId>> {
-    v.as_list()
-        .ok_or_else(|| FargoError::Protocol("bad id list".into()))?
-        .iter()
-        .map(id_from_value)
-        .collect()
+macro_rules! wire_prim {
+    ($($t:ty: $v:ident => $put:ident($arg:expr), $get:ident;)*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut WireWriter) {
+                let $v = self;
+                w.$put($arg);
+            }
+            fn get(r: &mut WireReader) -> Result<Self> {
+                Ok(r.$get()?)
+            }
+        }
+    )*};
 }
 
-fn nodes_to_value(nodes: &[u32]) -> Value {
-    Value::List(nodes.iter().map(|&n| Value::from(n)).collect())
+wire_prim! {
+    bool: v => put_bool(*v), get_bool;
+    u32: v => put_u32(*v), get_u32;
+    u64: v => put_u64(*v), get_u64;
+    f64: v => put_f64(*v), get_f64;
+    String: v => put_str(v), get_str;
+    Value: v => put_value(v), get_value;
+    CompletId: v => put_complet_id(*v), get_complet_id;
+    RefDescriptor: v => put_ref(v), get_ref;
 }
 
-fn nodes_from_value(v: &Value) -> Result<Vec<u32>> {
-    v.as_list()
-        .ok_or_else(|| FargoError::Protocol("bad node list".into()))?
-        .iter()
-        .map(|n| {
-            n.as_i64()
-                .map(|x| x as u32)
-                .ok_or_else(|| FargoError::Protocol("bad node index".into()))
+impl Wire for usize {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(*self as u64);
+    }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        usize::try_from(r.get_u64()?).map_err(|_| FargoError::Protocol("count out of range".into()))
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        Ok(if r.get_bool()? {
+            Some(T::get(r)?)
+        } else {
+            None
         })
-        .collect()
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| FargoError::Protocol(format!("missing string field {key:?}")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64> {
-    v.get(key)
-        .and_then(Value::as_i64)
-        .map(|x| x as u64)
-        .ok_or_else(|| FargoError::Protocol(format!("missing int field {key:?}")))
-}
-
-fn value_field(v: &Value, key: &str) -> Result<Value> {
-    v.get(key)
-        .cloned()
-        .ok_or_else(|| FargoError::Protocol(format!("missing field {key:?}")))
-}
-
-fn list_field(v: &Value, key: &str) -> Result<Vec<Value>> {
-    match v.get(key) {
-        Some(Value::List(items)) => Ok(items.clone()),
-        _ => Err(FargoError::Protocol(format!("missing list field {key:?}"))),
     }
 }
 
-fn ref_to_value(d: &RefDescriptor) -> Value {
-    Value::Ref(d.clone())
-}
-
-fn ref_from_value(v: &Value) -> Result<RefDescriptor> {
-    v.as_ref_desc()
-        .cloned()
-        .ok_or_else(|| FargoError::Protocol("expected ref descriptor".into()))
-}
-
-/// Errors cross the wire as `(code, detail)`; unrecognised codes decode to
-/// [`FargoError::App`] so peers never fail to decode an error reply.
-fn error_to_value(e: &FargoError) -> Value {
-    let (code, detail) = match e {
-        FargoError::UnknownComplet(id) => ("unknown_complet", id.to_string()),
-        FargoError::UnknownType(t) => ("unknown_type", t.clone()),
-        FargoError::NoSuchMethod {
-            complet_type,
-            method,
-        } => ("no_such_method", format!("{complet_type}/{method}")),
-        FargoError::App(m) => ("app", m.clone()),
-        FargoError::ReentrantInvocation(id) => ("reentrant", id.to_string()),
-        FargoError::Timeout => ("timeout", String::new()),
-        FargoError::NameNotBound(n) => ("name_not_bound", n.clone()),
-        FargoError::StampUnresolved(t) => ("stamp_unresolved", t.clone()),
-        FargoError::AlreadyMoving(id) => ("already_moving", id.to_string()),
-        FargoError::UnknownRelocator(n) => ("unknown_relocator", n.clone()),
-        FargoError::HopLimit(n) => ("hop_limit", n.to_string()),
-        FargoError::ShuttingDown => ("shutting_down", String::new()),
-        FargoError::CapacityExceeded { core, capacity } => {
-            ("capacity", format!("{core}/{capacity}"))
-        }
-        FargoError::MoveInDoubt(id) => ("move_indoubt", id.to_string()),
-        other => ("app", other.to_string()),
-    };
-    Value::map([("code", Value::from(code)), ("detail", Value::from(detail))])
-}
-
-fn error_from_value(v: &Value) -> Result<FargoError> {
-    let code = str_field(v, "code")?;
-    let detail = str_field(v, "detail")?;
-    Ok(match code.as_str() {
-        "unknown_type" => FargoError::UnknownType(detail),
-        "no_such_method" => {
-            let (t, m) = detail.split_once('/').unwrap_or((detail.as_str(), ""));
-            FargoError::NoSuchMethod {
-                complet_type: t.to_owned(),
-                method: m.to_owned(),
-            }
-        }
-        "timeout" => FargoError::Timeout,
-        "name_not_bound" => FargoError::NameNotBound(detail),
-        "stamp_unresolved" => FargoError::StampUnresolved(detail),
-        "unknown_relocator" => FargoError::UnknownRelocator(detail),
-        "shutting_down" => FargoError::ShuttingDown,
-        "capacity" => {
-            let (core, cap) = detail.rsplit_once('/').unwrap_or((detail.as_str(), "0"));
-            FargoError::CapacityExceeded {
-                core: core.to_owned(),
-                capacity: cap.parse().unwrap_or(0),
-            }
-        }
-        "hop_limit" => FargoError::HopLimit(detail.parse().unwrap_or(0)),
-        // Complet ids inside error details are informational; decode as App
-        // if unparsable rather than failing the whole reply.
-        "unknown_complet" | "reentrant" | "already_moving" | "move_indoubt" => {
-            match parse_id(&detail) {
-                Some(id) if code == "unknown_complet" => FargoError::UnknownComplet(id),
-                Some(id) if code == "reentrant" => FargoError::ReentrantInvocation(id),
-                Some(id) if code == "move_indoubt" => FargoError::MoveInDoubt(id),
-                Some(id) => FargoError::AlreadyMoving(id),
-                None => FargoError::App(format!("{code}: {detail}")),
-            }
-        }
-        _ => FargoError::App(detail),
-    })
-}
-
-fn parse_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
-}
-
-/// Spans cross the wire as flat 7-element lists:
-/// `[trace, span, parent, name, core, start_us, duration_us]`.
-fn span_to_value(s: &SpanRecord) -> Value {
-    Value::list([
-        Value::I64(s.trace_id as i64),
-        Value::I64(s.span_id as i64),
-        Value::I64(s.parent_id as i64),
-        Value::from(s.name.as_str()),
-        Value::from(s.core.as_str()),
-        Value::I64(s.start_us as i64),
-        Value::I64(s.duration_us as i64),
-    ])
-}
-
-fn span_from_value(v: &Value) -> Result<SpanRecord> {
-    let int = |i: usize| -> Result<u64> {
-        v.index(i)
-            .and_then(Value::as_i64)
-            .map(|x| x as u64)
-            .ok_or_else(|| FargoError::Protocol("bad span field".into()))
-    };
-    let text = |i: usize| -> Result<String> {
-        v.index(i)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| FargoError::Protocol("bad span field".into()))
-    };
-    Ok(SpanRecord {
-        trace_id: int(0)?,
-        span_id: int(1)?,
-        parent_id: int(2)?,
-        name: text(3)?,
-        core: text(4)?,
-        start_us: int(5)?,
-        duration_us: int(6)?,
-    })
-}
-
-/// Journal events cross the wire as flat 9-element lists:
-/// `[wall_us, logical, core, seq, kind, subject, object, detail, peer]`
-/// (`peer` is `-1` when absent).
-fn journal_event_to_value(e: &JournalEvent) -> Value {
-    Value::list([
-        Value::I64(e.hlc.wall_us as i64),
-        Value::I64(i64::from(e.hlc.logical)),
-        Value::from(e.core),
-        Value::I64(e.seq as i64),
-        Value::from(e.kind.as_str()),
-        Value::from(e.subject.as_str()),
-        Value::from(e.object.as_str()),
-        Value::from(e.detail.as_str()),
-        Value::I64(e.peer.map_or(-1, i64::from)),
-    ])
-}
-
-/// Account records cross the wire as flat 8-element lists:
-/// `[origin, seq, invokes, exec_us, bytes_in, bytes_out, load, err]`.
-fn account_to_value(r: &AccountRecord) -> Value {
-    Value::list([
-        Value::from(r.key.0),
-        Value::I64(r.key.1 as i64),
-        Value::I64(r.invokes as i64),
-        Value::I64(r.exec_us as i64),
-        Value::I64(r.bytes_in as i64),
-        Value::I64(r.bytes_out as i64),
-        Value::I64(r.load as i64),
-        Value::I64(r.err as i64),
-    ])
-}
-
-fn account_from_value(v: &Value) -> Result<AccountRecord> {
-    let int = |i: usize| -> Result<u64> {
-        v.index(i)
-            .and_then(Value::as_i64)
-            .map(|x| x as u64)
-            .ok_or_else(|| FargoError::Protocol("bad account field".into()))
-    };
-    Ok(AccountRecord {
-        key: (int(0)? as u32, int(1)?),
-        invokes: int(2)?,
-        exec_us: int(3)?,
-        bytes_in: int(4)?,
-        bytes_out: int(5)?,
-        load: int(6)?,
-        err: int(7)?,
-    })
-}
-
-/// Matrix cells cross the wire as flat 4-element lists:
-/// `[src, dst, msgs, bytes]`.
-fn matrix_cell_to_value(c: &MatrixCell) -> Value {
-    Value::list([
-        Value::from(c.src.as_str()),
-        Value::from(c.dst.as_str()),
-        Value::I64(c.msgs as i64),
-        Value::I64(c.bytes as i64),
-    ])
-}
-
-fn matrix_cell_from_value(v: &Value) -> Result<MatrixCell> {
-    let text = |i: usize| -> Result<String> {
-        v.index(i)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| FargoError::Protocol("bad matrix field".into()))
-    };
-    let int = |i: usize| -> Result<u64> {
-        v.index(i)
-            .and_then(Value::as_i64)
-            .map(|x| x as u64)
-            .ok_or_else(|| FargoError::Protocol("bad matrix field".into()))
-    };
-    Ok(MatrixCell {
-        src: text(0)?,
-        dst: text(1)?,
-        msgs: int(2)?,
-        bytes: int(3)?,
-    })
-}
-
-/// Shard deltas cross the wire as flat 4-element lists:
-/// `[id, node, epoch, alive]`.
-fn shard_delta_to_value(d: &(CompletId, u32, u64, bool)) -> Value {
-    Value::list([
-        id_to_value(d.0),
-        Value::from(d.1),
-        Value::I64(d.2 as i64),
-        Value::from(d.3),
-    ])
-}
-
-fn shard_delta_from_value(v: &Value) -> Result<(CompletId, u32, u64, bool)> {
-    let id = id_from_value(
-        v.index(0)
-            .ok_or_else(|| FargoError::Protocol("bad shard delta".into()))?,
-    )?;
-    let node = v
-        .index(1)
-        .and_then(Value::as_i64)
-        .ok_or_else(|| FargoError::Protocol("bad shard delta node".into()))? as u32;
-    let epoch =
-        v.index(2)
-            .and_then(Value::as_i64)
-            .ok_or_else(|| FargoError::Protocol("bad shard delta epoch".into()))? as u64;
-    let alive = v
-        .index(3)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| FargoError::Protocol("bad shard delta alive".into()))?;
-    Ok((id, node, epoch, alive))
-}
-
-fn journal_event_from_value(v: &Value) -> Result<JournalEvent> {
-    let int = |i: usize| -> Result<i64> {
-        v.index(i)
-            .and_then(Value::as_i64)
-            .ok_or_else(|| FargoError::Protocol("bad journal field".into()))
-    };
-    let text = |i: usize| -> Result<String> {
-        v.index(i)
-            .and_then(Value::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| FargoError::Protocol("bad journal field".into()))
-    };
-    let kind_name = text(4)?;
-    let kind = JournalKind::parse(&kind_name)
-        .ok_or_else(|| FargoError::Protocol(format!("unknown journal kind {kind_name:?}")))?;
-    let peer = int(8)?;
-    Ok(JournalEvent {
-        hlc: Hlc {
-            wall_us: int(0)? as u64,
-            logical: int(1)? as u32,
-        },
-        core: int(2)? as u32,
-        seq: int(3)? as u64,
-        kind,
-        subject: text(5)?,
-        object: text(6)?,
-        detail: text(7)?,
-        peer: (peer >= 0).then_some(peer as u32),
-    })
-}
-
-fn listener_to_value(l: &ListenerAddr) -> Value {
-    match l {
-        ListenerAddr::Complet(d) => Value::map([("complet", ref_to_value(d))]),
-        ListenerAddr::Core { node, token } => Value::map([
-            ("node", Value::from(*node)),
-            ("token", Value::I64(*token as i64)),
-        ]),
-    }
-}
-
-fn listener_from_value(v: &Value) -> Result<ListenerAddr> {
-    if let Some(r) = v.get("complet") {
-        return Ok(ListenerAddr::Complet(ref_from_value(r)?));
-    }
-    Ok(ListenerAddr::Core {
-        node: u64_field(v, "node")? as u32,
-        token: u64_field(v, "token")?,
-    })
-}
-
-fn packet_to_value(p: &CompletPacket) -> Value {
-    let mut m = Value::map([
-        ("id", id_to_value(p.id)),
-        ("type", Value::from(p.type_name.as_str())),
-        ("state", p.state.clone()),
-        (
-            "names",
-            Value::List(p.names.iter().map(|n| Value::from(n.as_str())).collect()),
-        ),
-    ]);
-    // Only stamped when non-zero, keeping epoch-less packets byte-identical
-    // to the pre-epoch wire format.
-    if p.epoch != 0 {
-        m.insert("epoch", Value::I64(p.epoch as i64));
-    }
-    m
-}
-
-fn packet_from_value(v: &Value) -> Result<CompletPacket> {
-    let names = list_field(v, "names")?
-        .iter()
-        .map(|n| {
-            n.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| FargoError::Protocol("bad name".into()))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(CompletPacket {
-        id: id_from_value(&value_field(v, "id")?)?,
-        type_name: str_field(v, "type")?,
-        state: value_field(v, "state")?,
-        names,
-        epoch: v
-            .get("epoch")
-            .and_then(Value::as_i64)
-            .map_or(0, |e| e as u64),
-    })
-}
-
-/// Shared encoding of a move stream's continuation (`cont` field).
-fn insert_continuation(m: &mut Value, continuation: &Option<Continuation>) {
-    if let Some(c) = continuation {
-        m.insert(
-            "cont",
-            Value::map([
-                ("target", id_to_value(c.target)),
-                ("method", Value::from(c.method.as_str())),
-                ("args", Value::List(c.args.clone())),
-            ]),
-        );
-    }
-}
-
-fn continuation_from_value(v: &Value) -> Result<Option<Continuation>> {
-    match v.get("cont") {
-        Some(c) => Ok(Some(Continuation {
-            target: id_from_value(&value_field(c, "target")?)?,
-            method: str_field(c, "method")?,
-            args: list_field(c, "args")?,
-        })),
-        None => Ok(None),
-    }
-}
-
-fn packets_from_value(v: &Value) -> Result<Vec<CompletPacket>> {
-    list_field(v, "packets")?
-        .iter()
-        .map(packet_from_value)
-        .collect()
-}
-
-impl Request {
-    fn to_value(&self) -> Value {
-        match self {
-            Request::Invoke {
-                target,
-                method,
-                args,
-                chain,
-                path,
-                hops,
-            } => Value::map([
-                ("kind", Value::from("invoke")),
-                ("target", id_to_value(*target)),
-                ("method", Value::from(method.as_str())),
-                ("args", Value::List(args.clone())),
-                ("chain", ids_to_value(chain)),
-                ("path", nodes_to_value(path)),
-                ("hops", Value::from(*hops)),
-            ]),
-            Request::Move {
-                packets,
-                continuation,
-            } => {
-                let mut m = Value::map([
-                    ("kind", Value::from("move")),
-                    (
-                        "packets",
-                        Value::List(packets.iter().map(packet_to_value).collect()),
-                    ),
-                ]);
-                insert_continuation(&mut m, continuation);
-                m
-            }
-            Request::MovePrepare {
-                root,
-                epoch,
-                packets,
-                continuation,
-            } => {
-                let mut m = Value::map([
-                    ("kind", Value::from("move_prep")),
-                    ("root", id_to_value(*root)),
-                    ("epoch", Value::I64(*epoch as i64)),
-                    (
-                        "packets",
-                        Value::List(packets.iter().map(packet_to_value).collect()),
-                    ),
-                ]);
-                insert_continuation(&mut m, continuation);
-                m
-            }
-            Request::MoveCommit { root, epoch } => Value::map([
-                ("kind", Value::from("move_commit")),
-                ("root", id_to_value(*root)),
-                ("epoch", Value::I64(*epoch as i64)),
-            ]),
-            Request::MoveAbort { root, epoch } => Value::map([
-                ("kind", Value::from("move_abort")),
-                ("root", id_to_value(*root)),
-                ("epoch", Value::I64(*epoch as i64)),
-            ]),
-            Request::MoveQuery { root, epoch } => Value::map([
-                ("kind", Value::from("move_query")),
-                ("root", id_to_value(*root)),
-                ("epoch", Value::I64(*epoch as i64)),
-            ]),
-            Request::MoveDecision { root, epoch } => Value::map([
-                ("kind", Value::from("move_decision")),
-                ("root", id_to_value(*root)),
-                ("epoch", Value::I64(*epoch as i64)),
-            ]),
-            Request::NewComplet { type_name, args } => Value::map([
-                ("kind", Value::from("new")),
-                ("type", Value::from(type_name.as_str())),
-                ("args", Value::List(args.clone())),
-            ]),
-            Request::NameLookup { name } => Value::map([
-                ("kind", Value::from("lookup")),
-                ("name", Value::from(name.as_str())),
-            ]),
-            Request::FetchState { id } => {
-                Value::map([("kind", Value::from("fetch")), ("id", id_to_value(*id))])
-            }
-            Request::MoveRequest { id, dest } => Value::map([
-                ("kind", Value::from("move_req")),
-                ("id", id_to_value(*id)),
-                ("dest", Value::from(*dest)),
-            ]),
-            Request::WhereIs { id } => {
-                Value::map([("kind", Value::from("where")), ("id", id_to_value(*id))])
-            }
-            Request::LocateQuery { id } => {
-                Value::map([("kind", Value::from("locate")), ("id", id_to_value(*id))])
-            }
-            Request::ShardList => Value::map([("kind", Value::from("shard_list"))]),
-            Request::Subscribe {
-                selector,
-                threshold,
-                above,
-                listener,
-            } => Value::map([
-                ("kind", Value::from("subscribe")),
-                ("selector", Value::from(selector.as_str())),
-                ("threshold", Value::from(*threshold)),
-                ("above", Value::from(*above)),
-                ("listener", listener_to_value(listener)),
-            ]),
-            Request::Unsubscribe { selector, listener } => Value::map([
-                ("kind", Value::from("unsubscribe")),
-                ("selector", Value::from(selector.as_str())),
-                ("listener", listener_to_value(listener)),
-            ]),
-            Request::ListComplets => Value::map([("kind", Value::from("list"))]),
-            Request::ListTrackers => Value::map([("kind", Value::from("list_trk"))]),
-            Request::TraceSpans { trace_id } => Value::map([
-                ("kind", Value::from("trace_spans")),
-                ("trace", Value::I64(*trace_id as i64)),
-            ]),
-            Request::JournalEvents => Value::map([("kind", Value::from("journal"))]),
-            Request::TopComplets { n } => Value::map([
-                ("kind", Value::from("top")),
-                ("n", Value::I64(i64::from(*n))),
-            ]),
-            Request::TrafficMatrix => Value::map([("kind", Value::from("matrix"))]),
-            Request::Ping => Value::map([("kind", Value::from("ping"))]),
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_u64(self.len() as u64);
+        for item in self {
+            item.put(w);
         }
     }
-
-    fn from_value(v: &Value) -> Result<Request> {
-        match str_field(v, "kind")?.as_str() {
-            "invoke" => Ok(Request::Invoke {
-                target: id_from_value(&value_field(v, "target")?)?,
-                method: str_field(v, "method")?,
-                args: list_field(v, "args")?,
-                chain: ids_from_value(&value_field(v, "chain")?)?,
-                path: nodes_from_value(&value_field(v, "path")?)?,
-                hops: u64_field(v, "hops")? as u32,
-            }),
-            "move" => Ok(Request::Move {
-                packets: packets_from_value(v)?,
-                continuation: continuation_from_value(v)?,
-            }),
-            "move_prep" => Ok(Request::MovePrepare {
-                root: id_from_value(&value_field(v, "root")?)?,
-                epoch: u64_field(v, "epoch")?,
-                packets: packets_from_value(v)?,
-                continuation: continuation_from_value(v)?,
-            }),
-            "move_commit" => Ok(Request::MoveCommit {
-                root: id_from_value(&value_field(v, "root")?)?,
-                epoch: u64_field(v, "epoch")?,
-            }),
-            "move_abort" => Ok(Request::MoveAbort {
-                root: id_from_value(&value_field(v, "root")?)?,
-                epoch: u64_field(v, "epoch")?,
-            }),
-            "move_query" => Ok(Request::MoveQuery {
-                root: id_from_value(&value_field(v, "root")?)?,
-                epoch: u64_field(v, "epoch")?,
-            }),
-            "move_decision" => Ok(Request::MoveDecision {
-                root: id_from_value(&value_field(v, "root")?)?,
-                epoch: u64_field(v, "epoch")?,
-            }),
-            "new" => Ok(Request::NewComplet {
-                type_name: str_field(v, "type")?,
-                args: list_field(v, "args")?,
-            }),
-            "lookup" => Ok(Request::NameLookup {
-                name: str_field(v, "name")?,
-            }),
-            "fetch" => Ok(Request::FetchState {
-                id: id_from_value(&value_field(v, "id")?)?,
-            }),
-            "move_req" => Ok(Request::MoveRequest {
-                id: id_from_value(&value_field(v, "id")?)?,
-                dest: u64_field(v, "dest")? as u32,
-            }),
-            "where" => Ok(Request::WhereIs {
-                id: id_from_value(&value_field(v, "id")?)?,
-            }),
-            "locate" => Ok(Request::LocateQuery {
-                id: id_from_value(&value_field(v, "id")?)?,
-            }),
-            "shard_list" => Ok(Request::ShardList),
-            "subscribe" => Ok(Request::Subscribe {
-                selector: str_field(v, "selector")?,
-                threshold: v.get("threshold").and_then(Value::as_f64),
-                above: v.get("above").and_then(Value::as_bool).unwrap_or(true),
-                listener: listener_from_value(&value_field(v, "listener")?)?,
-            }),
-            "unsubscribe" => Ok(Request::Unsubscribe {
-                selector: str_field(v, "selector")?,
-                listener: listener_from_value(&value_field(v, "listener")?)?,
-            }),
-            "list" => Ok(Request::ListComplets),
-            "list_trk" => Ok(Request::ListTrackers),
-            "trace_spans" => Ok(Request::TraceSpans {
-                trace_id: u64_field(v, "trace")?,
-            }),
-            "journal" => Ok(Request::JournalEvents),
-            "top" => Ok(Request::TopComplets {
-                n: u64_field(v, "n")? as u32,
-            }),
-            "matrix" => Ok(Request::TrafficMatrix),
-            "ping" => Ok(Request::Ping),
-            other => Err(FargoError::Protocol(format!(
-                "unknown request kind {other:?}"
-            ))),
-        }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        r.get_seq(T::get)
     }
 }
 
-impl Reply {
-    fn to_value(&self) -> Value {
-        match self {
-            Reply::InvokeOk {
-                value,
-                final_location,
-                target,
-                epoch,
-            } => {
-                let mut m = Value::map([
-                    ("kind", Value::from("invoke_ok")),
-                    ("value", value.clone()),
-                    ("loc", Value::from(*final_location)),
-                    ("target", id_to_value(*target)),
-                ]);
-                // Only stamped when non-zero, keeping replies for
-                // never-moved complets byte-identical to the pre-epoch
-                // wire format.
-                if *epoch != 0 {
-                    m.insert("epoch", Value::I64(*epoch as i64));
+macro_rules! wire_tuple {
+    ($(($($t:ident . $i:tt),+))*) => {$(
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn put(&self, w: &mut WireWriter) {
+                $(self.$i.put(w);)+
+            }
+            fn get(r: &mut WireReader) -> Result<Self> {
+                Ok(($($t::get(r)?,)+))
+            }
+        }
+    )*};
+}
+
+wire_tuple! { (A.0, B.1) (A.0, B.1, C.2) (A.0, B.1, C.2, D.3) }
+
+/// A record is its fields, in the order listed here.
+macro_rules! wire_record {
+    ($($t:ident { $($f:ident),+ })*) => {$(
+        impl Wire for $t {
+            fn put(&self, w: &mut WireWriter) {
+                $(self.$f.put(w);)+
+            }
+            fn get(r: &mut WireReader) -> Result<Self> {
+                Ok($t { $($f: Wire::get(r)?),+ })
+            }
+        }
+    )*};
+}
+
+wire_record! {
+    TraceContext { trace_id, span_id }
+    Hlc { wall_us, logical }
+    Continuation { target, method, args }
+    CompletPacket { id, type_name, epoch, names, state }
+    SpanRecord { trace_id, span_id, parent_id, name, core, start_us, duration_us }
+    JournalEvent { hlc, core, seq, kind, subject, object, detail, peer }
+    AccountRecord { key, invokes, exec_us, bytes_in, bytes_out, load, err }
+    MatrixCell { src, dst, msgs, bytes }
+}
+
+/// An enum is a tag byte, then the variant's fields in the order listed
+/// — one table drives both directions, so the two cannot disagree. An
+/// optional trailing `; other => image` arm encodes every unlisted
+/// variant as the listed value `image`.
+macro_rules! wire_enum {
+    ($t:ident, $what:literal;
+     $($tag:literal => $v:ident $({ $($f:ident),* })? $(( $($p:ident),* ))?,)*
+     $(; $o:ident => $image:expr)?) => {
+        impl Wire for $t {
+            fn put(&self, w: &mut WireWriter) {
+                match self {
+                    $($t::$v $({ $($f),* })? $(( $($p),* ))? => {
+                        w.put_u8($tag);
+                        $($($f.put(w);)*)?
+                        $($($p.put(w);)*)?
+                    })*
+                    $($o => Wire::put(&$image, w),)?
                 }
-                m
             }
-            Reply::MoveOk { arrived } => Value::map([
-                ("kind", Value::from("move_ok")),
-                ("arrived", ids_to_value(arrived)),
-            ]),
-            Reply::PrepareOk { epoch } => Value::map([
-                ("kind", Value::from("prep_ok")),
-                ("epoch", Value::I64(*epoch as i64)),
-            ]),
-            Reply::MoveState { state } => Value::map([
-                ("kind", Value::from("move_state")),
-                ("state", Value::from(state.as_str())),
-            ]),
-            Reply::NewOk { desc } => Value::map([
-                ("kind", Value::from("new_ok")),
-                ("desc", ref_to_value(desc)),
-            ]),
-            Reply::NameOk { desc } => {
-                let mut m = Value::map([("kind", Value::from("name_ok"))]);
-                if let Some(d) = desc {
-                    m.insert("desc", ref_to_value(d));
-                }
-                m
-            }
-            Reply::StateOk { type_name, state } => Value::map([
-                ("kind", Value::from("state_ok")),
-                ("type", Value::from(type_name.as_str())),
-                ("state", state.clone()),
-            ]),
-            Reply::WhereOk { node } => Value::map([
-                ("kind", Value::from("where_ok")),
-                ("node", Value::from(node.map(i64::from))),
-            ]),
-            Reply::LocateOk { node, epoch } => {
-                let mut m = Value::map([
-                    ("kind", Value::from("locate_ok")),
-                    ("node", Value::from(node.map(i64::from))),
-                ]);
-                // Non-zero only, as for `Reply::InvokeOk::epoch`.
-                if *epoch != 0 {
-                    m.insert("epoch", Value::I64(*epoch as i64));
-                }
-                m
-            }
-            Reply::ShardEntries { entries } => Value::map([
-                ("kind", Value::from("shard_entries")),
-                (
-                    "entries",
-                    Value::List(
-                        entries
-                            .iter()
-                            .map(|(id, node, epoch)| {
-                                Value::list([
-                                    id_to_value(*id),
-                                    Value::from(*node),
-                                    Value::I64(*epoch as i64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Reply::Complets { items } => Value::map([
-                ("kind", Value::from("complets")),
-                (
-                    "items",
-                    Value::List(
-                        items
-                            .iter()
-                            .map(|(id, t)| Value::list([id_to_value(*id), Value::from(t.as_str())]))
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Reply::Trackers { items } => Value::map([
-                ("kind", Value::from("trackers")),
-                (
-                    "items",
-                    Value::List(
-                        items
-                            .iter()
-                            .map(|(id, fwd, hits)| {
-                                Value::list([
-                                    id_to_value(*id),
-                                    Value::from(fwd.map(i64::from)),
-                                    Value::I64(*hits as i64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Reply::Spans { spans } => Value::map([
-                ("kind", Value::from("spans")),
-                (
-                    "spans",
-                    Value::List(spans.iter().map(span_to_value).collect()),
-                ),
-            ]),
-            Reply::Journal { events } => Value::map([
-                ("kind", Value::from("journal")),
-                (
-                    "events",
-                    Value::List(events.iter().map(journal_event_to_value).collect()),
-                ),
-            ]),
-            Reply::TopComplets { rows } => Value::map([
-                ("kind", Value::from("top")),
-                (
-                    "rows",
-                    Value::List(rows.iter().map(account_to_value).collect()),
-                ),
-            ]),
-            Reply::Matrix { cells } => Value::map([
-                ("kind", Value::from("matrix")),
-                (
-                    "cells",
-                    Value::List(cells.iter().map(matrix_cell_to_value).collect()),
-                ),
-            ]),
-            Reply::Ok => Value::map([("kind", Value::from("ok"))]),
-            Reply::Pong => Value::map([("kind", Value::from("pong"))]),
-            Reply::Err(e) => {
-                Value::map([("kind", Value::from("err")), ("error", error_to_value(e))])
-            }
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<Reply> {
-        match str_field(v, "kind")?.as_str() {
-            "invoke_ok" => Ok(Reply::InvokeOk {
-                value: value_field(v, "value")?,
-                final_location: u64_field(v, "loc")? as u32,
-                target: id_from_value(&value_field(v, "target")?)?,
-                epoch: v
-                    .get("epoch")
-                    .and_then(Value::as_i64)
-                    .map_or(0, |e| e as u64),
-            }),
-            "move_ok" => Ok(Reply::MoveOk {
-                arrived: ids_from_value(&value_field(v, "arrived")?)?,
-            }),
-            "prep_ok" => Ok(Reply::PrepareOk {
-                epoch: u64_field(v, "epoch")?,
-            }),
-            "move_state" => {
-                let s = str_field(v, "state")?;
-                Ok(Reply::MoveState {
-                    state: MoveTxnState::parse(&s)
-                        .ok_or_else(|| FargoError::Protocol(format!("unknown move state {s:?}")))?,
+            fn get(r: &mut WireReader) -> Result<Self> {
+                Ok(match r.get_u8()? {
+                    $($tag => $t::$v
+                        $({ $($f: Wire::get(r)?),* })?
+                        $(( $({ let $p = Wire::get(r)?; $p }),* ))?,)*
+                    t => return Err(unknown($what, t)),
                 })
             }
-            "new_ok" => Ok(Reply::NewOk {
-                desc: ref_from_value(&value_field(v, "desc")?)?,
-            }),
-            "name_ok" => Ok(Reply::NameOk {
-                desc: match v.get("desc") {
-                    Some(d) => Some(ref_from_value(d)?),
-                    None => None,
-                },
-            }),
-            "state_ok" => Ok(Reply::StateOk {
-                type_name: str_field(v, "type")?,
-                state: value_field(v, "state")?,
-            }),
-            "where_ok" => Ok(Reply::WhereOk {
-                node: v.get("node").and_then(Value::as_i64).map(|n| n as u32),
-            }),
-            "locate_ok" => Ok(Reply::LocateOk {
-                node: v.get("node").and_then(Value::as_i64).map(|n| n as u32),
-                epoch: v
-                    .get("epoch")
-                    .and_then(Value::as_i64)
-                    .map_or(0, |e| e as u64),
-            }),
-            "shard_entries" => {
-                let entries =
-                    list_field(v, "entries")?
-                        .iter()
-                        .map(|item| {
-                            let id =
-                                id_from_value(item.index(0).ok_or_else(|| {
-                                    FargoError::Protocol("bad shard entry".into())
-                                })?)?;
-                            let node = item.index(1).and_then(Value::as_i64).ok_or_else(|| {
-                                FargoError::Protocol("bad shard entry node".into())
-                            })? as u32;
-                            let epoch = item.index(2).and_then(Value::as_i64).ok_or_else(|| {
-                                FargoError::Protocol("bad shard entry epoch".into())
-                            })? as u64;
-                            Ok((id, node, epoch))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                Ok(Reply::ShardEntries { entries })
-            }
-            "complets" => {
-                let items = list_field(v, "items")?
-                    .iter()
-                    .map(|item| {
-                        let id = id_from_value(
-                            item.index(0)
-                                .ok_or_else(|| FargoError::Protocol("bad item".into()))?,
-                        )?;
-                        let t = item
-                            .index(1)
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| FargoError::Protocol("bad item type".into()))?;
-                        Ok((id, t.to_owned()))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Reply::Complets { items })
-            }
-            "trackers" => {
-                let items = list_field(v, "items")?
-                    .iter()
-                    .map(|item| {
-                        let id = id_from_value(
-                            item.index(0)
-                                .ok_or_else(|| FargoError::Protocol("bad tracker".into()))?,
-                        )?;
-                        let fwd = item.index(1).and_then(Value::as_i64).map(|n| n as u32);
-                        let hits = item
-                            .index(2)
-                            .and_then(Value::as_i64)
-                            .ok_or_else(|| FargoError::Protocol("bad tracker hits".into()))?
-                            as u64;
-                        Ok((id, fwd, hits))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Reply::Trackers { items })
-            }
-            "spans" => Ok(Reply::Spans {
-                spans: list_field(v, "spans")?
-                    .iter()
-                    .map(span_from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            }),
-            "journal" => Ok(Reply::Journal {
-                events: list_field(v, "events")?
-                    .iter()
-                    .map(journal_event_from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            }),
-            "top" => Ok(Reply::TopComplets {
-                rows: list_field(v, "rows")?
-                    .iter()
-                    .map(account_from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            }),
-            "matrix" => Ok(Reply::Matrix {
-                cells: list_field(v, "cells")?
-                    .iter()
-                    .map(matrix_cell_from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            }),
-            "ok" => Ok(Reply::Ok),
-            "pong" => Ok(Reply::Pong),
-            "err" => Ok(Reply::Err(error_from_value(&value_field(v, "error")?)?)),
-            other => Err(FargoError::Protocol(format!(
-                "unknown reply kind {other:?}"
-            ))),
         }
+    };
+}
+
+impl Wire for JournalKind {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_str(self.as_str());
+    }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        let name = r.get_str()?;
+        JournalKind::parse(&name)
+            .ok_or_else(|| FargoError::Protocol(format!("unknown journal kind {name:?}")))
     }
 }
 
-impl Notify {
-    fn to_value(&self) -> Value {
-        match self {
-            Notify::LocationUpdate {
-                target,
-                now_at,
-                epoch,
-            } => {
-                let mut m = Value::map([
-                    ("kind", Value::from("loc")),
-                    ("target", id_to_value(*target)),
-                    ("at", Value::from(*now_at)),
-                ]);
-                // Non-zero only, as for `CompletPacket::epoch`.
-                if *epoch != 0 {
-                    m.insert("epoch", Value::I64(*epoch as i64));
-                }
-                m
-            }
-            Notify::Event { token, payload } => Value::map([
-                ("kind", Value::from("event")),
-                ("token", Value::I64(*token as i64)),
-                ("payload", payload.to_value()),
-            ]),
-            Notify::ShardDelta { entries } => Value::map([
-                ("kind", Value::from("shard_delta")),
-                (
-                    "entries",
-                    Value::List(entries.iter().map(shard_delta_to_value).collect()),
-                ),
-            ]),
-            Notify::CoreShutdown { node } => Value::map([
-                ("kind", Value::from("shutdown")),
-                ("node", Value::from(*node)),
-            ]),
-        }
+/// Event payloads are application data: they stay self-describing.
+impl Wire for EventPayload {
+    fn put(&self, w: &mut WireWriter) {
+        w.put_value(&self.to_value());
     }
-
-    fn from_value(v: &Value) -> Result<Notify> {
-        match str_field(v, "kind")?.as_str() {
-            "loc" => Ok(Notify::LocationUpdate {
-                target: id_from_value(&value_field(v, "target")?)?,
-                now_at: u64_field(v, "at")? as u32,
-                epoch: v
-                    .get("epoch")
-                    .and_then(Value::as_i64)
-                    .map_or(0, |e| e as u64),
-            }),
-            "event" => Ok(Notify::Event {
-                token: u64_field(v, "token")?,
-                payload: EventPayload::from_value(&value_field(v, "payload")?)?,
-            }),
-            "shard_delta" => Ok(Notify::ShardDelta {
-                entries: list_field(v, "entries")?
-                    .iter()
-                    .map(shard_delta_from_value)
-                    .collect::<Result<Vec<_>>>()?,
-            }),
-            "shutdown" => Ok(Notify::CoreShutdown {
-                node: u64_field(v, "node")? as u32,
-            }),
-            other => Err(FargoError::Protocol(format!(
-                "unknown notify kind {other:?}"
-            ))),
-        }
+    fn get(r: &mut WireReader) -> Result<Self> {
+        EventPayload::from_value(&r.get_value()?)
     }
 }
+
+wire_enum! { MoveTxnState, "move state";
+    0 => Held,
+    1 => Committed,
+    2 => Aborted,
+    3 => Unknown,
+}
+
+wire_enum! { ListenerAddr, "listener kind";
+    0 => Complet(desc),
+    1 => Core { node, token },
+}
+
+// The five variants that only describe the *replying* Core's local
+// trouble (`Net`, `Wire`, `UnknownCore`, `InvalidArgument`, `Protocol`)
+// travel as `App` carrying their display text, so a caller never
+// mistakes a peer's transport failure for one of its own.
+wire_enum! { FargoError, "error tag";
+    0 => UnknownComplet(id),
+    1 => UnknownType(type_name),
+    2 => NoSuchMethod { complet_type, method },
+    3 => App(message),
+    4 => ReentrantInvocation(id),
+    5 => Timeout,
+    6 => NameNotBound(name),
+    7 => StampUnresolved(type_name),
+    8 => AlreadyMoving(id),
+    9 => UnknownRelocator(name),
+    10 => HopLimit(hops),
+    11 => ShuttingDown,
+    12 => CapacityExceeded { core, capacity },
+    13 => MoveInDoubt(id),
+    ; local => FargoError::App(local.to_string())
+}
+
+// --- bodies --------------------------------------------------------------------
+
+wire_enum! { Request, "request tag";
+    0 => Invoke { target, method, args, chain, path, hops },
+    1 => Move { packets, continuation },
+    2 => MovePrepare { root, epoch, packets, continuation },
+    3 => MoveCommit { root, epoch },
+    4 => MoveAbort { root, epoch },
+    5 => MoveQuery { root, epoch },
+    6 => MoveDecision { root, epoch },
+    7 => NewComplet { type_name, args },
+    8 => NameLookup { name },
+    9 => FetchState { id },
+    10 => MoveRequest { id, dest },
+    11 => WhereIs { id },
+    12 => LocateQuery { id },
+    13 => ShardList,
+    14 => Subscribe { selector, threshold, above, listener },
+    15 => Unsubscribe { selector, listener },
+    16 => ListComplets,
+    17 => ListTrackers,
+    18 => TraceSpans { trace_id },
+    19 => JournalEvents,
+    20 => TopComplets { n },
+    21 => TrafficMatrix,
+    22 => Ping,
+}
+
+wire_enum! { Reply, "reply tag";
+    0 => InvokeOk { final_location, target, epoch, value },
+    1 => MoveOk { arrived },
+    2 => PrepareOk { epoch },
+    3 => MoveState { state },
+    4 => NewOk { desc },
+    5 => NameOk { desc },
+    6 => StateOk { type_name, state },
+    7 => WhereOk { node },
+    8 => LocateOk { node, epoch },
+    9 => ShardEntries { entries },
+    10 => Complets { items },
+    11 => Trackers { items },
+    12 => Spans { spans },
+    13 => Journal { events },
+    14 => TopComplets { rows },
+    15 => Matrix { cells },
+    16 => Ok,
+    17 => Pong,
+    18 => Err(error),
+}
+
+wire_enum! { Notify, "notify tag";
+    0 => LocationUpdate { target, now_at, epoch },
+    1 => Event { token, payload },
+    2 => ShardDelta { entries },
+    3 => CoreShutdown { node },
+}
+
+// --- envelope --------------------------------------------------------------------
 
 impl Message {
     /// Stable lowercase label for per-message-type metrics: the request
@@ -1401,597 +693,376 @@ impl Message {
         }
     }
 
-    /// Encodes the message without an envelope HLC (the runtime send path
-    /// always goes through [`Message::encode_with_hlc`]; this form pins
-    /// down the unstamped wire shape).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn encode(&self) -> bytes::Bytes {
-        self.encode_with_hlc(None)
-    }
-
-    /// Encodes the message, piggybacking the sender's hybrid logical
-    /// clock on the envelope (optional `hlc` field, like the `tr` trace
-    /// field) so receivers can merge it and keep the journal's global
-    /// timeline causally consistent. Envelopes without the field stay
-    /// byte-compatible with peers that never heard of HLCs.
-    pub fn encode_with_hlc(&self, hlc: Option<Hlc>) -> bytes::Bytes {
-        self.encode_with_meta(hlc, None)
-    }
-
-    /// Encodes the message with the full set of optional envelope
-    /// metadata: the HLC (see [`Message::encode_with_hlc`]) and the
-    /// sender's shared-clock send timestamp in µs (optional `ts` field),
-    /// from which the receiver measures one-way network latency for the
-    /// per-phase histograms and the layout cost model. Both fields are
-    /// omitted entirely when `None`, so envelopes stay byte-compatible
-    /// with peers (and configurations) that never stamp them.
-    pub fn encode_with_meta(&self, hlc: Option<Hlc>, ts: Option<u64>) -> bytes::Bytes {
-        self.encode_with_meta_nd(hlc, ts, &[])
-    }
-
-    /// Encodes the message with the optional envelope metadata plus a
-    /// batch of piggybacked location-shard deltas (`nd` field, flat
-    /// `[id, node, epoch, alive]` lists). Gossip rides whatever traffic
-    /// is already flowing between two Cores; an empty batch omits the
-    /// field entirely, so delta-free envelopes stay byte-compatible.
-    pub fn encode_with_meta_nd(
-        &self,
-        hlc: Option<Hlc>,
-        ts: Option<u64>,
-        nd: &[(CompletId, u32, u64, bool)],
-    ) -> bytes::Bytes {
-        let mut v = match self {
-            Message::Request {
-                req_id,
-                origin,
-                trace,
-                body,
-            } => {
-                let mut m = Value::map([
-                    ("t", Value::from("req")),
-                    ("id", Value::I64(*req_id as i64)),
-                    ("origin", Value::from(*origin)),
-                    ("body", body.to_value()),
-                ]);
-                if let Some(tr) = trace {
-                    m.insert(
-                        "tr",
-                        Value::list([
-                            Value::I64(tr.trace_id as i64),
-                            Value::I64(tr.span_id as i64),
-                        ]),
-                    );
-                }
-                m
-            }
-            Message::Reply {
-                req_id,
-                route,
-                body,
-            } => Value::map([
-                ("t", Value::from("rep")),
-                ("id", Value::I64(*req_id as i64)),
-                ("route", nodes_to_value(route)),
-                ("body", body.to_value()),
-            ]),
-            Message::Notify(n) => Value::map([("t", Value::from("ntf")), ("body", n.to_value())]),
+    /// Appends the envelope — header, flagged metadata sections, body —
+    /// to `w`. Returns the encoded length of the `nd` section (0 when no
+    /// deltas ride along): the bytes this envelope spends on gossip.
+    pub(crate) fn encode(&self, meta: &EnvelopeMeta, w: &mut WireWriter) -> usize {
+        let (kind, trace) = match self {
+            Message::Request { trace, .. } => (KIND_REQUEST, *trace),
+            Message::Reply { .. } => (KIND_REPLY, None),
+            Message::Notify(_) => (KIND_NOTIFY, None),
         };
-        if let Some(h) = hlc {
-            v.insert(
-                "hlc",
-                Value::list([
-                    Value::I64(h.wall_us as i64),
-                    Value::I64(i64::from(h.logical)),
-                ]),
-            );
+        let flag = |on: bool, bit: u8| if on { bit } else { 0 };
+        let flags = flag(trace.is_some(), FLAG_TRACE)
+            | flag(meta.hlc.is_some(), FLAG_HLC)
+            | flag(meta.ts.is_some(), FLAG_TS)
+            | flag(!meta.nd.is_empty(), FLAG_ND);
+        w.put_u8(ENVELOPE_VERSION).put_u8(kind).put_u8(flags);
+        match self {
+            Message::Request { req_id, origin, .. } => {
+                w.put_u64(*req_id).put_u32(*origin);
+            }
+            Message::Reply { req_id, route, .. } => {
+                w.put_u64(*req_id);
+                route.put(w);
+            }
+            Message::Notify(_) => {}
         }
-        if let Some(ts) = ts {
-            v.insert("ts", Value::I64(ts as i64));
+        // An absent section writes nothing: `Option::put`'s presence
+        // byte is what the flag bits replace here.
+        if let Some(tr) = trace {
+            tr.put(w);
         }
-        if !nd.is_empty() {
-            v.insert(
-                "nd",
-                Value::List(nd.iter().map(shard_delta_to_value).collect()),
-            );
+        if let Some(hlc) = meta.hlc {
+            hlc.put(w);
         }
-        encode_value(&v)
+        if let Some(ts) = meta.ts {
+            ts.put(w);
+        }
+        let before_nd = w.len();
+        if !meta.nd.is_empty() {
+            meta.nd.put(w);
+        }
+        let nd_bytes = w.len() - before_nd;
+        match self {
+            Message::Request { body, .. } => body.put(w),
+            Message::Reply { body, .. } => body.put(w),
+            Message::Notify(n) => n.put(w),
+        }
+        nd_bytes
     }
 
-    /// Decodes a message received from a peer, discarding any envelope
-    /// HLC (the runtime receive path uses [`Message::decode_with_hlc`]).
+    /// Decodes one envelope from a transport payload, in place: the
+    /// message, its metadata, and the encoded length of the `nd` section
+    /// (the mirror of what [`Message::encode`] returns).
     ///
     /// # Errors
     ///
-    /// Fails with [`FargoError::Protocol`] or a wire error on malformed
-    /// input.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn decode(bytes: &[u8]) -> Result<Message> {
-        Ok(Message::decode_with_hlc(bytes)?.0)
-    }
-
-    /// Decodes a message plus the sender's envelope HLC, if it carried
-    /// one. The receiver merges the timestamp into its own clock before
-    /// dispatching, which is what makes journal events at the two Cores
-    /// order causally.
-    pub fn decode_with_hlc(bytes: &[u8]) -> Result<(Message, Option<Hlc>)> {
-        let (msg, hlc, _) = Message::decode_with_meta(bytes)?;
-        Ok((msg, hlc))
-    }
-
-    /// Decodes a message plus all optional envelope metadata: the
-    /// sender's HLC and its send timestamp (`ts`, shared-clock µs). The
-    /// receive path subtracts `ts` from its own clock to attribute the
-    /// network phase of the request's latency.
-    pub fn decode_with_meta(bytes: &[u8]) -> Result<(Message, Option<Hlc>, Option<u64>)> {
-        let (msg, hlc, ts, _) = Message::decode_with_meta_nd(bytes)?;
-        Ok((msg, hlc, ts))
-    }
-
-    /// Decodes a message plus all optional envelope metadata *and* any
-    /// piggybacked location-shard deltas (`nd` field). The receive path
-    /// feeds the deltas to the local shard/cache before dispatching the
-    /// message itself.
-    #[allow(clippy::type_complexity)]
-    pub fn decode_with_meta_nd(
-        bytes: &[u8],
-    ) -> Result<(
-        Message,
-        Option<Hlc>,
-        Option<u64>,
-        Vec<(CompletId, u32, u64, bool)>,
-    )> {
-        let v = decode_value(bytes)?;
-        let hlc = v.get("hlc").and_then(|h| {
-            Some(Hlc {
-                wall_us: h.index(0)?.as_i64()? as u64,
-                logical: h.index(1)?.as_i64()? as u32,
-            })
-        });
-        let ts = v.get("ts").and_then(|t| t.as_i64()).map(|t| t as u64);
-        let msg = match str_field(&v, "t")?.as_str() {
-            "req" => Ok(Message::Request {
-                req_id: u64_field(&v, "id")?,
-                origin: u64_field(&v, "origin")? as u32,
-                trace: v.get("tr").and_then(|tr| {
-                    Some(TraceContext {
-                        trace_id: tr.index(0)?.as_i64()? as u64,
-                        span_id: tr.index(1)?.as_i64()? as u64,
-                    })
-                }),
-                body: Request::from_value(&value_field(&v, "body")?)?,
-            }),
-            "rep" => Ok(Message::Reply {
-                req_id: u64_field(&v, "id")?,
-                route: nodes_from_value(&value_field(&v, "route")?)?,
-                body: Reply::from_value(&value_field(&v, "body")?)?,
-            }),
-            "ntf" => Ok(Message::Notify(Notify::from_value(&value_field(
-                &v, "body",
-            )?)?)),
-            other => Err(FargoError::Protocol(format!("unknown envelope {other:?}"))),
-        }?;
-        let nd = match v.get("nd").and_then(Value::as_list) {
-            Some(items) => items
-                .iter()
-                .map(shard_delta_from_value)
-                .collect::<Result<Vec<_>>>()?,
-            None => Vec::new(),
+    /// Fails with [`FargoError::Protocol`] or a wire error on an unknown
+    /// envelope version, kind, flag bit or tag, and on truncated,
+    /// malformed or trailing bytes.
+    pub(crate) fn decode(payload: bytes::Bytes) -> Result<(Message, EnvelopeMeta, usize)> {
+        let r = &mut WireReader::new(payload);
+        let version = r.get_u8()?;
+        if version != ENVELOPE_VERSION {
+            return Err(unknown("envelope version", version));
+        }
+        let (kind, flags) = (r.get_u8()?, r.get_u8()?);
+        if flags & !FLAGS_KNOWN != 0 || (flags & FLAG_TRACE != 0 && kind != KIND_REQUEST) {
+            return Err(unknown("envelope flags", flags));
+        }
+        let (req_id, origin, route) = match kind {
+            KIND_REQUEST => (r.get_u64()?, r.get_u32()?, Vec::new()),
+            KIND_REPLY => (r.get_u64()?, 0, Wire::get(r)?),
+            KIND_NOTIFY => (0, 0, Vec::new()),
+            k => return Err(unknown("envelope kind", k)),
         };
-        Ok((msg, hlc, ts, nd))
+        let section = |bit: u8| flags & bit != 0;
+        let trace = section(FLAG_TRACE).then(|| Wire::get(r)).transpose()?;
+        let hlc = section(FLAG_HLC).then(|| Wire::get(r)).transpose()?;
+        let ts = section(FLAG_TS).then(|| Wire::get(r)).transpose()?;
+        let before_nd = r.remaining();
+        let nd = section(FLAG_ND)
+            .then(|| Wire::get(r))
+            .transpose()?
+            .unwrap_or_default();
+        let nd_bytes = before_nd - r.remaining();
+        let msg = match kind {
+            KIND_REQUEST => Message::Request {
+                req_id,
+                origin,
+                trace,
+                body: Wire::get(r)?,
+            },
+            KIND_REPLY => Message::Reply {
+                req_id,
+                route,
+                body: Wire::get(r)?,
+            },
+            _ => Message::Notify(Wire::get(r)?),
+        };
+        r.expect_end()?;
+        Ok((msg, EnvelopeMeta { hlc, ts, nd }, nd_bytes))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::collections::HashSet;
+    use std::mem::discriminant;
+
+    use bytes::Bytes;
+    use fargo_wire::testgen::{gen_ref, gen_value, TestRng};
+
     use super::*;
 
-    fn roundtrip(m: Message) {
-        let bytes = m.encode();
-        assert_eq!(Message::decode(&bytes).unwrap(), m);
+    /// Counts the bytes each thread asks the allocator for, so the fuzz
+    /// test can bound what decoding a hostile frame may allocate.
+    struct CountingAlloc;
+
+    thread_local! {
+        static REQUESTED: Cell<usize> = const { Cell::new(0) };
     }
 
-    #[test]
-    fn invoke_roundtrips() {
-        roundtrip(Message::Request {
-            req_id: 42,
-            origin: 1,
-            trace: None,
-            body: Request::Invoke {
-                target: CompletId::new(0, 7),
+    // SAFETY: every call is forwarded unchanged to `System`, which upholds
+    // the `GlobalAlloc` contract; the counter is a plain thread-local
+    // `Cell<usize>` (const-initialised, no destructor), so touching it
+    // neither allocates nor re-enters the allocator.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|c| c.set(c.get() + layout.size()));
+            // SAFETY: same layout, as the caller guarantees for `alloc`.
+            unsafe { System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+            unsafe { System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = REQUESTED.try_with(|c| c.set(c.get() + new_size));
+            // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// Bytes this thread requested from the allocator while `f` ran.
+    fn requested_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = REQUESTED.with(Cell::get);
+        let out = f();
+        (out, REQUESTED.with(Cell::get) - before)
+    }
+
+    fn id(seq: u64) -> CompletId {
+        CompletId::new((seq % 3) as u32, seq)
+    }
+
+    fn packet(seq: u64) -> CompletPacket {
+        CompletPacket {
+            id: id(seq),
+            type_name: "Message".into(),
+            state: Value::map([("text", Value::from("x")), ("n", Value::I64(-7))]),
+            names: vec!["msg".into(), "postbox".into()],
+            epoch: seq,
+        }
+    }
+
+    fn continuation() -> Continuation {
+        Continuation {
+            target: id(1),
+            method: "start".into(),
+            args: vec![Value::I64(1), Value::Null],
+        }
+    }
+
+    /// Every request kind, plus the shape variants inside a kind.
+    fn requests() -> Vec<Request> {
+        let rng = &mut TestRng(0xfa46);
+        let (root, epoch) = (id(9), 3);
+        let complet_listener = ListenerAddr::Complet(gen_ref(rng));
+        vec![
+            Request::Invoke {
+                target: id(7),
                 method: "print".into(),
-                args: vec![Value::from("hi"), Value::Null],
-                chain: vec![CompletId::new(1, 1)],
-                path: vec![1, 2, 3],
+                args: vec![Value::from("hi"), gen_value(rng, 3)],
+                chain: vec![id(1), id(2)],
+                path: vec![1, 2, 300],
                 hops: 2,
             },
-        });
-    }
-
-    #[test]
-    fn move_stream_roundtrips() {
-        roundtrip(Message::Request {
-            req_id: 1,
-            origin: 0,
-            trace: None,
-            body: Request::Move {
-                packets: vec![CompletPacket {
-                    id: CompletId::new(0, 1),
-                    type_name: "Message".into(),
-                    state: Value::map([("text", Value::from("x"))]),
-                    names: vec!["msg".into()],
-                    epoch: 0,
-                }],
-                continuation: Some(Continuation {
-                    target: CompletId::new(0, 1),
-                    method: "start".into(),
-                    args: vec![Value::I64(1)],
-                }),
+            Request::Move {
+                packets: vec![packet(1), packet(0)],
+                continuation: Some(continuation()),
             },
-        });
-    }
-
-    #[test]
-    fn two_phase_move_messages_roundtrip() {
-        let root = CompletId::new(0, 1);
-        roundtrip(Message::Request {
-            req_id: 2,
-            origin: 0,
-            trace: None,
-            body: Request::MovePrepare {
-                root,
-                epoch: 3,
-                packets: vec![CompletPacket {
-                    id: root,
-                    type_name: "Message".into(),
-                    state: Value::Null,
-                    names: vec![],
-                    epoch: 3,
-                }],
-                continuation: Some(Continuation {
-                    target: root,
-                    method: "start".into(),
-                    args: vec![],
-                }),
-            },
-        });
-        for body in [
-            Request::MoveCommit { root, epoch: 3 },
-            Request::MoveAbort { root, epoch: 3 },
-            Request::MoveQuery { root, epoch: 3 },
-            Request::MoveDecision { root, epoch: 3 },
-        ] {
-            roundtrip(Message::Request {
-                req_id: 2,
-                origin: 0,
-                trace: None,
-                body,
-            });
-        }
-        for body in [
-            Reply::PrepareOk { epoch: 3 },
-            Reply::MoveState {
-                state: MoveTxnState::Held,
-            },
-            Reply::MoveState {
-                state: MoveTxnState::Committed,
-            },
-            Reply::MoveState {
-                state: MoveTxnState::Aborted,
-            },
-            Reply::MoveState {
-                state: MoveTxnState::Unknown,
-            },
-        ] {
-            roundtrip(Message::Reply {
-                req_id: 2,
-                route: vec![0],
-                body,
-            });
-        }
-    }
-
-    #[test]
-    fn epochless_packet_stays_byte_compatible() {
-        // epoch 0 must not appear on the wire at all, so a pre-epoch peer
-        // decodes the stream unchanged — same guarantee the HLC field made.
-        let packet = CompletPacket {
-            id: CompletId::new(0, 1),
-            type_name: "T".into(),
-            state: Value::Null,
-            names: vec![],
-            epoch: 0,
-        };
-        let encoded = encode_value(&packet_to_value(&packet));
-        assert!(packet_to_value(&packet).get("epoch").is_none());
-        let back = packet_from_value(&decode_value(&encoded).unwrap()).unwrap();
-        assert_eq!(back, packet);
-        // And a stamped packet round-trips its epoch.
-        let stamped = CompletPacket { epoch: 7, ..packet };
-        let back =
-            packet_from_value(&decode_value(&encode_value(&packet_to_value(&stamped))).unwrap())
-                .unwrap();
-        assert_eq!(back.epoch, 7);
-    }
-
-    #[test]
-    fn move_without_continuation_roundtrips() {
-        roundtrip(Message::Request {
-            req_id: 1,
-            origin: 0,
-            trace: None,
-            body: Request::Move {
+            Request::Move {
                 packets: vec![],
                 continuation: None,
             },
-        });
+            Request::MovePrepare {
+                root,
+                epoch,
+                packets: vec![packet(3)],
+                continuation: Some(continuation()),
+            },
+            Request::MoveCommit { root, epoch },
+            Request::MoveAbort { root, epoch },
+            Request::MoveQuery { root, epoch },
+            Request::MoveDecision { root, epoch },
+            Request::NewComplet {
+                type_name: "Counter".into(),
+                args: vec![gen_value(rng, 2)],
+            },
+            Request::NameLookup {
+                name: "postbox".into(),
+            },
+            Request::FetchState { id: id(4) },
+            Request::MoveRequest { id: id(4), dest: 2 },
+            Request::WhereIs { id: id(5) },
+            Request::LocateQuery { id: id(6) },
+            Request::ShardList,
+            Request::Subscribe {
+                selector: "completLoad".into(),
+                threshold: Some(3.5),
+                above: true,
+                listener: complet_listener.clone(),
+            },
+            Request::Subscribe {
+                selector: "coreShutdown".into(),
+                threshold: None,
+                above: false,
+                listener: ListenerAddr::Core { node: 3, token: 99 },
+            },
+            Request::Unsubscribe {
+                selector: "completLoad".into(),
+                listener: complet_listener,
+            },
+            Request::ListComplets,
+            Request::ListTrackers,
+            Request::TraceSpans { trace_id: u64::MAX },
+            Request::JournalEvents,
+            Request::TopComplets { n: 10 },
+            Request::TrafficMatrix,
+            Request::Ping,
+        ]
     }
 
-    #[test]
-    fn replies_roundtrip() {
-        for body in [
+    /// Every [`FargoError`] variant.
+    fn errors() -> Vec<FargoError> {
+        vec![
+            FargoError::Net(simnet::NetError::RecvTimeout),
+            FargoError::Wire(fargo_wire::WireError::BadTag(9)),
+            FargoError::UnknownComplet(id(4)),
+            FargoError::UnknownType("T".into()),
+            FargoError::NoSuchMethod {
+                complet_type: "A/b".into(),
+                method: "c".into(),
+            },
+            FargoError::App("boom".into()),
+            FargoError::ReentrantInvocation(id(1)),
+            FargoError::Timeout,
+            FargoError::UnknownCore("everest".into()),
+            FargoError::NameNotBound("x".into()),
+            FargoError::StampUnresolved("Printer".into()),
+            FargoError::AlreadyMoving(id(2)),
+            FargoError::UnknownRelocator("warp".into()),
+            FargoError::InvalidArgument("zero workers".into()),
+            FargoError::CapacityExceeded {
+                core: "a/b".into(),
+                capacity: 64,
+            },
+            FargoError::ShuttingDown,
+            FargoError::HopLimit(64),
+            FargoError::Protocol("unexpected reply".into()),
+            FargoError::MoveInDoubt(id(9)),
+        ]
+    }
+
+    /// What an error looks like after crossing the wire: itself, except
+    /// the five local-trouble variants, which arrive as `App(display)`.
+    fn wire_image(e: &FargoError) -> FargoError {
+        match e {
+            FargoError::Net(_)
+            | FargoError::Wire(_)
+            | FargoError::UnknownCore(_)
+            | FargoError::InvalidArgument(_)
+            | FargoError::Protocol(_) => FargoError::App(e.to_string()),
+            other => other.clone(),
+        }
+    }
+
+    /// Every reply kind (each error variant is its own `Reply::Err`).
+    fn replies() -> Vec<Reply> {
+        let rng = &mut TestRng(0x4e91);
+        let event = |seq: u64, kind, peer| JournalEvent {
+            hlc: Hlc {
+                wall_us: 123 + seq,
+                logical: 4,
+            },
+            core: 1,
+            seq,
+            kind,
+            subject: "c0.1".into(),
+            object: "Agent".into(),
+            detail: String::new(),
+            peer,
+        };
+        let mut out = vec![
             Reply::InvokeOk {
-                value: Value::from(5i64),
+                value: gen_value(rng, 3),
                 final_location: 3,
-                target: CompletId::new(0, 7),
+                target: id(7),
                 epoch: 0,
             },
             Reply::InvokeOk {
-                value: Value::from(5i64),
-                final_location: 3,
-                target: CompletId::new(0, 7),
+                value: Value::Bytes(vec![0xab; 64]),
+                final_location: 1,
+                target: id(8),
                 epoch: 4,
             },
             Reply::MoveOk {
-                arrived: vec![CompletId::new(1, 1)],
+                arrived: vec![id(1), id(2)],
             },
-            Reply::NewOk {
-                desc: RefDescriptor::link(CompletId::new(2, 2), "T", 2),
+            Reply::PrepareOk { epoch: 3 },
+            Reply::NewOk { desc: gen_ref(rng) },
+            Reply::NameOk {
+                desc: Some(gen_ref(rng)),
             },
             Reply::NameOk { desc: None },
             Reply::StateOk {
                 type_name: "T".into(),
-                state: Value::Null,
+                state: gen_value(rng, 3),
             },
             Reply::WhereOk { node: Some(4) },
             Reply::WhereOk { node: None },
-            Reply::Complets {
-                items: vec![(CompletId::new(0, 1), "Message".into())],
-            },
-            Reply::Trackers {
-                items: vec![
-                    (CompletId::new(0, 1), Some(3), 7),
-                    (CompletId::new(1, 2), None, 0),
-                ],
-            },
-            Reply::Ok,
-            Reply::Pong,
-        ] {
-            roundtrip(Message::Reply {
-                req_id: 9,
-                route: vec![2, 1],
-                body,
-            });
-        }
-    }
-
-    #[test]
-    fn errors_roundtrip_typed() {
-        let cases = [
-            FargoError::UnknownComplet(CompletId::new(3, 4)),
-            FargoError::Timeout,
-            FargoError::NoSuchMethod {
-                complet_type: "A".into(),
-                method: "b".into(),
-            },
-            FargoError::App("boom".into()),
-            FargoError::ReentrantInvocation(CompletId::new(1, 1)),
-            FargoError::StampUnresolved("Printer".into()),
-            FargoError::NameNotBound("x".into()),
-            FargoError::ShuttingDown,
-            FargoError::HopLimit(64),
-            FargoError::MoveInDoubt(CompletId::new(0, 9)),
-        ];
-        for e in cases {
-            let m = Message::Reply {
-                req_id: 1,
-                route: vec![],
-                body: Reply::Err(e.clone()),
-            };
-            let back = Message::decode(&m.encode()).unwrap();
-            match back {
-                Message::Reply {
-                    body: Reply::Err(got),
-                    ..
-                } => assert_eq!(got, e),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn notifies_roundtrip() {
-        for epoch in [0, 6] {
-            roundtrip(Message::Notify(Notify::LocationUpdate {
-                target: CompletId::new(1, 2),
-                now_at: 5,
-                epoch,
-            }));
-        }
-        roundtrip(Message::Notify(Notify::CoreShutdown { node: 2 }));
-    }
-
-    #[test]
-    fn epochless_tracker_updates_stay_byte_compatible() {
-        // As for `CompletPacket`: epoch 0 must not appear on the wire, so
-        // replies and notifies about never-moved complets decode on a
-        // pre-epoch peer unchanged.
-        let reply = Reply::InvokeOk {
-            value: Value::Null,
-            final_location: 1,
-            target: CompletId::new(0, 1),
-            epoch: 0,
-        };
-        assert!(reply.to_value().get("epoch").is_none());
-        let notify = Notify::LocationUpdate {
-            target: CompletId::new(0, 1),
-            now_at: 1,
-            epoch: 0,
-        };
-        assert!(notify.to_value().get("epoch").is_none());
-        // Stamped ones carry it.
-        let stamped = Reply::InvokeOk {
-            value: Value::Null,
-            final_location: 1,
-            target: CompletId::new(0, 1),
-            epoch: 9,
-        };
-        assert_eq!(
-            stamped.to_value().get("epoch").and_then(Value::as_i64),
-            Some(9)
-        );
-    }
-
-    #[test]
-    fn naming_messages_roundtrip() {
-        let id = CompletId::new(2, 9);
-        roundtrip(Message::Request {
-            req_id: 11,
-            origin: 0,
-            trace: None,
-            body: Request::LocateQuery { id },
-        });
-        roundtrip(Message::Request {
-            req_id: 12,
-            origin: 0,
-            trace: None,
-            body: Request::ShardList,
-        });
-        for body in [
             Reply::LocateOk {
                 node: Some(3),
                 epoch: 5,
-            },
-            Reply::LocateOk {
-                node: Some(3),
-                epoch: 0,
             },
             Reply::LocateOk {
                 node: None,
                 epoch: 0,
             },
             Reply::ShardEntries {
-                entries: vec![(id, 3, 5), (CompletId::new(0, 1), 1, 0)],
+                entries: vec![(id(9), 3, 5), (id(1), 1, 0)],
             },
             Reply::ShardEntries { entries: vec![] },
-        ] {
-            roundtrip(Message::Reply {
-                req_id: 11,
-                route: vec![0],
-                body,
-            });
-        }
-        roundtrip(Message::Notify(Notify::ShardDelta {
-            entries: vec![(id, 3, 5, true), (CompletId::new(0, 1), 1, 2, false)],
-        }));
-    }
-
-    #[test]
-    fn epochless_locate_reply_stays_byte_compatible() {
-        // As for `Reply::InvokeOk`: epoch 0 must not appear on the wire.
-        let reply = Reply::LocateOk {
-            node: Some(1),
-            epoch: 0,
-        };
-        assert!(reply.to_value().get("epoch").is_none());
-        let stamped = Reply::LocateOk {
-            node: Some(1),
-            epoch: 4,
-        };
-        assert_eq!(
-            stamped.to_value().get("epoch").and_then(Value::as_i64),
-            Some(4)
-        );
-    }
-
-    #[test]
-    fn envelope_shard_deltas_piggyback_and_are_optional() {
-        let msg = Message::Request {
-            req_id: 8,
-            origin: 0,
-            trace: None,
-            body: Request::Ping,
-        };
-        // No deltas → byte-identical to the plain encoding.
-        assert_eq!(msg.encode_with_meta_nd(None, None, &[]), msg.encode());
-        let deltas = vec![
-            (CompletId::new(0, 1), 2, 3, true),
-            (CompletId::new(1, 4), 0, 7, false),
-        ];
-        let stamped = msg.encode_with_meta_nd(
-            Some(Hlc {
-                wall_us: 10,
-                logical: 1,
-            }),
-            Some(99),
-            &deltas,
-        );
-        let (back, hlc, ts, nd) = Message::decode_with_meta_nd(&stamped).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(
-            hlc,
-            Some(Hlc {
-                wall_us: 10,
-                logical: 1
-            })
-        );
-        assert_eq!(ts, Some(99));
-        assert_eq!(nd, deltas);
-        // Plain decode ignores the field without failing.
-        let (back, _, _) = Message::decode_with_meta(&stamped).unwrap();
-        assert_eq!(back, msg);
-        // Delta-free envelopes decode with an empty batch.
-        let (_, _, _, nd) = Message::decode_with_meta_nd(&msg.encode()).unwrap();
-        assert!(nd.is_empty());
-    }
-
-    #[test]
-    fn subscribe_roundtrips_both_listener_kinds() {
-        for listener in [
-            ListenerAddr::Complet(RefDescriptor::link(CompletId::new(1, 1), "L", 0)),
-            ListenerAddr::Core { node: 3, token: 99 },
-        ] {
-            roundtrip(Message::Request {
-                req_id: 5,
-                origin: 0,
-                trace: None,
-                body: Request::Subscribe {
-                    selector: "completLoad".into(),
-                    threshold: Some(3.0),
-                    above: true,
-                    listener,
-                },
-            });
-        }
-    }
-
-    #[test]
-    fn account_request_and_reply_roundtrip() {
-        roundtrip(Message::Request {
-            req_id: 4,
-            origin: 0,
-            trace: None,
-            body: Request::TopComplets { n: 10 },
-        });
-        roundtrip(Message::Request {
-            req_id: 5,
-            origin: 0,
-            trace: None,
-            body: Request::TrafficMatrix,
-        });
-        roundtrip(Message::Reply {
-            req_id: 4,
-            route: vec![0],
-            body: Reply::TopComplets {
+            Reply::Complets {
+                items: vec![(id(1), "Message".into())],
+            },
+            Reply::Trackers {
+                items: vec![(id(1), Some(3), 7), (id(2), None, 0)],
+            },
+            Reply::Spans {
+                spans: vec![SpanRecord {
+                    trace_id: 5,
+                    span_id: 6,
+                    parent_id: 0,
+                    name: "invoke Printer.print".into(),
+                    core: "acadia".into(),
+                    start_us: 1_000_000,
+                    duration_us: 250,
+                }],
+            },
+            Reply::Journal {
+                events: vec![
+                    event(9, JournalKind::CompletDeparted, Some(2)),
+                    event(0, JournalKind::RefEdgeCreated, None),
+                ],
+            },
+            Reply::TopComplets {
                 rows: vec![AccountRecord {
                     key: (2, 17),
                     invokes: 40,
@@ -2002,11 +1073,7 @@ mod tests {
                     err: 3,
                 }],
             },
-        });
-        roundtrip(Message::Reply {
-            req_id: 5,
-            route: vec![0],
-            body: Reply::Matrix {
+            Reply::Matrix {
                 cells: vec![MatrixCell {
                     src: "core0".into(),
                     dst: "core1".into(),
@@ -2014,144 +1081,324 @@ mod tests {
                     bytes: 900,
                 }],
             },
-        });
+            Reply::Ok,
+            Reply::Pong,
+        ];
+        for state in [
+            MoveTxnState::Held,
+            MoveTxnState::Committed,
+            MoveTxnState::Aborted,
+            MoveTxnState::Unknown,
+        ] {
+            out.push(Reply::MoveState { state });
+        }
+        out.extend(errors().iter().map(|e| Reply::Err(wire_image(e))));
+        out
     }
 
-    #[test]
-    fn journal_request_and_reply_roundtrip() {
-        roundtrip(Message::Request {
-            req_id: 3,
-            origin: 0,
-            trace: None,
-            body: Request::JournalEvents,
-        });
-        roundtrip(Message::Reply {
-            req_id: 3,
-            route: vec![0],
-            body: Reply::Journal {
-                events: vec![
-                    JournalEvent {
-                        hlc: Hlc {
-                            wall_us: 123,
-                            logical: 4,
-                        },
-                        core: 1,
-                        seq: 9,
-                        kind: JournalKind::CompletDeparted,
-                        subject: "c0.1".into(),
-                        object: "Agent".into(),
-                        detail: String::new(),
-                        peer: Some(2),
-                    },
-                    JournalEvent {
-                        hlc: Hlc {
-                            wall_us: 124,
-                            logical: 0,
-                        },
-                        core: 2,
-                        seq: 0,
-                        kind: JournalKind::RefEdgeCreated,
-                        subject: "c0.1".into(),
-                        object: "c0.2".into(),
-                        detail: "pull".into(),
-                        peer: None,
-                    },
-                ],
+    /// Every notify kind, with every event payload shape.
+    fn notifies() -> Vec<Notify> {
+        let mut out = vec![
+            Notify::LocationUpdate {
+                target: id(2),
+                now_at: 5,
+                epoch: 6,
             },
-        });
+            Notify::ShardDelta {
+                entries: vec![(id(9), 3, 5, true), (id(1), 1, 2, false)],
+            },
+            Notify::CoreShutdown { node: 2 },
+        ];
+        for payload in [
+            EventPayload::CompletArrived {
+                id: id(1),
+                type_name: "Agent".into(),
+                core: 2,
+            },
+            EventPayload::CoreShutdown { core: 1 },
+            EventPayload::Profile {
+                service: "completLoad".into(),
+                key: "c0.1->c0.2".into(),
+                value: 2.5,
+                core: 0,
+            },
+        ] {
+            out.push(Notify::Event { token: 77, payload });
+        }
+        out
     }
 
-    #[test]
-    fn envelope_hlc_piggybacks_and_is_optional() {
-        let msg = Message::Request {
-            req_id: 7,
-            origin: 0,
-            trace: None,
-            body: Request::Ping,
-        };
-        let stamped = msg.encode_with_hlc(Some(Hlc {
-            wall_us: 55,
-            logical: 3,
-        }));
-        let (back, hlc) = Message::decode_with_hlc(&stamped).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(
-            hlc,
-            Some(Hlc {
-                wall_us: 55,
-                logical: 3
+    /// All sample messages; `traced` sets the trace section on requests
+    /// (the only kind that has one).
+    fn samples(traced: bool) -> Vec<Message> {
+        let trace = traced.then_some(TraceContext {
+            trace_id: 812,
+            span_id: 4_004,
+        });
+        let requests = requests().into_iter().map(|body| Message::Request {
+            req_id: (7 << 32) | 42,
+            origin: 1,
+            trace,
+            body,
+        });
+        let replies = replies().into_iter().map(|body| Message::Reply {
+            req_id: 9,
+            route: vec![2, 1],
+            body,
+        });
+        requests
+            .chain(replies)
+            .chain(notifies().into_iter().map(Message::Notify))
+            .collect()
+    }
+
+    /// The eight combinations of the `hlc` / `ts` / `nd` sections.
+    fn metas() -> Vec<EnvelopeMeta> {
+        (0..8)
+            .map(|bits| EnvelopeMeta {
+                hlc: (bits & 1 != 0).then_some(Hlc {
+                    wall_us: 55_000_123,
+                    logical: 3,
+                }),
+                ts: (bits & 2 != 0).then_some(55_000_321),
+                nd: if bits & 4 != 0 {
+                    vec![(id(1), 2, 3, true), (id(4), 0, 7, false)]
+                } else {
+                    vec![]
+                },
             })
+            .collect()
+    }
+
+    fn encode(msg: &Message, meta: &EnvelopeMeta) -> (Bytes, usize) {
+        let mut w = WireWriter::new();
+        let nd_bytes = msg.encode(meta, &mut w);
+        (w.finish(), nd_bytes)
+    }
+
+    #[test]
+    fn samples_cover_every_variant() {
+        let kinds = |n: usize, seen: usize| assert_eq!(seen, n, "a variant lost its sample");
+        let names: HashSet<_> = requests().iter().map(Request::kind_name).collect();
+        kinds(23, names.len());
+        kinds(
+            19,
+            replies()
+                .iter()
+                .map(discriminant)
+                .collect::<HashSet<_>>()
+                .len(),
         );
-        // Unstamped envelopes decode with no HLC — backwards compatible.
-        let (back, hlc) = Message::decode_with_hlc(&msg.encode()).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(hlc, None);
-        // All three envelope shapes accept the field.
-        for m in [
-            Message::Reply {
-                req_id: 1,
-                route: vec![0],
-                body: Reply::Ok,
-            },
-            Message::Notify(Notify::CoreShutdown { node: 1 }),
-        ] {
-            let (_, h) = Message::decode_with_hlc(&m.encode_with_hlc(Some(Hlc {
-                wall_us: 9,
-                logical: 0,
-            })))
-            .unwrap();
-            assert_eq!(h.unwrap().wall_us, 9);
+        kinds(
+            4,
+            notifies()
+                .iter()
+                .map(discriminant)
+                .collect::<HashSet<_>>()
+                .len(),
+        );
+        kinds(
+            19,
+            errors()
+                .iter()
+                .map(discriminant)
+                .collect::<HashSet<_>>()
+                .len(),
+        );
+    }
+
+    #[test]
+    fn every_variant_roundtrips_under_all_sixteen_flag_combinations() {
+        for traced in [false, true] {
+            for meta in metas() {
+                for msg in samples(traced) {
+                    let (bytes, nd_bytes) = encode(&msg, &meta);
+                    let (back, back_meta, back_nd_bytes) =
+                        Message::decode(bytes).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
+                    assert_eq!(back, msg);
+                    assert_eq!(back_meta, meta);
+                    assert_eq!(back_nd_bytes, nd_bytes);
+                    assert_eq!(nd_bytes == 0, meta.nd.is_empty());
+                }
+            }
         }
     }
 
     #[test]
-    fn envelope_send_timestamp_piggybacks_and_is_optional() {
-        let msg = Message::Request {
-            req_id: 7,
+    fn every_error_variant_crosses_as_its_wire_image() {
+        for e in errors() {
+            let msg = Message::Reply {
+                req_id: 1,
+                route: vec![],
+                body: Reply::Err(e.clone()),
+            };
+            let (bytes, _) = encode(&msg, &EnvelopeMeta::default());
+            match Message::decode(bytes).unwrap().0 {
+                Message::Reply {
+                    body: Reply::Err(got),
+                    ..
+                } => assert_eq!(got, wire_image(&e)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_strict_prefix_and_any_trailing_byte_is_an_error() {
+        let metas = metas();
+        for meta in [&metas[0], &metas[7]] {
+            for msg in samples(true) {
+                let (bytes, _) = encode(&msg, meta);
+                for cut in 0..bytes.len() {
+                    assert!(
+                        Message::decode(bytes.slice(..cut)).is_err(),
+                        "{cut}-byte prefix of {msg:?} decoded"
+                    );
+                }
+                let mut longer = bytes.to_vec();
+                longer.push(0);
+                assert!(Message::decode(longer.into()).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_version_kind_and_flags_are_rejected() {
+        let ping = Message::Request {
+            req_id: 1,
             origin: 0,
             trace: None,
             body: Request::Ping,
         };
-        let stamped = msg.encode_with_meta(None, Some(123_456));
-        let (back, hlc, ts) = Message::decode_with_meta(&stamped).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(hlc, None);
-        assert_eq!(ts, Some(123_456));
-        // An unstamped envelope encodes to the exact same bytes as one
-        // that never heard of the field — byte compatible, not merely
-        // decode compatible.
-        assert_eq!(msg.encode_with_meta(None, None), msg.encode());
-        let (_, _, ts) = Message::decode_with_meta(&msg.encode()).unwrap();
-        assert_eq!(ts, None);
-        // HLC and ts stack on the same envelope.
-        let both = msg.encode_with_meta(
-            Some(Hlc {
-                wall_us: 55,
-                logical: 3,
-            }),
-            Some(9),
-        );
-        let (_, hlc, ts) = Message::decode_with_meta(&both).unwrap();
-        assert_eq!(hlc.unwrap().wall_us, 55);
-        assert_eq!(ts, Some(9));
-        // All three envelope shapes accept the field.
-        for m in [
-            Message::Reply {
-                req_id: 1,
-                route: vec![0],
-                body: Reply::Ok,
-            },
-            Message::Notify(Notify::CoreShutdown { node: 1 }),
-        ] {
-            let (_, _, ts) = Message::decode_with_meta(&m.encode_with_meta(None, Some(4))).unwrap();
-            assert_eq!(ts, Some(4));
+        let reply = Message::Reply {
+            req_id: 1,
+            route: vec![0],
+            body: Reply::Pong,
+        };
+        let patched = |msg: &Message, at: usize, byte: u8| {
+            let mut bytes = encode(msg, &EnvelopeMeta::default()).0.to_vec();
+            bytes[at] = byte;
+            Message::decode(bytes.into())
+        };
+        assert!(patched(&ping, 0, ENVELOPE_VERSION).is_ok());
+        for version in [0, ENVELOPE_VERSION + 1, 0x88, 0xff] {
+            assert!(patched(&ping, 0, version).is_err(), "version {version}");
         }
+        assert!(patched(&ping, 1, 3).is_err(), "unknown kind");
+        assert!(patched(&ping, 2, 0x10).is_err(), "unknown flag bit");
+        assert!(patched(&reply, 2, FLAG_TRACE).is_err(), "trace on a reply");
+        assert!(Message::decode(Bytes::from_static(b"garbage")).is_err());
     }
 
+    /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every
+    /// sample decodes to `Err` or to a message that re-encodes, never
+    /// panics, and never asks the allocator for more than a small
+    /// multiple of the frame. `ci.sh` sweeps `FARGO_PROTO_FUZZ_SEED`.
     #[test]
-    fn garbage_is_rejected() {
-        assert!(Message::decode(b"garbage").is_err());
-        let v = Value::map([("t", Value::from("nope"))]);
-        assert!(Message::decode(&encode_value(&v)).is_err());
+    fn mutation_fuzz_never_panics_or_over_allocates() {
+        // A decoded `Value` or record is at most ~100 bytes in memory per
+        // input byte that declared it (one-byte `Null`s in a list), and
+        // a growing `Vec` asks for that twice over.
+        const ALLOC_FACTOR: usize = 256;
+        const ALLOC_SLACK: usize = 1024;
+        let seed = std::env::var("FARGO_PROTO_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1);
+        let rng = &mut TestRng(seed);
+        let full = &metas()[7];
+        let corpus: Vec<Vec<u8>> = samples(true)
+            .iter()
+            .map(|m| encode(m, full).0.to_vec())
+            .collect();
+        let (mut rejected, mut accepted, mut worst) = (0u32, 0u32, 0usize);
+        for round in 0..12_000 {
+            let mut bytes = corpus[round % corpus.len()].clone();
+            let at = rng.below(bytes.len() as u64) as usize;
+            match rng.below(5) {
+                0 => bytes[at] = rng.next_u64() as u8,
+                1 => bytes[at] ^= 1 << rng.below(8),
+                // Length mutations: a count or length blown up to a huge
+                // varint, a byte dropped, a byte inserted.
+                2 => {
+                    bytes.splice(at..=at, [0xff, 0xff, 0xff, 0xff, 0x07]);
+                }
+                3 => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, rng.next_u64() as u8),
+            }
+            let len = bytes.len();
+            let frame = Bytes::from(bytes);
+            let (decoded, requested) = requested_during(|| Message::decode(frame));
+            worst = worst.max(requested / len.max(1));
+            assert!(
+                requested <= ALLOC_FACTOR * len + ALLOC_SLACK,
+                "round {round}: {requested} bytes requested for a {len}-byte frame"
+            );
+            match decoded {
+                Ok((msg, meta, _)) => {
+                    // A valid message: it encodes and decodes to itself.
+                    let (again, _) = encode(&msg, &meta);
+                    assert_eq!(Message::decode(again).unwrap().0, msg);
+                    accepted += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        println!("seed {seed}: {rejected} rejected, {accepted} accepted, worst {worst}x");
+        assert!(
+            rejected > 1_000 && accepted > 1_000,
+            "{rejected}/{accepted}"
+        );
+    }
+
+    /// The size budget of ISSUE 12: the canonical `small-tcp` call.
+    #[test]
+    fn small_get_fits_its_byte_budget() {
+        let meta = EnvelopeMeta {
+            hlc: Some(Hlc {
+                wall_us: 25_000_000,
+                logical: 0,
+            }),
+            ts: Some(25_000_040),
+            nd: vec![],
+        };
+        let get = Message::Request {
+            req_id: 150_000,
+            origin: 0,
+            trace: Some(TraceContext {
+                trace_id: 300_000,
+                span_id: 300_001,
+            }),
+            body: Request::Invoke {
+                target: CompletId::new(1, 33),
+                method: "get".into(),
+                args: vec![Value::from("key-00042")],
+                chain: vec![],
+                path: vec![0],
+                hops: 0,
+            },
+        };
+        let request_len = encode(&get, &meta).0.len();
+        assert!(request_len <= 60, "get request is {request_len} bytes");
+
+        let value = Value::Bytes(vec![7; 64]);
+        let value_len = fargo_wire::encode_value(&value).len();
+        let ok = Message::Reply {
+            req_id: 150_000,
+            route: vec![],
+            body: Reply::InvokeOk {
+                value,
+                final_location: 1,
+                target: CompletId::new(1, 33),
+                epoch: 0,
+            },
+        };
+        let reply_len = encode(&ok, &meta).0.len();
+        assert!(
+            reply_len <= value_len + 30,
+            "reply is {reply_len} bytes for a {value_len}-byte value"
+        );
     }
 }

@@ -14,6 +14,9 @@ pub(crate) mod reliable;
 pub(crate) mod shards;
 pub(crate) mod wal;
 
+#[cfg(test)]
+mod envelope_tests;
+
 pub use persistence::Checkpoint;
 pub use shards::{LocateReport, ResolveVia};
 pub use wal::RecoveryReport;
@@ -26,14 +29,15 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use fargo_net::{
-    DeliveryGate, SimnetTransport, TcpTransport, TcpTransportConfig, Transport, TransportError,
+    Datagram, DeliveryGate, SimnetTransport, TcpTransport, TcpTransportConfig, Transport,
+    TransportError,
 };
 use fargo_telemetry::{
     merge_timelines, render_snapshots_json, render_span_tree, AccountRecord, HealthEngine,
     HealthSample, Histogram, Hlc, JournalEvent, JournalKind, LayoutHistory, MatrixCell,
     Registry as TelemetryRegistry, RuleStatus, SlowRecord, SpanRecord, TraceContext,
 };
-use fargo_wire::{CompletId, RefDescriptor, Value};
+use fargo_wire::{CompletId, RefDescriptor, Value, WireWriter};
 use parking_lot::{Mutex, RwLock};
 use simnet::{Endpoint, Network, NodeId};
 
@@ -43,7 +47,7 @@ use crate::ctx::Ctx;
 use crate::error::{FargoError, Result};
 use crate::events::{Delivery, EventHandler, EventHub, EventPayload};
 use crate::monitor::{Monitor, Service};
-use crate::proto::{ListenerAddr, Message, Notify, Reply, ReqId, Request};
+use crate::proto::{EnvelopeMeta, ListenerAddr, Message, Notify, Reply, ReqId, Request};
 use crate::reference::relocator::RelocatorRegistry;
 use crate::reference::tracker::{PointOutcome, TrackerSnapshot, TrackerTable, TrackerTarget};
 use crate::reference::{CompletRef, MetaRef};
@@ -59,6 +63,11 @@ const MOVE_DECISION_LOG: usize = 1024;
 /// falls off this window resumes at the window start; anti-entropy
 /// republish covers the gap.
 const SHARD_DELTA_LOG: usize = 1024;
+
+/// Bytes reserved for an outgoing envelope before encoding: covers the
+/// header plus a small invocation, so the common message never regrows
+/// its buffer (larger ones grow normally).
+const ENVELOPE_CAPACITY_HINT: usize = 128;
 
 /// The synthetic "source complet" id used when application code outside
 /// any complet invokes through a reference; profiling keys on it.
@@ -515,6 +524,12 @@ impl Core {
             t.reply_send_failures.get(),
             t.move_indoubt_total.get(),
         )
+    }
+
+    /// Received datagrams this Core dropped because they did not decode
+    /// (`fargo_msg_decode_errors_total`).
+    pub fn decode_errors(&self) -> u64 {
+        self.inner.telemetry.msg_decode_errors_total.get()
     }
 
     /// The trace id of the most recently recorded span here, if any.
@@ -1373,13 +1388,19 @@ impl Core {
         // measurement absorbs the marshal time also recorded here.
         let ts = t.phase_send_stamp();
         // Gossip piggyback: whatever shard deltas this peer has not seen
-        // yet ride along in the envelope's optional `nd` field (absent —
-        // and byte-identical to the plain encoding — when caught up).
-        let nd = self.gossip_batch_for(node);
-        let payload = msg.encode_with_meta_nd(t.hlc_send_stamp(), ts, &nd);
-        if !nd.is_empty() {
-            t.naming_gossip_bytes_total.add(payload.len() as u64);
+        // yet ride along in the envelope's `nd` section (absent when the
+        // peer is caught up).
+        let meta = EnvelopeMeta {
+            hlc: t.hlc_send_stamp(),
+            ts,
+            nd: self.gossip_batch_for(node),
+        };
+        let mut w = WireWriter::with_capacity(ENVELOPE_CAPACITY_HINT);
+        let nd_bytes = msg.encode(&meta, &mut w);
+        if nd_bytes > 0 {
+            t.naming_gossip_bytes_total.add(nd_bytes as u64);
         }
+        let payload = w.finish();
         if let Some(t0) = ts {
             t.latency_marshal_us
                 .observe(t.phase_now_us().saturating_sub(t0));
@@ -1588,37 +1609,47 @@ impl Core {
                 return;
             }
             match self.inner.transport.recv_timeout(Duration::from_millis(25)) {
-                Ok(incoming) => match Message::decode_with_meta_nd(&incoming.payload) {
-                    Ok((msg, hlc, ts, nd)) => {
-                        let t = &self.inner.telemetry;
-                        if let Some(h) = hlc {
-                            t.observe_hlc(h);
-                        }
-                        if let Some(sent_us) = ts {
-                            // One-way delivery latency as the application
-                            // experienced it (propagation + queueing +
-                            // marshal), measured on the shared clock. Fed
-                            // back to the substrate so the layout cost
-                            // model calibrates from observations.
-                            let us = t.phase_now_us().saturating_sub(sent_us);
-                            t.observe_phase(&t.latency_network_us, us);
-                            self.inner.net.record_observed_latency(
-                                NodeId::from_index(incoming.src),
-                                self.inner.node,
-                                us,
-                            );
-                        }
-                        t.record_msg_in(msg.kind_label(), incoming.payload.len());
-                        t.queue_depth.set(self.inner.transport.queue_len() as f64);
-                        self.absorb_gossip(nd);
-                        self.dispatch(msg);
-                    }
-                    Err(_) => { /* malformed datagram: drop, as a real core would */ }
-                },
+                Ok(incoming) => self.receive(incoming),
                 Err(e) if e.is_timeout() => {}
                 Err(_) => return,
             }
         }
+    }
+
+    /// Decodes one datagram (in place — the reader walks the transport's
+    /// buffer), absorbs its envelope metadata and dispatches the message.
+    fn receive(&self, incoming: Datagram) {
+        let t = &self.inner.telemetry;
+        let wire_len = incoming.payload.len();
+        let Ok((msg, meta, nd_bytes)) = Message::decode(incoming.payload) else {
+            // Malformed, truncated or unknown-version frame: dropped, as
+            // a real Core would, and counted.
+            t.msg_decode_errors_total.inc();
+            return;
+        };
+        if let Some(h) = meta.hlc {
+            t.observe_hlc(h);
+        }
+        if let Some(sent_us) = meta.ts {
+            // One-way delivery latency as the application experienced it
+            // (propagation + queueing + marshal), measured on the shared
+            // clock. Fed back to the substrate so the layout cost model
+            // calibrates from observations.
+            let us = t.phase_now_us().saturating_sub(sent_us);
+            t.observe_phase(&t.latency_network_us, us);
+            self.inner.net.record_observed_latency(
+                NodeId::from_index(incoming.src),
+                self.inner.node,
+                us,
+            );
+        }
+        t.record_msg_in(msg.kind_label(), wire_len);
+        t.queue_depth.set(self.inner.transport.queue_len() as f64);
+        if nd_bytes > 0 {
+            t.naming_gossip_bytes_total.add(nd_bytes as u64);
+        }
+        self.absorb_gossip(meta.nd);
+        self.dispatch(msg);
     }
 
     fn dispatch(&self, msg: Message) {

@@ -19,7 +19,7 @@ use fargo_telemetry::JournalKind;
 use fargo_wire::CompletId;
 
 use crate::error::{FargoError, Result};
-use crate::proto::{Message, Notify, Reply, Request};
+use crate::proto::{DeltaTuple, Message, Notify, Reply, Request};
 use crate::reference::tracker::TrackerTarget;
 use crate::runtime::Core;
 
@@ -111,7 +111,7 @@ impl Core {
             .telemetry
             .naming_handoffs_total
             .add(lost.len() as u64);
-        let mut by_owner: BTreeMap<u32, Vec<(CompletId, u32, u64, bool)>> = BTreeMap::new();
+        let mut by_owner: BTreeMap<u32, Vec<DeltaTuple>> = BTreeMap::new();
         for (id, e) in &lost {
             if let Some(owner) = ring.owner_of(*id) {
                 by_owner
@@ -184,11 +184,11 @@ impl Core {
     /// or a peer's momentarily older ring) are forwarded to their owner.
     /// Rings are pure functions of membership, so forwarding terminates
     /// as soon as the views agree.
-    pub(crate) fn absorb_shard_publishes(&self, entries: Vec<(CompletId, u32, u64, bool)>) {
+    pub(crate) fn absorb_shard_publishes(&self, entries: Vec<DeltaTuple>) {
         let me = self.inner.node.index();
         let t = &self.inner.telemetry;
         t.naming_deltas_in_total.add(entries.len() as u64);
-        let mut forward: BTreeMap<u32, Vec<(CompletId, u32, u64, bool)>> = BTreeMap::new();
+        let mut forward: BTreeMap<u32, Vec<DeltaTuple>> = BTreeMap::new();
         for (id, node, epoch, alive) in entries {
             match self.ring_owner(id) {
                 Some(owner) if owner == me => {
@@ -210,9 +210,8 @@ impl Core {
 
     /// Drains the next batch of gossip deltas destined for `peer`,
     /// advancing its cursor. Empty when gossip is off or the peer is
-    /// caught up — the envelope then omits the `nd` field entirely and
-    /// stays byte-identical to the pre-gossip encoding.
-    pub(crate) fn gossip_batch_for(&self, peer: u32) -> Vec<(CompletId, u32, u64, bool)> {
+    /// caught up — the envelope then carries no `nd` section at all.
+    pub(crate) fn gossip_batch_for(&self, peer: u32) -> Vec<DeltaTuple> {
         let batch = self.inner.config.naming_gossip_batch;
         if !self.naming_enabled() || batch == 0 || peer == self.inner.node.index() {
             return Vec::new();
@@ -238,7 +237,7 @@ impl Core {
     /// *hint*, fed through the same epoch-guarded tracker update a
     /// passing reply would get (chains demoted to cache). Deltas this
     /// Core happens to own are also applied authoritatively.
-    pub(crate) fn absorb_gossip(&self, entries: Vec<(CompletId, u32, u64, bool)>) {
+    pub(crate) fn absorb_gossip(&self, entries: Vec<DeltaTuple>) {
         if entries.is_empty() || !self.naming_enabled() {
             return;
         }

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fargo_net::frame::{read_frame, write_frame, FrameError};
-use fargo_wire::{decode_value, encode_value, CompletId, Value};
+use fargo_wire::{decode_value_from_bytes, encode_value, CompletId, Value};
 use parking_lot::Mutex;
 
 /// Marshaled image of one complet: everything recovery needs to
@@ -602,7 +602,8 @@ fn read_next(file: &mut File) -> Result<Option<WalRecord>, io::Error> {
     if crc32(body) != u32::from_be_bytes([sum[0], sum[1], sum[2], sum[3]]) {
         return Err(io::Error::other("wal record checksum mismatch"));
     }
-    let value = decode_value(body).map_err(|e| io::Error::other(e.to_string()))?;
+    let value =
+        decode_value_from_bytes(payload.slice(4..)).map_err(|e| io::Error::other(e.to_string()))?;
     WalRecord::from_value(&value)
         .map(Some)
         .ok_or_else(|| io::Error::other("unknown wal record"))

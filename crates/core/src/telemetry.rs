@@ -114,6 +114,10 @@ pub(crate) struct CoreTelemetry {
     msg_out: HashMap<&'static str, (Counter, Counter)>,
     msg_in: HashMap<&'static str, (Counter, Counter)>,
 
+    /// Received datagrams dropped because they did not decode (truncated,
+    /// malformed, or an envelope version this build does not speak).
+    pub msg_decode_errors_total: Counter,
+
     // Endpoint queue depth, refreshed opportunistically.
     pub queue_depth: Gauge,
 
@@ -169,7 +173,8 @@ pub(crate) struct CoreTelemetry {
     pub naming_deltas_in_total: Counter,
     /// Shard deltas sent to peers (piggyback or anti-entropy).
     pub naming_deltas_out_total: Counter,
-    /// Encoded bytes of gossiped deltas, both directions.
+    /// Encoded bytes of piggybacked deltas — each envelope's `nd`
+    /// section and nothing else — counted at send and at receive.
     pub naming_gossip_bytes_total: Counter,
     /// Shard entries re-homed after a ring membership change.
     pub naming_handoffs_total: Counter,
@@ -276,6 +281,7 @@ impl CoreTelemetry {
             move_by_relocator,
             msg_out: per_kind("fargo_msg_out_total", "fargo_msg_out_bytes_total"),
             msg_in: per_kind("fargo_msg_in_total", "fargo_msg_in_bytes_total"),
+            msg_decode_errors_total: registry.counter("fargo_msg_decode_errors_total", l),
             queue_depth: registry.gauge("fargo_endpoint_queue_depth", l),
             rpc_retries_total: registry.counter("fargo_rpc_retries_total", l),
             dedup_hits_total: registry.counter("fargo_dedup_hits_total", l),

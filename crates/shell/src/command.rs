@@ -512,7 +512,7 @@ impl Shell {
  bindings      {}
  subscriptions {}
  monitor: {} sampler evals, {} cache hits, {} events
- reliability: {} retransmits, {} dedup replays, {} lost replies, {} in-doubt moves
+ reliability: {} retransmits, {} dedup replays, {} lost replies, {} in-doubt moves, {} undecodable frames
  latency (us, estimated):
 ",
                     self.core.name(),
@@ -527,6 +527,7 @@ impl Shell {
                     dedup_hits,
                     lost_replies,
                     indoubt,
+                    self.core.decode_errors(),
                 );
                 let fmt_q = |q: Option<f64>| match q {
                     Some(v) => format!("{v:.0}"),

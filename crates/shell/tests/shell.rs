@@ -179,6 +179,7 @@ fn layout_and_stats_commands() {
     assert!(stats.contains("complets      1"), "{stats}");
     assert!(stats.contains("trackers"), "{stats}");
     assert!(stats.contains("reliability:"), "{stats}");
+    assert!(stats.contains("0 undecodable frames"), "{stats}");
     for c in &cores {
         c.stop();
     }

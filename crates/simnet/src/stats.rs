@@ -6,6 +6,10 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+/// Resolution of the sliding window: it holds at most this many samples
+/// (plus one), each covering `window / WINDOW_SLOTS` of sends.
+const WINDOW_SLOTS: u32 = 256;
+
 /// Sliding-window traffic accounting for one directed link.
 #[derive(Debug)]
 pub(crate) struct StatsWindow {
@@ -20,7 +24,8 @@ pub(crate) struct StatsWindow {
     observed_latency_us_sum: u64,
     /// Number of observed-latency samples behind the sum.
     observed_samples: u64,
-    /// Recent (send instant, byte count) samples, pruned to `window`.
+    /// Recent (first send instant, byte count) samples, pruned to
+    /// `window`.
     recent: VecDeque<(Instant, u64)>,
     window: Duration,
 }
@@ -41,7 +46,13 @@ impl StatsWindow {
     pub fn record(&mut self, now: Instant, bytes: u64) {
         self.messages += 1;
         self.bytes += bytes;
-        self.recent.push_back((now, bytes));
+        // Sends closer together than one slot of the window share a
+        // sample, so the deque is bounded by the slot count instead of
+        // growing with the message rate.
+        match self.recent.back_mut() {
+            Some((t, b)) if now.duration_since(*t) * WINDOW_SLOTS < self.window => *b += bytes,
+            _ => self.recent.push_back((now, bytes)),
+        }
         self.prune(now);
     }
 
@@ -147,6 +158,24 @@ mod tests {
         let snap = w.snapshot(now);
         assert_eq!(snap.observed_samples, 2);
         assert_eq!(snap.observed_latency_us, Some(200.0));
+    }
+
+    #[test]
+    fn a_burst_does_not_grow_the_window() {
+        let mut w = StatsWindow::new(Duration::from_secs(1));
+        let t0 = Instant::now();
+        for i in 0..100_000u32 {
+            w.record(t0 + Duration::from_micros(u64::from(i) * 5), 10);
+        }
+        // Half a second of sends at 200k msgs/s: one sample per slot.
+        assert!(
+            w.recent.len() <= WINDOW_SLOTS as usize + 1,
+            "{}",
+            w.recent.len()
+        );
+        let end = t0 + Duration::from_millis(500);
+        assert!((w.throughput(end) - 1_000_000.0).abs() < 1e-6);
+        assert_eq!(w.messages, 100_000);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub const MAX_COLLECTION_ITEMS: u64 = 1 << 20;
 /// Pre-allocation hint clamp: a *declared* count is attacker-controlled
 /// until the elements actually parse, so reserve at most this many slots
 /// up front and let the vector grow normally past it.
-const PREALLOC_HINT: u64 = 4096;
+const PREALLOC_HINT: usize = 4096;
 
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
@@ -47,12 +47,25 @@ pub fn encode_value(v: &Value) -> Bytes {
 
 /// Decodes a single [`Value`], requiring the input to be fully consumed.
 ///
+/// Copies `bytes` once; a caller that already owns a [`Bytes`] buffer
+/// uses [`decode_value_from_bytes`] instead.
+///
 /// # Errors
 ///
 /// Returns a [`WireError`] on malformed, truncated, or over-deep input,
 /// or when bytes trail the top-level value.
 pub fn decode_value(bytes: &[u8]) -> Result<Value, WireError> {
-    let mut r = WireReader::new(Bytes::copy_from_slice(bytes));
+    decode_value_from_bytes(Bytes::copy_from_slice(bytes))
+}
+
+/// [`decode_value`] over an owned buffer: the reader walks `bytes` in
+/// place, so the input is never copied first.
+///
+/// # Errors
+///
+/// As for [`decode_value`].
+pub fn decode_value_from_bytes(bytes: Bytes) -> Result<Value, WireError> {
+    let mut r = WireReader::new(bytes);
     let v = r.get_value()?;
     r.expect_end()?;
     Ok(v)
@@ -73,10 +86,22 @@ impl WireWriter {
         WireWriter::default()
     }
 
+    /// Creates an empty writer with `cap` bytes reserved up front.
+    pub fn with_capacity(cap: usize) -> Self {
+        WireWriter {
+            buf: BytesMut::with_capacity(cap),
+        }
+    }
+
     /// Appends an unsigned varint.
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         put_uvarint(&mut self.buf, v);
         self
+    }
+
+    /// Appends a 32-bit unsigned varint (node indices, small counters).
+    pub fn put_u32(&mut self, v: u32) -> &mut Self {
+        self.put_u64(u64::from(v))
     }
 
     /// Appends a signed (zigzag) varint.
@@ -88,6 +113,17 @@ impl WireWriter {
     /// Appends one raw byte.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.put_u8(v);
+        self
+    }
+
+    /// Appends a boolean as one byte (`0` or `1`).
+    pub fn put_bool(&mut self, v: bool) -> &mut Self {
+        self.put_u8(u8::from(v))
+    }
+
+    /// Appends a little-endian `f64`.
+    pub fn put_f64(&mut self, v: f64) -> &mut Self {
+        self.buf.put_f64_le(v);
         self
     }
 
@@ -107,8 +143,7 @@ impl WireWriter {
 
     /// Appends a [`CompletId`].
     pub fn put_complet_id(&mut self, id: CompletId) -> &mut Self {
-        self.put_u64(id.origin as u64);
-        self.put_u64(id.seq)
+        self.put_u32(id.origin).put_u64(id.seq)
     }
 
     /// Appends a [`RefDescriptor`].
@@ -116,7 +151,7 @@ impl WireWriter {
         self.put_complet_id(r.target);
         self.put_str(&r.target_type);
         self.put_str(&r.relocator);
-        self.put_u64(r.last_known as u64)
+        self.put_u32(r.last_known)
     }
 
     /// Appends a whole [`Value`] tree.
@@ -135,8 +170,7 @@ impl WireWriter {
                 self.put_u8(TAG_I64).put_i64(*x);
             }
             Value::F64(x) => {
-                self.put_u8(TAG_F64);
-                self.buf.put_f64_le(*x);
+                self.put_u8(TAG_F64).put_f64(*x);
             }
             Value::Str(s) => {
                 self.put_u8(TAG_STR).put_str(s);
@@ -201,6 +235,16 @@ impl WireReader {
         get_uvarint(&mut self.buf)
     }
 
+    /// Reads an unsigned varint that must fit 32 bits.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated input or with [`WireError::VarintOverflow`] on
+    /// a value past `u32::MAX` (never a silent truncation).
+    pub fn get_u32(&mut self) -> Result<u32, WireError> {
+        u32::try_from(self.get_u64()?).map_err(|_| WireError::VarintOverflow)
+    }
+
     /// Reads a signed (zigzag) varint.
     ///
     /// # Errors
@@ -220,6 +264,69 @@ impl WireReader {
             return Err(WireError::UnexpectedEof);
         }
         Ok(self.buf.get_u8())
+    }
+
+    /// Reads a boolean written by [`WireWriter::put_bool`].
+    ///
+    /// # Errors
+    ///
+    /// Fails at end of input or on any byte other than `0` / `1`.
+    pub fn get_bool(&mut self) -> Result<bool, WireError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::BadTag(b)),
+        }
+    }
+
+    /// Reads a little-endian `f64`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when fewer than eight bytes remain.
+    pub fn get_f64(&mut self) -> Result<f64, WireError> {
+        if self.buf.remaining() < 8 {
+            return Err(WireError::UnexpectedEof);
+        }
+        Ok(self.buf.get_f64_le())
+    }
+
+    /// Reads a collection's declared element count, bounded by the
+    /// remaining input (every element takes at least one byte) and by
+    /// [`MAX_COLLECTION_ITEMS`] — the one check every list, map and typed
+    /// sequence goes through, so a hostile count is refused before
+    /// anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`WireError::BadLength`] when the count exceeds either
+    /// bound.
+    pub fn get_count(&mut self) -> Result<usize, WireError> {
+        let n = self.get_u64()?;
+        if n > self.buf.remaining() as u64 || n > MAX_COLLECTION_ITEMS {
+            return Err(WireError::BadLength(n));
+        }
+        Ok(n as usize)
+    }
+
+    /// Reads a counted sequence: [`get_count`](Self::get_count), then
+    /// `item` once per element. The declared count is untrusted until the
+    /// elements actually parse, so at most [`PREALLOC_HINT`] slots are
+    /// reserved up front and the vector grows normally past that.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a hostile count or on the first element that fails.
+    pub fn get_seq<T, E: From<WireError>>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
+        let n = self.get_count()?;
+        let mut out = Vec::with_capacity(n.min(PREALLOC_HINT));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed string.
@@ -254,7 +361,7 @@ impl WireReader {
     ///
     /// Fails on truncated input.
     pub fn get_complet_id(&mut self) -> Result<CompletId, WireError> {
-        let origin = self.get_u64()? as u32;
+        let origin = self.get_u32()?;
         let seq = self.get_u64()?;
         Ok(CompletId::new(origin, seq))
     }
@@ -269,7 +376,7 @@ impl WireReader {
             target: self.get_complet_id()?,
             target_type: self.get_str()?,
             relocator: self.get_str()?,
-            last_known: self.get_u64()? as u32,
+            last_known: self.get_u32()?,
         })
     }
 
@@ -291,30 +398,12 @@ impl WireReader {
             TAG_FALSE => Ok(Value::Bool(false)),
             TAG_TRUE => Ok(Value::Bool(true)),
             TAG_I64 => Ok(Value::I64(self.get_i64()?)),
-            TAG_F64 => {
-                if self.buf.remaining() < 8 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                Ok(Value::F64(self.buf.get_f64_le()))
-            }
+            TAG_F64 => Ok(Value::F64(self.get_f64()?)),
             TAG_STR => Ok(Value::Str(self.get_str()?)),
             TAG_BYTES => Ok(Value::Bytes(self.get_bytes()?)),
-            TAG_LIST => {
-                let n = self.get_u64()?;
-                if n > self.buf.remaining() as u64 || n > MAX_COLLECTION_ITEMS {
-                    return Err(WireError::BadLength(n));
-                }
-                let mut items = Vec::with_capacity(n.min(PREALLOC_HINT) as usize);
-                for _ in 0..n {
-                    items.push(self.get_value_at(depth + 1)?);
-                }
-                Ok(Value::List(items))
-            }
+            TAG_LIST => Ok(Value::List(self.get_seq(|r| r.get_value_at(depth + 1))?)),
             TAG_MAP => {
-                let n = self.get_u64()?;
-                if n > self.buf.remaining() as u64 || n > MAX_COLLECTION_ITEMS {
-                    return Err(WireError::BadLength(n));
-                }
+                let n = self.get_count()?;
                 let mut m = std::collections::BTreeMap::new();
                 for _ in 0..n {
                     let k = self.get_str()?;
@@ -460,6 +549,56 @@ mod tests {
         let mut bytes = w.finish().to_vec();
         bytes.resize(bytes.len() + (MAX_COLLECTION_ITEMS as usize + 2), 0);
         assert!(matches!(decode_value(&bytes), Err(WireError::BadLength(_))));
+    }
+
+    #[test]
+    fn typed_sequences_share_the_collection_bounds() {
+        // A count past the remaining input, or past the hard cap, is
+        // refused before `get_seq` reserves anything for it.
+        let mut w = WireWriter::new();
+        w.put_u64(3).put_u32(7).put_u32(8);
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_count(), Err(WireError::BadLength(3)));
+
+        let mut w = WireWriter::new();
+        w.put_u64(MAX_COLLECTION_ITEMS + 1);
+        let mut bytes = w.finish().to_vec();
+        bytes.resize(bytes.len() + MAX_COLLECTION_ITEMS as usize + 2, 0);
+        let mut r = WireReader::new(bytes.into());
+        assert!(matches!(
+            r.get_seq(WireReader::get_u8),
+            Err(WireError::BadLength(_))
+        ));
+
+        // A count that fits reads exactly that many items.
+        let mut w = WireWriter::new();
+        w.put_u64(2).put_u32(7).put_u32(u32::MAX).put_bool(true);
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_seq(WireReader::get_u32), Ok(vec![7, u32::MAX]));
+        assert_eq!(r.get_bool(), Ok(true));
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn narrow_fields_reject_wide_values() {
+        let mut w = WireWriter::new();
+        w.put_u64(u64::from(u32::MAX) + 1).put_u8(2).put_u8(0);
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_u32(), Err(WireError::VarintOverflow));
+        assert_eq!(r.get_bool(), Err(WireError::BadTag(2)));
+        assert_eq!(r.get_f64(), Err(WireError::UnexpectedEof));
+    }
+
+    #[test]
+    fn owned_buffers_decode_in_place() {
+        let v = Value::list([Value::I64(1), Value::from("two"), Value::F64(2.5)]);
+        let bytes = encode_value(&v);
+        assert_eq!(decode_value_from_bytes(bytes.clone()), Ok(v));
+        // A window into a larger buffer decodes without re-slicing it.
+        let mut padded = vec![0xee];
+        padded.extend_from_slice(&bytes);
+        let window = Bytes::from(padded).slice(1..);
+        assert_eq!(decode_value_from_bytes(window), decode_value(&bytes));
     }
 
     #[test]

@@ -13,7 +13,8 @@ pub enum WireError {
     BadTag(u8),
     /// A string field was not valid UTF-8.
     InvalidUtf8,
-    /// A varint was longer than the maximum permitted width.
+    /// A varint was wider than its field permits (64 bits, or 32 for
+    /// node indices and other `u32` fields).
     VarintOverflow,
     /// Value nesting exceeded the decoder's depth bound (128 levels).
     DepthExceeded,
@@ -29,7 +30,7 @@ impl fmt::Display for WireError {
             WireError::UnexpectedEof => write!(f, "unexpected end of input"),
             WireError::BadTag(t) => write!(f, "unknown wire tag 0x{t:02x}"),
             WireError::InvalidUtf8 => write!(f, "string field is not valid utf-8"),
-            WireError::VarintOverflow => write!(f, "varint exceeds 64 bits"),
+            WireError::VarintOverflow => write!(f, "varint exceeds its field's width"),
             WireError::DepthExceeded => write!(f, "value nesting too deep"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after value"),
             WireError::BadLength(n) => write!(f, "declared length {n} exceeds input"),

@@ -38,7 +38,8 @@ mod value;
 mod varint;
 
 pub use codec::{
-    decode_value, encode_value, WireReader, WireWriter, MAX_BLOB_BYTES, MAX_COLLECTION_ITEMS,
+    decode_value, decode_value_from_bytes, encode_value, WireReader, WireWriter, MAX_BLOB_BYTES,
+    MAX_COLLECTION_ITEMS,
 };
 pub use error::WireError;
 pub use id::CompletId;
