@@ -3,13 +3,10 @@
 //! A complet born on `core0` wanders through `k` further Cores, leaving a
 //! forwarding chain behind. The first invocation from `core0` walks the
 //! whole chain; its reply repoints every tracker (chain shortening), so
-//! the second invocation goes direct. The §7 future-work *home-based*
-//! registry reaches the target directly even on the first call — the
-//! ablation baseline.
+//! the second invocation goes direct. (That lookups stay flat in chain
+//! length once the location shards are on is E22's standing guardrail.)
 
 use std::time::Duration;
-
-use fargo_core::TrackingMode;
 
 use crate::harness::ClusterSpec;
 use crate::table::Table;
@@ -25,26 +22,19 @@ pub fn run(full: bool) -> Table {
     };
     let mut table = Table::new(
         "E1: invocation latency vs chain length (2ms/hop links)",
-        &[
-            "hops k",
-            "chain 1st call",
-            "chain 2nd call",
-            "home 1st call",
-        ],
+        &["hops k", "chain 1st call", "chain 2nd call"],
     )
     .with_note(
-        "shape: first chained call grows linearly with k; shortened and \
-         home-based calls stay flat (one round trip).",
+        "shape: first chained call grows linearly with k; shortened \
+         calls stay flat (one round trip).",
     );
 
     for &k in ks {
-        let (first, second) = chain_run(k, TrackingMode::Chains);
-        let (home_first, _) = chain_run(k, TrackingMode::HomeBased);
+        let (first, second) = chain_run(k);
         table.row([
             k.to_string(),
             crate::workload::fmt_duration(first),
             crate::workload::fmt_duration(second),
-            crate::workload::fmt_duration(home_first),
         ]);
     }
     table
@@ -52,12 +42,11 @@ pub fn run(full: bool) -> Table {
 
 /// Builds a k-hop wanderer and times the first and second invocation from
 /// the origin Core.
-fn chain_run(k: usize, tracking: TrackingMode) -> (Duration, Duration) {
-    // Naming off: E1 is the chains-vs-home ablation; shard lookups and
-    // gossip repairs would flatten the chain walk being measured (E22
-    // measures that effect deliberately).
+fn chain_run(k: usize) -> (Duration, Duration) {
+    // Naming off: E1 is the paper-faithful chains ablation; shard
+    // lookups and gossip repairs would flatten the chain walk being
+    // measured (E22 measures that effect deliberately).
     let cluster = ClusterSpec::with_latency(k + 1, HOP_LATENCY)
-        .tracking(tracking)
         .config_tweak(|c| c.with_naming_shards(false))
         .build();
     let servant = cluster.cores[0]
@@ -66,8 +55,6 @@ fn chain_run(k: usize, tracking: TrackingMode) -> (Duration, Duration) {
     for i in 1..=k {
         servant.move_to(&format!("core{i}")).expect("move");
     }
-    // Let asynchronous home updates land before measuring.
-    std::thread::sleep(Duration::from_millis(20));
 
     let (_, first) = time_once(|| servant.call("touch", &[]).expect("first call"));
     // Average a few shortened calls for a stable second-call figure.
@@ -83,8 +70,8 @@ mod tests {
 
     #[test]
     fn chain_walk_grows_and_shortening_flattens() {
-        let (first_long, second_long) = chain_run(4, TrackingMode::Chains);
-        let (first_short, _) = chain_run(1, TrackingMode::Chains);
+        let (first_long, second_long) = chain_run(4);
+        let (first_short, _) = chain_run(1);
         // 4 hops must cost measurably more than 1 hop on the first call…
         assert!(
             first_long > first_short,
@@ -94,18 +81,6 @@ mod tests {
         assert!(
             second_long < first_long,
             "shortened call {second_long:?} must beat chained {first_long:?}"
-        );
-    }
-
-    #[test]
-    fn home_mode_is_flat_in_k() {
-        let (h1, _) = chain_run(1, TrackingMode::HomeBased);
-        let (h6, _) = chain_run(6, TrackingMode::HomeBased);
-        // Home-based first calls differ by at most ~one extra round trip,
-        // not by the 5-hop gap chains would show.
-        assert!(
-            h6 < h1 * 4,
-            "home-based lookup must not scale with k: {h1:?} vs {h6:?}"
         );
     }
 

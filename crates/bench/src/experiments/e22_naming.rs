@@ -87,9 +87,8 @@ fn lookup_sweep(net: &Network, cores: &[Core], n: usize, settle: Duration) -> Sw
             sampled.push((origin, h));
         }
     }
-    // First move: off the origin, so the later walk crosses plain
-    // intermediate trackers (the origin would answer from its home
-    // registry and flatten the chain to one hop).
+    // First move: off the origin, so the hint the warm call pins below
+    // is a plain intermediate tracker, not the head of the chain.
     for (o, h) in &sampled {
         h.move_to(cores[step(*o, 1)].name()).expect("first move");
     }

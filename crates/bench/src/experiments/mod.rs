@@ -41,7 +41,7 @@ pub fn all() -> Vec<Experiment> {
         Experiment {
             id: "E1",
             summary:
-                "invocation latency vs tracker-chain length; chain shortening; home-based ablation",
+                "invocation latency vs tracker-chain length; chain shortening",
             run: e01_chains::run,
         },
         Experiment {

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use fargo_core::{Core, CoreConfig, TelemetryRegistry, TrackingMode};
+use fargo_core::{Core, CoreConfig, TelemetryRegistry};
 use fargo_telemetry::render_snapshots_json;
 use simnet::{LinkConfig, Network, NetworkConfig};
 
@@ -17,8 +17,6 @@ pub struct ClusterSpec {
     pub link: LinkConfig,
     /// Scale factor applied to all link delays.
     pub time_scale: f64,
-    /// Tracking strategy.
-    pub tracking: TrackingMode,
     /// Monitor tick (drives profiling resolution).
     pub monitor_tick: Duration,
     /// Whether Cores record spans for cross-Core tracing.
@@ -45,7 +43,6 @@ impl ClusterSpec {
             cores: n,
             link: LinkConfig::instant(),
             time_scale: 1.0,
-            tracking: TrackingMode::Chains,
             monitor_tick: Duration::from_millis(10),
             trace_enabled: true,
             journal_enabled: true,
@@ -67,12 +64,6 @@ impl ClusterSpec {
     /// Replaces the link model.
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.link = link;
-        self
-    }
-
-    /// Switches the tracking strategy.
-    pub fn tracking(mut self, tracking: TrackingMode) -> Self {
-        self.tracking = tracking;
         self
     }
 
@@ -127,7 +118,6 @@ impl ClusterSpec {
         let registry = bench_registry();
         let telemetry = TelemetryRegistry::new();
         let mut config = CoreConfig {
-            tracking: self.tracking,
             monitor_tick: self.monitor_tick,
             rpc_timeout: Duration::from_secs(30),
             ..CoreConfig::default()

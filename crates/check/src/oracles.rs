@@ -119,15 +119,14 @@ pub fn single_live_copy(events: &[JournalEvent]) -> Vec<Violation> {
 /// cycle bounces an invocation until the hop limit and no fallback can
 /// break it. A walk that *falls off* the chain — a Core with no tracker
 /// for the complet, e.g. after idle-tracker collection — is legal: the
-/// runtime recovers through the complet's home registry.
+/// runtime recovers through the complet's location shard.
 ///
 /// (The strict ancestor of this oracle, "every chain must reach the
 /// live copy", flushed out exactly that distinction on its first sweep:
 /// collecting an idle tracker at the complet's origin severed routing
-/// for good, because neither `handle_invoke` nor `locate` fell back to
-/// the home registry. The runtime gained those recovery paths; the
-/// oracle keeps cycles fatal and tolerates the now-recoverable dead
-/// ends.)
+/// for good, because nothing re-resolved a dead end. The caller now
+/// drops its stale edge and asks the location shard; the oracle keeps
+/// cycles fatal and tolerates the now-recoverable dead ends.)
 pub fn tracker_chains(events: &[JournalEvent]) -> Vec<Violation> {
     let state = LayoutHistory::from_events(events.to_vec()).final_state();
     let mut out = Vec::new();
@@ -155,7 +154,7 @@ pub fn tracker_chains(events: &[JournalEvent]) -> Vec<Violation> {
                     cur = *next;
                 }
                 // No tracker here (or a stale local pointer): the walk
-                // falls off the chain and the home registry takes over.
+                // falls off the chain and the location shard takes over.
                 _ => break,
             }
         }
@@ -310,7 +309,7 @@ pub fn chain_len(events: &[JournalEvent], node: u32, complet: &str) -> Option<us
     if state.placement.get(complet) != Some(&node)
         && !state.trackers.contains_key(&(node, complet.to_owned()))
     {
-        return None; // this Core routes via the home registry, not a chain
+        return None; // this Core routes via the location shard, not a chain
     }
     let (path, reached) = state.chain_from(node, complet);
     reached.then_some(path.len())

@@ -191,7 +191,7 @@ fn self_forward_is_a_cycle() {
 #[test]
 fn collected_dead_end_is_recoverable_not_a_violation() {
     // n0 forwards to n1, whose tracker was idle-collected. The runtime
-    // recovers through the home registry, so the oracle stays quiet —
+    // recovers through the location shard, so the oracle stays quiet —
     // this is the exact journal shape explorer seed 690 produced.
     let mut j = Journal::default();
     j.push(2, JournalKind::CompletArrived, "c0.1", None)

@@ -2,10 +2,10 @@
 //!
 //! Each schedule below is the ddmin-shrunk output of a failing seed from
 //! a full sweep. The first batch hit one bug class — idle tracker
-//! collection severing routing because neither the invoke handler,
-//! `locate()`, nor the calling stub fell back to the complet's home
-//! registry — and they must stay green now that those recovery paths
-//! exist. The same scenarios are also encoded API-level in
+//! collection severing routing because neither `locate()` nor the
+//! calling stub had anything to fall back on when a chain dead-ended —
+//! and they must stay green now that both re-resolve through the
+//! location shard. The same scenarios are also encoded API-level in
 //! `crates/core/tests/schedules.rs`. Later entries come from the fault
 //! sweep (`--faults`).
 

@@ -2,21 +2,6 @@
 
 use std::time::Duration;
 
-/// How moved complets are found again by their references.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrackingMode {
-    /// The paper's design: each Core a complet leaves keeps a *tracker*
-    /// forwarding to the next Core, forming a chain that is shortened on
-    /// every invocation return (§3.1).
-    #[default]
-    Chains,
-    /// The paper's stated future-work alternative (§7): the complet's
-    /// origin Core maintains its authoritative current location, and a
-    /// reference that misses consults the origin instead of following a
-    /// chain. Used as the ablation baseline in experiment E1.
-    HomeBased,
-}
-
 /// Which point-to-point transport carries a Core's envelopes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportKind {
@@ -45,17 +30,12 @@ pub struct CoreConfig {
     /// How long a requester waits for a peer reply before failing with
     /// [`crate::FargoError::Timeout`].
     pub rpc_timeout: Duration,
-    /// Reference tracking strategy.
-    pub tracking: TrackingMode,
     /// Maximum tracker hops an invocation may traverse.
     pub max_hops: u32,
     /// How long instant profiling results are served from cache (§4.1).
     pub monitor_cache_ttl: Duration,
     /// Granularity of the continuous-profiling sampler thread.
     pub monitor_tick: Duration,
-    /// Smoothing factor of the exponential average, in `(0, 1]`;
-    /// higher weighs recent samples more.
-    pub monitor_alpha: f64,
     /// If `true`, a `stamp` reference that finds no same-typed complet at
     /// the destination fails the move; if `false`, it keeps its old target.
     pub stamp_strict: bool,
@@ -105,15 +85,6 @@ pub struct CoreConfig {
     /// Upper bound on `move_complet` steps per planning round; the
     /// executor rate-limits within the round on top of this.
     pub autolayout_max_moves: usize,
-    /// Anomaly pass: forwarding chains of at least this many hops are
-    /// flagged.
-    pub anomaly_long_chain_hops: usize,
-    /// Anomaly pass: arrival sequences with at least this many A-B-A
-    /// returns are flagged as ping-pong.
-    pub anomaly_ping_pong_returns: usize,
-    /// Anomaly pass: a dead-ended tracker is only flagged once it is
-    /// this many microseconds stale (0 = flag immediately).
-    pub anomaly_orphan_min_age_us: u64,
     /// The time source behind every protocol deadline (move holds, RPC
     /// retry budgets, tracker idleness, monitor intervals) and the HLC's
     /// physical component. Wall time in production; the deterministic
@@ -125,13 +96,6 @@ pub struct CoreConfig {
     /// `fargo_latency_*` histograms and feeding measured link latency
     /// back to the layout cost model. Off restores stamp-free envelopes.
     pub phase_timing: bool,
-    /// Capacity of the slow-request ring (tail-based trace retention:
-    /// the K slowest requests keep their span trees). `0` disables the
-    /// sampler.
-    pub slow_log_capacity: usize,
-    /// Observations per epoch of the sliding latency window behind
-    /// "recent" percentile estimates (the window spans 1–2 epochs).
-    pub latency_window: u64,
     /// Whether executed invocations are attributed to their complet
     /// (exec time, invoke count, marshaled bytes in/out) and outbound
     /// envelopes to the Core↔Core traffic matrix. Off restores the
@@ -141,21 +105,14 @@ pub struct CoreConfig {
     /// Space-Saving sketch evicts the minimum-load entry, so memory
     /// stays O(capacity) at any population.
     pub account_capacity: usize,
-    /// Declarative SLO rules the health engine evaluates every monitor
-    /// tick (multi-window burn-rate alerting). Empty disables alerting.
-    pub slo_rules: Vec<fargo_telemetry::SloRule>,
     /// Which transport backend carries this Core's envelopes.
     pub transport: TransportKind,
-    /// Whether the sharded location service runs: the home-registry role
-    /// is consistent-hashed across Cores, each Core holds a
-    /// `LocationShard` of authoritative `(complet → Core, epoch)`
-    /// entries, and layout deltas are gossiped. Off restores pure
-    /// chain/home tracking.
+    /// Whether the sharded location service runs: each complet id is
+    /// consistent-hashed to an owning Core whose `LocationShard` holds
+    /// its authoritative `(complet → Core, epoch)` entry, and layout
+    /// deltas are gossiped. Off is the paper-faithful ablation: tracker
+    /// chains alone, where a collected tracker is a terminal dead end.
     pub naming_shards: bool,
-    /// Virtual nodes per Core on the consistent-hash ring; more vnodes
-    /// spread ownership more evenly and shrink handoffs on membership
-    /// change.
-    pub naming_vnodes: usize,
     /// Maximum shard deltas piggybacked on one outbound envelope (the
     /// rest wait for later traffic or the anti-entropy pass).
     pub naming_gossip_batch: usize,
@@ -165,12 +122,6 @@ pub struct CoreConfig {
     /// appended to `<dir>/<core>.wal` before the acknowledgement leaves
     /// the Core, and a restarted Core replays the log on spawn.
     pub wal_dir: Option<std::path::PathBuf>,
-    /// Whether every acknowledged invocation re-captures the complet's
-    /// state into the log (the strongest guarantee: no acknowledged
-    /// state lost). Off logs only lifecycle transitions (create, move,
-    /// depart), so a crash can roll a complet back to its last
-    /// lifecycle capture.
-    pub wal_sync_acks: bool,
     /// Whether every log append is fsynced (`sync_data`) before the
     /// acknowledgement leaves the Core. On (the default), durability
     /// covers OS crashes and power loss; off, records reach the OS page
@@ -180,9 +131,6 @@ pub struct CoreConfig {
     /// Appends between monitor-tick log compactions (a compaction
     /// rewrites the log as a fresh snapshot of live state).
     pub wal_compact_records: u64,
-    /// Whether spawn replays an existing log before serving (off lets
-    /// tooling open a Core over a log without mutating it).
-    pub wal_recover: bool,
     /// First journal sequence number this Core emits. A restarted Core
     /// passes its predecessor's high-water mark so merged timelines
     /// never collide on `(core, seq)`.
@@ -193,11 +141,9 @@ impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
             rpc_timeout: Duration::from_secs(10),
-            tracking: TrackingMode::Chains,
             max_hops: 64,
             monitor_cache_ttl: Duration::from_millis(100),
             monitor_tick: Duration::from_millis(20),
-            monitor_alpha: 0.3,
             stamp_strict: false,
             transit_wait: Duration::from_secs(5),
             capacity: None,
@@ -215,37 +161,22 @@ impl Default for CoreConfig {
             autolayout_period_ticks: 25,
             autolayout_hysteresis: 0.05,
             autolayout_max_moves: 4,
-            anomaly_long_chain_hops: fargo_telemetry::journal::LONG_CHAIN_THRESHOLD,
-            anomaly_ping_pong_returns: 2,
-            anomaly_orphan_min_age_us: 0,
             clock: fargo_telemetry::Clock::Wall,
             phase_timing: true,
-            slow_log_capacity: 16,
-            latency_window: 512,
             accounting: true,
             account_capacity: 512,
-            slo_rules: fargo_telemetry::default_slo_rules(),
             transport: TransportKind::Simnet,
             naming_shards: true,
-            naming_vnodes: 16,
             naming_gossip_batch: 32,
             wal_dir: None,
-            wal_sync_acks: true,
             wal_fsync: true,
             wal_compact_records: 512,
-            wal_recover: true,
             journal_seq_base: 0,
         }
     }
 }
 
 impl CoreConfig {
-    /// Configuration with `tracking` replaced.
-    pub fn with_tracking(mut self, tracking: TrackingMode) -> Self {
-        self.tracking = tracking;
-        self
-    }
-
     /// Configuration with `rpc_timeout` replaced.
     pub fn with_rpc_timeout(mut self, timeout: Duration) -> Self {
         self.rpc_timeout = timeout;
@@ -312,19 +243,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the anomaly-pass thresholds replaced.
-    pub fn with_anomaly_thresholds(
-        mut self,
-        long_chain_hops: usize,
-        ping_pong_returns: usize,
-        orphan_min_age_us: u64,
-    ) -> Self {
-        self.anomaly_long_chain_hops = long_chain_hops;
-        self.anomaly_ping_pong_returns = ping_pong_returns;
-        self.anomaly_orphan_min_age_us = orphan_min_age_us;
-        self
-    }
-
     /// Configuration with the time source replaced. Every Core of one
     /// simulated cluster must share the same (virtual) clock.
     pub fn with_clock(mut self, clock: fargo_telemetry::Clock) -> Self {
@@ -339,13 +257,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the slow-request ring capacity replaced
-    /// (`0` disables tail-based trace retention).
-    pub fn with_slow_log_capacity(mut self, capacity: usize) -> Self {
-        self.slow_log_capacity = capacity;
-        self
-    }
-
     /// Configuration with per-complet accounting (and the traffic
     /// matrix feed) switched on or off.
     pub fn with_accounting(mut self, enabled: bool) -> Self {
@@ -357,12 +268,6 @@ impl CoreConfig {
     /// (minimum one entry per shard).
     pub fn with_account_capacity(mut self, capacity: usize) -> Self {
         self.account_capacity = capacity;
-        self
-    }
-
-    /// Configuration with the health engine's SLO rule set replaced.
-    pub fn with_slo_rules(mut self, rules: Vec<fargo_telemetry::SloRule>) -> Self {
-        self.slo_rules = rules;
         self
     }
 
@@ -389,13 +294,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the consistent-hash ring's virtual-node count
-    /// replaced (minimum one).
-    pub fn with_naming_vnodes(mut self, vnodes: usize) -> Self {
-        self.naming_vnodes = vnodes.max(1);
-        self
-    }
-
     /// Configuration with the per-envelope gossip batch size replaced
     /// (`0` disables piggybacking; anti-entropy still runs).
     pub fn with_naming_gossip_batch(mut self, batch: usize) -> Self {
@@ -407,13 +305,6 @@ impl CoreConfig {
     /// under `dir` (created if missing).
     pub fn with_wal_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.wal_dir = Some(dir.into());
-        self
-    }
-
-    /// Configuration with per-acknowledged-invocation state capture
-    /// switched on or off (only meaningful with a WAL directory).
-    pub fn with_wal_sync_acks(mut self, enabled: bool) -> Self {
-        self.wal_sync_acks = enabled;
         self
     }
 
@@ -433,12 +324,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with spawn-time log replay switched on or off.
-    pub fn with_wal_recovery(mut self, enabled: bool) -> Self {
-        self.wal_recover = enabled;
-        self
-    }
-
     /// Configuration with the journal sequence base replaced (restart
     /// continuity for merged timelines).
     pub fn with_journal_seq_base(mut self, base: u64) -> Self {
@@ -446,13 +331,10 @@ impl CoreConfig {
         self
     }
 
-    /// The anomaly thresholds as the telemetry-layer struct.
+    /// The anomaly-pass thresholds the shell and the observatory run
+    /// with (the telemetry layer's defaults; not tunable per Core).
     pub fn anomaly_thresholds(&self) -> fargo_telemetry::AnomalyThresholds {
-        fargo_telemetry::AnomalyThresholds {
-            long_chain_hops: self.anomaly_long_chain_hops,
-            ping_pong_returns: self.anomaly_ping_pong_returns,
-            orphan_min_age_us: self.anomaly_orphan_min_age_us,
-        }
+        fargo_telemetry::AnomalyThresholds::default()
     }
 }
 
@@ -461,22 +343,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_chain_tracking() {
+    fn defaults_are_sane() {
         let c = CoreConfig::default();
-        assert_eq!(c.tracking, TrackingMode::Chains);
         assert!(c.max_hops > 0);
-        assert!(c.monitor_alpha > 0.0 && c.monitor_alpha <= 1.0);
+        assert!(c.phase_timing, "phase timing is on by default");
+        assert!(c.accounting, "accounting is on by default");
+        assert!(c.account_capacity > 0);
+        assert_eq!(c.journal_seq_base, 0);
     }
 
     #[test]
     fn builder_helpers() {
         let c = CoreConfig::default()
-            .with_tracking(TrackingMode::HomeBased)
             .with_rpc_timeout(Duration::from_millis(5))
-            .strict_stamps();
-        assert_eq!(c.tracking, TrackingMode::HomeBased);
+            .strict_stamps()
+            .with_phase_timing(false)
+            .with_accounting(false)
+            .with_account_capacity(64)
+            .with_journal_seq_base(42);
         assert_eq!(c.rpc_timeout, Duration::from_millis(5));
         assert!(c.stamp_strict);
+        assert!(!c.phase_timing);
+        assert!(!c.accounting);
+        assert_eq!(c.account_capacity, 64);
+        assert_eq!(c.journal_seq_base, 42);
     }
 
     #[test]
@@ -488,46 +378,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_timing_and_slow_log_knobs() {
-        let c = CoreConfig::default();
-        assert!(c.phase_timing, "phase timing is on by default");
-        assert!(c.slow_log_capacity > 0, "tail sampler is always on");
-        let c = c.with_phase_timing(false).with_slow_log_capacity(0);
-        assert!(!c.phase_timing);
-        assert_eq!(c.slow_log_capacity, 0);
-    }
-
-    #[test]
-    fn accounting_and_slo_knobs() {
-        let c = CoreConfig::default();
-        assert!(c.accounting, "accounting is on by default");
-        assert!(c.account_capacity > 0);
-        assert_eq!(c.slo_rules.len(), 4, "default rule set covers 4 signals");
-        let c = c
-            .with_accounting(false)
-            .with_account_capacity(64)
-            .with_slo_rules(vec![fargo_telemetry::SloRule::new(
-                "p99",
-                fargo_telemetry::SloKind::P99InvokeUs,
-                1_000.0,
-            )]);
-        assert!(!c.accounting);
-        assert_eq!(c.account_capacity, 64);
-        assert_eq!(c.slo_rules.len(), 1);
-    }
-
-    #[test]
     fn naming_knobs() {
         let c = CoreConfig::default();
         assert!(c.naming_shards, "sharded naming is on by default");
-        assert_eq!(c.naming_vnodes, 16);
         assert!(c.naming_gossip_batch > 0);
-        let c = c
-            .with_naming_shards(false)
-            .with_naming_vnodes(0)
-            .with_naming_gossip_batch(0);
+        let c = c.with_naming_shards(false).with_naming_gossip_batch(0);
         assert!(!c.naming_shards);
-        assert_eq!(c.naming_vnodes, 1, "vnodes clamp to >= 1");
         assert_eq!(c.naming_gossip_batch, 0);
     }
 
@@ -535,39 +391,24 @@ mod tests {
     fn wal_knobs() {
         let c = CoreConfig::default();
         assert!(c.wal_dir.is_none(), "durability is opt-in");
-        assert!(c.wal_sync_acks, "acked-state capture defaults on");
         assert!(c.wal_fsync, "power-loss durability defaults on");
-        assert!(c.wal_recover, "spawn-time replay defaults on");
-        assert_eq!(c.journal_seq_base, 0);
         let c = c
             .with_wal_dir("/tmp/fargo-wal")
-            .with_wal_sync_acks(false)
             .with_wal_fsync(false)
-            .with_wal_compact_records(0)
-            .with_wal_recovery(false)
-            .with_journal_seq_base(42);
+            .with_wal_compact_records(0);
         assert_eq!(
             c.wal_dir.as_deref(),
             Some(std::path::Path::new("/tmp/fargo-wal"))
         );
-        assert!(!c.wal_sync_acks);
         assert!(!c.wal_fsync);
         assert_eq!(c.wal_compact_records, 1, "threshold clamps to >= 1");
-        assert!(!c.wal_recover);
-        assert_eq!(c.journal_seq_base, 42);
     }
 
     #[test]
-    fn autolayout_and_anomaly_knobs() {
-        let c = CoreConfig::default()
-            .with_autolayout(0, -1.0, 2)
-            .with_anomaly_thresholds(5, 3, 2_000);
+    fn autolayout_knobs_clamp() {
+        let c = CoreConfig::default().with_autolayout(0, -1.0, 2);
         assert_eq!(c.autolayout_period_ticks, 1, "period clamps to >= 1");
         assert_eq!(c.autolayout_hysteresis, 0.0, "hysteresis clamps to >= 0");
         assert_eq!(c.autolayout_max_moves, 2);
-        let t = c.anomaly_thresholds();
-        assert_eq!(t.long_chain_hops, 5);
-        assert_eq!(t.ping_pong_returns, 3);
-        assert_eq!(t.orphan_min_age_us, 2_000);
     }
 }

@@ -142,7 +142,8 @@ pub(crate) enum Request {
     FetchState { id: CompletId },
     /// Ask the receiver (the complet's current host) to move it.
     MoveRequest { id: CompletId, dest: u32 },
-    /// Where does the receiver (a home registry) believe this complet is?
+    /// Where does the receiver's tracker table believe this complet is
+    /// (one step of the chain walk)?
     WhereIs { id: CompletId },
     /// Where does the receiver's *location shard* believe this complet
     /// is? Asked of the complet's ring owner; answered with
@@ -353,15 +354,6 @@ pub(crate) type DeltaTuple = (CompletId, u32, u64, bool);
 /// One-way notifications (no reply expected).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Notify {
-    /// A complet now lives at `now_at` (home-registry update, and direct
-    /// tracker refresh after moves). `epoch` is the move epoch that put
-    /// it there, so delayed updates cannot regress the registry
-    /// (0 = never moved).
-    LocationUpdate {
-        target: CompletId,
-        now_at: u32,
-        epoch: u64,
-    },
     /// An event fired at a remote Core this Core subscribed to.
     Event { token: u64, payload: EventPayload },
     /// A batch of location-shard deltas gossiped to the owning shard (or
@@ -673,8 +665,9 @@ wire_enum! { Reply, "reply tag";
     18 => Err(error),
 }
 
+// Tag 0 is retired (it was the origin-registry location update) and
+// decodes to `Err`; the remaining tags keep their numbers.
 wire_enum! { Notify, "notify tag";
-    0 => LocationUpdate { target, now_at, epoch },
     1 => Event { token, payload },
     2 => ShardDelta { entries },
     3 => CoreShutdown { node },
@@ -1099,11 +1092,6 @@ mod tests {
     /// Every notify kind, with every event payload shape.
     fn notifies() -> Vec<Notify> {
         let mut out = vec![
-            Notify::LocationUpdate {
-                target: id(2),
-                now_at: 5,
-                epoch: 6,
-            },
             Notify::ShardDelta {
                 entries: vec![(id(9), 3, 5, true), (id(1), 1, 2, false)],
             },
@@ -1190,7 +1178,7 @@ mod tests {
                 .len(),
         );
         kinds(
-            4,
+            3,
             notifies()
                 .iter()
                 .map(discriminant)
@@ -1288,6 +1276,29 @@ mod tests {
         assert!(patched(&ping, 2, 0x10).is_err(), "unknown flag bit");
         assert!(patched(&reply, 2, FLAG_TRACE).is_err(), "trace on a reply");
         assert!(Message::decode(Bytes::from_static(b"garbage")).is_err());
+    }
+
+    /// Notify tag 0 is retired: a frame carrying it is an error, and the
+    /// surviving kinds keep the tag numbers peers already speak.
+    #[test]
+    fn notify_tag_zero_is_retired_and_the_rest_keep_their_numbers() {
+        // A notify has no id section: the body tag follows the
+        // three-byte header directly.
+        const TAG_AT: usize = 3;
+        for n in notifies() {
+            let tag = match &n {
+                Notify::Event { .. } => 1,
+                Notify::ShardDelta { .. } => 2,
+                Notify::CoreShutdown { .. } => 3,
+            };
+            let msg = Message::Notify(n);
+            let bytes = encode(&msg, &EnvelopeMeta::default()).0;
+            assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
+            assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
+            let mut retired = bytes.to_vec();
+            retired[TAG_AT] = 0;
+            assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
+        }
     }
 
     /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every

@@ -33,8 +33,10 @@ fn pair() -> (Network, Core, Core) {
     let reg = CompletRegistry::new();
     Echo::register(&reg);
     let spawn = |name: &str| {
-        let mut config = CoreConfig::default();
-        config.monitor_tick = Duration::from_secs(3600);
+        let config = CoreConfig {
+            monitor_tick: Duration::from_secs(3600),
+            ..CoreConfig::default()
+        };
         Core::builder(&net, name)
             .registry(&reg)
             .config(config)

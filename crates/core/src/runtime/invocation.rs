@@ -16,10 +16,9 @@ use std::time::Duration;
 use fargo_telemetry::{JournalKind, TraceContext};
 use fargo_wire::{CompletId, Value};
 
-use crate::config::TrackingMode;
 use crate::error::{FargoError, Result};
 use crate::proto::{Message, Reply, ReqId, Request};
-use crate::reference::tracker::{PointOutcome, TrackerTarget};
+use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
 use crate::runtime::{Core, PendingCall, SlotState, APP_SEQ};
 use crate::telemetry;
@@ -239,7 +238,7 @@ impl Core {
                             // tracks the target — our forward is a dead
                             // end (its tracker may have been
                             // idle-collected). Drop the stale edge; if
-                            // the home registry knows better, re-seed
+                            // the location shard knows better, re-seed
                             // from it and retry without backing off.
                             if self.inner.trackers.remove(id) {
                                 self.inner.telemetry.journal(
@@ -250,7 +249,7 @@ impl Core {
                                     Some(node),
                                 );
                             }
-                            if let Route::Remote(n) = self.route_via_home(id) {
+                            if let Route::Remote(n) = self.route_via_shard(id) {
                                 self.inner.trackers.seed_forward(id, n);
                                 continue;
                             }
@@ -277,96 +276,50 @@ impl Core {
         }
     }
 
-    /// Decides where an invocation of `id` should go from this Core.
+    /// Decides where an invocation of `id` should go from this Core: the
+    /// tracker table is the hint cache, the owning location shard the
+    /// authority behind it.
     fn route(&self, id: CompletId, target: &CompletRef) -> Route {
         let me = self.inner.node.index();
-        match self.inner.config.tracking {
-            TrackingMode::Chains => match self.inner.trackers.route(id) {
-                Some(TrackerTarget::Local) => Route::Local,
-                Some(TrackerTarget::Forward(n)) if n != me => Route::Remote(n),
-                Some(TrackerTarget::Forward(_)) => {
-                    // A forward pointing at ourselves is stale.
-                    if self.hosts(id) {
-                        let epoch = self.current_move_epoch(id);
-                        let _ = self.inner.trackers.point(id, TrackerTarget::Local, epoch);
-                        Route::Local
-                    } else {
-                        Route::Unknown
-                    }
-                }
-                None => {
-                    // First use of a received reference: seed a tracker
-                    // from the descriptor's location hint.
-                    let hint = target.last_known();
-                    if hint != me {
-                        self.inner.trackers.seed_forward(id, hint);
-                        Route::Remote(hint)
-                    } else if self.hosts(id) {
-                        let epoch = self.current_move_epoch(id);
-                        let _ = self.inner.trackers.point(id, TrackerTarget::Local, epoch);
-                        Route::Local
-                    } else {
-                        // The tracker may have been garbage-collected;
-                        // fall back to the home registry before failing.
-                        self.route_via_home(id)
-                    }
-                }
-            },
-            TrackingMode::HomeBased => {
+        match self.inner.trackers.route(id) {
+            Some(TrackerTarget::Local) => Route::Local,
+            Some(TrackerTarget::Forward(n)) if n != me => Route::Remote(n),
+            Some(TrackerTarget::Forward(_)) => {
+                // A forward pointing at ourselves is stale.
                 if self.hosts(id) {
-                    return Route::Local;
-                }
-                // Consult the authoritative home registry at the origin
-                // Core instead of following chains (§7 future work).
-                if id.origin == me {
-                    match self.inner.home.lock().get(&id) {
-                        Some(&(n, _)) if n != me => Route::Remote(n),
-                        _ => Route::Unknown,
-                    }
+                    let epoch = self.current_move_epoch(id);
+                    let _ = self.inner.trackers.point(id, TrackerTarget::Local, epoch);
+                    Route::Local
                 } else {
-                    match self.rpc(id.origin, Request::WhereIs { id }) {
-                        Ok(Reply::WhereOk { node: Some(n) }) if n != me => Route::Remote(n),
-                        Ok(Reply::WhereOk { node: Some(_) }) => {
-                            // Home says "here" but the complet is gone:
-                            // knowledge is stale.
-                            Route::Unknown
-                        }
-                        _ => {
-                            // Home unreachable: fall back to the hint.
-                            let hint = target.last_known();
-                            if hint != me {
-                                Route::Remote(hint)
-                            } else {
-                                Route::Unknown
-                            }
-                        }
-                    }
+                    Route::Unknown
+                }
+            }
+            None => {
+                // First use of a received reference: seed a tracker
+                // from the descriptor's location hint.
+                let hint = target.last_known();
+                if hint != me {
+                    self.inner.trackers.seed_forward(id, hint);
+                    Route::Remote(hint)
+                } else if self.hosts(id) {
+                    let epoch = self.current_move_epoch(id);
+                    let _ = self.inner.trackers.point(id, TrackerTarget::Local, epoch);
+                    Route::Local
+                } else {
+                    // The tracker may have been garbage-collected.
+                    self.route_via_shard(id)
                 }
             }
         }
     }
 
-    /// Last-resort routing through the home registry (the complet's
-    /// origin Core knows its current location).
-    fn route_via_home(&self, id: CompletId) -> Route {
-        let me = self.inner.node.index();
-        // The sharded location service answers in at most one hop,
-        // whoever originated the complet; the origin-bound home registry
-        // below is the fallback when naming is disabled or the shard has
-        // no entry yet.
-        if let Some((n, _epoch, _hops)) = self.shard_consult(id) {
-            if n != me {
-                return Route::Remote(n);
-            }
-        }
-        if id.origin == me {
-            return match self.inner.home.lock().get(&id) {
-                Some(&(n, _)) if n != me => Route::Remote(n),
-                _ => Route::Unknown,
-            };
-        }
-        match self.rpc(id.origin, Request::WhereIs { id }) {
-            Ok(Reply::WhereOk { node: Some(n) }) if n != me => Route::Remote(n),
+    /// Last-resort routing: ask the owning location shard, which answers
+    /// in at most one hop whoever originated the complet. With naming
+    /// off (the chains ablation) there is nobody to ask — a collected
+    /// tracker is a terminal dead end, as in the paper.
+    fn route_via_shard(&self, id: CompletId) -> Route {
+        match self.shard_consult(id) {
+            Some((n, ..)) if n != self.inner.node.index() => Route::Remote(n),
             _ => Route::Unknown,
         }
     }
@@ -422,9 +375,7 @@ impl Core {
                     // complet, append its newer state, and then be
                     // durably superseded by this one's stale snapshot
                     // (fold keeps the last record per id).
-                    let acked = result.is_ok()
-                        && self.inner.config.wal_sync_acks
-                        && self.inner.wal.is_some();
+                    let acked = result.is_ok() && self.inner.wal.is_some();
                     if acked {
                         self.wal_capture_state(id, &slot.type_name, complet.marshal());
                     }
@@ -637,32 +588,10 @@ impl Core {
                             .point(target, TrackerTarget::Local, epoch);
                         continue;
                     }
-                    // Idle-tracker collection may have retired this Core's
-                    // tracker while stubs elsewhere still route through it.
-                    // If this Core is the complet's origin, its home
-                    // registry survives collection: re-seed the chain from
-                    // it and forward rather than failing the invocation.
-                    if target.origin == me {
-                        let known = self.inner.home.lock().get(&target).copied();
-                        if let Some((n, epoch)) = known {
-                            if n != me {
-                                if let PointOutcome::Updated { .. } = self.inner.trackers.point(
-                                    target,
-                                    TrackerTarget::Forward(n),
-                                    epoch,
-                                ) {
-                                    self.inner.telemetry.journal(
-                                        JournalKind::TrackerForwarded,
-                                        &target,
-                                        "",
-                                        "home-reseed",
-                                        Some(n),
-                                    );
-                                    continue;
-                                }
-                            }
-                        }
-                    }
+                    // A dead end (idle-tracker collection may have
+                    // retired this Core's tracker while stubs elsewhere
+                    // still route through it): the caller drops its stale
+                    // edge and re-resolves through the location shard.
                     return send_reply(Reply::Err(FargoError::UnknownComplet(target)));
                 }
             }

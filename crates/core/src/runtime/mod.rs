@@ -64,6 +64,10 @@ const MOVE_DECISION_LOG: usize = 1024;
 /// republish covers the gap.
 const SHARD_DELTA_LOG: usize = 1024;
 
+/// Smoothing factor of the monitor's exponential averages, in `(0, 1]`;
+/// higher weighs recent samples more.
+const MONITOR_ALPHA: f64 = 0.3;
+
 /// Bytes reserved for an outgoing envelope before encoding: covers the
 /// header plus a small invocation, so the common message never regrows
 /// its buffer (larger ones grow normally).
@@ -103,11 +107,6 @@ pub(crate) struct CoreInner {
     pub complets: RwLock<HashMap<CompletId, Arc<CompletSlot>>>,
     pub trackers: TrackerTable,
     pub naming: Mutex<HashMap<String, RefDescriptor>>,
-    /// For complets originated here: their authoritative current node and
-    /// the move epoch it was reported at (the §7 future-work home
-    /// registry; also the E1 ablation baseline). The epoch guards the map
-    /// against reordered `LocationUpdate` notifies.
-    pub home: Mutex<HashMap<CompletId, (u32, u64)>>,
     pub pending: Mutex<HashMap<ReqId, Sender<Reply>>>,
     /// Local sinks receiving events from remote subscriptions.
     pub sinks: Mutex<HashMap<u64, EventHandler>>,
@@ -161,7 +160,7 @@ pub(crate) struct CoreInner {
     /// (`CoreConfig::wal_dir` unset).
     pub wal: Option<wal::Wal>,
     /// What the spawn-time recovery pass replayed (`None` when no pass
-    /// ran: durability off, recovery disabled, or an empty log).
+    /// ran: durability off or an empty log).
     pub recovery: Mutex<Option<wal::RecoveryReport>>,
 }
 
@@ -343,7 +342,7 @@ impl<'a> CoreBuilder<'a> {
         );
         let monitor = Monitor::new(
             config.monitor_cache_ttl,
-            config.monitor_alpha,
+            MONITOR_ALPHA,
             config.clock.clone(),
         );
         monitor.register_metrics(&telemetry.registry, &name);
@@ -367,7 +366,6 @@ impl<'a> CoreBuilder<'a> {
             complets: RwLock::new(HashMap::new()),
             trackers: TrackerTable::new(config.clock.clone()),
             naming: Mutex::new(HashMap::new()),
-            home: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             sinks: Mutex::new(HashMap::new()),
             sink_seq: AtomicU64::new(1),
@@ -390,7 +388,7 @@ impl<'a> CoreBuilder<'a> {
             held_moves: Mutex::new(HashMap::new()),
             tick_hooks: Mutex::new(Vec::new()),
             tick_hook_seq: AtomicU64::new(1),
-            health: Mutex::new(HealthEngine::new(config.slo_rules.clone())),
+            health: Mutex::new(HealthEngine::new(fargo_telemetry::default_slo_rules())),
             // Membership may still be growing while Cores spawn one by
             // one; every use refreshes the ring against the live node
             // list, so starting from what is visible now is safe.
@@ -401,7 +399,7 @@ impl<'a> CoreBuilder<'a> {
                     .iter()
                     .map(|n| n.index())
                     .collect::<Vec<u32>>(),
-                config.naming_vnodes,
+                shards::NAMING_VNODES,
             )),
             shard: fargo_naming::LocationShard::new(),
             shard_deltas: fargo_naming::DeltaLog::new(SHARD_DELTA_LOG),
@@ -416,9 +414,7 @@ impl<'a> CoreBuilder<'a> {
         core.spawn_workers(work_rx);
         core.spawn_receiver();
         core.spawn_monitor_thread();
-        if core.inner.wal.is_some() && core.inner.config.wal_recover {
-            core.recover_from_wal();
-        }
+        core.recover_from_wal();
         Ok(core)
     }
 }
@@ -946,7 +942,6 @@ impl Core {
         self.inner.complets.write().insert(id, slot);
         let epoch = self.current_move_epoch(id);
         let _ = self.inner.trackers.point(id, TrackerTarget::Local, epoch);
-        self.note_location(id, self.inner.node.index(), epoch);
         self.inner
             .telemetry
             .journal(JournalKind::CompletArrived, &id, type_name, "", None);
@@ -1923,13 +1918,6 @@ impl Core {
 
     fn handle_notify(&self, n: Notify) {
         match n {
-            Notify::LocationUpdate {
-                target,
-                now_at,
-                epoch,
-            } => {
-                self.note_location(target, now_at, epoch);
-            }
             Notify::Event { token, payload } => {
                 let handler = self.inner.sinks.lock().get(&token).cloned();
                 if let Some(h) = handler {
@@ -1998,36 +1986,6 @@ impl Core {
         }
     }
 
-    /// Records a complet's current node in the home registry (only kept
-    /// for complets originated here). Epoch-guarded: a `LocationUpdate`
-    /// reordered behind a later move's update must not roll the
-    /// authoritative belief back to the older location.
-    pub(crate) fn note_location(&self, id: CompletId, node: u32, epoch: u64) {
-        if id.origin == self.inner.node.index() {
-            let mut home = self.inner.home.lock();
-            match home.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if epoch >= e.get().1 {
-                        e.insert((node, epoch));
-                    } else {
-                        drop(home);
-                        self.inner.telemetry.tracker_stale_total.inc();
-                        self.inner.telemetry.journal(
-                            JournalKind::TrackerStale,
-                            &id,
-                            "home",
-                            &format!("epoch {epoch}"),
-                            Some(node),
-                        );
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert((node, epoch));
-                }
-            }
-        }
-    }
-
     /// The current move epoch of a complet as this Core knows it
     /// (0 = never moved through here).
     pub(crate) fn current_move_epoch(&self, id: CompletId) -> u64 {
@@ -2038,11 +1996,6 @@ impl Core {
     fn local_belief(&self, id: CompletId) -> Option<u32> {
         if self.hosts(id) {
             return Some(self.inner.node.index());
-        }
-        if id.origin == self.inner.node.index() {
-            if let Some(&(n, _)) = self.inner.home.lock().get(&id) {
-                return Some(n);
-            }
         }
         match self.inner.trackers.peek(id) {
             Some(TrackerTarget::Forward(n)) => Some(n),
@@ -2326,7 +2279,7 @@ impl PendingCall {
                         // The fast-path destination neither hosts nor
                         // tracks the target (it moved, or the tracker was
                         // collected). The blocking path re-routes through
-                        // trackers and the home registry.
+                        // trackers and the location shard.
                         core.invoke(&target, &method, &args)
                     }
                     Reply::Err(e) => Err(e),

@@ -490,7 +490,6 @@ impl Core {
                 "",
                 Some(dest_node),
             );
-            self.note_location(d.id, dest_node, epoch);
             // Commit point of the two-phase move: publish the new
             // placement to its owning location shard.
             self.publish_location(d.id, dest_node, epoch, true);
@@ -499,16 +498,6 @@ impl Core {
                 epoch,
                 dest: Some(dest_node),
             });
-            if d.id.origin != me {
-                let _ = self.send_to(
-                    d.id.origin,
-                    &crate::proto::Message::Notify(crate::proto::Notify::LocationUpdate {
-                        target: d.id,
-                        now_at: dest_node,
-                        epoch,
-                    }),
-                );
-            }
             self.fire_event(EventPayload::CompletDeparted {
                 id: d.id,
                 type_name: d.type_name,
@@ -786,16 +775,6 @@ impl Core {
                     RefDescriptor::link(packet.id, &packet.type_name, me),
                 );
             }
-        }
-        if packet.id.origin != me {
-            let _ = self.send_to(
-                packet.id.origin,
-                &crate::proto::Message::Notify(crate::proto::Notify::LocationUpdate {
-                    target: packet.id,
-                    now_at: me,
-                    epoch: packet.epoch,
-                }),
-            );
         }
         self.run_post_arrival(packet.id);
         // Write-ahead: from this point the arrival is visible to

@@ -5,10 +5,11 @@
 //! marshal path movement uses:
 //!
 //! * **Checkpoints** — explicit, portable snapshots. [`Core::checkpoint`]
-//!   captures every resident complet (state, type, move epoch, logical
-//!   names) as one self-describing [`Value`] tree;
-//!   [`Core::restore_checkpoint`] installs it into another (or a
-//!   restarted) Core with identities preserved. Restore publishes each
+//!   captures every resident complet as the log's own `State` record
+//!   (state, type, move epoch, logical names) in one self-describing
+//!   [`Value`] tree; [`Core::restore_checkpoint`] replays it into
+//!   another (or a restarted) Core with identities preserved, through
+//!   the same install routine WAL recovery uses. Restore publishes each
 //!   complet's new placement to its owning location shard at an epoch
 //!   *above* the checkpointed one, so the restored location wins over
 //!   stale shard entries and trackers repoint exactly as after a move.
@@ -20,9 +21,8 @@
 //! * **The write-ahead log** — implicit, incremental durability
 //!   ([`wal`](crate::runtime::wal)). When [`CoreConfig::wal_dir`] is
 //!   set, the Core appends every state the caller could have observed as
-//!   acknowledged — instantiation, each successful invocation (under
-//!   `wal_sync_acks`), arrival, departure, and the two-phase move
-//!   verdicts — *before* the acknowledgement leaves this process, and
+//!   acknowledged — instantiation, each successful invocation,
+//!   arrival, departure, and the two-phase move verdicts — *before* the acknowledgement leaves this process, and
 //!   (under `wal_fsync`, the default) fsyncs each append so the
 //!   guarantee covers OS crashes and power loss, not just process
 //!   deaths. A
@@ -41,6 +41,7 @@ use std::time::Instant;
 use fargo_telemetry::JournalKind;
 use fargo_wire::{CompletId, RefDescriptor, Value};
 
+use crate::complet::Complet;
 use crate::error::{FargoError, Result};
 use crate::events::EventPayload;
 use crate::reference::tracker::TrackerTarget;
@@ -60,7 +61,10 @@ pub struct Checkpoint {
 }
 
 impl Core {
-    /// Captures all resident complets into a portable snapshot.
+    /// Captures all resident complets into a portable snapshot: one WAL
+    /// `State` record per complet ([`wal::state_to_value`]), so a
+    /// checkpoint is a folded log in `Value` form and restore is a
+    /// replay of it.
     ///
     /// Complets in transit are owned by their in-flight move and cannot
     /// be captured; their ids come back in [`Checkpoint::skipped`] (and
@@ -72,7 +76,7 @@ impl Core {
     /// the configured transit wait.
     pub fn checkpoint(&self) -> Result<Checkpoint> {
         let slots: Vec<_> = self.inner.complets.read().values().cloned().collect();
-        let mut complets = Vec::new();
+        let mut records = Vec::new();
         let mut skipped = Vec::new();
         for slot in slots {
             let guard = slot
@@ -80,17 +84,11 @@ impl Core {
                 .try_lock_for(self.inner.config.transit_wait)
                 .ok_or(FargoError::Timeout)?;
             match &*guard {
-                SlotState::Present(c) => {
-                    complets.push(Value::map([
-                        ("id", Value::from(slot.id.to_string())),
-                        ("type", Value::from(slot.type_name.as_str())),
-                        ("state", c.marshal()),
-                        (
-                            "epoch",
-                            Value::from(self.current_move_epoch(slot.id) as i64),
-                        ),
-                    ]));
-                }
+                SlotState::Present(c) => records.push(wal::state_to_value(&self.state_record(
+                    slot.id,
+                    &slot.type_name,
+                    c.marshal(),
+                ))),
                 other => {
                     let detail = match other {
                         SlotState::InTransit => "in_transit",
@@ -107,117 +105,88 @@ impl Core {
                 }
             }
         }
-        let names: Vec<Value> = self
-            .inner
-            .naming
-            .lock()
-            .iter()
-            .map(|(name, desc)| {
-                Value::map([
-                    ("name", Value::from(name.as_str())),
-                    ("ref", Value::Ref(desc.clone())),
-                ])
-            })
-            .collect();
         Ok(Checkpoint {
             snapshot: Value::map([
                 ("fargo_checkpoint", Value::from(1i64)),
                 ("core", Value::from(self.name())),
-                ("complets", Value::List(complets)),
-                ("names", Value::List(names)),
+                ("complets", Value::List(records)),
             ]),
             skipped,
         })
     }
 
-    /// Installs a snapshot's complets (and name bindings) into this Core.
+    /// Installs a snapshot's complets (and the names bound to them) into
+    /// this Core.
     ///
     /// Identities are preserved: references that tracked the complets
-    /// re-resolve here once their chains, home registries, or location
-    /// shards learn the new placement — which this method publishes at an
-    /// epoch above the checkpointed one, so the restored location beats
-    /// any stale entry left by the pre-checkpoint host. Complets are
-    /// revived through the side-effect-free reviver path: constructor
-    /// (`init`) side effects ran at instantiation and do **not** run
-    /// again here.
+    /// re-resolve here once their trackers or the location shards learn
+    /// the new placement — which this method publishes at an epoch above
+    /// the checkpointed one, so the restored location beats any stale
+    /// entry left by the pre-checkpoint host. Complets are revived
+    /// through the side-effect-free reviver path: constructor (`init`)
+    /// side effects ran at instantiation and do **not** run again here.
     ///
     /// Returns the ids restored.
     ///
     /// # Errors
     ///
     /// Fails on a malformed snapshot, unknown complet types, or state
-    /// mismatches; partially restored complets are kept (restoring is
-    /// idempotent per complet — re-restore overwrites).
+    /// mismatches. Every record is decoded and reconstructed before any
+    /// is installed, so a rejected snapshot leaves the Core untouched.
+    /// Restoring is idempotent per complet — re-restore overwrites.
     pub fn restore_checkpoint(&self, snapshot: &Value) -> Result<Vec<CompletId>> {
         if snapshot.get("fargo_checkpoint").and_then(Value::as_i64) != Some(1) {
             return Err(FargoError::InvalidArgument(
                 "not a fargo checkpoint".to_owned(),
             ));
         }
-        let complets = snapshot
+        let records = snapshot
             .get("complets")
             .and_then(Value::as_list)
             .ok_or_else(|| FargoError::InvalidArgument("checkpoint missing complets".into()))?;
-        let me = self.node().index();
-        let mut restored = Vec::new();
-        for entry in complets {
-            let id = entry
-                .get("id")
-                .and_then(Value::as_str)
-                .and_then(wal::parse_id)
-                .ok_or_else(|| FargoError::InvalidArgument("bad complet id".into()))?;
-            let type_name = entry
-                .get("type")
-                .and_then(Value::as_str)
-                .ok_or_else(|| FargoError::InvalidArgument("bad complet type".into()))?
-                .to_owned();
-            let state = entry
-                .get("state")
-                .cloned()
-                .ok_or_else(|| FargoError::InvalidArgument("missing state".into()))?;
-            let epoch = entry.get("epoch").and_then(Value::as_i64).unwrap_or(0) as u64;
-            let complet = self.inner.registry.reconstruct(&type_name, state)?;
-            // Seed the move epoch *above* the checkpointed one before
-            // installing: the install path points the tracker and
-            // publishes the shard delta at the current epoch, and only
-            // an epoch past the snapshot's beats the stale entry still
-            // naming the pre-checkpoint host.
-            {
-                let mut epochs = self.inner.move_epochs.lock();
-                let e = epochs.entry(id).or_insert(0);
-                *e = (*e).max(epoch + 1);
-            }
-            self.install_complet_with_id(id, &type_name, complet);
-            self.wal_capture(id);
-            if id.origin != me {
-                let _ = self.send_to(
-                    id.origin,
-                    &crate::proto::Message::Notify(crate::proto::Notify::LocationUpdate {
-                        target: id,
-                        now_at: me,
-                        epoch: self.current_move_epoch(id),
-                    }),
-                );
-            }
-            self.fire_event(EventPayload::CompletArrived {
-                id,
-                type_name,
-                core: me,
-            });
-            restored.push(id);
+        let mut revived = Vec::with_capacity(records.len());
+        for record in records {
+            let mut s = wal::state_from_value(record)
+                .ok_or_else(|| FargoError::InvalidArgument("malformed complet record".into()))?;
+            let state = std::mem::take(&mut s.state);
+            revived.push((self.inner.registry.reconstruct(&s.type_name, state)?, s));
         }
-        if let Some(names) = snapshot.get("names").and_then(Value::as_list) {
-            let mut naming = self.inner.naming.lock();
-            for entry in names {
-                if let (Some(name), Some(desc)) = (
-                    entry.get("name").and_then(Value::as_str),
-                    entry.get("ref").and_then(Value::as_ref_desc),
-                ) {
-                    naming.insert(name.to_owned(), desc.clone());
-                }
-            }
+        let mut restored = Vec::with_capacity(revived.len());
+        for (complet, s) in revived {
+            // One past the checkpointed epoch: only that beats the stale
+            // shard entry still naming the pre-checkpoint host.
+            self.install_revived(&s, s.epoch + 1, complet);
+            self.wal_capture(s.id);
+            restored.push(s.id);
         }
         Ok(restored)
+    }
+
+    /// Makes one revived complet live on this Core — the single install
+    /// path behind WAL recovery and checkpoint restore, which differ only
+    /// in the `epoch` they pass (the recorded one; the recorded one + 1).
+    /// The move epoch is seeded *before* installing because the install
+    /// path points the tracker and publishes the shard delta at the
+    /// current epoch.
+    fn install_revived(&self, s: &wal::WalState, epoch: u64, complet: Box<dyn Complet>) {
+        let me = self.inner.node.index();
+        {
+            let mut epochs = self.inner.move_epochs.lock();
+            let e = epochs.entry(s.id).or_insert(0);
+            *e = (*e).max(epoch);
+        }
+        self.install_complet_with_id(s.id, &s.type_name, complet);
+        {
+            let mut naming = self.inner.naming.lock();
+            for name in &s.names {
+                naming.insert(name.clone(), RefDescriptor::link(s.id, &s.type_name, me));
+            }
+        }
+        self.fire_event(EventPayload::CompletArrived {
+            id: s.id,
+            type_name: s.type_name.clone(),
+            core: me,
+        });
     }
 
     // --- write-ahead log ---------------------------------------------------
@@ -260,10 +229,18 @@ impl Core {
     /// path does exactly that, so a concurrent invocation of the same
     /// complet cannot interleave a newer append under this one.
     pub(crate) fn wal_capture_state(&self, id: CompletId, type_name: &str, state: Value) {
-        if self.inner.wal.is_none() {
-            return;
+        if self.inner.wal.is_some() {
+            self.wal_append(&wal::WalRecord::State(
+                self.state_record(id, type_name, state),
+            ));
         }
-        let names: Vec<String> = self
+    }
+
+    /// The persisted image of one resident complet: its marshaled state
+    /// stamped with the current move epoch and the names bound to it
+    /// here. The one record shape the log and checkpoints share.
+    fn state_record(&self, id: CompletId, type_name: &str, state: Value) -> wal::WalState {
+        let names = self
             .inner
             .naming
             .lock()
@@ -271,13 +248,13 @@ impl Core {
             .filter(|(_, d)| d.target == id)
             .map(|(n, _)| n.clone())
             .collect();
-        self.wal_append(&wal::WalRecord::State(wal::WalState {
+        wal::WalState {
             id,
             type_name: type_name.to_owned(),
             state,
             epoch: self.current_move_epoch(id),
             names,
-        }));
+        }
     }
 
     /// Replays this Core's write-ahead log after a restart: re-installs
@@ -285,9 +262,8 @@ impl Core {
     /// its recorded move epoch, republished to the location shards),
     /// reloads the two-phase verdict logs, and re-holds
     /// prepared-but-undecided move streams for resolution against their
-    /// sources. Called automatically from `spawn` when `wal_recover` is
-    /// on; the folded log is compacted afterwards so the next restart
-    /// replays the minimum.
+    /// sources. Called automatically from `spawn`; the folded log is
+    /// compacted afterwards so the next restart replays the minimum.
     pub(crate) fn recover_from_wal(&self) {
         let Some(wal) = &self.inner.wal else { return };
         let started = Instant::now();
@@ -352,36 +328,19 @@ impl Core {
             self.inner.move_outcomes.record(root, epoch, committed);
         }
         let mut replayed = 0usize;
-        for s in &folded.survivors {
+        for mut s in folded.survivors {
             if self.hosts(s.id) {
                 continue;
             }
-            let complet = match self
-                .inner
-                .registry
-                .reconstruct(&s.type_name, s.state.clone())
-            {
-                Ok(c) => c,
-                Err(_) => {
-                    t.wal_errors_total.inc();
-                    continue;
-                }
+            let state = std::mem::take(&mut s.state);
+            let Ok(complet) = self.inner.registry.reconstruct(&s.type_name, state) else {
+                t.wal_errors_total.inc();
+                continue;
             };
-            // Re-install at the recorded epoch — the epoch the shards
-            // already associate with this placement — so the republished
-            // delta is idempotent rather than a spurious new incarnation.
-            {
-                let mut epochs = self.inner.move_epochs.lock();
-                let e = epochs.entry(s.id).or_insert(0);
-                *e = (*e).max(s.epoch);
-            }
-            self.install_complet_with_id(s.id, &s.type_name, complet);
-            {
-                let mut naming = self.inner.naming.lock();
-                for name in &s.names {
-                    naming.insert(name.clone(), RefDescriptor::link(s.id, &s.type_name, me));
-                }
-            }
+            // The recorded epoch — the one the shards already associate
+            // with this placement — so the republished delta is
+            // idempotent rather than a spurious new incarnation.
+            self.install_revived(&s, s.epoch, complet);
             t.journal(
                 JournalKind::RecoveryReplayed,
                 &s.id,
@@ -389,19 +348,12 @@ impl Core {
                 &s.epoch.to_string(),
                 None,
             );
-            self.fire_event(EventPayload::CompletArrived {
-                id: s.id,
-                type_name: s.type_name.clone(),
-                core: me,
-            });
             replayed += 1;
         }
         // Rebuild the routing state the crash destroyed: every departure
-        // still in effect becomes a forwarding tracker again, and — when
-        // this Core is the complet's origin — a home-registry entry. A
-        // restarted origin that forgot its forwards dead-ends every
-        // tracker chain through it, orphaning complets that live on
-        // elsewhere perfectly intact.
+        // still in effect becomes a forwarding tracker again. A restarted
+        // Core that forgot its forwards dead-ends every tracker chain
+        // through it.
         let mut forwards = 0usize;
         for &(id, epoch, dest) in &folded.departed {
             if self.hosts(id) || dest == me {
@@ -411,7 +363,6 @@ impl Core {
                 .inner
                 .trackers
                 .point(id, TrackerTarget::Forward(dest), epoch);
-            self.note_location(id, dest, epoch);
             t.journal(
                 JournalKind::TrackerForwarded,
                 &id,

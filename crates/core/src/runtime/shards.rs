@@ -1,12 +1,13 @@
 //! The sharded location service: Core-side integration of `fargo-naming`.
 //!
-//! The home-registry role (§7) is consistent-hashed across Cores: each
-//! complet id has one *owning* Core whose [`fargo_naming::LocationShard`]
-//! holds the authoritative `(node, move_epoch)` entry for it. Layout
+//! The one authority on where a complet lives: each complet id is
+//! consistent-hashed to an *owning* Core whose
+//! [`fargo_naming::LocationShard`] holds the authoritative
+//! `(node, move_epoch)` entry for it. Layout
 //! changes publish to the owner (locally or as a directed
 //! [`Notify::ShardDelta`]); accepted deltas feed a bounded gossip log
 //! whose contents piggyback on ordinary outgoing envelopes, so every
-//! Core's tracker table doubles as a lazily-refreshed hint cache.
+//! Core's tracker table is a lazily-refreshed hint cache — the only one.
 //! Resolution ([`Core::locate_explain`]) then goes cache → shard →
 //! chain walk, with a stale cache detected by a move-epoch mismatch and
 //! repaired in place.
@@ -23,13 +24,17 @@ use crate::proto::{DeltaTuple, Message, Notify, Reply, Request};
 use crate::reference::tracker::TrackerTarget;
 use crate::runtime::Core;
 
+/// Virtual nodes per Core on the consistent-hash ring; more vnodes
+/// spread ownership more evenly and shrink handoffs on membership change.
+pub(crate) const NAMING_VNODES: usize = 16;
+
 /// How a [`Core::locate_explain`] resolution found its answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolveVia {
     /// The complet lives on the asking Core.
     Hosted,
-    /// A local hint (tracker or home entry) pointed straight at the
-    /// current host, confirmed without consulting the shard.
+    /// The local tracker already pointed at the current host at an
+    /// epoch at least the shard's; the shard merely confirmed it.
     Cache,
     /// The owning location shard answered (locally or in one hop).
     Shard,
@@ -93,7 +98,7 @@ impl Core {
             if !ring.membership_changed(&members) {
                 return 0;
             }
-            *ring = HashRing::new(&members, self.inner.config.naming_vnodes);
+            *ring = HashRing::new(&members, NAMING_VNODES);
             ring.clone()
         };
         self.shard_handoff(&rebuilt)
@@ -287,28 +292,13 @@ impl Core {
         }
     }
 
-    /// The freshest local hint for `id` — the tracker entry and (for
-    /// complets originated here) the home-registry entry, ranked by move
-    /// epoch — excluding hints that point at this Core itself. This is
-    /// the fallback-ordering fix: an older resolver always restarted the
-    /// walk from the tracker (or the origin) even when the home registry
-    /// held a strictly fresher epoch.
-    pub(crate) fn best_hint(&self, id: CompletId) -> Option<(u32, u64)> {
-        let me = self.inner.node.index();
-        let mut best: Option<(u32, u64)> = None;
-        if let Some((TrackerTarget::Forward(n), e)) = self.inner.trackers.peek_with_epoch(id) {
-            if n != me {
-                best = Some((n, e));
-            }
+    /// The local hint for `id`: the tracker's forward and the move epoch
+    /// it was learned at, unless it points at this Core itself.
+    fn tracker_hint(&self, id: CompletId) -> Option<(u32, u64)> {
+        match self.inner.trackers.peek_with_epoch(id) {
+            Some((TrackerTarget::Forward(n), e)) if n != self.inner.node.index() => Some((n, e)),
+            _ => None,
         }
-        if id.origin == me {
-            if let Some(&(n, e)) = self.inner.home.lock().get(&id) {
-                if n != me && best.map(|(_, be)| e > be).unwrap_or(true) {
-                    best = Some((n, e));
-                }
-            }
-        }
-        best
     }
 
     /// Resolves a complet's current host and reports how: local slot →
@@ -333,7 +323,7 @@ impl Core {
                 epoch: self.current_move_epoch(id),
             });
         }
-        let hint = self.best_hint(id);
+        let hint = self.tracker_hint(id);
         if let Some((node, epoch, shard_hops)) = self.shard_consult(id) {
             let via = match hint {
                 // The cache already knew at least this incarnation; the
@@ -367,8 +357,10 @@ impl Core {
         self.chain_walk(id, hint, 0)
     }
 
-    /// The demoted resolution path: walk `WhereIs` answers from the best
-    /// local hint (or the origin Core) until some Core claims the
+    /// The demoted resolution path (and the only one in the chains
+    /// ablation): walk `WhereIs` answers tracker by tracker, from the
+    /// local hint — or, lacking one, from the head of the chain, the
+    /// Core the complet was created on — until some Core claims the
     /// complet. `spent` seeds the hop count with round trips the caller
     /// already paid.
     fn chain_walk(

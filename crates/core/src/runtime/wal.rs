@@ -546,7 +546,9 @@ impl WalRecord {
     }
 }
 
-fn state_to_value(s: &WalState) -> Value {
+/// Encodes a complet's persisted state — the one encoder behind log
+/// appends, held-move packets and checkpoint snapshots.
+pub(crate) fn state_to_value(s: &WalState) -> Value {
     Value::map([
         ("id", Value::from(s.id.to_string())),
         ("type", Value::from(s.type_name.as_str())),
@@ -559,7 +561,9 @@ fn state_to_value(s: &WalState) -> Value {
     ])
 }
 
-fn state_from_value(v: &Value) -> Option<WalState> {
+/// Decodes what [`state_to_value`] wrote; `None` on any missing or
+/// mistyped field.
+pub(crate) fn state_from_value(v: &Value) -> Option<WalState> {
     Some(WalState {
         id: parse_id(v.get("id")?.as_str()?)?,
         type_name: v.get("type")?.as_str()?.to_owned(),
@@ -575,7 +579,7 @@ fn state_from_value(v: &Value) -> Option<WalState> {
 }
 
 /// Parses the `c<origin>.<seq>` display form of a [`CompletId`].
-pub(crate) fn parse_id(s: &str) -> Option<CompletId> {
+fn parse_id(s: &str) -> Option<CompletId> {
     let rest = s.strip_prefix('c')?;
     let (origin, seq) = rest.split_once('.')?;
     Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))

@@ -53,6 +53,14 @@ const MSG_KINDS: &[&str] = &[
     "notify",
 ];
 
+/// Capacity of the slow-request ring (tail-based trace retention: the K
+/// slowest requests keep their span trees).
+const SLOW_LOG_CAPACITY: usize = 16;
+
+/// Observations per epoch of the sliding latency window behind "recent"
+/// percentile estimates (the window spans 1–2 epochs).
+const LATENCY_WINDOW: u64 = 512;
+
 /// Relocator kinds counted during marshal closure.
 pub(crate) const RELOCATOR_KINDS: &[&str] = &["link", "pull", "duplicate", "stamp"];
 
@@ -94,7 +102,7 @@ pub(crate) struct CoreTelemetry {
     pub latency_exec_us: Histogram,
     pub latency_forward_us: Histogram,
     /// Tail-based trace retention: full span trees of the slowest
-    /// requests seen so far, bounded by `slow_log_capacity`.
+    /// requests seen so far, bounded by [`SLOW_LOG_CAPACITY`].
     pub slow: SlowLog,
     /// The shared time source phase stamps are read from (virtual under
     /// `fargo-check`, wall otherwise).
@@ -230,8 +238,7 @@ impl CoreTelemetry {
             };
         let phase_hist =
             |name: &str| -> Histogram { registry.histogram(name, l, BUCKETS_LATENCY_US) };
-        let health_series = config
-            .slo_rules
+        let health_series = fargo_telemetry::default_slo_rules()
             .iter()
             .map(|r| {
                 let rl = &[("core", core), ("rule", r.name.as_str())][..];
@@ -256,7 +263,7 @@ impl CoreTelemetry {
             invoke_total: registry.counter("fargo_invoke_total", l),
             invoke_latency_us: WindowedHistogram::new(
                 registry.histogram("fargo_invoke_latency_us", l, BUCKETS_LATENCY_US),
-                config.latency_window,
+                LATENCY_WINDOW,
             ),
             invoke_hops: registry.histogram("fargo_invoke_hops", l, BUCKETS_COUNT),
             phase_timing: config.phase_timing,
@@ -265,7 +272,7 @@ impl CoreTelemetry {
             latency_network_us: phase_hist("fargo_latency_network_us"),
             latency_exec_us: phase_hist("fargo_latency_exec_us"),
             latency_forward_us: phase_hist("fargo_latency_forward_us"),
-            slow: SlowLog::new(config.slow_log_capacity),
+            slow: SlowLog::new(SLOW_LOG_CAPACITY),
             time: clock,
             chain_shortenings_total: registry.counter("fargo_chain_shortenings_total", l),
             tracker_forwards_served_total: registry

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use fargo_core::{define_complet, CompletRegistry, Core, CoreConfig, Value};
+use fargo_core::{define_complet, CompletId, CompletRegistry, Core, CoreConfig, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 define_complet! {
@@ -125,6 +125,16 @@ pub fn test_config() -> CoreConfig {
         rpc_timeout: Duration::from_secs(5),
         transit_wait: Duration::from_secs(2),
         ..CoreConfig::default()
+    }
+}
+
+/// Relays `id` from `cores[0]` along `cores`, each move issued at the
+/// current host. (Issued elsewhere, a move first locates the complet
+/// through its shard, which repairs the issuer's tracker — cutting the
+/// forwarding chain a chain-walk scenario wants to grow.)
+pub fn relay(cores: &[Core], id: CompletId) {
+    for hop in cores.windows(2) {
+        hop[0].move_complet(id, hop[1].name(), None).unwrap();
     }
 }
 

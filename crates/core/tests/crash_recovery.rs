@@ -322,23 +322,50 @@ fn restore_checkpoint_is_idempotent() {
 }
 
 /// A structurally valid checkpoint with a truncated complet entry is
-/// rejected with a typed error, not installed half-way.
+/// rejected with a typed error, and rejected *whole*: a good record
+/// ahead of the bad one must not be installed (or published) first.
 #[test]
 fn truncated_snapshot_entries_are_rejected() {
-    let (_net, _reg, cores, root) = wal_cluster(1, "trunc");
+    let (_net, _reg, cores, root) = wal_cluster(2, "trunc");
     // Entry has an id but no type/state: must fail cleanly.
-    let snapshot = Value::map([
-        ("fargo_checkpoint", Value::I64(1)),
-        (
-            "complets",
-            Value::List(vec![Value::map([("id", Value::from("c0.1"))])]),
-        ),
-    ]);
+    let truncated = Value::map([("id", Value::from("c0.1"))]);
+    let snapshot = |complets: Vec<Value>| {
+        Value::map([
+            ("fargo_checkpoint", Value::I64(1)),
+            ("complets", Value::List(complets)),
+        ])
+    };
     assert!(matches!(
-        cores[0].restore_checkpoint(&snapshot),
+        cores[0].restore_checkpoint(&snapshot(vec![truncated.clone()])),
         Err(FargoError::InvalidArgument(_))
     ));
     assert_eq!(cores[0].complet_count(), 0, "nothing was installed");
+
+    // Good-then-bad: a real record taken from core1's checkpoint,
+    // followed by the truncated one and by one naming an unregistered
+    // type.
+    let counter = cores[1].new_complet("Counter", &[]).unwrap();
+    let good = cores[1].checkpoint().unwrap().snapshot;
+    let good = good.get("complets").and_then(Value::as_list).unwrap()[0].clone();
+    let mut unregistered = good.clone();
+    if let Value::Map(fields) = &mut unregistered {
+        fields.insert("type".into(), Value::from("NoSuchType"));
+    }
+    for (bad, what) in [
+        (truncated, "truncated"),
+        (unregistered, "unregistered type"),
+    ] {
+        let err = cores[0].restore_checkpoint(&snapshot(vec![good.clone(), bad]));
+        assert!(err.is_err(), "{what}: {err:?}");
+        assert_eq!(cores[0].complet_count(), 0, "{what}: record 1 installed");
+        assert!(!cores[0].hosts(counter.id()));
+    }
+    let published = cores
+        .iter()
+        .flat_map(Core::journal_snapshot)
+        .filter(|e| e.kind == JournalKind::ShardApplied && e.peer == Some(cores[0].node().index()))
+        .count();
+    assert_eq!(published, 0, "a rejected restore published a placement");
     cleanup(&root, &cores);
 }
 

@@ -63,9 +63,9 @@ fn restored_complets_are_reachable_from_peers() {
     cores[1].release_complet(store.id()).unwrap();
     cores[2].restore_checkpoint(&snapshot).unwrap();
 
-    // The restore announced the new location to the origin (core1), so
-    // the home registry re-resolves; the chain path is gone, so give the
-    // location update a moment and use a fresh reference.
+    // The restore published the new location to the owning shard; the
+    // chain path is gone, so give the publish a moment and use a fresh
+    // reference.
     std::thread::sleep(Duration::from_millis(30));
     let fresh = cores[2].stub(CompletRef::from_descriptor(RefDescriptor::link(
         store.id(),

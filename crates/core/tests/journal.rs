@@ -6,7 +6,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{cluster, cluster_with_config, registry, teardown, test_config};
+use common::{cluster, cluster_with_config, registry, relay, teardown, test_config};
 use fargo_core::{define_complet, Anomaly, Core, Hlc, JournalEvent, JournalKind, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
@@ -135,9 +135,7 @@ fn anomaly_pass_flags_long_forwarding_chain() {
     let (_net, _reg, cores) = cluster_with_config(5, test_config().with_naming_gossip_batch(0));
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     let id = msg.id().to_string();
-    for dest in ["core1", "core2", "core3", "core4"] {
-        msg.move_to(dest).unwrap();
-    }
+    relay(&cores, msg.id());
     let anomalies = cores[0].layout_history().anomalies();
     let chain = anomalies
         .iter()

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{cluster, cluster_with_config, teardown, test_config};
+use common::{cluster, cluster_with_config, relay, teardown, test_config};
 use fargo_core::{define_complet, FargoError, TrackerTarget, Value};
 
 #[test]
@@ -60,9 +60,7 @@ fn chains_are_shortened_on_invocation_return() {
     let (_net, _reg, cores) = cluster_with_config(4, test_config().with_naming_gossip_batch(0));
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     let id = msg.id();
-    msg.move_to("core1").unwrap();
-    msg.move_to("core2").unwrap();
-    msg.move_to("core3").unwrap();
+    relay(&cores, id);
     // Before any invocation, core1 forwards to core2 (chain link).
     assert_eq!(
         cores[1]

@@ -23,8 +23,9 @@ fn tracker_of(core: &Core, id: CompletId) -> Option<TrackerSnapshot> {
 
 /// Explorer seeds 324/684/707: `new @1; move -> 2; collect 1`. Collecting
 /// the idle tracker at the complet's *origin* Core used to make every
-/// invocation routed through it fail with `UnknownComplet` — the invoke
-/// handler never consulted the origin's home registry.
+/// invocation routed through it fail with `UnknownComplet` — nothing
+/// re-resolved the dead end. The caller now drops its stale edge and
+/// asks the location shard.
 #[test]
 fn collect_at_origin_then_invoke_recovers() {
     let (_net, _reg, cores) = cluster(3);
@@ -40,16 +41,16 @@ fn collect_at_origin_then_invoke_recovers() {
     let remote = cores[0].stub(msg.complet_ref().clone());
     let out = remote
         .call("print", &[])
-        .expect("home registry must recover the route");
+        .expect("the location shard must recover the route");
     assert_eq!(out.as_str(), Some("kept"));
     teardown(&cores);
 }
 
 /// Explorer seed 511: `new @2; move -> 0; collect 2; move -> 2`. A move
 /// issued *at the origin* after its tracker was collected used to fail in
-/// `locate()`, which gave up without consulting the home registry.
+/// `locate()`, which gave up when the local trail ran out.
 #[test]
-fn move_after_origin_collect_locates_via_home() {
+fn move_after_origin_collect_locates_via_shard() {
     let (_net, _reg, cores) = cluster(3);
     let msg = cores[2].new_complet("Message", &[]).unwrap();
     let id = msg.id();
@@ -58,15 +59,15 @@ fn move_after_origin_collect_locates_via_home() {
 
     cores[2]
         .move_complet(id, "core2", None)
-        .expect("locate must fall back to the home registry");
+        .expect("locate must ask the location shard");
     assert!(cores[2].hosts(id));
     teardown(&cores);
 }
 
 /// Explorer seed 690: a three-hop chain whose *middle* Core is the origin
 /// (`new @1; move -> 0; move -> 1; move -> 2; collect 1`). Upstream
-/// trackers still point at the collected Core; the recovery re-seeds its
-/// tracker from the home registry and the chain heals.
+/// trackers still point at the collected Core; the caller re-seeds its
+/// tracker from the location shard and the chain heals.
 #[test]
 fn mid_chain_origin_collect_recovers() {
     let (_net, _reg, cores) = cluster(3);
@@ -88,10 +89,9 @@ fn mid_chain_origin_collect_recovers() {
     teardown(&cores);
 }
 
-/// Collecting at a *non-origin* mid-chain Core leaves a dead-end forward
-/// the target Core itself cannot repair (it has no home registry entry).
-/// The caller notices the dead end, drops its stale edge, and re-routes
-/// through the home registry.
+/// Collecting at a *non-origin* mid-chain Core leaves a dead-end
+/// forward. The caller notices the dead end, drops its stale edge, and
+/// re-routes through the location shard.
 #[test]
 fn dead_end_at_non_origin_core_recovers_via_caller() {
     let (_net, _reg, cores) = cluster(3);
@@ -155,36 +155,6 @@ fn stale_epoch_repoint_rejected() {
         .stub(msg.complet_ref().clone())
         .call("print", &[])
         .is_ok());
-    teardown(&cores);
-}
-
-/// `locate()` must start the walk from the *highest-epoch* local hint.
-/// The origin's tracker stays at the first move's target while each
-/// later move's `LocationUpdate` refreshes only the home registry — the
-/// old resolver re-walked the chain from the stale tracker anyway,
-/// paying one hop per intermediate Core.
-#[test]
-fn locate_prefers_freshest_hint_epoch() {
-    // Naming off: the shard would answer in one hop by itself, hiding
-    // the hint-ordering this test pins down (gossip is off with it).
-    let (_net, _reg, cores) = cluster_with_config(3, test_config().with_naming_shards(false));
-    let msg = cores[0].new_complet("Message", &[]).unwrap();
-    let id = msg.id();
-    cores[0].move_complet(id, "core1", None).unwrap();
-    cores[1].move_complet(id, "core2", None).unwrap();
-    // Let the second move's async LocationUpdate land at the origin.
-    std::thread::sleep(Duration::from_millis(30));
-    // Precondition: the origin's tracker still points at the first hop.
-    assert_eq!(
-        tracker_of(&cores[0], id).unwrap().target,
-        TrackerTarget::Forward(cores[1].node().index())
-    );
-    let r = cores[0].locate_explain(id).unwrap();
-    assert_eq!(r.node, cores[2].node().index());
-    assert_eq!(
-        r.hops, 1,
-        "must start from the fresher home entry, not re-walk the chain"
-    );
     teardown(&cores);
 }
 

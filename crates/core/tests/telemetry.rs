@@ -4,7 +4,6 @@
 mod common;
 
 use common::{cluster, cluster_with_config, teardown, test_config};
-use fargo_core::TrackingMode;
 
 /// A chained invocation across three Cores must produce one span tree:
 /// the caller's `invoke` span, the intermediate Core's `forward` span,
@@ -13,12 +12,7 @@ use fargo_core::TrackingMode;
 fn trace_spans_follow_chained_invocation() {
     // Gossip off: the scenario needs core0 to still believe core1 so
     // the invocation is chain-forwarded.
-    let (_net, _reg, cores) = cluster_with_config(
-        3,
-        test_config()
-            .with_tracking(TrackingMode::Chains)
-            .with_naming_gossip_batch(0),
-    );
+    let (_net, _reg, cores) = cluster_with_config(3, test_config().with_naming_gossip_batch(0));
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     msg.move_to("core1").unwrap();
     msg.move_to("core2").unwrap();
@@ -81,12 +75,7 @@ fn tracing_disabled_records_no_spans() {
 fn chain_shortening_is_counted() {
     // Gossip off: the scenario needs core0 to still believe core1 so
     // the invocation is chain-forwarded.
-    let (_net, _reg, cores) = cluster_with_config(
-        3,
-        test_config()
-            .with_tracking(TrackingMode::Chains)
-            .with_naming_gossip_batch(0),
-    );
+    let (_net, _reg, cores) = cluster_with_config(3, test_config().with_naming_gossip_batch(0));
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     msg.move_to("core1").unwrap();
     msg.move_to("core2").unwrap();

@@ -1,77 +1,153 @@
-//! Tracking-strategy tests: tracker chains vs the home-based registry
-//! (§3.1 vs the §7 future-work scheme, the E1 ablation pair).
+//! Finding a moved complet: tracker chains are the hint cache (§3.1),
+//! the owning location shard is the authority behind them.
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use common::{cluster_with_config, teardown, test_config};
-use fargo_core::{TrackingMode, Value};
+use common::{cluster, cluster_with_config, relay, teardown, test_config};
+use fargo_core::{CompletId, CompletRef, Core, RefDescriptor, ResolveVia, Value};
 
-fn wanderer_scenario(mode: TrackingMode) {
-    let (_net, _reg, cores) = cluster_with_config(5, test_config().with_tracking(mode));
+/// Index of the Core whose shard holds `id` as living on `host`. Shard
+/// publishes are one-shot asynchronous notifies, so this polls until
+/// the placement has landed.
+fn owner_once_published(cores: &[Core], id: CompletId, host: &Core) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let owner = cores.iter().position(|c| {
+            let own_shard = c.shard_live_at(c.node().index()).unwrap();
+            own_shard
+                .iter()
+                .any(|&(e, at, _)| e == id && at == host.node().index())
+        });
+        if let Some(owner) = owner {
+            return owner;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{id} at {} never published",
+            host.name()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn has_tracker(core: &Core, id: CompletId) -> bool {
+    core.tracker_snapshot().iter().any(|t| t.id == id)
+}
+
+#[test]
+fn chain_finds_wanderer() {
+    let (_net, _reg, cores) = cluster(5);
     let msg = cores[0]
         .new_complet("Message", &[Value::from("found me")])
         .unwrap();
     for dest in ["core1", "core2", "core3", "core4"] {
         msg.move_to(dest).unwrap();
     }
-    // Give asynchronous home updates a moment to land.
-    std::thread::sleep(Duration::from_millis(30));
     assert_eq!(msg.call("print", &[]).unwrap(), Value::from("found me"));
     assert!(cores[4].hosts(msg.id()));
     teardown(&cores);
 }
 
 #[test]
-fn chains_mode_finds_wanderer() {
-    wanderer_scenario(TrackingMode::Chains);
-}
-
-#[test]
-fn home_mode_finds_wanderer() {
-    wanderer_scenario(TrackingMode::HomeBased);
-}
-
-#[test]
-fn home_mode_uses_constant_messages_regardless_of_hops() {
-    // In home-based tracking an invocation from the origin core costs the
-    // same number of messages no matter how far the complet wandered —
-    // whereas chains walk every hop. This is the mechanism E1 measures
-    // as latency; here we assert it by message count.
-    for hops in [1usize, 4] {
-        let (net, _reg, cores) =
-            cluster_with_config(6, test_config().with_tracking(TrackingMode::HomeBased));
+fn shard_resolves_a_stale_hint_in_one_hop_whatever_the_chain_length() {
+    // A Core that never saw the complet holds a reference whose hint is
+    // k moves stale. The owning shard answers in at most one round trip,
+    // and the call that follows goes straight to the host — the chain
+    // the moves left behind carries nothing.
+    for k in [1usize, 4] {
+        let (net, _reg, cores) = cluster(k + 3);
         let msg = cores[0].new_complet("Message", &[]).unwrap();
-        for i in 1..=hops {
+        let id = msg.id();
+        for i in 1..=k {
             msg.move_to(&format!("core{i}")).unwrap();
         }
-        std::thread::sleep(Duration::from_millis(30));
-        let final_node = cores[hops].node();
-        let before = net.link_stats(cores[0].node(), final_node).messages;
-        msg.call("print", &[]).unwrap();
-        let after = net.link_stats(cores[0].node(), final_node).messages;
-        // Exactly one request flowed directly from core0 to the host —
-        // origin is core0 itself, so the home lookup is local.
-        assert_eq!(after - before, 1, "hops={hops}");
+        owner_once_published(&cores, id, &cores[k]);
+        // Of the two Cores off the chain at most one (the id's ring
+        // owner) can have been gossiped a tracker; ask from the other.
+        let asker = cores[k + 1..]
+            .iter()
+            .find(|c| !has_tracker(c, id))
+            .expect("a Core without a tracker");
+        let stale = asker.stub(CompletRef::from_descriptor(RefDescriptor::link(
+            id,
+            "Message",
+            cores[0].node().index(),
+        )));
+
+        let r = asker.locate_explain(id).unwrap();
+        assert_eq!(r.node, cores[k].node().index(), "k={k}");
+        assert_eq!(r.via, ResolveVia::Shard, "k={k}");
+        assert!(r.hops <= 1, "k={k}: {} hops", r.hops);
+
+        // Links into and along the old chain (core0 .. core{k-1}).
+        let chain_links = || -> u64 {
+            (0..k)
+                .map(|i| {
+                    net.link_stats(asker.node(), cores[i].node()).messages
+                        + net
+                            .link_stats(cores[i].node(), cores[i + 1].node())
+                            .messages
+                })
+                .sum()
+        };
+        let before = chain_links();
+        stale.call("print", &[]).unwrap();
+        assert_eq!(
+            chain_links() - before,
+            0,
+            "k={k}: the chain must stay quiet"
+        );
         teardown(&cores);
     }
+}
+
+#[test]
+fn resolution_does_not_depend_on_the_origin_core() {
+    let (_net, _reg, cores) = cluster(5);
+    // The shard slice living on a downed Core is a different failure:
+    // pick a complet whose ring owner is not its origin.
+    let msg = (0..16)
+        .map(|_| {
+            cores[0]
+                .new_complet("Message", &[Value::from("orphaned")])
+                .unwrap()
+        })
+        .find(|m| owner_once_published(&cores, m.id(), &cores[0]) != 0)
+        .expect("a complet whose shard is not on core0");
+    let id = msg.id();
+    msg.move_to("core1").unwrap();
+    msg.move_to("core2").unwrap();
+    owner_once_published(&cores, id, &cores[2]);
+    cores[0].stop();
+
+    // The asker never saw the complet, and its only hint is the dead
+    // origin.
+    let asker = cores[3..]
+        .iter()
+        .find(|c| !has_tracker(c, id))
+        .expect("a Core without a tracker");
+    let r = asker.locate_explain(id).unwrap();
+    assert_eq!(r.node, cores[2].node().index());
+    assert_eq!(r.via, ResolveVia::Shard);
+    assert!(r.hops <= 1);
+    let stale = asker.stub(CompletRef::from_descriptor(RefDescriptor::link(
+        id,
+        "Message",
+        cores[0].node().index(),
+    )));
+    assert_eq!(stale.call("print", &[]).unwrap(), Value::from("orphaned"));
+    teardown(&cores);
 }
 
 #[test]
 fn chains_mode_walks_every_intermediate_core() {
     // Gossip off: the test asserts the pure chain-walk message pattern,
     // which piggybacked shard deltas would shortcut.
-    let (net, _reg, cores) = cluster_with_config(
-        4,
-        test_config()
-            .with_tracking(TrackingMode::Chains)
-            .with_naming_gossip_batch(0),
-    );
+    let (net, _reg, cores) = cluster_with_config(4, test_config().with_naming_gossip_batch(0));
     let msg = cores[0].new_complet("Message", &[]).unwrap();
-    msg.move_to("core1").unwrap();
-    msg.move_to("core2").unwrap();
-    msg.move_to("core3").unwrap();
+    relay(&cores, msg.id());
     let hop01_before = net.link_stats(cores[0].node(), cores[1].node()).messages;
     let hop12_before = net.link_stats(cores[1].node(), cores[2].node()).messages;
     msg.call("print", &[]).unwrap();

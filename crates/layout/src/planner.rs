@@ -9,7 +9,8 @@
 //!   planning Core observes locally (the planner subscribes the hottest
 //!   pairs itself, so sustained traffic sharpens over rounds while the
 //!   PR 4 EWMA fix guarantees silent pairs decay to exactly zero);
-//! * live placement via `complets_at` against every reachable Core;
+//! * live placement from the union of the Cores' location shards
+//!   (`shard_live_at`, one RPC per reachable Core);
 //! * link characteristics via the [`CostModel`] calibration.
 //!
 //! Hysteresis: a plan whose predicted relative gain is below the
@@ -110,13 +111,12 @@ impl Planner {
     /// Unreachable Cores simply contribute nothing — their complets are
     /// left alone this round.
     ///
-    /// Preferred source: the sharded location service. The union of the
+    /// The one source is the sharded location service: the union of the
     /// live shard entries across Cores is the whole placement in one
     /// `ShardList` RPC per Core, independent of how many complets each
     /// Core hosts (duplicates from handoff overlap resolve by highest
-    /// move epoch). When the union is empty — naming disabled, or simply
-    /// nothing published — the planner falls back to the chain-era
-    /// per-Core inventory walk.
+    /// move epoch). An empty union — nothing published, or naming off —
+    /// is an empty placement.
     pub fn placement(&self) -> BTreeMap<CompletId, u32> {
         let mut best: BTreeMap<CompletId, (u32, u64)> = BTreeMap::new();
         for node in self.core.network().node_ids() {
@@ -132,19 +132,7 @@ impl Planner {
                 }
             }
         }
-        if !best.is_empty() {
-            return best.into_iter().map(|(id, (host, _))| (id, host)).collect();
-        }
-        let mut out = BTreeMap::new();
-        for node in self.core.network().node_ids() {
-            let name = self.core.core_name_of(node.index());
-            if let Ok(items) = self.core.complets_at(&name) {
-                for (id, _type) in items {
-                    out.insert(id, node.index());
-                }
-            }
-        }
-        out
+        best.into_iter().map(|(id, (host, _))| (id, host)).collect()
     }
 
     /// Node indices of Cores that are up and answering.

@@ -2,8 +2,10 @@
 //!
 //! The paper (§7) names *location-independent naming* as the successor to
 //! tracker chains: instead of every departure growing a forwarding chain
-//! rooted at wherever a reference happens to live, the **home-registry
-//! role itself is sharded across Cores** by a consistent-hash ring. Each
+//! rooted at wherever a reference happens to live, **one authoritative
+//! location registry is sharded across Cores** by a consistent-hash ring
+//! (no single origin Core carries the load, or is a single point of
+//! failure, for the complets it happened to create). Each
 //! Core runs one [`LocationShard`] holding the authoritative
 //! `(complet → Core, move_epoch)` entries for the slice of the id space
 //! it owns, and layout deltas gossip between Cores so remote lookups
