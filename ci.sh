@@ -11,6 +11,31 @@ cleanup_wal_scratch() {
 }
 trap cleanup_wal_scratch EXIT
 
+# Size report: non-test Rust under crates/ (integration-test dirs,
+# `*_tests.rs` files and `#[cfg(test)]` modules left out), all lines and
+# code lines (no blanks, no `//` lines), then each file of the Core
+# runtime. ROADMAP wants the net line count of every PR reported; the
+# difference between this stage at the parent commit and here is that
+# number. It prints, it does not gate. `./ci.sh loc` runs it alone.
+loc() {
+    find crates -name '*.rs' -not -path '*/tests/*' -not -name '*_tests.rs' \
+        -exec awk '
+            FNR == 1 { pending = 0; skip = 0 }
+            /^#\[cfg\(test\)\]/ { pending = 1; next }
+            pending { pending = 0
+                      if ($0 ~ /^(pub(\([a-z]+\))? )?mod [a-z_]+;/) next
+                      if ($0 ~ /^(pub(\([a-z]+\))? )?mod [a-z_]+ \{/) { skip = 1; next } }
+            skip { if (/^}/) skip = 0; next }
+            { all++ }
+            !/^[[:space:]]*(\/\/.*)?$/ { code++ }
+            END { printf "non-test Rust under crates/: %d lines, %d of them code\n", all, code }
+        ' {} +
+    wc -l crates/core/src/runtime/*.rs
+}
+echo "==> loc (report only)"
+loc
+if [ "${1:-}" = loc ]; then exit 0; fi
+
 echo "==> cargo build --release"
 cargo build --release
 

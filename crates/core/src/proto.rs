@@ -88,8 +88,7 @@ pub(crate) enum ListenerAddr {
 }
 
 /// Request bodies.
-// `MoveRequest` is named after the wire operation (a request *to move*,
-// distinct from `Move`, the marshaled stream itself).
+// `MoveRequest` is named after the wire operation (a request *to move*).
 #[allow(clippy::enum_variant_names)]
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Request {
@@ -105,16 +104,10 @@ pub(crate) enum Request {
         path: Vec<u32>,
         hops: u32,
     },
-    /// A marshaled move stream: the root complet plus all co-movers.
-    /// The single-round move; the runtime's own moves use the two-phase
-    /// `MovePrepare`/`MoveCommit` handshake.
-    Move {
-        packets: Vec<CompletPacket>,
-        continuation: Option<Continuation>,
-    },
-    /// Phase one of a two-phase move: the full marshaled stream. The
-    /// destination validates, constructs and *holds* the complets —
-    /// invisible and un-invocable — until it hears `MoveCommit`.
+    /// Phase one of a two-phase move: the full marshaled stream (the
+    /// root complet plus all co-movers). The destination validates,
+    /// constructs and *holds* the complets — invisible and un-invocable
+    /// — until it hears `MoveCommit`.
     MovePrepare {
         /// The moved root (the transaction key together with `epoch`).
         root: CompletId,
@@ -190,7 +183,6 @@ impl Request {
     pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             Request::Invoke { .. } => "invoke",
-            Request::Move { .. } => "move",
             Request::MovePrepare { .. } => "move_prep",
             Request::MoveCommit { .. } => "move_commit",
             Request::MoveAbort { .. } => "move_abort",
@@ -617,9 +609,10 @@ wire_enum! { FargoError, "error tag";
 
 // --- bodies --------------------------------------------------------------------
 
+// Tag 1 is retired (it was the single-phase move stream) and decodes to
+// `Err`; the remaining tags keep their numbers.
 wire_enum! { Request, "request tag";
     0 => Invoke { target, method, args, chain, path, hops },
-    1 => Move { packets, continuation },
     2 => MovePrepare { root, epoch, packets, continuation },
     3 => MoveCommit { root, epoch },
     4 => MoveAbort { root, epoch },
@@ -876,19 +869,17 @@ mod tests {
                 path: vec![1, 2, 300],
                 hops: 2,
             },
-            Request::Move {
-                packets: vec![packet(1), packet(0)],
+            Request::MovePrepare {
+                root,
+                epoch,
+                packets: vec![packet(3), packet(0)],
                 continuation: Some(continuation()),
-            },
-            Request::Move {
-                packets: vec![],
-                continuation: None,
             },
             Request::MovePrepare {
                 root,
                 epoch,
-                packets: vec![packet(3)],
-                continuation: Some(continuation()),
+                packets: vec![],
+                continuation: None,
             },
             Request::MoveCommit { root, epoch },
             Request::MoveAbort { root, epoch },
@@ -1168,7 +1159,7 @@ mod tests {
     fn samples_cover_every_variant() {
         let kinds = |n: usize, seen: usize| assert_eq!(seen, n, "a variant lost its sample");
         let names: HashSet<_> = requests().iter().map(Request::kind_name).collect();
-        kinds(23, names.len());
+        kinds(22, names.len());
         kinds(
             19,
             replies()
@@ -1299,6 +1290,56 @@ mod tests {
             retired[TAG_AT] = 0;
             assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
         }
+    }
+
+    /// Request tag 1 is retired: a frame carrying it is an error, and
+    /// the surviving kinds keep the tag numbers peers already speak.
+    #[test]
+    fn request_tag_one_is_retired_and_the_rest_keep_their_numbers() {
+        let mut seen = HashSet::new();
+        for body in requests() {
+            let tag = match &body {
+                Request::Invoke { .. } => 0,
+                Request::MovePrepare { .. } => 2,
+                Request::MoveCommit { .. } => 3,
+                Request::MoveAbort { .. } => 4,
+                Request::MoveQuery { .. } => 5,
+                Request::MoveDecision { .. } => 6,
+                Request::NewComplet { .. } => 7,
+                Request::NameLookup { .. } => 8,
+                Request::FetchState { .. } => 9,
+                Request::MoveRequest { .. } => 10,
+                Request::WhereIs { .. } => 11,
+                Request::LocateQuery { .. } => 12,
+                Request::ShardList => 13,
+                Request::Subscribe { .. } => 14,
+                Request::Unsubscribe { .. } => 15,
+                Request::ListComplets => 16,
+                Request::ListTrackers => 17,
+                Request::TraceSpans { .. } => 18,
+                Request::JournalEvents => 19,
+                Request::TopComplets { .. } => 20,
+                Request::TrafficMatrix => 21,
+                Request::Ping => 22,
+            };
+            seen.insert(tag);
+            // One-byte `req_id` and `origin` varints follow the
+            // three-byte header; the body tag comes next.
+            const TAG_AT: usize = 5;
+            let msg = Message::Request {
+                req_id: 1,
+                origin: 2,
+                trace: None,
+                body,
+            };
+            let bytes = encode(&msg, &EnvelopeMeta::default()).0;
+            assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
+            assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
+            let mut retired = bytes.to_vec();
+            retired[TAG_AT] = 1;
+            assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
+        }
+        assert_eq!(seen.len(), 22, "every surviving tag was checked");
     }
 
     /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every

@@ -1,0 +1,409 @@
+//! The receiver side of the peer channel: datagrams in, decoded,
+//! dispatched — requests to the bounded worker pool (or served inline
+//! when that is safe), replies to the caller waiting on them or onward
+//! along their route, notifies to their handlers.
+//!
+//! A served request is answered in exactly one place,
+//! [`Core::respond`], which also records the reply for the dedup cache.
+
+use std::sync::atomic::Ordering;
+use std::thread;
+use std::time::Duration;
+
+use crossbeam::channel::{Receiver, RecvTimeoutError, TrySendError};
+use fargo_net::Datagram;
+use fargo_telemetry::{JournalKind, TraceContext};
+use simnet::NodeId;
+
+use crate::error::FargoError;
+use crate::events::EventPayload;
+use crate::proto::{Message, Notify, Reply, ReqId, Request};
+use crate::runtime::reliable::CacheDecision;
+use crate::runtime::Core;
+
+/// One request handed from the receiver loop to the worker pool.
+pub(crate) struct WorkRequest {
+    pub origin: u32,
+    pub req_id: ReqId,
+    pub trace: Option<TraceContext>,
+    /// Shared-clock µs at which the receiver enqueued the request
+    /// (`None` when phase timing is off); the worker that picks it up
+    /// attributes the difference to the queue-wait phase.
+    pub enqueued_us: Option<u64>,
+    pub body: Request,
+}
+
+impl Core {
+    pub(super) fn spawn_receiver(&self) {
+        let core = self.clone();
+        thread::Builder::new()
+            .name(format!("fargo-core-{}", self.inner.name))
+            .spawn(move || core.receiver_loop())
+            .expect("failed to spawn core receiver thread");
+    }
+
+    /// Starts the bounded request-worker pool. Workers share one queue;
+    /// replies and notifies bypass it (handled inline on the receiver
+    /// loop), so a pool saturated with requests blocked in nested rpcs
+    /// can still be unblocked by incoming replies.
+    pub(super) fn spawn_workers(&self, work_rx: Receiver<WorkRequest>) {
+        for i in 0..self.inner.config.worker_threads {
+            let core = self.clone();
+            let rx = work_rx.clone();
+            thread::Builder::new()
+                .name(format!("fargo-worker-{}-{i}", self.inner.name))
+                .spawn(move || loop {
+                    if core.inner.shutdown.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    match rx.recv_timeout(Duration::from_millis(25)) {
+                        Ok(job) => {
+                            core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
+                            let t = &core.inner.telemetry;
+                            if let Some(enq) = job.enqueued_us {
+                                // Queue-wait phase: receiver enqueue to
+                                // worker pickup.
+                                t.observe_phase(
+                                    &t.latency_queue_us,
+                                    t.phase_now_us().saturating_sub(enq),
+                                );
+                            }
+                            core.handle_request(job.origin, job.req_id, job.trace, job.body);
+                            core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Err(RecvTimeoutError::Disconnected) => return,
+                    }
+                })
+                .expect("failed to spawn core worker thread");
+        }
+    }
+
+    fn receiver_loop(&self) {
+        loop {
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match self.inner.transport.recv_timeout(Duration::from_millis(25)) {
+                Ok(incoming) => self.receive(incoming),
+                Err(e) if e.is_timeout() => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    /// Decodes one datagram (in place — the reader walks the transport's
+    /// buffer), absorbs its envelope metadata and dispatches the message.
+    fn receive(&self, incoming: Datagram) {
+        let t = &self.inner.telemetry;
+        let wire_len = incoming.payload.len();
+        let Ok((msg, meta, nd_bytes)) = Message::decode(incoming.payload) else {
+            // Malformed, truncated or unknown-version frame: dropped, as
+            // a real Core would, and counted.
+            t.msg_decode_errors_total.inc();
+            return;
+        };
+        if let Some(h) = meta.hlc {
+            t.observe_hlc(h);
+        }
+        if let Some(sent_us) = meta.ts {
+            // One-way delivery latency as the application experienced it
+            // (propagation + queueing + marshal), measured on the shared
+            // clock. Fed back to the substrate so the layout cost model
+            // calibrates from observations.
+            let us = t.phase_now_us().saturating_sub(sent_us);
+            t.observe_phase(&t.latency_network_us, us);
+            self.inner.net.record_observed_latency(
+                NodeId::from_index(incoming.src),
+                self.inner.node,
+                us,
+            );
+        }
+        t.record_msg_in(msg.kind_label(), wire_len);
+        t.queue_depth.set(self.inner.transport.queue_len() as f64);
+        if nd_bytes > 0 {
+            t.naming_gossip_bytes_total.add(nd_bytes as u64);
+        }
+        self.absorb_gossip(meta.nd);
+        self.dispatch(msg);
+    }
+
+    fn dispatch(&self, msg: Message) {
+        match msg {
+            Message::Request {
+                req_id,
+                origin,
+                trace,
+                body,
+            } => {
+                // Read-only snapshot requests are served right here on
+                // the dispatch loop: they never run complet code, never
+                // block, and never rpc, so they cannot stall the loop —
+                // and they no longer occupy (or get shed from) pool
+                // slots while the pool is saturated with slow work.
+                if body.inline_safe() {
+                    self.inner.telemetry.worker_inline_total.inc();
+                    self.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
+                    self.handle_request(origin, req_id, trace, body);
+                    self.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
+                    return;
+                }
+                // Everything else runs on the bounded worker pool. A full
+                // queue drops the request — never blocks the receiver
+                // loop (replies must keep flowing or workers blocked in
+                // nested rpcs would deadlock) — and the sender's
+                // retransmission recovers it once workers drain.
+                let job = WorkRequest {
+                    origin,
+                    req_id,
+                    trace,
+                    enqueued_us: self.inner.telemetry.phase_send_stamp(),
+                    body,
+                };
+                match self.inner.work_tx.try_send(job) {
+                    Ok(()) => {}
+                    // One shed, one count. Disconnection is shutdown, not
+                    // load shedding — counting it inflated the rejection
+                    // series on every teardown.
+                    Err(TrySendError::Full(_)) => {
+                        self.inner.telemetry.worker_rejections_total.inc();
+                    }
+                    Err(TrySendError::Disconnected(_)) => {}
+                }
+            }
+            Message::Reply {
+                req_id,
+                route,
+                body,
+            } => self.handle_reply(req_id, route, body),
+            Message::Notify(n) => self.handle_notify(n),
+        }
+    }
+
+    fn handle_request(
+        &self,
+        origin: u32,
+        req_id: ReqId,
+        trace: Option<TraceContext>,
+        body: Request,
+    ) {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return self.respond(origin, req_id, &[], Reply::Err(FargoError::ShuttingDown));
+        }
+        // At-most-once admission: a retransmitted copy of a request we
+        // already executed replays the recorded reply; one we are still
+        // executing is dropped. Idempotent (read-only) kinds skip the
+        // cache and simply re-execute.
+        if !body.idempotent() {
+            let (decision, evicted) = self.inner.reply_cache.begin(origin, req_id);
+            if evicted > 0 {
+                self.inner.telemetry.dedup_evictions_total.add(evicted);
+            }
+            match decision {
+                CacheDecision::Execute => {}
+                CacheDecision::DropInFlight => {
+                    self.inner.telemetry.dedup_inflight_total.inc();
+                    return;
+                }
+                CacheDecision::Replay(reply) => {
+                    self.inner.telemetry.dedup_hits_total.inc();
+                    return self.respond(origin, req_id, &[], reply);
+                }
+            }
+        }
+        let reply = match body {
+            Request::Invoke {
+                target,
+                method,
+                args,
+                chain,
+                path,
+                hops,
+            } => {
+                // The one kind whose reply retraces the request's path.
+                // `None`: forwarded along the chain — the Core that
+                // executes it answers.
+                if let Some(reply) = self.handle_invoke(
+                    origin, req_id, trace, target, method, args, chain, &path, hops,
+                ) {
+                    self.respond(origin, req_id, &path, reply);
+                }
+                return;
+            }
+            Request::MovePrepare {
+                root,
+                epoch,
+                packets,
+                continuation,
+            } => self.handle_move_prepare(origin, root, epoch, packets, continuation),
+            Request::MoveCommit { root, epoch } => self.handle_move_commit(root, epoch, trace),
+            Request::MoveAbort { root, epoch } => self.handle_move_abort(root, epoch),
+            Request::MoveQuery { root, epoch } => self.handle_move_query(root, epoch),
+            Request::MoveDecision { root, epoch } => self.handle_move_decision(root, epoch),
+            Request::NewComplet { type_name, args } => match self.new_complet(&type_name, &args) {
+                Ok(b) => Reply::NewOk {
+                    desc: b.complet_ref().descriptor(),
+                },
+                Err(e) => Reply::Err(e),
+            },
+            Request::NameLookup { name } => Reply::NameOk {
+                desc: self.lookup(&name).map(|r| r.descriptor()),
+            },
+            Request::FetchState { id } => self.handle_fetch_state(id),
+            Request::MoveRequest { id, dest } => {
+                match self.move_complet(id, &self.core_name_of(dest), None) {
+                    Ok(()) => Reply::Ok,
+                    Err(e) => Reply::Err(e),
+                }
+            }
+            Request::WhereIs { id } => Reply::WhereOk {
+                node: self.local_belief(id),
+            },
+            Request::LocateQuery { id } => {
+                // The authoritative answer of this Core's shard slice.
+                // `None` covers tombstones and unknown ids alike; the
+                // epoch still rides back so the asker can rank hints.
+                let (node, epoch) = match self.inner.shard.lookup(id) {
+                    Some(e) if e.alive => (Some(e.node), e.epoch),
+                    Some(e) => (None, e.epoch),
+                    None => (None, 0),
+                };
+                Reply::LocateOk { node, epoch }
+            }
+            Request::ShardList => Reply::ShardEntries {
+                entries: self
+                    .inner
+                    .shard
+                    .alive()
+                    .into_iter()
+                    .map(|(id, e)| (id, e.node, e.epoch))
+                    .collect(),
+            },
+            Request::Subscribe {
+                selector,
+                threshold,
+                above,
+                listener,
+            } => {
+                self.start_profiling_for_selector(&selector);
+                self.inner
+                    .hub
+                    .subscribe_remote(&selector, threshold, above, listener);
+                Reply::Ok
+            }
+            Request::Unsubscribe { selector, listener } => {
+                if self.inner.hub.unsubscribe_remote(&selector, &listener) > 0 {
+                    self.stop_profiling_for_selector(&selector);
+                }
+                Reply::Ok
+            }
+            Request::ListComplets => Reply::Complets {
+                items: self.complet_inventory(),
+            },
+            Request::ListTrackers => Reply::Trackers {
+                items: self.tracker_rows(),
+            },
+            Request::TraceSpans { trace_id } => Reply::Spans {
+                spans: self.inner.telemetry.spans.for_trace(trace_id),
+            },
+            Request::JournalEvents => Reply::Journal {
+                events: self.inner.telemetry.journal.snapshot(),
+            },
+            Request::TopComplets { n } => Reply::TopComplets {
+                rows: self.inner.telemetry.accountant.top(n as usize),
+            },
+            Request::TrafficMatrix => Reply::Matrix {
+                cells: self.inner.telemetry.matrix.snapshot(),
+            },
+            Request::Ping => Reply::Pong,
+        };
+        self.respond(origin, req_id, &[], reply);
+    }
+
+    /// Answers a served request — the only place a reply to one is sent.
+    ///
+    /// The reply is first recorded against `(origin, req_id)` so a
+    /// retransmitted copy replays it instead of re-executing (a no-op for
+    /// idempotent kinds, which were never admitted to the cache). It then
+    /// walks `path` — the nodes the request traversed, origin first —
+    /// backwards, so every tracker on an invocation chain learns the
+    /// final location; an empty path answers the origin directly.
+    fn respond(&self, origin: u32, req_id: ReqId, path: &[u32], body: Reply) {
+        self.inner.reply_cache.complete(origin, req_id, &body);
+        let (first, route) = match path.split_last() {
+            Some((&last, rest)) => (last, rest.iter().rev().copied().collect()),
+            None => (origin, Vec::new()),
+        };
+        let msg = Message::Reply {
+            req_id,
+            route,
+            body,
+        };
+        if let Err(e) = self.send_to(first, &msg) {
+            // A dropped reply leaves the requester to retransmit or time
+            // out; count and journal it so lost-reply scenarios show up
+            // in diagnostics instead of vanishing.
+            self.inner.telemetry.reply_send_failures.inc();
+            self.inner.telemetry.journal(
+                JournalKind::ReplyDropped,
+                &req_id,
+                "",
+                &e.to_string(),
+                Some(first),
+            );
+        }
+    }
+
+    fn handle_reply(&self, req_id: ReqId, route: Vec<u32>, body: Reply) {
+        // Chain shortening (§3.1): every Core a reply passes through
+        // learns the target's final location and repoints its tracker.
+        // The move epoch stamped by the executing Core lets stragglers
+        // from an earlier incarnation be recognised and rejected.
+        if let Reply::InvokeOk {
+            final_location,
+            target,
+            epoch,
+            ..
+        } = &body
+        {
+            self.learn_location(*target, *final_location, *epoch);
+        }
+        let Some((&next, rest)) = route.split_first() else {
+            return self.complete_rpc(req_id, body);
+        };
+        let msg = Message::Reply {
+            req_id,
+            route: rest.to_vec(),
+            body,
+        };
+        let _ = self.send_to(next, &msg);
+    }
+
+    fn handle_notify(&self, n: Notify) {
+        match n {
+            Notify::Event { token, payload } => {
+                let handler = self.inner.sinks.lock().get(&token).cloned();
+                if let Some(h) = handler {
+                    thread::spawn(move || h(&payload));
+                }
+            }
+            Notify::ShardDelta { entries } => {
+                self.absorb_shard_publishes(entries);
+            }
+            Notify::CoreShutdown { node } => {
+                self.fire_event(EventPayload::CoreShutdown { core: node });
+            }
+        }
+    }
+
+    /// Work the Core has accepted but not yet finished: undelivered
+    /// datagrams, queued worker jobs, and requests currently executing.
+    /// Zero across every Core (with the network drained) means the
+    /// cluster is quiescent — the deterministic checker's step barrier.
+    #[doc(hidden)]
+    pub fn pending_work(&self) -> usize {
+        self.inner.transport.queue_len()
+            + self.inner.work_rx.len()
+            + self.inner.busy_workers.load(Ordering::SeqCst) as usize
+    }
+}

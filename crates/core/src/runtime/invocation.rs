@@ -9,7 +9,6 @@
 //!   the chain back, repointing every tracker to the target's final
 //!   location (chain shortening).
 
-use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
@@ -20,7 +19,8 @@ use crate::error::{FargoError, Result};
 use crate::proto::{Message, Reply, ReqId, Request};
 use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
-use crate::runtime::{Core, PendingCall, SlotState, APP_SEQ};
+use crate::runtime::rpc::PendingRpc;
+use crate::runtime::{Core, SlotState, APP_SEQ};
 use crate::telemetry;
 
 /// Outcome of attempting to run an invocation on a local slot.
@@ -63,42 +63,25 @@ impl Core {
     /// in-process execution has nothing to overlap with.
     pub fn invoke_async(&self, target: &CompletRef, method: &str, args: &[Value]) -> PendingCall {
         let id = target.id();
-        let me = self.inner.node.index();
-        match self.route(id, target) {
+        let state = match self.route(id, target) {
             Route::Remote(node) => {
-                let t = &self.inner.telemetry;
-                t.invoke_total.inc();
-                let src = CompletId::new(me, APP_SEQ);
-                self.inner.monitor.invocations.record(src, id);
-                let src_label = if t.journal_enabled {
-                    src.to_string()
-                } else {
-                    String::new()
-                };
-                t.journal(JournalKind::Invoke, &id, method, &src_label, None);
-                // By-value parameter semantics, exactly as `invoke`.
-                let degraded: Vec<Value> = args
-                    .iter()
-                    .cloned()
-                    .map(|v| v.transform_refs(&mut |r| r.degraded()))
-                    .collect();
-                let body = Request::Invoke {
-                    target: id,
-                    method: method.to_owned(),
-                    args: degraded,
-                    chain: Vec::new(),
-                    path: vec![me],
-                    hops: 0,
-                };
-                match self.rpc_begin(node, body) {
-                    Ok(rpc) => {
-                        PendingCall::remote(rpc, target.clone(), method.to_owned(), args.to_vec())
-                    }
-                    Err(e) => PendingCall::ready(Err(e)),
+                self.inner.telemetry.invoke_total.inc();
+                let args = self.account_call(id, method, args, &[]);
+                match self.begin_invoke(node, id, method, &args, &[]) {
+                    Ok(rpc) => PendingCallState::Remote {
+                        rpc: Box::new(rpc),
+                        target: target.clone(),
+                        method: method.to_owned(),
+                        args,
+                    },
+                    Err(e) => PendingCallState::Ready(Err(e)),
                 }
             }
-            Route::Local | Route::Unknown => PendingCall::ready(self.invoke(target, method, args)),
-        }
+            Route::Local | Route::Unknown => {
+                PendingCallState::Ready(self.invoke(target, method, args))
+            }
+        };
+        PendingCall { state }
     }
 
     pub(crate) fn invoke_chained(
@@ -126,7 +109,13 @@ impl Core {
             None
         };
         let started = self.inner.config.clock.now_us();
-        let result = self.invoke_routed(target, method, args, chain);
+        let id = target.id();
+        let result = if chain.contains(&id) {
+            Err(FargoError::ReentrantInvocation(id))
+        } else {
+            let args = self.account_call(id, method, args, &chain);
+            self.route_and_settle(target, method, &args, &chain, None)
+        };
         let total_us = self.inner.config.clock.now_us().saturating_sub(started);
         t.invoke_latency_us.observe(total_us);
         let trace_id = span.as_ref().map(|(ctx, ..)| ctx.trace_id);
@@ -151,17 +140,16 @@ impl Core {
         result
     }
 
-    fn invoke_routed(
+    /// What every application call does exactly once, whichever entry
+    /// point issued it and however often it is re-routed: profile the
+    /// reference, journal the issue, and copy the arguments.
+    fn account_call(
         &self,
-        target: &CompletRef,
+        id: CompletId,
         method: &str,
         args: &[Value],
-        chain: Vec<CompletId>,
-    ) -> Result<Value> {
-        let id = target.id();
-        if chain.contains(&id) {
-            return Err(FargoError::ReentrantInvocation(id));
-        }
+        chain: &[CompletId],
+    ) -> Vec<Value> {
         // Application-level profiling at the reference's source (§4.1).
         let src = chain
             .last()
@@ -185,12 +173,49 @@ impl Core {
 
         // By-value parameter semantics: the argument graph is copied and
         // every complet reference inside it is degraded to `link`.
-        let args: Vec<Value> = args
-            .iter()
+        args.iter()
             .cloned()
             .map(|v| v.transform_refs(&mut |r| r.degraded()))
-            .collect();
+            .collect()
+    }
 
+    /// Issues the `Invoke` request for an accounted call to `node`. The
+    /// same `req_id` rides on every retransmitted copy, so a retried
+    /// non-idempotent method is deduplicated (or replayed) at the
+    /// executing Core.
+    fn begin_invoke(
+        &self,
+        node: u32,
+        target: CompletId,
+        method: &str,
+        args: &[Value],
+        chain: &[CompletId],
+    ) -> Result<PendingRpc> {
+        let body = Request::Invoke {
+            target,
+            method: method.to_owned(),
+            args: args.to_vec(),
+            chain: chain.to_vec(),
+            path: vec![self.inner.node.index()],
+            hops: 0,
+        };
+        self.rpc_begin(node, body)
+    }
+
+    /// Routes an accounted call until it settles: executes it here,
+    /// issues it to where the tracker points and waits, and re-routes
+    /// when the target turns out to have moved on. `issued` is a request
+    /// already in flight ([`PendingCall::wait`] hands over the one
+    /// `invoke_async` sent); the blocking path starts with none.
+    fn route_and_settle(
+        &self,
+        target: &CompletRef,
+        method: &str,
+        args: &[Value],
+        chain: &[CompletId],
+        mut issued: Option<PendingRpc>,
+    ) -> Result<Value> {
+        let id = target.id();
         let me = self.inner.node.index();
         let clock = &self.inner.config.clock;
         let deadline = clock.deadline_us(self.inner.config.rpc_timeout);
@@ -207,71 +232,72 @@ impl Core {
             if clock.now_us() > deadline || spins == 0 {
                 return Err(FargoError::Timeout);
             }
-            match self.route(id, target) {
-                Route::Local => match self.execute_local(id, method, &args, &chain) {
-                    LocalExec::Done(res) => {
-                        if res.is_ok() {
-                            target.set_last_known(me);
-                            self.inner.trackers.credit(id);
+            let rpc = match issued.take() {
+                Some(rpc) => rpc,
+                None => match self.route(id, target) {
+                    Route::Local => match self.execute_local(id, method, args, chain) {
+                        LocalExec::Done(res) => {
+                            if res.is_ok() {
+                                target.set_last_known(me);
+                                self.inner.trackers.credit(id);
+                            }
+                            self.inner.telemetry.invoke_hops.observe(0);
+                            return res;
                         }
-                        self.inner.telemetry.invoke_hops.observe(0);
-                        return res;
-                    }
-                    LocalExec::Moved => continue,
+                        LocalExec::Moved => continue,
+                    },
+                    Route::Remote(node) => self.begin_invoke(node, id, method, args, chain)?,
+                    Route::Unknown => return Err(FargoError::UnknownComplet(id)),
                 },
-                Route::Remote(node) => {
-                    match self.rpc_invoke(node, id, method, args.clone(), chain.clone())? {
-                        Reply::InvokeOk {
-                            value,
-                            final_location,
-                            ..
-                        } => {
-                            // The dispatch through the tracker succeeded:
-                            // only now does it count as traffic.
-                            self.inner.trackers.credit(id);
-                            target.set_last_known(final_location);
-                            return Ok(value);
-                        }
-                        Reply::Err(FargoError::UnknownComplet(_)) if missing_retries < 3 => {
-                            missing_retries += 1;
-                            // The Core we routed to neither hosts nor
-                            // tracks the target — our forward is a dead
-                            // end (its tracker may have been
-                            // idle-collected). Drop the stale edge; if
-                            // the location shard knows better, re-seed
-                            // from it and retry without backing off.
-                            if self.inner.trackers.remove(id) {
-                                self.inner.telemetry.journal(
-                                    JournalKind::TrackerRetired,
-                                    &id,
-                                    "",
-                                    "dead-end",
-                                    Some(node),
-                                );
-                            }
-                            if let Route::Remote(n) = self.route_via_shard(id) {
-                                self.inner.trackers.seed_forward(id, n);
-                                continue;
-                            }
-                            // Location knowledge may lag a concurrent
-                            // move; back off briefly (never past the
-                            // deadline) and re-resolve.
-                            let remaining =
-                                Duration::from_micros(deadline.saturating_sub(clock.now_us()));
-                            if remaining.is_zero() {
-                                return Err(FargoError::Timeout);
-                            }
-                            thread::sleep(Duration::from_millis(2).min(remaining));
-                        }
-                        Reply::Err(e) => return Err(e),
-                        other => {
-                            return Err(FargoError::Protocol(format!(
-                                "unexpected invoke reply {other:?}"
-                            )))
-                        }
-                    }
+            };
+            let node = rpc.node;
+            match rpc.wait()? {
+                Reply::InvokeOk {
+                    value,
+                    final_location,
+                    ..
+                } => {
+                    // The dispatch through the tracker succeeded: only
+                    // now does it count as traffic.
+                    self.inner.trackers.credit(id);
+                    target.set_last_known(final_location);
+                    return Ok(value);
                 }
-                Route::Unknown => return Err(FargoError::UnknownComplet(id)),
+                Reply::Err(FargoError::UnknownComplet(_)) if missing_retries < 3 => {
+                    missing_retries += 1;
+                    // The Core we routed to neither hosts nor tracks the
+                    // target — our forward is a dead end (its tracker may
+                    // have been idle-collected). Drop the stale edge; if
+                    // the location shard knows better, re-seed from it
+                    // and retry without backing off.
+                    if self.inner.trackers.remove(id) {
+                        self.inner.telemetry.journal(
+                            JournalKind::TrackerRetired,
+                            &id,
+                            "",
+                            "dead-end",
+                            Some(node),
+                        );
+                    }
+                    if let Route::Remote(n) = self.route_via_shard(id) {
+                        self.inner.trackers.seed_forward(id, n);
+                        continue;
+                    }
+                    // Location knowledge may lag a concurrent move; back
+                    // off briefly (never past the deadline) and
+                    // re-resolve.
+                    let remaining = Duration::from_micros(deadline.saturating_sub(clock.now_us()));
+                    if remaining.is_zero() {
+                        return Err(FargoError::Timeout);
+                    }
+                    thread::sleep(Duration::from_millis(2).min(remaining));
+                }
+                Reply::Err(e) => return Err(e),
+                other => {
+                    return Err(FargoError::Protocol(format!(
+                        "unexpected invoke reply {other:?}"
+                    )))
+                }
             }
         }
     }
@@ -405,40 +431,9 @@ impl Core {
         }
     }
 
-    /// Sends an Invoke request and waits for its (possibly chain-routed)
-    /// reply, retransmitting through the shared reliable-rpc path. The
-    /// same `req_id` rides on every copy, so a retried non-idempotent
-    /// method is deduplicated (or replayed) at the executing Core.
-    fn rpc_invoke(
-        &self,
-        node: u32,
-        target: CompletId,
-        method: &str,
-        args: Vec<Value>,
-        chain: Vec<CompletId>,
-    ) -> Result<Reply> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(FargoError::ShuttingDown);
-        }
-        let me = self.inner.node.index();
-        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
-        let msg = Message::Request {
-            req_id,
-            origin: me,
-            trace: telemetry::current_trace(),
-            body: Request::Invoke {
-                target,
-                method: method.to_owned(),
-                args,
-                chain,
-                path: vec![me],
-                hops: 0,
-            },
-        };
-        self.rpc_send_wait(node, req_id, &msg)
-    }
-
-    /// Network-side handler: executes, forwards along the chain, or fails.
+    /// Network-side handler: executes the invocation here and returns its
+    /// reply, or forwards the request along the chain and returns `None`
+    /// — the Core that executes it answers (and owns the dedup entry).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_invoke(
         &self,
@@ -449,29 +444,10 @@ impl Core {
         method: String,
         args: Vec<Value>,
         chain: Vec<CompletId>,
-        path: Vec<u32>,
+        path: &[u32],
         hops: u32,
-    ) {
+    ) -> Option<Reply> {
         let me = self.inner.node.index();
-        let send_reply = |body: Reply| {
-            // This Core produced the reply, so it owns the dedup entry: a
-            // retransmitted copy of the request replays this body.
-            self.inner.reply_cache.complete(origin, req_id, &body);
-            // The reply walks the request path backwards so every tracker
-            // on the chain learns the final location.
-            let mut route: Vec<u32> = path.iter().rev().copied().collect();
-            if route.is_empty() {
-                route.push(origin);
-            }
-            let first = route.remove(0);
-            let msg = Message::Reply {
-                req_id,
-                route,
-                body,
-            };
-            let _ = self.send_to(first, &msg);
-        };
-
         loop {
             match self.inner.trackers.route(target) {
                 Some(TrackerTarget::Local) => {
@@ -501,31 +477,29 @@ impl Core {
                     match exec {
                         LocalExec::Done(res) => {
                             self.inner.telemetry.invoke_hops.observe(u64::from(hops));
-                            return match res {
+                            return Some(match res {
                                 Ok(value) => {
                                     self.inner.trackers.credit(target);
                                     // Stamp the executing incarnation's
                                     // epoch: every tracker the reply
                                     // passes can tell this location report
                                     // from a stale straggler.
-                                    send_reply(Reply::InvokeOk {
+                                    Reply::InvokeOk {
                                         value,
                                         final_location: me,
                                         target,
                                         epoch: self.current_move_epoch(target),
-                                    })
+                                    }
                                 }
-                                Err(e) => send_reply(Reply::Err(e)),
-                            };
+                                Err(e) => Reply::Err(e),
+                            });
                         }
                         LocalExec::Moved => continue,
                     }
                 }
                 Some(TrackerTarget::Forward(next)) if next != me => {
                     if hops + 1 > self.inner.config.max_hops {
-                        return send_reply(Reply::Err(FargoError::HopLimit(
-                            self.inner.config.max_hops,
-                        )));
+                        return Some(Reply::Err(FargoError::HopLimit(self.inner.config.max_hops)));
                     }
                     let t = &self.inner.telemetry;
                     t.tracker_forwards_served_total.inc();
@@ -543,7 +517,7 @@ impl Core {
                         }
                         _ => (trace, None),
                     };
-                    let mut fwd_path = path.clone();
+                    let mut fwd_path = path.to_vec();
                     fwd_path.push(me);
                     let msg = Message::Request {
                         req_id,
@@ -568,7 +542,7 @@ impl Core {
                         timer.finish(&t.spans, &self.inner.name);
                     }
                     if let Err(e) = sent {
-                        return send_reply(Reply::Err(e));
+                        return Some(Reply::Err(e));
                     }
                     // The forward left this Core successfully — that is
                     // this tracker's dispatch, so count the hit now.
@@ -577,7 +551,7 @@ impl Core {
                     // lingering `InFlight` marker here would swallow every
                     // retransmission of this request for good.
                     self.inner.reply_cache.forget(origin, req_id);
-                    return;
+                    return None;
                 }
                 Some(TrackerTarget::Forward(_)) | None => {
                     if self.hosts(target) {
@@ -592,9 +566,78 @@ impl Core {
                     // retired this Core's tracker while stubs elsewhere
                     // still route through it): the caller drops its stale
                     // edge and re-resolves through the location shard.
-                    return send_reply(Reply::Err(FargoError::UnknownComplet(target)));
+                    return Some(Reply::Err(FargoError::UnknownComplet(target)));
                 }
             }
+        }
+    }
+}
+
+/// An invocation in flight, returned by [`BoundRef::call_async`] /
+/// [`Core::invoke_async`]. The request was transmitted at issue time;
+/// [`PendingCall::wait`] collects the result (retransmitting within the
+/// rpc budget as needed). Dropping it abandons the call.
+///
+/// [`BoundRef::call_async`]: crate::BoundRef::call_async
+pub struct PendingCall {
+    state: PendingCallState,
+}
+
+enum PendingCallState {
+    /// The target was remote at issue time; a request is in flight.
+    /// Boxed: the in-flight arm is several hundred bytes of retry
+    /// state, the resolved arm just a `Result`.
+    Remote {
+        rpc: Box<PendingRpc>,
+        target: CompletRef,
+        method: String,
+        /// Already accounted and copied by value at issue time.
+        args: Vec<Value>,
+    },
+    /// Resolved at issue time (local execution or an immediate error).
+    Ready(Result<Value>),
+}
+
+impl PendingCall {
+    /// Blocks until the invocation resolves and returns its result.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invocation failures exactly as [`BoundRef::call`]
+    /// does.
+    ///
+    /// [`BoundRef::call`]: crate::BoundRef::call
+    pub fn wait(self) -> Result<Value> {
+        match self.state {
+            PendingCallState::Ready(r) => r,
+            // The same loop the blocking call runs, entered with the
+            // request already on the wire: if its destination turns out
+            // to be a dead end the call is re-routed, not re-issued.
+            PendingCallState::Remote {
+                rpc,
+                target,
+                method,
+                args,
+            } => {
+                let core = rpc.core.clone();
+                core.route_and_settle(&target, &method, &args, &[], Some(*rpc))
+            }
+        }
+    }
+}
+
+impl std::fmt::Debug for PendingCall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.state {
+            PendingCallState::Remote { rpc, method, .. } => f
+                .debug_struct("PendingCall")
+                .field("req_id", &rpc.req_id)
+                .field("method", method)
+                .finish(),
+            PendingCallState::Ready(r) => f
+                .debug_struct("PendingCall")
+                .field("ready", &r.is_ok())
+                .finish(),
         }
     }
 }

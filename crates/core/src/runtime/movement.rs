@@ -564,21 +564,6 @@ impl Core {
         }
     }
 
-    /// Sends a request without registering a pending reply slot: the
-    /// answer (if any) is dropped by `handle_reply`. Used for abort and
-    /// commit nudges whose delivery is guaranteed by timeout queries,
-    /// not by retransmission.
-    fn send_request_oneway(&self, node: u32, body: Request) {
-        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
-        let msg = crate::proto::Message::Request {
-            req_id,
-            origin: self.inner.node.index(),
-            trace: None,
-            body,
-        };
-        let _ = self.send_to(node, &msg);
-    }
-
     /// Bumps and returns the move epoch of a departing complet. Epochs
     /// are monotonic across hosts: arrival records the packet's epoch
     /// into the local counter, so the next departure continues from it.
@@ -641,58 +626,6 @@ impl Core {
             naming.remove(n);
         }
         names
-    }
-
-    /// The receiving half of the mobility protocol. Records an `arrive`
-    /// span under the sender's move span when a trace context rode along.
-    pub(crate) fn handle_move_stream(
-        &self,
-        packets: Vec<CompletPacket>,
-        continuation: Option<Continuation>,
-        trace: Option<TraceContext>,
-    ) -> Reply {
-        let t = &self.inner.telemetry;
-        let span = match (t.trace_enabled, trace) {
-            (true, Some(parent)) => {
-                let ctx = parent.child();
-                let timer =
-                    t.spans
-                        .start(ctx, parent.span_id, format!("arrive[{}]", packets.len()));
-                Some((timer, telemetry::enter_trace(ctx)))
-            }
-            _ => None,
-        };
-        let reply = self.handle_move_stream_inner(packets, continuation);
-        if let Some((timer, scope)) = span {
-            drop(scope);
-            timer.finish(&t.spans, &self.inner.name);
-        }
-        reply
-    }
-
-    fn handle_move_stream_inner(
-        &self,
-        packets: Vec<CompletPacket>,
-        continuation: Option<Continuation>,
-    ) -> Reply {
-        // Admission control (§7): refuse the whole stream if it would
-        // exceed this Core's capacity; the sender restores everything.
-        if let Err(e) = self.admit(packets.len()) {
-            return Reply::Err(e);
-        }
-        let reconstructed = match self.reconstruct_stream(packets) {
-            Ok(r) => r,
-            Err(e) => return Reply::Err(e),
-        };
-        let mut arrived: Vec<CompletId> = Vec::new();
-        for (packet, complet) in reconstructed {
-            self.install_arrival(&packet, complet);
-            arrived.push(packet.id);
-        }
-        if let Some(cont) = continuation {
-            self.spawn_continuation(cont);
-        }
-        Reply::MoveOk { arrived }
     }
 
     /// Pass 1 of arrival: resolves arrival actions (notably `stamp`) for

@@ -14,11 +14,10 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use fargo_telemetry::TraceContext;
 use fargo_wire::CompletId;
 use parking_lot::Mutex;
 
-use crate::proto::{Reply, ReqId, Request};
+use crate::proto::{Reply, ReqId};
 
 /// One request as a receiver identifies it: origin Core + correlation id.
 type Key = (u32, ReqId);
@@ -205,11 +204,6 @@ impl RetryBudget {
         self.attempt += 1;
         true
     }
-
-    /// Attempts performed so far (0 = the initial transmission).
-    pub(crate) fn attempt(&self) -> u32 {
-        self.attempt
-    }
 }
 
 /// Bounded log of two-phase move verdicts, keyed `(root, epoch)`:
@@ -264,18 +258,6 @@ impl DecisionLog {
             .filter_map(|k| g.verdicts.get(k).map(|v| (k.0, k.1, *v)))
             .collect()
     }
-}
-
-/// One request handed from the receiver loop to the worker pool.
-pub(crate) struct WorkRequest {
-    pub origin: u32,
-    pub req_id: ReqId,
-    pub trace: Option<TraceContext>,
-    /// Shared-clock µs at which the receiver enqueued the request
-    /// (`None` when phase timing is off); the worker that picks it up
-    /// attributes the difference to the queue-wait phase.
-    pub enqueued_us: Option<u64>,
-    pub body: Request,
 }
 
 #[cfg(test)]
@@ -360,7 +342,6 @@ mod tests {
             Duration::from_millis(10),
             Duration::from_millis(40),
         );
-        assert_eq!(b.attempt(), 0);
         assert_eq!(b.attempt_wait(), Some(Duration::from_millis(10)));
         assert!(b.advance());
         assert_eq!(b.attempt_wait(), Some(Duration::from_millis(20)));

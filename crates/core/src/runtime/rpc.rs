@@ -1,0 +1,220 @@
+//! The caller side of the peer channel: everything this Core sends, and
+//! every request it originates and waits on.
+//!
+//! There is one way out ([`Core::send_to`]), one place a request
+//! envelope is built and given its id, one table of requests awaiting
+//! their reply, and one retransmitting wait ([`PendingRpc::wait`]) —
+//! the blocking [`Core::rpc`] is `rpc_begin(..)?.wait()`, and both
+//! invocation styles issue and settle through the same two calls.
+
+use std::sync::atomic::Ordering;
+
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use fargo_telemetry::TraceContext;
+use fargo_wire::WireWriter;
+
+use crate::error::{FargoError, Result};
+use crate::proto::{EnvelopeMeta, Message, Reply, ReqId, Request};
+use crate::runtime::reliable::RetryBudget;
+use crate::runtime::Core;
+
+/// Bytes reserved for an outgoing envelope before encoding: covers the
+/// header plus a small invocation, so the common message never regrows
+/// its buffer (larger ones grow normally).
+const ENVELOPE_CAPACITY_HINT: usize = 128;
+
+impl Core {
+    pub(crate) fn send_to(&self, node: u32, msg: &Message) -> Result<()> {
+        let t = &self.inner.telemetry;
+        // Every outbound envelope carries this Core's HLC (when the
+        // journal is on), so the receiver's merge keeps the global
+        // timeline causally consistent — plus, when phase timing is on,
+        // the shared-clock send stamp the receiver subtracts from its
+        // own clock to attribute the network phase. The stamp is read
+        // before encoding (it rides inside the payload), so the network
+        // measurement absorbs the marshal time also recorded here.
+        let ts = t.phase_send_stamp();
+        // Gossip piggyback: whatever shard deltas this peer has not seen
+        // yet ride along in the envelope's `nd` section (absent when the
+        // peer is caught up).
+        let meta = EnvelopeMeta {
+            hlc: t.hlc_send_stamp(),
+            ts,
+            nd: self.gossip_batch_for(node),
+        };
+        let mut w = WireWriter::with_capacity(ENVELOPE_CAPACITY_HINT);
+        let nd_bytes = msg.encode(&meta, &mut w);
+        if nd_bytes > 0 {
+            t.naming_gossip_bytes_total.add(nd_bytes as u64);
+        }
+        let payload = w.finish();
+        if let Some(t0) = ts {
+            t.latency_marshal_us
+                .observe(t.phase_now_us().saturating_sub(t0));
+        }
+        t.record_msg_out(msg.kind_label(), payload.len());
+        if t.accounting && node != self.inner.node.index() {
+            t.matrix
+                .record(self.inner.node.index(), node, payload.len() as u64, || {
+                    (self.inner.name.clone(), self.core_name_of(node))
+                });
+        }
+        self.inner
+            .transport
+            .send(node, payload)
+            .map_err(FargoError::from)
+    }
+
+    /// Builds the envelope of a request this Core originates, under a
+    /// fresh request id. The same id rides on every retransmitted copy,
+    /// which is what lets the receiver deduplicate.
+    fn originate(&self, trace: Option<TraceContext>, body: Request) -> (ReqId, Message) {
+        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
+        let msg = Message::Request {
+            req_id,
+            origin: self.inner.node.index(),
+            trace,
+            body,
+        };
+        (req_id, msg)
+    }
+
+    /// Sends a request and waits for its reply. The ambient trace context
+    /// (set while a traced invocation or move is in progress on this
+    /// thread) rides along in the envelope. Unanswered requests are
+    /// retransmitted with capped exponential backoff until the overall
+    /// `rpc_timeout` budget runs out; receiver-side dedup keeps the
+    /// retries at-most-once.
+    pub(crate) fn rpc(&self, node: u32, body: Request) -> Result<Reply> {
+        self.rpc_begin(node, body)?.wait()
+    }
+
+    /// Issues a request without waiting for its reply: the envelope is
+    /// transmitted immediately and a [`PendingRpc`] tracks the
+    /// correlation slot. The caller later blocks in
+    /// [`PendingRpc::wait`]. This is what lets one Core hold tens of
+    /// thousands of requests in flight: issuing costs one send, not one
+    /// parked thread.
+    pub(crate) fn rpc_begin(&self, node: u32, body: Request) -> Result<PendingRpc> {
+        let (req_id, msg) = self.originate(crate::telemetry::current_trace(), body);
+        let cfg = &self.inner.config;
+        let budget = RetryBudget::new(
+            cfg.clock.clone(),
+            cfg.rpc_timeout,
+            cfg.rpc_max_retries,
+            cfg.rpc_retry_base,
+            cfg.rpc_retry_cap,
+        );
+        let (tx, rx) = bounded(1);
+        self.inner.pending.lock().insert(req_id, tx);
+        // From here the slot is released by `PendingRpc`'s `Drop`,
+        // whichever way this function or the wait ends.
+        let pending = PendingRpc {
+            core: self.clone(),
+            node,
+            req_id,
+            msg,
+            rx,
+            budget,
+        };
+        // Checked after the slot is registered: `stop` raises the flag
+        // and then empties the table, so a request that slips past the
+        // flag is still in the table when it is emptied.
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(FargoError::ShuttingDown);
+        }
+        // First transmission happens at issue time, so the request ages
+        // (and the peer works on it) while the caller does other things.
+        // A synchronous send failure (unknown or down node) is
+        // definitive — retransmitting cannot answer it.
+        self.send_to(node, &pending.msg)?;
+        Ok(pending)
+    }
+
+    /// Sends a request without registering a pending reply slot: the
+    /// answer (if any) is dropped by `handle_reply`. Used for abort and
+    /// commit nudges whose delivery is guaranteed by timeout queries,
+    /// not by retransmission.
+    pub(crate) fn send_request_oneway(&self, node: u32, body: Request) {
+        let (_, msg) = self.originate(None, body);
+        let _ = self.send_to(node, &msg);
+    }
+
+    /// Hands a reply that reached its final hop to the caller waiting on
+    /// it. A reply nobody waits for (a duplicate, an abandoned call, a
+    /// one-way request) is dropped.
+    pub(crate) fn complete_rpc(&self, req_id: ReqId, body: Reply) {
+        if let Some(tx) = self.inner.pending.lock().remove(&req_id) {
+            let _ = tx.send(body);
+        }
+    }
+
+    /// Wakes every caller blocked in [`PendingRpc::wait`] with
+    /// `ShuttingDown`: dropping the reply senders disconnects their
+    /// channels.
+    pub(crate) fn fail_pending_rpcs(&self) {
+        self.inner.pending.lock().clear();
+    }
+
+    /// Requests issued by this Core still awaiting their reply (both
+    /// blocking rpcs and unresolved [`PendingCall`](crate::PendingCall)s).
+    pub fn inflight_rpcs(&self) -> usize {
+        self.inner.pending.lock().len()
+    }
+
+    /// Asks every other Core on the network the same question, one peer
+    /// at a time in `node_ids()` order, and returns the answers with the
+    /// node that gave them. Unreachable peers are skipped.
+    pub(crate) fn ask_peers(&self, body: &Request) -> Vec<(u32, Reply)> {
+        let me = self.inner.node.index();
+        let peers = self.inner.net.node_ids().into_iter().map(|n| n.index());
+        peers
+            .filter(|&n| n != me)
+            .filter_map(|n| Some((n, self.rpc(n, body.clone()).ok()?)))
+            .collect()
+    }
+}
+
+/// One issued request awaiting its reply (transport-level correlation).
+///
+/// Created by [`Core::rpc_begin`]; dropping it — waited or not —
+/// releases its correlation slot.
+pub(crate) struct PendingRpc {
+    pub(super) core: Core,
+    pub(super) node: u32,
+    pub(super) req_id: ReqId,
+    msg: Message,
+    rx: Receiver<Reply>,
+    budget: RetryBudget,
+}
+
+impl PendingRpc {
+    /// Blocks for the reply, retransmitting on the request's
+    /// [`RetryBudget`] (the request has been aging since `rpc_begin`, so
+    /// a long-issued call may time out immediately).
+    pub(crate) fn wait(mut self) -> Result<Reply> {
+        loop {
+            let wait = self.budget.attempt_wait().ok_or(FargoError::Timeout)?;
+            match self.rx.recv_timeout(wait) {
+                Ok(reply) => return Ok(reply),
+                // Only `stop` drops a reply sender without using it.
+                Err(RecvTimeoutError::Disconnected) => return Err(FargoError::ShuttingDown),
+                Err(RecvTimeoutError::Timeout) => {
+                    if !self.budget.advance() {
+                        return Err(FargoError::Timeout);
+                    }
+                    self.core.inner.telemetry.rpc_retries_total.inc();
+                    self.core.send_to(self.node, &self.msg)?;
+                }
+            }
+        }
+    }
+}
+
+impl Drop for PendingRpc {
+    fn drop(&mut self) {
+        // Answered requests were already removed by `complete_rpc`;
+        // timed-out and abandoned ones must not leak their slot.
+        self.core.inner.pending.lock().remove(&self.req_id);
+    }
+}

@@ -27,7 +27,6 @@ use crate::config::CoreConfig;
 /// the receive/send paths never take the registry lock.
 const MSG_KINDS: &[&str] = &[
     "invoke",
-    "move",
     "new",
     "lookup",
     "fetch",

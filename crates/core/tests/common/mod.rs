@@ -4,7 +4,9 @@
 
 use std::time::Duration;
 
-use fargo_core::{define_complet, CompletId, CompletRegistry, Core, CoreConfig, Value};
+use fargo_core::{
+    define_complet, CompletId, CompletRegistry, Core, CoreConfig, MetricValue, Value,
+};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 define_complet! {
@@ -136,6 +138,19 @@ pub fn relay(cores: &[Core], id: CompletId) {
     for hop in cores.windows(2) {
         hop[0].move_complet(id, hop[1].name(), None).unwrap();
     }
+}
+
+/// Sum of a counter's series in `core`'s metrics registry.
+pub fn counter(core: &Core, name: &str) -> u64 {
+    core.telemetry()
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| match s.value {
+            MetricValue::Counter(v) => v,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Stops every core (idempotent).

@@ -3,10 +3,10 @@
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use common::{registry, teardown, test_config};
-use fargo_core::{Core, CoreConfig, FargoError, MetricValue, Value};
+use common::{counter, registry, teardown, test_config};
+use fargo_core::{Core, CoreConfig, FargoError, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// Seed for the simnet loss/jitter generator. CI sweeps several seeds
@@ -166,6 +166,40 @@ fn shutdown_mid_stream_of_invocations_degrades_cleanly() {
 }
 
 #[test]
+fn stop_wakes_callers_blocked_in_an_rpc() {
+    // No retransmit slot to notice the stop at, and ten seconds of
+    // budget to sit out: the stop itself must release the caller.
+    let (net, cores) = lossy_cluster_with(0.0, 2, |c| {
+        c.with_rpc_timeout(Duration::from_secs(10)).single_shot()
+    });
+    // A silent partition: requests vanish, the send itself succeeds.
+    net.set_link(
+        cores[0].node(),
+        cores[1].node(),
+        LinkConfig::instant().with_loss(1.0),
+    )
+    .unwrap();
+    let caller = cores[0].clone();
+    let blocked = std::thread::spawn(move || caller.ping("core1"));
+    // Blocked for certain once the link has swallowed the request.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while net.link_stats(cores[0].node(), cores[1].node()).dropped == 0 {
+        assert!(Instant::now() < deadline, "the ping never went out");
+        std::thread::yield_now();
+    }
+    let stopped = Instant::now();
+    cores[0].stop();
+    assert_eq!(blocked.join().unwrap(), Err(FargoError::ShuttingDown));
+    assert!(
+        stopped.elapsed() < Duration::from_secs(1),
+        "released after {:?}",
+        stopped.elapsed()
+    );
+    assert_eq!(cores[0].inflight_rpcs(), 0);
+    teardown(&cores);
+}
+
+#[test]
 fn lost_move_replies_leave_exactly_one_copy() {
     // Regression for the duplicated-complet hazard: drop 100% of the
     // dest->source traffic so every reply on the move path is lost. The
@@ -204,22 +238,33 @@ fn retried_invocations_execute_exactly_once() {
     // Without dedup the counter would overshoot. (16 retransmissions
     // put per-call failure odds around 1e-5 — the fixed CI seeds never
     // hit it.)
-    let (net, cores) = lossy_cluster_with(0.30, 2, |c| {
-        c.with_rpc_timeout(Duration::from_secs(10))
-            .with_rpc_retries(16)
-    });
-    let counter = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
-    let calls = 30;
-    for _ in 0..calls {
-        counter
-            .call("add", &[Value::I64(1)])
-            .expect("call succeeds");
+    // Both call styles run the same engine, so both must hold it.
+    for pipelined in [false, true] {
+        let (net, cores) = lossy_cluster_with(0.30, 2, |c| {
+            c.with_rpc_timeout(Duration::from_secs(10))
+                .with_rpc_retries(16)
+        });
+        let adder = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+        let calls = 30;
+        for _ in 0..calls {
+            let one = [Value::I64(1)];
+            let result = if pipelined {
+                adder.call_async("add", &one).wait()
+            } else {
+                adder.call("add", &one)
+            };
+            result.expect("call succeeds");
+        }
+        assert!(
+            counter(&cores[0], "fargo_rpc_retries_total") > 0,
+            "pipelined={pipelined}: 30% loss must have forced a retransmission"
+        );
+        // Read back over a clean link so the assertion itself cannot flake.
+        net.set_link(cores[0].node(), cores[1].node(), LinkConfig::instant())
+            .unwrap();
+        assert_eq!(adder.call("get", &[]).unwrap(), Value::I64(calls));
+        teardown(&cores);
     }
-    // Read back over a clean link so the assertion itself cannot flake.
-    net.set_link(cores[0].node(), cores[1].node(), LinkConfig::instant())
-        .unwrap();
-    assert_eq!(counter.call("get", &[]).unwrap(), Value::I64(calls));
-    teardown(&cores);
 }
 
 #[test]
@@ -235,16 +280,7 @@ fn dedup_cache_eviction_under_churn() {
         counter.call("add", &[Value::I64(1)]).unwrap();
     }
     assert_eq!(counter.call("get", &[]).unwrap(), Value::I64(100));
-    let evictions: u64 = cores[1]
-        .telemetry()
-        .snapshot()
-        .iter()
-        .filter(|s| s.name == "fargo_dedup_evictions_total")
-        .map(|s| match s.value {
-            MetricValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum();
+    let evictions = common::counter(&cores[1], "fargo_dedup_evictions_total");
     assert!(evictions > 0, "capacity 8 under 100+ requests must evict");
     teardown(&cores);
 }

@@ -18,6 +18,17 @@ fn trace_spans_follow_chained_invocation() {
     msg.move_to("core2").unwrap();
     // core0's reference still points at core1, which forwards to core2.
     msg.call("print", &[]).unwrap();
+    // The reply can overtake the forwarder's own bookkeeping: core1
+    // closes its span after the forwarded request has left.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !cores[1]
+        .span_snapshot()
+        .iter()
+        .any(|s| s.name.starts_with("forward"))
+    {
+        assert!(std::time::Instant::now() < deadline, "no forward span");
+        std::thread::yield_now();
+    }
 
     let trace_id = cores[0].last_trace_id().expect("invoke must leave a trace");
     let spans = cores[0].collect_trace(trace_id);

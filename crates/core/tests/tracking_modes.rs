@@ -5,8 +5,8 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{cluster, cluster_with_config, relay, teardown, test_config};
-use fargo_core::{CompletId, CompletRef, Core, RefDescriptor, ResolveVia, Value};
+use common::{cluster, cluster_with_config, counter, relay, teardown, test_config};
+use fargo_core::{CompletId, CompletRef, Core, JournalKind, RefDescriptor, ResolveVia, Value};
 
 /// Index of the Core whose shard holds `id` as living on `host`. Shard
 /// publishes are one-shot asynchronous notifies, so this polls until
@@ -183,5 +183,44 @@ fn fresh_core_reaches_wanderer_via_hint_and_learns() {
         from_core3.complet_ref().last_known(),
         cores[2].node().index()
     );
+    teardown(&cores);
+}
+
+#[test]
+fn async_call_through_a_dead_end_is_accounted_once() {
+    // The caller's tracker points at a Core whose own tracker was
+    // idle-collected: the request `call_async` sends dead-ends there and
+    // the wait re-routes through the location shard. That is still one
+    // application call — one count, one journaled issue.
+    let (_net, _reg, cores) = cluster(3);
+    let msg = cores[0]
+        .new_complet("Message", &[Value::from("once")])
+        .unwrap();
+    let id = msg.id();
+    relay(&cores, id);
+    owner_once_published(&cores, id, &cores[2]);
+    assert_eq!(cores[1].collect_trackers(Duration::ZERO), 1);
+    // Pin core0's belief at the dead end (gossip may already have
+    // shortened core0 -> core2).
+    let epoch = cores[0]
+        .tracker_snapshot()
+        .iter()
+        .find(|t| t.id == id)
+        .expect("origin keeps a tracker")
+        .epoch;
+    cores[0].test_learn_location(id, cores[1].node().index(), epoch + 1);
+
+    let invokes = counter(&cores[0], "fargo_invoke_total");
+    let pending = msg.call_async("print", &[]);
+    assert_eq!(pending.wait().unwrap(), Value::from("once"));
+    assert_eq!(counter(&cores[0], "fargo_invoke_total") - invokes, 1);
+    let issues = cores[0]
+        .collect_journal()
+        .iter()
+        .filter(|e| {
+            e.kind == JournalKind::Invoke && e.subject == id.to_string() && e.object == "print"
+        })
+        .count();
+    assert_eq!(issues, 1, "one call, one journaled issue");
     teardown(&cores);
 }

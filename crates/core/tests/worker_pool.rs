@@ -5,8 +5,8 @@ mod common;
 
 use std::time::Duration;
 
-use common::{cluster_with_config, registry, teardown, test_config};
-use fargo_core::{define_complet, Core, MetricValue, Value};
+use common::{cluster_with_config, counter, registry, teardown, test_config};
+use fargo_core::{define_complet, Core, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 define_complet! {
@@ -22,18 +22,6 @@ define_complet! {
             Ok(Value::I64(self.naps))
         }
     }
-}
-
-fn counter(core: &Core, name: &str) -> u64 {
-    core.telemetry()
-        .snapshot()
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| match s.value {
-            MetricValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum()
 }
 
 #[test]
