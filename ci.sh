@@ -57,14 +57,17 @@ for seed in 7 11 23; do
     FARGO_SIMNET_SEED=$seed cargo test -q -p fargo-core --test failure_injection
 done
 
-# Envelope mutation fuzz across the same seeds: each seed mutates every
-# sample envelope >=10k times (byte, bit and length mutations); a mutant
-# must decode to Err or to a valid message, without a panic and without
-# asking the allocator for more than a small multiple of the frame.
+# Envelope and write-ahead-log mutation fuzz across the same seeds: each
+# seed mutates every sample envelope, every sample log record and a
+# whole log file >=10k times (byte, bit and length mutations); a mutant
+# must decode to Err (a log: stop at the torn frame) or to a valid
+# message or record, without a panic and without asking the allocator
+# for more than a small multiple of the input. The filter matches
+# `proto::tests::` and `runtime::wal::tests::`.
 for seed in 7 11 23; do
-    echo "==> proto mutation fuzz (seed $seed)"
+    echo "==> proto + wal mutation fuzz (seed $seed)"
     FARGO_PROTO_FUZZ_SEED=$seed cargo test -q -p fargo-core --lib \
-        proto::tests::mutation_fuzz_never_panics_or_over_allocates
+        mutation_fuzz_never_panics_or_over_allocates
 done
 
 # Smoke-test the experiments runner's JSON exposition: the binary

@@ -2,28 +2,6 @@
 
 use std::time::Duration;
 
-/// Which point-to-point transport carries a Core's envelopes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The in-process simulated network (the default): bytes travel
-    /// through `simnet`'s link model, scheduler and fault injectors.
-    #[default]
-    Simnet,
-    /// Real TCP sockets with length-prefixed framing. `simnet` remains
-    /// the cluster directory and fault-injection control plane: every
-    /// outbound envelope is first offered to the network model (loss,
-    /// partitions and link statistics apply) and only admitted traffic
-    /// reaches the wire.
-    Tcp {
-        /// Address this Core's listener binds, e.g. `"127.0.0.1:7001"`.
-        bind: String,
-        /// Peer listener addresses indexed by node id. Entry `i` is the
-        /// Core registered `i`-th on the network; this Core's own entry
-        /// is ignored.
-        peers: Vec<String>,
-    },
-}
-
 /// Tunables of one Core.
 #[derive(Debug, Clone)]
 pub struct CoreConfig {
@@ -105,8 +83,6 @@ pub struct CoreConfig {
     /// Space-Saving sketch evicts the minimum-load entry, so memory
     /// stays O(capacity) at any population.
     pub account_capacity: usize,
-    /// Which transport backend carries this Core's envelopes.
-    pub transport: TransportKind,
     /// Whether the sharded location service runs: each complet id is
     /// consistent-hashed to an owning Core whose `LocationShard` holds
     /// its authoritative `(complet → Core, epoch)` entry, and layout
@@ -165,7 +141,6 @@ impl Default for CoreConfig {
             phase_timing: true,
             accounting: true,
             account_capacity: 512,
-            transport: TransportKind::Simnet,
             naming_shards: true,
             naming_gossip_batch: 32,
             wal_dir: None,
@@ -268,12 +243,6 @@ impl CoreConfig {
     /// (minimum one entry per shard).
     pub fn with_account_capacity(mut self, capacity: usize) -> Self {
         self.account_capacity = capacity;
-        self
-    }
-
-    /// Configuration with the transport backend replaced.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
         self
     }
 

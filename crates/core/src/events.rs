@@ -203,8 +203,8 @@ impl EventPayload {
         };
         let id = |k: &str| -> Result<CompletId> {
             let s = field(k)?;
-            parse_complet_id(&s)
-                .ok_or_else(|| FargoError::Protocol(format!("bad complet id {s:?}")))
+            s.parse()
+                .map_err(|_| FargoError::Protocol(format!("bad complet id {s:?}")))
         };
         match field("kind")?.as_str() {
             "completArrived" => Ok(EventPayload::CompletArrived {
@@ -248,12 +248,12 @@ impl EventPayload {
     pub fn from_journal(ev: &JournalEvent) -> Option<EventPayload> {
         match ev.kind {
             JournalKind::CompletArrived => Some(EventPayload::CompletArrived {
-                id: parse_complet_id(&ev.subject)?,
+                id: ev.subject.parse().ok()?,
                 type_name: ev.object.clone(),
                 core: ev.core,
             }),
             JournalKind::CompletDeparted => Some(EventPayload::CompletDeparted {
-                id: parse_complet_id(&ev.subject)?,
+                id: ev.subject.parse().ok()?,
                 type_name: ev.object.clone(),
                 // A released complet has no destination; report the Core
                 // it vanished from.
@@ -274,12 +274,6 @@ impl fmt::Display for EventPayload {
             other => write!(f, "{}", other.selector()),
         }
     }
-}
-
-fn parse_complet_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
 }
 
 /// A local event callback.

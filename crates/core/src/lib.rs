@@ -67,7 +67,7 @@ mod telemetry;
 
 pub use carrier::Carrier;
 pub use complet::{Complet, CompletRegistry, StateValue};
-pub use config::{CoreConfig, TransportKind};
+pub use config::CoreConfig;
 pub use ctx::Ctx;
 pub use error::{FargoError, Result};
 pub use events::{EventHandler, EventPayload};

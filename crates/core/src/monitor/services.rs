@@ -97,13 +97,13 @@ impl Service {
                 peer: parse_node(key)?,
             }),
             "completSize" => Ok(Service::CompletSize {
-                id: parse_id(key).ok_or_else(|| bad("bad complet id"))?,
+                id: key.parse().map_err(|_| bad("bad complet id"))?,
             }),
             "methodInvokeRate" => {
                 let (a, b) = key.split_once("->").ok_or_else(|| bad("bad rate key"))?;
                 Ok(Service::MethodInvokeRate {
-                    src: parse_id(a).ok_or_else(|| bad("bad src id"))?,
-                    dst: parse_id(b).ok_or_else(|| bad("bad dst id"))?,
+                    src: a.parse().map_err(|_| bad("bad src id"))?,
+                    dst: b.parse().map_err(|_| bad("bad dst id"))?,
                 })
             }
             _ => Err(bad("unknown service")),
@@ -120,12 +120,6 @@ impl fmt::Display for Service {
             write!(f, "{}:{}", self.name(), key)
         }
     }
-}
-
-fn parse_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
 }
 
 #[cfg(test)]

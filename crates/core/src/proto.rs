@@ -48,19 +48,27 @@ pub(crate) struct Continuation {
     pub args: Vec<Value>,
 }
 
-/// One complet inside a move stream.
+/// The marshaled image of one complet — the only one: an entry of a
+/// move stream, the payload of a write-ahead `State` record, an entry of
+/// a logged `Held` stream and of a checkpoint, all in the same bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CompletPacket {
+    /// Identity, stable across relocation and restart.
     pub id: CompletId,
+    /// Registered complet type (arrival and recovery construct through
+    /// the registry).
     pub type_name: String,
+    /// Marshaled state, exactly as `Complet::marshal` produced it.
     pub state: Value,
-    /// Logical names bound to this complet at the sending Core that
-    /// travel with it.
+    /// Logical names bound to this complet at the capturing Core; they
+    /// travel, and are recovered, with it.
     pub names: Vec<String>,
     /// Monotonic per-complet move counter, bumped by the source on every
-    /// departure. Lets the two-phase handshake distinguish *this* move
-    /// from any earlier or later one when resolving in-doubt outcomes
-    /// (0 = never moved).
+    /// departure (0 = never moved). Lets the two-phase handshake
+    /// distinguish *this* move from any earlier or later one; recovery
+    /// re-installs at the recorded epoch — the one the location shards
+    /// already associate with the placement — and checkpoint restore at
+    /// one past it, to beat the stale entry naming the old host.
     pub epoch: u64,
 }
 
@@ -402,7 +410,7 @@ const FLAG_TS: u8 = 1 << 2;
 const FLAG_ND: u8 = 1 << 3;
 const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC | FLAG_TS | FLAG_ND;
 
-fn unknown(what: &str, tag: u8) -> FargoError {
+pub(crate) fn unknown(what: &str, tag: u8) -> FargoError {
     FargoError::Protocol(format!("unknown {what} {tag}"))
 }
 
@@ -413,8 +421,9 @@ fn unknown(what: &str, tag: u8) -> FargoError {
 /// `Vec<T>` is a count then the items (bounded by
 /// `WireReader::get_count`), `Option<T>` a presence byte then the value,
 /// a tuple its elements, a record its fields and an enum a tag byte
-/// then the variant's fields — in the order the tables below list them.
-trait Wire: Sized {
+/// then the variant's fields — in the order the tables below (and the
+/// write-ahead log's, in `runtime/wal.rs`) list them.
+pub(crate) trait Wire: Sized {
     fn put(&self, w: &mut WireWriter);
     fn get(r: &mut WireReader) -> Result<Self>;
 }
@@ -499,16 +508,17 @@ wire_tuple! { (A.0, B.1) (A.0, B.1, C.2) (A.0, B.1, C.2, D.3) }
 /// A record is its fields, in the order listed here.
 macro_rules! wire_record {
     ($($t:ident { $($f:ident),+ })*) => {$(
-        impl Wire for $t {
-            fn put(&self, w: &mut WireWriter) {
-                $(self.$f.put(w);)+
+        impl $crate::proto::Wire for $t {
+            fn put(&self, w: &mut fargo_wire::WireWriter) {
+                $($crate::proto::Wire::put(&self.$f, w);)+
             }
-            fn get(r: &mut WireReader) -> Result<Self> {
-                Ok($t { $($f: Wire::get(r)?),+ })
+            fn get(r: &mut fargo_wire::WireReader) -> $crate::error::Result<Self> {
+                Ok($t { $($f: $crate::proto::Wire::get(r)?),+ })
             }
         }
     )*};
 }
+pub(crate) use wire_record;
 
 wire_record! {
     TraceContext { trace_id, span_id }
@@ -529,28 +539,29 @@ macro_rules! wire_enum {
     ($t:ident, $what:literal;
      $($tag:literal => $v:ident $({ $($f:ident),* })? $(( $($p:ident),* ))?,)*
      $(; $o:ident => $image:expr)?) => {
-        impl Wire for $t {
-            fn put(&self, w: &mut WireWriter) {
+        impl $crate::proto::Wire for $t {
+            fn put(&self, w: &mut fargo_wire::WireWriter) {
                 match self {
                     $($t::$v $({ $($f),* })? $(( $($p),* ))? => {
                         w.put_u8($tag);
-                        $($($f.put(w);)*)?
-                        $($($p.put(w);)*)?
+                        $($($crate::proto::Wire::put($f, w);)*)?
+                        $($($crate::proto::Wire::put($p, w);)*)?
                     })*
-                    $($o => Wire::put(&$image, w),)?
+                    $($o => $crate::proto::Wire::put(&$image, w),)?
                 }
             }
-            fn get(r: &mut WireReader) -> Result<Self> {
+            fn get(r: &mut fargo_wire::WireReader) -> $crate::error::Result<Self> {
                 Ok(match r.get_u8()? {
                     $($tag => $t::$v
-                        $({ $($f: Wire::get(r)?),* })?
-                        $(( $({ let $p = Wire::get(r)?; $p }),* ))?,)*
-                    t => return Err(unknown($what, t)),
+                        $({ $($f: $crate::proto::Wire::get(r)?),* })?
+                        $(( $({ let $p = $crate::proto::Wire::get(r)?; $p }),* ))?,)*
+                    t => return Err($crate::proto::unknown($what, t)),
                 })
             }
         }
     };
 }
+pub(crate) use wire_enum;
 
 impl Wire for JournalKind {
     fn put(&self, w: &mut WireWriter) {
@@ -783,7 +794,7 @@ impl Message {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     use std::collections::HashSet;
@@ -827,10 +838,43 @@ mod tests {
     static ALLOC: CountingAlloc = CountingAlloc;
 
     /// Bytes this thread requested from the allocator while `f` ran.
-    fn requested_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    pub(crate) fn requested_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
         let before = REQUESTED.with(Cell::get);
         let out = f();
         (out, REQUESTED.with(Cell::get) - before)
+    }
+
+    /// The allocation bound of the mutation fuzzes (this one and the
+    /// write-ahead log's): a decoded `Value` or record is at most ~100
+    /// bytes in memory per input byte that declared it (one-byte `Null`s
+    /// in a list), and a growing `Vec` asks for that twice over.
+    pub(crate) const ALLOC_FACTOR: usize = 256;
+    pub(crate) const ALLOC_SLACK: usize = 1024;
+
+    /// The fuzz seed `ci.sh` sweeps through `FARGO_PROTO_FUZZ_SEED`.
+    pub(crate) fn fuzz_seed() -> u64 {
+        std::env::var("FARGO_PROTO_FUZZ_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1)
+    }
+
+    /// One random mutation of a non-empty frame: a byte replaced, a bit
+    /// flipped, or a length mutation — a count or length blown up to a
+    /// huge varint, a byte dropped, a byte inserted.
+    pub(crate) fn mutate(rng: &mut TestRng, bytes: &mut Vec<u8>) {
+        let at = rng.below(bytes.len() as u64) as usize;
+        match rng.below(5) {
+            0 => bytes[at] = rng.next_u64() as u8,
+            1 => bytes[at] ^= 1 << rng.below(8),
+            2 => {
+                bytes.splice(at..=at, [0xff, 0xff, 0xff, 0xff, 0x07]);
+            }
+            3 => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, rng.next_u64() as u8),
+        }
     }
 
     fn id(seq: u64) -> CompletId {
@@ -1348,15 +1392,7 @@ mod tests {
     /// multiple of the frame. `ci.sh` sweeps `FARGO_PROTO_FUZZ_SEED`.
     #[test]
     fn mutation_fuzz_never_panics_or_over_allocates() {
-        // A decoded `Value` or record is at most ~100 bytes in memory per
-        // input byte that declared it (one-byte `Null`s in a list), and
-        // a growing `Vec` asks for that twice over.
-        const ALLOC_FACTOR: usize = 256;
-        const ALLOC_SLACK: usize = 1024;
-        let seed = std::env::var("FARGO_PROTO_FUZZ_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
+        let seed = fuzz_seed();
         let rng = &mut TestRng(seed);
         let full = &metas()[7];
         let corpus: Vec<Vec<u8>> = samples(true)
@@ -1366,20 +1402,7 @@ mod tests {
         let (mut rejected, mut accepted, mut worst) = (0u32, 0u32, 0usize);
         for round in 0..12_000 {
             let mut bytes = corpus[round % corpus.len()].clone();
-            let at = rng.below(bytes.len() as u64) as usize;
-            match rng.below(5) {
-                0 => bytes[at] = rng.next_u64() as u8,
-                1 => bytes[at] ^= 1 << rng.below(8),
-                // Length mutations: a count or length blown up to a huge
-                // varint, a byte dropped, a byte inserted.
-                2 => {
-                    bytes.splice(at..=at, [0xff, 0xff, 0xff, 0xff, 0x07]);
-                }
-                3 => {
-                    bytes.remove(at);
-                }
-                _ => bytes.insert(at, rng.next_u64() as u8),
-            }
+            mutate(rng, &mut bytes);
             let len = bytes.len();
             let frame = Bytes::from(bytes);
             let (decoded, requested) = requested_during(|| Message::decode(frame));

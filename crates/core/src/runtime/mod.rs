@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use fargo_net::{
@@ -53,7 +53,7 @@ use parking_lot::{Mutex, RwLock};
 use simnet::{Endpoint, Network, NodeId};
 
 use crate::complet::{Complet, CompletRegistry};
-use crate::config::{CoreConfig, TransportKind};
+use crate::config::CoreConfig;
 use crate::ctx::Ctx;
 use crate::error::{FargoError, Result};
 use crate::events::{EventHandler, EventHub, EventPayload};
@@ -247,11 +247,14 @@ impl<'a> CoreBuilder<'a> {
 
     /// Runs the Core over real TCP sockets on an **already-bound**
     /// listener (binding first lets callers discover ephemeral ports and
-    /// hand out a consistent peer table). `peers[i]` is the listen
-    /// address of the Core registered `i`-th on `net`. Overrides
-    /// [`CoreConfig::transport`](crate::CoreConfig); the network passed
-    /// to [`Core::builder`] stays attached as the cluster directory and
-    /// fault-injection control plane.
+    /// hand out a consistent peer table) instead of the simulated
+    /// network. `peers[i]` is the listen address of the Core registered
+    /// `i`-th on `net`; this Core's own entry is ignored. The network
+    /// passed to [`Core::builder`] stays attached as the cluster
+    /// directory and fault-injection control plane: every outbound
+    /// envelope is first offered to the network model (loss, partitions
+    /// and link statistics apply) and only admitted traffic reaches the
+    /// wire.
     pub fn tcp_transport(mut self, listener: std::net::TcpListener, peers: Vec<String>) -> Self {
         self.tcp = Some((listener, peers));
         self
@@ -298,29 +301,16 @@ impl<'a> CoreBuilder<'a> {
                 .offer(NodeId::from_index(src), NodeId::from_index(dst), len)
                 .map_err(TransportError::from)
         });
-        let transport: Arc<dyn Transport> = if let Some((listener, peers)) = self.tcp {
-            Arc::new(TcpTransport::start(
+        let transport: Arc<dyn Transport> = match self.tcp {
+            Some((listener, peers)) => Arc::new(TcpTransport::start(
                 TcpTransportConfig {
                     local: node.index(),
                     peers,
                 },
                 listener,
                 Some(gate),
-            )?)
-        } else {
-            match &config.transport {
-                TransportKind::Simnet => {
-                    Arc::new(SimnetTransport::new(endpoint, config.clock.clone()))
-                }
-                TransportKind::Tcp { bind, peers } => Arc::new(TcpTransport::bind(
-                    TcpTransportConfig {
-                        local: node.index(),
-                        peers: peers.clone(),
-                    },
-                    bind,
-                    Some(gate),
-                )?),
-            }
+            )?),
+            None => Arc::new(SimnetTransport::new(endpoint, config.clock.clone())),
         };
         let telemetry = CoreTelemetry::new(
             self.telemetry.unwrap_or_default(),
@@ -334,12 +324,18 @@ impl<'a> CoreBuilder<'a> {
             config.clock.clone(),
         );
         monitor.register_metrics(&telemetry.registry, &name);
-        let wal_log = match &config.wal_dir {
-            Some(dir) => Some(
-                wal::Wal::open(dir, &name, config.wal_fsync)
-                    .map_err(|e| FargoError::App(format!("wal open: {e}")))?,
-            ),
-            None => None,
+        // The log is read here, before any thread starts: a log this
+        // build cannot decode fails the spawn and stays as it was found.
+        let (wal_log, replay, replay_read) = match &config.wal_dir {
+            Some(dir) => {
+                let log = wal::Wal::open(dir, &name, config.wal_fsync)
+                    .map_err(|e| FargoError::App(format!("wal open: {e}")))?;
+                let started = Instant::now();
+                let replay = wal::Wal::replay_path(log.path())
+                    .map_err(|e| FargoError::App(format!("wal replay: {e}")))?;
+                (Some(log), replay, started.elapsed())
+            }
+            None => (None, wal::WalReplay::default(), Duration::ZERO),
         };
         let (work_tx, work_rx) = bounded(config.worker_queue_depth);
         let inner = Arc::new(CoreInner {
@@ -402,7 +398,7 @@ impl<'a> CoreBuilder<'a> {
         core.spawn_workers(work_rx);
         core.spawn_receiver();
         core.spawn_monitor_thread();
-        core.recover_from_wal();
+        core.recover_from_wal(replay, replay_read);
         Ok(core)
     }
 }

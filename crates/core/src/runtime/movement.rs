@@ -29,6 +29,7 @@ use crate::proto::{CompletPacket, Continuation, MoveTxnState, Reply, Request};
 use crate::reference::relocator::{ArrivalAction, MarshalAction};
 use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
+use crate::runtime::wal::{WalHeld, WalRecord};
 use crate::runtime::{CompletSlot, Core, SlotState};
 use crate::telemetry;
 
@@ -44,9 +45,12 @@ struct Departing {
 /// the source's commit or abort. The complets are fully reconstructed
 /// but **not** installed — invisible to invocation until committed.
 pub(crate) struct HeldMove {
-    complets: Vec<(CompletPacket, Box<dyn Complet>)>,
+    /// The stream as it was logged: transaction key, source Core, and
+    /// one image per complet.
+    image: WalHeld,
+    /// `image.packets` reconstructed, in the same order.
+    complets: Vec<Box<dyn Complet>>,
     continuation: Option<Continuation>,
-    source: u32,
     /// When to start asking the source for its verdict, in [`Clock`]
     /// microseconds (re-armed after each unanswered query so monitor
     /// ticks don't stack resolvers).
@@ -353,7 +357,7 @@ impl Core {
             .unwrap_or(0);
         let abort = |core: &Core, e: &FargoError| {
             core.inner.move_decisions.record(root, txn_epoch, false);
-            core.wal_append(&crate::runtime::wal::WalRecord::Decision {
+            core.wal_append(&WalRecord::Decision {
                 root,
                 epoch: txn_epoch,
                 committed: false,
@@ -394,7 +398,7 @@ impl Core {
                 // the set of complets it gives away — survive a source
                 // crash: recovery must not resurrect them.
                 self.inner.move_decisions.record(root, txn_epoch, true);
-                self.wal_append(&crate::runtime::wal::WalRecord::Decision {
+                self.wal_append(&WalRecord::Decision {
                     root,
                     epoch: txn_epoch,
                     committed: true,
@@ -493,7 +497,7 @@ impl Core {
             // Commit point of the two-phase move: publish the new
             // placement to its owning location shard.
             self.publish_location(d.id, dest_node, epoch, true);
-            self.wal_append(&crate::runtime::wal::WalRecord::Departed {
+            self.wal_append(&WalRecord::Departed {
                 id: d.id,
                 epoch,
                 dest: Some(dest_node),
@@ -632,12 +636,9 @@ impl Core {
     /// every packet, then reconstructs (constructs + unmarshals) each
     /// complet — without installing anything, so a failure anywhere
     /// rejects the whole stream and the sender can restore.
-    fn reconstruct_stream(
-        &self,
-        packets: Vec<CompletPacket>,
-    ) -> Result<Vec<(CompletPacket, Box<dyn Complet>)>> {
+    fn reconstruct_stream(&self, packets: &[CompletPacket]) -> Result<Vec<Box<dyn Complet>>> {
         let me = self.inner.node.index();
-        let mut prepared: Vec<(CompletPacket, Value)> = Vec::new();
+        let mut prepared: Vec<(&CompletPacket, Value)> = Vec::new();
         let arriving: HashSet<CompletId> = packets.iter().map(|p| p.id).collect();
         for packet in packets {
             let mut stamp_failure: Option<String> = None;
@@ -671,44 +672,50 @@ impl Core {
             }
             prepared.push((packet, state));
         }
-        let mut out = Vec::with_capacity(prepared.len());
-        for (packet, state) in prepared {
-            let complet = self.inner.registry.reconstruct(&packet.type_name, state)?;
-            out.push((packet, complet));
-        }
-        Ok(out)
+        prepared
+            .into_iter()
+            .map(|(packet, state)| self.inner.registry.reconstruct(&packet.type_name, state))
+            .collect()
     }
 
-    /// Pass 2 of arrival: makes one reconstructed complet live on this
-    /// Core — callbacks, install, epoch bookkeeping, names, location
-    /// gossip, and the arrival event.
-    fn install_arrival(&self, packet: &CompletPacket, mut complet: Box<dyn Complet>) {
+    /// Makes one reconstructed complet live on this Core at `epoch` —
+    /// the install path behind move arrival (the packet's epoch), WAL
+    /// recovery (the recorded epoch) and checkpoint restore (one past
+    /// it): epoch bookkeeping, install with its tracker and location
+    /// gossip, names. The move epoch is seeded *before* installing: the
+    /// install path points the local tracker and publishes the shard
+    /// delta at the current epoch, which must already be this
+    /// incarnation's — otherwise the fresh Local tracker would carry
+    /// epoch 0 and any stale Forward straggler could overwrite it.
+    pub(crate) fn install_image(
+        &self,
+        image: &CompletPacket,
+        epoch: u64,
+        complet: Box<dyn Complet>,
+    ) {
+        {
+            let mut epochs = self.inner.move_epochs.lock();
+            let e = epochs.entry(image.id).or_insert(0);
+            *e = (*e).max(epoch);
+        }
+        self.install_complet_with_id(image.id, &image.type_name, complet);
+        // Names travel, and are recovered, with the complet.
         let me = self.inner.node.index();
+        let mut naming = self.inner.naming.lock();
+        for name in &image.names {
+            naming.insert(
+                name.clone(),
+                RefDescriptor::link(image.id, &image.type_name, me),
+            );
+        }
+    }
+
+    /// Pass 2 of arrival: installs one reconstructed complet between its
+    /// arrival callbacks, logs it, and fires the arrival event.
+    fn install_arrival(&self, packet: &CompletPacket, mut complet: Box<dyn Complet>) {
         let mut ctx = self.make_ctx(packet.id, &packet.type_name, vec![]);
         complet.pre_arrival(&mut ctx);
-        // Adopt the packet's move epoch *before* installing: the install
-        // path points the local tracker at the current epoch, which must
-        // already be this incarnation's — otherwise the fresh Local
-        // tracker would carry epoch 0 and any stale Forward straggler
-        // could overwrite it.
-        if packet.epoch > 0 {
-            self.inner
-                .move_epochs
-                .lock()
-                .insert(packet.id, packet.epoch);
-        }
-        self.install_complet_with_id(packet.id, &packet.type_name, complet);
-
-        // Names travel with the complet.
-        {
-            let mut naming = self.inner.naming.lock();
-            for name in &packet.names {
-                naming.insert(
-                    name.clone(),
-                    RefDescriptor::link(packet.id, &packet.type_name, me),
-                );
-            }
-        }
+        self.install_image(packet, packet.epoch, complet);
         self.run_post_arrival(packet.id);
         // Write-ahead: from this point the arrival is visible to
         // invocation, so its state (possibly rewritten by
@@ -717,7 +724,7 @@ impl Core {
         self.fire_event(EventPayload::CompletArrived {
             id: packet.id,
             type_name: packet.type_name.clone(),
-            core: me,
+            core: self.inner.node.index(),
         });
     }
 
@@ -764,41 +771,26 @@ impl Core {
         if let Err(e) = self.admit(packets.len()) {
             return Reply::Err(e);
         }
-        // Snapshot the stream for the write-ahead log *before*
-        // reconstruction consumes the packets: once this Core replies
-        // `PrepareOk` it may hold the only copy of a committed move, so
-        // the held state must survive a crash of this process.
-        let wal_held = crate::runtime::wal::WalHeld {
-            root,
-            epoch,
-            source: origin,
-            packets: packets
-                .iter()
-                .map(|p| crate::runtime::wal::WalState {
-                    id: p.id,
-                    type_name: p.type_name.clone(),
-                    state: p.state.clone(),
-                    epoch: p.epoch,
-                    names: p.names.clone(),
-                })
-                .collect(),
-        };
-        let complets = match self.reconstruct_stream(packets) {
+        let complets = match self.reconstruct_stream(&packets) {
             Ok(c) => c,
             Err(e) => return Reply::Err(e),
         };
-        self.wal_append(&crate::runtime::wal::WalRecord::Held(wal_held));
-        let held = HeldMove {
-            complets,
-            continuation,
+        // Write-ahead: once this Core replies `PrepareOk` it may hold the
+        // only copy of a committed move, so the held stream must survive
+        // a crash of this process. The record takes the packets as they
+        // are and gives them back: nothing is copied for the log, and a
+        // Core without one encodes nothing.
+        let record = WalRecord::Held(WalHeld {
+            root,
+            epoch,
             source: origin,
-            deadline: self
-                .inner
-                .config
-                .clock
-                .deadline_us(self.inner.config.move_hold_timeout),
+            packets,
+        });
+        self.wal_append(&record);
+        let WalRecord::Held(image) = record else {
+            unreachable!("built as Held above")
         };
-        self.inner.held_moves.lock().insert(key, held);
+        self.hold(image, complets, continuation);
         self.inner.telemetry.journal(
             JournalKind::MovePrepared,
             &root,
@@ -844,7 +836,7 @@ impl Core {
             self.inner.move_outcomes.record(root, epoch, false);
         }
         if held.is_some() {
-            self.wal_append(&crate::runtime::wal::WalRecord::HeldResolved {
+            self.wal_append(&WalRecord::HeldResolved {
                 root,
                 epoch,
                 committed: false,
@@ -910,7 +902,7 @@ impl Core {
         };
         self.inner.move_outcomes.record(root, epoch, true);
         let mut arrived = Vec::with_capacity(held.complets.len());
-        for (packet, complet) in held.complets {
+        for (packet, complet) in held.image.packets.iter().zip(held.complets) {
             // A packet is stale if this Core already advanced the
             // complet to the packet's epoch or past it. That happens
             // when a crash landed between `install_arrival`'s State
@@ -925,13 +917,13 @@ impl Core {
                 arrived.push(packet.id);
                 continue;
             }
-            self.install_arrival(&packet, complet);
+            self.install_arrival(packet, complet);
             arrived.push(packet.id);
         }
         // The live State records written by `install_arrival` supersede
         // the Held snapshot; resolving it keeps replay from re-holding a
         // transaction that already activated.
-        self.wal_append(&crate::runtime::wal::WalRecord::HeldResolved {
+        self.wal_append(&WalRecord::HeldResolved {
             root,
             epoch,
             committed: true,
@@ -941,7 +933,7 @@ impl Core {
             &root,
             "",
             &epoch.to_string(),
-            Some(held.source),
+            Some(held.image.source),
         );
         if let Some(cont) = held.continuation {
             self.spawn_continuation(cont);
@@ -971,32 +963,59 @@ impl Core {
                 .filter(|(_, h)| h.deadline <= now)
                 .map(|(k, h)| {
                     h.deadline = re_arm;
-                    (k.0, k.1, h.source)
+                    (k.0, k.1, h.image.source)
                 })
                 .collect()
         };
         for (root, epoch, source) in expired {
             let core = self.clone();
-            thread::spawn(
-                move || match core.rpc(source, Request::MoveDecision { root, epoch }) {
-                    Ok(Reply::MoveState {
-                        state: MoveTxnState::Committed,
-                    }) => {
-                        if let Some(h) = core.inner.held_moves.lock().remove(&(root, epoch)) {
-                            core.activate_held(root, epoch, h, None);
-                        }
-                    }
-                    Ok(Reply::MoveState {
-                        state: MoveTxnState::Aborted,
-                    }) => {
-                        let _ = core.handle_move_abort(root, epoch);
-                    }
-                    // Unknown or unreachable: keep holding; the re-armed
-                    // deadline retries later.
-                    _ => {}
-                },
-            );
+            thread::spawn(move || core.resolve_held(root, epoch, source));
         }
+    }
+
+    /// Asks `source` for its recorded verdict on the held move
+    /// `(root, epoch)` and acts on it: activate on commit, discard on
+    /// abort. Unknown or unreachable keeps holding (a later sweep
+    /// retries). Returns whether the hold was resolved.
+    fn resolve_held(&self, root: CompletId, epoch: u64, source: u32) -> bool {
+        match self.rpc(source, Request::MoveDecision { root, epoch }) {
+            Ok(Reply::MoveState {
+                state: MoveTxnState::Committed,
+            }) => {
+                let Some(held) = self.inner.held_moves.lock().remove(&(root, epoch)) else {
+                    return false;
+                };
+                self.activate_held(root, epoch, held, None);
+                true
+            }
+            Ok(Reply::MoveState {
+                state: MoveTxnState::Aborted,
+            }) => {
+                let _ = self.handle_move_abort(root, epoch);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Holds a reconstructed move stream — invisible to invocation —
+    /// until the source's verdict arrives or the hold deadline asks for
+    /// it.
+    fn hold(
+        &self,
+        image: WalHeld,
+        complets: Vec<Box<dyn Complet>>,
+        continuation: Option<Continuation>,
+    ) {
+        let cfg = &self.inner.config;
+        let key = (image.root, image.epoch);
+        let held = HeldMove {
+            image,
+            complets,
+            continuation,
+            deadline: cfg.clock.deadline_us(cfg.move_hold_timeout),
+        };
+        self.inner.held_moves.lock().insert(key, held);
     }
 
     /// Re-holds a move stream recovered from the write-ahead log after a
@@ -1006,7 +1025,7 @@ impl Core {
     /// The continuation does not survive the crash — it had not been
     /// acknowledged to any caller. Returns `false` when reconstruction
     /// fails (e.g. the type is no longer registered).
-    pub(crate) fn rehold_recovered(&self, held: crate::runtime::wal::WalHeld) -> bool {
+    pub(crate) fn rehold_recovered(&self, held: WalHeld) -> bool {
         let key = (held.root, held.epoch);
         if self.inner.held_moves.lock().contains_key(&key)
             || self
@@ -1017,36 +1036,10 @@ impl Core {
         {
             return false;
         }
-        let mut complets = Vec::with_capacity(held.packets.len());
-        for s in held.packets {
-            let complet = match self
-                .inner
-                .registry
-                .reconstruct(&s.type_name, s.state.clone())
-            {
-                Ok(c) => c,
-                Err(_) => return false,
-            };
-            let packet = CompletPacket {
-                id: s.id,
-                type_name: s.type_name,
-                state: s.state,
-                names: s.names,
-                epoch: s.epoch,
-            };
-            complets.push((packet, complet));
-        }
-        let rearmed = HeldMove {
-            complets,
-            continuation: None,
-            source: held.source,
-            deadline: self
-                .inner
-                .config
-                .clock
-                .deadline_us(self.inner.config.move_hold_timeout),
+        let Ok(complets) = self.reconstruct_stream(&held.packets) else {
+            return false;
         };
-        self.inner.held_moves.lock().insert(key, rearmed);
+        self.hold(held, complets, None);
         true
     }
 
@@ -1061,29 +1054,12 @@ impl Core {
             .held_moves
             .lock()
             .iter()
-            .map(|(k, h)| (k.0, k.1, h.source))
+            .map(|(k, h)| (k.0, k.1, h.image.source))
             .collect();
-        let mut resolved = 0;
-        for (root, epoch, source) in pending {
-            match self.rpc(source, Request::MoveDecision { root, epoch }) {
-                Ok(Reply::MoveState {
-                    state: MoveTxnState::Committed,
-                }) => {
-                    if let Some(h) = self.inner.held_moves.lock().remove(&(root, epoch)) {
-                        self.activate_held(root, epoch, h, None);
-                        resolved += 1;
-                    }
-                }
-                Ok(Reply::MoveState {
-                    state: MoveTxnState::Aborted,
-                }) => {
-                    let _ = self.handle_move_abort(root, epoch);
-                    resolved += 1;
-                }
-                _ => {}
-            }
-        }
-        resolved
+        pending
+            .into_iter()
+            .filter(|&(root, epoch, source)| self.resolve_held(root, epoch, source))
+            .count()
     }
 
     /// Runs the `post_arrival` callback on a freshly installed complet,
@@ -1127,7 +1103,8 @@ mod tests {
     use fargo_wire::{CompletId, RefDescriptor, Value};
     use simnet::{LinkConfig, Network, NetworkConfig};
 
-    use crate::runtime::wal::{Wal, WalHeld, WalRecord, WalState};
+    use crate::proto::CompletPacket;
+    use crate::runtime::wal::{Wal, WalHeld, WalRecord};
     use crate::runtime::Core;
     use crate::{CompletRef, CompletRegistry, CoreConfig};
 
@@ -1161,7 +1138,7 @@ mod tests {
     fn recovered_partial_activation_does_not_clobber_newer_state() {
         let root_dir = scratch("partial-activation");
         let id = CompletId::new(0, 7);
-        let arrived_state = |n: i64| WalState {
+        let arrived_state = |n: i64| CompletPacket {
             id,
             type_name: "HeldCounter".into(),
             state: Value::map([("n", Value::from(n))]),

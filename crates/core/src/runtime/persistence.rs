@@ -5,14 +5,15 @@
 //! marshal path movement uses:
 //!
 //! * **Checkpoints** — explicit, portable snapshots. [`Core::checkpoint`]
-//!   captures every resident complet as the log's own `State` record
-//!   (state, type, move epoch, logical names) in one self-describing
-//!   [`Value`] tree; [`Core::restore_checkpoint`] replays it into
-//!   another (or a restarted) Core with identities preserved, through
-//!   the same install routine WAL recovery uses. Restore publishes each
-//!   complet's new placement to its owning location shard at an epoch
-//!   *above* the checkpointed one, so the restored location wins over
-//!   stale shard entries and trackers repoint exactly as after a move.
+//!   captures every resident complet as the log's own `State` frame
+//!   (state, type, move epoch, logical names), so a snapshot is a folded
+//!   log; [`Core::restore_checkpoint`] replays it with the log's own
+//!   reader into another (or a restarted) Core with identities
+//!   preserved, through the install routine move arrival and WAL
+//!   recovery use. Restore publishes each complet's new placement to
+//!   its owning location shard at an epoch *above* the checkpointed
+//!   one, so the restored location wins over stale shard entries and
+//!   trackers repoint exactly as after a move.
 //!   A checkpoint is a *cold* snapshot: it waits for each complet's
 //!   current invocation to finish, and complets in transit are skipped —
 //!   they are owned by the move in progress — with the skipped ids
@@ -22,28 +23,30 @@
 //!   ([`wal`](crate::runtime::wal)). When [`CoreConfig::wal_dir`] is
 //!   set, the Core appends every state the caller could have observed as
 //!   acknowledged — instantiation, each successful invocation,
-//!   arrival, departure, and the two-phase move verdicts — *before* the acknowledgement leaves this process, and
-//!   (under `wal_fsync`, the default) fsyncs each append so the
-//!   guarantee covers OS crashes and power loss, not just process
-//!   deaths. A
-//!   restarted Core replays the log ([`Core::recover_from_wal`], run
-//!   automatically at spawn), folds it to crash-time truth, re-installs
-//!   survivors at their recorded epochs, re-holds prepared-but-undecided
-//!   move streams, and republishes everything to the location shards.
+//!   arrival, departure, and the two-phase move verdicts — *before* the
+//!   acknowledgement leaves this process, and (under `wal_fsync`, the
+//!   default) fsyncs each append so the guarantee covers OS crashes and
+//!   power loss, not just process deaths. A restarted Core replays the
+//!   log ([`Core::recover_from_wal`], run automatically at spawn — which
+//!   fails on a log it cannot read), folds it to crash-time truth,
+//!   re-installs survivors at their recorded epochs, re-holds
+//!   prepared-but-undecided move streams, and republishes everything to
+//!   the location shards.
 //!   The monitor thread compacts the log once it grows past
 //!   `wal_compact_records` appends.
 //!
 //! [`CoreConfig::wal_dir`]: crate::config::CoreConfig
 
 use std::sync::atomic;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use fargo_telemetry::JournalKind;
-use fargo_wire::{CompletId, RefDescriptor, Value};
+use fargo_wire::{CompletId, Value};
 
 use crate::complet::Complet;
 use crate::error::{FargoError, Result};
 use crate::events::EventPayload;
+use crate::proto::CompletPacket;
 use crate::reference::tracker::TrackerTarget;
 use crate::runtime::{wal, Core, SlotState};
 
@@ -51,9 +54,10 @@ use crate::runtime::{wal, Core, SlotState};
 /// snapshot does **not** cover.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// The self-describing snapshot tree (feed to
-    /// [`Core::restore_checkpoint`]).
-    pub snapshot: Value,
+    /// The snapshot (feed to [`Core::restore_checkpoint`]): one
+    /// write-ahead `State` frame per captured complet, the bytes a log
+    /// compacted at this instant would hold for them.
+    pub snapshot: Vec<u8>,
     /// Complets that were in transit (or already gone) at capture time
     /// and are therefore absent from the snapshot. Callers that need a
     /// complete image must re-checkpoint once these moves settle.
@@ -62,9 +66,8 @@ pub struct Checkpoint {
 
 impl Core {
     /// Captures all resident complets into a portable snapshot: one WAL
-    /// `State` record per complet ([`wal::state_to_value`]), so a
-    /// checkpoint is a folded log in `Value` form and restore is a
-    /// replay of it.
+    /// `State` frame per complet, so a checkpoint is a folded log and
+    /// restore is a replay of it.
     ///
     /// Complets in transit are owned by their in-flight move and cannot
     /// be captured; their ids come back in [`Checkpoint::skipped`] (and
@@ -73,10 +76,12 @@ impl Core {
     /// # Errors
     ///
     /// Fails with [`FargoError::Timeout`] if a complet stays locked past
-    /// the configured transit wait.
+    /// the configured transit wait, and with
+    /// [`FargoError::InvalidArgument`] if one complet's state exceeds
+    /// the frame bound.
     pub fn checkpoint(&self) -> Result<Checkpoint> {
         let slots: Vec<_> = self.inner.complets.read().values().cloned().collect();
-        let mut records = Vec::new();
+        let mut snapshot = Vec::new();
         let mut skipped = Vec::new();
         for slot in slots {
             let guard = slot
@@ -84,11 +89,11 @@ impl Core {
                 .try_lock_for(self.inner.config.transit_wait)
                 .ok_or(FargoError::Timeout)?;
             match &*guard {
-                SlotState::Present(c) => records.push(wal::state_to_value(&self.state_record(
-                    slot.id,
-                    &slot.type_name,
-                    c.marshal(),
-                ))),
+                SlotState::Present(c) => {
+                    let image = self.image_of(slot.id, &slot.type_name, c.marshal());
+                    wal::write_record(&mut snapshot, &wal::WalRecord::State(image))
+                        .map_err(|e| FargoError::InvalidArgument(e.to_string()))?;
+                }
                 other => {
                     let detail = match other {
                         SlotState::InTransit => "in_transit",
@@ -105,14 +110,7 @@ impl Core {
                 }
             }
         }
-        Ok(Checkpoint {
-            snapshot: Value::map([
-                ("fargo_checkpoint", Value::from(1i64)),
-                ("core", Value::from(self.name())),
-                ("complets", Value::List(records)),
-            ]),
-            skipped,
-        })
+        Ok(Checkpoint { snapshot, skipped })
     }
 
     /// Installs a snapshot's complets (and the names bound to them) into
@@ -130,62 +128,47 @@ impl Core {
     ///
     /// # Errors
     ///
-    /// Fails on a malformed snapshot, unknown complet types, or state
-    /// mismatches. Every record is decoded and reconstructed before any
-    /// is installed, so a rejected snapshot leaves the Core untouched.
-    /// Restoring is idempotent per complet — re-restore overwrites.
-    pub fn restore_checkpoint(&self, snapshot: &Value) -> Result<Vec<CompletId>> {
-        if snapshot.get("fargo_checkpoint").and_then(Value::as_i64) != Some(1) {
+    /// Fails with [`FargoError::InvalidArgument`] on a snapshot with a
+    /// torn, corrupted or undecodable frame, and on unknown complet
+    /// types or state mismatches. The whole snapshot is replayed and
+    /// every complet reconstructed before any is installed, so a
+    /// rejected snapshot leaves the Core untouched. Restoring is
+    /// idempotent per complet — re-restore overwrites.
+    pub fn restore_checkpoint(&self, snapshot: &[u8]) -> Result<Vec<CompletId>> {
+        let replay = wal::replay(bytes::Bytes::copy_from_slice(snapshot))
+            .map_err(|e| FargoError::InvalidArgument(format!("checkpoint: {e}")))?;
+        if replay.corrupt != 0 {
             return Err(FargoError::InvalidArgument(
-                "not a fargo checkpoint".to_owned(),
+                "checkpoint: torn or corrupted frame".into(),
             ));
         }
-        let records = snapshot
-            .get("complets")
-            .and_then(Value::as_list)
-            .ok_or_else(|| FargoError::InvalidArgument("checkpoint missing complets".into()))?;
-        let mut revived = Vec::with_capacity(records.len());
-        for record in records {
-            let mut s = wal::state_from_value(record)
-                .ok_or_else(|| FargoError::InvalidArgument("malformed complet record".into()))?;
-            let state = std::mem::take(&mut s.state);
-            revived.push((self.inner.registry.reconstruct(&s.type_name, state)?, s));
+        let mut revived = Vec::new();
+        for mut image in wal::fold(replay.records).survivors {
+            let state = std::mem::take(&mut image.state);
+            let complet = self.inner.registry.reconstruct(&image.type_name, state)?;
+            revived.push((image, complet));
         }
         let mut restored = Vec::with_capacity(revived.len());
-        for (complet, s) in revived {
+        for (image, complet) in revived {
             // One past the checkpointed epoch: only that beats the stale
             // shard entry still naming the pre-checkpoint host.
-            self.install_revived(&s, s.epoch + 1, complet);
-            self.wal_capture(s.id);
-            restored.push(s.id);
+            self.install_revived(&image, image.epoch + 1, complet);
+            self.wal_capture(image.id);
+            restored.push(image.id);
         }
         Ok(restored)
     }
 
-    /// Makes one revived complet live on this Core — the single install
-    /// path behind WAL recovery and checkpoint restore, which differ only
-    /// in the `epoch` they pass (the recorded one; the recorded one + 1).
-    /// The move epoch is seeded *before* installing because the install
-    /// path points the tracker and publishes the shard delta at the
-    /// current epoch.
-    fn install_revived(&self, s: &wal::WalState, epoch: u64, complet: Box<dyn Complet>) {
-        let me = self.inner.node.index();
-        {
-            let mut epochs = self.inner.move_epochs.lock();
-            let e = epochs.entry(s.id).or_insert(0);
-            *e = (*e).max(epoch);
-        }
-        self.install_complet_with_id(s.id, &s.type_name, complet);
-        {
-            let mut naming = self.inner.naming.lock();
-            for name in &s.names {
-                naming.insert(name.clone(), RefDescriptor::link(s.id, &s.type_name, me));
-            }
-        }
+    /// Makes one revived complet live on this Core — behind WAL recovery
+    /// and checkpoint restore, which differ only in the `epoch` they pass
+    /// (the recorded one; the recorded one + 1). Constructor and arrival
+    /// callbacks ran in the complet's first life and do not run again.
+    fn install_revived(&self, image: &CompletPacket, epoch: u64, complet: Box<dyn Complet>) {
+        self.install_image(image, epoch, complet);
         self.fire_event(EventPayload::CompletArrived {
-            id: s.id,
-            type_name: s.type_name.clone(),
-            core: me,
+            id: image.id,
+            type_name: image.type_name.clone(),
+            core: self.inner.node.index(),
         });
     }
 
@@ -230,16 +213,13 @@ impl Core {
     /// complet cannot interleave a newer append under this one.
     pub(crate) fn wal_capture_state(&self, id: CompletId, type_name: &str, state: Value) {
         if self.inner.wal.is_some() {
-            self.wal_append(&wal::WalRecord::State(
-                self.state_record(id, type_name, state),
-            ));
+            self.wal_append(&wal::WalRecord::State(self.image_of(id, type_name, state)));
         }
     }
 
-    /// The persisted image of one resident complet: its marshaled state
-    /// stamped with the current move epoch and the names bound to it
-    /// here. The one record shape the log and checkpoints share.
-    fn state_record(&self, id: CompletId, type_name: &str, state: Value) -> wal::WalState {
+    /// The image of one resident complet: its marshaled state stamped
+    /// with the current move epoch and the names bound to it here.
+    fn image_of(&self, id: CompletId, type_name: &str, state: Value) -> CompletPacket {
         let names = self
             .inner
             .naming
@@ -248,7 +228,7 @@ impl Core {
             .filter(|(_, d)| d.target == id)
             .map(|(n, _)| n.clone())
             .collect();
-        wal::WalState {
+        CompletPacket {
             id,
             type_name: type_name.to_owned(),
             state,
@@ -262,21 +242,15 @@ impl Core {
     /// its recorded move epoch, republished to the location shards),
     /// reloads the two-phase verdict logs, and re-holds
     /// prepared-but-undecided move streams for resolution against their
-    /// sources. Called automatically from `spawn`; the folded log is
-    /// compacted afterwards so the next restart replays the minimum.
-    pub(crate) fn recover_from_wal(&self) {
-        let Some(wal) = &self.inner.wal else { return };
-        let started = Instant::now();
-        let replay = match wal::Wal::replay_path(wal.path()) {
-            Ok(r) => r,
-            Err(_) => {
-                self.inner.telemetry.wal_errors_total.inc();
-                return;
-            }
-        };
+    /// sources. `spawn` replays the log (and refuses to start on one it
+    /// cannot read) and hands over the records and the time reading
+    /// them took; the folded log is compacted afterwards so the next
+    /// restart replays the minimum.
+    pub(crate) fn recover_from_wal(&self, replay: wal::WalReplay, read: Duration) {
         if replay.records.is_empty() && replay.corrupt == 0 {
             return;
         }
+        let started = Instant::now();
         let me = self.inner.node.index();
         let t = &self.inner.telemetry;
         t.journal(
@@ -286,7 +260,6 @@ impl Core {
             &replay.records.len().to_string(),
             None,
         );
-        let folded = wal::fold(&replay.records);
         // Re-seed the id allocator past every locally minted id the log
         // has ever seen — survivors *and* departed/decided ids — so a
         // post-recovery `new_complet` can never re-mint an id that is
@@ -319,6 +292,7 @@ impl Core {
         self.inner
             .complet_seq
             .fetch_max(max_seq + 1, atomic::Ordering::SeqCst);
+        let folded = wal::fold(replay.records);
         // The verdict logs first: a recovered survivor set is only safe
         // to expose once in-doubt queries from peers answer correctly.
         for &(root, epoch, committed) in &folded.decisions {
@@ -386,7 +360,7 @@ impl Core {
             held,
             forwards,
             corrupt: replay.corrupt,
-            duration_us: started.elapsed().as_micros() as u64,
+            duration_us: (read + started.elapsed()).as_micros() as u64,
         };
         t.recovery_duration_us.set(report.duration_us as f64);
         *self.inner.recovery.lock() = Some(report);
@@ -472,5 +446,67 @@ impl Core {
         if wal.appends_since_rewrite() >= self.inner.config.wal_compact_records {
             self.wal_compact_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use fargo_wire::Value;
+    use simnet::{LinkConfig, Network, NetworkConfig};
+
+    use crate::proto::CompletPacket;
+    use crate::runtime::wal::{self, WalRecord};
+    use crate::runtime::Core;
+    use crate::{CompletRegistry, CoreConfig};
+
+    crate::define_complet! {
+        complet Tally {
+            state { n: i64 = 0 }
+            fn add(&mut self, _ctx, args) {
+                self.n += args.first().and_then(Value::as_i64).unwrap_or(1);
+                Ok(Value::I64(self.n))
+            }
+        }
+    }
+
+    /// A checkpoint is a folded log: the log's own `replay` reads it back
+    /// to the images that were captured, and it is byte for byte what
+    /// compaction leaves in the log file for the same complets.
+    #[test]
+    fn checkpoint_is_a_folded_log() {
+        let dir = std::env::temp_dir().join(format!("fargo-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let net = Network::new(NetworkConfig {
+            default_link: Some(LinkConfig::instant()),
+            ..NetworkConfig::default()
+        });
+        let reg = CompletRegistry::new();
+        Tally::register(&reg);
+        let core = Core::builder(&net, "core0")
+            .registry(&reg)
+            .config(CoreConfig::default().with_wal_dir(dir.clone()))
+            .spawn()
+            .unwrap();
+        let tally = core.new_named_complet("tally", "Tally", &[]).unwrap();
+        tally.call("add", &[Value::I64(7)]).unwrap();
+
+        let snapshot = core.checkpoint().unwrap().snapshot;
+        let replay = wal::replay(snapshot.clone().into()).unwrap();
+        assert_eq!(replay.corrupt, 0);
+        assert_eq!(
+            replay.records,
+            vec![WalRecord::State(CompletPacket {
+                id: tally.id(),
+                type_name: "Tally".into(),
+                state: Value::map([("n", Value::I64(7))]),
+                names: vec!["tally".into()],
+                epoch: 0,
+            })]
+        );
+        core.wal_compact_now();
+        let log = std::fs::read(wal::Wal::log_path(&dir, "core0")).unwrap();
+        assert_eq!(log, snapshot);
+        core.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

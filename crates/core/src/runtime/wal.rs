@@ -4,75 +4,74 @@
 //! Every state-bearing transition a Core acknowledges (instantiation,
 //! move arrival, acknowledged invocation, departure, and both sides of
 //! the two-phase move protocol) appends one record to an on-disk log
-//! before the acknowledgement leaves the Core. Records are marshaled
-//! [`Value`] trees — the same representation movement and checkpointing
-//! use — encoded with `fargo-wire` and framed with `fargo-net`'s
-//! length-prefixed frame format, with a CRC32 over the encoded payload
-//! so a torn or corrupted tail is detected and cleanly ignored on
-//! replay. With `CoreConfig::wal_fsync` on (the default) each append is
-//! fsynced before the acknowledgement leaves, so durability covers OS
-//! crashes and power loss; off, records stop at the OS page cache and
-//! the guarantee narrows to process crashes.
+//! before the acknowledgement leaves the Core. A record is written the
+//! way an envelope is — a tag byte and positional fields from the
+//! [`Wire`] tables below, a complet as the same [`CompletPacket`] a move
+//! stream carries — behind a version byte and a CRC32, inside
+//! `fargo-net`'s length-prefixed frame:
+//!
+//! ```text
+//! [frame version u8][len u32 BE] [crc32 u32 BE] [WAL_VERSION u8][tag u8] positional fields
+//!                                 '-- over ---> '------------- the body ---------------'
+//! ```
+//!
+//! A short or checksum-failing frame is a torn or corrupted tail: replay
+//! stops there and keeps the prefix. A frame whose checksum holds but
+//! whose body this build cannot decode (another version, an unknown
+//! tag, malformed or trailing fields) was written by a different build:
+//! replay fails with `InvalidData` and the file is left alone rather
+//! than compacted down to what happened to be readable. With
+//! `CoreConfig::wal_fsync` on (the default) each append is fsynced
+//! before the acknowledgement leaves, so durability covers OS crashes
+//! and power loss; off, records stop at the OS page cache and the
+//! guarantee narrows to process crashes.
 //!
 //! On restart, [`Wal::replay_path`] reads the surviving prefix and
 //! [`fold`] reduces it to the set of complets that were live (and the
 //! move-protocol state that was in flight) at the crash; the Core
 //! re-installs those survivors and resumes the protocol. Periodic
-//! [`Wal::rewrite`] compaction (driven from the monitor tick) replaces
-//! the log with a fresh snapshot so it does not grow without bound.
+//! [`Wal::compact`] compaction (driven from the monitor tick) replaces
+//! the log with its folded image so it does not grow without bound; a
+//! checkpoint snapshot is that same image, `State` frames only.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fargo_net::frame::{read_frame, write_frame, FrameError};
-use fargo_wire::{decode_value_from_bytes, encode_value, CompletId, Value};
+use bytes::Bytes;
+use fargo_net::frame::{write_frame, FrameError, FRAME_VERSION};
+use fargo_wire::{CompletId, WireReader, WireWriter};
 use parking_lot::Mutex;
 
-/// Marshaled image of one complet: everything recovery needs to
-/// re-install it — state, type, move epoch, and logical names bound to
-/// it. Also the per-complet payload of a held-move record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalState {
-    /// Identity, stable across relocation and restart.
-    pub id: CompletId,
-    /// Registered complet type (recovery constructs through the registry).
-    pub type_name: String,
-    /// Marshaled state, exactly as `Complet::marshal` produced it.
-    pub state: Value,
-    /// Move epoch the complet was at when captured. WAL recovery
-    /// re-installs at this *recorded* epoch — the epoch the location
-    /// shards already associate with the placement — so the republished
-    /// delta is idempotent rather than a spurious new incarnation.
-    /// (Checkpoint restore is the path that bumps to `epoch + 1`: it
-    /// installs on a different host and must beat the stale entry still
-    /// naming the pre-checkpoint one.)
-    pub epoch: u64,
-    /// Logical names bound to this complet on the logging Core.
-    pub names: Vec<String>,
-}
+use crate::proto::{unknown, wire_enum, wire_record, CompletPacket, Wire};
+
+/// The one record layout this build reads and writes. It starts above
+/// `fargo-wire`'s value tags (0–9): builds that wrote each record as a
+/// `Value` tree began the frame body with such a tag, so their logs
+/// read as an unknown version, not as garbage.
+const WAL_VERSION: u8 = 16;
 
 /// A move prepared at this Core (the destination) but not yet resolved:
 /// recovery re-holds it and re-runs the outcome query against the source.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WalHeld {
+pub(crate) struct WalHeld {
     /// Root complet of the move transaction.
     pub root: CompletId,
     /// Transaction epoch (the root packet's move epoch).
     pub epoch: u64,
     /// Node index of the source Core, for the outcome query.
     pub source: u32,
-    /// The marshaled closure, one entry per complet in the move.
-    pub packets: Vec<WalState>,
+    /// The marshaled closure, one image per complet in the move.
+    pub packets: Vec<CompletPacket>,
 }
 
 /// One append-only log record.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// The complet is (still) live here with this state.
-    State(WalState),
+    State(CompletPacket),
     /// The complet left this Core (move finalised or released).
     Departed {
         /// Identity of the departed complet.
@@ -115,9 +114,21 @@ pub enum WalRecord {
     },
 }
 
-/// Result of replaying a log file.
+wire_record! {
+    WalHeld { root, epoch, source, packets }
+}
+
+wire_enum! { WalRecord, "wal record tag";
+    0 => State(image),
+    1 => Departed { id, epoch, dest },
+    2 => Held(held),
+    3 => HeldResolved { root, epoch, committed },
+    4 => Decision { root, epoch, committed, ids, dest },
+}
+
+/// Result of replaying a log.
 #[derive(Debug, Default)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     /// Records in append order, up to the first corruption.
     pub records: Vec<WalRecord>,
     /// `1` if replay stopped at a torn or corrupted tail, else `0`.
@@ -126,10 +137,10 @@ pub struct WalReplay {
 
 /// [`fold`]'s reduction of a replayed log: what was true at the crash.
 #[derive(Debug, Default)]
-pub struct WalFold {
+pub(crate) struct WalFold {
     /// Complets live on this Core, newest state per id, in first-seen
     /// order.
-    pub survivors: Vec<WalState>,
+    pub survivors: Vec<CompletPacket>,
     /// Prepared moves never resolved (recovery re-holds and queries).
     pub held: Vec<WalHeld>,
     /// Source-side verdicts, in append order (recovery reloads the
@@ -162,7 +173,7 @@ pub struct RecoveryReport {
 
 /// The append handle over one Core's log file.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     path: PathBuf,
     file: Mutex<File>,
     appends: AtomicU64,
@@ -246,23 +257,19 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record (CRC-framed) and — with fsync on — syncs it
-    /// to stable storage before returning, so the acknowledgement the
-    /// caller is about to send cannot outlive the record it promises.
+    /// Appends one record and — with fsync on — syncs it to stable
+    /// storage before returning, so the acknowledgement the caller is
+    /// about to send cannot outlive the record it promises. The frame is
+    /// encoded outside the file lock and leaves in one write.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
-        let encoded = encode_value(&record.to_value());
-        let mut payload = Vec::with_capacity(encoded.len() + 4);
-        payload.extend_from_slice(&crc32(&encoded).to_be_bytes());
-        payload.extend_from_slice(&encoded);
+        let mut frame = Vec::new();
+        write_record(&mut frame, record)?;
         let mut file = self.file.lock();
-        write_frame(&mut *file, &payload).map_err(|e| match e {
-            FrameError::Io(io) => io,
-            other => io::Error::other(other.to_string()),
-        })?;
+        file.write_all(&frame)?;
         if self.fsync {
             file.sync_data()?;
         }
@@ -270,7 +277,7 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends since the last [`Wal::rewrite`] (compaction trigger).
+    /// Appends since the last [`Wal::compact`] (compaction trigger).
     pub fn appends_since_rewrite(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
@@ -279,27 +286,16 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors opening the file; a missing file is
-    /// an empty replay, and corruption is reported, not an error.
+    /// Propagates filesystem errors reading the file (a missing file is
+    /// an empty replay) and fails with `InvalidData`, naming the file,
+    /// on an intact frame this build cannot decode — see [`replay`].
     pub fn replay_path(path: &Path) -> io::Result<WalReplay> {
-        let mut replay = WalReplay::default();
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(replay),
+        let log = match fs::read(path) {
+            Ok(log) => log,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
             Err(e) => return Err(e),
         };
-        loop {
-            match read_next(&mut file) {
-                Ok(Some(rec)) => replay.records.push(rec),
-                Ok(None) => break,
-                Err(_) => {
-                    // Torn tail or bit rot: keep the valid prefix.
-                    replay.corrupt = 1;
-                    break;
-                }
-            }
-        }
-        Ok(replay)
+        replay(log.into()).map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 
     /// Compacts the log in place to its folded image — newest `State`
@@ -321,33 +317,26 @@ impl Wal {
     /// Propagates filesystem errors.
     pub fn compact(&self, extra: &[WalRecord]) -> io::Result<usize> {
         let mut file = self.file.lock();
-        let replay = Self::replay_path(&self.path)?;
-        let folded = fold(&replay.records);
-        let mut records: Vec<WalRecord> = Vec::new();
-        for s in folded.survivors {
-            records.push(WalRecord::State(s));
-        }
-        for h in folded.held {
-            records.push(WalRecord::Held(h));
-        }
-        for (id, epoch, dest) in folded.departed {
-            records.push(WalRecord::Departed {
+        let folded = fold(Self::replay_path(&self.path)?.records);
+        let states = folded.survivors.into_iter().map(WalRecord::State);
+        let held = folded.held.into_iter().map(WalRecord::Held);
+        let departed = folded
+            .departed
+            .into_iter()
+            .map(|(id, epoch, dest)| WalRecord::Departed {
                 id,
                 epoch,
                 dest: Some(dest),
             });
+        let folded: Vec<WalRecord> = states.chain(held).chain(departed).collect();
+        let mut image = Vec::new();
+        for rec in folded.iter().chain(extra) {
+            write_record(&mut image, rec)?;
         }
-        records.extend_from_slice(extra);
         let tmp = self.path.with_extension("wal.tmp");
         {
             let mut out = File::create(&tmp)?;
-            for rec in &records {
-                let encoded = encode_value(&rec.to_value());
-                let mut payload = Vec::with_capacity(encoded.len() + 4);
-                payload.extend_from_slice(&crc32(&encoded).to_be_bytes());
-                payload.extend_from_slice(&encoded);
-                write_frame(&mut out, &payload).map_err(|e| io::Error::other(e.to_string()))?;
-            }
+            out.write_all(&image)?;
             out.sync_data()?;
         }
         fs::rename(&tmp, &self.path)?;
@@ -361,7 +350,7 @@ impl Wal {
         }
         *file = OpenOptions::new().append(true).open(&self.path)?;
         self.appends.store(0, Ordering::Relaxed);
-        Ok(records.len())
+        Ok(folded.len() + extra.len())
     }
 }
 
@@ -373,9 +362,9 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 /// Reduces a replayed record sequence to crash-time truth: the newest
 /// state per still-live complet, unresolved held moves, and the
 /// move-protocol verdict logs.
-pub fn fold(records: &[WalRecord]) -> WalFold {
+pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
     let mut order: Vec<CompletId> = Vec::new();
-    let mut states: HashMap<CompletId, WalState> = HashMap::new();
+    let mut states: HashMap<CompletId, CompletPacket> = HashMap::new();
     let mut held: Vec<WalHeld> = Vec::new();
     let mut gone_order: Vec<CompletId> = Vec::new();
     let mut gone: HashMap<CompletId, (u64, u32)> = HashMap::new();
@@ -399,25 +388,25 @@ pub fn fold(records: &[WalRecord]) -> WalFold {
                 // A later arrival supersedes any earlier departure: the
                 // complet is live here again.
                 gone.remove(&s.id);
-                states.insert(s.id, s.clone());
+                states.insert(s.id, s);
             }
             WalRecord::Departed { id, epoch, dest } => {
-                states.remove(id);
+                states.remove(&id);
                 if let Some(d) = dest {
-                    depart(&mut gone_order, &mut gone, *id, *epoch, *d);
+                    depart(&mut gone_order, &mut gone, id, epoch, d);
                 }
             }
             WalRecord::Held(h) => {
                 held.retain(|x| !(x.root == h.root && x.epoch == h.epoch));
-                held.push(h.clone());
+                held.push(h);
             }
             WalRecord::HeldResolved {
                 root,
                 epoch,
                 committed,
             } => {
-                held.retain(|x| !(x.root == *root && x.epoch == *epoch));
-                out.outcomes.push((*root, *epoch, *committed));
+                held.retain(|x| !(x.root == root && x.epoch == epoch));
+                out.outcomes.push((root, epoch, committed));
             }
             WalRecord::Decision {
                 root,
@@ -426,11 +415,11 @@ pub fn fold(records: &[WalRecord]) -> WalFold {
                 ids,
                 dest,
             } => {
-                out.decisions.push((*root, *epoch, *committed));
-                if *committed {
+                out.decisions.push((root, epoch, committed));
+                if committed {
                     for id in ids {
-                        states.remove(id);
-                        depart(&mut gone_order, &mut gone, *id, *epoch, *dest);
+                        states.remove(&id);
+                        depart(&mut gone_order, &mut gone, id, epoch, dest);
                     }
                 }
             }
@@ -448,190 +437,78 @@ pub fn fold(records: &[WalRecord]) -> WalFold {
     out
 }
 
-impl WalRecord {
-    fn to_value(&self) -> Value {
-        match self {
-            WalRecord::State(s) => Value::map([
-                ("kind", Value::from("state")),
-                ("complet", state_to_value(s)),
-            ]),
-            WalRecord::Departed { id, epoch, dest } => Value::map([
-                ("kind", Value::from("departed")),
-                ("id", Value::from(id.to_string())),
-                ("epoch", Value::from(*epoch as i64)),
-                // -1 encodes "released, no destination".
-                ("dest", Value::from(dest.map_or(-1, |d| d as i64))),
-            ]),
-            WalRecord::Held(h) => Value::map([
-                ("kind", Value::from("held")),
-                ("root", Value::from(h.root.to_string())),
-                ("epoch", Value::from(h.epoch as i64)),
-                ("source", Value::from(h.source)),
-                (
-                    "packets",
-                    Value::List(h.packets.iter().map(state_to_value).collect()),
-                ),
-            ]),
-            WalRecord::HeldResolved {
-                root,
-                epoch,
-                committed,
-            } => Value::map([
-                ("kind", Value::from("held_resolved")),
-                ("root", Value::from(root.to_string())),
-                ("epoch", Value::from(*epoch as i64)),
-                ("committed", Value::from(*committed)),
-            ]),
-            WalRecord::Decision {
-                root,
-                epoch,
-                committed,
-                ids,
-                dest,
-            } => Value::map([
-                ("kind", Value::from("decision")),
-                ("root", Value::from(root.to_string())),
-                ("epoch", Value::from(*epoch as i64)),
-                ("committed", Value::from(*committed)),
-                (
-                    "ids",
-                    Value::List(ids.iter().map(|i| Value::from(i.to_string())).collect()),
-                ),
-                ("dest", Value::from(*dest as i64)),
-            ]),
-        }
-    }
-
-    fn from_value(v: &Value) -> Option<WalRecord> {
-        match v.get("kind")?.as_str()? {
-            "state" => Some(WalRecord::State(state_from_value(v.get("complet")?)?)),
-            "departed" => Some(WalRecord::Departed {
-                id: parse_id(v.get("id")?.as_str()?)?,
-                epoch: v.get("epoch")?.as_i64()? as u64,
-                dest: match v.get("dest")?.as_i64()? {
-                    d if d < 0 => None,
-                    d => Some(d as u32),
-                },
-            }),
-            "held" => Some(WalRecord::Held(WalHeld {
-                root: parse_id(v.get("root")?.as_str()?)?,
-                epoch: v.get("epoch")?.as_i64()? as u64,
-                source: v.get("source")?.as_i64()? as u32,
-                packets: v
-                    .get("packets")?
-                    .as_list()?
-                    .iter()
-                    .map(state_from_value)
-                    .collect::<Option<Vec<_>>>()?,
-            })),
-            "held_resolved" => Some(WalRecord::HeldResolved {
-                root: parse_id(v.get("root")?.as_str()?)?,
-                epoch: v.get("epoch")?.as_i64()? as u64,
-                committed: v.get("committed")?.as_bool()?,
-            }),
-            "decision" => Some(WalRecord::Decision {
-                root: parse_id(v.get("root")?.as_str()?)?,
-                epoch: v.get("epoch")?.as_i64()? as u64,
-                committed: v.get("committed")?.as_bool()?,
-                ids: v
-                    .get("ids")?
-                    .as_list()?
-                    .iter()
-                    .map(|i| parse_id(i.as_str()?))
-                    .collect::<Option<Vec<_>>>()?,
-                dest: v.get("dest")?.as_i64()? as u32,
-            }),
-            _ => None,
-        }
-    }
-}
-
-/// Encodes a complet's persisted state — the one encoder behind log
-/// appends, held-move packets and checkpoint snapshots.
-pub(crate) fn state_to_value(s: &WalState) -> Value {
-    Value::map([
-        ("id", Value::from(s.id.to_string())),
-        ("type", Value::from(s.type_name.as_str())),
-        ("state", s.state.clone()),
-        ("epoch", Value::from(s.epoch as i64)),
-        (
-            "names",
-            Value::List(s.names.iter().map(|n| Value::from(n.as_str())).collect()),
-        ),
-    ])
-}
-
-/// Decodes what [`state_to_value`] wrote; `None` on any missing or
-/// mistyped field.
-pub(crate) fn state_from_value(v: &Value) -> Option<WalState> {
-    Some(WalState {
-        id: parse_id(v.get("id")?.as_str()?)?,
-        type_name: v.get("type")?.as_str()?.to_owned(),
-        state: v.get("state")?.clone(),
-        epoch: v.get("epoch")?.as_i64()? as u64,
-        names: v
-            .get("names")?
-            .as_list()?
-            .iter()
-            .map(|n| n.as_str().map(str::to_owned))
-            .collect::<Option<Vec<_>>>()?,
+/// Appends one frame to `out` — the one encoder behind log appends,
+/// compaction and checkpoint snapshots.
+///
+/// # Errors
+///
+/// Fails when the record exceeds `fargo-net`'s frame bound.
+pub(crate) fn write_record(out: &mut Vec<u8>, record: &WalRecord) -> io::Result<()> {
+    let mut w = WireWriter::new();
+    w.put_u8(WAL_VERSION);
+    record.put(&mut w);
+    let body = w.finish();
+    let mut payload = Vec::with_capacity(4 + body.len());
+    payload.extend_from_slice(&crc32(&body).to_be_bytes());
+    payload.extend_from_slice(&body);
+    write_frame(out, &payload).map_err(|e| match e {
+        FrameError::Io(io) => io,
+        other => io::Error::other(other.to_string()),
     })
 }
 
-/// Parses the `c<origin>.<seq>` display form of a [`CompletId`].
-fn parse_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
-}
-
-fn read_next(file: &mut File) -> Result<Option<WalRecord>, io::Error> {
-    // Distinguish clean EOF (Ok(None)) from a torn frame (Err).
-    let mut probe = [0u8; 1];
-    match file.read(&mut probe) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(e),
-    }
-    // Re-assemble the frame: the probe byte is the version octet.
-    let payload = read_frame(&mut Prefixed {
-        head: Some(probe[0]),
-        rest: file,
-    })
-    .map_err(|e| io::Error::other(e.to_string()))?;
-    if payload.len() < 4 {
-        return Err(io::Error::other("wal frame shorter than its checksum"));
-    }
-    let (sum, body) = payload.split_at(4);
-    if crc32(body) != u32::from_be_bytes([sum[0], sum[1], sum[2], sum[3]]) {
-        return Err(io::Error::other("wal record checksum mismatch"));
-    }
-    let value =
-        decode_value_from_bytes(payload.slice(4..)).map_err(|e| io::Error::other(e.to_string()))?;
-    WalRecord::from_value(&value)
-        .map(Some)
-        .ok_or_else(|| io::Error::other("unknown wal record"))
-}
-
-/// Reader adapter that replays one already-consumed byte before the
-/// underlying file (used to peek for EOF without seeking).
-struct Prefixed<'a> {
-    head: Option<u8>,
-    rest: &'a mut File,
-}
-
-impl Read for Prefixed<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(b) = self.head.take() {
-            if buf.is_empty() {
-                self.head = Some(b);
-                return Ok(0);
+/// Replays the frames of a log (or of a checkpoint snapshot, which is
+/// one), stopping cleanly at a torn or corrupted tail.
+///
+/// # Errors
+///
+/// Fails with `InvalidData` on a frame whose checksum holds but which
+/// does not decode: that is another build's record, not damage, and
+/// everything behind it would be lost with it.
+pub(crate) fn replay(mut log: Bytes) -> io::Result<WalReplay> {
+    let mut replay = WalReplay::default();
+    while !log.is_empty() {
+        match split_frame(&mut log) {
+            Some(body) => replay.records.push(decode_record(body)?),
+            None => {
+                // Torn tail or bit rot: keep the valid prefix.
+                replay.corrupt = 1;
+                break;
             }
-            buf[0] = b;
-            return Ok(1);
         }
-        self.rest.read(buf)
     }
+    Ok(replay)
+}
+
+/// Splits the next frame off `log` and returns its checksummed body.
+/// `None` is a torn tail: a short header, a foreign frame version, a
+/// length that runs past the end of the log (nothing is allocated for
+/// it), or a checksum mismatch.
+fn split_frame(log: &mut Bytes) -> Option<Bytes> {
+    let header = log.get(..5)?;
+    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
+    if header[0] != FRAME_VERSION || len < 4 || log.len() - 5 < len {
+        return None;
+    }
+    let payload = log.slice(5..5 + len);
+    *log = log.slice(5 + len..);
+    let sum = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
+    let body = payload.slice(4..);
+    (crc32(&body) == sum).then_some(body)
+}
+
+fn decode_record(body: Bytes) -> io::Result<WalRecord> {
+    let r = &mut WireReader::new(body);
+    let mut decode = || {
+        let version = r.get_u8()?;
+        if version != WAL_VERSION {
+            return Err(unknown("wal record version", version));
+        }
+        let record = WalRecord::get(r)?;
+        r.expect_end()?;
+        Ok(record)
+    };
+    decode().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// CRC-32 (IEEE 802.3, reflected polynomial), bitwise — no tables, no
@@ -650,7 +527,11 @@ fn crc32(data: &[u8]) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use fargo_wire::testgen::{gen_value, TestRng};
+    use fargo_wire::{encode_value, Value};
+
     use super::*;
+    use crate::proto::tests::{fuzz_seed, mutate, requested_during, ALLOC_FACTOR, ALLOC_SLACK};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("fargo-wal-test-{}-{tag}", std::process::id()));
@@ -659,14 +540,65 @@ mod tests {
         d
     }
 
-    fn sample_state(seq: u64, n: i64) -> WalState {
-        WalState {
+    fn sample_state(seq: u64, n: i64) -> CompletPacket {
+        CompletPacket {
             id: CompletId::new(0, seq),
             type_name: "ChkNode".into(),
             state: Value::map([("n", Value::from(n))]),
             epoch: 3,
             names: vec![format!("node-{seq}")],
         }
+    }
+
+    /// One record of each kind (both shapes of `Departed`).
+    fn sample_records() -> Vec<WalRecord> {
+        vec![
+            WalRecord::State(sample_state(1, 7)),
+            WalRecord::Departed {
+                id: CompletId::new(0, 1),
+                epoch: 4,
+                dest: Some(2),
+            },
+            WalRecord::Departed {
+                id: CompletId::new(0, 2),
+                epoch: 1,
+                dest: None,
+            },
+            WalRecord::Held(WalHeld {
+                root: CompletId::new(1, 9),
+                epoch: 2,
+                source: 1,
+                packets: vec![sample_state(9, 0)],
+            }),
+            WalRecord::HeldResolved {
+                root: CompletId::new(1, 9),
+                epoch: 2,
+                committed: true,
+            },
+            WalRecord::Decision {
+                root: CompletId::new(0, 5),
+                epoch: 1,
+                committed: true,
+                ids: vec![CompletId::new(0, 5), CompletId::new(0, 6)],
+                dest: 2,
+            },
+        ]
+    }
+
+    fn encode(record: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_record(&mut out, record).unwrap();
+        out
+    }
+
+    /// A checksummed frame around an arbitrary body, as some other build
+    /// might have written it.
+    fn frame_of(body: &[u8]) -> Vec<u8> {
+        let mut payload = crc32(body).to_be_bytes().to_vec();
+        payload.extend_from_slice(body);
+        let mut out = Vec::new();
+        write_frame(&mut out, &payload).unwrap();
+        out
     }
 
     #[test]
@@ -700,41 +632,88 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The record table, pinned: version byte, tag, then the fields in
+    /// table order — ids as `(origin, seq)` varints, a complet image in
+    /// the envelope's `CompletPacket` order. A change here is a format
+    /// change and needs a new `WAL_VERSION`.
+    #[test]
+    fn golden_bytes_of_every_record_kind() {
+        let image = CompletPacket {
+            id: CompletId::new(0, 7),
+            type_name: "T".into(),
+            state: Value::I64(1),
+            epoch: 3,
+            names: vec!["n".into()],
+        };
+        // id, type_name, epoch, names, state (an `I64` value: tag 3, zigzag).
+        let image_bytes = [0, 7, 1, b'T', 3, 1, 1, b'n', 3, 2];
+        let golden: [(WalRecord, Vec<u8>); 6] = [
+            (
+                WalRecord::State(image.clone()),
+                [&[WAL_VERSION, 0][..], &image_bytes].concat(),
+            ),
+            (
+                WalRecord::Departed {
+                    id: CompletId::new(0, 7),
+                    epoch: 4,
+                    dest: Some(2),
+                },
+                vec![WAL_VERSION, 1, 0, 7, 4, 1, 2],
+            ),
+            (
+                WalRecord::Departed {
+                    id: CompletId::new(0, 7),
+                    epoch: 4,
+                    dest: None,
+                },
+                vec![WAL_VERSION, 1, 0, 7, 4, 0],
+            ),
+            (
+                WalRecord::Held(WalHeld {
+                    root: CompletId::new(1, 9),
+                    epoch: 2,
+                    source: 1,
+                    packets: vec![image],
+                }),
+                [&[WAL_VERSION, 2, 1, 9, 2, 1, 1][..], &image_bytes].concat(),
+            ),
+            (
+                WalRecord::HeldResolved {
+                    root: CompletId::new(1, 9),
+                    epoch: 2,
+                    committed: true,
+                },
+                vec![WAL_VERSION, 3, 1, 9, 2, 1],
+            ),
+            (
+                WalRecord::Decision {
+                    root: CompletId::new(0, 5),
+                    epoch: 1,
+                    committed: true,
+                    ids: vec![CompletId::new(0, 5), CompletId::new(0, 6)],
+                    dest: 2,
+                },
+                vec![WAL_VERSION, 4, 0, 5, 1, 1, 2, 0, 5, 0, 6, 2],
+            ),
+        ];
+        for (record, body) in &golden {
+            assert_eq!(encode(record), frame_of(body), "{record:?}");
+            assert_eq!(decode_record(body.clone().into()).unwrap(), *record);
+        }
+        // One whole frame: frame version, big-endian length of checksum
+        // + body, big-endian CRC-32 of the body, the body.
+        assert_eq!(WAL_VERSION, 16);
+        assert_eq!(
+            encode(&golden[2].0),
+            [1, 0, 0, 0, 10, 0xee, 0x57, 0x59, 0x09, 16, 1, 0, 7, 4, 0]
+        );
+    }
+
     #[test]
     fn append_replay_round_trip() {
         let dir = tmpdir("roundtrip");
         let wal = Wal::open(&dir, "core0", true).unwrap();
-        let records = vec![
-            WalRecord::State(sample_state(1, 7)),
-            WalRecord::Departed {
-                id: CompletId::new(0, 1),
-                epoch: 4,
-                dest: Some(2),
-            },
-            WalRecord::Departed {
-                id: CompletId::new(0, 2),
-                epoch: 1,
-                dest: None,
-            },
-            WalRecord::Held(WalHeld {
-                root: CompletId::new(1, 9),
-                epoch: 2,
-                source: 1,
-                packets: vec![sample_state(9, 0)],
-            }),
-            WalRecord::HeldResolved {
-                root: CompletId::new(1, 9),
-                epoch: 2,
-                committed: true,
-            },
-            WalRecord::Decision {
-                root: CompletId::new(0, 5),
-                epoch: 1,
-                committed: true,
-                ids: vec![CompletId::new(0, 5), CompletId::new(0, 6)],
-                dest: 2,
-            },
-        ];
+        let records = sample_records();
         for r in &records {
             wal.append(r).unwrap();
         }
@@ -758,13 +737,14 @@ mod tests {
         let wal = Wal::open(&dir, "core0", true).unwrap();
         wal.append(&WalRecord::State(sample_state(1, 1))).unwrap();
         wal.append(&WalRecord::State(sample_state(2, 2))).unwrap();
-        // Truncate mid-way through the second frame.
-        let len = fs::metadata(wal.path()).unwrap().len();
-        let f = OpenOptions::new().write(true).open(wal.path()).unwrap();
-        f.set_len(len - 3).unwrap();
-        let replay = Wal::replay_path(wal.path()).unwrap();
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.corrupt, 1);
+        // Every cut inside the second frame — header, checksum or body.
+        let log = fs::read(wal.path()).unwrap();
+        let first = encode(&WalRecord::State(sample_state(1, 1))).len();
+        for cut in first + 1..log.len() {
+            let replay = replay(Bytes::copy_from_slice(&log[..cut])).unwrap();
+            assert_eq!(replay.records.len(), 1, "cut at {cut}");
+            assert_eq!(replay.corrupt, 1, "cut at {cut}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -781,6 +761,48 @@ mod tests {
         assert!(replay.records.is_empty());
         assert_eq!(replay.corrupt, 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A frame whose checksum holds but which this build cannot decode
+    /// was written by another build. It is not a torn tail: replay must
+    /// fail — naming the file — instead of keeping the prefix, and
+    /// compaction must leave the log byte-for-byte as it found it.
+    #[test]
+    fn intact_frame_of_another_build_is_invalid_data_and_the_log_is_kept() {
+        // What the `Value`-tree record layout wrote for a departure: a
+        // string-keyed map, whose first byte is `fargo-wire`'s map tag.
+        let old_format = encode_value(&Value::map([
+            ("kind", Value::from("departed")),
+            ("id", Value::from("c0.1")),
+            ("epoch", Value::from(1i64)),
+            ("dest", Value::from(1i64)),
+        ]));
+        assert_eq!(old_format[0], 8);
+        let good = encode(&WalRecord::State(sample_state(1, 1)));
+        let body = &good[9..];
+        let future_version = [&[WAL_VERSION + 1][..], &body[1..]].concat();
+        let unknown_tag = [WAL_VERSION, 5, 0, 1];
+        let trailing_byte = [body, &[0]].concat();
+        let truncated_fields = &body[..body.len() - 1];
+        for (what, foreign) in [
+            ("old format", &old_format[..]),
+            ("future version", &future_version),
+            ("unknown tag", &unknown_tag),
+            ("trailing byte", &trailing_byte),
+            ("truncated fields", truncated_fields),
+        ] {
+            let dir = tmpdir("foreign");
+            let wal = Wal::open(&dir, "core0", false).unwrap();
+            // Acknowledged state on both sides of the foreign frame.
+            let log = [&good[..], &frame_of(foreign), &good].concat();
+            fs::write(wal.path(), &log).unwrap();
+            let err = Wal::replay_path(wal.path()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("core0.wal"), "{what}: {err}");
+            assert!(wal.compact(&[]).is_err(), "{what}");
+            assert_eq!(fs::read(wal.path()).unwrap(), log, "{what}: log rewritten");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -833,7 +855,7 @@ mod tests {
                 packets: vec![sample_state(7, 7)],
             }),
         ];
-        let f = fold(&records);
+        let f = fold(records);
         let ids: Vec<_> = f.survivors.iter().map(|s| s.id.seq).collect();
         assert_eq!(ids, vec![1, 4]);
         assert_eq!(f.survivors[0].state.get("n").unwrap().as_i64(), Some(5));
@@ -863,7 +885,7 @@ mod tests {
             },
             WalRecord::State(sample_state(1, 3)),
         ];
-        let f = fold(&records);
+        let f = fold(records);
         assert_eq!(f.survivors.len(), 1);
         assert!(f.departed.is_empty());
     }
@@ -881,7 +903,7 @@ mod tests {
         assert!(fs::metadata(wal.path()).unwrap().len() < big);
         // The image keeps the newest acknowledged state.
         let replay = Wal::replay_path(wal.path()).unwrap();
-        let f = fold(&replay.records);
+        let f = fold(replay.records);
         assert_eq!(f.survivors.len(), 1);
         assert_eq!(
             f.survivors[0].state.get("n").and_then(Value::as_i64),
@@ -896,7 +918,7 @@ mod tests {
         .unwrap();
         let replay = Wal::replay_path(wal.path()).unwrap();
         assert_eq!(replay.records.len(), 2);
-        let f = fold(&replay.records);
+        let f = fold(replay.records);
         assert!(f.survivors.is_empty());
         assert_eq!(f.departed, vec![(CompletId::new(0, 1), 9, 1)]);
         let _ = fs::remove_dir_all(&dir);
@@ -922,9 +944,77 @@ mod tests {
         }])
         .unwrap();
         let replay = Wal::replay_path(wal.path()).unwrap();
-        let f = fold(&replay.records);
+        let f = fold(replay.records);
         assert_eq!(f.survivors.len(), 1);
         assert_eq!(f.departed, vec![(CompletId::new(0, 2), 3, 2)]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// ROADMAP item 7c, the log's half: the seeded mutation fuzz of
+    /// `proto`, pointed at the record decoder and at whole-file replay.
+    /// A mutant is rejected, or cut short as a torn tail, or decodes to
+    /// records that round-trip — never a panic, never more from the
+    /// allocator than a small multiple of the input. `ci.sh` sweeps
+    /// `FARGO_PROTO_FUZZ_SEED`.
+    #[test]
+    fn mutation_fuzz_never_panics_or_over_allocates() {
+        let seed = fuzz_seed();
+        let rng = &mut TestRng(seed);
+        let mut records = sample_records();
+        for seq in 0..4 {
+            let mut image = sample_state(seq, 0);
+            image.state = gen_value(rng, 3);
+            records.push(WalRecord::State(image));
+        }
+        let frames: Vec<Vec<u8>> = records.iter().map(encode).collect();
+        let log = frames.concat();
+        let bounded = |requested: usize, len: usize, round: usize| {
+            assert!(
+                requested <= ALLOC_FACTOR * len + ALLOC_SLACK,
+                "round {round}: {requested} bytes requested for {len} bytes of input"
+            );
+        };
+        let (mut rejected, mut accepted, mut torn, mut whole) = (0u32, 0u32, 0u32, 0u32);
+        for round in 0..12_000 {
+            // One record body, as `split_frame` would hand it over.
+            let mut body = frames[round % frames.len()][9..].to_vec();
+            mutate(rng, &mut body);
+            let len = body.len();
+            let (decoded, requested) = requested_during(|| decode_record(body.into()));
+            bounded(requested, len, round);
+            match decoded {
+                Ok(record) => {
+                    let again = encode(&record);
+                    assert_eq!(decode_record(again[9..].to_vec().into()).unwrap(), record);
+                    accepted += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    rejected += 1;
+                }
+            }
+            // The whole log, checksums and length prefixes included.
+            let mut file = log.clone();
+            mutate(rng, &mut file);
+            let len = file.len();
+            let (replayed, requested) = requested_during(|| replay(file.into()));
+            bounded(requested, len, round);
+            // A checksum stands between a mutation and the decoder, so a
+            // mutated log is a torn tail, never `InvalidData`.
+            let replayed = replayed.unwrap();
+            assert!(records.starts_with(&replayed.records), "round {round}");
+            if replayed.corrupt == 1 {
+                torn += 1;
+            } else {
+                assert_eq!(replayed.records.len(), records.len(), "round {round}");
+                whole += 1;
+            }
+        }
+        println!("seed {seed}: bodies {rejected} rejected, {accepted} accepted; logs {torn} torn, {whole} whole");
+        assert!(
+            rejected > 1_000 && accepted > 1_000,
+            "{rejected}/{accepted}"
+        );
+        assert!(torn > 10_000, "{torn}/{whole}");
     }
 }

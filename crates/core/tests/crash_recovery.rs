@@ -321,51 +321,62 @@ fn restore_checkpoint_is_idempotent() {
     cleanup(&root, &cores);
 }
 
-/// A structurally valid checkpoint with a truncated complet entry is
-/// rejected with a typed error, and rejected *whole*: a good record
-/// ahead of the bad one must not be installed (or published) first.
+/// A snapshot with a torn, corrupted or unrestorable frame is rejected
+/// with a typed error, and rejected *whole*: a good frame ahead of the
+/// bad one must not be installed (or published) first.
 #[test]
-fn truncated_snapshot_entries_are_rejected() {
-    let (_net, _reg, cores, root) = wal_cluster(2, "trunc");
-    // Entry has an id but no type/state: must fail cleanly.
-    let truncated = Value::map([("id", Value::from("c0.1"))]);
-    let snapshot = |complets: Vec<Value>| {
-        Value::map([
-            ("fargo_checkpoint", Value::I64(1)),
-            ("complets", Value::List(complets)),
-        ])
-    };
-    assert!(matches!(
-        cores[0].restore_checkpoint(&snapshot(vec![truncated.clone()])),
-        Err(FargoError::InvalidArgument(_))
-    ));
-    assert_eq!(cores[0].complet_count(), 0, "nothing was installed");
-
-    // Good-then-bad: a real record taken from core1's checkpoint,
-    // followed by the truncated one and by one naming an unregistered
-    // type.
+fn damaged_snapshots_are_rejected_whole() {
+    let (net, _reg, cores, root) = wal_cluster(3, "trunc");
+    // One frame each: a Counter's from core1, a Message's from core2.
     let counter = cores[1].new_complet("Counter", &[]).unwrap();
-    let good = cores[1].checkpoint().unwrap().snapshot;
-    let good = good.get("complets").and_then(Value::as_list).unwrap()[0].clone();
-    let mut unregistered = good.clone();
-    if let Value::Map(fields) = &mut unregistered {
-        fields.insert("type".into(), Value::from("NoSuchType"));
-    }
-    for (bad, what) in [
-        (truncated, "truncated"),
-        (unregistered, "unregistered type"),
+    let counter_frame = cores[1].checkpoint().unwrap().snapshot;
+    let message = cores[2].new_complet("Message", &[]).unwrap();
+    let message_frame = cores[2].checkpoint().unwrap().snapshot;
+
+    let torn = &counter_frame[..counter_frame.len() - 3];
+    let mut flipped = counter_frame.clone();
+    *flipped.last_mut().unwrap() ^= 0x01;
+    for (snapshot, what) in [
+        (torn.to_vec(), "torn"),
+        ([&message_frame[..], torn].concat(), "good then torn"),
+        (
+            [&message_frame[..], &flipped].concat(),
+            "good then bit-flipped",
+        ),
     ] {
-        let err = cores[0].restore_checkpoint(&snapshot(vec![good.clone(), bad]));
-        assert!(err.is_err(), "{what}: {err:?}");
-        assert_eq!(cores[0].complet_count(), 0, "{what}: record 1 installed");
-        assert!(!cores[0].hosts(counter.id()));
+        let err = cores[0].restore_checkpoint(&snapshot);
+        assert!(
+            matches!(err, Err(FargoError::InvalidArgument(_))),
+            "{what}: {err:?}"
+        );
+        assert_eq!(cores[0].complet_count(), 0, "{what}: a frame was installed");
     }
+
+    // Good then unrestorable: a Core that knows `Message` but not
+    // `Counter` must not install the message it could reconstruct.
+    let lean_reg = CompletRegistry::new();
+    common::Message::register(&lean_reg);
+    let lean = Core::builder(&net, "lean")
+        .registry(&lean_reg)
+        .config(test_config())
+        .spawn()
+        .unwrap();
+    let err = lean.restore_checkpoint(&[&message_frame[..], &counter_frame].concat());
+    assert!(matches!(err, Err(FargoError::UnknownType(_))), "{err:?}");
+    assert_eq!(lean.complet_count(), 0, "the good frame was installed");
+    assert!(!lean.hosts(message.id()) && !cores[0].hosts(counter.id()));
+
+    let rejecting = [cores[0].node().index(), lean.node().index()];
     let published = cores
         .iter()
+        .chain([&lean])
         .flat_map(Core::journal_snapshot)
-        .filter(|e| e.kind == JournalKind::ShardApplied && e.peer == Some(cores[0].node().index()))
+        .filter(|e| {
+            e.kind == JournalKind::ShardApplied && e.peer.is_some_and(|p| rejecting.contains(&p))
+        })
         .count();
     assert_eq!(published, 0, "a rejected restore published a placement");
+    lean.stop();
     cleanup(&root, &cores);
 }
 
@@ -483,5 +494,64 @@ fn compaction_never_drops_concurrently_acked_state() {
         Value::I64(ACKS),
         "the acked history must be intact"
     );
+    cleanup(&root, &cores);
+}
+
+// --- logs this build cannot, or can only partly, read ------------------------
+
+/// A whole log file as the build before the typed record layout wrote
+/// it: one `State` record for a `Counter` (`c0.1`, `n = 5`) as a
+/// checksummed, string-keyed `Value` map.
+const VALUE_TREE_LOG: [u8; 84] = [
+    1, 0, 0, 0, 79, 32, 158, 79, 118, 8, 2, 7, 99, 111, 109, 112, 108, 101, 116, 8, 5, 5, 101, 112,
+    111, 99, 104, 3, 0, 2, 105, 100, 5, 4, 99, 48, 46, 49, 5, 110, 97, 109, 101, 115, 7, 0, 5, 115,
+    116, 97, 116, 101, 8, 1, 1, 110, 3, 10, 4, 116, 121, 112, 101, 5, 7, 67, 111, 117, 110, 116,
+    101, 114, 4, 107, 105, 110, 100, 5, 5, 115, 116, 97, 116, 101,
+];
+
+/// An intact log in a record layout this build does not read is not a
+/// torn tail: the Core must refuse to start — naming the file — and
+/// leave it exactly as found, rather than recover "nothing" and compact
+/// the acknowledged state away.
+#[test]
+fn log_in_another_record_layout_fails_spawn_and_is_left_as_found() {
+    let root = wal_root("foreign");
+    let log = root.join("core0").join("core0.wal");
+    std::fs::create_dir_all(log.parent().unwrap()).unwrap();
+    std::fs::write(&log, VALUE_TREE_LOG).unwrap();
+
+    let net = fast_network();
+    let err = Core::builder(&net, "core0")
+        .registry(&registry())
+        .config(wal_config(test_config(), &root, 0))
+        .spawn()
+        .expect_err("a log of another layout must not be recovered from");
+    assert!(err.to_string().contains("core0.wal"), "{err}");
+    assert_eq!(std::fs::read(&log).unwrap(), VALUE_TREE_LOG);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A torn tail is damage, not another layout: the Core starts, recovers
+/// the acknowledged prefix, and reports the tear.
+#[test]
+fn torn_log_tail_still_recovers_its_prefix() {
+    let (net, reg, mut cores, root) = wal_cluster(1, "torn");
+    let counter = cores[0].new_complet("Counter", &[]).unwrap();
+    counter.call("add", &[Value::I64(5)]).unwrap();
+    counter.call("add", &[Value::I64(1)]).unwrap();
+    cores[0].stop();
+
+    // Tear the last record (the state after the second add).
+    let log = root.join("core0").join("core0.wal");
+    let len = std::fs::metadata(&log).unwrap().len();
+    let file = std::fs::OpenOptions::new().write(true).open(&log).unwrap();
+    file.set_len(len - 3).unwrap();
+    drop(file);
+
+    cores[0] = restart(&net, &reg, test_config(), &root, &cores[0], 0);
+    let report = cores[0].recovery_report().expect("recovery ran");
+    assert_eq!((report.replayed, report.corrupt), (1, 1), "{report:?}");
+    let fresh = fresh_stub(&cores[0], counter.id(), "Counter");
+    assert_eq!(fresh.call("get", &[]).unwrap(), Value::I64(5));
     cleanup(&root, &cores);
 }

@@ -45,14 +45,6 @@ pub use planner::{Planner, PlannerConfig};
 
 use fargo_wire::CompletId;
 
-/// Parses the `cN.M` rendering of a complet id (the journal's subject
-/// format).
-pub(crate) fn parse_complet_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
-}
-
 /// Sequence 0 is reserved by the Core for the per-node application
 /// pseudo-complet (invocations issued outside any complet). Such sources
 /// are real traffic endpoints but can never be moved; the planner pins
@@ -64,14 +56,6 @@ pub(crate) fn is_app_pseudo(id: CompletId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn complet_id_round_trips() {
-        let id = CompletId::new(3, 17);
-        assert_eq!(parse_complet_id(&id.to_string()), Some(id));
-        assert_eq!(parse_complet_id("nope"), None);
-        assert_eq!(parse_complet_id("c3"), None);
-    }
 
     #[test]
     fn app_pseudo_is_seq_zero() {

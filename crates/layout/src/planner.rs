@@ -30,9 +30,9 @@ use parking_lot::Mutex;
 
 use crate::affinity::AffinityGraph;
 use crate::cost::CostModel;
+use crate::is_app_pseudo;
 use crate::partition::{partition, PartitionProblem};
 use crate::plan::LayoutPlan;
-use crate::{is_app_pseudo, parse_complet_id};
 
 /// Planner tunables; [`PlannerConfig::from_core`] seeds them from the
 /// Core's `CoreConfig` knobs.
@@ -164,9 +164,7 @@ impl Planner {
             if ev.kind != JournalKind::Invoke {
                 continue;
             }
-            let (Some(src), Some(dst)) =
-                (parse_complet_id(&ev.detail), parse_complet_id(&ev.subject))
-            else {
+            let (Ok(src), Ok(dst)) = (ev.detail.parse(), ev.subject.parse()) else {
                 continue;
             };
             if src != dst && known(src) && known(dst) {
@@ -184,7 +182,7 @@ impl Planner {
         if self.cfg.ref_edge_weight > 0.0 {
             let history = LayoutHistory::from_events(events);
             for (src, dst, _relocator) in &history.final_state().refs {
-                let (Some(a), Some(b)) = (parse_complet_id(src), parse_complet_id(dst)) else {
+                let (Ok(a), Ok(b)) = (src.parse(), dst.parse()) else {
                     continue;
                 };
                 if a != b && known(a) && known(b) {

@@ -132,20 +132,6 @@ impl TcpTransport {
         Ok(TcpTransport { shared, queue_rx })
     }
 
-    /// Binds `bind_addr` and starts the transport on it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the address cannot be bound.
-    pub fn bind(
-        config: TcpTransportConfig,
-        bind_addr: &str,
-        gate: Option<DeliveryGate>,
-    ) -> Result<Self, TransportError> {
-        let listener = TcpListener::bind(bind_addr)?;
-        Self::start(config, listener, gate)
-    }
-
     /// Datagrams this sender dropped on dial or write failures.
     #[must_use]
     pub fn dropped_sends(&self) -> u64 {

@@ -694,7 +694,7 @@ impl Shell {
         if let Some(r) = self.core.lookup(word) {
             return Ok(r);
         }
-        if let Some(id) = parse_complet_id(word) {
+        if let Ok(id) = word.parse::<CompletId>() {
             // Unknown type is fine for invocation and movement.
             return Ok(CompletRef::from_descriptor(RefDescriptor::link(
                 id, "", id.origin,
@@ -710,12 +710,6 @@ impl fmt::Debug for Shell {
             .field("core", &self.core.name())
             .finish()
     }
-}
-
-fn parse_complet_id(s: &str) -> Option<CompletId> {
-    let rest = s.strip_prefix('c')?;
-    let (origin, seq) = rest.split_once('.')?;
-    Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
 }
 
 /// Shell argument literals: integers, floats, then strings.
@@ -738,12 +732,5 @@ mod tests {
         assert_eq!(parse_arg("42"), Value::I64(42));
         assert_eq!(parse_arg("2.5"), Value::F64(2.5));
         assert_eq!(parse_arg("two"), Value::from("two"));
-    }
-
-    #[test]
-    fn complet_id_parsing() {
-        assert_eq!(parse_complet_id("c2.9"), Some(CompletId::new(2, 9)));
-        assert_eq!(parse_complet_id("x2.9"), None);
-        assert_eq!(parse_complet_id("c29"), None);
     }
 }

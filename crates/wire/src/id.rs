@@ -1,6 +1,7 @@
 //! Globally unique complet instance identity.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Identity of one complet *instance*, stable across relocation.
 ///
@@ -29,6 +30,32 @@ impl fmt::Display for CompletId {
     }
 }
 
+/// A string that is not the `c<origin>.<seq>` rendering of a [`CompletId`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParseCompletIdError;
+
+impl fmt::Display for ParseCompletIdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "complet id is not of the form c<origin>.<seq>")
+    }
+}
+
+impl std::error::Error for ParseCompletIdError {}
+
+/// Parses what [`CompletId`]'s `Display` writes (journal subjects,
+/// event keys, shell arguments).
+impl FromStr for CompletId {
+    type Err = ParseCompletIdError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let parse = || {
+            let (origin, seq) = s.strip_prefix('c')?.split_once('.')?;
+            Some(CompletId::new(origin.parse().ok()?, seq.parse().ok()?))
+        };
+        parse().ok_or(ParseCompletIdError)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,6 +64,10 @@ mod tests {
     fn display_and_identity() {
         let id = CompletId::new(2, 40);
         assert_eq!(id.to_string(), "c2.40");
+        assert_eq!("c2.40".parse(), Ok(id));
+        for bad in ["nope", "c3", "x2.9", "c29", "c-1.2", "c1.x", ""] {
+            assert_eq!(bad.parse::<CompletId>(), Err(ParseCompletIdError), "{bad}");
+        }
         assert_eq!(id, CompletId::new(2, 40));
         assert_ne!(id, CompletId::new(3, 40));
     }

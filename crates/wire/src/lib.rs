@@ -42,6 +42,6 @@ pub use codec::{
     MAX_COLLECTION_ITEMS,
 };
 pub use error::WireError;
-pub use id::CompletId;
+pub use id::{CompletId, ParseCompletIdError};
 pub use refdesc::RefDescriptor;
 pub use value::Value;

@@ -1,9 +1,10 @@
 //! A real three-process FarGo cluster over TCP loopback.
 //!
 //! Every other example runs its Cores in one process over the simulated
-//! network. This one exercises the `TransportKind::Tcp` backend end to
-//! end: the parent process picks three loopback ports, re-executes
-//! itself three times (`--node 0..2`), and each child hosts one Core
+//! network. This one exercises the TCP backend
+//! (`CoreBuilder::tcp_transport`) end to end: the parent process picks
+//! three loopback ports, re-executes itself three times
+//! (`--node 0..2`), and each child binds its port and hosts one Core
 //! whose envelopes travel over real sockets with length-prefixed
 //! `fargo-wire` framing. Node 0 then runs a small script — instantiate
 //! on node 1, invoke, migrate to node 2, invoke again — proving that
@@ -155,10 +156,7 @@ fn child(index: usize, peers: Vec<String>) -> Result<(), Box<dyn std::error::Err
             core = Some(
                 Core::builder(&net, &name)
                     .registry(&registry)
-                    .config(CoreConfig::default().with_transport(TransportKind::Tcp {
-                        bind: peers[j].clone(),
-                        peers: peers.clone(),
-                    }))
+                    .tcp_transport(std::net::TcpListener::bind(&peers[j])?, peers.clone())
                     .spawn()?,
             );
         } else {

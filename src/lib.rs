@@ -63,7 +63,7 @@ pub mod prelude {
     pub use fargo_core::{
         define_complet, BoundRef, Carrier, Complet, CompletId, CompletRef, CompletRegistry, Core,
         CoreConfig, Ctx, EventPayload, FargoError, MetaRef, RefDescriptor, Relocator,
-        RelocatorRegistry, Service, StateValue, TransportKind, Value,
+        RelocatorRegistry, Service, StateValue, Value,
     };
     pub use fargo_layout::AutoLayout;
     pub use fargo_script::{ScriptEngine, ScriptValue};
