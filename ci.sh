@@ -14,9 +14,10 @@ trap cleanup_wal_scratch EXIT
 # Size report: non-test Rust under crates/ (integration-test dirs,
 # `*_tests.rs` files and `#[cfg(test)]` modules left out), all lines and
 # code lines (no blanks, no `//` lines), then each file of the Core
-# runtime. ROADMAP wants the net line count of every PR reported; the
-# difference between this stage at the parent commit and here is that
-# number. It prints, it does not gate. `./ci.sh loc` runs it alone.
+# runtime, then the number of `CoreConfig` fields (ROADMAP's north-star
+# knob count). ROADMAP wants the net line count of every PR reported;
+# the difference between this stage at the parent commit and here is
+# that number. It prints, it does not gate. `./ci.sh loc` runs it alone.
 loc() {
     find crates -name '*.rs' -not -path '*/tests/*' -not -name '*_tests.rs' \
         -exec awk '
@@ -31,6 +32,12 @@ loc() {
             END { printf "non-test Rust under crates/: %d lines, %d of them code\n", all, code }
         ' {} +
     wc -l crates/core/src/runtime/*.rs
+    awk '
+        /^pub struct CoreConfig \{/ { inside = 1; next }
+        inside && /^}/ { exit }
+        inside && /^    pub / { fields++ }
+        END { printf "CoreConfig fields: %d\n", fields }
+    ' crates/core/src/config.rs
 }
 echo "==> loc (report only)"
 loc

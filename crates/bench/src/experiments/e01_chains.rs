@@ -44,8 +44,8 @@ pub fn run(full: bool) -> Table {
 /// the origin Core.
 fn chain_run(k: usize) -> (Duration, Duration) {
     // Naming off: E1 is the paper-faithful chains ablation; shard
-    // lookups and gossip repairs would flatten the chain walk being
-    // measured (E22 measures that effect deliberately).
+    // lookups would flatten the chain walk being measured (E22
+    // measures that effect deliberately).
     let cluster = ClusterSpec::with_latency(k + 1, HOP_LATENCY)
         .config_tweak(|c| c.with_naming_shards(false))
         .build();

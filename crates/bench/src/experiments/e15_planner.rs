@@ -20,8 +20,8 @@
 
 use std::time::{Duration, Instant};
 
-use fargo_core::{CoreConfig, Value};
-use fargo_layout::AutoLayout;
+use fargo_core::{Core, Value};
+use fargo_layout::{AutoLayout, ExecutorConfig, PlannerConfig};
 use simnet::LinkConfig;
 
 use crate::harness::{Cluster, ClusterSpec};
@@ -35,10 +35,19 @@ fn simnet_seed() -> u64 {
         .unwrap_or(7)
 }
 
-/// Autolayout cadence for the planner runs: plan every 2 monitor ticks,
+/// The loop as the planner runs use it: plan every 2 monitor ticks,
 /// low dead band, budget enough for every servant in one round.
-fn planner_config(config: CoreConfig) -> CoreConfig {
-    config.with_autolayout(2, 0.02, 8)
+fn attach_loop(core: &Core) -> AutoLayout {
+    AutoLayout::attach_with(
+        core.clone(),
+        PlannerConfig {
+            period_ticks: 2,
+            hysteresis: 0.02,
+            max_moves: 8,
+            ..PlannerConfig::default()
+        },
+        ExecutorConfig::default(),
+    )
 }
 
 const CORES: usize = 3;
@@ -59,7 +68,6 @@ impl Workload {
                 LinkConfig::new(Duration::from_micros(200)).with_jitter(Duration::from_micros(50)),
             )
             .seed(simnet_seed())
-            .config_tweak(planner_config)
             .build();
         let mut holders = Vec::new();
         for g in 0..groups {
@@ -130,7 +138,7 @@ pub fn run(full: bool) -> Table {
     for _ in 0..20 {
         planner_wl.drive();
     }
-    let auto = AutoLayout::attach(planner_wl.cluster.cores[0].clone());
+    let auto = attach_loop(&planner_wl.cluster.cores[0]);
     auto.enable();
     let deadline = Instant::now() + Duration::from_secs(60);
     while !auto.status().converged() && Instant::now() < deadline {
@@ -218,8 +226,8 @@ fn disabled_loop_overhead(calls: usize) -> f64 {
     let best = |with_loop: bool| -> Duration {
         (0..3)
             .map(|_| {
-                let cluster = ClusterSpec::instant(1).config_tweak(planner_config).build();
-                let auto = with_loop.then(|| AutoLayout::attach(cluster.cores[0].clone()));
+                let cluster = ClusterSpec::instant(1).build();
+                let auto = with_loop.then(|| attach_loop(&cluster.cores[0]));
                 let servant = cluster.cores[0]
                     .new_complet("Servant", &[])
                     .expect("servant");

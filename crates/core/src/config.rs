@@ -8,8 +8,6 @@ pub struct CoreConfig {
     /// How long a requester waits for a peer reply before failing with
     /// [`crate::FargoError::Timeout`].
     pub rpc_timeout: Duration,
-    /// Maximum tracker hops an invocation may traverse.
-    pub max_hops: u32,
     /// How long instant profiling results are served from cache (§4.1).
     pub monitor_cache_ttl: Duration,
     /// Granularity of the continuous-profiling sampler thread.
@@ -27,8 +25,6 @@ pub struct CoreConfig {
     /// [`fargo_telemetry::TraceContext`] in request envelopes. Metrics
     /// are always on; only span recording is gated (it allocates).
     pub trace_enabled: bool,
-    /// Ring-buffer capacity of this Core's span log (oldest evicted).
-    pub trace_capacity: usize,
     /// Whether layout events are appended to the flight-recorder journal
     /// and the hybrid logical clock piggybacks on outbound envelopes.
     pub journal_enabled: bool,
@@ -53,16 +49,6 @@ pub struct CoreConfig {
     /// How long a destination holds a prepared-but-uncommitted move
     /// before querying the source Core for the transaction outcome.
     pub move_hold_timeout: Duration,
-    /// When the adaptive layout planner is enabled, how many monitor
-    /// ticks elapse between planning rounds.
-    pub autolayout_period_ticks: u32,
-    /// Minimum predicted relative traffic-cost gain (fraction of the
-    /// current cost) before a plan is worth executing; smaller gains are
-    /// discarded so marginal, oscillating plans never move anything.
-    pub autolayout_hysteresis: f64,
-    /// Upper bound on `move_complet` steps per planning round; the
-    /// executor rate-limits within the round on top of this.
-    pub autolayout_max_moves: usize,
     /// The time source behind every protocol deadline (move holds, RPC
     /// retry budgets, tracker idleness, monitor intervals) and the HLC's
     /// physical component. Wall time in production; the deterministic
@@ -85,13 +71,10 @@ pub struct CoreConfig {
     pub account_capacity: usize,
     /// Whether the sharded location service runs: each complet id is
     /// consistent-hashed to an owning Core whose `LocationShard` holds
-    /// its authoritative `(complet → Core, epoch)` entry, and layout
-    /// deltas are gossiped. Off is the paper-faithful ablation: tracker
+    /// its authoritative `(complet → Core, epoch)` entry, published
+    /// once per layout change. Off is the paper-faithful ablation: tracker
     /// chains alone, where a collected tracker is a terminal dead end.
     pub naming_shards: bool,
-    /// Maximum shard deltas piggybacked on one outbound envelope (the
-    /// rest wait for later traffic or the anti-entropy pass).
-    pub naming_gossip_batch: usize,
     /// Directory of this Core's write-ahead passivation log. `None`
     /// (the default) disables durability: complets are memory-only, as
     /// in the paper. When set, every acknowledged state transition is
@@ -117,14 +100,12 @@ impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
             rpc_timeout: Duration::from_secs(10),
-            max_hops: 64,
             monitor_cache_ttl: Duration::from_millis(100),
             monitor_tick: Duration::from_millis(20),
             stamp_strict: false,
             transit_wait: Duration::from_secs(5),
             capacity: None,
             trace_enabled: true,
-            trace_capacity: 1024,
             journal_enabled: true,
             journal_capacity: 4096,
             rpc_max_retries: 6,
@@ -134,15 +115,11 @@ impl Default for CoreConfig {
             worker_threads: 8,
             worker_queue_depth: 1024,
             move_hold_timeout: Duration::from_millis(250),
-            autolayout_period_ticks: 25,
-            autolayout_hysteresis: 0.05,
-            autolayout_max_moves: 4,
             clock: fargo_telemetry::Clock::Wall,
             phase_timing: true,
             accounting: true,
             account_capacity: 512,
             naming_shards: true,
-            naming_gossip_batch: 32,
             wal_dir: None,
             wal_fsync: true,
             wal_compact_records: 512,
@@ -208,16 +185,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the adaptive-layout planner cadence replaced:
-    /// monitor ticks per planning round, hysteresis fraction, and the
-    /// per-round move budget.
-    pub fn with_autolayout(mut self, period_ticks: u32, hysteresis: f64, max_moves: usize) -> Self {
-        self.autolayout_period_ticks = period_ticks.max(1);
-        self.autolayout_hysteresis = hysteresis.max(0.0);
-        self.autolayout_max_moves = max_moves;
-        self
-    }
-
     /// Configuration with the time source replaced. Every Core of one
     /// simulated cluster must share the same (virtual) clock.
     pub fn with_clock(mut self, clock: fargo_telemetry::Clock) -> Self {
@@ -260,13 +227,6 @@ impl CoreConfig {
     /// off.
     pub fn with_naming_shards(mut self, enabled: bool) -> Self {
         self.naming_shards = enabled;
-        self
-    }
-
-    /// Configuration with the per-envelope gossip batch size replaced
-    /// (`0` disables piggybacking; anti-entropy still runs).
-    pub fn with_naming_gossip_batch(mut self, batch: usize) -> Self {
-        self.naming_gossip_batch = batch;
         self
     }
 
@@ -314,7 +274,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = CoreConfig::default();
-        assert!(c.max_hops > 0);
         assert!(c.phase_timing, "phase timing is on by default");
         assert!(c.accounting, "accounting is on by default");
         assert!(c.account_capacity > 0);
@@ -350,10 +309,7 @@ mod tests {
     fn naming_knobs() {
         let c = CoreConfig::default();
         assert!(c.naming_shards, "sharded naming is on by default");
-        assert!(c.naming_gossip_batch > 0);
-        let c = c.with_naming_shards(false).with_naming_gossip_batch(0);
-        assert!(!c.naming_shards);
-        assert_eq!(c.naming_gossip_batch, 0);
+        assert!(!c.with_naming_shards(false).naming_shards);
     }
 
     #[test]
@@ -371,13 +327,5 @@ mod tests {
         );
         assert!(!c.wal_fsync);
         assert_eq!(c.wal_compact_records, 1, "threshold clamps to >= 1");
-    }
-
-    #[test]
-    fn autolayout_knobs_clamp() {
-        let c = CoreConfig::default().with_autolayout(0, -1.0, 2);
-        assert_eq!(c.autolayout_period_ticks, 1, "period clamps to >= 1");
-        assert_eq!(c.autolayout_hysteresis, 0.0, "hysteresis clamps to >= 0");
-        assert_eq!(c.autolayout_max_moves, 2);
     }
 }

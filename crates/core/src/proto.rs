@@ -15,7 +15,7 @@
 //! [version u8][kind u8][flags u8]
 //! request: req_id, origin        reply: req_id, route        notify: -
 //! flags, in bit order: trace (trace_id, span_id) · hlc (wall_us, logical)
-//!                      · ts (send µs) · nd (counted shard deltas)
+//!                      · ts (send µs); bit 3 is retired
 //! [body tag u8] positional fields
 //! ```
 //!
@@ -356,8 +356,8 @@ pub(crate) type DeltaTuple = (CompletId, u32, u64, bool);
 pub(crate) enum Notify {
     /// An event fired at a remote Core this Core subscribed to.
     Event { token: u64, payload: EventPayload },
-    /// A batch of location-shard deltas gossiped to the owning shard (or
-    /// anti-entropy peers).
+    /// A batch of location-shard deltas for the owning shard: a publish,
+    /// or the handoff stream after a ring change.
     ShardDelta { entries: Vec<DeltaTuple> },
     /// The sending Core is about to shut down.
     CoreShutdown { node: u32 },
@@ -393,8 +393,6 @@ pub(crate) struct EnvelopeMeta {
     /// The sender's shared-clock send time in µs, from which the
     /// receiver attributes the network phase of a request's latency.
     pub ts: Option<u64>,
-    /// Piggybacked location-shard gossip (empty = section absent).
-    pub nd: Vec<DeltaTuple>,
 }
 
 /// The one envelope layout this build reads and writes.
@@ -407,8 +405,9 @@ const KIND_NOTIFY: u8 = 2;
 const FLAG_TRACE: u8 = 1 << 0;
 const FLAG_HLC: u8 = 1 << 1;
 const FLAG_TS: u8 = 1 << 2;
-const FLAG_ND: u8 = 1 << 3;
-const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC | FLAG_TS | FLAG_ND;
+// Bit 3 is retired (it was the piggybacked shard-delta section) and
+// decodes to `Err`; the remaining bits keep their positions.
+const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC | FLAG_TS;
 
 pub(crate) fn unknown(what: &str, tag: u8) -> FargoError {
     FargoError::Protocol(format!("unknown {what} {tag}"))
@@ -691,9 +690,8 @@ impl Message {
     }
 
     /// Appends the envelope — header, flagged metadata sections, body —
-    /// to `w`. Returns the encoded length of the `nd` section (0 when no
-    /// deltas ride along): the bytes this envelope spends on gossip.
-    pub(crate) fn encode(&self, meta: &EnvelopeMeta, w: &mut WireWriter) -> usize {
+    /// to `w`.
+    pub(crate) fn encode(&self, meta: &EnvelopeMeta, w: &mut WireWriter) {
         let (kind, trace) = match self {
             Message::Request { trace, .. } => (KIND_REQUEST, *trace),
             Message::Reply { .. } => (KIND_REPLY, None),
@@ -702,8 +700,7 @@ impl Message {
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
         let flags = flag(trace.is_some(), FLAG_TRACE)
             | flag(meta.hlc.is_some(), FLAG_HLC)
-            | flag(meta.ts.is_some(), FLAG_TS)
-            | flag(!meta.nd.is_empty(), FLAG_ND);
+            | flag(meta.ts.is_some(), FLAG_TS);
         w.put_u8(ENVELOPE_VERSION).put_u8(kind).put_u8(flags);
         match self {
             Message::Request { req_id, origin, .. } => {
@@ -726,29 +723,22 @@ impl Message {
         if let Some(ts) = meta.ts {
             ts.put(w);
         }
-        let before_nd = w.len();
-        if !meta.nd.is_empty() {
-            meta.nd.put(w);
-        }
-        let nd_bytes = w.len() - before_nd;
         match self {
             Message::Request { body, .. } => body.put(w),
             Message::Reply { body, .. } => body.put(w),
             Message::Notify(n) => n.put(w),
         }
-        nd_bytes
     }
 
     /// Decodes one envelope from a transport payload, in place: the
-    /// message, its metadata, and the encoded length of the `nd` section
-    /// (the mirror of what [`Message::encode`] returns).
+    /// message and its metadata.
     ///
     /// # Errors
     ///
     /// Fails with [`FargoError::Protocol`] or a wire error on an unknown
     /// envelope version, kind, flag bit or tag, and on truncated,
     /// malformed or trailing bytes.
-    pub(crate) fn decode(payload: bytes::Bytes) -> Result<(Message, EnvelopeMeta, usize)> {
+    pub(crate) fn decode(payload: bytes::Bytes) -> Result<(Message, EnvelopeMeta)> {
         let r = &mut WireReader::new(payload);
         let version = r.get_u8()?;
         if version != ENVELOPE_VERSION {
@@ -768,12 +758,6 @@ impl Message {
         let trace = section(FLAG_TRACE).then(|| Wire::get(r)).transpose()?;
         let hlc = section(FLAG_HLC).then(|| Wire::get(r)).transpose()?;
         let ts = section(FLAG_TS).then(|| Wire::get(r)).transpose()?;
-        let before_nd = r.remaining();
-        let nd = section(FLAG_ND)
-            .then(|| Wire::get(r))
-            .transpose()?
-            .unwrap_or_default();
-        let nd_bytes = before_nd - r.remaining();
         let msg = match kind {
             KIND_REQUEST => Message::Request {
                 req_id,
@@ -789,7 +773,7 @@ impl Message {
             _ => Message::Notify(Wire::get(r)?),
         };
         r.expect_end()?;
-        Ok((msg, EnvelopeMeta { hlc, ts, nd }, nd_bytes))
+        Ok((msg, EnvelopeMeta { hlc, ts }))
     }
 }
 
@@ -1175,28 +1159,23 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The eight combinations of the `hlc` / `ts` / `nd` sections.
+    /// The four combinations of the `hlc` / `ts` sections.
     fn metas() -> Vec<EnvelopeMeta> {
-        (0..8)
+        (0..4)
             .map(|bits| EnvelopeMeta {
                 hlc: (bits & 1 != 0).then_some(Hlc {
                     wall_us: 55_000_123,
                     logical: 3,
                 }),
                 ts: (bits & 2 != 0).then_some(55_000_321),
-                nd: if bits & 4 != 0 {
-                    vec![(id(1), 2, 3, true), (id(4), 0, 7, false)]
-                } else {
-                    vec![]
-                },
             })
             .collect()
     }
 
-    fn encode(msg: &Message, meta: &EnvelopeMeta) -> (Bytes, usize) {
+    fn encode(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
         let mut w = WireWriter::new();
-        let nd_bytes = msg.encode(meta, &mut w);
-        (w.finish(), nd_bytes)
+        msg.encode(meta, &mut w);
+        w.finish()
     }
 
     #[test]
@@ -1231,17 +1210,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn every_variant_roundtrips_under_all_sixteen_flag_combinations() {
+    fn every_variant_roundtrips_under_all_eight_flag_combinations() {
         for traced in [false, true] {
             for meta in metas() {
                 for msg in samples(traced) {
-                    let (bytes, nd_bytes) = encode(&msg, &meta);
-                    let (back, back_meta, back_nd_bytes) =
-                        Message::decode(bytes).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
+                    let (back, back_meta) = Message::decode(encode(&msg, &meta))
+                        .unwrap_or_else(|e| panic!("{msg:?}: {e}"));
                     assert_eq!(back, msg);
                     assert_eq!(back_meta, meta);
-                    assert_eq!(back_nd_bytes, nd_bytes);
-                    assert_eq!(nd_bytes == 0, meta.nd.is_empty());
                 }
             }
         }
@@ -1255,7 +1231,7 @@ pub(crate) mod tests {
                 route: vec![],
                 body: Reply::Err(e.clone()),
             };
-            let (bytes, _) = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, &EnvelopeMeta::default());
             match Message::decode(bytes).unwrap().0 {
                 Message::Reply {
                     body: Reply::Err(got),
@@ -1269,9 +1245,9 @@ pub(crate) mod tests {
     #[test]
     fn every_strict_prefix_and_any_trailing_byte_is_an_error() {
         let metas = metas();
-        for meta in [&metas[0], &metas[7]] {
+        for meta in [&metas[0], &metas[3]] {
             for msg in samples(true) {
-                let (bytes, _) = encode(&msg, meta);
+                let bytes = encode(&msg, meta);
                 for cut in 0..bytes.len() {
                     assert!(
                         Message::decode(bytes.slice(..cut)).is_err(),
@@ -1299,7 +1275,7 @@ pub(crate) mod tests {
             body: Reply::Pong,
         };
         let patched = |msg: &Message, at: usize, byte: u8| {
-            let mut bytes = encode(msg, &EnvelopeMeta::default()).0.to_vec();
+            let mut bytes = encode(msg, &EnvelopeMeta::default()).to_vec();
             bytes[at] = byte;
             Message::decode(bytes.into())
         };
@@ -1311,6 +1287,53 @@ pub(crate) mod tests {
         assert!(patched(&ping, 2, 0x10).is_err(), "unknown flag bit");
         assert!(patched(&reply, 2, FLAG_TRACE).is_err(), "trace on a reply");
         assert!(Message::decode(Bytes::from_static(b"garbage")).is_err());
+    }
+
+    /// Flag bit 3 is retired: a frame carrying it is an error whatever the
+    /// other bits say, and the surviving sections keep their bits, their
+    /// order and their bytes.
+    #[test]
+    fn flag_bit_three_is_retired_and_the_rest_keep_their_bits() {
+        let meta = EnvelopeMeta {
+            hlc: Some(Hlc {
+                wall_us: 7,
+                logical: 8,
+            }),
+            ts: Some(9),
+        };
+        let ping = Message::Request {
+            req_id: 1,
+            origin: 2,
+            trace: Some(TraceContext {
+                trace_id: 5,
+                span_id: 6,
+            }),
+            body: Request::Ping,
+        };
+        let pong = Message::Reply {
+            req_id: 1,
+            route: vec![0],
+            body: Reply::Pong,
+        };
+        // version, kind, flags; ids; trace, hlc, ts; body tag.
+        let goldens: [(&Message, &[u8]); 2] = [
+            (&ping, &[1, 0, 0b111, 1, 2, 5, 6, 7, 8, 9, 22]),
+            (&pong, &[1, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+        ];
+        for (msg, golden) in goldens {
+            assert_eq!(&encode(msg, &meta)[..], golden, "{msg:?}");
+        }
+        const FLAGS_AT: usize = 2;
+        for traced in [false, true] {
+            for meta in metas() {
+                for msg in samples(traced) {
+                    let mut bytes = encode(&msg, &meta).to_vec();
+                    assert_eq!(bytes[FLAGS_AT] & (1 << 3), 0, "{msg:?}");
+                    bytes[FLAGS_AT] |= 1 << 3;
+                    assert!(Message::decode(bytes.into()).is_err(), "{msg:?}");
+                }
+            }
+        }
     }
 
     /// Notify tag 0 is retired: a frame carrying it is an error, and the
@@ -1327,7 +1350,7 @@ pub(crate) mod tests {
                 Notify::CoreShutdown { .. } => 3,
             };
             let msg = Message::Notify(n);
-            let bytes = encode(&msg, &EnvelopeMeta::default()).0;
+            let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
             let mut retired = bytes.to_vec();
@@ -1376,7 +1399,7 @@ pub(crate) mod tests {
                 trace: None,
                 body,
             };
-            let bytes = encode(&msg, &EnvelopeMeta::default()).0;
+            let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
             let mut retired = bytes.to_vec();
@@ -1394,10 +1417,10 @@ pub(crate) mod tests {
     fn mutation_fuzz_never_panics_or_over_allocates() {
         let seed = fuzz_seed();
         let rng = &mut TestRng(seed);
-        let full = &metas()[7];
+        let full = &metas()[3];
         let corpus: Vec<Vec<u8>> = samples(true)
             .iter()
-            .map(|m| encode(m, full).0.to_vec())
+            .map(|m| encode(m, full).to_vec())
             .collect();
         let (mut rejected, mut accepted, mut worst) = (0u32, 0u32, 0usize);
         for round in 0..12_000 {
@@ -1412,9 +1435,9 @@ pub(crate) mod tests {
                 "round {round}: {requested} bytes requested for a {len}-byte frame"
             );
             match decoded {
-                Ok((msg, meta, _)) => {
+                Ok((msg, meta)) => {
                     // A valid message: it encodes and decodes to itself.
-                    let (again, _) = encode(&msg, &meta);
+                    let again = encode(&msg, &meta);
                     assert_eq!(Message::decode(again).unwrap().0, msg);
                     accepted += 1;
                 }
@@ -1437,7 +1460,6 @@ pub(crate) mod tests {
                 logical: 0,
             }),
             ts: Some(25_000_040),
-            nd: vec![],
         };
         let get = Message::Request {
             req_id: 150_000,
@@ -1455,7 +1477,7 @@ pub(crate) mod tests {
                 hops: 0,
             },
         };
-        let request_len = encode(&get, &meta).0.len();
+        let request_len = encode(&get, &meta).len();
         assert!(request_len <= 60, "get request is {request_len} bytes");
 
         let value = Value::Bytes(vec![7; 64]);
@@ -1470,7 +1492,7 @@ pub(crate) mod tests {
                 epoch: 0,
             },
         };
-        let reply_len = encode(&ok, &meta).0.len();
+        let reply_len = encode(&ok, &meta).len();
         assert!(
             reply_len <= value_len + 30,
             "reply is {reply_len} bytes for a {value_len}-byte value"

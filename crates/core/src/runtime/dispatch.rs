@@ -97,7 +97,7 @@ impl Core {
     fn receive(&self, incoming: Datagram) {
         let t = &self.inner.telemetry;
         let wire_len = incoming.payload.len();
-        let Ok((msg, meta, nd_bytes)) = Message::decode(incoming.payload) else {
+        let Ok((msg, meta)) = Message::decode(incoming.payload) else {
             // Malformed, truncated or unknown-version frame: dropped, as
             // a real Core would, and counted.
             t.msg_decode_errors_total.inc();
@@ -121,10 +121,6 @@ impl Core {
         }
         t.record_msg_in(msg.kind_label(), wire_len);
         t.queue_depth.set(self.inner.transport.queue_len() as f64);
-        if nd_bytes > 0 {
-            t.naming_gossip_bytes_total.add(nd_bytes as u64);
-        }
-        self.absorb_gossip(meta.nd);
         self.dispatch(msg);
     }
 

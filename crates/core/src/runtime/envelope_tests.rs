@@ -1,14 +1,16 @@
 //! The envelope accounting around `Core::send_to` and `Core::receive`:
-//! what the gossip byte counter and the decode-error counter count.
+//! what one call puts on the wire and what the decode-error counter
+//! counts.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fargo_naming::Delta;
-use fargo_wire::{CompletId, Value, WireWriter};
+use fargo_telemetry::{Clock, Hlc};
+use fargo_wire::{Value, WireWriter};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
-use crate::proto::{EnvelopeMeta, Message, Request, ENVELOPE_VERSION};
+use crate::proto::{EnvelopeMeta, Message, Reply, Request, ENVELOPE_VERSION};
 use crate::runtime::Core;
 use crate::{CompletRegistry, CoreConfig};
 
@@ -19,13 +21,15 @@ crate::define_complet! {
             self.calls += 1;
             Ok(Value::I64(self.calls))
         }
+        fn get(&mut self, _ctx, _args) {
+            Ok(Value::Bytes(vec![7; 64]))
+        }
     }
 }
 
 /// Two Cores on instant links with the monitor parked, so nothing but
-/// the test's own calls puts envelopes (or anti-entropy deltas) on the
-/// wire.
-fn pair() -> (Network, Core, Core) {
+/// the test's own calls puts envelopes on the wire.
+fn pair(config: CoreConfig) -> (Network, Core, Core) {
     let net = Network::new(NetworkConfig {
         default_link: Some(LinkConfig::instant()),
         ..NetworkConfig::default()
@@ -35,7 +39,7 @@ fn pair() -> (Network, Core, Core) {
     let spawn = |name: &str| {
         let config = CoreConfig {
             monitor_tick: Duration::from_secs(3600),
-            ..CoreConfig::default()
+            ..config.clone()
         };
         Core::builder(&net, name)
             .registry(&reg)
@@ -47,49 +51,109 @@ fn pair() -> (Network, Core, Core) {
     (net, a, b)
 }
 
-fn gossip_bytes(core: &Core) -> u64 {
-    core.inner.telemetry.naming_gossip_bytes_total.get()
+/// Encoded bytes `core` has sent in envelopes of `kind`.
+fn out_bytes(core: &Core, kind: &str) -> u64 {
+    core.telemetry()
+        .counter(
+            "fargo_msg_out_bytes_total",
+            &[("core", core.name()), ("kind", kind)],
+        )
+        .get()
 }
 
+/// What `send_to` puts on the wire for `msg` at virtual time `now_us`:
+/// the message under an `hlc` and a `ts` section and nothing else.
+fn wire_len(msg: &Message, now_us: u64) -> u64 {
+    let meta = EnvelopeMeta {
+        hlc: Some(Hlc {
+            wall_us: now_us,
+            logical: 0,
+        }),
+        ts: Some(now_us),
+    };
+    let mut w = WireWriter::new();
+    msg.encode(&meta, &mut w);
+    w.finish().len() as u64
+}
+
+/// The canonical small call of `proto::tests::small_get_fits_its_byte_budget`
+/// costs its own bytes and no more, however many complets the location
+/// shards hold and however many naming passes the monitor has run.
 #[test]
-fn gossip_counter_counts_the_nd_section_at_both_ends() {
-    let (_net, core0, core1) = pair();
+fn envelope_size_does_not_depend_on_shard_population_or_uptime() {
+    // A virtual clock pins the width of the `hlc` and `ts` varints;
+    // trace ids come from a process-wide counter, so tracing is off.
+    let clock = Clock::new_virtual(25_000_000);
+    let (_net, core0, core1) = pair(
+        CoreConfig::default()
+            .with_clock(clock.clone())
+            .with_tracing(false),
+    );
     let echo = core0.new_complet_at("core1", "Echo", &[]).unwrap();
-    // Drain the deltas the set-up published until both cursors caught up.
-    let mut settled = (gossip_bytes(&core0), gossip_bytes(&core1));
-    for _ in 0..100 {
-        echo.call("ping", &[]).unwrap();
-        let now = (gossip_bytes(&core0), gossip_bytes(&core1));
-        if now == settled {
-            break;
-        }
-        settled = now;
+    for i in 0..64 {
+        let host = if i % 2 == 0 { &core0 } else { &core1 };
+        host.new_complet("Echo", &[]).unwrap();
     }
-    // One delta about a complet whose shard core0 itself owns: core1 only
-    // caches it as a hint, so nothing is re-gossiped on the reply.
-    let id = (1..)
-        .map(|seq| CompletId::new(7, seq))
-        .find(|id| core0.ring_owner(*id) == Some(core0.node().index()))
-        .unwrap();
-    core0.inner.shard_deltas.push(Delta {
-        id,
-        node: 0,
-        epoch: 1,
-        alive: true,
-    });
-    echo.call("ping", &[]).unwrap();
-    // count + (origin, seq) + node + epoch + alive, one byte each.
-    let nd_section = 6;
-    assert!(id.seq < 128, "seq must stay a one-byte varint");
-    assert_eq!(gossip_bytes(&core0) - settled.0, nd_section, "sender");
-    assert_eq!(gossip_bytes(&core1) - settled.1, nd_section, "receiver");
+    // Publishes to the other Core's shard are one-way notifies.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while core0.naming_shard_size().0 + core1.naming_shard_size().0 < 65 {
+        assert!(Instant::now() < deadline, "publishes never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(core0.naming_shard_size().0 > 0 && core1.naming_shard_size().0 > 0);
+    // Ten monitor ticks' worth of the naming pass (the monitor is parked).
+    for _ in 0..10 {
+        core0.naming_rebalance();
+        core1.naming_rebalance();
+    }
+
+    let args = vec![Value::from("key-00042")];
+    let value = Value::Bytes(vec![7; 64]);
+    // A new instant resets the HLC's logical counter to a one-byte varint.
+    let now_us = clock.advance(Duration::from_micros(40));
+    let req_id = core0.inner.req_seq.load(Ordering::Relaxed);
+    let sent = (out_bytes(&core0, "invoke"), out_bytes(&core1, "reply"));
+    assert_eq!(echo.call("get", &args).unwrap(), value);
+    let get = Message::Request {
+        req_id,
+        origin: 0,
+        trace: None,
+        body: Request::Invoke {
+            target: echo.id(),
+            method: "get".into(),
+            args,
+            chain: vec![],
+            path: vec![0],
+            hops: 0,
+        },
+    };
+    let ok = Message::Reply {
+        req_id,
+        route: vec![],
+        body: Reply::InvokeOk {
+            value,
+            final_location: 1,
+            target: echo.id(),
+            epoch: 0,
+        },
+    };
+    assert_eq!(
+        out_bytes(&core0, "invoke") - sent.0,
+        wire_len(&get, now_us),
+        "request"
+    );
+    assert_eq!(
+        out_bytes(&core1, "reply") - sent.1,
+        wire_len(&ok, now_us),
+        "reply"
+    );
     core0.stop();
     core1.stop();
 }
 
 #[test]
 fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
-    let (net, core0, core1) = pair();
+    let (net, core0, core1) = pair(CoreConfig::default());
     let mut w = WireWriter::new();
     Message::Request {
         req_id: 1,

@@ -20,7 +20,7 @@ use crate::proto::{Message, Reply, ReqId, Request};
 use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
 use crate::runtime::rpc::PendingRpc;
-use crate::runtime::{Core, SlotState, APP_SEQ};
+use crate::runtime::{Core, SlotState, APP_SEQ, MAX_HOPS};
 use crate::telemetry;
 
 /// Outcome of attempting to run an invocation on a local slot.
@@ -498,8 +498,8 @@ impl Core {
                     }
                 }
                 Some(TrackerTarget::Forward(next)) if next != me => {
-                    if hops + 1 > self.inner.config.max_hops {
-                        return Some(Reply::Err(FargoError::HopLimit(self.inner.config.max_hops)));
+                    if hops + 1 > MAX_HOPS {
+                        return Some(Reply::Err(FargoError::HopLimit(MAX_HOPS)));
                     }
                     let t = &self.inner.telemetry;
                     t.tracker_forwards_served_total.inc();

@@ -71,10 +71,8 @@ use crate::telemetry::CoreTelemetry;
 /// resolution (FIFO-evicted; far above any realistic concurrent load).
 const MOVE_DECISION_LOG: usize = 1024;
 
-/// How many recent shard deltas the gossip log retains. A cursor that
-/// falls off this window resumes at the window start; anti-entropy
-/// republish covers the gap.
-const SHARD_DELTA_LOG: usize = 1024;
+/// Maximum tracker hops an invocation or a chain walk may traverse.
+pub(crate) const MAX_HOPS: u32 = 64;
 
 /// Smoothing factor of the monitor's exponential averages, in `(0, 1]`;
 /// higher weighs recent samples more.
@@ -156,13 +154,6 @@ pub(crate) struct CoreInner {
     /// authoritative `(complet → node, epoch)` entries for ids the ring
     /// assigns here.
     pub shard: fargo_naming::LocationShard,
-    /// Recent accepted shard deltas — the feed piggybacked gossip and
-    /// anti-entropy republish drain from.
-    pub shard_deltas: fargo_naming::DeltaLog,
-    /// Per-peer read cursor into `shard_deltas` (next sequence to ship).
-    pub gossip_cursors: Mutex<HashMap<u32, u64>>,
-    /// Rotation position of the anti-entropy republish pass.
-    pub antientropy_pos: AtomicU64,
     /// Write-ahead passivation log; `None` when durability is off
     /// (`CoreConfig::wal_dir` unset).
     pub wal: Option<wal::Wal>,
@@ -386,9 +377,6 @@ impl<'a> CoreBuilder<'a> {
                 shards::NAMING_VNODES,
             )),
             shard: fargo_naming::LocationShard::new(),
-            shard_deltas: fargo_naming::DeltaLog::new(SHARD_DELTA_LOG),
-            gossip_cursors: Mutex::new(HashMap::new()),
-            antientropy_pos: AtomicU64::new(0),
             wal: wal_log,
             recovery: Mutex::new(None),
             config,
@@ -854,8 +842,9 @@ impl Core {
                     core.sweep_held_moves();
                     core.wal_compact_if_due();
                     core.evaluate_health();
-                    // Ring refresh + anti-entropy republish for the
-                    // sharded location service (a no-op when disabled).
+                    // Ring refresh + shard handoff for the sharded
+                    // location service (nothing to hand off when it is
+                    // disabled: the shard stays empty).
                     core.naming_rebalance();
                     // Clone out of the lock: a hook may add/remove hooks.
                     let hooks: Vec<TickHook> = {

@@ -462,8 +462,10 @@ impl Core {
     }
 
     /// Completes a committed departure: `post_departure` callbacks, slot
-    /// release, tracker forwarding, location gossip, events, and the
-    /// follow-up moves of remotely hosted pull targets.
+    /// release, tracker forwarding, events, and the follow-up moves of
+    /// remotely hosted pull targets. The new placement is not published
+    /// from here: the destination did that when it installed the
+    /// complet, before its `MoveOk` left.
     fn finalize_departure(
         &self,
         departing: Vec<Departing>,
@@ -480,8 +482,8 @@ impl Core {
                 *slot.state.lock() = SlotState::Gone;
             }
             // The departure's epoch (bumped at marshal time) rides on the
-            // repoint and the gossip, so stragglers from earlier
-            // incarnations can never undo them.
+            // repoint, so stragglers from earlier incarnations can never
+            // undo it.
             let epoch = self.current_move_epoch(d.id);
             let _ = self
                 .inner
@@ -494,9 +496,6 @@ impl Core {
                 "",
                 Some(dest_node),
             );
-            // Commit point of the two-phase move: publish the new
-            // placement to its owning location shard.
-            self.publish_location(d.id, dest_node, epoch, true);
             self.wal_append(&WalRecord::Departed {
                 id: d.id,
                 epoch,
@@ -681,8 +680,8 @@ impl Core {
     /// Makes one reconstructed complet live on this Core at `epoch` —
     /// the install path behind move arrival (the packet's epoch), WAL
     /// recovery (the recorded epoch) and checkpoint restore (one past
-    /// it): epoch bookkeeping, install with its tracker and location
-    /// gossip, names. The move epoch is seeded *before* installing: the
+    /// it): epoch bookkeeping, install with its tracker and shard
+    /// publish, names. The move epoch is seeded *before* installing: the
     /// install path points the local tracker and publishes the shard
     /// delta at the current epoch, which must already be this
     /// incarnation's — otherwise the fresh Local tracker would carry

@@ -34,19 +34,12 @@ impl Core {
         // before encoding (it rides inside the payload), so the network
         // measurement absorbs the marshal time also recorded here.
         let ts = t.phase_send_stamp();
-        // Gossip piggyback: whatever shard deltas this peer has not seen
-        // yet ride along in the envelope's `nd` section (absent when the
-        // peer is caught up).
         let meta = EnvelopeMeta {
             hlc: t.hlc_send_stamp(),
             ts,
-            nd: self.gossip_batch_for(node),
         };
         let mut w = WireWriter::with_capacity(ENVELOPE_CAPACITY_HINT);
-        let nd_bytes = msg.encode(&meta, &mut w);
-        if nd_bytes > 0 {
-            t.naming_gossip_bytes_total.add(nd_bytes as u64);
-        }
+        msg.encode(&meta, &mut w);
         let payload = w.finish();
         if let Some(t0) = ts {
             t.latency_marshal_us

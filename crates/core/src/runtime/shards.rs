@@ -2,27 +2,26 @@
 //!
 //! The one authority on where a complet lives: each complet id is
 //! consistent-hashed to an *owning* Core whose
-//! [`fargo_naming::LocationShard`] holds the authoritative
-//! `(node, move_epoch)` entry for it. Layout
-//! changes publish to the owner (locally or as a directed
-//! [`Notify::ShardDelta`]); accepted deltas feed a bounded gossip log
-//! whose contents piggyback on ordinary outgoing envelopes, so every
-//! Core's tracker table is a lazily-refreshed hint cache — the only one.
-//! Resolution ([`Core::locate_explain`]) then goes cache → shard →
-//! chain walk, with a stale cache detected by a move-epoch mismatch and
-//! repaired in place.
+//! [`fargo_naming::LocationShard`] holds the authoritative `(node,
+//! move_epoch)` entry for it. A layout change publishes once, to the
+//! owner (locally or as a directed [`Notify::ShardDelta`], which is
+//! also the handoff vehicle); nothing is broadcast. Every Core's
+//! tracker table is a hint cache — the only one — that learns from the
+//! replies passing it (§3.1) or from a descriptor it was handed, and a
+//! caller at a dead end asks the shard (`shard_consult`). Resolution
+//! ([`Core::locate_explain`]) goes cache → shard → chain walk, with a
+//! stale cache detected by a move-epoch mismatch and repaired in place.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
-use fargo_naming::{ApplyOutcome, Delta, HashRing, ShardEntry};
+use fargo_naming::{ApplyOutcome, HashRing, ShardEntry};
 use fargo_telemetry::JournalKind;
 use fargo_wire::CompletId;
 
 use crate::error::{FargoError, Result};
 use crate::proto::{DeltaTuple, Message, Notify, Reply, Request};
 use crate::reference::tracker::TrackerTarget;
-use crate::runtime::Core;
+use crate::runtime::{Core, MAX_HOPS};
 
 /// Virtual nodes per Core on the consistent-hash ring; more vnodes
 /// spread ownership more evenly and shrink handoffs on membership change.
@@ -79,13 +78,16 @@ impl Core {
     /// Refreshing hands off entries this Core no longer owns, so the
     /// authoritative copy follows the ring.
     pub(crate) fn ring_owner(&self, id: CompletId) -> Option<u32> {
-        self.refresh_ring();
+        self.naming_rebalance();
         self.inner.ring.lock().owner_of(id)
     }
 
-    /// Rebuilds the ring when membership changed. Returns how many
-    /// entries were handed off to new owners (0 when nothing changed).
-    fn refresh_ring(&self) -> usize {
+    /// Rebuilds the ring when membership changed, handing off the shard
+    /// entries this Core no longer owns. Every owner lookup and every
+    /// monitor tick call it; public so tests and tools can drive it with
+    /// the monitor parked. Returns how many entries were handed off to
+    /// new owners (0 when nothing changed).
+    pub fn naming_rebalance(&self) -> usize {
         let members: Vec<u32> = self
             .inner
             .net
@@ -156,9 +158,9 @@ impl Core {
 
     /// Applies one delta to the local authoritative shard under the
     /// epoch guard. An accepted entry is journaled (`shard_apply`:
-    /// subject = complet, object = node or "gone", detail = epoch) and
-    /// appended to the gossip log; a republish of what the shard already
-    /// holds changes nothing and stays silent.
+    /// subject = complet, object = node or "gone", detail = epoch); a
+    /// republish of what the shard already holds changes nothing and
+    /// stays silent.
     pub(crate) fn apply_shard_delta(&self, id: CompletId, e: ShardEntry) -> ApplyOutcome {
         let out = self.inner.shard.apply(id, e);
         if out == ApplyOutcome::Applied {
@@ -174,12 +176,6 @@ impl Core {
                 &e.epoch.to_string(),
                 Some(e.node),
             );
-            self.inner.shard_deltas.push(Delta {
-                id,
-                node: e.node,
-                epoch: e.epoch,
-                alive: e.alive,
-            });
         }
         out
     }
@@ -210,63 +206,6 @@ impl Core {
         }
         for (owner, entries) in forward {
             let _ = self.send_to(owner, &Message::Notify(Notify::ShardDelta { entries }));
-        }
-    }
-
-    /// Drains the next batch of gossip deltas destined for `peer`,
-    /// advancing its cursor. Empty when gossip is off or the peer is
-    /// caught up — the envelope then carries no `nd` section at all.
-    pub(crate) fn gossip_batch_for(&self, peer: u32) -> Vec<DeltaTuple> {
-        let batch = self.inner.config.naming_gossip_batch;
-        if !self.naming_enabled() || batch == 0 || peer == self.inner.node.index() {
-            return Vec::new();
-        }
-        let mut cursors = self.inner.gossip_cursors.lock();
-        let cursor = cursors.get(&peer).copied().unwrap_or(0);
-        let (deltas, next) = self.inner.shard_deltas.since(cursor, batch);
-        cursors.insert(peer, next);
-        drop(cursors);
-        if !deltas.is_empty() {
-            self.inner
-                .telemetry
-                .naming_deltas_out_total
-                .add(deltas.len() as u64);
-        }
-        deltas
-            .into_iter()
-            .map(|d| (d.id, d.node, d.epoch, d.alive))
-            .collect()
-    }
-
-    /// Absorbs gossip that rode in on an envelope: every delta is a
-    /// *hint*, fed through the same epoch-guarded tracker update a
-    /// passing reply would get (chains demoted to cache). Deltas this
-    /// Core happens to own are also applied authoritatively.
-    pub(crate) fn absorb_gossip(&self, entries: Vec<DeltaTuple>) {
-        if entries.is_empty() || !self.naming_enabled() {
-            return;
-        }
-        let me = self.inner.node.index();
-        self.inner
-            .telemetry
-            .naming_deltas_in_total
-            .add(entries.len() as u64);
-        for (id, node, epoch, alive) in entries {
-            // Anti-entropy re-circulates old deltas forever by design, so
-            // a hint that is not strictly fresher than the current belief
-            // is dropped here silently — routing it through the tracker
-            // update would journal a trk_stale rejection per round.
-            let fresher = self
-                .inner
-                .trackers
-                .peek_with_epoch(id)
-                .is_none_or(|(_, cur)| epoch > cur);
-            if alive && fresher {
-                self.learn_location(id, node, epoch);
-            }
-            if self.ring_owner(id) == Some(me) {
-                self.apply_shard_delta(id, ShardEntry { node, epoch, alive });
-            }
         }
     }
 
@@ -309,7 +248,7 @@ impl Core {
     /// # Errors
     ///
     /// Fails when no layer admits to knowing the complet, or the chain
-    /// walk exhausts `max_hops`.
+    /// walk exhausts [`MAX_HOPS`].
     pub fn locate_explain(&self, id: CompletId) -> Result<LocateReport> {
         let me = self.inner.node.index();
         let t = &self.inner.telemetry;
@@ -381,7 +320,7 @@ impl Core {
             return Err(FargoError::UnknownComplet(id));
         }
         let mut hops = spent;
-        for _ in 0..self.inner.config.max_hops {
+        for _ in 0..MAX_HOPS {
             hops += 1;
             match self.rpc(cur, Request::WhereIs { id })? {
                 Reply::WhereOk { node: Some(n) } => {
@@ -401,7 +340,7 @@ impl Core {
                 other => return Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
             }
         }
-        Err(FargoError::HopLimit(self.inner.config.max_hops))
+        Err(FargoError::HopLimit(MAX_HOPS))
     }
 
     /// Resolves a complet's current host (see [`Core::locate_explain`]
@@ -412,49 +351,6 @@ impl Core {
     /// Fails when no Core admits to knowing the complet.
     pub fn locate(&self, id: CompletId) -> Result<u32> {
         self.locate_explain(id).map(|r| r.node)
-    }
-
-    /// Forces a ring refresh (handing off entries whose ownership moved)
-    /// and republishes one anti-entropy batch of this shard's entries
-    /// into the gossip log. Called by the monitor tick; public so tests
-    /// and tools can drive it with the monitor parked. Returns
-    /// `(entries handed off, entries republished)`.
-    pub fn naming_rebalance(&self) -> (usize, usize) {
-        if !self.naming_enabled() {
-            return (0, 0);
-        }
-        let handed = self.refresh_ring();
-        let batch = self.inner.config.naming_gossip_batch;
-        if batch == 0 {
-            return (handed, 0);
-        }
-        let snapshot = self.inner.shard.snapshot();
-        if snapshot.is_empty() {
-            return (handed, 0);
-        }
-        // Rotate through the shard one batch per call so a large shard
-        // is republished over several ticks instead of flooding one.
-        let pos = self
-            .inner
-            .antientropy_pos
-            .fetch_add(batch as u64, Ordering::Relaxed) as usize
-            % snapshot.len();
-        let mut republished = 0;
-        for (id, e) in snapshot
-            .iter()
-            .cycle()
-            .skip(pos)
-            .take(batch.min(snapshot.len()))
-        {
-            self.inner.shard_deltas.push(Delta {
-                id: *id,
-                node: e.node,
-                epoch: e.epoch,
-                alive: e.alive,
-            });
-            republished += 1;
-        }
-        (handed, republished)
     }
 
     /// Current size of this Core's authoritative shard:

@@ -56,6 +56,9 @@ const MSG_KINDS: &[&str] = &[
 /// slowest requests keep their span trees).
 const SLOW_LOG_CAPACITY: usize = 16;
 
+/// Ring-buffer capacity of a Core's span log (oldest trace evicted).
+const TRACE_CAPACITY: usize = 1024;
+
 /// Observations per epoch of the sliding latency window behind "recent"
 /// percentile estimates (the window spans 1–2 epochs).
 const LATENCY_WINDOW: u64 = 512;
@@ -75,7 +78,7 @@ pub(crate) struct CoreTelemetry {
     pub clock: HlcClock,
     pub journal_enabled: bool,
     /// Serializes the tick-then-append pair in [`journal`](Self::journal)
-    /// so ring order always matches HLC order: shard gossip journals
+    /// so ring order always matches HLC order: shard publishes journal
     /// from the receive/notify threads while invokes journal from the
     /// worker pool, and an unserialized interleave can append a larger
     /// stamp at a smaller ring seq.
@@ -176,13 +179,9 @@ pub(crate) struct CoreTelemetry {
     pub naming_publishes_total: Counter,
     /// Stale hints detected by move-epoch mismatch and repaired.
     pub naming_repairs_total: Counter,
-    /// Shard deltas applied from gossip (piggyback or anti-entropy).
+    /// Shard deltas received in directed `ShardDelta` notifies
+    /// (publishes and handoff streams).
     pub naming_deltas_in_total: Counter,
-    /// Shard deltas sent to peers (piggyback or anti-entropy).
-    pub naming_deltas_out_total: Counter,
-    /// Encoded bytes of piggybacked deltas — each envelope's `nd`
-    /// section and nothing else — counted at send and at receive.
-    pub naming_gossip_bytes_total: Counter,
     /// Shard entries re-homed after a ring membership change.
     pub naming_handoffs_total: Counter,
 
@@ -206,7 +205,6 @@ pub(crate) struct CoreTelemetry {
 impl CoreTelemetry {
     pub(crate) fn new(registry: Registry, core: &str, node: u32, config: &CoreConfig) -> Self {
         let trace_enabled = config.trace_enabled;
-        let trace_capacity = config.trace_capacity;
         let journal_enabled = config.journal_enabled;
         let journal_capacity = config.journal_capacity;
         let clock = config.clock.clone();
@@ -251,7 +249,7 @@ impl CoreTelemetry {
             })
             .collect();
         CoreTelemetry {
-            spans: SpanLog::with_clock(trace_capacity, clock.clone()),
+            spans: SpanLog::with_clock(TRACE_CAPACITY, clock.clone()),
             trace_enabled,
             journal: Journal::with_base(journal_capacity, config.journal_seq_base),
             clock: HlcClock::with_source(clock.clone()),
@@ -310,8 +308,6 @@ impl CoreTelemetry {
             naming_publishes_total: registry.counter("fargo_naming_publishes_total", l),
             naming_repairs_total: registry.counter("fargo_naming_repairs_total", l),
             naming_deltas_in_total: registry.counter("fargo_naming_deltas_in_total", l),
-            naming_deltas_out_total: registry.counter("fargo_naming_deltas_out_total", l),
-            naming_gossip_bytes_total: registry.counter("fargo_naming_gossip_bytes_total", l),
             naming_handoffs_total: registry.counter("fargo_naming_handoffs_total", l),
             wal_appends_total: registry.counter("fargo_wal_appends_total", l),
             wal_compactions_total: registry.counter("fargo_wal_compactions_total", l),
@@ -464,12 +460,10 @@ mod tests {
     use super::*;
 
     fn test_cfg(journaling: bool) -> CoreConfig {
-        let mut cfg = CoreConfig::default()
+        CoreConfig::default()
             .with_tracing(true)
             .with_journaling(journaling)
-            .with_journal_capacity(8);
-        cfg.trace_capacity = 8;
-        cfg
+            .with_journal_capacity(8)
     }
 
     #[test]

@@ -11,9 +11,7 @@ use fargo_core::{define_complet, Anomaly, Core, Hlc, JournalEvent, JournalKind, 
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// A cluster whose links add 1–5 ms of seeded random jitter, so messages
-/// between different Core pairs genuinely arrive out of order. Location
-/// gossip is pinned off: the scenario asserts chain-routed forwarding,
-/// which piggybacked shard deltas would otherwise repair away.
+/// between different Core pairs genuinely arrive out of order.
 fn jittery_cluster(n: usize) -> (Network, Vec<Core>) {
     let net = Network::new(NetworkConfig {
         default_link: Some(
@@ -27,7 +25,7 @@ fn jittery_cluster(n: usize) -> (Network, Vec<Core>) {
         .map(|i| {
             Core::builder(&net, &format!("core{i}"))
                 .registry(&reg)
-                .config(test_config().with_naming_gossip_batch(0))
+                .config(test_config())
                 .spawn()
                 .expect("core must spawn")
         })
@@ -130,9 +128,7 @@ fn layout_at_reconstructs_each_movement_boundary() {
 /// no return ever shortens the chain.
 #[test]
 fn anomaly_pass_flags_long_forwarding_chain() {
-    // Gossip off: piggybacked shard deltas would shorten the chain this
-    // scenario deliberately grows.
-    let (_net, _reg, cores) = cluster_with_config(5, test_config().with_naming_gossip_batch(0));
+    let (_net, _reg, cores) = cluster(5);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     let id = msg.id().to_string();
     relay(&cores, msg.id());

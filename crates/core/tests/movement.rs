@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{cluster, cluster_with_config, relay, teardown, test_config};
+use common::{cluster, relay, teardown};
 use fargo_core::{define_complet, FargoError, TrackerTarget, Value};
 
 #[test]
@@ -54,10 +54,7 @@ fn multi_hop_chain_still_reaches_target() {
 
 #[test]
 fn chains_are_shortened_on_invocation_return() {
-    // Gossip off: this scenario asserts the intermediate chain links and
-    // the reply-path shortening; piggybacked shard deltas would repair
-    // the chain before the invocation gets to.
-    let (_net, _reg, cores) = cluster_with_config(4, test_config().with_naming_gossip_batch(0));
+    let (_net, _reg, cores) = cluster(4);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     let id = msg.id();
     relay(&cores, id);

@@ -104,7 +104,7 @@ fn dead_end_at_non_origin_core_recovers_via_caller() {
     // core1 is mid-chain but NOT the origin; collect severs it.
     assert_eq!(cores[1].collect_trackers(Duration::ZERO), 1);
     // Pin core0's belief back at the dead end so the route goes through
-    // it (async gossip may already have shortened core0 -> core2).
+    // it.
     let e = tracker_of(&cores[0], id)
         .expect("origin keeps a tracker")
         .epoch;

@@ -10,9 +10,7 @@ use common::{cluster, cluster_with_config, teardown, test_config};
 /// and the host's `exec` span, each parented on the previous hop.
 #[test]
 fn trace_spans_follow_chained_invocation() {
-    // Gossip off: the scenario needs core0 to still believe core1 so
-    // the invocation is chain-forwarded.
-    let (_net, _reg, cores) = cluster_with_config(3, test_config().with_naming_gossip_batch(0));
+    let (_net, _reg, cores) = cluster(3);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     msg.move_to("core1").unwrap();
     msg.move_to("core2").unwrap();
@@ -84,9 +82,7 @@ fn tracing_disabled_records_no_spans() {
 /// Shortening a tracker chain after a chained invocation is counted.
 #[test]
 fn chain_shortening_is_counted() {
-    // Gossip off: the scenario needs core0 to still believe core1 so
-    // the invocation is chain-forwarded.
-    let (_net, _reg, cores) = cluster_with_config(3, test_config().with_naming_gossip_batch(0));
+    let (_net, _reg, cores) = cluster(3);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     msg.move_to("core1").unwrap();
     msg.move_to("core2").unwrap();

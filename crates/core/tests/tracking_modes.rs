@@ -64,8 +64,7 @@ fn shard_resolves_a_stale_hint_in_one_hop_whatever_the_chain_length() {
             msg.move_to(&format!("core{i}")).unwrap();
         }
         owner_once_published(&cores, id, &cores[k]);
-        // Of the two Cores off the chain at most one (the id's ring
-        // owner) can have been gossiped a tracker; ask from the other.
+        // Ask from a Core off the chain, one that holds no tracker.
         let asker = cores[k + 1..]
             .iter()
             .find(|c| !has_tracker(c, id))
@@ -143,9 +142,7 @@ fn resolution_does_not_depend_on_the_origin_core() {
 
 #[test]
 fn chains_mode_walks_every_intermediate_core() {
-    // Gossip off: the test asserts the pure chain-walk message pattern,
-    // which piggybacked shard deltas would shortcut.
-    let (net, _reg, cores) = cluster_with_config(4, test_config().with_naming_gossip_batch(0));
+    let (net, _reg, cores) = cluster(4);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
     relay(&cores, msg.id());
     let hop01_before = net.link_stats(cores[0].node(), cores[1].node()).messages;
@@ -200,8 +197,7 @@ fn async_call_through_a_dead_end_is_accounted_once() {
     relay(&cores, id);
     owner_once_published(&cores, id, &cores[2]);
     assert_eq!(cores[1].collect_trackers(Duration::ZERO), 1);
-    // Pin core0's belief at the dead end (gossip may already have
-    // shortened core0 -> core2).
+    // Pin core0's belief at the dead end.
     let epoch = cores[0]
         .tracker_snapshot()
         .iter()

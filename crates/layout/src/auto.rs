@@ -2,7 +2,7 @@
 //! verification, with convergence tracking.
 //!
 //! [`AutoLayout`] attaches to an admin Core. It registers a monitor-tick
-//! hook that merely counts ticks and, every `autolayout_period_ticks`,
+//! hook that merely counts ticks and, every `PlannerConfig::period_ticks`,
 //! nudges a dedicated worker thread (planning issues RPCs and must never
 //! run on the monitor thread itself — with the planner disabled the hook
 //! is one atomic load, so the tick overhead is effectively zero). The
@@ -56,7 +56,6 @@ struct AutoInner {
     enabled: AtomicBool,
     shutdown: AtomicBool,
     tick_count: AtomicU64,
-    period_ticks: u64,
     /// Set by the tick hook, consumed by the worker.
     round_due: AtomicBool,
     rounds: AtomicU64,
@@ -74,8 +73,8 @@ pub struct AutoLayout {
 }
 
 impl AutoLayout {
-    /// Attaches a (disabled) loop to `core`, seeding planner cadence and
-    /// thresholds from the Core's configuration. Call
+    /// Attaches a (disabled) loop to `core` with the default planner
+    /// cadence and thresholds and the Core's capacity. Call
     /// [`AutoLayout::enable`] to start planning.
     pub fn attach(core: Core) -> AutoLayout {
         let planner_cfg = PlannerConfig::from_core(&core);
@@ -84,7 +83,6 @@ impl AutoLayout {
 
     /// Attaches with explicit planner/executor tunables.
     pub fn attach_with(core: Core, planner: PlannerConfig, executor: ExecutorConfig) -> AutoLayout {
-        let period = u64::from(core.config().autolayout_period_ticks.max(1));
         let inner = Arc::new(AutoInner {
             planner: Planner::new(core.clone(), planner),
             executor: Executor::new(core.clone(), executor),
@@ -92,7 +90,6 @@ impl AutoLayout {
             enabled: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             tick_count: AtomicU64::new(0),
-            period_ticks: period,
             round_due: AtomicBool::new(false),
             rounds: AtomicU64::new(0),
             moves_executed: AtomicU64::new(0),
@@ -118,7 +115,7 @@ impl AutoLayout {
                 return;
             }
             let ticks = inner.tick_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if ticks % inner.period_ticks == 0 {
+            if ticks % u64::from(inner.planner.config().period_ticks) == 0 {
                 inner.round_due.store(true, Ordering::Release);
             }
         }));

@@ -34,13 +34,18 @@ use crate::is_app_pseudo;
 use crate::partition::{partition, PartitionProblem};
 use crate::plan::LayoutPlan;
 
-/// Planner tunables; [`PlannerConfig::from_core`] seeds them from the
-/// Core's `CoreConfig` knobs.
+/// Planner tunables. [`Planner::new`] clamps the cadence to at least
+/// one tick and the dead band to at least zero.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Minimum predicted relative gain before a plan is non-empty.
+    /// Monitor ticks between planning rounds of the closed loop.
+    pub period_ticks: u32,
+    /// Minimum predicted relative traffic-cost gain (fraction of the
+    /// current cost) before a plan is non-empty; smaller gains are
+    /// discarded so marginal, oscillating plans never move anything.
     pub hysteresis: f64,
-    /// Maximum steps per plan.
+    /// Maximum steps per plan; the executor rate-limits within the round
+    /// on top of this.
     pub max_moves: usize,
     /// Per-Core complet capacity handed to the partitioner.
     pub capacity: Option<usize>,
@@ -59,6 +64,7 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> PlannerConfig {
         PlannerConfig {
+            period_ticks: 25,
             hysteresis: 0.05,
             max_moves: 4,
             capacity: None,
@@ -71,16 +77,19 @@ impl Default for PlannerConfig {
 }
 
 impl PlannerConfig {
-    /// Seeds hysteresis, move budget, and capacity from the Core's
-    /// configuration.
+    /// The defaults, with the partitioner's per-Core capacity taken from
+    /// the Core's admission limit.
     pub fn from_core(core: &Core) -> PlannerConfig {
-        let cfg = core.config();
         PlannerConfig {
-            hysteresis: cfg.autolayout_hysteresis,
-            max_moves: cfg.autolayout_max_moves,
-            capacity: cfg.capacity,
+            capacity: core.config().capacity,
             ..PlannerConfig::default()
         }
+    }
+
+    fn clamped(mut self) -> PlannerConfig {
+        self.period_ticks = self.period_ticks.max(1);
+        self.hysteresis = self.hysteresis.max(0.0);
+        self
     }
 }
 
@@ -97,7 +106,7 @@ impl Planner {
     pub fn new(core: Core, cfg: PlannerConfig) -> Planner {
         Planner {
             core,
-            cfg,
+            cfg: cfg.clamped(),
             plan_seq: AtomicU64::new(1),
             profiled: Mutex::new(BTreeSet::new()),
         }
@@ -297,5 +306,24 @@ impl Planner {
     /// The Core this planner observes and plans from.
     pub fn core(&self) -> &Core {
         &self.core
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn autolayout_knobs_clamp() {
+        let c = PlannerConfig {
+            period_ticks: 0,
+            hysteresis: -1.0,
+            max_moves: 2,
+            ..PlannerConfig::default()
+        }
+        .clamped();
+        assert_eq!(c.period_ticks, 1, "period clamps to >= 1");
+        assert_eq!(c.hysteresis, 0.0, "hysteresis clamps to >= 0");
+        assert_eq!(c.max_moves, 2);
     }
 }

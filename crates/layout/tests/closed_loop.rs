@@ -64,9 +64,7 @@ fn skewed_traffic_converges_to_colocation() {
         monitor_tick: Duration::from_millis(10),
         rpc_timeout: Duration::from_secs(5),
         ..CoreConfig::default()
-    }
-    // Plan every 2 ticks with a low dead band so the test turns quickly.
-    .with_autolayout(2, 0.01, 4);
+    };
     let cores = spawn_cluster(&net, 2, &config);
 
     // The service lives on core1; all traffic comes from core0's driver
@@ -75,7 +73,16 @@ fn skewed_traffic_converges_to_colocation() {
     let id = echo.id();
     assert!(cores[1].hosts(id));
 
-    let auto = AutoLayout::attach(cores[0].clone());
+    // Plan every 2 ticks with a low dead band so the test turns quickly.
+    let auto = AutoLayout::attach_with(
+        cores[0].clone(),
+        PlannerConfig {
+            period_ticks: 2,
+            hysteresis: 0.01,
+            ..PlannerConfig::default()
+        },
+        ExecutorConfig::default(),
+    );
     auto.enable();
 
     // Drive skewed traffic until the loop pulls the service to core0.

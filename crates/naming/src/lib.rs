@@ -8,9 +8,10 @@
 //! failure, for the complets it happened to create). Each
 //! Core runs one [`LocationShard`] holding the authoritative
 //! `(complet → Core, move_epoch)` entries for the slice of the id space
-//! it owns, and layout deltas gossip between Cores so remote lookups
-//! resolve in one hop with lazy invalidation (a stale hint is detected by
-//! a move-epoch mismatch and repaired on the reply path).
+//! it owns; a layout change is published once to that owner, so a
+//! remote lookup resolves in one hop with lazy invalidation (a stale
+//! hint is detected by a move-epoch mismatch and repaired on the reply
+//! path).
 //!
 //! This crate is the pure data-structure layer — no I/O, no clocks, no
 //! threads beyond a mutex:
@@ -24,11 +25,6 @@
 //!   carrying an older move epoch are rejected (the same guard the
 //!   tracker table applies); at equal epochs a tombstone wins, so a
 //!   release cannot be resurrected by a delayed publish.
-//! * [`DeltaLog`] — a bounded sequence-numbered ring of recent
-//!   [`Delta`]s, the feed for piggybacked gossip. Per-peer cursors read
-//!   "everything since seq N"; a cursor that fell off the retained
-//!   window simply resumes at the window start (anti-entropy republish
-//!   covers the gap).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -150,8 +146,8 @@ pub struct ShardEntry {
 pub enum ApplyOutcome {
     /// The entry was inserted or replaced.
     Applied,
-    /// The update repeated what the shard already holds (anti-entropy
-    /// republish); nothing changed, nothing to journal or re-gossip.
+    /// The update repeated what the shard already holds; nothing
+    /// changed, nothing to journal.
     Unchanged,
     /// The update carried a stale epoch (or lost an equal-epoch tie to a
     /// tombstone) and was rejected.
@@ -217,16 +213,6 @@ impl LocationShard {
             .copied()
     }
 
-    /// Every entry, id-ordered, tombstones included.
-    pub fn snapshot(&self) -> Vec<(CompletId, ShardEntry)> {
-        self.entries
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(&id, &e)| (id, e))
-            .collect()
-    }
-
     /// Live entries only (the view lookups and the planner want).
     pub fn alive(&self) -> Vec<(CompletId, ShardEntry)> {
         self.entries
@@ -260,79 +246,6 @@ impl LocationShard {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-// --- the gossip feed -------------------------------------------------------
-
-/// One gossiped location delta (the wire form lives in `fargo-core`'s
-/// protocol; this is the in-memory record).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delta {
-    pub id: CompletId,
-    pub node: u32,
-    pub epoch: u64,
-    pub alive: bool,
-}
-
-/// A bounded, sequence-numbered ring of recent deltas.
-///
-/// `push` assigns consecutive sequence numbers; `since(cursor)` returns
-/// the retained deltas at or after `cursor` plus the next cursor value.
-/// A cursor older than the retained window resumes at the window start —
-/// gossip is a hint channel, and the periodic anti-entropy republish
-/// (plus the authoritative publish on every layout change) covers
-/// anything the window dropped.
-#[derive(Debug)]
-pub struct DeltaLog {
-    inner: Mutex<DeltaLogInner>,
-    capacity: usize,
-}
-
-#[derive(Debug, Default)]
-struct DeltaLogInner {
-    buf: std::collections::VecDeque<Delta>,
-    /// Sequence number of `buf[0]`.
-    first_seq: u64,
-}
-
-impl DeltaLog {
-    /// A log retaining at most `capacity` deltas (minimum 1).
-    pub fn new(capacity: usize) -> DeltaLog {
-        DeltaLog {
-            inner: Mutex::new(DeltaLogInner::default()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Appends one delta, evicting the oldest past capacity. Returns the
-    /// sequence number assigned.
-    pub fn push(&self, delta: Delta) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let seq = inner.first_seq + inner.buf.len() as u64;
-        inner.buf.push_back(delta);
-        if inner.buf.len() > self.capacity {
-            inner.buf.pop_front();
-            inner.first_seq += 1;
-        }
-        seq
-    }
-
-    /// Deltas at or after `cursor` (capped at `max`), and the cursor to
-    /// use next time.
-    pub fn since(&self, cursor: u64, max: usize) -> (Vec<Delta>, u64) {
-        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        let start = cursor.max(inner.first_seq);
-        let skip = (start - inner.first_seq) as usize;
-        let out: Vec<Delta> = inner.buf.iter().skip(skip).take(max).copied().collect();
-        let next = start + out.len() as u64;
-        (out, next)
-    }
-
-    /// Sequence number the next push will get.
-    pub fn next_seq(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.first_seq + inner.buf.len() as u64
     }
 }
 
@@ -444,39 +357,10 @@ mod tests {
         for (i, _) in &lost {
             assert_eq!(ring.owner_of(*i), Some(1));
         }
-        for (i, _) in shard.snapshot() {
-            assert_eq!(ring.owner_of(i), Some(0));
+        for kept in (0..200u64).map(|s| id(0, s)) {
+            if shard.lookup(kept).is_some() {
+                assert_eq!(ring.owner_of(kept), Some(0));
+            }
         }
-    }
-
-    #[test]
-    fn delta_log_windows_and_cursors() {
-        let log = DeltaLog::new(4);
-        let d = |seq| Delta {
-            id: id(0, seq),
-            node: 1,
-            epoch: seq,
-            alive: true,
-        };
-        for s in 0..6u64 {
-            assert_eq!(log.push(d(s)), s);
-        }
-        // Cursor 0 fell off the window; it resumes at the window start.
-        let (got, next) = log.since(0, 10);
-        assert_eq!(got.len(), 4);
-        assert_eq!(got[0].epoch, 2);
-        assert_eq!(next, 6);
-        // A caught-up cursor reads nothing.
-        let (got, next) = log.since(next, 10);
-        assert!(got.is_empty());
-        assert_eq!(next, 6);
-        // `max` caps a batch without losing the remainder.
-        log.push(d(6));
-        let (got, next) = log.since(next, 0);
-        assert!(got.is_empty(), "zero max reads nothing");
-        let (got, next2) = log.since(next, 1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(next2, 7);
-        assert_eq!(log.next_seq(), 7);
     }
 }
