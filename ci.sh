@@ -77,6 +77,14 @@ for seed in 7 11 23; do
         mutation_fuzz_never_panics_or_over_allocates
 done
 
+# By-value memory bound: 2,000 alternating `scan(256)` / `put_batch(256)`
+# calls on graph-shaped records through a 3-Core simnet cluster, then
+# the two dedup-cache gauges of each data Core must show encoded reply
+# bodies (not decoded trees) within the byte bound, and the caller must
+# hold no request any more.
+echo "==> by-value memory bound"
+cargo test -q -p fargo-core --test by_value_memory
+
 # Smoke-test the experiments runner's JSON exposition: the binary
 # self-validates the report (tables + metrics + journal snapshot) and
 # exits nonzero on renderer drift; also insist the journal key shipped.

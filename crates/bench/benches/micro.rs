@@ -43,7 +43,7 @@ fn sample_state(refs: usize) -> Value {
     for i in 0..refs {
         fields.push((
             format!("ref{i}"),
-            Value::Ref(RefDescriptor::link(
+            Value::from(RefDescriptor::link(
                 CompletId::new(1, i as u64),
                 "Servant",
                 2,

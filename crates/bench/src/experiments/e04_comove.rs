@@ -49,7 +49,7 @@ fn comove_run(k: usize) -> (Duration, u64) {
     let root = cluster.cores[0].new_complet("Holder", &[]).expect("root");
     for _ in 0..k {
         let dep = cluster.cores[0].new_complet("Servant", &[]).expect("dep");
-        root.call("add_dep", &[Value::Ref(dep.complet_ref().descriptor())])
+        root.call("add_dep", &[Value::from(dep.complet_ref().descriptor())])
             .expect("wire");
     }
     root.call("retype_all", &[Value::from("pull")])

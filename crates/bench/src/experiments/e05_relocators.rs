@@ -63,7 +63,7 @@ fn relocator_run(relocator: &str) -> RelocatorResult {
         .expect("payload");
     let holder = cluster.cores[0].new_complet("Holder", &[]).expect("holder");
     holder
-        .call("add_dep", &[Value::Ref(dep.complet_ref().descriptor())])
+        .call("add_dep", &[Value::from(dep.complet_ref().descriptor())])
         .expect("wire");
     holder
         .call("retype_all", &[Value::from(relocator)])

@@ -81,7 +81,7 @@ impl Workload {
                     .new_complet_at(&format!("core{at}"), "Servant", &[])
                     .expect("servant");
                 holder
-                    .call("add_dep", &[Value::Ref(servant.complet_ref().descriptor())])
+                    .call("add_dep", &[servant.complet_ref().descriptor().into()])
                     .expect("add_dep");
             }
             holders.push(holder);

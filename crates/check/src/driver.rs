@@ -513,7 +513,7 @@ fn apply(
                 .call(
                     "set_dep",
                     &[
-                        Value::Ref(d.descriptor()),
+                        Value::from(d.descriptor()),
                         Value::from(RELOCATORS[relocator]),
                     ],
                 )

@@ -154,11 +154,11 @@ impl<T: StateValue> StateValue for BTreeMap<String, T> {
 
 impl StateValue for CompletRef {
     fn to_state(&self) -> Value {
-        Value::Ref(self.descriptor())
+        Value::from(self.descriptor())
     }
     fn from_state(v: Value) -> Result<Self> {
         match v {
-            Value::Ref(d) => Ok(CompletRef::from_descriptor(d)),
+            Value::Ref(d) => Ok(CompletRef::from_descriptor(*d)),
             other => Err(mismatch("complet reference", &other)),
         }
     }

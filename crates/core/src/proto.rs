@@ -7,9 +7,9 @@
 //!
 //! # Wire format
 //!
-//! A [`Message`] is written straight to bytes by [`Message::encode`] and
-//! read back by [`Message::decode`] — one typed layout, no intermediate
-//! tree (DESIGN.md, "Wire format", has the tables):
+//! An envelope is written straight to bytes — [`Header::encode`], then the
+//! body's [`Wire::put`] — and read back by [`Message::decode`]: one typed
+//! layout, no intermediate tree (DESIGN.md, "Wire format", has the tables):
 //!
 //! ```text
 //! [version u8][kind u8][flags u8]
@@ -477,12 +477,17 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// A sequence is a count, then the items.
+fn put_seq<T: Wire>(items: &[T], w: &mut WireWriter) {
+    w.put_u64(items.len() as u64);
+    for item in items {
+        item.put(w);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, w: &mut WireWriter) {
-        w.put_u64(self.len() as u64);
-        for item in self {
-            item.put(w);
-        }
+        put_seq(self, w);
     }
     fn get(r: &mut WireReader) -> Result<Self> {
         r.get_seq(T::get)
@@ -678,24 +683,24 @@ wire_enum! { Notify, "notify tag";
 
 // --- envelope --------------------------------------------------------------------
 
-impl Message {
-    /// Stable lowercase label for per-message-type metrics: the request
-    /// kind for requests, `reply` / `notify` otherwise.
-    pub(crate) fn kind_label(&self) -> &'static str {
-        match self {
-            Message::Request { body, .. } => body.kind_name(),
-            Message::Reply { .. } => "reply",
-            Message::Notify(_) => "notify",
-        }
-    }
+/// What precedes the body: version, kind, flags, the kind's correlation
+/// fields and the flagged sections. Written separately, so that a body
+/// encoded once can go out again — a retransmitted request, a replayed
+/// reply — under a header stamped (`hlc`, `ts`) for the resend.
+pub(crate) enum Header<'a> {
+    /// `(req_id, origin, trace)`, as in [`Message::Request`].
+    Request(ReqId, u32, Option<TraceContext>),
+    /// `(req_id, route)`, as in [`Message::Reply`].
+    Reply(ReqId, &'a [u32]),
+    Notify,
+}
 
-    /// Appends the envelope — header, flagged metadata sections, body —
-    /// to `w`.
+impl Header<'_> {
     pub(crate) fn encode(&self, meta: &EnvelopeMeta, w: &mut WireWriter) {
         let (kind, trace) = match self {
-            Message::Request { trace, .. } => (KIND_REQUEST, *trace),
-            Message::Reply { .. } => (KIND_REPLY, None),
-            Message::Notify(_) => (KIND_NOTIFY, None),
+            Header::Request(.., trace) => (KIND_REQUEST, *trace),
+            Header::Reply(..) => (KIND_REPLY, None),
+            Header::Notify => (KIND_NOTIFY, None),
         };
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
         let flags = flag(trace.is_some(), FLAG_TRACE)
@@ -703,14 +708,14 @@ impl Message {
             | flag(meta.ts.is_some(), FLAG_TS);
         w.put_u8(ENVELOPE_VERSION).put_u8(kind).put_u8(flags);
         match self {
-            Message::Request { req_id, origin, .. } => {
+            Header::Request(req_id, origin, _) => {
                 w.put_u64(*req_id).put_u32(*origin);
             }
-            Message::Reply { req_id, route, .. } => {
+            Header::Reply(req_id, route) => {
                 w.put_u64(*req_id);
-                route.put(w);
+                put_seq(route, w);
             }
-            Message::Notify(_) => {}
+            Header::Notify => {}
         }
         // An absent section writes nothing: `Option::put`'s presence
         // byte is what the flag bits replace here.
@@ -723,10 +728,47 @@ impl Message {
         if let Some(ts) = meta.ts {
             ts.put(w);
         }
+    }
+}
+
+/// The `Request` table's row 0 written from borrowed parts, with every
+/// reference in `args` degraded to `link` on the way (by-value parameter
+/// semantics, §3.1: for a remote call this encoding is the copy).
+pub(crate) fn put_invoke(
+    w: &mut WireWriter,
+    target: CompletId,
+    method: &str,
+    args: &[Value],
+    chain: &[CompletId],
+    path: &[u32],
+    hops: u32,
+) {
+    w.put_u8(0).put_complet_id(target).put_str(method);
+    w.put_u64(args.len() as u64);
+    for arg in args {
+        w.put_value_degraded(arg);
+    }
+    put_seq(chain, w);
+    put_seq(path, w);
+    w.put_u32(hops);
+}
+
+/// The `args` of an encoded [`Request::Invoke`] body.
+pub(crate) fn invoke_args(body: bytes::Bytes) -> Result<Vec<Value>> {
+    match Request::get(&mut WireReader::new(body))? {
+        Request::Invoke { args, .. } => Ok(args),
+        _ => Err(FargoError::Protocol("not an invoke body".into())),
+    }
+}
+
+impl Message {
+    /// Stable lowercase label for per-message-type metrics: the request
+    /// kind for requests, `reply` / `notify` otherwise.
+    pub(crate) fn kind_label(&self) -> &'static str {
         match self {
-            Message::Request { body, .. } => body.put(w),
-            Message::Reply { body, .. } => body.put(w),
-            Message::Notify(n) => n.put(w),
+            Message::Request { body, .. } => body.kind_name(),
+            Message::Reply { .. } => "reply",
+            Message::Notify(_) => "notify",
         }
     }
 
@@ -1172,9 +1214,50 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn encode(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
+    /// The part of `msg`'s envelope that precedes the body.
+    fn header(msg: &Message) -> Header<'_> {
+        match msg {
+            Message::Request {
+                req_id,
+                origin,
+                trace,
+                ..
+            } => Header::Request(*req_id, *origin, *trace),
+            Message::Reply { req_id, route, .. } => Header::Reply(*req_id, route),
+            Message::Notify(_) => Header::Notify,
+        }
+    }
+
+    /// `msg`'s body on its own: its tag, then its positional fields.
+    pub(crate) fn encode_body(msg: &Message) -> Bytes {
         let mut w = WireWriter::new();
-        msg.encode(meta, &mut w);
+        match msg {
+            Message::Request { body, .. } => body.put(&mut w),
+            Message::Reply { body, .. } => body.put(&mut w),
+            Message::Notify(n) => n.put(&mut w),
+        }
+        w.finish()
+    }
+
+    /// The whole envelope: header, flagged sections, body.
+    pub(crate) fn encode(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
+        let mut w = WireWriter::new();
+        header(msg).encode(meta, &mut w);
+        w.put_raw(&encode_body(msg));
+        w.finish()
+    }
+
+    /// The envelope as a first send builds it: header and body written
+    /// into one buffer ([`encode`] writes the header around a body
+    /// encoded beforehand, as a resend does).
+    fn encode_in_one(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
+        let mut w = WireWriter::new();
+        header(msg).encode(meta, &mut w);
+        match msg {
+            Message::Request { body, .. } => body.put(&mut w),
+            Message::Reply { body, .. } => body.put(&mut w),
+            Message::Notify(n) => n.put(&mut w),
+        }
         w.finish()
     }
 
@@ -1218,9 +1301,48 @@ pub(crate) mod tests {
                         .unwrap_or_else(|e| panic!("{msg:?}: {e}"));
                     assert_eq!(back, msg);
                     assert_eq!(back_meta, meta);
+                    // A header around a pre-encoded body is the same
+                    // envelope, byte for byte.
+                    let in_one = encode_in_one(&msg, &meta);
+                    assert_eq!(in_one, encode(&msg, &meta), "{msg:?}");
+                    assert_eq!(Message::decode(in_one).unwrap(), (back, back_meta));
                 }
             }
         }
+    }
+
+    /// `put_invoke` writes the `Invoke` row of the request table from
+    /// borrowed parts, degrading references as it goes; `invoke_args`
+    /// reads the arguments back out of such a body.
+    #[test]
+    fn borrowed_invoke_encoding_matches_the_table_row() {
+        let rng = &mut TestRng(0x1740);
+        for round in 0..64 {
+            let args: Vec<Value> = (0..round % 4).map(|_| gen_value(rng, 3)).collect();
+            let degraded: Vec<Value> = args
+                .iter()
+                .map(|v| v.clone().transform_refs(&mut |r| r.degraded()))
+                .collect();
+            let (chain, path) = (vec![id(1), id(round)], vec![0, 300]);
+            let mut borrowed = WireWriter::new();
+            put_invoke(&mut borrowed, id(7), "scan", &args, &chain, &path, 2);
+            let borrowed = borrowed.finish();
+            let mut table = WireWriter::new();
+            Request::Invoke {
+                target: id(7),
+                method: "scan".into(),
+                args: degraded.clone(),
+                chain,
+                path,
+                hops: 2,
+            }
+            .put(&mut table);
+            assert_eq!(borrowed, table.finish());
+            assert_eq!(invoke_args(borrowed).unwrap(), degraded);
+        }
+        let mut ping = WireWriter::new();
+        Request::Ping.put(&mut ping);
+        assert!(invoke_args(ping.finish()).is_err());
     }
 
     #[test]
@@ -1436,8 +1558,10 @@ pub(crate) mod tests {
             );
             match decoded {
                 Ok((msg, meta)) => {
-                    // A valid message: it encodes and decodes to itself.
+                    // A valid message: it encodes and decodes to itself,
+                    // in one piece or as a header around its body.
                     let again = encode(&msg, &meta);
+                    assert_eq!(again, encode_in_one(&msg, &meta));
                     assert_eq!(Message::decode(again).unwrap().0, msg);
                     accepted += 1;
                 }

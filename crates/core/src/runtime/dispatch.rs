@@ -10,6 +10,7 @@ use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
+use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError, TrySendError};
 use fargo_net::Datagram;
 use fargo_telemetry::{JournalKind, TraceContext};
@@ -17,8 +18,8 @@ use simnet::NodeId;
 
 use crate::error::FargoError;
 use crate::events::EventPayload;
-use crate::proto::{Message, Notify, Reply, ReqId, Request};
-use crate::runtime::reliable::CacheDecision;
+use crate::proto::{Header, Message, Notify, Reply, ReqId, Request, Wire};
+use crate::runtime::reliable::CacheSlot;
 use crate::runtime::Core;
 
 /// One request handed from the receiver loop to the worker pool.
@@ -196,14 +197,17 @@ impl Core {
                 self.inner.telemetry.dedup_evictions_total.add(evicted);
             }
             match decision {
-                CacheDecision::Execute => {}
-                CacheDecision::DropInFlight => {
+                None => {}
+                Some(CacheSlot::InFlight) => {
                     self.inner.telemetry.dedup_inflight_total.inc();
                     return;
                 }
-                CacheDecision::Replay(reply) => {
+                Some(CacheSlot::Done(body)) => {
+                    // The recorded body, as it is, under a fresh header.
                     self.inner.telemetry.dedup_hits_total.inc();
-                    return self.respond(origin, req_id, &[], reply);
+                    let head = Header::Reply(req_id, &[]);
+                    let (frame, _) = self.frame(&head, |w| w.put_raw(&body));
+                    return self.send_reply(origin, req_id, frame);
                 }
             }
         }
@@ -316,26 +320,28 @@ impl Core {
         self.respond(origin, req_id, &[], reply);
     }
 
-    /// Answers a served request — the only place a reply to one is sent.
+    /// Answers a served request — the only place a reply is encoded.
     ///
-    /// The reply is first recorded against `(origin, req_id)` so a
+    /// The encoded body is first recorded against `(origin, req_id)` so a
     /// retransmitted copy replays it instead of re-executing (a no-op for
     /// idempotent kinds, which were never admitted to the cache). It then
     /// walks `path` — the nodes the request traversed, origin first —
     /// backwards, so every tracker on an invocation chain learns the
     /// final location; an empty path answers the origin directly.
     fn respond(&self, origin: u32, req_id: ReqId, path: &[u32], body: Reply) {
-        self.inner.reply_cache.complete(origin, req_id, &body);
         let (first, route) = match path.split_last() {
             Some((&last, rest)) => (last, rest.iter().rev().copied().collect()),
             None => (origin, Vec::new()),
         };
-        let msg = Message::Reply {
-            req_id,
-            route,
-            body,
-        };
-        if let Err(e) = self.send_to(first, &msg) {
+        let (frame, body) = self.frame(&Header::Reply(req_id, &route), |w| body.put(w));
+        let evicted = self.inner.reply_cache.complete(origin, req_id, body);
+        self.inner.telemetry.dedup_evictions_total.add(evicted);
+        self.publish_reply_cache_usage();
+        self.send_reply(first, req_id, frame);
+    }
+
+    fn send_reply(&self, first: u32, req_id: ReqId, frame: Bytes) {
+        if let Err(e) = self.transmit(first, "reply", frame) {
             // A dropped reply leaves the requester to retransmit or time
             // out; count and journal it so lost-reply scenarios show up
             // in diagnostics instead of vanishing.
@@ -348,6 +354,14 @@ impl Core {
                 Some(first),
             );
         }
+    }
+
+    /// Brings the dedup-cache gauges up to date (an entry was settled).
+    pub(crate) fn publish_reply_cache_usage(&self) {
+        let (entries, bytes) = self.inner.reply_cache.usage();
+        let t = &self.inner.telemetry;
+        t.dedup_cache_entries.set(entries as f64);
+        t.dedup_cache_bytes.set(bytes as f64);
     }
 
     fn handle_reply(&self, req_id: ReqId, route: Vec<u32>, body: Reply) {
@@ -367,12 +381,7 @@ impl Core {
         let Some((&next, rest)) = route.split_first() else {
             return self.complete_rpc(req_id, body);
         };
-        let msg = Message::Reply {
-            req_id,
-            route: rest.to_vec(),
-            body,
-        };
-        let _ = self.send_to(next, &msg);
+        let _ = self.send(next, "reply", &Header::Reply(req_id, rest), |w| body.put(w));
     }
 
     fn handle_notify(&self, n: Notify) {

@@ -1,4 +1,4 @@
-//! The envelope accounting around `Core::send_to` and `Core::receive`:
+//! The envelope accounting around `Core::transmit` and `Core::receive`:
 //! what one call puts on the wire and what the decode-error counter
 //! counts.
 
@@ -7,9 +7,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fargo_telemetry::{Clock, Hlc};
-use fargo_wire::{Value, WireWriter};
+use fargo_wire::Value;
 use simnet::{LinkConfig, Network, NetworkConfig};
 
+use crate::proto::tests::{encode, encode_body};
 use crate::proto::{EnvelopeMeta, Message, Reply, Request, ENVELOPE_VERSION};
 use crate::runtime::Core;
 use crate::{CompletRegistry, CoreConfig};
@@ -23,6 +24,18 @@ crate::define_complet! {
         }
         fn get(&mut self, _ctx, _args) {
             Ok(Value::Bytes(vec![7; 64]))
+        }
+        // 256 graph-shaped records stamped with the call count, so a
+        // second execution could not produce the first one's bytes.
+        fn scan(&mut self, _ctx, _args) {
+            self.calls += 1;
+            Ok(Value::list((0..256).map(|i| {
+                Value::map([
+                    ("k", Value::from(format!("k{i:015x}"))),
+                    ("v", Value::I64((i << 32) | self.calls)),
+                    ("tags", Value::list((0..3).map(|t| Value::from(format!("t{t:05x}"))))),
+                ])
+            })))
         }
     }
 }
@@ -61,7 +74,7 @@ fn out_bytes(core: &Core, kind: &str) -> u64 {
         .get()
 }
 
-/// What `send_to` puts on the wire for `msg` at virtual time `now_us`:
+/// What a Core puts on the wire for `msg` at virtual time `now_us`:
 /// the message under an `hlc` and a `ts` section and nothing else.
 fn wire_len(msg: &Message, now_us: u64) -> u64 {
     let meta = EnvelopeMeta {
@@ -71,9 +84,7 @@ fn wire_len(msg: &Message, now_us: u64) -> u64 {
         }),
         ts: Some(now_us),
     };
-    let mut w = WireWriter::new();
-    msg.encode(&meta, &mut w);
-    w.finish().len() as u64
+    encode(msg, &meta).len() as u64
 }
 
 /// The canonical small call of `proto::tests::small_get_fits_its_byte_budget`
@@ -154,15 +165,13 @@ fn envelope_size_does_not_depend_on_shard_population_or_uptime() {
 #[test]
 fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
     let (net, core0, core1) = pair(CoreConfig::default());
-    let mut w = WireWriter::new();
-    Message::Request {
+    let ping = Message::Request {
         req_id: 1,
         origin: core1.node().index(),
         trace: None,
         body: Request::Ping,
-    }
-    .encode(&EnvelopeMeta::default(), &mut w);
-    let good = w.finish();
+    };
+    let good = encode(&ping, &EnvelopeMeta::default());
     let truncated = good.slice(..good.len() - 1);
     let mut future = good.to_vec();
     future[0] = ENVELOPE_VERSION + 1;
@@ -184,6 +193,67 @@ fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
     let echo = core1.new_complet_at("core0", "Echo", &[]).unwrap();
     assert_eq!(echo.call("ping", &[]).unwrap(), Value::I64(1));
     assert_eq!(core0.decode_errors(), 3);
+    core0.stop();
+    core1.stop();
+}
+
+/// A retransmitted request is answered from the bytes of the first
+/// reply: the method runs once, and the replayed envelope is a fresh
+/// header (later stamps) around a byte-identical body.
+#[test]
+fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
+    let clock = Clock::new_virtual(25_000_000);
+    let (net, core0, core1) = pair(CoreConfig::default().with_clock(clock.clone()));
+    let echo = core0.new_complet("Echo", &[]).unwrap();
+    // A peer that is no Core: its requests and their replies are frames
+    // in this test's hands.
+    let raw = net.add_node("raw").unwrap();
+    let scan = Message::Request {
+        req_id: 77,
+        origin: raw.id().index(),
+        trace: None,
+        body: Request::Invoke {
+            target: echo.id(),
+            method: "scan".into(),
+            args: vec![],
+            chain: vec![],
+            path: vec![raw.id().index()],
+            hops: 0,
+        },
+    };
+    let request = encode(&scan, &EnvelopeMeta::default());
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        raw.send(core0.node(), request.clone()).unwrap();
+        let frame = raw.recv_timeout(Duration::from_secs(10)).unwrap().payload;
+        replies.push(frame);
+        // The next copy is answered at a later instant.
+        clock.advance(Duration::from_millis(3));
+    }
+    let decoded: Vec<_> = replies
+        .iter()
+        .map(|frame| Message::decode(frame.clone()).unwrap())
+        .collect();
+    let body = encode_body(&decoded[0].0);
+    assert!(
+        body.len() > 8_000,
+        "a scan-sized reply: {} bytes",
+        body.len()
+    );
+    for (frame, (msg, _)) in replies.iter().zip(&decoded) {
+        assert_eq!(*msg, decoded[0].0);
+        assert_eq!(frame[frame.len() - body.len()..], body[..]);
+    }
+    // Only the header differs: it carries the stamps of its own send.
+    assert!(decoded[0].1.ts < decoded[1].1.ts && decoded[1].1.ts < decoded[2].1.ts);
+    assert_eq!(core0.reliability_stats().1, 2, "two replays");
+    assert_eq!(
+        echo.call("ping", &[]).unwrap(),
+        Value::I64(2),
+        "one scan ran"
+    );
+    let t = &core0.inner.telemetry;
+    assert_eq!(t.dedup_cache_bytes.get(), body.len() as f64);
     core0.stop();
     core1.stop();
 }

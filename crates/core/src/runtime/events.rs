@@ -7,7 +7,7 @@ use std::time::Duration;
 use crate::error::{FargoError, Result};
 use crate::events::{Delivery, EventHandler, EventPayload};
 use crate::monitor::Service;
-use crate::proto::{ListenerAddr, Message, Notify, Reply, Request};
+use crate::proto::{ListenerAddr, Notify, Reply, Request};
 use crate::reference::CompletRef;
 use crate::runtime::Core;
 
@@ -143,11 +143,8 @@ impl Core {
                     thread::spawn(move || handler(&p));
                 }
                 Delivery::Remote(ListenerAddr::Core { node, token }) => {
-                    let msg = Message::Notify(Notify::Event {
-                        token,
-                        payload: payload.clone(),
-                    });
-                    let _ = self.send_to(node, &msg);
+                    let payload = payload.clone();
+                    let _ = self.send_notify(node, &Notify::Event { token, payload });
                 }
                 Delivery::Remote(ListenerAddr::Complet(desc)) => {
                     let core = self.clone();

@@ -12,11 +12,12 @@
 use std::thread;
 use std::time::Duration;
 
+use bytes::Bytes;
 use fargo_telemetry::{JournalKind, TraceContext};
 use fargo_wire::{CompletId, Value};
 
 use crate::error::{FargoError, Result};
-use crate::proto::{Message, Reply, ReqId, Request};
+use crate::proto::{invoke_args, put_invoke, Header, Reply, ReqId};
 use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
 use crate::runtime::rpc::PendingRpc;
@@ -36,6 +37,30 @@ enum Route {
     Local,
     Remote(u32),
     Unknown,
+}
+
+/// The arguments of a call being routed: the caller's own graph, or —
+/// for a [`PendingCall`], which outlives that borrow — the body of the
+/// request already sent. No second tree is held while a call is in flight.
+#[derive(Clone, Copy)]
+enum CallArgs<'a> {
+    Borrowed(&'a [Value]),
+    Encoded(&'a Bytes),
+}
+
+impl CallArgs<'_> {
+    /// By-value semantics for a route that ends here: the one copy the
+    /// callee gets, its complet references degraded to `link` (§3.1; a
+    /// request body was degraded by its encoder).
+    fn to_local_copy(self) -> Result<Vec<Value>> {
+        match self {
+            CallArgs::Borrowed(args) => Ok(args
+                .iter()
+                .map(|v| v.clone().transform_refs(&mut |r| r.degraded()))
+                .collect()),
+            CallArgs::Encoded(body) => invoke_args(body.clone()),
+        }
+    }
 }
 
 impl Core {
@@ -66,13 +91,12 @@ impl Core {
         let state = match self.route(id, target) {
             Route::Remote(node) => {
                 self.inner.telemetry.invoke_total.inc();
-                let args = self.account_call(id, method, args, &[]);
-                match self.begin_invoke(node, id, method, &args, &[]) {
+                self.account_call(id, method, &[]);
+                match self.begin_invoke(node, id, method, CallArgs::Borrowed(args), &[]) {
                     Ok(rpc) => PendingCallState::Remote {
                         rpc: Box::new(rpc),
                         target: target.clone(),
                         method: method.to_owned(),
-                        args,
                     },
                     Err(e) => PendingCallState::Ready(Err(e)),
                 }
@@ -113,8 +137,8 @@ impl Core {
         let result = if chain.contains(&id) {
             Err(FargoError::ReentrantInvocation(id))
         } else {
-            let args = self.account_call(id, method, args, &chain);
-            self.route_and_settle(target, method, &args, &chain, None)
+            self.account_call(id, method, &chain);
+            self.route_and_settle(target, method, CallArgs::Borrowed(args), &chain, None)
         };
         let total_us = self.inner.config.clock.now_us().saturating_sub(started);
         t.invoke_latency_us.observe(total_us);
@@ -142,14 +166,9 @@ impl Core {
 
     /// What every application call does exactly once, whichever entry
     /// point issued it and however often it is re-routed: profile the
-    /// reference, journal the issue, and copy the arguments.
-    fn account_call(
-        &self,
-        id: CompletId,
-        method: &str,
-        args: &[Value],
-        chain: &[CompletId],
-    ) -> Vec<Value> {
+    /// reference and journal the issue. (The by-value copy is made where
+    /// the route ends: by the encoder, or by [`CallArgs::to_local_copy`].)
+    fn account_call(&self, id: CompletId, method: &str, chain: &[CompletId]) {
         // Application-level profiling at the reference's source (§4.1).
         let src = chain
             .last()
@@ -170,16 +189,11 @@ impl Core {
         self.inner
             .telemetry
             .journal(JournalKind::Invoke, &id, method, &src_label, None);
-
-        // By-value parameter semantics: the argument graph is copied and
-        // every complet reference inside it is degraded to `link`.
-        args.iter()
-            .cloned()
-            .map(|v| v.transform_refs(&mut |r| r.degraded()))
-            .collect()
     }
 
-    /// Issues the `Invoke` request for an accounted call to `node`. The
+    /// Issues the `Invoke` request for an accounted call to `node`,
+    /// encoded straight from the borrowed arguments (or from the body
+    /// this call already sent elsewhere: the fields are the same). The
     /// same `req_id` rides on every retransmitted copy, so a retried
     /// non-idempotent method is deduplicated (or replayed) at the
     /// executing Core.
@@ -188,18 +202,14 @@ impl Core {
         node: u32,
         target: CompletId,
         method: &str,
-        args: &[Value],
+        args: CallArgs<'_>,
         chain: &[CompletId],
     ) -> Result<PendingRpc> {
-        let body = Request::Invoke {
-            target,
-            method: method.to_owned(),
-            args: args.to_vec(),
-            chain: chain.to_vec(),
-            path: vec![self.inner.node.index()],
-            hops: 0,
-        };
-        self.rpc_begin(node, body)
+        let path = [self.inner.node.index()];
+        self.rpc_begin(node, "invoke", |w| match args {
+            CallArgs::Borrowed(args) => put_invoke(w, target, method, args, chain, &path, 0),
+            CallArgs::Encoded(body) => w.put_raw(body),
+        })
     }
 
     /// Routes an accounted call until it settles: executes it here,
@@ -211,7 +221,7 @@ impl Core {
         &self,
         target: &CompletRef,
         method: &str,
-        args: &[Value],
+        args: CallArgs<'_>,
         chain: &[CompletId],
         mut issued: Option<PendingRpc>,
     ) -> Result<Value> {
@@ -235,17 +245,19 @@ impl Core {
             let rpc = match issued.take() {
                 Some(rpc) => rpc,
                 None => match self.route(id, target) {
-                    Route::Local => match self.execute_local(id, method, args, chain) {
-                        LocalExec::Done(res) => {
-                            if res.is_ok() {
-                                target.set_last_known(me);
-                                self.inner.trackers.credit(id);
+                    Route::Local => {
+                        match self.execute_local(id, method, &args.to_local_copy()?, chain) {
+                            LocalExec::Done(res) => {
+                                if res.is_ok() {
+                                    target.set_last_known(me);
+                                    self.inner.trackers.credit(id);
+                                }
+                                self.inner.telemetry.invoke_hops.observe(0);
+                                return res;
                             }
-                            self.inner.telemetry.invoke_hops.observe(0);
-                            return res;
+                            LocalExec::Moved => continue,
                         }
-                        LocalExec::Moved => continue,
-                    },
+                    }
                     Route::Remote(node) => self.begin_invoke(node, id, method, args, chain)?,
                     Route::Unknown => return Err(FargoError::UnknownComplet(id)),
                 },
@@ -517,23 +529,13 @@ impl Core {
                         }
                         _ => (trace, None),
                     };
-                    let mut fwd_path = path.to_vec();
-                    fwd_path.push(me);
-                    let msg = Message::Request {
-                        req_id,
-                        origin,
-                        trace: fwd_trace,
-                        body: Request::Invoke {
-                            target,
-                            method: method.clone(),
-                            args: args.clone(),
-                            chain: chain.clone(),
-                            path: fwd_path,
-                            hops: hops + 1,
-                        },
-                    };
+                    let head = Header::Request(req_id, origin, fwd_trace);
+                    let fwd_path = [path, &[me]].concat();
                     let fwd_start = t.phase_timing.then(|| t.phase_now_us());
-                    let sent = self.send_to(next, &msg);
+                    // Straight from the decoded parts, nothing cloned.
+                    let sent = self.send(next, "invoke", &head, |w| {
+                        put_invoke(w, target, &method, &args, &chain, &fwd_path, hops + 1);
+                    });
                     if let Some(t0) = fwd_start {
                         t.latency_forward_us
                             .observe(t.phase_now_us().saturating_sub(t0));
@@ -551,6 +553,7 @@ impl Core {
                     // lingering `InFlight` marker here would swallow every
                     // retransmission of this request for good.
                     self.inner.reply_cache.forget(origin, req_id);
+                    self.publish_reply_cache_usage();
                     return None;
                 }
                 Some(TrackerTarget::Forward(_)) | None => {
@@ -591,8 +594,6 @@ enum PendingCallState {
         rpc: Box<PendingRpc>,
         target: CompletRef,
         method: String,
-        /// Already accounted and copied by value at issue time.
-        args: Vec<Value>,
     },
     /// Resolved at issue time (local execution or an immediate error).
     Ready(Result<Value>),
@@ -617,10 +618,9 @@ impl PendingCall {
                 rpc,
                 target,
                 method,
-                args,
             } => {
-                let core = rpc.core.clone();
-                core.route_and_settle(&target, &method, &args, &[], Some(*rpc))
+                let (core, body) = (rpc.core.clone(), rpc.body.clone());
+                core.route_and_settle(&target, &method, CallArgs::Encoded(&body), &[], Some(*rpc))
             }
         }
     }

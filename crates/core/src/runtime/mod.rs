@@ -34,6 +34,7 @@ pub use events::RemoteSubscription;
 pub use invocation::PendingCall;
 pub use observe::LatencySummary;
 pub use persistence::Checkpoint;
+pub use reliable::DEDUP_CACHE_MAX_BYTES;
 pub use shards::{LocateReport, ResolveVia};
 pub use wal::RecoveryReport;
 

@@ -14,98 +14,117 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
+use bytes::Bytes;
 use fargo_wire::CompletId;
 use parking_lot::Mutex;
 
-use crate::proto::{Reply, ReqId};
+use crate::proto::ReqId;
 
 /// One request as a receiver identifies it: origin Core + correlation id.
 type Key = (u32, ReqId);
 
-/// What the dedup cache knows about one request.
-enum CacheSlot {
+/// Bytes of encoded replies one Core's dedup cache may hold, whatever
+/// `dedup_cache_capacity` (the knob, in entries) says.
+pub const DEDUP_CACHE_MAX_BYTES: usize = 16 << 20;
+
+/// What the dedup cache knows about a request it has seen before.
+#[derive(Clone)]
+pub(crate) enum CacheSlot {
     /// The first copy is still executing; retransmits are dropped (the
     /// eventual reply answers them implicitly via sender retransmission).
     InFlight,
-    /// Execution finished; retransmits get this reply re-sent verbatim.
-    Done(Reply),
-}
-
-/// Outcome of admitting one copy of a request.
-pub(crate) enum CacheDecision {
-    /// First sighting: execute it (an `InFlight` marker is now held and
-    /// must be resolved with `complete` or `forget`).
-    Execute,
-    /// Another copy is still executing: drop this one.
-    DropInFlight,
-    /// Already executed: re-send this cached reply, do not re-execute.
-    Replay(Reply),
+    /// Execution finished; retransmits get this encoded reply body
+    /// re-sent verbatim and nothing re-executes.
+    Done(Bytes),
 }
 
 /// Bounded `(origin, req_id) → reply` cache with FIFO eviction; the
-/// receiver half of at-most-once execution. Capacity `0` disables it
-/// (every copy executes — the historical behaviour).
+/// receiver half of at-most-once execution. Replies are kept as the
+/// bytes the responder encoded, bounded in entries by the capacity and in
+/// bytes by [`DEDUP_CACHE_MAX_BYTES`]. Capacity `0` disables it (every
+/// copy executes — the historical behaviour).
 pub(crate) struct ReplyCache {
     capacity: usize,
     inner: Mutex<CacheState>,
 }
 
+#[derive(Default)]
 struct CacheState {
     slots: HashMap<Key, CacheSlot>,
-    /// Insertion order for eviction; may hold stale keys after `forget`.
+    /// Insertion order for eviction: exactly the keys of `slots`.
     order: VecDeque<Key>,
+    /// Sum of the lengths of the `Done` bodies.
+    bytes: usize,
+}
+
+impl CacheState {
+    fn remove(&mut self, at: usize) {
+        let key = self.order.remove(at).expect("index taken from `order`");
+        if let Some(CacheSlot::Done(body)) = self.slots.remove(&key) {
+            self.bytes -= body.len();
+        }
+    }
 }
 
 impl ReplyCache {
     pub(crate) fn new(capacity: usize) -> Self {
         ReplyCache {
             capacity,
-            inner: Mutex::new(CacheState {
-                slots: HashMap::new(),
-                order: VecDeque::new(),
-            }),
+            inner: Mutex::default(),
         }
     }
 
-    /// Admits one copy of a request. Returns the decision plus how many
-    /// old entries were evicted to make room (for the eviction counter).
-    pub(crate) fn begin(&self, origin: u32, req_id: ReqId) -> (CacheDecision, u64) {
+    /// Admits one copy of a request: what is known of it, or `None` on a
+    /// first sighting — execute it (an `InFlight` marker is now held and
+    /// must be resolved with `complete` or `forget`) — plus how many old
+    /// entries were evicted to make room.
+    pub(crate) fn begin(&self, origin: u32, req_id: ReqId) -> (Option<CacheSlot>, u64) {
         if self.capacity == 0 {
-            return (CacheDecision::Execute, 0);
+            return (None, 0);
         }
         let mut g = self.inner.lock();
         let key = (origin, req_id);
         if let Some(slot) = g.slots.get(&key) {
-            return match slot {
-                CacheSlot::InFlight => (CacheDecision::DropInFlight, 0),
-                CacheSlot::Done(r) => (CacheDecision::Replay(r.clone()), 0),
-            };
+            return (Some(slot.clone()), 0);
         }
         let mut evicted = 0u64;
-        while g.slots.len() >= self.capacity {
-            let Some(old) = g.order.pop_front() else {
-                break;
-            };
-            if g.slots.remove(&old).is_some() {
-                evicted += 1;
-            }
+        while g.order.len() >= self.capacity {
+            g.remove(0);
+            evicted += 1;
         }
         g.slots.insert(key, CacheSlot::InFlight);
         g.order.push_back(key);
-        (CacheDecision::Execute, evicted)
+        (None, evicted)
     }
 
-    /// Records the reply produced for a request admitted with `begin`.
-    /// A no-op when the entry was evicted meanwhile or never admitted
-    /// (idempotent requests skip the cache entirely).
-    pub(crate) fn complete(&self, origin: u32, req_id: ReqId, reply: &Reply) {
-        if self.capacity == 0 {
-            return;
-        }
+    /// Records the encoded reply of a request admitted with `begin`, then
+    /// evicts the oldest recorded replies (never this one) until the byte
+    /// bound holds; returns how many. A no-op when the entry was evicted
+    /// meanwhile or never admitted (idempotent requests skip the cache).
+    pub(crate) fn complete(&self, origin: u32, req_id: ReqId, body: Bytes) -> u64 {
         let mut g = self.inner.lock();
-        if let Some(slot) = g.slots.get_mut(&(origin, req_id)) {
-            *slot = CacheSlot::Done(reply.clone());
+        let key = (origin, req_id);
+        let Some(slot) = g.slots.get_mut(&key) else {
+            return 0;
+        };
+        let added = body.len();
+        if let CacheSlot::Done(old) = std::mem::replace(slot, CacheSlot::Done(body)) {
+            g.bytes -= old.len();
         }
+        g.bytes += added;
+        let (mut evicted, mut at) = (0u64, 0);
+        while g.bytes > DEDUP_CACHE_MAX_BYTES && at < g.order.len() {
+            let k = g.order[at];
+            // An `InFlight` entry owns no bytes, and dropping it would
+            // let a retransmission execute beside the first copy.
+            if k != key && matches!(g.slots[&k], CacheSlot::Done(_)) {
+                g.remove(at);
+                evicted += 1;
+            } else {
+                at += 1;
+            }
+        }
+        evicted
     }
 
     /// Drops a request's entry without recording a reply. Forwarding hops
@@ -113,16 +132,17 @@ impl ReplyCache {
     /// Core, and a lingering `InFlight` marker here would swallow every
     /// retransmission for good.
     pub(crate) fn forget(&self, origin: u32, req_id: ReqId) {
-        if self.capacity == 0 {
-            return;
+        let mut g = self.inner.lock();
+        // A forgotten entry is nearly always the newest one.
+        if let Some(at) = g.order.iter().rposition(|k| *k == (origin, req_id)) {
+            g.remove(at);
         }
-        self.inner.lock().slots.remove(&(origin, req_id));
     }
 
-    /// Live entries (tests).
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.inner.lock().slots.len()
+    /// `(entries, bytes of recorded reply bodies)` held right now.
+    pub(crate) fn usage(&self) -> (usize, usize) {
+        let g = self.inner.lock();
+        (g.order.len(), g.bytes)
     }
 }
 
@@ -264,24 +284,47 @@ impl DecisionLog {
 mod tests {
     use super::*;
 
+    fn body(len: usize, fill: u8) -> Bytes {
+        Bytes::from(vec![fill; len])
+    }
+
+    /// The two sides of the cache agree: `order` lists exactly the keys
+    /// of `slots`, and `bytes` is what the recorded bodies add up to.
+    fn assert_consistent(cache: &ReplyCache) {
+        let g = cache.inner.lock();
+        assert_eq!(g.order.len(), g.slots.len());
+        assert!(g.order.iter().all(|k| g.slots.contains_key(k)));
+        let held: usize = g
+            .slots
+            .values()
+            .map(|s| match s {
+                CacheSlot::Done(b) => b.len(),
+                CacheSlot::InFlight => 0,
+            })
+            .sum();
+        assert_eq!(g.bytes, held);
+    }
+
     #[test]
     fn first_copy_executes_then_replays() {
         let cache = ReplyCache::new(8);
         let (d, _) = cache.begin(1, 10);
-        assert!(matches!(d, CacheDecision::Execute));
+        assert!(d.is_none());
         // A retransmit while executing is dropped.
         let (d, _) = cache.begin(1, 10);
-        assert!(matches!(d, CacheDecision::DropInFlight));
-        cache.complete(1, 10, &Reply::Pong);
-        // A retransmit after completion replays the recorded reply.
+        assert!(matches!(d, Some(CacheSlot::InFlight)));
+        cache.complete(1, 10, body(3, 7));
+        // A retransmit after completion replays the recorded bytes.
         let (d, _) = cache.begin(1, 10);
         match d {
-            CacheDecision::Replay(Reply::Pong) => {}
+            Some(CacheSlot::Done(b)) => assert_eq!(b, body(3, 7)),
             _ => panic!("expected replay"),
         }
         // A different origin with the same req_id is a distinct request.
         let (d, _) = cache.begin(2, 10);
-        assert!(matches!(d, CacheDecision::Execute));
+        assert!(d.is_none());
+        assert_eq!(cache.usage(), (2, 3));
+        assert_consistent(&cache);
     }
 
     #[test]
@@ -289,7 +332,7 @@ mod tests {
         let cache = ReplyCache::new(0);
         for _ in 0..3 {
             let (d, e) = cache.begin(1, 1);
-            assert!(matches!(d, CacheDecision::Execute));
+            assert!(d.is_none());
             assert_eq!(e, 0);
         }
     }
@@ -298,15 +341,16 @@ mod tests {
     fn eviction_is_fifo_and_counted() {
         let cache = ReplyCache::new(2);
         cache.begin(1, 1);
-        cache.complete(1, 1, &Reply::Pong);
+        cache.complete(1, 1, body(10, 1));
         cache.begin(1, 2);
-        cache.complete(1, 2, &Reply::Ok);
+        cache.complete(1, 2, body(20, 2));
         let (_, evicted) = cache.begin(1, 3);
         assert_eq!(evicted, 1);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.usage(), (2, 20));
         // The oldest entry (1,1) is gone: it now re-executes.
         let (d, _) = cache.begin(1, 1);
-        assert!(matches!(d, CacheDecision::Execute));
+        assert!(d.is_none());
+        assert_consistent(&cache);
     }
 
     #[test]
@@ -315,10 +359,73 @@ mod tests {
         cache.begin(1, 1);
         cache.forget(1, 1);
         let (d, _) = cache.begin(1, 1);
-        assert!(
-            matches!(d, CacheDecision::Execute),
-            "forgotten entry must re-admit"
-        );
+        assert!(d.is_none(), "forgotten entry must re-admit");
+    }
+
+    /// A Core that only forwards admits and forgets every request and
+    /// never fills its cache; the eviction order must not remember them.
+    #[test]
+    fn a_forwarding_core_does_not_grow_the_eviction_order() {
+        let cache = ReplyCache::new(8);
+        for req_id in 0..100_000 {
+            let (d, evicted) = cache.begin(3, req_id);
+            assert!(d.is_none());
+            assert_eq!(evicted, 0);
+            cache.forget(3, req_id);
+            assert!(cache.inner.lock().order.len() <= 8);
+        }
+        assert_eq!(cache.usage(), (0, 0));
+        // Forgetting among entries that stay: only the forgotten key goes.
+        for req_id in 0..6 {
+            cache.begin(1, req_id);
+            cache.complete(1, req_id, body(5, 0));
+        }
+        cache.forget(1, 2);
+        cache.forget(1, 99);
+        assert_eq!(cache.usage(), (5, 25));
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn the_byte_bound_evicts_oldest_replies_first() {
+        const REPLY: usize = 64 << 10;
+        let cache = ReplyCache::new(1024);
+        let mut evicted = 0;
+        for req_id in 0..1024 {
+            cache.begin(1, req_id);
+            evicted += cache.complete(1, req_id, body(REPLY, req_id as u8));
+            assert!(cache.usage().1 <= DEDUP_CACHE_MAX_BYTES);
+        }
+        let fit = DEDUP_CACHE_MAX_BYTES / REPLY;
+        assert_eq!(cache.usage(), (fit, fit * REPLY));
+        assert_eq!(evicted as usize, 1024 - fit);
+        assert_consistent(&cache);
+        // The newest replies are the ones kept.
+        let (d, _) = cache.begin(1, 1023);
+        assert!(matches!(d, Some(CacheSlot::Done(b)) if b == body(REPLY, 1023u64 as u8)));
+        let (d, _) = cache.begin(1, 0);
+        assert!(d.is_none());
+    }
+
+    #[test]
+    fn a_reply_over_the_whole_budget_is_kept_alone_and_replayed() {
+        let cache = ReplyCache::new(8);
+        cache.begin(1, 1);
+        cache.complete(1, 1, body(100, 1));
+        // Still executing: owns no bytes, and must survive the eviction.
+        cache.begin(1, 2);
+        cache.begin(1, 3);
+        let huge = body(DEDUP_CACHE_MAX_BYTES + 1, 9);
+        assert_eq!(cache.complete(1, 3, huge.clone()), 1);
+        assert_eq!(cache.usage(), (2, huge.len()));
+        let (d, _) = cache.begin(1, 3);
+        assert!(matches!(d, Some(CacheSlot::Done(b)) if b == huge));
+        let (d, _) = cache.begin(1, 2);
+        assert!(matches!(d, Some(CacheSlot::InFlight)));
+        // The next reply displaces it.
+        cache.complete(1, 2, body(10, 2));
+        assert_eq!(cache.usage(), (1, 10));
+        assert_consistent(&cache);
     }
 
     #[test]

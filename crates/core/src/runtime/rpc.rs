@@ -1,22 +1,24 @@
 //! The caller side of the peer channel: everything this Core sends, and
 //! every request it originates and waits on.
 //!
-//! There is one way out ([`Core::send_to`]), one place a request
-//! envelope is built and given its id, one table of requests awaiting
-//! their reply, and one retransmitting wait ([`PendingRpc::wait`]) —
-//! the blocking [`Core::rpc`] is `rpc_begin(..)?.wait()`, and both
-//! invocation styles issue and settle through the same two calls.
+//! There is one way out ([`Core::send`]: [`Core::frame`], then
+//! [`Core::transmit`]), one place a request is given its id, one table
+//! of requests awaiting their reply, and one retransmitting wait
+//! ([`PendingRpc::wait`]) — the blocking [`Core::rpc`] is
+//! `rpc_begin(..)?.wait()`, and both invocation styles issue and settle
+//! through the same two calls.
 
 use std::sync::atomic::Ordering;
 
+use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
-use fargo_telemetry::TraceContext;
 use fargo_wire::WireWriter;
 
 use crate::error::{FargoError, Result};
-use crate::proto::{EnvelopeMeta, Message, Reply, ReqId, Request};
+use crate::proto::{EnvelopeMeta, Header, Notify, Reply, ReqId, Request, Wire};
 use crate::runtime::reliable::RetryBudget;
 use crate::runtime::Core;
+use crate::telemetry::current_trace;
 
 /// Bytes reserved for an outgoing envelope before encoding: covers the
 /// header plus a small invocation, so the common message never regrows
@@ -24,7 +26,31 @@ use crate::runtime::Core;
 const ENVELOPE_CAPACITY_HINT: usize = 128;
 
 impl Core {
-    pub(crate) fn send_to(&self, node: u32, msg: &Message) -> Result<()> {
+    /// Encodes and sends one envelope of `kind` (its metrics label).
+    pub(crate) fn send(
+        &self,
+        node: u32,
+        kind: &'static str,
+        head: &Header<'_>,
+        body: impl FnOnce(&mut WireWriter),
+    ) -> Result<()> {
+        let (frame, _) = self.frame(head, body);
+        self.transmit(node, kind, frame)
+    }
+
+    pub(crate) fn send_notify(&self, node: u32, n: &Notify) -> Result<()> {
+        self.send(node, "notify", &Header::Notify, |w| n.put(w))
+    }
+
+    /// Encodes one envelope under this Core's current stamps: `head`,
+    /// then whatever `body` writes. Returns the frame and its body — a
+    /// window into the frame, not a second copy — for a caller that may
+    /// have to send the body again.
+    pub(crate) fn frame(
+        &self,
+        head: &Header<'_>,
+        body: impl FnOnce(&mut WireWriter),
+    ) -> (Bytes, Bytes) {
         let t = &self.inner.telemetry;
         // Every outbound envelope carries this Core's HLC (when the
         // journal is on), so the receiver's merge keeps the global
@@ -39,47 +65,41 @@ impl Core {
             ts,
         };
         let mut w = WireWriter::with_capacity(ENVELOPE_CAPACITY_HINT);
-        msg.encode(&meta, &mut w);
-        let payload = w.finish();
+        head.encode(&meta, &mut w);
+        let body_at = w.len();
+        body(&mut w);
+        let frame = w.finish();
         if let Some(t0) = ts {
             t.latency_marshal_us
                 .observe(t.phase_now_us().saturating_sub(t0));
         }
-        t.record_msg_out(msg.kind_label(), payload.len());
+        let body = frame.slice(body_at..);
+        (frame, body)
+    }
+
+    /// Hands one encoded envelope to the transport and counts it.
+    pub(crate) fn transmit(&self, node: u32, kind: &'static str, frame: Bytes) -> Result<()> {
+        let t = &self.inner.telemetry;
+        t.record_msg_out(kind, frame.len());
         if t.accounting && node != self.inner.node.index() {
             t.matrix
-                .record(self.inner.node.index(), node, payload.len() as u64, || {
+                .record(self.inner.node.index(), node, frame.len() as u64, || {
                     (self.inner.name.clone(), self.core_name_of(node))
                 });
         }
         self.inner
             .transport
-            .send(node, payload)
+            .send(node, frame)
             .map_err(FargoError::from)
     }
 
-    /// Builds the envelope of a request this Core originates, under a
-    /// fresh request id. The same id rides on every retransmitted copy,
-    /// which is what lets the receiver deduplicate.
-    fn originate(&self, trace: Option<TraceContext>, body: Request) -> (ReqId, Message) {
-        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
-        let msg = Message::Request {
-            req_id,
-            origin: self.inner.node.index(),
-            trace,
-            body,
-        };
-        (req_id, msg)
-    }
-
-    /// Sends a request and waits for its reply. The ambient trace context
-    /// (set while a traced invocation or move is in progress on this
-    /// thread) rides along in the envelope. Unanswered requests are
+    /// Sends a request and waits for its reply. Unanswered requests are
     /// retransmitted with capped exponential backoff until the overall
     /// `rpc_timeout` budget runs out; receiver-side dedup keeps the
     /// retries at-most-once.
     pub(crate) fn rpc(&self, node: u32, body: Request) -> Result<Reply> {
-        self.rpc_begin(node, body)?.wait()
+        let kind = body.kind_name();
+        self.rpc_begin(node, kind, |w| body.put(w))?.wait()
     }
 
     /// Issues a request without waiting for its reply: the envelope is
@@ -87,9 +107,16 @@ impl Core {
     /// correlation slot. The caller later blocks in
     /// [`PendingRpc::wait`]. This is what lets one Core hold tens of
     /// thousands of requests in flight: issuing costs one send, not one
-    /// parked thread.
-    pub(crate) fn rpc_begin(&self, node: u32, body: Request) -> Result<PendingRpc> {
-        let (req_id, msg) = self.originate(crate::telemetry::current_trace(), body);
+    /// parked thread. `body` writes the request body: it is encoded once,
+    /// and the same id, ambient trace context and bytes ride on every
+    /// retransmitted copy, which is what lets the receiver deduplicate.
+    pub(crate) fn rpc_begin(
+        &self,
+        node: u32,
+        kind: &'static str,
+        body: impl FnOnce(&mut WireWriter),
+    ) -> Result<PendingRpc> {
+        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
         let cfg = &self.inner.config;
         let budget = RetryBudget::new(
             cfg.clock.clone(),
@@ -102,11 +129,13 @@ impl Core {
         self.inner.pending.lock().insert(req_id, tx);
         // From here the slot is released by `PendingRpc`'s `Drop`,
         // whichever way this function or the wait ends.
-        let pending = PendingRpc {
+        let mut pending = PendingRpc {
             core: self.clone(),
             node,
             req_id,
-            msg,
+            kind,
+            head: Header::Request(req_id, self.inner.node.index(), current_trace()),
+            body: Bytes::new(),
             rx,
             budget,
         };
@@ -120,7 +149,9 @@ impl Core {
         // (and the peer works on it) while the caller does other things.
         // A synchronous send failure (unknown or down node) is
         // definitive — retransmitting cannot answer it.
-        self.send_to(node, &pending.msg)?;
+        let (frame, body) = self.frame(&pending.head, body);
+        pending.body = body;
+        self.transmit(node, kind, frame)?;
         Ok(pending)
     }
 
@@ -129,8 +160,9 @@ impl Core {
     /// commit nudges whose delivery is guaranteed by timeout queries,
     /// not by retransmission.
     pub(crate) fn send_request_oneway(&self, node: u32, body: Request) {
-        let (_, msg) = self.originate(None, body);
-        let _ = self.send_to(node, &msg);
+        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
+        let head = Header::Request(req_id, self.inner.node.index(), None);
+        let _ = self.send(node, body.kind_name(), &head, |w| body.put(w));
     }
 
     /// Hands a reply that reached its final hop to the caller waiting on
@@ -176,7 +208,10 @@ pub(crate) struct PendingRpc {
     pub(super) core: Core,
     pub(super) node: u32,
     pub(super) req_id: ReqId,
-    msg: Message,
+    kind: &'static str,
+    head: Header<'static>,
+    /// As first sent; a retransmission is `head`, re-stamped, around it.
+    pub(super) body: Bytes,
     rx: Receiver<Reply>,
     budget: RetryBudget,
 }
@@ -197,7 +232,8 @@ impl PendingRpc {
                         return Err(FargoError::Timeout);
                     }
                     self.core.inner.telemetry.rpc_retries_total.inc();
-                    self.core.send_to(self.node, &self.msg)?;
+                    let (core, body) = (&self.core, &self.body);
+                    core.send(self.node, self.kind, &self.head, |w| w.put_raw(body))?;
                 }
             }
         }

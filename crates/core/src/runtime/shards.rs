@@ -19,7 +19,7 @@ use fargo_telemetry::JournalKind;
 use fargo_wire::CompletId;
 
 use crate::error::{FargoError, Result};
-use crate::proto::{DeltaTuple, Message, Notify, Reply, Request};
+use crate::proto::{DeltaTuple, Notify, Reply, Request};
 use crate::reference::tracker::TrackerTarget;
 use crate::runtime::{Core, MAX_HOPS};
 
@@ -128,7 +128,7 @@ impl Core {
             }
         }
         for (owner, entries) in by_owner {
-            let _ = self.send_to(owner, &Message::Notify(Notify::ShardDelta { entries }));
+            let _ = self.send_notify(owner, &Notify::ShardDelta { entries });
         }
         lost.len()
     }
@@ -147,12 +147,8 @@ impl Core {
         if owner == self.inner.node.index() {
             self.apply_shard_delta(id, ShardEntry { node, epoch, alive });
         } else {
-            let _ = self.send_to(
-                owner,
-                &Message::Notify(Notify::ShardDelta {
-                    entries: vec![(id, node, epoch, alive)],
-                }),
-            );
+            let entries = vec![(id, node, epoch, alive)];
+            let _ = self.send_notify(owner, &Notify::ShardDelta { entries });
         }
     }
 
@@ -205,7 +201,7 @@ impl Core {
             }
         }
         for (owner, entries) in forward {
-            let _ = self.send_to(owner, &Message::Notify(Notify::ShardDelta { entries }));
+            let _ = self.send_notify(owner, &Notify::ShardDelta { entries });
         }
     }
 

@@ -138,8 +138,12 @@ pub(crate) struct CoreTelemetry {
     pub dedup_hits_total: Counter,
     /// Retransmits dropped because the original is still executing.
     pub dedup_inflight_total: Counter,
-    /// Dedup-cache entries evicted to stay within capacity.
+    /// Dedup-cache entries evicted to stay within capacity or byte bound.
     pub dedup_evictions_total: Counter,
+    /// Requests the dedup cache holds right now (executing or replied).
+    pub dedup_cache_entries: Gauge,
+    /// Bytes of encoded reply bodies the dedup cache holds right now.
+    pub dedup_cache_bytes: Gauge,
     /// Replies that failed to send (the requester will retry or time out).
     pub reply_send_failures: Counter,
     /// Two-phase moves whose commit outcome needed epoch-query resolution.
@@ -157,7 +161,7 @@ pub(crate) struct CoreTelemetry {
     pub accounting: bool,
     /// Per-complet exec/invoke/bytes attribution, Space-Saving bounded.
     pub accountant: Accountant,
-    /// Messages and bytes per directed Core pair, fed from `send_to`.
+    /// Messages and bytes per directed Core pair, fed from `transmit`.
     pub matrix: TrafficMatrix,
     /// Invocations that returned an error to the caller.
     pub invoke_errors_total: Counter,
@@ -291,6 +295,8 @@ impl CoreTelemetry {
             dedup_hits_total: registry.counter("fargo_dedup_hits_total", l),
             dedup_inflight_total: registry.counter("fargo_dedup_inflight_total", l),
             dedup_evictions_total: registry.counter("fargo_dedup_evictions_total", l),
+            dedup_cache_entries: registry.gauge("fargo_dedup_cache_entries", l),
+            dedup_cache_bytes: registry.gauge("fargo_dedup_cache_bytes", l),
             reply_send_failures: registry.counter("fargo_reply_send_failures", l),
             move_indoubt_total: registry.counter("fargo_move_indoubt_total", l),
             worker_rejections_total: registry.counter("fargo_worker_rejections_total", l),

@@ -52,11 +52,56 @@ define_complet! {
     }
 }
 
+/// One record of the benchmark's `graph-simnet` shape: `{k: 16-char
+/// string, v: i64, tags: [3 short strings]}` — 7 nodes, ~60 bytes
+/// encoded.
+pub fn graph_record(i: i64, version: i64) -> Value {
+    Value::map([
+        ("k", Value::from(format!("k{i:015x}"))),
+        ("v", Value::I64((i << 32) | version)),
+        (
+            "tags",
+            Value::list((0..3).map(|t| Value::from(format!("t{:05x}", i * 3 + t)))),
+        ),
+    ])
+}
+
+/// `n` graph records at `version`, the by-value graph of one call.
+pub fn graph_records(n: i64, version: i64) -> Vec<Value> {
+    (0..n).map(|i| graph_record(i, version)).collect()
+}
+
+define_complet! {
+    /// A chunk of graph records that travels by value in both
+    /// directions (a `scan` reply, a `put_batch` argument) and counts
+    /// the scans it served.
+    pub complet GraphChunk {
+        state {
+            recs: Vec<Value> = graph_records(256, 0),
+            scans: i64 = 0,
+        }
+        fn scan(&mut self, _ctx, _args) {
+            self.scans += 1;
+            Ok(Value::List(self.recs.clone()))
+        }
+        fn put_batch(&mut self, _ctx, args) {
+            let batch = args.first().and_then(Value::as_list).unwrap_or(&[]);
+            let n = batch.len().min(self.recs.len());
+            self.recs[..n].clone_from_slice(&batch[..n]);
+            Ok(Value::I64(n as i64))
+        }
+        fn scans(&mut self, _ctx, _args) {
+            Ok(Value::I64(self.scans))
+        }
+    }
+}
+
 /// Registers the shared complet types.
 pub fn registry() -> CompletRegistry {
     let reg = CompletRegistry::new();
     Message::register(&reg);
     Counter::register(&reg);
+    GraphChunk::register(&reg);
     reg
 }
 
@@ -149,6 +194,19 @@ pub fn counter(core: &Core, name: &str) -> u64 {
         .map(|s| match s.value {
             MetricValue::Counter(v) => v,
             _ => 0,
+        })
+        .sum()
+}
+
+/// Sum of a gauge's series in `core`'s metrics registry.
+pub fn gauge(core: &Core, name: &str) -> f64 {
+    core.telemetry()
+        .snapshot()
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| match s.value {
+            MetricValue::Gauge(v) => v,
+            _ => 0.0,
         })
         .sum()
 }

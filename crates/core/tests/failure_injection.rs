@@ -268,6 +268,38 @@ fn retried_invocations_execute_exactly_once() {
 }
 
 #[test]
+fn retried_graph_scans_execute_exactly_once_and_replay_the_whole_reply() {
+    // The same guarantee for a reply the size of the benchmark's
+    // `scan(256)`: the dedup cache keeps such a reply as the bytes it
+    // was sent as, so a replay must still hand the caller every record.
+    let (net, cores) = lossy_cluster_with(0.30, 2, |c| {
+        c.with_rpc_timeout(Duration::from_secs(10))
+            .with_rpc_retries(16)
+    });
+    let chunk = cores[0]
+        .new_complet_at("core1", "GraphChunk", &[])
+        .expect("instantiation retries through the loss");
+    let expected = Value::List(common::graph_records(256, 0));
+    let calls = 30;
+    for i in 0..calls {
+        let result = if i % 2 == 0 {
+            chunk.call("scan", &[])
+        } else {
+            chunk.call_async("scan", &[]).wait()
+        };
+        assert_eq!(result.expect("call succeeds"), expected, "scan {i}");
+    }
+    assert!(
+        counter(&cores[1], "fargo_dedup_hits_total") > 0,
+        "30% loss must have lost a reply and had it replayed"
+    );
+    net.set_link(cores[0].node(), cores[1].node(), LinkConfig::instant())
+        .unwrap();
+    assert_eq!(chunk.call("scans", &[]).unwrap(), Value::I64(calls));
+    teardown(&cores);
+}
+
+#[test]
 fn dedup_cache_eviction_under_churn() {
     // A tiny dedup cache under many distinct requests must evict old
     // entries (bounded memory) without disturbing live calls.

@@ -120,7 +120,7 @@ fn complet_to_complet_calls_across_cores() {
         .unwrap();
     let caller = cores[0].new_complet("Caller", &[]).unwrap();
     caller
-        .call("set_peer", &[Value::Ref(msg.complet_ref().descriptor())])
+        .call("set_peer", &[Value::from(msg.complet_ref().descriptor())])
         .unwrap();
     assert_eq!(caller.call("relay", &[]).unwrap(), Value::from("pong"));
     teardown(&cores);
@@ -150,7 +150,7 @@ fn reference_params_are_degraded_to_link() {
     msg.meta().set_relocator("pull").unwrap();
     assert_eq!(msg.complet_ref().relocator(), "pull");
     caller
-        .call("set_peer", &[Value::Ref(msg.complet_ref().descriptor())])
+        .call("set_peer", &[Value::from(msg.complet_ref().descriptor())])
         .unwrap();
     assert_eq!(
         caller.call("peer_relocator", &[]).unwrap(),
@@ -173,7 +173,7 @@ fn by_value_graphs_with_nested_refs_survive() {
     let graph = Value::map([
         (
             "inner",
-            Value::list([Value::Ref(msg.complet_ref().descriptor())]),
+            Value::list([Value::from(msg.complet_ref().descriptor())]),
         ),
         ("noise", Value::from(42i64)),
     ]);
@@ -184,7 +184,7 @@ fn by_value_graphs_with_nested_refs_survive() {
     // relay fails (no peer yet) — the point is the call path, not result.
     assert!(echoed.is_err());
     caller
-        .call("set_peer", &[Value::Ref(msg.complet_ref().descriptor())])
+        .call("set_peer", &[Value::from(msg.complet_ref().descriptor())])
         .unwrap();
     assert_eq!(
         caller.call("relay", &[Value::from("x")]).unwrap(),

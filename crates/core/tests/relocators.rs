@@ -55,7 +55,7 @@ fn setup_holder_with_dep(
         .unwrap();
     let holder = cores[0].new_complet("Holder", &[]).unwrap();
     holder
-        .call("set_dep", &[Value::Ref(dep.complet_ref().descriptor())])
+        .call("set_dep", &[Value::from(dep.complet_ref().descriptor())])
         .unwrap();
     holder
         .call("retype_dep", &[Value::from(relocator)])
@@ -122,9 +122,9 @@ fn pull_cycles_terminate() {
     Holder::register(&reg);
     let a = cores[0].new_complet("Holder", &[]).unwrap();
     let b = cores[0].new_complet("Holder", &[]).unwrap();
-    a.call("set_dep", &[Value::Ref(b.complet_ref().descriptor())])
+    a.call("set_dep", &[Value::from(b.complet_ref().descriptor())])
         .unwrap();
-    b.call("set_dep", &[Value::Ref(a.complet_ref().descriptor())])
+    b.call("set_dep", &[Value::from(a.complet_ref().descriptor())])
         .unwrap();
     a.call("retype_dep", &[Value::from("pull")]).unwrap();
     b.call("retype_dep", &[Value::from("pull")]).unwrap();

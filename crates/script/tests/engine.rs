@@ -193,7 +193,7 @@ fn performance_rule_fires_on_the_exact_reference() {
     Chatter::register(cores[0].registry());
     let src = cores[0].new_complet_at("core1", "Chatter", &[]).unwrap();
     let dst = cores[0].new_complet_at("core2", "Message", &[]).unwrap();
-    src.call("set_peer", &[Value::Ref(dst.complet_ref().descriptor())])
+    src.call("set_peer", &[Value::from(dst.complet_ref().descriptor())])
         .unwrap();
 
     let engine = ScriptEngine::new(cores[0].clone());

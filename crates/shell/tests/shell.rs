@@ -200,6 +200,10 @@ fn stats_full_renders_metrics_exposition() {
         metrics.contains("fargo_link_messages"),
         "remote call must leave link gauges behind: {metrics}"
     );
+    // Where a Core's by-value memory goes, without a counting allocator.
+    for gauge in ["fargo_dedup_cache_entries", "fargo_dedup_cache_bytes"] {
+        assert!(metrics.contains(gauge), "{gauge} missing: {metrics}");
+    }
     for c in &cores {
         c.stop();
     }

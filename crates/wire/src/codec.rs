@@ -146,6 +146,11 @@ impl WireWriter {
         self.put_u32(id.origin).put_u64(id.seq)
     }
 
+    /// Appends an already encoded section as it is (no length prefix).
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.put_slice(b);
+    }
+
     /// Appends a [`RefDescriptor`].
     pub fn put_ref(&mut self, r: &RefDescriptor) -> &mut Self {
         self.put_complet_id(r.target);
@@ -156,6 +161,17 @@ impl WireWriter {
 
     /// Appends a whole [`Value`] tree.
     pub fn put_value(&mut self, v: &Value) -> &mut Self {
+        self.put_tree(v, false)
+    }
+
+    /// [`put_value`](Self::put_value) with every reference written
+    /// [`degraded`](RefDescriptor::degraded) to `link` (§3.1), without
+    /// building the degraded tree.
+    pub fn put_value_degraded(&mut self, v: &Value) -> &mut Self {
+        self.put_tree(v, true)
+    }
+
+    fn put_tree(&mut self, v: &Value, degrade: bool) -> &mut Self {
         match v {
             Value::Null => {
                 self.put_u8(TAG_NULL);
@@ -181,15 +197,18 @@ impl WireWriter {
             Value::List(items) => {
                 self.put_u8(TAG_LIST).put_u64(items.len() as u64);
                 for item in items {
-                    self.put_value(item);
+                    self.put_tree(item, degrade);
                 }
             }
             Value::Map(m) => {
                 self.put_u8(TAG_MAP).put_u64(m.len() as u64);
                 for (k, val) in m {
                     self.put_str(k);
-                    self.put_value(val);
+                    self.put_tree(val, degrade);
                 }
+            }
+            Value::Ref(r) if degrade && !r.is_link() => {
+                self.put_u8(TAG_REF).put_ref(&r.degraded());
             }
             Value::Ref(r) => {
                 self.put_u8(TAG_REF).put_ref(r);
@@ -412,7 +431,7 @@ impl WireReader {
                 }
                 Ok(Value::Map(m))
             }
-            TAG_REF => Ok(Value::Ref(self.get_ref()?)),
+            TAG_REF => Ok(Value::from(self.get_ref()?)),
             tag => Err(WireError::BadTag(tag)),
         }
     }
@@ -466,7 +485,7 @@ mod tests {
             ("list", Value::list([Value::I64(1), Value::Null])),
             (
                 "ref",
-                Value::Ref(RefDescriptor::link(CompletId::new(3, 9), "Printer", 2)),
+                Value::from(RefDescriptor::link(CompletId::new(3, 9), "Printer", 2)),
             ),
             ("inner", Value::map([("x", Value::F64(-0.5))])),
         ]);
@@ -617,6 +636,18 @@ mod tests {
         for _ in 0..256 {
             let v = gen_value(&mut rng, 4);
             assert_eq!(roundtrip(&v), v);
+        }
+    }
+
+    #[test]
+    fn degrading_encoder_writes_the_degraded_tree() {
+        let mut rng = TestRng(0xde64);
+        for _ in 0..256 {
+            let v = gen_value(&mut rng, 4);
+            let mut w = WireWriter::new();
+            w.put_value_degraded(&v);
+            let degraded = v.transform_refs(&mut |r| r.degraded());
+            assert_eq!(w.finish(), encode_value(&degraded));
         }
     }
 

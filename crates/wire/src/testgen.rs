@@ -65,7 +65,7 @@ pub fn gen_value(rng: &mut TestRng, depth: u32) -> Value {
             let len = rng.below(64) as usize;
             Value::Bytes((0..len).map(|_| rng.next_u64() as u8).collect())
         }
-        6 => Value::Ref(gen_ref(rng)),
+        6 => Value::from(gen_ref(rng)),
         7 => {
             let len = rng.below(8) as usize;
             Value::List((0..len).map(|_| gen_value(rng, depth - 1)).collect())

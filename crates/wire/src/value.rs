@@ -43,9 +43,13 @@ pub enum Value {
     List(Vec<Value>),
     /// A string-keyed record.
     Map(BTreeMap<String, Value>),
-    /// An outgoing complet reference (cut point of the closure).
-    Ref(RefDescriptor),
+    /// An outgoing complet reference (cut point of the closure). Boxed:
+    /// inline, this rare leaf made every node 80 bytes instead of 32.
+    Ref(Box<RefDescriptor>),
 }
+
+// Every list slot and map leaf of every tree pays this, so it is pinned.
+const _: () = assert!(std::mem::size_of::<Value>() <= 32);
 
 impl Value {
     /// Builds a [`Value::Map`] from key/value pairs.
@@ -192,27 +196,38 @@ impl Value {
         out
     }
 
-    /// Rewrites every [`RefDescriptor`] in the tree, bottom-up.
+    /// Rewrites every [`RefDescriptor`] in the tree, in place (a graph
+    /// that holds no reference is only read).
     ///
     /// Used by the invocation unit to *degrade* references crossing a
     /// complet boundary to `link` (§3.1), and by the movement unit to
     /// update `last_known` locations after a move.
-    pub fn transform_refs<F: FnMut(RefDescriptor) -> RefDescriptor>(self, f: &mut F) -> Value {
+    pub fn transform_refs_mut<F: FnMut(&mut RefDescriptor)>(&mut self, f: &mut F) {
         match self {
-            Value::Ref(r) => Value::Ref(f(r)),
+            Value::Ref(r) => f(r),
             Value::List(items) => {
-                Value::List(items.into_iter().map(|v| v.transform_refs(f)).collect())
+                for v in items {
+                    v.transform_refs_mut(f);
+                }
             }
-            Value::Map(m) => Value::Map(
-                m.into_iter()
-                    .map(|(k, v)| (k, v.transform_refs(f)))
-                    .collect(),
-            ),
-            other => other,
+            Value::Map(m) => {
+                for v in m.values_mut() {
+                    v.transform_refs_mut(f);
+                }
+            }
+            _ => {}
         }
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// [`transform_refs_mut`](Self::transform_refs_mut) for a rewrite
+    /// written as a function from the old descriptor to the new one.
+    pub fn transform_refs<F: FnMut(RefDescriptor) -> RefDescriptor>(mut self, f: &mut F) -> Value {
+        self.transform_refs_mut(&mut |r| *r = f(r.clone()));
+        self
+    }
+
+    /// Approximate in-memory footprint in bytes: 32 per node (a `Value`)
+    /// plus what its strings, blobs, keys and descriptors own.
     ///
     /// The monitoring layer exposes this as the `completSize` application
     /// profiling service (§4.1).
@@ -226,7 +241,9 @@ impl Value {
                 .iter()
                 .map(|(k, v)| k.len() + v.deep_size())
                 .sum::<usize>(),
-            Value::Ref(r) => r.target_type.len() + r.relocator.len(),
+            Value::Ref(r) => {
+                std::mem::size_of::<RefDescriptor>() + r.target_type.len() + r.relocator.len()
+            }
             _ => 0,
         }
     }
@@ -297,7 +314,7 @@ impl From<BTreeMap<String, Value>> for Value {
 }
 impl From<RefDescriptor> for Value {
     fn from(v: RefDescriptor) -> Self {
-        Value::Ref(v)
+        Value::Ref(Box::new(v))
     }
 }
 impl<T: Into<Value>> From<Option<T>> for Value {
@@ -380,10 +397,10 @@ mod tests {
     #[test]
     fn ref_traversal_finds_nested_refs() {
         let v = Value::map([
-            ("direct", Value::Ref(sample_ref("A", "pull"))),
+            ("direct", Value::from(sample_ref("A", "pull"))),
             (
                 "nested",
-                Value::list([Value::Null, Value::Ref(sample_ref("B", "stamp"))]),
+                Value::list([Value::Null, Value::from(sample_ref("B", "stamp"))]),
             ),
         ]);
         let refs = v.collect_refs();
@@ -395,11 +412,57 @@ mod tests {
     #[test]
     fn transform_refs_degrades_everything() {
         let v = Value::list([
-            Value::Ref(sample_ref("A", "pull")),
-            Value::map([("r", Value::Ref(sample_ref("B", "duplicate")))]),
+            Value::from(sample_ref("A", "pull")),
+            Value::map([("r", Value::from(sample_ref("B", "duplicate")))]),
         ]);
         let out = v.transform_refs(&mut |r| r.degraded());
         assert!(out.collect_refs().iter().all(RefDescriptor::is_link));
+    }
+
+    /// `transform_refs` as it was before it became a view of
+    /// `transform_refs_mut`: rebuilds every list and map on the way.
+    fn rebuilt(v: Value, f: &mut impl FnMut(RefDescriptor) -> RefDescriptor) -> Value {
+        match v {
+            Value::Ref(r) => Value::from(f(*r)),
+            Value::List(items) => Value::list(items.into_iter().map(|v| rebuilt(v, f))),
+            Value::Map(m) => Value::map(m.into_iter().map(|(k, v)| (k, rebuilt(v, f)))),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn in_place_and_by_value_rewrites_agree_with_the_rebuilding_one() {
+        use crate::testgen::{gen_value, TestRng};
+        // The same tree with a `Null` wherever it held a reference.
+        fn without_refs(v: Value) -> Value {
+            match v {
+                Value::Ref(_) => Value::Null,
+                Value::List(items) => Value::list(items.into_iter().map(without_refs)),
+                Value::Map(m) => Value::map(m.into_iter().map(|(k, v)| (k, without_refs(v)))),
+                other => other,
+            }
+        }
+        let rng = &mut TestRng(0x7ef5);
+        for round in 0..256 {
+            let v = gen_value(rng, 4);
+            let v = if round % 2 == 0 { v } else { without_refs(v) };
+            let expected = rebuilt(v.clone(), &mut |r| r.degraded());
+            assert_eq!(v.clone().transform_refs(&mut |r| r.degraded()), expected);
+            let mut in_place = v.clone();
+            in_place.transform_refs_mut(&mut |r| r.relocator = "link".to_owned());
+            assert_eq!(in_place, expected);
+            assert!(expected.collect_refs().iter().all(RefDescriptor::is_link));
+            if round % 2 == 1 {
+                assert_eq!(expected, v, "a graph without references is untouched");
+            }
+            // A rewrite that is not a degrade: every field can change.
+            let mut bump = |mut r: RefDescriptor| {
+                r.last_known = r.last_known.wrapping_add(1);
+                r.target_type.push('!');
+                r
+            };
+            assert_eq!(v.clone().transform_refs(&mut bump), rebuilt(v, &mut bump));
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client = laptop.new_complet("Client", &[])?;
     client.call(
         "connect",
-        &[Value::Ref(directory.complet_ref().descriptor())],
+        &[Value::from(directory.complet_ref().descriptor())],
     )?;
 
     // --- the relocation policy, programmed with the monitoring API ------

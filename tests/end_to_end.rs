@@ -141,7 +141,7 @@ fn script_performance_rule_with_monitor_watching() {
         "put",
         &[
             Value::from("peer"),
-            Value::Ref(dst.complet_ref().descriptor()),
+            Value::from(dst.complet_ref().descriptor()),
         ],
     )
     .unwrap();

@@ -84,7 +84,10 @@ fn claim_parameter_passing_semantics() {
     a.meta().set_relocator("pull").unwrap();
     b.call(
         "put",
-        &[Value::from("ref"), Value::Ref(a.complet_ref().descriptor())],
+        &[
+            Value::from("ref"),
+            Value::from(a.complet_ref().descriptor()),
+        ],
     )
     .unwrap();
     let stored = b.call("get", &[Value::from("ref")]).unwrap();
@@ -129,7 +132,7 @@ fn claim_single_message_comovement() {
                 "put",
                 &[
                     Value::from("dep"),
-                    Value::Ref(dep.complet_ref().descriptor()),
+                    Value::from(dep.complet_ref().descriptor()),
                 ],
             )
             .unwrap();
