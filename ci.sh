@@ -102,8 +102,9 @@ cargo run -q -p fargo-bench --bin experiments --release -- json E14 \
 # E15 guardrails, swept over simnet seeds (different jitter schedules):
 # the adaptive layout planner must converge and cut inter-Core messages
 # by at least 30% against the static adversarial layout, and the
-# attached-but-disabled loop must add roughly nothing to the invoke
-# path. The table rows say "guardrail ok" only when both hold.
+# attached-but-disabled loop must run no planning round and ask no peer
+# for edge rows (counted, not timed; the timing ratio is printed in the
+# row). The table rows say "guardrail ok" only when both hold.
 for seed in 7 11 23; do
     echo "==> experiments json smoke (E15, seed $seed)"
     e15=$(FARGO_SIMNET_SEED=$seed \

@@ -4,16 +4,18 @@
 //! The workload is deliberately skewed: each group is a Holder whose
 //! driver traffic enters at its home Core, plus two Servant dependencies
 //! placed on the *other* Cores, so every `call_dep` crosses a link. The
-//! planner reads that skew from the journal (every invoke carries its
-//! issuing complet) and must pull each group together — the paper's §5
+//! planner reads that skew from the Cores' call-edge tables (every call
+//! is counted on its reference's row where it is issued) and must pull
+//! each group together — the paper's §5
 //! promise that observed traffic, not programmer foresight, decides
 //! placement. Reported guardrails:
 //!
 //! * the converged planner layout cuts inter-Core messages by at least
 //!   30% against the static layout (in practice it lands near the
 //!   oracle);
-//! * with the loop attached but disabled, the monitor-tick hook adds
-//!   roughly nothing to the invoke path.
+//! * with the loop attached but disabled, nothing of it runs: no
+//!   planning round, no request for a peer's edge rows (the timing of
+//!   the invoke path beside it is printed, not gated).
 //!
 //! The simnet seed is taken from `FARGO_SIMNET_SEED` (default 7) so CI
 //! can sweep loss/jitter schedules.
@@ -133,12 +135,22 @@ pub fn run(full: bool) -> Table {
     let static_msgs = static_wl.measure(passes);
     drop(static_wl);
 
-    // Planner: same start, closed loop on; measure after convergence.
+    // Planner: same start, the loop attached but disabled through the
+    // warm-up and three planning periods more — what it did meanwhile is
+    // the "disabled" guardrail — then on; measure after convergence.
     let planner_wl = Workload::build(groups, false);
+    let core0 = &planner_wl.cluster.cores[0];
+    let auto = attach_loop(core0);
     for _ in 0..20 {
         planner_wl.drive();
     }
-    let auto = attach_loop(&planner_wl.cluster.cores[0]);
+    std::thread::sleep(core0.config().monitor_tick * 3 * auto.planner().config().period_ticks);
+    let idle_rounds = auto.status().rounds;
+    let edge_requests = [("core", "core0"), ("kind", "edges")];
+    let idle_edge_requests = core0
+        .telemetry()
+        .counter("fargo_msg_out_total", &edge_requests)
+        .get();
     auto.enable();
     let deadline = Instant::now() + Duration::from_secs(60);
     while !auto.status().converged() && Instant::now() < deadline {
@@ -167,14 +179,14 @@ pub fn run(full: bool) -> Table {
     let overhead = disabled_loop_overhead(if full { 20_000 } else { 5_000 });
 
     let reduction_ok = status.converged() && reduction >= 0.30;
-    let overhead_ok = overhead.abs() < 0.25;
+    let disabled_ok = idle_rounds == 0 && idle_edge_requests == 0;
 
     let mut table = Table::new(
         "E15: adaptive layout planner vs static vs oracle (skewed traffic)",
         &["configuration", "remote msgs", "notes"],
     )
     .with_note(
-        "guardrail: converged planner cuts inter-Core messages >=30% vs static; the disabled loop adds ~0 to the invoke path.",
+        "guardrail: converged planner cuts inter-Core messages >=30% vs static; the disabled loop runs no round and asks no peer for edge rows (its timing beside an absent loop is information).",
     );
     table.row([
         "static (adversarial)".to_owned(),
@@ -185,9 +197,10 @@ pub fn run(full: bool) -> Table {
         "planner (autolayout)".to_owned(),
         planner_msgs.to_string(),
         format!(
-            "converged={} after {} rounds, {} moves, {} rollbacks",
+            "converged={} after {} rounds ({} before the first quiet one), {} moves, {} rollbacks",
             status.converged(),
             status.rounds,
+            status.rounds - status.stable_rounds,
             status.moves_executed,
             status.rollbacks
         ),
@@ -207,12 +220,15 @@ pub fn run(full: bool) -> Table {
         },
     ]);
     table.row([
-        "disabled-loop overhead".to_owned(),
-        format!("{:+.1}%", overhead * 100.0),
-        if overhead_ok {
-            "guardrail ok (attached-but-disabled ~ absent)".to_owned()
+        "disabled loop".to_owned(),
+        format!("{idle_rounds} rounds, {idle_edge_requests} edge requests"),
+        if disabled_ok {
+            format!(
+                "guardrail ok (attached-but-disabled ~ absent); local call {:+.1}% vs no loop",
+                overhead * 100.0
+            )
         } else {
-            "guardrail FAILED (expected ~0)".to_owned()
+            "guardrail FAILED (a disabled loop planned)".to_owned()
         },
     ]);
     table
@@ -221,7 +237,8 @@ pub fn run(full: bool) -> Table {
 /// Relative mean local-invoke cost with an attached-but-disabled
 /// AutoLayout versus no loop at all (best of 3 runs each, e14-style).
 /// The disabled hook is one atomic load per monitor tick — not per
-/// invoke — so this should be indistinguishable from noise.
+/// invoke — and a ratio of two short wall-clock runs moves by more than
+/// that on a shared machine: printed, never gated.
 fn disabled_loop_overhead(calls: usize) -> f64 {
     let best = |with_loop: bool| -> Duration {
         (0..3)

@@ -431,6 +431,10 @@ impl Cluster {
                 )
                 .expect("write to string");
             }
+            for (src, dst, calls) in c.invoke_edges() {
+                writeln!(out, "{} {src} => {dst}: calls={calls}", c.name())
+                    .expect("write to string");
+            }
             for cell in c.traffic_matrix() {
                 writeln!(
                     out,

@@ -25,7 +25,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fargo_telemetry::{Clock, Counter, Registry};
-use fargo_wire::CompletId;
 use parking_lot::Mutex;
 
 use crate::error::{FargoError, Result};
@@ -57,26 +56,6 @@ struct Cached {
     at: u64,
 }
 
-/// Rolling invocation counters backing `methodInvokeRate`.
-#[derive(Debug, Default)]
-pub(crate) struct InvocationCounters {
-    counts: Mutex<HashMap<(CompletId, CompletId), u64>>,
-}
-
-impl InvocationCounters {
-    pub fn record(&self, src: CompletId, dst: CompletId) {
-        *self.counts.lock().entry((src, dst)).or_insert(0) += 1;
-    }
-
-    pub fn total(&self, src: CompletId, dst: CompletId) -> u64 {
-        self.counts.lock().get(&(src, dst)).copied().unwrap_or(0)
-    }
-
-    pub fn pairs(&self) -> Vec<((CompletId, CompletId), u64)> {
-        self.counts.lock().iter().map(|(k, v)| (*k, *v)).collect()
-    }
-}
-
 /// The monitoring facility of one Core.
 pub struct Monitor {
     sampler: Mutex<Option<Sampler>>,
@@ -87,7 +66,6 @@ pub struct Monitor {
     samples_total: Counter,
     cache_hits_total: Counter,
     events_total: Counter,
-    pub(crate) invocations: InvocationCounters,
     /// Rate bookkeeping: last total seen per rate-style service, with the
     /// [`Clock`] microseconds it was observed at.
     last_totals: Mutex<HashMap<Service, (u64, u64)>>,
@@ -107,7 +85,6 @@ impl Monitor {
             samples_total: Counter::default(),
             cache_hits_total: Counter::default(),
             events_total: Counter::default(),
-            invocations: InvocationCounters::default(),
             last_totals: Mutex::new(HashMap::new()),
             clock,
         }
@@ -204,6 +181,9 @@ impl Monitor {
             c.interest = c.interest.saturating_sub(1);
             if c.interest == 0 {
                 map.remove(service);
+                // The rate baseline goes with the profile: kept, it leaks,
+                // and a later `start` reads its first rate across the gap.
+                self.last_totals.lock().remove(service);
             }
         }
     }
@@ -264,6 +244,9 @@ impl Monitor {
             };
             let mut map = self.continuous.lock();
             let Some(c) = map.get_mut(&service) else {
+                // Stopped while it was being sampled: the sample just
+                // put back the baseline `stop` dropped.
+                self.last_totals.lock().remove(&service);
                 continue;
             };
             c.last_sampled = Some(now);
@@ -290,15 +273,6 @@ impl Monitor {
         }
         self.events_total.add(events.len() as u64);
         events
-    }
-
-    /// The cumulative invocation counts per observed (source, target)
-    /// complet pair, in no particular order. Sources with sequence 0 are
-    /// the per-Core application pseudo-complet (calls issued outside any
-    /// complet). The adaptive layout planner diffs successive readings to
-    /// weight affinity-graph edges.
-    pub fn invocation_edges(&self) -> Vec<((CompletId, CompletId), u64)> {
-        self.invocations.pairs()
     }
 
     /// Converts a monotone total into a rate (events/second) since this
@@ -335,6 +309,7 @@ impl std::fmt::Debug for Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fargo_wire::CompletId;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn with_sampler(f: impl Fn(&Service) -> Option<f64> + Send + Sync + 'static) -> Monitor {
@@ -430,19 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn invocation_edges_expose_pairs() {
-        let m = with_sampler(|_| Some(0.0));
-        let a = CompletId::new(0, 1);
-        let b = CompletId::new(0, 2);
-        m.invocations.record(a, b);
-        m.invocations.record(a, b);
-        m.invocations.record(b, a);
-        let mut edges = m.invocation_edges();
-        edges.sort();
-        assert_eq!(edges, vec![((a, b), 2), ((b, a), 1)]);
-    }
-
-    #[test]
     fn tick_respects_intervals() {
         let m = with_sampler(|_| Some(1.0));
         m.start(Service::CompletLoad, Duration::from_secs(3600));
@@ -500,14 +462,62 @@ mod tests {
         );
     }
 
+    /// A monitor whose `methodInvokeRate` sampler turns the shared
+    /// `total` into a rate the way the Core's does.
+    fn rate_monitor(clock: &Clock, total: &Arc<AtomicU64>) -> Arc<Monitor> {
+        let m = Arc::new(Monitor::new(Duration::from_millis(50), 0.5, clock.clone()));
+        let (weak, total) = (Arc::downgrade(&m), total.clone());
+        m.install_sampler(Arc::new(move |s| {
+            let m = weak.upgrade()?;
+            Some(m.rate_from_total(s, total.load(Ordering::SeqCst)))
+        }));
+        m
+    }
+
+    fn rate_of(seq: u64) -> Service {
+        Service::MethodInvokeRate {
+            src: CompletId::new(0, 0),
+            dst: CompletId::new(1, seq),
+        }
+    }
+
     #[test]
-    fn invocation_counters_accumulate() {
-        let m = with_sampler(|_| Some(0.0));
-        let a = CompletId::new(0, 1);
-        let b = CompletId::new(0, 2);
-        m.invocations.record(a, b);
-        m.invocations.record(a, b);
-        assert_eq!(m.invocations.total(a, b), 2);
-        assert_eq!(m.invocations.total(b, a), 0);
+    fn stopped_rate_profiles_leave_no_baseline_behind() {
+        let m = rate_monitor(&Clock::new_virtual(0), &Arc::new(AtomicU64::new(7)));
+        for seq in 0..10_000 {
+            m.start(rate_of(seq), Duration::ZERO);
+            m.tick(0); // the sample takes a baseline
+            m.stop(&rate_of(seq));
+        }
+        assert_eq!(m.active_services(), 0);
+        assert!(
+            m.last_totals.lock().is_empty(),
+            "one entry leaked per profile"
+        );
+    }
+
+    #[test]
+    fn restarted_rate_profile_does_not_read_across_the_gap() {
+        let clock = Clock::new_virtual(0);
+        let total = Arc::new(AtomicU64::new(100));
+        let m = rate_monitor(&clock, &total);
+        let s = rate_of(1);
+        m.start(s.clone(), Duration::ZERO);
+        m.tick(0);
+        m.stop(&s);
+        // An hour unobserved, a thousand calls the profile never saw.
+        clock.advance(Duration::from_secs(3600));
+        total.store(1_100, Ordering::SeqCst);
+        m.start(s.clone(), Duration::ZERO);
+        m.tick(0);
+        assert_eq!(
+            m.get(&s),
+            Some(0.0),
+            "the first sample only sets a baseline"
+        );
+        clock.advance(Duration::from_millis(20));
+        total.store(1_120, Ordering::SeqCst);
+        m.tick(0);
+        assert!(m.get(&s).unwrap() > 0.0, "the next one measures");
     }
 }

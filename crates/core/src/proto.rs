@@ -183,6 +183,9 @@ pub(crate) enum Request {
     TrafficMatrix,
     /// Latency probe.
     Ping,
+    /// Collect the receiver's call-edge table (who calls whom, as issued
+    /// there; summed cluster-wide by the caller).
+    InvokeEdges,
 }
 
 impl Request {
@@ -212,6 +215,7 @@ impl Request {
             Request::TopComplets { .. } => "top",
             Request::TrafficMatrix => "matrix",
             Request::Ping => "ping",
+            Request::InvokeEdges => "edges",
         }
     }
 
@@ -232,6 +236,7 @@ impl Request {
                 | Request::JournalEvents
                 | Request::TopComplets { .. }
                 | Request::TrafficMatrix
+                | Request::InvokeEdges
                 | Request::MoveQuery { .. }
                 | Request::MoveDecision { .. }
                 | Request::Ping
@@ -258,6 +263,7 @@ impl Request {
                 | Request::JournalEvents
                 | Request::TopComplets { .. }
                 | Request::TrafficMatrix
+                | Request::InvokeEdges
                 | Request::Ping
         )
     }
@@ -341,6 +347,11 @@ pub(crate) enum Reply {
     /// The replying Core's outbound traffic-matrix cells.
     Matrix {
         cells: Vec<MatrixCell>,
+    },
+    /// The replying Core's call-edge table: `(source, target, calls
+    /// issued there)`.
+    InvokeEdges {
+        rows: Vec<(CompletId, CompletId, u64)>,
     },
     Ok,
     Pong,
@@ -649,6 +660,7 @@ wire_enum! { Request, "request tag";
     20 => TopComplets { n },
     21 => TrafficMatrix,
     22 => Ping,
+    23 => InvokeEdges,
 }
 
 wire_enum! { Reply, "reply tag";
@@ -671,6 +683,7 @@ wire_enum! { Reply, "reply tag";
     16 => Ok,
     17 => Pong,
     18 => Err(error),
+    19 => InvokeEdges { rows },
 }
 
 // Tag 0 is retired (it was the origin-registry location update) and
@@ -990,6 +1003,7 @@ pub(crate) mod tests {
             Request::TopComplets { n: 10 },
             Request::TrafficMatrix,
             Request::Ping,
+            Request::InvokeEdges,
         ]
     }
 
@@ -1135,6 +1149,9 @@ pub(crate) mod tests {
                     bytes: 900,
                 }],
             },
+            Reply::InvokeEdges {
+                rows: vec![(id(0), id(7), 1), (id(7), id(9), u64::MAX)],
+            },
             Reply::Ok,
             Reply::Pong,
         ];
@@ -1265,9 +1282,9 @@ pub(crate) mod tests {
     fn samples_cover_every_variant() {
         let kinds = |n: usize, seen: usize| assert_eq!(seen, n, "a variant lost its sample");
         let names: HashSet<_> = requests().iter().map(Request::kind_name).collect();
-        kinds(22, names.len());
+        kinds(23, names.len());
         kinds(
-            19,
+            20,
             replies()
                 .iter()
                 .map(discriminant)
@@ -1510,6 +1527,7 @@ pub(crate) mod tests {
                 Request::TopComplets { .. } => 20,
                 Request::TrafficMatrix => 21,
                 Request::Ping => 22,
+                Request::InvokeEdges => 23,
             };
             seen.insert(tag);
             // One-byte `req_id` and `origin` varints follow the
@@ -1528,7 +1546,7 @@ pub(crate) mod tests {
             retired[TAG_AT] = 1;
             assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
         }
-        assert_eq!(seen.len(), 22, "every surviving tag was checked");
+        assert_eq!(seen.len(), 23, "every surviving tag was checked");
     }
 
     /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every

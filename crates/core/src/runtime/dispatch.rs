@@ -316,6 +316,9 @@ impl Core {
                 cells: self.inner.telemetry.matrix.snapshot(),
             },
             Request::Ping => Reply::Pong,
+            Request::InvokeEdges => Reply::InvokeEdges {
+                rows: self.invoke_edges(),
+            },
         };
         self.respond(origin, req_id, &[], reply);
     }

@@ -165,22 +165,22 @@ impl Core {
     }
 
     /// What every application call does exactly once, whichever entry
-    /// point issued it and however often it is re-routed: profile the
-    /// reference and journal the issue. (The by-value copy is made where
-    /// the route ends: by the encoder, or by [`CallArgs::to_local_copy`].)
+    /// point issued it and however often it is re-routed: count it on
+    /// its reference's row of the call-edge table and journal the issue.
+    /// (The by-value copy is made where the route ends: by the encoder,
+    /// or by [`CallArgs::to_local_copy`].)
     fn account_call(&self, id: CompletId, method: &str, chain: &[CompletId]) {
         // Application-level profiling at the reference's source (§4.1).
         let src = chain
             .last()
             .copied()
             .unwrap_or(CompletId::new(self.inner.node.index(), APP_SEQ));
-        self.inner.monitor.invocations.record(src, id);
+        self.inner.telemetry.edges.record((src, id), 0, 0, 0);
         // Journaled before any routing (and before the request send, which
         // stamps a later HLC), so in the merged timeline the issue orders
         // before every forward and the eventual exec. The detail carries
         // the issuing complet (seq 0 = the application pseudo-complet),
-        // which lets the layout planner rebuild cluster-wide traffic
-        // edges from merged journals alone.
+        // so a reader of the timeline sees who called.
         let src_label = if self.inner.telemetry.journal_enabled {
             src.to_string()
         } else {

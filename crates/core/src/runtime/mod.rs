@@ -890,7 +890,7 @@ fn sample_service(inner: &Arc<CoreInner>, service: &Service) -> Option<f64> {
                 .as_secs_f64(),
         ),
         Service::MethodInvokeRate { src, dst } => {
-            let total = inner.monitor.invocations.total(*src, *dst);
+            let total = inner.telemetry.edges.invokes((*src, *dst));
             Some(inner.monitor.rate_from_total(service, total))
         }
         Service::CompletSize { id } => {

@@ -282,6 +282,34 @@ impl Core {
         rows
     }
 
+    /// This Core's call-edge table in key order: `(source, target, calls
+    /// issued here)`, `cN.0` being the source of calls made outside any
+    /// complet. A pair the sketch evicted starts again from 0.
+    pub fn invoke_edges(&self) -> Vec<(CompletId, CompletId, u64)> {
+        let rows = self.inner.telemetry.edges.records();
+        rows.iter().map(|r| (r.key.0, r.key.1, r.invokes)).collect()
+    }
+
+    /// Who talks to whom **cluster-wide**: every reachable Core's rows,
+    /// each with the name of the Core that counted it, most calls first.
+    /// A pair whose source has moved is reported by each Core it was
+    /// called from; the sum is the pair's total.
+    pub fn collect_edges(&self) -> Vec<(String, (CompletId, CompletId, u64))> {
+        let mut rows: Vec<_> = self
+            .invoke_edges()
+            .into_iter()
+            .map(|r| (self.inner.name.clone(), r))
+            .collect();
+        for (node, reply) in self.ask_peers(&Request::InvokeEdges) {
+            if let Reply::InvokeEdges { rows: remote } = reply {
+                let peer = self.core_name_of(node);
+                rows.extend(remote.into_iter().map(|r| (peer.clone(), r)));
+            }
+        }
+        rows.sort_by(|(ca, a), (cb, b)| b.2.cmp(&a.2).then(a.cmp(b)).then(ca.cmp(cb)));
+        rows
+    }
+
     /// This Core's outbound Core↔Core traffic matrix cells (src is always
     /// this Core), ordered by destination.
     pub fn traffic_matrix(&self) -> Vec<MatrixCell> {

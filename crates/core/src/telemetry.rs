@@ -41,6 +41,7 @@ const MSG_KINDS: &[&str] = &[
     "top",
     "matrix",
     "ping",
+    "edges",
     "move_prep",
     "move_commit",
     "move_abort",
@@ -161,6 +162,10 @@ pub(crate) struct CoreTelemetry {
     pub accounting: bool,
     /// Per-complet exec/invoke/bytes attribution, Space-Saving bounded.
     pub accountant: Accountant,
+    /// The call-edge table: calls per `(source, target)` reference issued
+    /// at this Core (§4.1's "invocation rate per reference"), the same
+    /// sketch under the same bound, counted whatever the switches say.
+    pub edges: Accountant<(CompletId, CompletId)>,
     /// Messages and bytes per directed Core pair, fed from `transmit`.
     pub matrix: TrafficMatrix,
     /// Invocations that returned an error to the caller.
@@ -304,6 +309,7 @@ impl CoreTelemetry {
             tracker_stale_total: registry.counter("fargo_tracker_stale_rejections_total", l),
             accounting: config.accounting,
             accountant: Accountant::new(config.account_capacity),
+            edges: Accountant::new(config.account_capacity),
             matrix: TrafficMatrix::new(&registry),
             invoke_errors_total: registry.counter("fargo_invoke_errors_total", l),
             moves_attempted_total: registry.counter("fargo_moves_attempted_total", l),

@@ -126,6 +126,50 @@ fn complet_to_complet_calls_across_cores() {
     teardown(&cores);
 }
 
+/// Every application call is one count on one row of the call-edge
+/// table of the Core that issued it, whichever entry point it came
+/// through and however it was routed: the rows add up to
+/// `fargo_invoke_total`.
+#[test]
+fn call_edge_rows_add_up_to_the_invoke_counter() {
+    let (_net, reg, cores) = cluster(3);
+    Caller::register(&reg);
+    let msg = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    let caller = cores[0].new_complet("Caller", &[]).unwrap();
+    caller
+        .call("set_peer", &[Value::from(msg.complet_ref().descriptor())])
+        .unwrap();
+    for _ in 0..3 {
+        msg.call("print", &[]).unwrap(); // blocking
+    }
+    for _ in 0..2 {
+        msg.call_async("print", &[]).wait().unwrap();
+    }
+    for _ in 0..4 {
+        caller.call("relay", &[]).unwrap(); // blocking, then `Ctx::call`
+    }
+    // The target moves on behind core0's back: the next call is routed
+    // to core1 and on to core2, and is still one call.
+    cores[1].move_complet(msg.id(), "core2", None).unwrap();
+    msg.call("print", &[]).unwrap();
+
+    let app = CompletId::new(0, 0);
+    let mut want = vec![
+        (app, msg.id(), 3 + 2 + 1),
+        (app, caller.id(), 1 + 4),
+        (caller.id(), msg.id(), 4),
+    ];
+    want.sort();
+    assert_eq!(cores[0].invoke_edges(), want);
+    let calls: u64 = want.iter().map(|row| row.2).sum();
+    assert_eq!(calls, common::counter(&cores[0], "fargo_invoke_total"));
+    assert!(
+        cores[1].invoke_edges().is_empty(),
+        "a forwarder issues nothing"
+    );
+    teardown(&cores);
+}
+
 #[test]
 fn reentrant_invocation_is_detected() {
     let (_net, reg, cores) = cluster(1);

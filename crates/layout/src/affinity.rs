@@ -1,12 +1,10 @@
 //! The weighted complet affinity graph.
 //!
 //! Nodes are complets (plus the per-Core application pseudo-complets,
-//! which are *pinned* — they model clients that cannot move). Edge
-//! weights accumulate from several signal sources with different scales:
-//! journal invoke events (1 per observed invocation, windowed by the
-//! journal ring), monitor invoke-rate averages (scaled), and ref-graph
-//! structure (a small constant, so connected-but-quiet complets still
-//! prefer co-location when it is free).
+//! which are *pinned* — they model clients that cannot move). An edge
+//! weighs what the planner makes of the pair's call counts: recent calls,
+//! a decaying share of older ones, and a small constant so
+//! connected-but-quiet complets still prefer co-location when it is free.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -122,19 +120,6 @@ impl AffinityGraph {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Drops edges lighter than `min_weight` and any vertex left
-    /// isolated, so one stray invocation does not drag a complet around.
-    pub fn prune(&mut self, min_weight: f64) {
-        self.weights.retain(|_, w| *w >= min_weight);
-        let mut connected: BTreeSet<CompletId> = BTreeSet::new();
-        for (a, b) in self.weights.keys() {
-            connected.insert(*a);
-            connected.insert(*b);
-        }
-        self.nodes
-            .retain(|n| connected.contains(n) || self.pinned.contains_key(n));
-    }
 }
 
 #[cfg(test)]
@@ -172,21 +157,6 @@ mod tests {
         g.add_edge(c(1), c(3), 4.0);
         let weights: Vec<f64> = g.edges_by_weight().iter().map(|e| e.2).collect();
         assert_eq!(weights, vec![9.0, 4.0, 1.0]);
-    }
-
-    #[test]
-    fn prune_drops_light_edges_but_keeps_pins() {
-        let mut g = AffinityGraph::new();
-        g.add_edge(c(1), c(2), 0.5);
-        g.add_edge(c(2), c(3), 5.0);
-        g.pin(c(9), 4);
-        g.prune(1.0);
-        assert_eq!(g.weight(c(1), c(2)), 0.0);
-        assert_eq!(g.weight(c(2), c(3)), 5.0);
-        let nodes: Vec<CompletId> = g.nodes().collect();
-        assert!(!nodes.contains(&c(1)), "isolated vertex dropped");
-        assert!(nodes.contains(&c(9)), "pinned vertex survives");
-        assert_eq!(g.pinned_to(c(9)), Some(4));
     }
 
     #[test]

@@ -168,9 +168,9 @@ impl AutoLayout {
         run_round(&self.inner)
     }
 
-    /// Builds a plan without executing it (the shell `plan` command).
+    /// Builds a plan without executing or committing it (shell `plan`).
     pub fn preview(&self) -> LayoutPlan {
-        self.inner.planner.plan()
+        self.inner.planner.preview()
     }
 
     pub fn status(&self) -> AutoLayoutStatus {

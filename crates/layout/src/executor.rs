@@ -1,22 +1,22 @@
-//! The plan executor: rate-limited, abortable, journal-verified.
+//! The plan executor: rate-limited, abortable, verified step by step.
 //!
 //! Each step rides the Core's two-phase move protocol
 //! (`MovePrepare` → `MoveCommit`, PR 3), so a crash or lost reply can
 //! never leave two live copies — the executor's own failure handling is
-//! about *plan* atomicity, not copy safety. After each `move_complet`
-//! the step is verified against the flight recorder: the journal must
-//! show a `CompletArrived` for the complet at the destination after the
-//! step began, and the tracker layer must locate it there. On a failed
-//! or unverifiable step the executor stops, rolls the already-executed
-//! steps back (reverse order), journals the rollback, and reports — the
-//! closed loop then re-plans from whatever state reality is in.
+//! about *plan* atomicity, not copy safety. A step counts once
+//! `move_complet` has returned `Ok` — the destination's word that the
+//! complet arrived — and the location service places it there (the
+//! journal is written for the operator; nothing here reads it). On a
+//! failed or unverifiable step the executor stops, rolls the
+//! already-executed steps back (reverse order), journals the rollback,
+//! and reports — the closed loop then re-plans from reality.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use fargo_core::{Core, Hlc, JournalKind};
+use fargo_core::{Core, JournalKind};
 
 use crate::plan::{LayoutPlan, MoveStep};
 
@@ -26,8 +26,8 @@ pub struct ExecutorConfig {
     /// Pause between consecutive steps: relocation competes with the
     /// application for links, so plans drain gradually.
     pub step_interval: Duration,
-    /// How long to wait for a step's arrival event to appear in the
-    /// journal before declaring the step failed.
+    /// How long to wait for the location service to place a moved
+    /// complet at its destination before declaring the step failed.
     pub verify_timeout: Duration,
 }
 
@@ -126,7 +126,6 @@ impl Executor {
 
     /// One journaled, verified move.
     fn run_step(&self, plan_id: u64, step: &MoveStep) -> Result<(), String> {
-        let started = self.core.hlc_now();
         let dest = self.core.core_name_of(step.to);
         self.core.journal_note(
             JournalKind::PlanStep,
@@ -138,42 +137,21 @@ impl Executor {
         self.core
             .move_complet(step.complet, &dest, None)
             .map_err(|e| format!("{} -> {dest}: {e}", step.complet))?;
-        self.verify_arrival(step, started)
-    }
-
-    /// A step only counts once the journal shows the arrival at the
-    /// destination and the tracker layer agrees on the location.
-    fn verify_arrival(&self, step: &MoveStep, started: Hlc) -> Result<(), String> {
-        // Poll budget instead of a wall-clock deadline: the iteration
-        // count is fixed by the configured timeout, so a run's outcome
-        // does not race the scheduler (and stays reproducible under the
-        // deterministic checker's virtual clock).
-        let mut polls = 1 + self.cfg.verify_timeout.as_millis() as u64 / 2;
-        let subject = step.complet.to_string();
-        loop {
-            let journaled = self.core.collect_journal().iter().any(|ev| {
-                ev.kind == fargo_core::JournalKind::CompletArrived
-                    && ev.subject == subject
-                    && ev.core == step.to
-                    && ev.hlc > started
-            });
-            if journaled {
-                match self.core.locate(step.complet) {
-                    Ok(at) if at == step.to => return Ok(()),
-                    _ => {} // arrival seen but location not settled yet
-                }
-            }
-            polls = polls.saturating_sub(1);
-            if polls == 0 {
-                return Err(format!(
-                    "{} move to {} unverified after {:?}",
-                    step.complet,
-                    self.core.core_name_of(step.to),
-                    self.cfg.verify_timeout
-                ));
+        // The reply said the complet arrived; the step counts once the
+        // location service (published to one-way) agrees. A poll budget,
+        // not a wall-clock deadline: the iteration count is fixed by the
+        // timeout, so the outcome does not race the scheduler (and stays
+        // reproducible under the checker's virtual clock).
+        for _ in 0..=self.cfg.verify_timeout.as_millis() / 2 {
+            if self.core.locate(step.complet) == Ok(step.to) {
+                return Ok(());
             }
             thread::sleep(Duration::from_millis(2));
         }
+        Err(format!(
+            "{} move to {dest} unverified after {:?}",
+            step.complet, self.cfg.verify_timeout
+        ))
     }
 
     /// Undoes executed steps in reverse order, best effort. Returns how

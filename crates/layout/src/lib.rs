@@ -9,9 +9,9 @@
 //!
 //! The pipeline, run by one admin Core:
 //!
-//! 1. **[`AffinityGraph`]** — weighted complet-to-complet edges derived
-//!    from the flight-recorder journal (invoke traffic and ref-graph
-//!    structure) blended with the monitor's invoke-rate averages.
+//! 1. **[`AffinityGraph`]** — weighted complet-to-complet edges from the
+//!    Cores' call-edge tables (calls since the previous round plus half
+//!    of last round's weight), vertex loads from their accountants.
 //! 2. **[`CostModel`]** — per-Core-pair traffic costs calibrated from
 //!    simnet link characteristics (latency, bandwidth, observed loss).
 //! 3. **[`partition`]** — a greedy edge-contraction seed refined by
@@ -20,8 +20,8 @@
 //!    each with a predicted traffic-cost delta; plans below the
 //!    hysteresis threshold are discarded.
 //! 5. **[`Executor`]** — rate-limited, abortable execution over the
-//!    two-phase move protocol, verifying each step through journal
-//!    arrival events and rolling the plan back when a step fails.
+//!    two-phase move protocol, verifying each step by the move reply
+//!    and the location service and rolling the plan back when one fails.
 //!
 //! [`AutoLayout`] ties the stages into a closed loop driven by the Core's
 //! monitor tick, with an `autolayout` script action and shell commands

@@ -1,17 +1,13 @@
 //! The planner proper: signals → affinity graph → cost model →
 //! partitioner → [`LayoutPlan`], with hysteresis.
 //!
-//! All inputs come from facilities the runtime already exposes:
-//!
-//! * the merged cluster journal for invoke traffic (every `Invoke` event
-//!   carries the issuing complet in its detail) and ref-graph structure;
-//! * the monitor's `methodInvokeRate` exponential averages for pairs the
-//!   planning Core observes locally (the planner subscribes the hottest
-//!   pairs itself, so sustained traffic sharpens over rounds while the
-//!   PR 4 EWMA fix guarantees silent pairs decay to exactly zero);
-//! * live placement from the union of the Cores' location shards
-//!   (`shard_live_at`, one RPC per reachable Core);
-//! * link characteristics via the [`CostModel`] calibration.
+//! All inputs are tables the Cores already keep, each read with one
+//! request per reachable Core: who calls whom from the call-edge tables
+//! (`Core::collect_edges`, the one measurement of traffic), how much work
+//! each complet does from the accountants (`Core::collect_top`), live
+//! placement from the location shards (`shard_live_at`), and link
+//! characteristics via the [`CostModel`] calibration. The journal is not
+//! an input: what it keeps, and whether it is on, changes no decision.
 //!
 //! Hysteresis: a plan whose predicted relative gain is below the
 //! configured fraction is reported as empty. Observed traffic is noisy;
@@ -20,11 +16,10 @@
 //! work plus a tracker chain. The threshold means the loop only acts when
 //! the expected win clearly exceeds that churn.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-use fargo_core::{Core, JournalKind, LayoutHistory, Service};
+use fargo_core::Core;
 use fargo_wire::CompletId;
 use parking_lot::Mutex;
 
@@ -33,6 +28,31 @@ use crate::cost::CostModel;
 use crate::is_app_pseudo;
 use crate::partition::{partition, PartitionProblem};
 use crate::plan::LayoutPlan;
+
+/// The share of a pair's weight carried into the next round: a steady
+/// pair weighs two rounds of calls, a burst 1% of itself seven rounds on.
+/// The planner's window and the smoothing across it, in one number.
+const DECAY: f64 = 0.5;
+
+/// What a called reference weighs beside its traffic, so
+/// connected-but-quiet complets still prefer co-location when it is free.
+const REF_EDGE_WEIGHT: f64 = 0.25;
+
+/// Per `(source, target)`: the calls the Cores reported in total at the
+/// last round — the baseline of the next delta — and its weight then.
+type Traffic = BTreeMap<(CompletId, CompletId), (u64, f64)>;
+
+/// One round's traffic from the last round's and the totals reported now:
+/// a pair weighs its calls since then plus [`DECAY`] of its old weight. A
+/// total below its baseline (an evicted row, a restarted Core) is silence.
+fn next_round(prev: &Traffic, totals: BTreeMap<(CompletId, CompletId), u64>) -> Traffic {
+    let weigh = |(pair, total): (_, u64)| {
+        let (baseline, weight) = prev.get(&pair).copied().unwrap_or_default();
+        let weight = total.saturating_sub(baseline) as f64 + DECAY * weight;
+        (pair, (total, weight))
+    };
+    totals.into_iter().map(weigh).collect()
+}
 
 /// Planner tunables. [`Planner::new`] clamps the cadence to at least
 /// one tick and the dead band to at least zero.
@@ -49,16 +69,6 @@ pub struct PlannerConfig {
     pub max_moves: usize,
     /// Per-Core complet capacity handed to the partitioner.
     pub capacity: Option<usize>,
-    /// Weight a structural ref-graph edge contributes.
-    pub ref_edge_weight: f64,
-    /// Multiplier for locally observed invoke-rate averages (calls/s)
-    /// when blended on top of journal counts.
-    pub rate_weight: f64,
-    /// Edges lighter than this are pruned before partitioning.
-    pub min_edge_weight: f64,
-    /// How many of the hottest traffic pairs the planner keeps under
-    /// continuous `methodInvokeRate` profiling.
-    pub profile_top_pairs: usize,
 }
 
 impl Default for PlannerConfig {
@@ -68,10 +78,6 @@ impl Default for PlannerConfig {
             hysteresis: 0.05,
             max_moves: 4,
             capacity: None,
-            ref_edge_weight: 0.25,
-            rate_weight: 1.0,
-            min_edge_weight: 0.0,
-            profile_top_pairs: 8,
         }
     }
 }
@@ -98,8 +104,8 @@ pub struct Planner {
     core: Core,
     cfg: PlannerConfig,
     plan_seq: AtomicU64,
-    /// Pairs this planner has put under continuous profiling.
-    profiled: Mutex<BTreeSet<(CompletId, CompletId)>>,
+    /// As of the last [`Planner::plan`].
+    traffic: Mutex<Traffic>,
 }
 
 impl Planner {
@@ -108,7 +114,7 @@ impl Planner {
             core,
             cfg: cfg.clamped(),
             plan_seq: AtomicU64::new(1),
-            profiled: Mutex::new(BTreeSet::new()),
+            traffic: Mutex::new(Traffic::new()),
         }
     }
 
@@ -154,65 +160,29 @@ impl Planner {
             .collect()
     }
 
-    /// Derives the affinity graph for the given live placement.
-    pub fn affinity(&self, placement: &BTreeMap<CompletId, u32>) -> AffinityGraph {
+    /// Derives the affinity graph for the given live placement; `commit`
+    /// makes this reading the baseline of the next round's deltas.
+    fn affinity(&self, placement: &BTreeMap<CompletId, u32>, commit: bool) -> AffinityGraph {
         let mut graph = AffinityGraph::new();
         let known = |id: CompletId| placement.contains_key(&id) || is_app_pseudo(id);
-        let pin = |graph: &mut AffinityGraph, id: CompletId| {
-            if is_app_pseudo(id) {
-                graph.pin(id, id.origin);
-            }
-        };
 
-        let events = self.core.collect_journal();
-        // Traffic: one unit per journaled invocation in the ring window.
-        // The detail names the issuing complet; events without it (from
-        // before journaling carried sources) are skipped.
-        let mut pair_counts: BTreeMap<(CompletId, CompletId), f64> = BTreeMap::new();
-        for ev in &events {
-            if ev.kind != JournalKind::Invoke {
-                continue;
-            }
-            let (Ok(src), Ok(dst)) = (ev.detail.parse(), ev.subject.parse()) else {
-                continue;
-            };
-            if src != dst && known(src) && known(dst) {
-                *pair_counts.entry((src, dst)).or_insert(0.0) += 1.0;
-            }
+        // Traffic: a pair is counted wherever its source has lived, so
+        // its total is the sum over the Cores that report it.
+        let mut totals = BTreeMap::new();
+        for (_core, (src, dst, calls)) in self.core.collect_edges() {
+            *totals.entry((src, dst)).or_insert(0) += calls;
         }
-        for (&(src, dst), &count) in &pair_counts {
-            pin(&mut graph, src);
-            pin(&mut graph, dst);
-            graph.add_edge(src, dst, count);
-        }
-
-        // Structure: surviving ref-graph edges keep quiet-but-connected
-        // complets gently attracted.
-        if self.cfg.ref_edge_weight > 0.0 {
-            let history = LayoutHistory::from_events(events);
-            for (src, dst, _relocator) in &history.final_state().refs {
-                let (Ok(a), Ok(b)) = (src.parse(), dst.parse()) else {
-                    continue;
-                };
-                if a != b && known(a) && known(b) {
-                    pin(&mut graph, a);
-                    pin(&mut graph, b);
-                    graph.add_edge(a, b, self.cfg.ref_edge_weight);
+        let traffic = next_round(&self.traffic.lock(), totals);
+        for (&(src, dst), &(_, weight)) in &traffic {
+            if known(src) && known(dst) {
+                for id in [src, dst].into_iter().filter(|&id| is_app_pseudo(id)) {
+                    graph.pin(id, id.origin);
                 }
+                graph.add_edge(src, dst, weight + REF_EDGE_WEIGHT);
             }
         }
-
-        // Rates: blend in the monitor's exponential averages for pairs
-        // profiled on this Core, and (re)subscribe the hottest pairs so
-        // the next rounds read sharper signals.
-        self.refresh_profiling(&pair_counts);
-        for &(src, dst) in self.profiled.lock().iter() {
-            let service = Service::MethodInvokeRate { src, dst };
-            if let Some(rate) = self.core.profile_get(&service) {
-                if rate > 0.0 && known(src) && known(dst) {
-                    graph.add_edge(src, dst, rate * self.cfg.rate_weight);
-                }
-            }
+        if commit {
+            *self.traffic.lock() = traffic;
         }
 
         // Load: per-complet exec-time accounting (cluster-wide top-K),
@@ -230,53 +200,32 @@ impl Planner {
                 *by_id.entry(id).or_insert(0) += r.load;
             }
         }
-        if !by_id.is_empty() {
-            let mean = by_id.values().map(|&l| l as f64).sum::<f64>() / by_id.len() as f64;
-            if mean > 0.0 {
-                for (id, load) in by_id {
-                    graph.set_load(id, load as f64 / mean);
-                }
-            }
+        // (Every summed load is positive, so the mean of any is.)
+        let mean = by_id.values().sum::<u64>() as f64 / by_id.len() as f64;
+        for (id, load) in by_id {
+            graph.set_load(id, load as f64 / mean);
         }
 
-        if self.cfg.min_edge_weight > 0.0 {
-            graph.prune(self.cfg.min_edge_weight);
-        }
         graph
-    }
-
-    /// Keeps the `profile_top_pairs` heaviest observed pairs under
-    /// continuous profiling, releasing interest in pairs that fell out.
-    fn refresh_profiling(&self, pair_counts: &BTreeMap<(CompletId, CompletId), f64>) {
-        let mut ranked: Vec<(&(CompletId, CompletId), &f64)> = pair_counts.iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let want: BTreeSet<(CompletId, CompletId)> = ranked
-            .into_iter()
-            .take(self.cfg.profile_top_pairs)
-            .map(|(&pair, _)| pair)
-            .collect();
-        let mut profiled = self.profiled.lock();
-        for &(src, dst) in profiled.difference(&want) {
-            self.core
-                .profile_stop(&Service::MethodInvokeRate { src, dst });
-        }
-        for &(src, dst) in want.difference(&profiled.clone()) {
-            self.core.profile_start(
-                Service::MethodInvokeRate { src, dst },
-                // Sampled on the monitor tick cadence.
-                Duration::ZERO,
-            );
-        }
-        *profiled = want;
     }
 
     /// One full planning pass. Returns an empty plan (steps cleared,
     /// costs reported) when the predicted gain is under the hysteresis
     /// threshold.
     pub fn plan(&self) -> LayoutPlan {
+        self.plan_round(true)
+    }
+
+    /// The plan [`Planner::plan`] would return now, without starting a
+    /// new round: the traffic the next `plan` sees is unchanged.
+    pub fn preview(&self) -> LayoutPlan {
+        self.plan_round(false)
+    }
+
+    fn plan_round(&self, commit: bool) -> LayoutPlan {
         let id = self.plan_seq.fetch_add(1, Ordering::SeqCst);
         let placement = self.placement();
-        let graph = self.affinity(&placement);
+        let graph = self.affinity(&placement, commit);
         let cores = self.live_cores();
         if graph.is_empty() || cores.len() < 2 {
             return LayoutPlan {
@@ -302,11 +251,6 @@ impl Planner {
         }
         plan
     }
-
-    /// The Core this planner observes and plans from.
-    pub fn core(&self) -> &Core {
-        &self.core
-    }
 }
 
 #[cfg(test)]
@@ -325,5 +269,37 @@ mod tests {
         assert_eq!(c.period_ticks, 1, "period clamps to >= 1");
         assert_eq!(c.hysteresis, 0.0, "hysteresis clamps to >= 0");
         assert_eq!(c.max_moves, 2);
+    }
+
+    fn pair(n: u64) -> (CompletId, CompletId) {
+        (CompletId::new(0, 0), CompletId::new(1, n))
+    }
+
+    /// One round over `prev` in which the Cores report `totals`.
+    fn round(prev: &Traffic, totals: &[(u64, u64)]) -> Traffic {
+        next_round(prev, totals.iter().map(|&(n, t)| (pair(n), t)).collect())
+    }
+
+    #[test]
+    fn a_pair_weighs_its_new_calls_plus_half_of_last_round() {
+        let r1 = round(&Traffic::new(), &[(1, 100)]);
+        assert_eq!(r1[&pair(1)], (100, 100.0), "no baseline: every call is new");
+        let r2 = round(&r1, &[(1, 140)]);
+        assert_eq!(r2[&pair(1)], (140, 40.0 + 50.0));
+        let r3 = round(&r2, &[(1, 140), (2, 6)]);
+        assert_eq!(r3[&pair(1)], (140, 45.0), "a silent round only decays");
+        assert_eq!(r3[&pair(2)], (6, 6.0), "a new pair starts beside it");
+    }
+
+    #[test]
+    fn a_total_below_its_baseline_reads_as_silence() {
+        let r1 = round(&Traffic::new(), &[(1, 1_000)]);
+        // The row was evicted and admitted again, or its Core restarted.
+        let r2 = round(&r1, &[(1, 3)]);
+        assert_eq!(r2[&pair(1)], (3, 500.0));
+        let r3 = round(&r2, &[(1, 10)]);
+        assert_eq!(r3[&pair(1)], (10, 7.0 + 250.0), "and counts from there");
+        // A pair no Core reports any more is not remembered.
+        assert!(round(&r3, &[]).is_empty());
     }
 }

@@ -248,3 +248,125 @@ fn planner_preview_reads_live_traffic() {
         c.stop();
     }
 }
+
+/// The journal is a flight recorder, not an input: the skewed scenario
+/// above converges just the same on a cluster that records nothing.
+#[test]
+fn converges_with_journaling_off() {
+    let net = jittery_network(7);
+    let config = CoreConfig {
+        monitor_tick: Duration::from_millis(10),
+        rpc_timeout: Duration::from_secs(5),
+        ..CoreConfig::default()
+    }
+    .with_journaling(false);
+    let cores = spawn_cluster(&net, 2, &config);
+    let echo = cores[0].new_complet_at("core1", "Echo", &[]).unwrap();
+    let id = echo.id();
+
+    let auto = AutoLayout::attach_with(
+        cores[0].clone(),
+        PlannerConfig {
+            period_ticks: 2,
+            hysteresis: 0.01,
+            ..PlannerConfig::default()
+        },
+        ExecutorConfig::default(),
+    );
+    auto.enable();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !(cores[0].hosts(id) && auto.status().converged()) {
+        assert!(
+            Instant::now() < deadline,
+            "no co-location without a journal; status {:?}",
+            auto.status()
+        );
+        for _ in 0..10 {
+            echo.call("touch", &[]).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(live_copies(&cores, id), 1, "exactly one live copy");
+    assert!(
+        cores[0].collect_journal().is_empty(),
+        "nothing was recorded"
+    );
+
+    auto.detach();
+    for c in &cores {
+        c.stop();
+    }
+}
+
+/// Bytes of replies `core` has received so far: what its requests pulled.
+fn bytes_in(core: &Core) -> u64 {
+    let replies = [("core", core.name()), ("kind", "reply")];
+    let counter = core
+        .telemetry()
+        .counter("fargo_msg_in_bytes_total", &replies);
+    counter.get()
+}
+
+/// Bytes the planning Core receives during one `plan()`, and during one
+/// pull of the cluster journal, on a 3-Core cluster whose journal rings
+/// (of `journal_capacity` events) are full.
+fn plan_and_journal_pull_bytes(journal_capacity: usize) -> (u64, u64) {
+    let net = jittery_network(23);
+    let config = CoreConfig::default().with_journal_capacity(journal_capacity);
+    let cores = spawn_cluster(&net, 3, &config);
+    // Four services on each peer, called from every Core (so every
+    // Core's edge table has eight rows) and mostly from core0.
+    for peer in ["core1", "core2"] {
+        for _ in 0..4 {
+            let echo = cores[0].new_complet_at(peer, "Echo", &[]).unwrap();
+            for (c, calls) in cores.iter().zip([25, 5, 5]) {
+                let stub = c.stub(echo.complet_ref().clone());
+                for _ in 0..calls {
+                    stub.call("touch", &[]).unwrap();
+                }
+            }
+        }
+    }
+    for c in &cores {
+        for i in 0..journal_capacity {
+            c.journal_note(JournalKind::PlanStep, "c9.9", "fill", &i.to_string(), None);
+        }
+        assert_eq!(c.journal_snapshot().len(), journal_capacity);
+    }
+
+    let planner = fargo_layout::Planner::new(cores[0].clone(), PlannerConfig::default());
+    let before = bytes_in(&cores[0]);
+    let plan = planner.plan();
+    let planned = bytes_in(&cores[0]) - before;
+    assert!(!plan.is_empty(), "the skew towards core0 is seen: {plan:?}");
+
+    let before = bytes_in(&cores[0]);
+    cores[0].collect_journal();
+    let pulled = bytes_in(&cores[0]) - before;
+    for c in &cores {
+        c.stop();
+    }
+    (planned, pulled)
+}
+
+/// What a planning round pulls over the network is the Cores' bounded
+/// tables: the same bytes whatever the journal rings hold, and a small
+/// fraction of what pulling those rings (every round, before the edge
+/// table replaced them as the planner's input) costs.
+#[test]
+fn plan_pulls_bounded_tables_whatever_the_journal_holds() {
+    let (small, small_journal) = plan_and_journal_pull_bytes(4_096);
+    let (large, large_journal) = plan_and_journal_pull_bytes(65_536);
+    println!(
+        "plan(): {small} B at journal_capacity 4096 (one journal pull: {small_journal} B), \
+         {large} B at 65536 (one journal pull: {large_journal} B)"
+    );
+    assert!(
+        small.abs_diff(large) <= 32,
+        "a plan pulled {small} B beside 4,096-event rings, {large} B beside 65,536-event ones"
+    );
+    assert!(
+        small * 10 <= small_journal,
+        "a plan pulled {small} B, one journal pull {small_journal} B"
+    );
+}

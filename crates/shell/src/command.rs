@@ -101,6 +101,8 @@ FarGo shell commands:
   top [<n>]                          heaviest complets cluster-wide by
                                      accounted load (default 10)
   matrix                             core-to-core traffic heatmap
+  edges [<n>]                        most-called references cluster-wide,
+                                     the planner's traffic input (default 10)
   health                             SLO rule status (burn-rate windows)
   alerts [<n>]                       journaled alert transitions
                                      (last n; default 20)
@@ -112,6 +114,15 @@ FarGo shell commands:
   script <source...>                 load an inline layout script
 
 <target> is a logical name or a complet id like c0.3.";
+
+/// The optional `[<n>]` argument of a listing command.
+fn count_arg(args: &[&str], default: usize, usage: &'static str) -> Result<usize, ShellError> {
+    match args {
+        [] => Ok(default),
+        [n] => n.parse().map_err(|_| ShellError::Usage(usage)),
+        _ => Err(ShellError::Usage(usage)),
+    }
+}
 
 impl Shell {
     /// Binds a shell to an admin Core.
@@ -168,6 +179,7 @@ impl Shell {
             "stats" => self.cmd_stats(&rest),
             "top" => self.cmd_top(&rest),
             "matrix" => self.cmd_matrix(),
+            "edges" => self.cmd_edges(&rest),
             "health" => self.cmd_health(),
             "alerts" => self.cmd_alerts(&rest),
             "trace" => self.cmd_trace(&rest),
@@ -384,11 +396,7 @@ impl Shell {
 
     /// The merged cluster-wide journal, newest events last.
     fn cmd_journal(&self, args: &[&str]) -> Result<String, ShellError> {
-        let n: usize = match args {
-            [] => 20,
-            [n] => n.parse().map_err(|_| ShellError::Usage("journal [<n>]"))?,
-            _ => return Err(ShellError::Usage("journal [<n>]")),
-        };
+        let n = count_arg(args, 20, "journal [<n>]")?;
         let events = self.core.collect_journal();
         if events.is_empty() {
             return Ok("(journal empty)".to_owned());
@@ -553,11 +561,7 @@ impl Shell {
     /// The cluster-wide heavy hitters: per-complet accounted load from
     /// every reachable Core, merged and re-ranked.
     fn cmd_top(&self, args: &[&str]) -> Result<String, ShellError> {
-        let n: usize = match args {
-            [] => 10,
-            [n] => n.parse().map_err(|_| ShellError::Usage("top [<n>]"))?,
-            _ => return Err(ShellError::Usage("top [<n>]")),
-        };
+        let n = count_arg(args, 10, "top [<n>]")?;
         let rows = self.core.collect_top(n);
         if rows.is_empty() {
             return Ok("(no accounting data)".to_owned());
@@ -590,6 +594,21 @@ impl Shell {
         Ok(render_matrix(&self.core.collect_matrix()))
     }
 
+    /// Every Core's call-edge rows, most calls first: the planner's input.
+    fn cmd_edges(&self, args: &[&str]) -> Result<String, ShellError> {
+        let n = count_arg(args, 10, "edges [<n>]")?;
+        let rows = self.core.collect_edges();
+        if rows.is_empty() {
+            return Ok("(no calls counted)".to_owned());
+        }
+        let mut out = format!("{:<10} {:<10} {:>10} core\n", "src", "dst", "calls");
+        for (core, (src, dst, calls)) in rows.into_iter().take(n) {
+            let (src, dst) = (src.to_string(), dst.to_string());
+            writeln!(out, "{src:<10} {dst:<10} {calls:>10} {core}").expect("write to string");
+        }
+        Ok(out)
+    }
+
     /// Current SLO rule status on this Core.
     fn cmd_health(&self) -> Result<String, ShellError> {
         Ok(render_health(&self.core.health_status()))
@@ -597,11 +616,7 @@ impl Shell {
 
     /// Journaled alert transitions, cluster-wide, newest last.
     fn cmd_alerts(&self, args: &[&str]) -> Result<String, ShellError> {
-        let n: usize = match args {
-            [] => 20,
-            [n] => n.parse().map_err(|_| ShellError::Usage("alerts [<n>]"))?,
-            _ => return Err(ShellError::Usage("alerts [<n>]")),
-        };
+        let n = count_arg(args, 20, "alerts [<n>]")?;
         let events: Vec<_> = self.core.collect_alerts();
         if events.is_empty() {
             return Ok("(no alerts recorded)".to_owned());

@@ -330,6 +330,16 @@ fn top_and_matrix_report_accounted_load_and_traffic() {
     assert!(matrix.contains("core0 -> core1"), "{matrix}");
     assert!(matrix.contains("core1 -> core0"), "{matrix}");
     assert!(matrix.contains("msgs"), "{matrix}");
+
+    // edges: the five calls, counted on the Core that issued them.
+    let edges = shell.exec("edges").unwrap();
+    let row = ["c0.0", "c1.1", "5", "core0"];
+    assert!(
+        edges.lines().any(|l| l.split_whitespace().eq(row)),
+        "{edges}"
+    );
+    assert!(!shell.exec("edges 0").unwrap().contains("c1.1"));
+    assert!(matches!(shell.exec("edges x"), Err(ShellError::Usage(_))));
     for c in &cores {
         c.stop();
     }

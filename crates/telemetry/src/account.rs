@@ -5,9 +5,10 @@
 //! Two structures:
 //!
 //! * [`Accountant`] — attributes exec time, invoke count, and marshaled
-//!   bytes to the *executing* complet. Storage is sharded (the shard is
-//!   a pure function of the key, so placement is deterministic) and the
-//!   hot path is a shard read-lock plus four relaxed atomic adds.
+//!   bytes to the *executing* complet (keyed by `(source, target)`, the
+//!   same sketch is a Core's call-edge table). Storage is sharded (the
+//!   shard is a pure function of the key, so placement is deterministic)
+//!   and the hot path is a shard read-lock plus four relaxed atomic adds.
 //!   Cardinality is bounded by a Space-Saving heavy-hitter sketch: when
 //!   a shard is full, admitting a new complet evicts the minimum-load
 //!   entry and the newcomer inherits its load as an error bound, so the
@@ -27,6 +28,7 @@
 //! proportion to their measured exec time.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -69,11 +71,11 @@ impl Cells {
     }
 }
 
-/// A point-in-time copy of one complet's account.
+/// A point-in-time copy of one key's account.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccountRecord {
-    /// `(origin node, seq)` of the complet.
-    pub key: AccountKey,
+pub struct AccountRecord<K = AccountKey> {
+    /// `(origin node, seq)` of the complet, unless keyed otherwise.
+    pub key: K,
     /// Invocations executed.
     pub invokes: u64,
     /// Total measured exec time, µs.
@@ -90,36 +92,55 @@ pub struct AccountRecord {
     pub err: u64,
 }
 
-/// Per-complet resource accounting bounded by a Space-Saving sketch.
-pub struct Accountant {
-    shards: Vec<RwLock<BTreeMap<AccountKey, Arc<Cells>>>>,
+/// Per-key resource accounting bounded by a Space-Saving sketch: per
+/// complet by default, per `(source, target)` pair as a call-edge table.
+pub struct Accountant<K = AccountKey> {
+    shards: Vec<RwLock<BTreeMap<K, Arc<Cells>>>>,
     shard_capacity: usize,
 }
 
-impl Accountant {
-    /// An accountant tracking at most `capacity` complets in total
+/// Folds the integers a key hashes to with a multiplicative mix: pure,
+/// unlike `RandomState`, and consecutive ids spread evenly over the
+/// shards, unlike SipHash (E18's recall guardrail depends on it).
+struct Mix(u64);
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut v = [0; 8];
+            v[..chunk.len()].copy_from_slice(chunk);
+            let v = u64::from_le_bytes(v);
+            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl<K: Ord + Copy + Hash> Accountant<K> {
+    /// An accountant tracking at most `capacity` keys in total
     /// (rounded up to a multiple of the shard count; minimum one entry
     /// per shard).
-    pub fn new(capacity: usize) -> Accountant {
+    pub fn new(capacity: usize) -> Accountant<K> {
         Accountant {
             shards: (0..SHARDS).map(|_| RwLock::new(BTreeMap::new())).collect(),
             shard_capacity: capacity.div_ceil(SHARDS).max(1),
         }
     }
 
-    fn shard_of(key: AccountKey) -> usize {
-        // A multiplicative mix of both halves; pure, so deterministic.
-        let h = (u64::from(key.0))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key.1.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-        (h >> 32) as usize % SHARDS
+    fn shard_of(key: K) -> usize {
+        let mut mix = Mix(0);
+        key.hash(&mut mix);
+        (mix.finish() >> 32) as usize % SHARDS
     }
 
     /// Attributes one executed invocation to `key`. The common case
     /// (key already tracked) is a shard read-lock and four relaxed
     /// atomic adds; a miss takes the shard write-lock for Space-Saving
     /// admission.
-    pub fn record(&self, key: AccountKey, exec_us: u64, bytes_in: u64, bytes_out: u64) {
+    pub fn record(&self, key: K, exec_us: u64, bytes_in: u64, bytes_out: u64) {
         let shard = &self.shards[Self::shard_of(key)];
         {
             let map = shard.read().unwrap_or_else(|p| p.into_inner());
@@ -164,9 +185,18 @@ impl Accountant {
         cells.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
     }
 
-    /// The top `n` complets by load, heaviest first; ties break on the
+    /// Invocations of `key` since it was (last) admitted; 0 if untracked.
+    pub fn invokes(&self, key: K) -> u64 {
+        let map = self.shards[Self::shard_of(key)]
+            .read()
+            .unwrap_or_else(|p| p.into_inner());
+        map.get(&key)
+            .map_or(0, |c| c.invokes.load(Ordering::Relaxed))
+    }
+
+    /// The top `n` keys by load, heaviest first; ties break on the
     /// smaller key so the order is a pure function of the accounts.
-    pub fn top(&self, n: usize) -> Vec<AccountRecord> {
+    pub fn top(&self, n: usize) -> Vec<AccountRecord<K>> {
         let mut all = self.records();
         all.sort_by(|a, b| b.load.cmp(&a.load).then(a.key.cmp(&b.key)));
         all.truncate(n);
@@ -174,7 +204,7 @@ impl Accountant {
     }
 
     /// Every tracked account, in key order.
-    pub fn records(&self) -> Vec<AccountRecord> {
+    pub fn records(&self) -> Vec<AccountRecord<K>> {
         let mut all = Vec::new();
         for shard in &self.shards {
             let map = shard.read().unwrap_or_else(|p| p.into_inner());
@@ -194,7 +224,7 @@ impl Accountant {
         all
     }
 
-    /// Complets currently tracked (bounded by the sketch capacity).
+    /// Keys currently tracked (bounded by the sketch capacity).
     pub fn tracked(&self) -> usize {
         self.shards
             .iter()
@@ -203,7 +233,7 @@ impl Accountant {
     }
 }
 
-impl std::fmt::Debug for Accountant {
+impl<K: Ord + Copy + Hash> std::fmt::Debug for Accountant<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Accountant")
             .field("tracked", &self.tracked())
@@ -424,6 +454,41 @@ mod tests {
             a.top(8)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The same sketch keyed by `(source, target)` is a Core's call-edge
+    /// table: a flood of one-call pairs neither grows it nor pushes out
+    /// the pairs that carry the traffic, and what it evicts is a pure
+    /// function of the calls it saw.
+    #[test]
+    fn edge_keyed_sketch_stays_bounded_and_keeps_the_heavy_pairs() {
+        type Edge = (AccountKey, AccountKey);
+        let heavy: [Edge; 2] = [((0, 0), (1, 7)), ((1, 7), (2, 9))];
+        let run = || {
+            let edges: Accountant<Edge> = Accountant::new(64);
+            for i in 0..100_000u64 {
+                edges.record(((3, i), (4, i % 977)), 0, 0, 0);
+                if i % 10 == 0 {
+                    edges.record(heavy[(i / 10 % 2) as usize], 0, 0, 0);
+                }
+            }
+            edges
+        };
+        let edges = run();
+        assert!(edges.tracked() <= 64, "tracked {}", edges.tracked());
+        for pair in heavy {
+            assert_eq!(edges.invokes(pair), 5_000, "{pair:?} was never evicted");
+        }
+        assert_eq!(
+            edges.invokes(((3, 0), (4, 0))),
+            0,
+            "a one-call pair is gone"
+        );
+        assert_eq!(
+            edges.records(),
+            run().records(),
+            "eviction is deterministic"
+        );
     }
 
     #[test]
