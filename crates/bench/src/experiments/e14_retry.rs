@@ -106,7 +106,7 @@ mod tests {
     fn reliability_overhead_is_bounded() {
         // In a release run the dedup insert + complete is well under 1us
         // per call (EXPERIMENTS.md E14). Debug builds under a parallel
-        // test load are far noisier, so like E13 this asserts the
+        // test load are far noisier, so like E10 this asserts the
         // relative shape (no lock convoy or O(n) scan on the reply
         // path), best-of-3.
         let mut last = (Duration::MAX, Duration::ZERO);

@@ -7,8 +7,10 @@
 //!   the five `fargo_latency_*` phase histograms, the sliding invoke
 //!   window, and the tail sampler's threshold check all sit on the
 //!   invoke path; comparing against a stamp-free configuration
-//!   (`with_phase_timing(false)`) isolates their per-call price.
-//!   Guardrail: at most 0.5µs per local invocation, best of 3 runs.
+//!   (`with_phase_timing(false)`) isolates their per-call price, best
+//!   of 3 runs. Printed, not gated: a sub-microsecond difference of two
+//!   means flakes on a shared machine, and the standing benchmark's
+//!   `telemetry.per_call_ns` is the per-call cost measurement.
 //! * Does the decomposition attribute latency where it belongs? With a
 //!   known 2ms one-way link injected between two Cores, the receiver's
 //!   `network` phase must absorb the delay (its p50 is at least the
@@ -44,7 +46,6 @@ pub fn run(full: bool) -> Table {
     let on = best_of_3(n, true);
     let off = best_of_3(n, false);
     let overhead = on.saturating_sub(off);
-    let overhead_ok = overhead <= Duration::from_nanos(500);
 
     // Attribution: a 2-Core cluster with a 2ms one-way link, driven by
     // remote invokes from core0 against a servant on core1.
@@ -74,7 +75,7 @@ pub fn run(full: bool) -> Table {
         &["measurement", "value", "notes"],
     )
     .with_note(
-        "guardrail: phase timing + tail sampler cost at most 0.5us per local call; under a 2ms link the network phase absorbs the delay and the sampler retains traced slow requests.",
+        "guardrail: under a 2ms link the network phase absorbs the delay and the sampler retains traced slow requests (the per-call cost of phase timing + tail sampler is information).",
     );
     table.row([
         "phase timing on".to_owned(),
@@ -89,11 +90,7 @@ pub fn run(full: bool) -> Table {
     table.row([
         "overhead per call".to_owned(),
         fmt_duration(overhead),
-        if overhead_ok {
-            "guardrail ok (phase timing <=0.5us/call)".to_owned()
-        } else {
-            format!("guardrail FAILED (on {on:?} vs off {off:?})")
-        },
+        "on - off (information, not gated)".to_owned(),
     ]);
     for (core, summaries) in [("core0", &caller), ("core1", &receiver)] {
         for s in summaries.iter().filter(|s| s.count > 0) {
@@ -183,7 +180,7 @@ mod tests {
         // The stamps are a handful of clock reads and lock-free
         // histogram increments — ~0.2us in a release run (EXPERIMENTS.md
         // E17). Debug builds under a parallel test load are far noisier,
-        // so like the E13 guardrail this asserts the relative shape (no
+        // so like the E10 guardrail this asserts the relative shape (no
         // O(n) scan or contended lock snuck onto the path), best-of-3.
         let mut last = (Duration::MAX, Duration::ZERO);
         for _ in 0..3 {

@@ -1,5 +1,6 @@
-//! The experiment suite (E1–E23; E19/E20 are reserved by ROADMAP items). Each module regenerates one experiment
-//! from DESIGN.md's index and returns a [`crate::Table`].
+//! The experiment suite (E1–E23; E13 is retired, E19/E20 are reserved by
+//! ROADMAP items). Each module regenerates one experiment from DESIGN.md's
+//! index and returns a [`crate::Table`].
 
 pub mod e01_chains;
 pub mod e02_fanin;
@@ -13,7 +14,6 @@ pub mod e09_reliability;
 pub mod e10_invocation;
 pub mod e11_params;
 pub mod e12_footprint;
-pub mod e13_journal;
 pub mod e14_retry;
 pub mod e15_planner;
 pub mod e16_checker;
@@ -100,11 +100,6 @@ pub fn all() -> Vec<Experiment> {
             id: "E12",
             summary: "footprint: repository capacity and per-complet overhead",
             run: e12_footprint::run,
-        },
-        Experiment {
-            id: "E13",
-            summary: "flight-recorder overhead: journaling on vs off on the local invoke path",
-            run: e13_journal::run,
         },
         Experiment {
             id: "E14",

@@ -21,8 +21,6 @@ pub struct ClusterSpec {
     pub monitor_tick: Duration,
     /// Whether Cores record spans for cross-Core tracing.
     pub trace_enabled: bool,
-    /// Whether Cores record layout events in the flight-recorder journal.
-    pub journal_enabled: bool,
     /// When true, Cores run with the historical single-shot messaging
     /// behaviour (no retransmission, no reply dedup) — the E14 baseline.
     pub single_shot: bool,
@@ -45,7 +43,6 @@ impl ClusterSpec {
             time_scale: 1.0,
             monitor_tick: Duration::from_millis(10),
             trace_enabled: true,
-            journal_enabled: true,
             single_shot: false,
             rpc_retries: None,
             seed: None,
@@ -70,12 +67,6 @@ impl ClusterSpec {
     /// Turns span recording on or off (metrics stay on either way).
     pub fn tracing(mut self, enabled: bool) -> Self {
         self.trace_enabled = enabled;
-        self
-    }
-
-    /// Turns the flight-recorder journal on or off.
-    pub fn journaling(mut self, enabled: bool) -> Self {
-        self.journal_enabled = enabled;
         self
     }
 
@@ -122,8 +113,7 @@ impl ClusterSpec {
             rpc_timeout: Duration::from_secs(30),
             ..CoreConfig::default()
         }
-        .with_tracing(self.trace_enabled)
-        .with_journaling(self.journal_enabled);
+        .with_tracing(self.trace_enabled);
         if self.single_shot {
             config = config.single_shot();
         }

@@ -91,14 +91,19 @@ impl Ctx {
     /// invocation error.
     pub fn call(&self, target: &CompletRef, method: &str, args: &[Value]) -> Result<Value> {
         // An inter-complet call is the observatory's evidence of a live
-        // reference edge: journal it before the invocation is issued.
-        self.core.inner.telemetry.journal(
-            fargo_telemetry::JournalKind::RefEdgeCreated,
-            &self.self_id,
-            &target.id().to_string(),
-            &target.relocator(),
-            None,
-        );
+        // reference edge: journaled before the edge's first use at this
+        // Core (the call-edge table says whether it has been used) — a
+        // layout fact once, not a record of every call.
+        let t = &self.core.inner.telemetry;
+        if t.edges.invokes((self.self_id, target.id())) == 0 {
+            t.journal(
+                fargo_telemetry::JournalKind::RefEdgeCreated,
+                &self.self_id,
+                &target.id().to_string(),
+                &target.relocator(),
+                None,
+            );
+        }
         self.core
             .invoke_chained(target, method, args, self.chain.clone())
     }

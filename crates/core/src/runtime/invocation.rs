@@ -22,7 +22,7 @@ use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
 use crate::runtime::rpc::PendingRpc;
 use crate::runtime::{Core, SlotState, APP_SEQ, MAX_HOPS};
-use crate::telemetry;
+use crate::telemetry::SpanParent;
 
 /// Outcome of attempting to run an invocation on a local slot.
 enum LocalExec {
@@ -91,7 +91,7 @@ impl Core {
         let state = match self.route(id, target) {
             Route::Remote(node) => {
                 self.inner.telemetry.invoke_total.inc();
-                self.account_call(id, method, &[]);
+                self.account_call(id, &[]);
                 match self.begin_invoke(node, id, method, CallArgs::Borrowed(args), &[]) {
                     Ok(rpc) => PendingCallState::Remote {
                         rpc: Box::new(rpc),
@@ -120,33 +120,21 @@ impl Core {
         // Root span (or child of the ambient one, when called from inside
         // another traced invocation); ambient while routing so outbound
         // requests carry the context.
-        let span = if t.trace_enabled {
-            let parent = telemetry::current_trace();
-            let ctx = parent.map_or_else(TraceContext::new_root, |p| p.child());
-            let timer = t.spans.start(
-                ctx,
-                parent.map_or(0, |p| p.span_id),
-                format!("invoke {}.{}", target.target_type(), method),
-            );
-            Some((ctx, timer, telemetry::enter_trace(ctx)))
-        } else {
-            None
-        };
+        let span = t.span(SpanParent::Ambient, || {
+            format!("invoke {}.{}", target.target_type(), method)
+        });
         let started = self.inner.config.clock.now_us();
         let id = target.id();
         let result = if chain.contains(&id) {
             Err(FargoError::ReentrantInvocation(id))
         } else {
-            self.account_call(id, method, &chain);
+            self.account_call(id, &chain);
             self.route_and_settle(target, method, CallArgs::Borrowed(args), &chain, None)
         };
         let total_us = self.inner.config.clock.now_us().saturating_sub(started);
         t.invoke_latency_us.observe(total_us);
-        let trace_id = span.as_ref().map(|(ctx, ..)| ctx.trace_id);
-        if let Some((_, timer, scope)) = span {
-            drop(scope);
-            timer.finish(&t.spans, &self.inner.name);
-        }
+        let trace_id = span.ctx().map(|ctx| ctx.trace_id);
+        drop(span);
         // Tail-based retention: requests slower than everything the
         // bounded slow-log already holds are admitted with a snapshot of
         // their local span tree, so the worst tail stays inspectable
@@ -166,29 +154,16 @@ impl Core {
 
     /// What every application call does exactly once, whichever entry
     /// point issued it and however often it is re-routed: count it on
-    /// its reference's row of the call-edge table and journal the issue.
-    /// (The by-value copy is made where the route ends: by the encoder,
-    /// or by [`CallArgs::to_local_copy`].)
-    fn account_call(&self, id: CompletId, method: &str, chain: &[CompletId]) {
-        // Application-level profiling at the reference's source (§4.1).
+    /// its reference's row of the call-edge table — application-level
+    /// profiling at the reference's source (§4.1; seq 0 = the
+    /// application pseudo-complet). (The by-value copy is made where the
+    /// route ends: by the encoder, or by [`CallArgs::to_local_copy`].)
+    fn account_call(&self, id: CompletId, chain: &[CompletId]) {
         let src = chain
             .last()
             .copied()
             .unwrap_or(CompletId::new(self.inner.node.index(), APP_SEQ));
         self.inner.telemetry.edges.record((src, id), 0, 0, 0);
-        // Journaled before any routing (and before the request send, which
-        // stamps a later HLC), so in the merged timeline the issue orders
-        // before every forward and the eventual exec. The detail carries
-        // the issuing complet (seq 0 = the application pseudo-complet),
-        // so a reader of the timeline sees who called.
-        let src_label = if self.inner.telemetry.journal_enabled {
-            src.to_string()
-        } else {
-            String::new() // no allocation when the journal is off
-        };
-        self.inner
-            .telemetry
-            .journal(JournalKind::Invoke, &id, method, &src_label, None);
     }
 
     /// Issues the `Invoke` request for an accounted call to `node`,
@@ -386,7 +361,6 @@ impl Core {
             match &mut *guard {
                 SlotState::Present(complet) => {
                     let t = &self.inner.telemetry;
-                    t.journal(JournalKind::Exec, &id, method, "", None);
                     let mut ctx = self.make_ctx(
                         id,
                         &slot.type_name,
@@ -467,25 +441,14 @@ impl Core {
                     // invoke (or forward) span; ambient while the method
                     // body runs so nested calls join the trace.
                     let t = &self.inner.telemetry;
-                    let span = match (t.trace_enabled, trace) {
-                        (true, Some(parent)) => {
-                            let ctx = parent.child();
-                            let timer =
-                                t.spans.start(ctx, parent.span_id, format!("exec {method}"));
-                            Some((timer, telemetry::enter_trace(ctx)))
-                        }
-                        _ => None,
-                    };
+                    let span = t.span(SpanParent::Remote(trace), || format!("exec {method}"));
                     let exec_start = t.phase_timing.then(|| t.phase_now_us());
                     let exec = self.execute_local(target, &method, &args, &chain);
                     if let Some(t0) = exec_start {
                         t.latency_exec_us
                             .observe(t.phase_now_us().saturating_sub(t0));
                     }
-                    if let Some((timer, scope)) = span {
-                        drop(scope);
-                        timer.finish(&t.spans, &self.inner.name);
-                    }
+                    drop(span);
                     match exec {
                         LocalExec::Done(res) => {
                             self.inner.telemetry.invoke_hops.observe(u64::from(hops));
@@ -516,20 +479,11 @@ impl Core {
                     let t = &self.inner.telemetry;
                     t.tracker_forwards_served_total.inc();
                     t.tracker_chain_length.observe(u64::from(hops) + 1);
-                    t.journal(JournalKind::Forward, &target, &method, "", Some(next));
                     // The forwarded request carries a span of its own so
-                    // the rendered tree shows each chain hop.
-                    let (fwd_trace, span) = match (t.trace_enabled, trace) {
-                        (true, Some(parent)) => {
-                            let ctx = parent.child();
-                            let timer =
-                                t.spans
-                                    .start(ctx, parent.span_id, format!("forward {method}"));
-                            (Some(ctx), Some(timer))
-                        }
-                        _ => (trace, None),
-                    };
-                    let head = Header::Request(req_id, origin, fwd_trace);
+                    // the rendered tree shows each chain hop; a Core that
+                    // records none passes the requester's context on.
+                    let span = t.span(SpanParent::Remote(trace), || format!("forward {method}"));
+                    let head = Header::Request(req_id, origin, span.ctx().or(trace));
                     let fwd_path = [path, &[me]].concat();
                     let fwd_start = t.phase_timing.then(|| t.phase_now_us());
                     // Straight from the decoded parts, nothing cloned.
@@ -540,9 +494,7 @@ impl Core {
                         t.latency_forward_us
                             .observe(t.phase_now_us().saturating_sub(t0));
                     }
-                    if let Some(timer) = span {
-                        timer.finish(&t.spans, &self.inner.name);
-                    }
+                    drop(span);
                     if let Err(e) = sent {
                         return Some(Reply::Err(e));
                     }

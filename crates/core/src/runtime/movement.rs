@@ -31,7 +31,7 @@ use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
 use crate::runtime::wal::{WalHeld, WalRecord};
 use crate::runtime::{CompletSlot, Core, SlotState};
-use crate::telemetry;
+use crate::telemetry::SpanParent;
 
 /// A complet taken out of its slot for departure.
 struct Departing {
@@ -127,26 +127,13 @@ impl Core {
         continuation: Option<(String, Vec<Value>)>,
     ) -> Result<()> {
         let t = &self.inner.telemetry;
-        let span = if t.trace_enabled {
-            let parent = telemetry::current_trace();
-            let ctx = parent.map_or_else(TraceContext::new_root, |p| p.child());
-            let timer = t.spans.start(
-                ctx,
-                parent.map_or(0, |p| p.span_id),
-                format!("move {root} -> {}", self.core_name_of(dest_node)),
-            );
-            Some((timer, telemetry::enter_trace(ctx)))
-        } else {
-            None
-        };
+        let _span = t.span(SpanParent::Ambient, || {
+            format!("move {root} -> {}", self.core_name_of(dest_node))
+        });
         t.moves_attempted_total.inc();
         let result = self.move_local_inner(root, dest_node, continuation);
         if result.is_err() {
             t.move_failures_total.inc();
-        }
-        if let Some((timer, scope)) = span {
-            drop(scope);
-            timer.finish(&t.spans, &self.inner.name);
         }
         result
     }
@@ -887,18 +874,9 @@ impl Core {
         trace: Option<TraceContext>,
     ) -> Vec<CompletId> {
         let t = &self.inner.telemetry;
-        let span = match (t.trace_enabled, trace) {
-            (true, Some(parent)) => {
-                let ctx = parent.child();
-                let timer = t.spans.start(
-                    ctx,
-                    parent.span_id,
-                    format!("arrive[{}]", held.complets.len()),
-                );
-                Some((timer, telemetry::enter_trace(ctx)))
-            }
-            _ => None,
-        };
+        let _span = t.span(SpanParent::Remote(trace), || {
+            format!("arrive[{}]", held.complets.len())
+        });
         self.inner.move_outcomes.record(root, epoch, true);
         let mut arrived = Vec::with_capacity(held.complets.len());
         for (packet, complet) in held.image.packets.iter().zip(held.complets) {
@@ -936,10 +914,6 @@ impl Core {
         );
         if let Some(cont) = held.continuation {
             self.spawn_continuation(cont);
-        }
-        if let Some((timer, scope)) = span {
-            drop(scope);
-            timer.finish(&t.spans, &self.inner.name);
         }
         arrived
     }

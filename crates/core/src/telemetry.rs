@@ -16,8 +16,8 @@ use parking_lot::Mutex;
 
 use fargo_telemetry::{
     Accountant, Clock, Counter, Gauge, Histogram, Hlc, HlcClock, Journal, JournalEvent,
-    JournalKind, Registry, SlowLog, SpanLog, TraceContext, TrafficMatrix, WindowedHistogram,
-    BUCKETS_BYTES, BUCKETS_COUNT, BUCKETS_LATENCY_US,
+    JournalKind, Registry, SlowLog, SpanLog, SpanRecord, TraceContext, TrafficMatrix,
+    WindowedHistogram, BUCKETS_BYTES, BUCKETS_COUNT, BUCKETS_LATENCY_US,
 };
 use fargo_wire::CompletId;
 
@@ -70,17 +70,18 @@ pub(crate) const RELOCATOR_KINDS: &[&str] = &["link", "pull", "duplicate", "stam
 pub(crate) struct CoreTelemetry {
     pub registry: Registry,
     pub spans: SpanLog,
-    /// Span recording gate (metrics are unconditional).
-    pub trace_enabled: bool,
+    /// Span recording gate (metrics are unconditional); [`Self::span`]
+    /// is its one reader.
+    trace_enabled: bool,
 
     // Flight recorder: the layout-event journal and the hybrid logical
     // clock that stamps it (and every outbound envelope).
     pub journal: Journal,
     pub clock: HlcClock,
-    pub journal_enabled: bool,
+    journal_enabled: bool,
     /// Serializes the tick-then-append pair in [`journal`](Self::journal)
     /// so ring order always matches HLC order: shard publishes journal
-    /// from the receive/notify threads while invokes journal from the
+    /// from the receive/notify threads while moves journal from the
     /// worker pool, and an unserialized interleave can append a larger
     /// stamp at a smaller ring seq.
     journal_stamp: Mutex<()>,
@@ -213,9 +214,6 @@ pub(crate) struct CoreTelemetry {
 
 impl CoreTelemetry {
     pub(crate) fn new(registry: Registry, core: &str, node: u32, config: &CoreConfig) -> Self {
-        let trace_enabled = config.trace_enabled;
-        let journal_enabled = config.journal_enabled;
-        let journal_capacity = config.journal_capacity;
         let clock = config.clock.clone();
         let l = &[("core", core)][..];
         let move_by_relocator = RELOCATOR_KINDS
@@ -258,11 +256,11 @@ impl CoreTelemetry {
             })
             .collect();
         CoreTelemetry {
-            spans: SpanLog::with_clock(TRACE_CAPACITY, clock.clone()),
-            trace_enabled,
-            journal: Journal::with_base(journal_capacity, config.journal_seq_base),
+            spans: SpanLog::for_core(core, TRACE_CAPACITY, clock.clone()),
+            trace_enabled: config.trace_enabled,
+            journal: Journal::with_base(config.journal_capacity, config.journal_seq_base),
             clock: HlcClock::with_source(clock.clone()),
-            journal_enabled,
+            journal_enabled: config.journal_enabled,
             journal_stamp: Mutex::new(()),
             node,
             journal_events_total: registry.counter("fargo_journal_events_total", l),
@@ -367,6 +365,26 @@ impl CoreTelemetry {
         }
     }
 
+    /// Opens the span of one operation on this Core (a call issued,
+    /// forwarded or executed, a move sent or activated). Until the guard
+    /// drops, on whichever exit path, the span is the thread's ambient
+    /// trace, so requests and calls made under it join the trace. With
+    /// tracing off, or under an untraced request, the guard is inert
+    /// and `name` is never built.
+    pub(crate) fn span(&self, parent: SpanParent, name: impl FnOnce() -> String) -> SpanGuard<'_> {
+        let parent = match parent {
+            _ if !self.trace_enabled => return SpanGuard(None),
+            SpanParent::Remote(None) => return SpanGuard(None),
+            SpanParent::Remote(remote) => remote,
+            SpanParent::Ambient => current_trace(),
+        };
+        let ctx = parent.map_or_else(TraceContext::new_root, |p| p.child());
+        let parent_id = parent.map_or(0, |p| p.span_id);
+        let span = self.spans.start(ctx, parent_id, name());
+        let displaced = CURRENT_TRACE.with(|c| c.replace(Some(ctx)));
+        SpanGuard(Some((&self.spans, span, displaced)))
+    }
+
     /// Appends one layout event to the flight recorder, stamped with a
     /// fresh HLC tick. `subject` is formatted lazily so a disabled
     /// journal costs one branch and no allocation on the hot path.
@@ -450,20 +468,36 @@ pub(crate) fn current_trace() -> Option<TraceContext> {
     CURRENT_TRACE.with(|c| c.get())
 }
 
-/// Sets the ambient trace context for the duration of the returned guard.
-pub(crate) fn enter_trace(ctx: TraceContext) -> TraceScope {
-    let prev = CURRENT_TRACE.with(|c| c.replace(Some(ctx)));
-    TraceScope { prev }
+/// What a new span hangs under.
+pub(crate) enum SpanParent {
+    /// The thread's ambient trace; a fresh root trace when there is none.
+    Ambient,
+    /// The context a request carried here; no span for an untraced one.
+    Remote(Option<TraceContext>),
 }
 
-/// Restores the previous ambient context on drop.
-pub(crate) struct TraceScope {
-    prev: Option<TraceContext>,
+/// An open span (see [`CoreTelemetry::span`]): the log it closes into,
+/// its record so far, and the ambient trace it displaced on this thread.
+pub(crate) struct SpanGuard<'a>(Option<(&'a SpanLog, SpanRecord, Option<TraceContext>)>);
+
+impl SpanGuard<'_> {
+    /// The span's own context (what a request sent under it carries);
+    /// `None` when the guard is inert.
+    pub(crate) fn ctx(&self) -> Option<TraceContext> {
+        let (_, span, _) = self.0.as_ref()?;
+        Some(TraceContext {
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+        })
+    }
 }
 
-impl Drop for TraceScope {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        CURRENT_TRACE.with(|c| c.set(self.prev));
+        if let Some((log, span, displaced)) = self.0.take() {
+            CURRENT_TRACE.with(|c| c.set(displaced));
+            log.finish(span);
+        }
     }
 }
 
@@ -480,19 +514,23 @@ mod tests {
 
     #[test]
     fn ambient_trace_nests_and_restores() {
+        let t = CoreTelemetry::new(Registry::new(), "c", 0, &test_cfg(true));
         assert!(current_trace().is_none());
-        let outer = TraceContext::new_root();
         {
-            let _g1 = enter_trace(outer);
-            assert_eq!(current_trace(), Some(outer));
-            let inner = outer.child();
+            let outer = t.span(SpanParent::Ambient, || "outer".to_owned());
+            assert_eq!(current_trace(), outer.ctx());
             {
-                let _g2 = enter_trace(inner);
-                assert_eq!(current_trace(), Some(inner));
+                let inner = t.span(SpanParent::Ambient, || "inner".to_owned());
+                assert_eq!(current_trace(), inner.ctx());
+                assert_ne!(inner.ctx(), outer.ctx());
             }
-            assert_eq!(current_trace(), Some(outer));
+            assert_eq!(current_trace(), outer.ctx());
         }
         assert!(current_trace().is_none());
+        // Both closed, the inner one first, as a child of the outer.
+        let spans = t.spans.all();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].parent_id, spans[1].span_id);
     }
 
     #[test]

@@ -48,8 +48,8 @@ fn find<'a>(
 /// The acceptance scenario: a 3-Core run with two movements and a
 /// chain-routed invocation, over jittery links. The merged timeline must
 /// order causally-related events correctly — each departure before its
-/// arrival, and invoke before forward before exec — even though wall-time
-/// delivery was reordered.
+/// arrival, and the arrival before the tracker repair a later call's
+/// reply causes — even though wall-time delivery was reordered.
 #[test]
 fn merged_timeline_respects_causality_under_jitter() {
     let (_net, cores) = jittery_cluster(3);
@@ -86,13 +86,19 @@ fn merged_timeline_respects_causality_under_jitter() {
         );
     }
 
-    // Invocation causality: issue at core0, tracker forward at core1,
-    // execution at core2.
-    let invoke = find(&events, JournalKind::Invoke, 0, &id);
-    let forward = find(&events, JournalKind::Forward, 1, &id);
-    let exec = find(&events, JournalKind::Exec, 2, &id);
-    assert!(invoke.hlc < forward.hlc, "invoke before forward");
-    assert!(forward.hlc < exec.hlc, "forward before exec");
+    // Causality across the call: it ran at core2 and its reply told
+    // core0 so, which cut core1 out of core0's chain. That repair is a
+    // layout event of core0 caused by a message from core2, so it orders
+    // after the arrival core2 journaled — and the call itself left no
+    // journal entry anywhere.
+    let shorten = find(&events, JournalKind::TrackerShortened, 0, &id);
+    assert_eq!(shorten.peer, Some(2), "the reply named the real host");
+    let arrival = find(&events, JournalKind::CompletArrived, 2, &id);
+    assert!(arrival.hlc < shorten.hlc, "arrival before the repair");
+    assert!(
+        events.iter().all(|e| e.object != "print"),
+        "calls are not journaled"
+    );
     teardown(&cores);
 }
 
@@ -160,6 +166,29 @@ fn anomaly_pass_flags_ping_pong_movement() {
             .iter()
             .any(|a| matches!(a, Anomaly::PingPong { complet, .. } if *complet == id)),
         "ping-pong not flagged; anomalies: {anomalies:?}"
+    );
+    teardown(&cores);
+}
+
+/// The journal records layout, not calls: a move stays explainable
+/// however many calls the cluster serves after it.
+#[test]
+fn layout_history_survives_call_load() {
+    let (_net, _reg, cores) = cluster(3);
+    let msg = cores[0].new_complet("Message", &[]).unwrap();
+    let id = msg.id().to_string();
+    msg.move_to("core1").unwrap();
+    for _ in 0..3 * test_config().journal_capacity {
+        msg.call("print", &[]).unwrap();
+    }
+    let events = cores[0].collect_journal();
+    let departure = find(&events, JournalKind::CompletDeparted, 0, &id);
+    let arrival = find(&events, JournalKind::CompletArrived, 1, &id);
+    assert!(departure.hlc < arrival.hlc);
+    assert_eq!(
+        cores[0].layout_history().final_state().placement.get(&id),
+        Some(&1),
+        "the layout observatory still knows where the complet lives"
     );
     teardown(&cores);
 }

@@ -4,6 +4,7 @@
 mod common;
 
 use common::{cluster, cluster_with_config, teardown, test_config};
+use fargo_core::{define_complet, FargoError, Value};
 
 /// A chained invocation across three Cores must produce one span tree:
 /// the caller's `invoke` span, the intermediate Core's `forward` span,
@@ -120,5 +121,60 @@ fn movement_metrics_are_recorded() {
     let out = cores[0].render_metrics();
     assert!(out.contains("fargo_move_marshal_bytes"), "{out}");
     assert!(out.contains("fargo_move_comoved"), "{out}");
+    teardown(&cores);
+}
+
+define_complet! {
+    /// Ends a call the two awkward ways: by failing, and by moving away.
+    pub complet Fickle {
+        state { calls: i64 = 0 }
+        fn fail(&mut self, _ctx, _args) {
+            Err(FargoError::App("refused".to_owned()))
+        }
+        fn leave(&mut self, ctx, _args) {
+            ctx.move_self("core1");
+            Ok(Value::Null)
+        }
+    }
+}
+
+/// A span is closed once, and the caller's thread is outside any trace
+/// again, whichever way its operation ends: a method body that fails,
+/// one that moves its own complet away, a failure on another Core.
+#[test]
+fn a_span_closes_once_on_every_exit_path() {
+    let (_net, reg, cores) = cluster(2);
+    Fickle::register(&reg);
+    let fickle = cores[0].new_complet("Fickle", &[]).unwrap();
+
+    assert!(fickle.call("fail", &[]).is_err());
+    let failed = cores[0].last_trace_id().expect("a failed call is traced");
+    let spans = cores[0].collect_trace(failed);
+    assert_eq!(spans.len(), 1, "{spans:?}");
+    assert_eq!(spans[0].name, "invoke Fickle.fail");
+
+    // The deferred self-move runs inside the call, under its span. Had
+    // the failed call's trace stayed ambient, this call would have
+    // joined it as a child instead of starting a trace of its own.
+    fickle.call("leave", &[]).unwrap();
+    let left = cores[0].last_trace_id().unwrap();
+    assert_ne!(left, failed);
+    let local = cores[0].span_snapshot();
+    let spans: Vec<_> = local.iter().filter(|s| s.trace_id == left).collect();
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    let moved = format!("move {} -> core1", fickle.id());
+    assert_eq!(names, [moved.as_str(), "invoke Fickle.leave"], "{spans:?}");
+    assert_eq!(spans[1].parent_id, 0, "a root: nothing was left ambient");
+    assert_eq!(spans[0].parent_id, spans[1].span_id);
+
+    // Now remote: the executing Core closes its span on the error path
+    // too, before the reply leaves.
+    assert!(fickle.call("fail", &[]).is_err());
+    let remote = cores[0].last_trace_id().unwrap();
+    let spans = cores[0].collect_trace(remote);
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["invoke Fickle.fail", "exec fail"], "{spans:?}");
+    assert_eq!(spans[0].parent_id, 0);
+    assert_eq!(spans[1].core, "core1");
     teardown(&cores);
 }

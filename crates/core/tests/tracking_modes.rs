@@ -6,7 +6,7 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{cluster, cluster_with_config, counter, relay, teardown, test_config};
-use fargo_core::{CompletId, CompletRef, Core, JournalKind, RefDescriptor, ResolveVia, Value};
+use fargo_core::{CompletId, CompletRef, Core, RefDescriptor, ResolveVia, Value};
 
 /// Index of the Core whose shard holds `id` as living on `host`. Shard
 /// publishes are one-shot asynchronous notifies, so this polls until
@@ -188,7 +188,7 @@ fn async_call_through_a_dead_end_is_accounted_once() {
     // The caller's tracker points at a Core whose own tracker was
     // idle-collected: the request `call_async` sends dead-ends there and
     // the wait re-routes through the location shard. That is still one
-    // application call — one count, one journaled issue.
+    // application call — one count, one call on its call-edge row.
     let (_net, _reg, cores) = cluster(3);
     let msg = cores[0]
         .new_complet("Message", &[Value::from("once")])
@@ -207,16 +207,17 @@ fn async_call_through_a_dead_end_is_accounted_once() {
     cores[0].test_learn_location(id, cores[1].node().index(), epoch + 1);
 
     let invokes = counter(&cores[0], "fargo_invoke_total");
+    // The row of the reference the application holds at core0 (`c0.0`).
+    let app = CompletId::new(cores[0].node().index(), 0);
+    let edge_calls = || {
+        let rows = cores[0].invoke_edges();
+        let row = rows.iter().find(|r| r.0 == app && r.1 == id);
+        row.map_or(0, |r| r.2)
+    };
+    let calls = edge_calls();
     let pending = msg.call_async("print", &[]);
     assert_eq!(pending.wait().unwrap(), Value::from("once"));
     assert_eq!(counter(&cores[0], "fargo_invoke_total") - invokes, 1);
-    let issues = cores[0]
-        .collect_journal()
-        .iter()
-        .filter(|e| {
-            e.kind == JournalKind::Invoke && e.subject == id.to_string() && e.object == "print"
-        })
-        .count();
-    assert_eq!(issues, 1, "one call, one journaled issue");
+    assert_eq!(edge_calls() - calls, 1, "one call, one count on its edge");
     teardown(&cores);
 }

@@ -88,8 +88,11 @@ FarGo shell commands:
   layout [at <hlc>]                  complets across every core; with
                                      'at', reconstructed from the journal
                                      at an HLC instant (e.g. 1234.0)
-  journal [<n>]                      merged cluster-wide layout journal
-                                     (last n events; default 20)
+  journal [<n>]                      merged cluster-wide layout journal:
+                                     moves, trackers, shard applies, plan
+                                     notes, alerts; calls are not in it,
+                                     see trace/slow/edges/top (last n
+                                     events; default 20)
   anomalies                          layout anomaly pass over the journal
   plan                               preview the adaptive layout plan the
                                      planner would execute right now

@@ -639,7 +639,14 @@ mod tests {
         a.send(b.id(), b"x".to_vec()).unwrap();
         assert_eq!(n.in_flight(), 1);
         b.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(n.in_flight(), 0);
+        // The scheduler counts a packet down only after handing it over
+        // (quiescence must never read 0 early), so the receiver can get
+        // here first: wait for the count, bounded.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while n.in_flight() != 0 {
+            assert!(Instant::now() < deadline, "never drained");
+            std::thread::yield_now();
+        }
         // Self-sends never enter the scheduler.
         a.send(a.id(), b"y".to_vec()).unwrap();
         assert_eq!(n.in_flight(), 0);

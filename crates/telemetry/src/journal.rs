@@ -3,9 +3,11 @@
 //!
 //! FarGo's monitoring subsystem (§4 of the paper) exists so layout
 //! decisions can be *explained*: which complet moved where, why a
-//! reference chain grew, which invocation paid for a forward. Counters
-//! and spans (PR 1) answer "how much"; the journal answers "in what
-//! order". Every layout-changing hot path appends a [`JournalEvent`], and
+//! reference chain grew, what the planner decided. Counters and spans
+//! answer "how much" and "which call"; the journal answers "in what
+//! order did the layout change" — it never records a call, so the
+//! history a Core retains does not shrink with the traffic it serves.
+//! Every layout-changing path appends a [`JournalEvent`], and
 //! because the HLC piggybacks on every inter-Core envelope, journals
 //! pulled from different Cores merge into one causally-consistent global
 //! timeline: if event `a` happened-before event `b` (same Core, or
@@ -27,18 +29,19 @@
 //!
 //! The journal is a fixed-capacity ring: an append reserves a slot with a
 //! single atomic fetch-add and overwrites the oldest event once the ring
-//! wraps. Nothing blocks and nothing grows — a busy Core forgets the
-//! distant past rather than stalling the invocation path. The monotone
+//! wraps. Nothing blocks and nothing grows — a Core whose layout churns
+//! forgets the distant past rather than stalling a move. The monotone
 //! per-Core sequence number survives eviction, so a snapshot can report
 //! exactly how many events have been dropped.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::clock::Clock;
+use crate::metrics::json_escape;
 
 /// Logical component saturates at 16 bits (the packed-atomic clock word
 /// reserves the low 16 bits for it). In practice the physical component
@@ -179,159 +182,115 @@ impl HlcClock {
     }
 }
 
-/// What happened, in the vocabulary of the layout subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum JournalKind {
+/// The kinds, each with its stable wire/display name. The enum,
+/// [`JournalKind::as_str`] and [`JournalKind::parse`] all come from this
+/// one table, so the two directions cannot disagree.
+macro_rules! journal_kinds {
+    ($($(#[$doc:meta])* $kind:ident => $name:literal,)*) => {
+        /// What happened, in the vocabulary of the layout subsystem.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum JournalKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        impl JournalKind {
+            /// Stable wire/display name.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(JournalKind::$kind => $name,)*
+                }
+            }
+
+            /// Inverse of [`JournalKind::as_str`].
+            pub fn parse(s: &str) -> Option<JournalKind> {
+                Some(match s {
+                    $($name => JournalKind::$kind,)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+journal_kinds! {
     /// A complet became resident on the recording Core (created here,
     /// arrived by move, or restored after a failed move).
-    CompletArrived,
+    CompletArrived => "arrive",
     /// A complet was marshalled out of the recording Core, headed for
     /// `peer`.
-    CompletDeparted,
+    CompletDeparted => "depart",
     /// A tracker entry was created (pointing local).
-    TrackerCreated,
+    TrackerCreated => "trk_create",
     /// A tracker was repointed to forward to `peer` after a departure.
-    TrackerForwarded,
+    TrackerForwarded => "trk_forward",
     /// A tracker skipped intermediate hops (chain shortening, §3.1).
-    TrackerShortened,
+    TrackerShortened => "trk_shorten",
     /// A tracker entry was retired (complet released or entry collected).
-    TrackerRetired,
+    TrackerRetired => "trk_retire",
     /// A marshal-time relocator decision for one reference.
-    RelocatorDecision,
+    RelocatorDecision => "relocator",
     /// An inter-complet reference edge was observed or created.
-    RefEdgeCreated,
+    RefEdgeCreated => "ref_add",
     /// Reference edges involving a complet were dropped.
-    RefEdgeDropped,
-    /// An invocation was issued through a reference.
-    Invoke,
-    /// A tracker served a forward for an in-flight invocation.
-    Forward,
-    /// An invocation executed on the recording Core.
-    Exec,
+    RefEdgeDropped => "ref_drop",
+    /// An invocation was issued through a reference. Vocabulary only: no
+    /// Core emits it (a call is recorded by its spans and its call-edge
+    /// row, not in the layout journal); it stays because the standing
+    /// benchmark builds events with it (`benchmark/API_SURFACE.md`).
+    Invoke => "invoke",
     /// A move transaction was prepared (installed-but-held at the
     /// destination, or sent by the source).
-    MovePrepared,
+    MovePrepared => "move_prepare",
     /// A prepared move transaction was committed (activated).
-    MoveCommitted,
+    MoveCommitted => "move_commit",
     /// A prepared move transaction was aborted (held state discarded,
     /// or the source restored the departing complets).
-    MoveAborted,
+    MoveAborted => "move_abort",
     /// A reply could not be sent back to its requester (the lost-reply
     /// half of an at-most-once exchange).
-    ReplyDropped,
+    ReplyDropped => "reply_drop",
     /// The adaptive layout planner proposed a plan (subject = plan id,
     /// object = step count, detail = predicted cost delta).
-    PlanProposed,
+    PlanProposed => "plan_propose",
     /// One plan step was handed to the move machinery (subject = complet,
     /// object = plan id, peer = destination node).
-    PlanStep,
+    PlanStep => "plan_step",
     /// A planning round ended with no moves to make (subject = plan id,
     /// detail = consecutive stable rounds).
-    PlanConverged,
+    PlanConverged => "plan_converge",
     /// A plan step failed and previously executed steps were undone
     /// (subject = complet or plan id, detail = reason).
-    PlanRollback,
+    PlanRollback => "plan_rollback",
     /// A tracker update carrying a stale move epoch was rejected
     /// (subject = complet, object = rejected epoch, detail = current
     /// epoch, peer = the target the stale update wanted).
-    TrackerStale,
+    TrackerStale => "trk_stale",
     /// An SLO alert edge from the health engine (subject = rule name,
     /// object = "firing"/"resolved", detail = the window means vs the
     /// threshold).
-    Alert,
+    Alert => "alert",
     /// A location-shard entry was accepted by the recording Core's
     /// shard (subject = complet, object = the placement node or "gone"
     /// for a tombstone, detail = the move epoch of the entry).
-    ShardApplied,
+    ShardApplied => "shard_apply",
     /// A checkpoint skipped a complet that was not at rest (subject =
     /// complet, detail = the slot state that made it unsnapshotable).
-    CheckpointSkipped,
+    CheckpointSkipped => "ckpt_skip",
     /// An invocation's effect was made durable before the reply left the
     /// Core (subject = complet, object = method, detail = the returned
     /// value when it is an integer). This is the event the
     /// "no acknowledged state lost" oracle audits.
-    ExecAcked,
+    ExecAcked => "exec_ack",
     /// The write-ahead log was compacted (subject = record count kept,
     /// detail = appends folded away).
-    WalCompacted,
+    WalCompacted => "wal_compact",
     /// A restarted Core began recovery: everything it hosted before the
     /// crash is gone until replayed (the layout observatory clears this
     /// Core's placements and trackers at this point).
-    RecoveryStarted,
+    RecoveryStarted => "recovery_start",
     /// Recovery re-installed one complet from the write-ahead log
     /// (subject = complet, object = type, detail = re-install epoch).
-    RecoveryReplayed,
-}
-
-impl JournalKind {
-    /// Stable wire/display name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JournalKind::CompletArrived => "arrive",
-            JournalKind::CompletDeparted => "depart",
-            JournalKind::TrackerCreated => "trk_create",
-            JournalKind::TrackerForwarded => "trk_forward",
-            JournalKind::TrackerShortened => "trk_shorten",
-            JournalKind::TrackerRetired => "trk_retire",
-            JournalKind::RelocatorDecision => "relocator",
-            JournalKind::RefEdgeCreated => "ref_add",
-            JournalKind::RefEdgeDropped => "ref_drop",
-            JournalKind::Invoke => "invoke",
-            JournalKind::Forward => "forward",
-            JournalKind::Exec => "exec",
-            JournalKind::MovePrepared => "move_prepare",
-            JournalKind::MoveCommitted => "move_commit",
-            JournalKind::MoveAborted => "move_abort",
-            JournalKind::ReplyDropped => "reply_drop",
-            JournalKind::PlanProposed => "plan_propose",
-            JournalKind::PlanStep => "plan_step",
-            JournalKind::PlanConverged => "plan_converge",
-            JournalKind::PlanRollback => "plan_rollback",
-            JournalKind::TrackerStale => "trk_stale",
-            JournalKind::Alert => "alert",
-            JournalKind::ShardApplied => "shard_apply",
-            JournalKind::CheckpointSkipped => "ckpt_skip",
-            JournalKind::ExecAcked => "exec_ack",
-            JournalKind::WalCompacted => "wal_compact",
-            JournalKind::RecoveryStarted => "recovery_start",
-            JournalKind::RecoveryReplayed => "recovered",
-        }
-    }
-
-    /// Inverse of [`JournalKind::as_str`].
-    pub fn parse(s: &str) -> Option<JournalKind> {
-        Some(match s {
-            "arrive" => JournalKind::CompletArrived,
-            "depart" => JournalKind::CompletDeparted,
-            "trk_create" => JournalKind::TrackerCreated,
-            "trk_forward" => JournalKind::TrackerForwarded,
-            "trk_shorten" => JournalKind::TrackerShortened,
-            "trk_retire" => JournalKind::TrackerRetired,
-            "relocator" => JournalKind::RelocatorDecision,
-            "ref_add" => JournalKind::RefEdgeCreated,
-            "ref_drop" => JournalKind::RefEdgeDropped,
-            "invoke" => JournalKind::Invoke,
-            "forward" => JournalKind::Forward,
-            "exec" => JournalKind::Exec,
-            "move_prepare" => JournalKind::MovePrepared,
-            "move_commit" => JournalKind::MoveCommitted,
-            "move_abort" => JournalKind::MoveAborted,
-            "reply_drop" => JournalKind::ReplyDropped,
-            "plan_propose" => JournalKind::PlanProposed,
-            "plan_step" => JournalKind::PlanStep,
-            "plan_converge" => JournalKind::PlanConverged,
-            "plan_rollback" => JournalKind::PlanRollback,
-            "trk_stale" => JournalKind::TrackerStale,
-            "alert" => JournalKind::Alert,
-            "shard_apply" => JournalKind::ShardApplied,
-            "ckpt_skip" => JournalKind::CheckpointSkipped,
-            "exec_ack" => JournalKind::ExecAcked,
-            "wal_compact" => JournalKind::WalCompacted,
-            "recovery_start" => JournalKind::RecoveryStarted,
-            "recovered" => JournalKind::RecoveryReplayed,
-            _ => return None,
-        })
-    }
+    RecoveryReplayed => "recovered",
 }
 
 impl fmt::Display for JournalKind {
@@ -532,8 +491,6 @@ impl LayoutState {
             }
             JournalKind::RelocatorDecision
             | JournalKind::Invoke
-            | JournalKind::Forward
-            | JournalKind::Exec
             // Two-phase bookkeeping: placement only changes on the
             // arrival/departure entries, which are journaled separately.
             | JournalKind::MovePrepared
@@ -805,22 +762,6 @@ impl LayoutHistory {
 
 // --- JSON exposition -------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a merged timeline as a JSON array, for the experiments runner
 /// and any external tooling. One object per event, stable key order.
 pub fn render_journal_json(events: &[JournalEvent]) -> String {
@@ -829,17 +770,23 @@ pub fn render_journal_json(events: &[JournalEvent]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"hlc\":\"{}\",\"core\":{},\"seq\":{},\"kind\":\"{}\",\"subject\":\"{}\",\"object\":\"{}\",\"detail\":\"{}\",\"peer\":{}}}",
-            e.hlc,
-            e.core,
-            e.seq,
-            e.kind,
-            json_escape(&e.subject),
-            json_escape(&e.object),
-            json_escape(&e.detail),
-            e.peer.map_or_else(|| "null".to_owned(), |p| p.to_string()),
-        ));
+        let (hlc, core, seq, kind) = (e.hlc, e.core, e.seq, e.kind);
+        let _ = write!(
+            out,
+            "{{\"hlc\":\"{hlc}\",\"core\":{core},\"seq\":{seq},\"kind\":\"{kind}\""
+        );
+        for (key, text) in [
+            ("subject", &e.subject),
+            ("object", &e.object),
+            ("detail", &e.detail),
+        ] {
+            let _ = write!(out, ",\"{key}\":");
+            json_escape(&mut out, text);
+        }
+        let _ = match e.peer {
+            Some(peer) => write!(out, ",\"peer\":{peer}}}"),
+            None => write!(out, ",\"peer\":null}}"),
+        };
     }
     out.push(']');
     out
@@ -1013,19 +960,23 @@ mod tests {
     #[test]
     fn merge_orders_by_hlc_and_dedups() {
         let a = vec![
-            ev((10, 0), 0, 0, JournalKind::Invoke, "x"),
-            ev((30, 0), 0, 1, JournalKind::Exec, "x"),
+            ev((10, 0), 0, 0, JournalKind::CompletDeparted, "x"),
+            ev((30, 0), 0, 1, JournalKind::TrackerShortened, "x"),
         ];
         let b = vec![
-            ev((20, 0), 1, 0, JournalKind::Forward, "x"),
-            ev((30, 0), 0, 1, JournalKind::Exec, "x"), // duplicate pull
+            ev((20, 0), 1, 0, JournalKind::CompletArrived, "x"),
+            ev((30, 0), 0, 1, JournalKind::TrackerShortened, "x"), // duplicate pull
         ];
         let merged = merge_timelines([a, b]);
         assert_eq!(merged.len(), 3);
         let kinds: Vec<JournalKind> = merged.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![JournalKind::Invoke, JournalKind::Forward, JournalKind::Exec]
+            vec![
+                JournalKind::CompletDeparted,
+                JournalKind::CompletArrived,
+                JournalKind::TrackerShortened
+            ]
         );
     }
 

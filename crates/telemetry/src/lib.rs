@@ -57,4 +57,4 @@ pub use metrics::{
     Registry, Snapshot, WindowedHistogram, BUCKETS_BYTES, BUCKETS_COUNT, BUCKETS_LATENCY_US,
 };
 pub use tail::{render_slow_log, SlowLog, SlowRecord};
-pub use trace::{render_span_tree, SpanLog, SpanRecord, SpanTimer, TraceContext};
+pub use trace::{render_span_tree, SpanLog, SpanRecord, TraceContext};

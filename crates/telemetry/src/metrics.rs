@@ -121,11 +121,6 @@ impl Histogram {
         self.inner.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a `Duration` in whole microseconds.
-    pub fn observe_micros(&self, d: std::time::Duration) {
-        self.observe(d.as_micros() as u64);
-    }
-
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
@@ -557,7 +552,8 @@ pub fn render_snapshots(snaps: &[Snapshot]) -> String {
     out
 }
 
-fn json_escape(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string.
+pub(crate) fn json_escape(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

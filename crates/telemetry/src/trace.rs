@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::clock::Clock;
@@ -87,119 +87,136 @@ pub struct SpanRecord {
     pub duration_us: u64,
 }
 
-/// A bounded ring buffer of completed spans (oldest evicted first).
+/// A bounded log of one Core's completed spans, grouped by trace: when
+/// it is full the oldest trace is evicted whole, so recording a span and
+/// reading a trace cost the same however many spans are retained.
 #[derive(Debug)]
 pub struct SpanLog {
-    spans: Mutex<VecDeque<SpanRecord>>,
+    ring: Mutex<Ring>,
     capacity: usize,
     clock: Clock,
+    /// The Core that executed every span held; reads stamp it on, so
+    /// closing a span allocates no name.
+    core: String,
+}
+
+#[derive(Debug, Default)]
+struct Ring {
+    traces: HashMap<u64, Vec<SpanRecord>>,
+    /// Retained trace ids, ordered by their first recorded span.
+    order: VecDeque<u64>,
+    /// Spans retained over all traces.
+    len: usize,
+    last_trace: Option<u64>,
 }
 
 impl SpanLog {
-    /// Creates a log holding at most `capacity` spans, timed by wall
-    /// clock.
+    /// A wall-clock log of at most `capacity` spans, its Core unnamed.
     pub fn new(capacity: usize) -> Self {
-        SpanLog::with_clock(capacity, Clock::Wall)
+        SpanLog::for_core("", capacity, Clock::Wall)
     }
 
-    /// Creates a log that reads span timestamps from `clock` — the
-    /// deterministic checker passes its shared virtual clock here so
-    /// span start/duration become seed-stable.
-    pub fn with_clock(capacity: usize, clock: Clock) -> Self {
+    /// Creates the log of the Core named `core`, reading span timestamps
+    /// from `clock` — the deterministic checker passes its shared virtual
+    /// clock here so span start/duration become seed-stable.
+    pub fn for_core(core: &str, capacity: usize, clock: Clock) -> Self {
         SpanLog {
-            spans: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            ring: Mutex::default(),
             capacity: capacity.max(1),
             clock,
+            core: core.to_owned(),
         }
     }
 
-    /// Appends a completed span. When the ring is full, the oldest
-    /// span's *entire trace* is evicted — never single spans out of the
-    /// middle of a trace, which would leave orphan children rendering as
-    /// broken root-less trees.
+    /// No update leaves the ring half-changed, so a poisoned lock (span
+    /// guards also close during unwinding) is safe to keep using.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends a completed span (its `core` is this log's, whatever the
+    /// record says). When the log is full, the oldest *entire trace* is
+    /// evicted — never single spans out of the middle of a trace, which
+    /// would leave orphan children rendering as broken root-less trees.
     pub fn record(&self, span: SpanRecord) {
-        let mut spans = self.spans.lock().unwrap();
-        if spans.len() >= self.capacity {
-            if let Some(oldest) = spans.pop_front() {
-                spans.retain(|s| s.trace_id != oldest.trace_id);
-            }
+        let mut guard = self.ring();
+        let ring = &mut *guard;
+        if ring.len >= self.capacity {
+            let oldest = ring.order.pop_front();
+            let evicted = oldest.and_then(|id| ring.traces.remove(&id));
+            ring.len -= evicted.map_or(0, |trace| trace.len());
         }
-        spans.push_back(span);
+        // Most traces leave one span on a Core: no room for four.
+        let first = || Vec::with_capacity(1);
+        let trace = ring.traces.entry(span.trace_id).or_insert_with(first);
+        if trace.is_empty() {
+            ring.order.push_back(span.trace_id);
+        }
+        ring.last_trace = Some(span.trace_id);
+        trace.push(span);
+        ring.len += 1;
     }
 
-    /// Starts a span timer; record it via [`SpanTimer::finish`].
-    pub fn start(&self, ctx: TraceContext, parent_id: u64, name: impl Into<String>) -> SpanTimer {
-        SpanTimer {
+    /// Opens a span at the log's current time: a record whose duration
+    /// [`finish`](Self::finish) fills in.
+    pub fn start(&self, ctx: TraceContext, parent_id: u64, name: impl Into<String>) -> SpanRecord {
+        SpanRecord {
             trace_id: ctx.trace_id,
             span_id: ctx.span_id,
             parent_id,
             name: name.into(),
+            core: String::new(),
             start_us: self.clock.now_us(),
+            duration_us: 0,
         }
     }
 
-    /// The clock this log stamps spans with.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
+    /// Completes a span this log started and records it, reading the end
+    /// instant from the same [`Clock`] (so virtual-clock runs measure
+    /// virtual durations, not host scheduling jitter).
+    pub fn finish(&self, mut span: SpanRecord) {
+        span.duration_us = self.clock.now_us().saturating_sub(span.start_us);
+        self.record(span);
     }
 
-    /// Every span currently retained, oldest first.
+    fn stamped(&self, span: &SpanRecord) -> SpanRecord {
+        SpanRecord {
+            core: self.core.clone(),
+            ..span.clone()
+        }
+    }
+
+    /// Every span currently retained: oldest trace first, each trace's
+    /// spans in the order they completed.
     pub fn all(&self) -> Vec<SpanRecord> {
-        self.spans.lock().unwrap().iter().cloned().collect()
+        let ring = self.ring();
+        ring.order
+            .iter()
+            .flat_map(|id| &ring.traces[id])
+            .map(|s| self.stamped(s))
+            .collect()
     }
 
-    /// All spans belonging to `trace_id`, oldest first.
+    /// All spans belonging to `trace_id`, in the order they completed.
     pub fn for_trace(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.spans
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
-            .collect()
+        let ring = self.ring();
+        let trace = ring.traces.get(&trace_id).map_or(&[][..], Vec::as_slice);
+        trace.iter().map(|s| self.stamped(s)).collect()
     }
 
     /// The trace id of the most recently recorded span, if any.
     pub fn last_trace_id(&self) -> Option<u64> {
-        self.spans.lock().unwrap().back().map(|s| s.trace_id)
+        self.ring().last_trace
     }
 
     /// Number of spans currently retained.
     pub fn len(&self) -> usize {
-        self.spans.lock().unwrap().len()
+        self.ring().len
     }
 
     /// True when no spans are retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// An in-flight span; finish it against a [`SpanLog`] with the Core name.
-#[derive(Debug)]
-pub struct SpanTimer {
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-    name: String,
-    start_us: u64,
-}
-
-impl SpanTimer {
-    /// Completes the span and records it into `log`, reading the end
-    /// instant from the log's [`Clock`] (so virtual-clock runs measure
-    /// virtual durations, not host scheduling jitter).
-    pub fn finish(self, log: &SpanLog, core: &str) {
-        let duration_us = log.clock().now_us().saturating_sub(self.start_us);
-        log.record(SpanRecord {
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-            parent_id: self.parent_id,
-            name: self.name,
-            core: core.to_string(),
-            start_us: self.start_us,
-            duration_us,
-        });
     }
 }
 
@@ -319,12 +336,40 @@ mod tests {
     }
 
     #[test]
+    fn a_long_run_retains_only_whole_traces_within_capacity() {
+        // 100k spans in traces of 1..=5 through a 64-span log: the log
+        // never exceeds its capacity and every trace it ends up holding
+        // is whole.
+        let log = SpanLog::new(64);
+        let spans_in = |trace: u64| trace % 5 + 1;
+        let (mut trace, mut recorded) = (0u64, 0u64);
+        while recorded < 100_000 {
+            trace += 1;
+            for i in 0..spans_in(trace) {
+                let id = trace * 10 + i;
+                let parent = if i == 0 { 0 } else { trace * 10 };
+                log.record(span(trace, id, parent, "op", "c", recorded));
+                recorded += 1;
+            }
+            assert!(log.len() <= 64);
+        }
+        let retained: std::collections::BTreeSet<u64> =
+            log.all().iter().map(|s| s.trace_id).collect();
+        assert!(retained.len() > 10, "the log holds its newest traces");
+        assert_eq!(log.last_trace_id(), Some(trace));
+        for t in retained {
+            assert_eq!(log.for_trace(t).len() as u64, spans_in(t), "trace {t}");
+        }
+        assert_eq!(log.all().len(), log.len());
+    }
+
+    #[test]
     fn timer_measures_and_records() {
-        let log = SpanLog::new(8);
+        let log = SpanLog::for_core("core0", 8, Clock::Wall);
         let ctx = TraceContext::new_root();
         let timer = log.start(ctx, 0, "op");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        timer.finish(&log, "core0");
+        log.finish(timer);
         let spans = log.for_trace(ctx.trace_id);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].core, "core0");
@@ -335,18 +380,18 @@ mod tests {
     #[test]
     fn virtual_clock_makes_span_timing_deterministic() {
         let clock = Clock::new_virtual(1_000);
-        let log = SpanLog::with_clock(8, clock.clone());
+        let log = SpanLog::for_core("core0", 8, clock.clone());
         let ctx = TraceContext::new_root();
         let timer = log.start(ctx, 0, "op");
         clock.advance(std::time::Duration::from_micros(250));
-        timer.finish(&log, "core0");
+        log.finish(timer);
         let spans = log.for_trace(ctx.trace_id);
         assert_eq!(spans[0].start_us, 1_000);
         assert_eq!(spans[0].duration_us, 250, "duration reads virtual time");
         // Real time must not leak in.
         std::thread::sleep(std::time::Duration::from_millis(2));
         let t2 = log.start(ctx.child(), ctx.span_id, "op2");
-        t2.finish(&log, "core0");
+        log.finish(t2);
         let spans = log.for_trace(ctx.trace_id);
         assert_eq!(spans[1].start_us, 1_250);
         assert_eq!(spans[1].duration_us, 0);
