@@ -90,8 +90,11 @@ done
 # calls on graph-shaped records through a 3-Core simnet cluster, then
 # the two dedup-cache gauges of each data Core must show encoded reply
 # bodies (not decoded trees) within the byte bound, and the caller must
-# hold no request any more.
+# hold no request any more. Before it, what one decoded record of that
+# shape costs, counted at the allocator: allocations and live bytes per
+# record, and a clone that allocates no key.
 echo "==> by-value memory bound"
+cargo test -q -p fargo-wire --test value_footprint
 cargo test -q -p fargo-core --test by_value_memory
 
 # E14 guardrail: the reliability layer's loss-free overhead and its

@@ -50,7 +50,7 @@ fn sample_state(refs: usize) -> Value {
             )),
         ));
     }
-    Value::Map(fields.into_iter().collect())
+    Value::map(fields)
 }
 
 fn bench_wire() {
@@ -64,6 +64,23 @@ fn bench_wire() {
             std::hint::black_box(decode_value(std::hint::black_box(&bytes)).unwrap());
         });
     }
+}
+
+fn bench_record_batch() {
+    // 256 records of the standing benchmark's `graph-simnet` shape (one
+    // `scan` reply), decoded as a Core holds it: equal keys share one
+    // allocation.
+    let bytes = encode_value(&Value::List(fargo_wire::testgen::graph_records(256, 0)));
+    let v = decode_value(&bytes).unwrap();
+    bench("value/clone/records256", || {
+        std::hint::black_box(std::hint::black_box(&v).clone());
+    });
+    bench("wire/encode/records256", || {
+        std::hint::black_box(encode_value(std::hint::black_box(&v)));
+    });
+    bench("wire/decode/records256", || {
+        std::hint::black_box(decode_value(std::hint::black_box(&bytes)).unwrap());
+    });
 }
 
 fn bench_value_ops() {
@@ -128,6 +145,7 @@ end
 fn main() {
     println!("fargo micro-benchmarks (mean over calibrated iteration counts)");
     bench_wire();
+    bench_record_batch();
     bench_value_ops();
     bench_invocation();
     bench_movement();

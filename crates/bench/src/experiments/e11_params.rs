@@ -47,11 +47,7 @@ fn map_tree(depth: usize, width: usize) -> Value {
     if depth == 0 {
         return Value::I64(7);
     }
-    Value::Map(
-        (0..width)
-            .map(|i| (format!("k{i}"), map_tree(depth - 1, width)))
-            .collect(),
-    )
+    Value::map((0..width).map(|i| (format!("k{i}"), map_tree(depth - 1, width))))
 }
 
 fn call_with(reps: usize, arg: Value) -> Duration {

@@ -145,7 +145,7 @@ impl<T: StateValue> StateValue for BTreeMap<String, T> {
         match v {
             Value::Map(m) => m
                 .into_iter()
-                .map(|(k, v)| Ok((k, T::from_state(v)?)))
+                .map(|(k, v)| Ok((String::from(&*k), T::from_state(v)?)))
                 .collect(),
             other => Err(mismatch("map", &other)),
         }

@@ -71,6 +71,8 @@ pub use config::CoreConfig;
 pub use ctx::Ctx;
 pub use error::{FargoError, Result};
 pub use events::{EventHandler, EventPayload};
+#[doc(hidden)]
+pub use macros::{__FieldKeys, __marshal_fields};
 pub use monitor::{Ewma, Monitor, Service};
 pub use reference::{
     ArrivalAction, CompletRef, MarshalAction, MetaRef, Relocator, RelocatorRegistry,

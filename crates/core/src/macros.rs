@@ -142,18 +142,13 @@ macro_rules! define_complet {
                 }
             }
 
-            // `mut` goes unused when a complet declares no state fields.
-            #[allow(unused_mut)]
             fn marshal(&self) -> $crate::Value {
-                let mut state =
-                    ::std::collections::BTreeMap::<::std::string::String, $crate::Value>::new();
-                $(
-                    state.insert(
-                        stringify!($field).to_owned(),
-                        $crate::StateValue::to_state(&self.$field),
-                    );
-                )*
-                $crate::Value::Map(state)
+                static KEYS: $crate::__FieldKeys = $crate::__FieldKeys::new();
+                $crate::__marshal_fields(
+                    &KEYS,
+                    [$( stringify!($field) ),*],
+                    [$( $crate::StateValue::to_state(&self.$field) ),*],
+                )
             }
 
             fn unmarshal(
@@ -177,6 +172,26 @@ macro_rules! define_complet {
             )* )?
         }
     };
+}
+
+/// Internal helper of [`define_complet!`]: one complet type's field names
+/// as map keys, built on its first `marshal`. Not part of the public API.
+#[doc(hidden)]
+pub type __FieldKeys = std::sync::OnceLock<Vec<fargo_wire::Key>>;
+
+/// Internal helper of [`define_complet!`]: the state map `marshal`
+/// returns, `values` under `names` in declared order. Every capture of
+/// the state (each acknowledged call, under a write-ahead log) clones the
+/// type's keys rather than allocating a `String` per field. Not part of
+/// the public API.
+#[doc(hidden)]
+pub fn __marshal_fields<const N: usize>(
+    keys: &__FieldKeys,
+    names: [&str; N],
+    values: [fargo_wire::Value; N],
+) -> fargo_wire::Value {
+    let keys = keys.get_or_init(|| names.into_iter().map(fargo_wire::Key::from).collect());
+    fargo_wire::Value::Map(keys.iter().cloned().zip(values).collect())
 }
 
 /// Internal helper of [`define_complet!`]: generates the typed stub when

@@ -6,8 +6,9 @@
 
 mod common;
 
-use common::{cluster, gauge, graph_records, teardown};
+use common::{cluster, gauge, teardown};
 use fargo_core::{Value, DEDUP_CACHE_MAX_BYTES};
+use fargo_wire::testgen::graph_records;
 
 #[test]
 fn reply_caches_hold_wire_bytes_within_their_bound_and_callers_hold_nothing() {

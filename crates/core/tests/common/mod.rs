@@ -7,6 +7,7 @@ use std::time::Duration;
 use fargo_core::{
     define_complet, CompletId, CompletRegistry, Core, CoreConfig, MetricValue, Value,
 };
+use fargo_wire::testgen::graph_records;
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 define_complet! {
@@ -50,25 +51,6 @@ define_complet! {
             Ok(Value::I64(self.history.len() as i64))
         }
     }
-}
-
-/// One record of the benchmark's `graph-simnet` shape: `{k: 16-char
-/// string, v: i64, tags: [3 short strings]}` — 7 nodes, ~60 bytes
-/// encoded.
-pub fn graph_record(i: i64, version: i64) -> Value {
-    Value::map([
-        ("k", Value::from(format!("k{i:015x}"))),
-        ("v", Value::I64((i << 32) | version)),
-        (
-            "tags",
-            Value::list((0..3).map(|t| Value::from(format!("t{:05x}", i * 3 + t)))),
-        ),
-    ])
-}
-
-/// `n` graph records at `version`, the by-value graph of one call.
-pub fn graph_records(n: i64, version: i64) -> Vec<Value> {
-    (0..n).map(|i| graph_record(i, version)).collect()
 }
 
 define_complet! {

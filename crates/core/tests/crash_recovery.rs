@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use common::{fast_network, registry, test_config};
 use fargo_core::{
-    BoundRef, CompletId, CompletRef, CompletRegistry, Core, CoreConfig, FargoError, JournalKind,
-    RefDescriptor, Value,
+    define_complet, BoundRef, CompletId, CompletRef, CompletRegistry, Core, CoreConfig, FargoError,
+    JournalKind, RefDescriptor, Value,
 };
 use simnet::{LinkConfig, Network};
 
@@ -554,4 +554,80 @@ fn torn_log_tail_still_recovers_its_prefix() {
     let fresh = fresh_stub(&cores[0], counter.id(), "Counter");
     assert_eq!(fresh.call("get", &[]).unwrap(), Value::I64(5));
     cleanup(&root, &cores);
+}
+
+// --- a log the parent build wrote -------------------------------------------
+
+define_complet! {
+    /// Holds the value it is given: a complet whose state is records.
+    complet Shelf {
+        state { item: Value = Value::Null }
+        fn put(&mut self, _ctx, args) {
+            self.item = args.first().cloned().unwrap_or(Value::Null);
+            Ok(Value::Null)
+        }
+        fn item(&mut self, _ctx, _args) {
+            Ok(self.item.clone())
+        }
+    }
+}
+
+fn shelf_item() -> Value {
+    Value::map([
+        (
+            "rows",
+            Value::List(fargo_wire::testgen::graph_records(2, 7)),
+        ),
+        (
+            "meta",
+            Value::map([("z", Value::I64(1)), ("a", Value::Null)]),
+        ),
+    ])
+}
+
+/// The first two frames of `core0.wal` as commit 91edd09 — the last
+/// build whose `Value::Map` was a `BTreeMap<String, Value>` — wrote it
+/// for `new_complet("Shelf")` then `put(shelf_item())`: the `State`
+/// record of the new complet (`c0.1`, `item` null) and the one the
+/// acknowledged `put` left.
+const TREE_MAP_LOG: [u8; 198] = [
+    1, 0, 0, 0, 24, 180, 90, 65, 215, 16, 0, 0, 1, 5, 83, 104, 101, 108, 102, 0, 0, 8, 1, 4, 105,
+    116, 101, 109, 0, 1, 0, 0, 0, 164, 38, 3, 78, 147, 16, 0, 0, 1, 5, 83, 104, 101, 108, 102, 0,
+    0, 8, 1, 4, 105, 116, 101, 109, 8, 2, 4, 109, 101, 116, 97, 8, 2, 1, 97, 0, 1, 122, 3, 2, 4,
+    114, 111, 119, 115, 7, 2, 8, 3, 1, 107, 5, 16, 107, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48,
+    48, 48, 48, 48, 4, 116, 97, 103, 115, 7, 3, 5, 6, 116, 48, 48, 48, 48, 48, 5, 6, 116, 48, 48,
+    48, 48, 49, 5, 6, 116, 48, 48, 48, 48, 50, 1, 118, 3, 14, 8, 3, 1, 107, 5, 16, 107, 48, 48, 48,
+    48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 48, 49, 4, 116, 97, 103, 115, 7, 3, 5, 6, 116, 48, 48,
+    48, 48, 51, 5, 6, 116, 48, 48, 48, 48, 52, 5, 6, 116, 48, 48, 48, 48, 53, 1, 118, 3, 142, 128,
+    128, 128, 32,
+];
+
+/// The map's representation is not its encoding: a log of the build
+/// before the sorted-vector map replays here, and the same state is
+/// logged here as the very bytes that build wrote.
+#[test]
+fn log_written_before_the_sorted_vector_map_replays_and_is_rewritten_identically() {
+    let root = wal_root("treemap");
+    let log = root.join("core0").join("core0.wal");
+    std::fs::create_dir_all(log.parent().unwrap()).unwrap();
+    std::fs::write(&log, TREE_MAP_LOG).unwrap();
+
+    let net = fast_network();
+    let reg = registry();
+    Shelf::register(&reg);
+    let core = Core::builder(&net, "core0")
+        .registry(&reg)
+        .config(wal_config(test_config(), &root, 0))
+        .spawn()
+        .expect("the parent's log must replay");
+    let report = core.recovery_report().expect("recovery ran");
+    assert_eq!((report.replayed, report.corrupt), (1, 0), "{report:?}");
+    let shelf = fresh_stub(&core, CompletId::new(0, 1), "Shelf");
+    assert_eq!(shelf.call("item", &[]).unwrap(), shelf_item());
+
+    // That acknowledged call logged the state again: the parent's frame.
+    core.stop();
+    let put_frame = &TREE_MAP_LOG[29..];
+    assert!(std::fs::read(&log).unwrap().ends_with(put_frame));
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -279,7 +279,7 @@ fn retried_graph_scans_execute_exactly_once_and_replay_the_whole_reply() {
     let chunk = cores[0]
         .new_complet_at("core1", "GraphChunk", &[])
         .expect("instantiation retries through the loss");
-    let expected = Value::List(common::graph_records(256, 0));
+    let expected = Value::List(fargo_wire::testgen::graph_records(256, 0));
     let calls = 30;
     for i in 0..calls {
         let result = if i % 2 == 0 {

@@ -4,6 +4,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::WireError;
 use crate::id::CompletId;
+use crate::map::{Key, ValueMap};
 use crate::refdesc::RefDescriptor;
 use crate::value::Value;
 use crate::varint::{get_uvarint, put_uvarint, unzigzag, zigzag};
@@ -26,6 +27,13 @@ pub const MAX_COLLECTION_ITEMS: u64 = 1 << 20;
 /// until the elements actually parse, so reserve at most this many slots
 /// up front and let the vector grow normally past it.
 const PREALLOC_HINT: usize = 4096;
+
+/// How many distinct map keys one [`WireReader`] remembers in order to
+/// hand an equal key read later the same allocation. A message of
+/// records repeats a handful of field names; past this many distinct
+/// keys the oldest slot is reused, so a hostile message costs a bounded
+/// scan per key and shares nothing.
+const SHARED_KEYS: usize = 8;
 
 const TAG_NULL: u8 = 0;
 const TAG_FALSE: u8 = 1;
@@ -202,7 +210,7 @@ impl WireWriter {
             }
             Value::Map(m) => {
                 self.put_u8(TAG_MAP).put_u64(m.len() as u64);
-                for (k, val) in m {
+                for (k, val) in m.iter() {
                     self.put_str(k);
                     self.put_tree(val, degrade);
                 }
@@ -237,12 +245,20 @@ impl WireWriter {
 #[derive(Debug)]
 pub struct WireReader {
     buf: Bytes,
+    /// Map keys read so far, see [`SHARED_KEYS`].
+    keys: [Option<Key>; SHARED_KEYS],
+    /// The slot the next unseen key takes.
+    next_key: usize,
 }
 
 impl WireReader {
     /// Wraps a byte buffer for decoding.
     pub fn new(buf: Bytes) -> Self {
-        WireReader { buf }
+        WireReader {
+            buf,
+            keys: Default::default(),
+            next_key: 0,
+        }
     }
 
     /// Reads an unsigned varint.
@@ -354,8 +370,28 @@ impl WireReader {
     ///
     /// Fails on truncation or invalid UTF-8.
     pub fn get_str(&mut self) -> Result<String, WireError> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
+        let len = self.get_blob_len()?;
+        let s = utf8(&self.buf[..len])?.to_owned();
+        self.buf.advance(len);
+        Ok(s)
+    }
+
+    /// Reads a map key: a length-prefixed string, shared with an equal
+    /// key this reader returned before.
+    fn get_key(&mut self) -> Result<Key, WireError> {
+        let len = self.get_blob_len()?;
+        let s = utf8(&self.buf[..len])?;
+        let key = match self.keys.iter().flatten().find(|k| &***k == s) {
+            Some(seen) => seen.clone(),
+            None => {
+                let key = Key::from(s);
+                self.keys[self.next_key] = Some(key.clone());
+                self.next_key = (self.next_key + 1) % SHARED_KEYS;
+                key
+            }
+        };
+        self.buf.advance(len);
+        Ok(key)
     }
 
     /// Reads a length-prefixed byte vector.
@@ -365,13 +401,21 @@ impl WireReader {
     /// Fails when the declared length exceeds the remaining input or the
     /// [`MAX_BLOB_BYTES`] bound.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, WireError> {
+        let len = self.get_blob_len()?;
+        let out = self.buf[..len].to_vec();
+        self.buf.advance(len);
+        Ok(out)
+    }
+
+    /// Reads a blob's or string's declared length, bounded by the
+    /// remaining input and [`MAX_BLOB_BYTES`]; the content is the next
+    /// that many bytes of `buf`.
+    fn get_blob_len(&mut self) -> Result<usize, WireError> {
         let len = self.get_u64()?;
         if len > self.buf.remaining() as u64 || len > MAX_BLOB_BYTES {
             return Err(WireError::BadLength(len));
         }
-        let mut out = vec![0u8; len as usize];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+        Ok(len as usize)
     }
 
     /// Reads a [`CompletId`].
@@ -421,16 +465,11 @@ impl WireReader {
             TAG_STR => Ok(Value::Str(self.get_str()?)),
             TAG_BYTES => Ok(Value::Bytes(self.get_bytes()?)),
             TAG_LIST => Ok(Value::List(self.get_seq(|r| r.get_value_at(depth + 1))?)),
-            TAG_MAP => {
-                let n = self.get_count()?;
-                let mut m = std::collections::BTreeMap::new();
-                for _ in 0..n {
-                    let k = self.get_str()?;
-                    let v = self.get_value_at(depth + 1)?;
-                    m.insert(k, v);
-                }
-                Ok(Value::Map(m))
-            }
+            // Entries are kept in wire order — sorted when our encoder
+            // wrote them; `from_entries` repairs a peer's that are not.
+            TAG_MAP => Ok(Value::Map(ValueMap::from_entries(self.get_seq(|r| {
+                Ok::<_, WireError>((r.get_key()?, r.get_value_at(depth + 1)?))
+            })?))),
             TAG_REF => Ok(Value::from(self.get_ref()?)),
             tag => Err(WireError::BadTag(tag)),
         }
@@ -453,6 +492,11 @@ impl WireReader {
             Ok(())
         }
     }
+}
+
+/// The input slice as a string, before anything is allocated for it.
+fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
 }
 
 #[cfg(test)]
@@ -635,8 +679,72 @@ mod tests {
         let mut rng = TestRng(0xc0dec);
         for _ in 0..256 {
             let v = gen_value(&mut rng, 4);
-            assert_eq!(roundtrip(&v), v);
+            let bytes = encode_value(&v);
+            let back = decode_value(&bytes).expect("roundtrip must succeed");
+            assert_eq!(back, v);
+            assert_eq!(encode_value(&back), bytes);
         }
+    }
+
+    /// A map as a peer may send it: `entries` in the given order.
+    fn raw_map<'a>(entries: impl ExactSizeIterator<Item = (&'a str, i64)>) -> Bytes {
+        let mut w = WireWriter::new();
+        w.put_u8(TAG_MAP).put_u64(entries.len() as u64);
+        for (k, v) in entries {
+            w.put_str(k).put_u8(TAG_I64).put_i64(v);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn reverse_sorted_map_decodes_with_one_sort() {
+        // 65,536 keys, each smaller than every key before it: a shifting
+        // insert per entry would move 2^31 entries; this takes
+        // milliseconds. Re-encoding writes them sorted.
+        let mut entries: Vec<(String, i64)> =
+            (0..65_536).map(|i| (format!("{i:05x}"), i)).collect();
+        let sorted = raw_map(entries.iter().map(|(k, i)| (k.as_str(), *i)));
+        entries.reverse();
+        let hostile = raw_map(entries.iter().map(|(k, i)| (k.as_str(), *i)));
+        let v = decode_value_from_bytes(hostile).unwrap();
+        assert_eq!(v.as_map().map(ValueMap::len), Some(65_536));
+        assert_eq!(v.get("00000"), Some(&Value::I64(0)));
+        assert_eq!(v.get("0ffff"), Some(&Value::I64(65_535)));
+        assert_eq!(encode_value(&v), sorted);
+    }
+
+    #[test]
+    fn duplicate_map_keys_decode_last_wins() {
+        let hostile = raw_map([("b", 1), ("a", 2), ("b", 3), ("a", 4), ("b", 5)].into_iter());
+        let v = decode_value_from_bytes(hostile).unwrap();
+        assert_eq!(v, Value::map([("a", Value::I64(4)), ("b", Value::I64(5))]));
+        assert_eq!(encode_value(&v), raw_map([("a", 4), ("b", 5)].into_iter()));
+        // Sorted but repeated is still repaired.
+        let v = decode_value_from_bytes(raw_map([("a", 1), ("a", 2)].into_iter())).unwrap();
+        assert_eq!(v, Value::map([("a", Value::I64(2))]));
+    }
+
+    #[test]
+    fn equal_keys_of_one_message_share_an_allocation() {
+        use std::sync::Arc;
+        let record = |i: i64| Value::map([("k", Value::I64(i)), ("v", Value::Null)]);
+        let v = roundtrip(&Value::list((0..4).map(record)));
+        let keys: Vec<_> = v
+            .as_list()
+            .unwrap()
+            .iter()
+            .map(|r| r.as_map().unwrap().iter().next().unwrap().0)
+            .collect();
+        assert!(keys.iter().all(|k| Arc::ptr_eq(k, keys[0])));
+        assert_eq!(Arc::strong_count(keys[0]), 4, "the reader's table is gone");
+
+        // More distinct keys than slots: every key still decodes, the
+        // table stays bounded (nothing to observe but the result).
+        let wide =
+            Value::list((0..4).map(|_| {
+                Value::map((0..3 * SHARED_KEYS).map(|i| (format!("f{i:02}"), Value::Null)))
+            }));
+        assert_eq!(roundtrip(&wide), wide);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   of complet state and invocation parameters. Complet references embed
 //!   as [`Value::Ref`] nodes carrying a [`RefDescriptor`], which is exactly
 //!   the hook the movement and invocation units need in order to apply
-//!   relocation semantics during traversal.
+//!   relocation semantics during traversal. A record ([`Value::Map`]) is
+//!   a [`ValueMap`]: one sorted allocation whose keys the decoder shares
+//!   among the records of a message.
 //! * [`CompletId`] — globally unique complet instance identity.
 //! * A compact binary codec ([`encode_value`] / [`decode_value`], plus the
 //!   lower-level [`WireWriter`] / [`WireReader`]) with varint integers.
@@ -31,6 +33,7 @@
 mod codec;
 mod error;
 mod id;
+mod map;
 mod refdesc;
 #[doc(hidden)]
 pub mod testgen;
@@ -43,5 +46,6 @@ pub use codec::{
 };
 pub use error::WireError;
 pub use id::{CompletId, ParseCompletIdError};
+pub use map::{Key, ValueMap};
 pub use refdesc::RefDescriptor;
 pub use value::Value;

@@ -80,3 +80,22 @@ pub fn gen_value(rng: &mut TestRng, depth: u32) -> Value {
         }
     }
 }
+
+/// One record of the standing benchmark's `graph-simnet` shape: `{k:
+/// 16-char string, v: i64, tags: [3 short strings]}` — 7 nodes, ~60
+/// bytes encoded.
+pub fn graph_record(i: i64, version: i64) -> Value {
+    Value::map([
+        ("k", Value::from(format!("k{i:015x}"))),
+        ("v", Value::I64((i << 32) | version)),
+        (
+            "tags",
+            Value::list((0..3).map(|t| Value::from(format!("t{:05x}", i * 3 + t)))),
+        ),
+    ])
+}
+
+/// `n` graph records at `version`, the by-value graph of one call.
+pub fn graph_records(n: i64, version: i64) -> Vec<Value> {
+    (0..n).map(|i| graph_record(i, version)).collect()
+}

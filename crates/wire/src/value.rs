@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::map::{Key, ValueMap};
 use crate::refdesc::RefDescriptor;
 
 /// A runtime value: complet state, invocation parameters, and results.
@@ -42,7 +43,7 @@ pub enum Value {
     /// An ordered sequence.
     List(Vec<Value>),
     /// A string-keyed record.
-    Map(BTreeMap<String, Value>),
+    Map(ValueMap),
     /// An outgoing complet reference (cut point of the closure). Boxed:
     /// inline, this rare leaf made every node 80 bytes instead of 32.
     Ref(Box<RefDescriptor>),
@@ -55,10 +56,10 @@ impl Value {
     /// Builds a [`Value::Map`] from key/value pairs.
     pub fn map<K, I>(pairs: I) -> Value
     where
-        K: Into<String>,
+        K: Into<Key>,
         I: IntoIterator<Item = (K, Value)>,
     {
-        Value::Map(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        Value::Map(pairs.into_iter().collect())
     }
 
     /// Builds a [`Value::List`] from values.
@@ -121,7 +122,7 @@ impl Value {
     }
 
     /// The map inside, if this is a [`Value::Map`].
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_map(&self) -> Option<&ValueMap> {
         match self {
             Value::Map(m) => Some(m),
             _ => None,
@@ -155,9 +156,9 @@ impl Value {
     }
 
     /// Inserts a field if this is a [`Value::Map`]; returns the old value.
-    pub fn insert(&mut self, key: impl Into<String>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl AsRef<str> + Into<Key>, value: Value) -> Option<Value> {
         match self {
-            Value::Map(m) => m.insert(key.into(), value),
+            Value::Map(m) => m.insert(key, value),
             _ => None,
         }
     }
@@ -227,7 +228,10 @@ impl Value {
     }
 
     /// Approximate in-memory footprint in bytes: 32 per node (a `Value`)
-    /// plus what its strings, blobs, keys and descriptors own.
+    /// plus what its strings, blobs, keys and descriptors own — what the
+    /// tree would own unshared: a key counts its length in every record
+    /// that names it, though records decoded from one message share one
+    /// allocation of it, and a map entry's 16-byte key handle is left out.
     ///
     /// The monitoring layer exposes this as the `completSize` application
     /// profiling service (§4.1).
@@ -309,7 +313,7 @@ impl From<Vec<Value>> for Value {
 }
 impl From<BTreeMap<String, Value>> for Value {
     fn from(v: BTreeMap<String, Value>) -> Self {
-        Value::Map(v)
+        Value::Map(v.into())
     }
 }
 impl From<RefDescriptor> for Value {

@@ -8,7 +8,7 @@ define_complet! {
     /// General-purpose test complet: keyed storage plus counters.
     pub complet Store {
         state {
-            data: Value = Value::Map(std::collections::BTreeMap::new()),
+            data: Value = Value::Map(Default::default()),
             ops: i64 = 0,
         }
         fn put(&mut self, _ctx, args) {
