@@ -69,7 +69,9 @@ fn bench_wire() {
 fn bench_record_batch() {
     // 256 records of the standing benchmark's `graph-simnet` shape (one
     // `scan` reply), decoded as a Core holds it: equal keys share one
-    // allocation.
+    // allocation, short strings live in their nodes. What a Core that
+    // uses the graph pays (build, copy, send on) and, last, the walk
+    // only the `completSize` service still makes.
     let bytes = encode_value(&Value::List(fargo_wire::testgen::graph_records(256, 0)));
     let v = decode_value(&bytes).unwrap();
     bench("value/clone/records256", || {
@@ -78,8 +80,11 @@ fn bench_record_batch() {
     bench("wire/encode/records256", || {
         std::hint::black_box(encode_value(std::hint::black_box(&v)));
     });
-    bench("wire/decode/records256", || {
+    bench("value/decode/records256", || {
         std::hint::black_box(decode_value(std::hint::black_box(&bytes)).unwrap());
+    });
+    bench("value/deep_size/records256", || {
+        std::hint::black_box(std::hint::black_box(&v).deep_size());
     });
 }
 

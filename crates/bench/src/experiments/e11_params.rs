@@ -32,7 +32,7 @@ pub fn run(full: bool) -> Table {
         ("map tree (3 levels)", map_tree(3, 8)),
     ];
     for (name, arg) in shapes {
-        let bytes = fargo_core::Value::deep_size(&arg);
+        let bytes = fargo_wire::encode_value(&arg).len();
         let lat = call_with(reps, arg);
         table.row([name.to_owned(), bytes.to_string(), fmt_duration(lat)]);
     }

@@ -95,11 +95,11 @@ impl StateValue for f64 {
 
 impl StateValue for String {
     fn to_state(&self) -> Value {
-        Value::Str(self.clone())
+        Value::from(self.as_str())
     }
     fn from_state(v: Value) -> Result<Self> {
         match v {
-            Value::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s.into()),
             other => Err(mismatch("string", &other)),
         }
     }

@@ -1454,10 +1454,31 @@ pub(crate) mod tests {
             route: vec![0],
             body: Reply::Pong,
         };
-        // version, kind, flags; ids; trace, hlc, ts; body tag.
-        let goldens: [(&Message, &[u8]); 2] = [
+        let invoke = Message::Request {
+            req_id: 1,
+            origin: 2,
+            trace: None,
+            body: Request::Invoke {
+                target: CompletId::new(3, 4),
+                method: "m".into(),
+                args: vec![Value::I64(1), Value::Null],
+                chain: vec![CompletId::new(1, 2)],
+                path: vec![2, 0],
+                hops: 1,
+            },
+        };
+        // version, kind, flags; ids; trace, hlc, ts; body tag; for the
+        // invoke its row in table order: target, method, args (a count
+        // and the values), chain, path, hops.
+        let goldens: [(&Message, &[u8]); 3] = [
             (&ping, &[1, 0, 0b111, 1, 2, 5, 6, 7, 8, 9, 22]),
             (&pong, &[1, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+            (
+                &invoke,
+                &[
+                    1, 0, 0b110, 1, 2, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0, 1,
+                ],
+            ),
         ];
         for (msg, golden) in goldens {
             assert_eq!(&encode(msg, &meta)[..], golden, "{msg:?}");

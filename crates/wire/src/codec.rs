@@ -347,7 +347,8 @@ impl WireReader {
     /// Reads a counted sequence: [`get_count`](Self::get_count), then
     /// `item` once per element. The declared count is untrusted until the
     /// elements actually parse, so at most [`PREALLOC_HINT`] slots are
-    /// reserved up front and the vector grows normally past that.
+    /// reserved up front and the vector grows normally past that; what
+    /// the doubling left over is given back once they all have.
     ///
     /// # Errors
     ///
@@ -361,6 +362,7 @@ impl WireReader {
         for _ in 0..n {
             out.push(item(self)?);
         }
+        out.shrink_to_fit();
         Ok(out)
     }
 
@@ -370,8 +372,14 @@ impl WireReader {
     ///
     /// Fails on truncation or invalid UTF-8.
     pub fn get_str(&mut self) -> Result<String, WireError> {
+        self.get_utf8()
+    }
+
+    /// Reads a length-prefixed string into `T`: checked as UTF-8 where
+    /// it lies, then copied once.
+    fn get_utf8<T: for<'a> From<&'a str>>(&mut self) -> Result<T, WireError> {
         let len = self.get_blob_len()?;
-        let s = utf8(&self.buf[..len])?.to_owned();
+        let s = T::from(utf8(&self.buf[..len])?);
         self.buf.advance(len);
         Ok(s)
     }
@@ -462,7 +470,7 @@ impl WireReader {
             TAG_TRUE => Ok(Value::Bool(true)),
             TAG_I64 => Ok(Value::I64(self.get_i64()?)),
             TAG_F64 => Ok(Value::F64(self.get_f64()?)),
-            TAG_STR => Ok(Value::Str(self.get_str()?)),
+            TAG_STR => Ok(Value::Str(self.get_utf8()?)),
             TAG_BYTES => Ok(Value::Bytes(self.get_bytes()?)),
             TAG_LIST => Ok(Value::List(self.get_seq(|r| r.get_value_at(depth + 1))?)),
             // Entries are kept in wire order — sorted when our encoder

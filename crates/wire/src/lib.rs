@@ -14,7 +14,8 @@
 //!   the hook the movement and invocation units need in order to apply
 //!   relocation semantics during traversal. A record ([`Value::Map`]) is
 //!   a [`ValueMap`]: one sorted allocation whose keys the decoder shares
-//!   among the records of a message.
+//!   among the records of a message, and a string ([`Value::Str`]) is a
+//!   [`Text`]: short ones live in the node.
 //! * [`CompletId`] — globally unique complet instance identity.
 //! * A compact binary codec ([`encode_value`] / [`decode_value`], plus the
 //!   lower-level [`WireWriter`] / [`WireReader`]) with varint integers.
@@ -37,6 +38,7 @@ mod map;
 mod refdesc;
 #[doc(hidden)]
 pub mod testgen;
+mod text;
 mod value;
 mod varint;
 
@@ -48,4 +50,5 @@ pub use error::WireError;
 pub use id::{CompletId, ParseCompletIdError};
 pub use map::{Key, ValueMap};
 pub use refdesc::RefDescriptor;
+pub use text::Text;
 pub use value::Value;

@@ -41,7 +41,8 @@ impl ValueMap {
     /// own encoder writes) costs one pass of comparisons; anything else
     /// one stable sort, after which the last of equal keys wins — what
     /// inserting them one by one into a `BTreeMap` did, without a
-    /// shifting insert per entry.
+    /// shifting insert per entry. Capacity the entries do not fill is
+    /// given back: a record is kept for as long as the state it is in.
     pub(crate) fn from_entries(mut entries: Vec<(Key, Value)>) -> Self {
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
             entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -53,6 +54,7 @@ impl ValueMap {
                 same
             });
         }
+        entries.shrink_to_fit();
         ValueMap { entries }
     }
 

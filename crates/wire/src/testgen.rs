@@ -60,7 +60,7 @@ pub fn gen_value(rng: &mut TestRng, depth: u32) -> Value {
         2 => Value::I64(rng.next_u64() as i64),
         // Finite floats only (NaN breaks PartialEq comparison).
         3 => Value::F64((rng.next_u64() as i64 as f64) / 1e6),
-        4 => Value::Str(rng.string(24)),
+        4 => Value::from(rng.string(24)),
         5 => {
             let len = rng.below(64) as usize;
             Value::Bytes((0..len).map(|_| rng.next_u64() as u8).collect())

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::map::{Key, ValueMap};
 use crate::refdesc::RefDescriptor;
+use crate::text::Text;
 
 /// A runtime value: complet state, invocation parameters, and results.
 ///
@@ -36,8 +37,8 @@ pub enum Value {
     I64(i64),
     /// A double-precision float.
     F64(f64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string; a short one lives in the node.
+    Str(Text),
     /// An opaque byte array.
     Bytes(Vec<u8>),
     /// An ordered sequence.
@@ -298,12 +299,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<Vec<Value>> for Value {

@@ -1,14 +1,14 @@
 //! What a decoded record costs, counted at the allocator (`ci.sh`, stage
 //! "by-value memory bound"). The benchmark's `peak_rss_mb` shows the same
-//! thing late and noisily; this shows a regression of the map layout or
-//! of the decoder's key sharing exactly, on the record shape the
-//! benchmark's `graph-simnet` workload uses.
+//! thing late and noisily; this shows a regression of the map layout, of
+//! the decoder's key sharing or of the in-node strings exactly, on the
+//! record shape the benchmark's `graph-simnet` workload uses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fargo_wire::testgen::graph_records;
-use fargo_wire::{decode_value_from_bytes, encode_value, Value};
+use fargo_wire::testgen::{graph_records, TestRng};
+use fargo_wire::{decode_value, decode_value_from_bytes, encode_value, Value, WireError};
 
 thread_local! {
     /// Allocations made and bytes live on this thread: the test harness
@@ -64,19 +64,86 @@ fn a_decoded_record_costs_what_it_holds() {
     let bytes = encode_value(&batch);
     assert!(bytes.len() < 64 * RECORDS, "{}", bytes.len());
 
-    // Per record: the entry vector, `k`, the tag vector and three tags;
-    // per batch: the list and one allocation for each distinct key. A
-    // tree node per record and a `String` per key were 9 and ~800.
-    // (`bytes` outlives the call, so freeing the input is not counted.)
+    // Per record: the entry vector and the tag vector — `k` and the three
+    // tags are short and live in their nodes; per batch: the list and one
+    // allocation for each distinct key. A `String` per string made it 6
+    // and 306 bytes, a tree node per record and a `String` per key 9 and
+    // ~800. (`bytes` outlives the call, so freeing the input is not
+    // counted.)
     let (decoded, allocs, live) = measured(|| decode_value_from_bytes(bytes.clone()).unwrap());
     assert_eq!(decoded, batch);
-    assert!(allocs <= 7 * RECORDS, "{allocs} allocations");
-    assert!(live <= 450 * RECORDS as isize, "{live} bytes live");
+    assert_eq!(allocs, 2 * RECORDS + 4, "{allocs} allocations");
+    assert!(live <= 300 * RECORDS as isize, "{live} bytes live");
 
     // A copy (a `scan` reply, state installed from arguments) shares the
-    // keys of what it copies.
+    // keys of what it copies: two allocations a record and the list.
     let (copy, clone_allocs, clone_live) = measured(|| decoded.clone());
-    assert_eq!(clone_allocs, allocs - 3, "a clone allocates no key");
+    assert_eq!(clone_allocs, 2 * RECORDS + 1, "a clone allocates no key");
     assert!(clone_live < live, "{clone_live} vs {live}");
     assert_eq!(copy, decoded);
+}
+
+/// The decoder reserves at most 4,096 slots for a declared count it
+/// cannot trust yet and doubles past that; the 3,192 slots (≈ 100 KB)
+/// the doubling leaves over a 5,000-record list are given back.
+#[test]
+fn a_decoded_list_keeps_no_slack() {
+    const RECORDS: usize = 5_000;
+    let batch = Value::List(graph_records(RECORDS as i64, 0));
+    let bytes = encode_value(&batch);
+    let (decoded, _, live) = measured(|| decode_value_from_bytes(bytes.clone()).unwrap());
+    let (copy, _, exact) = measured(|| decoded.clone());
+    assert_eq!(copy, batch);
+    // A clone is sized to its length; the decoded tree owns that plus
+    // the three keys the clone shares.
+    assert!(
+        live - exact < 256,
+        "{live} bytes decoded, {exact} bytes cloned"
+    );
+    let Value::List(records) = &decoded else {
+        panic!("not a list");
+    };
+    assert_eq!(records.capacity(), RECORDS);
+}
+
+/// A string up to 22 bytes lives in its node and a longer one is one
+/// allocation; either way it comes back as it went in. Seeded: `ci.sh`'s
+/// three seeds, at the lengths around the bound, with multi-byte
+/// characters at every offset — so one straddles byte 22.
+#[test]
+fn strings_roundtrip_across_the_inline_bound() {
+    for seed in [7, 11, 23] {
+        let rng = &mut TestRng(seed);
+        for len in (0..64).chain([0, 21, 22, 23, 24].into_iter().cycle().take(64)) {
+            // `len` bytes: ASCII, with a 2-, 3- or 4-byte character put
+            // where it ends at or before `len`.
+            let mut s = rng.string(len);
+            s.extend(std::iter::repeat_n('x', len - s.len()));
+            let wide = ['é', '€', '𝄞'][rng.below(3) as usize];
+            if len >= wide.len_utf8() {
+                let at = rng.below((len - wide.len_utf8()) as u64 + 1) as usize;
+                s.replace_range(at..at + wide.len_utf8(), &wide.to_string());
+            }
+            assert_eq!(s.len(), len);
+            let v = Value::from(s.as_str());
+            assert_eq!(v, Value::from(s.clone()), "both constructors agree");
+            let bytes = encode_value(&v);
+            let (back, allocs, _) = measured(|| decode_value_from_bytes(bytes.clone()).unwrap());
+            assert_eq!(back, v);
+            assert_eq!(back.as_str(), Some(s.as_str()));
+            assert_eq!(allocs, usize::from(len > 22), "{len} bytes");
+            assert_eq!(encode_value(&back), bytes);
+        }
+    }
+    // A character cut by the declared length is invalid UTF-8: refused,
+    // whichever side of the bound it falls, before anything is copied.
+    for len in [3, 22, 23, 40] {
+        let s = format!("{}é", "a".repeat(len - 1));
+        let mut bytes = encode_value(&Value::from(s)).to_vec();
+        bytes[1] -= 1; // the length prefix: one byte, now mid-character
+        bytes.pop();
+        let (got, allocs, _) = measured(|| decode_value(&bytes));
+        assert_eq!(got, Err(WireError::InvalidUtf8));
+        assert_eq!(allocs, 1, "the copy of the input `decode_value` makes");
+    }
 }

@@ -56,7 +56,7 @@ impl Gen {
             1 => Value::Bool(self.next() & 1 == 0),
             2 => Value::I64(self.next() as i64),
             3 => Value::F64(self.f64_in(-1e9, 1e9)),
-            4 => Value::Str(self.ident(16)),
+            4 => Value::from(self.ident(16)),
             5 => {
                 let len = self.below(48) as usize;
                 Value::Bytes((0..len).map(|_| self.next() as u8).collect())
