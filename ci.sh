@@ -213,6 +213,14 @@ echo "==> fargo-check fault sweep (1000 seeds, 120s budget)"
 timeout 120 cargo run -q -p fargo-check --release -- \
     --seeds 1000 --ops 16 --cores 3 --faults
 
+# Stress sweep: the same explorer on the wall clock over lossy links (3%
+# loss) with jitter, its operations raced by two threads instead of run
+# one at a time, so retransmissions, moves and calls interleave — what
+# at-most-once execution across relocation has to survive. ~20 s.
+echo "==> fargo-check stress sweep (1000 seeds, 60s budget)"
+timeout 60 cargo run -q -p fargo-check --release -- \
+    --seeds 1000 --ops 12 --cores 3 --stress
+
 # E23 guardrails, swept over the same simnet seeds: a killed-and-
 # restarted Core must recover 100% of acknowledged state from its
 # write-ahead log, and post-recovery lookups from a cold peer must

@@ -72,15 +72,13 @@ pub(crate) struct CompletPacket {
     pub epoch: u64,
 }
 
-/// Destination- or source-side view of a two-phase move transaction,
-/// reported by [`Reply::MoveState`] when a peer resolves an in-doubt move.
+/// The source's record of one two-phase move transaction, reported by
+/// [`Reply::MoveState`] when the destination asks for its verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MoveTxnState {
-    /// Destination: prepared and holding, awaiting commit/abort.
-    Held,
-    /// The transaction committed (complet installed / decision recorded).
+    /// The source recorded the commit decision.
     Committed,
-    /// The transaction aborted (held state discarded / decision recorded).
+    /// The source recorded the abort decision.
     Aborted,
     /// The peer has no record of this `(root, epoch)` transaction.
     Unknown,
@@ -128,9 +126,6 @@ pub(crate) enum Request {
     MoveCommit { root: CompletId, epoch: u64 },
     /// Phase two, negative: discard the held complets of `(root, epoch)`.
     MoveAbort { root: CompletId, epoch: u64 },
-    /// Source → destination in-doubt probe: what became of `(root,
-    /// epoch)`? Answered with [`Reply::MoveState`].
-    MoveQuery { root: CompletId, epoch: u64 },
     /// Destination → source outcome probe for a held move whose commit
     /// never arrived: what did the source decide for `(root, epoch)`?
     /// Answered with [`Reply::MoveState`].
@@ -197,7 +192,6 @@ impl Request {
             Request::MovePrepare { .. } => "move_prep",
             Request::MoveCommit { .. } => "move_commit",
             Request::MoveAbort { .. } => "move_abort",
-            Request::MoveQuery { .. } => "move_query",
             Request::MoveDecision { .. } => "move_decision",
             Request::NewComplet { .. } => "new",
             Request::NameLookup { .. } => "lookup",
@@ -237,7 +231,6 @@ impl Request {
                 | Request::TopComplets { .. }
                 | Request::TrafficMatrix
                 | Request::InvokeEdges
-                | Request::MoveQuery { .. }
                 | Request::MoveDecision { .. }
                 | Request::Ping
         )
@@ -285,16 +278,13 @@ pub(crate) enum Reply {
         /// newer location (0 = never moved).
         epoch: u64,
     },
-    MoveOk {
-        arrived: Vec<CompletId>,
-    },
     /// The destination prepared and holds the move stream of the echoed
     /// epoch, awaiting commit or abort.
     PrepareOk {
         epoch: u64,
     },
-    /// A peer's record of one move transaction (`MoveQuery` /
-    /// `MoveDecision` answer).
+    /// The source's record of one move transaction (the `MoveDecision`
+    /// answer).
     MoveState {
         state: MoveTxnState,
     },
@@ -599,8 +589,9 @@ impl Wire for EventPayload {
     }
 }
 
+// Tag 0 is retired (it was `Held`, the destination's answer to the
+// source's in-doubt query) and decodes to `Err`.
 wire_enum! { MoveTxnState, "move state";
-    0 => Held,
     1 => Committed,
     2 => Aborted,
     3 => Unknown,
@@ -635,14 +626,14 @@ wire_enum! { FargoError, "error tag";
 
 // --- bodies --------------------------------------------------------------------
 
-// Tag 1 is retired (it was the single-phase move stream) and decodes to
-// `Err`; the remaining tags keep their numbers.
+// Tags 1 and 5 are retired (the single-phase move stream; the source's
+// in-doubt query `MoveQuery`) and decode to `Err`; the remaining tags keep
+// their numbers.
 wire_enum! { Request, "request tag";
     0 => Invoke { target, method, args, chain, path, hops },
     2 => MovePrepare { root, epoch, packets, continuation },
     3 => MoveCommit { root, epoch },
     4 => MoveAbort { root, epoch },
-    5 => MoveQuery { root, epoch },
     6 => MoveDecision { root, epoch },
     7 => NewComplet { type_name, args },
     8 => NameLookup { name },
@@ -663,9 +654,10 @@ wire_enum! { Request, "request tag";
     23 => InvokeEdges,
 }
 
+// Tag 1 is retired (it was `MoveOk`, a commit's answer, now `Ok`) and
+// decodes to `Err`; the remaining tags keep their numbers.
 wire_enum! { Reply, "reply tag";
     0 => InvokeOk { final_location, target, epoch, value },
-    1 => MoveOk { arrived },
     2 => PrepareOk { epoch },
     3 => MoveState { state },
     4 => NewOk { desc },
@@ -966,7 +958,6 @@ pub(crate) mod tests {
             },
             Request::MoveCommit { root, epoch },
             Request::MoveAbort { root, epoch },
-            Request::MoveQuery { root, epoch },
             Request::MoveDecision { root, epoch },
             Request::NewComplet {
                 type_name: "Counter".into(),
@@ -1080,9 +1071,6 @@ pub(crate) mod tests {
                 target: id(8),
                 epoch: 4,
             },
-            Reply::MoveOk {
-                arrived: vec![id(1), id(2)],
-            },
             Reply::PrepareOk { epoch: 3 },
             Reply::NewOk { desc: gen_ref(rng) },
             Reply::NameOk {
@@ -1156,7 +1144,6 @@ pub(crate) mod tests {
             Reply::Pong,
         ];
         for state in [
-            MoveTxnState::Held,
             MoveTxnState::Committed,
             MoveTxnState::Aborted,
             MoveTxnState::Unknown,
@@ -1282,9 +1269,9 @@ pub(crate) mod tests {
     fn samples_cover_every_variant() {
         let kinds = |n: usize, seen: usize| assert_eq!(seen, n, "a variant lost its sample");
         let names: HashSet<_> = requests().iter().map(Request::kind_name).collect();
-        kinds(23, names.len());
+        kinds(22, names.len());
         kinds(
-            20,
+            19,
             replies()
                 .iter()
                 .map(discriminant)
@@ -1519,10 +1506,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// Request tag 1 is retired: a frame carrying it is an error, and
-    /// the surviving kinds keep the tag numbers peers already speak.
+    /// Request tags 1 and 5, reply tag 1 and move-state tag 0 are
+    /// retired: a frame carrying one is an error, and the surviving
+    /// request kinds keep the tag numbers peers already speak.
     #[test]
     fn request_tag_one_is_retired_and_the_rest_keep_their_numbers() {
+        // One-byte `req_id` and `origin` (a request) or `req_id` and
+        // empty `route` (a reply) follow the three-byte header; the body
+        // tag comes next.
+        const TAG_AT: usize = 5;
+        let patched = |msg: &Message, at: usize, byte: u8| {
+            let mut bytes = encode(msg, &EnvelopeMeta::default()).to_vec();
+            bytes[at] = byte;
+            Message::decode(bytes.into())
+        };
         let mut seen = HashSet::new();
         for body in requests() {
             let tag = match &body {
@@ -1530,7 +1527,6 @@ pub(crate) mod tests {
                 Request::MovePrepare { .. } => 2,
                 Request::MoveCommit { .. } => 3,
                 Request::MoveAbort { .. } => 4,
-                Request::MoveQuery { .. } => 5,
                 Request::MoveDecision { .. } => 6,
                 Request::NewComplet { .. } => 7,
                 Request::NameLookup { .. } => 8,
@@ -1551,9 +1547,6 @@ pub(crate) mod tests {
                 Request::InvokeEdges => 23,
             };
             seen.insert(tag);
-            // One-byte `req_id` and `origin` varints follow the
-            // three-byte header; the body tag comes next.
-            const TAG_AT: usize = 5;
             let msg = Message::Request {
                 req_id: 1,
                 origin: 2,
@@ -1563,11 +1556,30 @@ pub(crate) mod tests {
             let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
-            let mut retired = bytes.to_vec();
-            retired[TAG_AT] = 1;
-            assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
+            for retired in [1, 5] {
+                assert!(patched(&msg, TAG_AT, retired).is_err(), "{msg:?}");
+            }
         }
-        assert_eq!(seen.len(), 23, "every surviving tag was checked");
+        assert_eq!(seen.len(), 22, "every surviving tag was checked");
+        for body in replies() {
+            let state = matches!(body, Reply::MoveState { .. });
+            let msg = Message::Reply {
+                req_id: 1,
+                route: vec![],
+                body,
+            };
+            assert_eq!(
+                Message::decode(encode(&msg, &EnvelopeMeta::default()))
+                    .unwrap()
+                    .0,
+                msg
+            );
+            assert!(patched(&msg, TAG_AT, 1).is_err(), "{msg:?}");
+            // A move state's own tag follows the reply's.
+            if state {
+                assert!(patched(&msg, TAG_AT + 1, 0).is_err(), "{msg:?}");
+            }
+        }
     }
 
     /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every

@@ -189,8 +189,10 @@ impl Core {
         }
         // At-most-once admission: a retransmitted copy of a request we
         // already executed replays the recorded reply; one we are still
-        // executing is dropped. Idempotent (read-only) kinds skip the
-        // cache and simply re-execute.
+        // executing is dropped; one we forwarded follows the first copy.
+        // Idempotent (read-only) kinds skip the cache and simply
+        // re-execute.
+        let mut retrace = None;
         if !body.idempotent() {
             let (decision, evicted) = self.inner.reply_cache.begin(origin, req_id);
             if evicted > 0 {
@@ -209,6 +211,9 @@ impl Core {
                     let (frame, _) = self.frame(&head, |w| w.put_raw(&body));
                     return self.send_reply(origin, req_id, frame);
                 }
+                // Forwarded from here before: the copy retraces the first
+                // one's path (only an invocation is ever forwarded).
+                Some(CacheSlot::Forwarded(next)) => retrace = Some(next),
             }
         }
         let reply = match body {
@@ -224,7 +229,7 @@ impl Core {
                 // `None`: forwarded along the chain — the Core that
                 // executes it answers.
                 if let Some(reply) = self.handle_invoke(
-                    origin, req_id, trace, target, method, args, chain, &path, hops,
+                    origin, req_id, trace, target, method, args, chain, &path, hops, retrace,
                 ) {
                     self.respond(origin, req_id, &path, reply);
                 }
@@ -238,7 +243,6 @@ impl Core {
             } => self.handle_move_prepare(origin, root, epoch, packets, continuation),
             Request::MoveCommit { root, epoch } => self.handle_move_commit(root, epoch, trace),
             Request::MoveAbort { root, epoch } => self.handle_move_abort(root, epoch),
-            Request::MoveQuery { root, epoch } => self.handle_move_query(root, epoch),
             Request::MoveDecision { root, epoch } => self.handle_move_decision(root, epoch),
             Request::NewComplet { type_name, args } => match self.new_complet(&type_name, &args) {
                 Ok(b) => Reply::NewOk {

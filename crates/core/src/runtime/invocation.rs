@@ -420,6 +420,9 @@ impl Core {
     /// Network-side handler: executes the invocation here and returns its
     /// reply, or forwards the request along the chain and returns `None`
     /// — the Core that executes it answers (and owns the dedup entry).
+    /// `retrace` is the node this Core forwarded an earlier copy of the
+    /// request to: a retransmission goes there, not where the tracker
+    /// points now, so it ends at the Core whose entry replays the reply.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_invoke(
         &self,
@@ -432,10 +435,12 @@ impl Core {
         chain: Vec<CompletId>,
         path: &[u32],
         hops: u32,
+        mut retrace: Option<u32>,
     ) -> Option<Reply> {
         let me = self.inner.node.index();
         loop {
-            match self.inner.trackers.route(target) {
+            let route = retrace.take().map(TrackerTarget::Forward);
+            match route.or_else(|| self.inner.trackers.route(target)) {
                 Some(TrackerTarget::Local) => {
                     // Execution span, parented on the requesting Core's
                     // invoke (or forward) span; ambient while the method
@@ -501,10 +506,12 @@ impl Core {
                     // The forward left this Core successfully — that is
                     // this tracker's dispatch, so count the hit now.
                     self.inner.trackers.credit(target);
-                    // The executing Core downstream caches the reply; a
-                    // lingering `InFlight` marker here would swallow every
-                    // retransmission of this request for good.
-                    self.inner.reply_cache.forget(origin, req_id);
+                    // The executing Core downstream caches the reply. The
+                    // slot here names where the request went: a
+                    // retransmission follows the first copy, not the
+                    // tracker, which may point elsewhere by then — and
+                    // there the copy would execute a second time.
+                    self.inner.reply_cache.forwarded(origin, req_id, next);
                     self.publish_reply_cache_usage();
                     return None;
                 }

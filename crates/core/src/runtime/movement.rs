@@ -14,7 +14,15 @@
 //! inter-Core message. Incoming references are preserved by repointing
 //! the local trackers to the destination; outgoing references are
 //! preserved because descriptors keep tracking their targets.
+//!
+//! The sending half is the two-phase protocol's steps, in order:
+//! `marshal_closure`, `prepare`, `decide`, then `commit` and
+//! `finalize_departure` — or one `restore`. Once the commit verdict is
+//! recorded the source finalizes and does nothing else: the
+//! destination's held-move sweep (`sweep_held_moves`) is the one
+//! resolver of a move in doubt.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::thread;
@@ -41,6 +49,18 @@ struct Departing {
     names: Vec<String>,
 }
 
+/// What a marshaled closure leaves behind at the source until the
+/// verdict (its packets travel in `MovePrepare`).
+struct Closure {
+    /// The root's move epoch: `(root, epoch)` names the transaction.
+    epoch: u64,
+    /// Taken out of their slots, root first.
+    departing: Vec<Departing>,
+    /// `pull` targets hosted elsewhere: they follow with moves of their
+    /// own once the closure has left.
+    remote_pulls: Vec<CompletId>,
+}
+
 /// A move stream that passed `MovePrepare` validation and now waits for
 /// the source's commit or abort. The complets are fully reconstructed
 /// but **not** installed — invisible to invocation until committed.
@@ -59,18 +79,6 @@ pub(crate) struct HeldMove {
     deadline: u64,
 }
 
-/// How the source resolved a move whose commit round went unanswered.
-enum InDoubt {
-    /// The destination holds (or already activated) the stream: the move
-    /// happened; finalize the departure.
-    Committed,
-    /// The destination discarded the stream after an abort: restore.
-    Aborted,
-    /// The destination is unreachable; the recorded commit decision
-    /// stands, so finalize — but report [`FargoError::MoveInDoubt`].
-    Unconfirmed,
-}
-
 impl Core {
     /// Moves a complet (and everything its references co-locate with it)
     /// to the Core named `dest`, optionally invoking
@@ -82,8 +90,11 @@ impl Core {
     /// # Errors
     ///
     /// Fails when the destination or complet is unknown, the complet is
-    /// already in transit, or the transfer fails. On failure the complet
-    /// remains usable at its current Core.
+    /// already in transit, or the transfer fails; the complet then
+    /// remains usable at its current Core. The one exception is
+    /// [`FargoError::MoveInDoubt`]: the move was decided but its commit
+    /// went unanswered, and the destination activates the complet — on
+    /// the commit, or on its next held-move sweep.
     pub fn move_complet(
         &self,
         id: CompletId,
@@ -118,332 +129,259 @@ impl Core {
     }
 
     /// The sending half of the mobility protocol for a locally hosted
-    /// root complet. Wraps the actual work in a `move` span (root, or a
-    /// child of the ambient trace when moved from inside an invocation).
+    /// root complet, step by step, in a `move` span (root, or a child of
+    /// the ambient trace when moved from inside an invocation).
     fn move_local(
         &self,
         root: CompletId,
-        dest_node: u32,
+        dest: u32,
         continuation: Option<(String, Vec<Value>)>,
     ) -> Result<()> {
         let t = &self.inner.telemetry;
         let _span = t.span(SpanParent::Ambient, || {
-            format!("move {root} -> {}", self.core_name_of(dest_node))
+            format!("move {root} -> {}", self.core_name_of(dest))
         });
         t.moves_attempted_total.inc();
-        let result = self.move_local_inner(root, dest_node, continuation);
+        let result = self
+            .marshal_closure(root, dest)
+            .and_then(|(closure, packets)| {
+                let continuation = continuation.map(|(method, args)| Continuation {
+                    target: root,
+                    method,
+                    args,
+                });
+                let prepared = self.prepare(root, dest, closure.epoch, packets, continuation);
+                self.decide(root, dest, &closure, prepared.as_ref().err());
+                match prepared {
+                    Ok(()) => {
+                        let committed = self.commit(root, closure.epoch, dest);
+                        self.finalize_departure(closure, dest);
+                        committed
+                    }
+                    Err(e) => {
+                        // Fire and forget: a lost abort is recovered by the
+                        // destination's held-move sweep asking the decision
+                        // log.
+                        let epoch = closure.epoch;
+                        self.send_request_oneway(dest, Request::MoveAbort { root, epoch });
+                        self.restore(closure.departing);
+                        Err(e)
+                    }
+                }
+            });
         if result.is_err() {
             t.move_failures_total.inc();
         }
         result
     }
 
-    fn move_local_inner(
-        &self,
-        root: CompletId,
-        dest_node: u32,
-        continuation: Option<(String, Vec<Value>)>,
-    ) -> Result<()> {
-        let me = self.inner.node.index();
+    /// Marshal: walks the closure from `root` (§3.3), taking every
+    /// complet it reaches here out of its slot (`marshal_one`);
+    /// a `pull` target hosted elsewhere is left to a move of its own.
+    /// Returns what stays behind and the packets that leave — one per
+    /// departing complet, in the same order, then one per `duplicate`
+    /// copy. On failure whatever was taken out is restored.
+    fn marshal_closure(&self, root: CompletId, dest: u32) -> Result<(Closure, Vec<CompletPacket>)> {
+        let t = &self.inner.telemetry;
+        let marshal_start = t.phase_timing.then(|| t.phase_now_us());
+        let (mut departing, mut packets, mut remote_pulls) = (Vec::new(), Vec::new(), Vec::new());
+        // Original target -> its copy, for `duplicate` references.
+        let mut copies: HashMap<CompletId, CompletPacket> = HashMap::new();
         let mut queue = VecDeque::from([root]);
-        let mut visited: HashSet<CompletId> = HashSet::from([root]);
-        let mut departing: Vec<Departing> = Vec::new();
-        let mut packets: Vec<CompletPacket> = Vec::new();
-        // Original target -> (copy id, type, state) for `duplicate` refs.
-        let mut copies: HashMap<CompletId, (CompletId, String, Value)> = HashMap::new();
-        let mut remote_pulls: Vec<(CompletId, u32)> = Vec::new();
-
-        // Restores everything taken out so far after a failed move. Each
-        // restored complet journals a compensating arrival: it had been
-        // honestly marshalled out (and journaled as departed), and is now
-        // resident here again.
-        let restore = |departing: Vec<Departing>, core: &Core, departed_journaled: bool| {
-            for d in departing {
-                let slot = core.inner.complets.read().get(&d.id).cloned();
-                if let Some(slot) = slot {
-                    *slot.state.lock() = SlotState::Present(d.complet);
-                }
-                let mut naming = core.inner.naming.lock();
-                for name in d.names {
-                    naming.insert(
-                        name,
-                        RefDescriptor::link(d.id, &d.type_name, core.inner.node.index()),
-                    );
-                }
-                drop(naming);
-                if departed_journaled {
-                    core.inner.telemetry.journal(
-                        JournalKind::CompletArrived,
-                        &d.id,
-                        &d.type_name,
-                        "restored",
-                        None,
-                    );
-                }
-            }
-        };
-
-        let marshal_start = {
-            let t = &self.inner.telemetry;
-            t.phase_timing.then(|| t.phase_now_us())
-        };
+        let mut visited = HashSet::from([root]);
         while let Some(cur) = queue.pop_front() {
             let Some(slot) = self.inner.complets.read().get(&cur).cloned() else {
                 if cur == root {
-                    restore(departing, self, false);
                     return Err(FargoError::UnknownComplet(root));
                 }
-                // A pull target hosted elsewhere: moved separately below.
-                remote_pulls.push((cur, self.hint_for(cur)));
+                remote_pulls.push(cur);
                 continue;
             };
-            let mut complet = match self.take_out(&slot) {
-                Ok(c) => c,
+            match self.marshal_one(&slot, dest, &mut copies) {
+                Ok((d, packet, pulls)) => {
+                    departing.push(d);
+                    packets.push(packet);
+                    queue.extend(pulls.into_iter().filter(|p| visited.insert(*p)));
+                }
                 Err(e) => {
-                    restore(departing, self, false);
+                    self.restore(departing);
+                    return Err(e);
+                }
+            }
+        }
+        packets.extend(copies.into_values());
+        // One inter-Core message carries the whole co-moving closure.
+        t.move_comoved.observe(packets.len() as u64);
+        t.move_update_set.observe(departing.len() as u64);
+        t.move_marshal_bytes
+            .observe(packets.iter().map(|p| p.state.deep_size() as u64).sum());
+        if let Some(t0) = marshal_start {
+            // Closure marshalling (relocator walks + state capture) is
+            // the marshal phase of a move.
+            t.latency_marshal_us
+                .observe(t.phase_now_us().saturating_sub(t0));
+        }
+        let closure = Closure {
+            epoch: packets[0].epoch,
+            departing,
+            remote_pulls,
+        };
+        Ok((closure, packets))
+    }
+
+    /// Takes one complet of the closure out of its slot and marshals it:
+    /// `pre_departure`, its state, then the relocator routine of every
+    /// reference in that state. A `duplicate` target is copied once per
+    /// move into `copies` and the reference re-bound to the copy. Returns
+    /// the departing complet, its packet and its `pull` targets.
+    fn marshal_one(
+        &self,
+        slot: &CompletSlot,
+        dest: u32,
+        copies: &mut HashMap<CompletId, CompletPacket>,
+    ) -> Result<(Departing, CompletPacket, Vec<CompletId>)> {
+        let (id, t) = (slot.id, &self.inner.telemetry);
+        let mut complet = self.take_out(slot)?;
+        let mut ctx = self.make_ctx(id, &slot.type_name, vec![]);
+        complet.pre_departure(&mut ctx);
+        let mut state = complet.marshal();
+        let mut pulls = Vec::new();
+        for r in state.collect_refs() {
+            let action = match self.inner.relocators.resolve(&r.relocator) {
+                Ok(rl) => rl.marshal_action(),
+                Err(e) => {
+                    *slot.state.lock() = SlotState::Present(complet);
                     return Err(e);
                 }
             };
-
-            let mut ctx = self.make_ctx(cur, &slot.type_name, vec![]);
-            complet.pre_departure(&mut ctx);
-            let mut state = complet.marshal();
-
-            // The per-relocator marshal routines (§3.3).
-            for r in state.collect_refs() {
-                let action = match self.inner.relocators.resolve(&r.relocator) {
-                    Ok(rl) => rl.marshal_action(),
-                    Err(e) => {
-                        *slot.state.lock() = SlotState::Present(complet);
-                        restore(departing, self, false);
-                        return Err(e);
-                    }
-                };
-                self.inner.telemetry.record_relocator(&r.relocator);
-                self.inner.telemetry.journal(
-                    JournalKind::RelocatorDecision,
-                    &cur,
-                    &r.target.to_string(),
-                    &r.relocator,
-                    Some(dest_node),
-                );
-                self.inner.telemetry.journal(
-                    JournalKind::RefEdgeCreated,
-                    &cur,
-                    &r.target.to_string(),
-                    &r.relocator,
-                    None,
-                );
-                match action {
-                    MarshalAction::KeepTracking | MarshalAction::StampType => {}
-                    MarshalAction::PullTarget => {
-                        if visited.insert(r.target) {
-                            queue.push_back(r.target);
-                        }
-                    }
-                    MarshalAction::DuplicateTarget => {
-                        if let std::collections::hash_map::Entry::Vacant(e) = copies.entry(r.target)
-                        {
-                            // An unreachable target falls back to
-                            // tracking the original.
-                            if let Some((type_name, dup_state)) =
-                                self.snapshot_complet(r.target, r.last_known)
-                            {
-                                let copy_id = CompletId::new(
-                                    me,
-                                    self.inner.complet_seq.fetch_add(1, Ordering::Relaxed),
-                                );
-                                e.insert((copy_id, type_name, dup_state));
-                            }
+            let target = r.target.to_string();
+            t.record_relocator(&r.relocator);
+            for (kind, peer) in [
+                (JournalKind::RelocatorDecision, Some(dest)),
+                (JournalKind::RefEdgeCreated, None),
+            ] {
+                t.journal(kind, &id, &target, &r.relocator, peer);
+            }
+            match action {
+                MarshalAction::KeepTracking | MarshalAction::StampType => {}
+                MarshalAction::PullTarget => pulls.push(r.target),
+                MarshalAction::DuplicateTarget => {
+                    if let Entry::Vacant(e) = copies.entry(r.target) {
+                        // An unreachable target falls back to tracking
+                        // the original.
+                        if let Some(copy) = self.duplicate(r.target, r.last_known) {
+                            e.insert(copy);
                         }
                     }
                 }
             }
-            // Re-bind duplicate references in the marshaled state to
-            // their copies.
-            if !copies.is_empty() {
-                state = state.transform_refs(&mut |r| match copies.get(&r.target) {
-                    Some((copy_id, _, _)) if r.relocator == "duplicate" => RefDescriptor {
-                        target: *copy_id,
-                        last_known: dest_node,
-                        ..r
-                    },
-                    _ => r,
-                });
-            }
-
-            let names = self.take_names(cur);
-            packets.push(CompletPacket {
-                id: cur,
-                type_name: slot.type_name.clone(),
-                state,
-                names: names.clone(),
-                epoch: self.bump_move_epoch(cur),
+        }
+        if !copies.is_empty() {
+            state = state.transform_refs(&mut |r| match copies.get(&r.target) {
+                Some(copy) if r.relocator == "duplicate" => RefDescriptor {
+                    target: copy.id,
+                    last_known: dest,
+                    ..r
+                },
+                _ => r,
             });
-            departing.push(Departing {
-                id: cur,
-                type_name: slot.type_name.clone(),
+        }
+        let (names, type_name) = (self.take_names(id), slot.type_name.clone());
+        let packet = CompletPacket {
+            id,
+            type_name: type_name.clone(),
+            state,
+            names: names.clone(),
+            epoch: self.bump_move_epoch(id),
+        };
+        Ok((
+            Departing {
+                id,
+                type_name,
                 complet,
                 names,
-            });
-        }
-
-        for (orig, (copy_id, type_name, state)) in &copies {
-            let _ = orig;
-            // Copies are brand-new complets: no move history, epoch 0.
-            packets.push(CompletPacket {
-                id: *copy_id,
-                type_name: type_name.clone(),
-                state: state.clone(),
-                names: vec![],
-                epoch: 0,
-            });
-        }
-
-        // One inter-Core message carries the whole co-moving closure.
-        {
-            let t = &self.inner.telemetry;
-            t.move_comoved.observe(packets.len() as u64);
-            t.move_update_set.observe(departing.len() as u64);
-            t.move_marshal_bytes
-                .observe(packets.iter().map(|p| p.state.deep_size() as u64).sum());
-            if let Some(t0) = marshal_start {
-                // Closure marshalling (relocator walks + state capture)
-                // is the marshal phase of a move.
-                t.latency_marshal_us
-                    .observe(t.phase_now_us().saturating_sub(t0));
-            }
-        }
-        let continuation = continuation.map(|(method, args)| Continuation {
-            target: root,
-            method,
-            args,
-        });
-        // Journal departures at marshal time, *before* the Move rpc is
-        // sent: the rpc send stamps a later HLC, so the destination's
-        // arrival entries — recorded after receive-side clock merge — are
-        // guaranteed to order after these in the merged timeline.
-        for d in &departing {
-            self.inner.telemetry.journal(
-                JournalKind::CompletDeparted,
-                &d.id,
-                &d.type_name,
-                "move",
-                Some(dest_node),
-            );
-        }
-        // Two-phase transfer. The destination validates, reconstructs,
-        // and *holds* the stream on `MovePrepare`; only `MoveCommit`
-        // makes it live. The source records its verdict in the decision
-        // log *before* the commit round, so a lost `MoveOk` resolves via
-        // epoch query instead of duplicating or losing the complet.
-        let txn_epoch = packets
-            .iter()
-            .find(|p| p.id == root)
-            .map(|p| p.epoch)
-            .unwrap_or(0);
-        let abort = |core: &Core, e: &FargoError| {
-            core.inner.move_decisions.record(root, txn_epoch, false);
-            core.wal_append(&WalRecord::Decision {
-                root,
-                epoch: txn_epoch,
-                committed: false,
-                ids: vec![],
-                dest: dest_node,
-            });
-            core.inner.telemetry.journal(
-                JournalKind::MoveAborted,
-                &root,
-                "",
-                &e.to_string(),
-                Some(dest_node),
-            );
-            // Fire-and-forget: a lost abort is recovered by the
-            // destination's hold-timeout query against the decision log.
-            core.send_request_oneway(
-                dest_node,
-                Request::MoveAbort {
-                    root,
-                    epoch: txn_epoch,
-                },
-            );
-        };
-        match self.rpc(
-            dest_node,
-            Request::MovePrepare {
-                root,
-                epoch: txn_epoch,
-                packets,
-                continuation,
             },
-        ) {
-            Ok(Reply::PrepareOk { .. }) => {
-                // The point of no return: once the commit verdict is
-                // recorded, the destination owns the complets and the
-                // source must never restore (that would duplicate them).
-                // The write-ahead Decision record makes the verdict — and
-                // the set of complets it gives away — survive a source
-                // crash: recovery must not resurrect them.
-                self.inner.move_decisions.record(root, txn_epoch, true);
-                self.wal_append(&WalRecord::Decision {
-                    root,
-                    epoch: txn_epoch,
-                    committed: true,
-                    ids: departing.iter().map(|d| d.id).collect(),
-                    dest: dest_node,
-                });
-                self.inner.telemetry.journal(
-                    JournalKind::MoveCommitted,
-                    &root,
-                    "",
-                    &txn_epoch.to_string(),
-                    Some(dest_node),
+            packet,
+            pulls,
+        ))
+    }
+
+    /// Prepare: ships the closure in one `MovePrepare` and waits for the
+    /// destination to validate, reconstruct and hold it.
+    fn prepare(
+        &self,
+        root: CompletId,
+        dest: u32,
+        epoch: u64,
+        packets: Vec<CompletPacket>,
+        continuation: Option<Continuation>,
+    ) -> Result<()> {
+        let prepare = Request::MovePrepare {
+            root,
+            epoch,
+            packets,
+            continuation,
+        };
+        match self.rpc(dest, prepare)? {
+            Reply::PrepareOk { .. } => Ok(()),
+            Reply::Err(e) => Err(e),
+            other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
+        }
+    }
+
+    /// Decide: records the verdict — commit unless `abort` says why not —
+    /// in the decision log the destination's sweep asks (`MoveDecision`),
+    /// in the write-ahead log and in the journal, before the destination
+    /// hears it. A commit is the point of no return: the destination owns
+    /// the closure from here and the source must never restore it (that
+    /// would duplicate it); its `Decision` record names the ids given
+    /// away, so recovery does not resurrect them either.
+    fn decide(&self, root: CompletId, dest: u32, closure: &Closure, abort: Option<&FargoError>) {
+        let (t, epoch) = (&self.inner.telemetry, closure.epoch);
+        let committed = abort.is_none();
+        let mut ids = Vec::new();
+        if committed {
+            // Journaled before the verdict is visible: an arrival — on
+            // `MoveCommit` or on the sweep's answer — is stamped after
+            // these departures and orders after them in the merged
+            // timeline.
+            for d in &closure.departing {
+                t.journal(
+                    JournalKind::CompletDeparted,
+                    &d.id,
+                    &d.type_name,
+                    "move",
+                    Some(dest),
                 );
-                let commit = self.rpc(
-                    dest_node,
-                    Request::MoveCommit {
-                        root,
-                        epoch: txn_epoch,
-                    },
-                );
-                match commit {
-                    Ok(Reply::MoveOk { .. }) => {
-                        self.finalize_departure(departing, remote_pulls, dest_node);
-                        Ok(())
-                    }
-                    _ => match self.resolve_in_doubt(root, txn_epoch, dest_node) {
-                        InDoubt::Committed => {
-                            self.finalize_departure(departing, remote_pulls, dest_node);
-                            Ok(())
-                        }
-                        InDoubt::Unconfirmed => {
-                            self.finalize_departure(departing, remote_pulls, dest_node);
-                            Err(FargoError::MoveInDoubt(root))
-                        }
-                        InDoubt::Aborted => {
-                            restore(departing, self, true);
-                            Err(FargoError::Protocol(format!(
-                                "destination aborted committed move of {root}"
-                            )))
-                        }
-                    },
-                }
+                ids.push(d.id);
             }
-            Ok(Reply::Err(e)) => {
-                abort(self, &e);
-                restore(departing, self, true);
-                Err(e)
-            }
-            Ok(other) => {
-                let e = FargoError::Protocol(format!("unexpected reply {other:?}"));
-                abort(self, &e);
-                restore(departing, self, true);
-                Err(e)
-            }
-            Err(e) => {
-                abort(self, &e);
-                restore(departing, self, true);
-                Err(e)
+        }
+        self.inner.move_decisions.record(root, epoch, committed);
+        self.wal_append(&WalRecord::Decision {
+            root,
+            epoch,
+            committed,
+            ids,
+            dest,
+        });
+        let (kind, detail) = match abort {
+            None => (JournalKind::MoveCommitted, epoch.to_string()),
+            Some(e) => (JournalKind::MoveAborted, e.to_string()),
+        };
+        t.journal(kind, &root, "", &detail, Some(dest));
+    }
+
+    /// Commit: tells the destination to activate the held closure. The
+    /// commit verdict is already recorded, so the closure is the
+    /// destination's whatever this returns: an unanswered commit is
+    /// [`FargoError::MoveInDoubt`], and the destination's held-move sweep
+    /// resolves it against the decision log.
+    fn commit(&self, root: CompletId, epoch: u64, dest: u32) -> Result<()> {
+        match self.rpc(dest, Request::MoveCommit { root, epoch }) {
+            Ok(Reply::Ok) => Ok(()),
+            _ => {
+                self.inner.telemetry.move_indoubt_total.inc();
+                Err(FargoError::MoveInDoubt(root))
             }
         }
     }
@@ -451,16 +389,11 @@ impl Core {
     /// Completes a committed departure: `post_departure` callbacks, slot
     /// release, tracker forwarding, events, and the follow-up moves of
     /// remotely hosted pull targets. The new placement is not published
-    /// from here: the destination did that when it installed the
-    /// complet, before its `MoveOk` left.
-    fn finalize_departure(
-        &self,
-        departing: Vec<Departing>,
-        remote_pulls: Vec<(CompletId, u32)>,
-        dest_node: u32,
-    ) {
+    /// from here: the destination does that when it installs the
+    /// complet.
+    fn finalize_departure(&self, closure: Closure, dest: u32) {
         let me = self.inner.node.index();
-        for mut d in departing {
+        for mut d in closure.departing {
             let mut ctx = self.make_ctx(d.id, &d.type_name, vec![]);
             d.complet.post_departure(&mut ctx);
             // Release the old copy; the tracker forwards from now
@@ -475,82 +408,78 @@ impl Core {
             let _ = self
                 .inner
                 .trackers
-                .point(d.id, TrackerTarget::Forward(dest_node), epoch);
+                .point(d.id, TrackerTarget::Forward(dest), epoch);
             self.inner.telemetry.journal(
                 JournalKind::TrackerForwarded,
                 &d.id,
                 &d.type_name,
                 "",
-                Some(dest_node),
+                Some(dest),
             );
             self.wal_append(&WalRecord::Departed {
                 id: d.id,
                 epoch,
-                dest: Some(dest_node),
+                dest: Some(dest),
             });
             self.fire_event(EventPayload::CompletDeparted {
                 id: d.id,
                 type_name: d.type_name,
-                dest: dest_node,
+                dest,
                 core: me,
             });
         }
-        // Pull targets hosted elsewhere follow with their own
-        // (asynchronous) moves. One retry covers transient faults; a
-        // complet already in transit belongs to another move and is
-        // left alone. A final failure is journaled and surfaced as a
-        // `moveFailed` event instead of vanishing.
-        for (id, _) in remote_pulls {
-            let core = self.clone();
-            let dest_name = self.core_name_of(dest_node);
-            thread::spawn(move || {
-                let mut result = core.move_complet(id, &dest_name, None);
-                if let Err(e) = &result {
-                    if !matches!(e, FargoError::AlreadyMoving(_)) {
-                        result = core.move_complet(id, &dest_name, None);
-                    }
-                }
-                if let Err(e) = result {
-                    core.inner.telemetry.journal(
-                        JournalKind::RelocatorDecision,
-                        &id,
-                        &dest_name,
-                        &format!("pull follow-up failed: {e}"),
-                        Some(dest_node),
-                    );
-                    core.fire_event(EventPayload::MoveFailed {
-                        id,
-                        dest: dest_node,
-                        core: core.inner.node.index(),
-                        error: e.to_string(),
-                    });
-                }
-            });
+        for id in closure.remote_pulls {
+            self.pull_after(id, dest);
         }
     }
 
-    /// Resolves a committed move whose commit round went unanswered by
-    /// asking the destination what it knows about the `(root, epoch)`
-    /// transaction.
-    fn resolve_in_doubt(&self, root: CompletId, epoch: u64, dest_node: u32) -> InDoubt {
-        self.inner.telemetry.move_indoubt_total.inc();
-        match self.rpc(dest_node, Request::MoveQuery { root, epoch }) {
-            Ok(Reply::MoveState { state }) => match state {
-                // Still held: the commit was lost. Re-nudge it (fire and
-                // forget; the destination's decision query is the
-                // backstop) and treat the move as done.
-                MoveTxnState::Held => {
-                    self.send_request_oneway(dest_node, Request::MoveCommit { root, epoch });
-                    InDoubt::Committed
+    /// Moves a pull target hosted elsewhere after the closure it belongs
+    /// to, on its own thread. One retry covers transient faults; a
+    /// complet already in transit belongs to another move and is left
+    /// alone. A final failure is journaled and surfaced as a `moveFailed`
+    /// event instead of vanishing.
+    fn pull_after(&self, id: CompletId, dest: u32) {
+        let core = self.clone();
+        let dest_name = self.core_name_of(dest);
+        thread::spawn(move || {
+            let mut result = core.move_complet(id, &dest_name, None);
+            if let Err(e) = &result {
+                if !matches!(e, FargoError::AlreadyMoving(_)) {
+                    result = core.move_complet(id, &dest_name, None);
                 }
-                MoveTxnState::Committed => InDoubt::Committed,
-                MoveTxnState::Aborted => InDoubt::Aborted,
-                // No record: the destination already activated and its
-                // outcome entry was evicted — presumed commit (it cannot
-                // have aborted a move we decided to commit).
-                MoveTxnState::Unknown => InDoubt::Committed,
-            },
-            _ => InDoubt::Unconfirmed,
+            }
+            if let Err(e) = result {
+                core.inner.telemetry.journal(
+                    JournalKind::RelocatorDecision,
+                    &id,
+                    &dest_name,
+                    &format!("pull follow-up failed: {e}"),
+                    Some(dest),
+                );
+                core.fire_event(EventPayload::MoveFailed {
+                    id,
+                    dest,
+                    core: core.inner.node.index(),
+                    error: e.to_string(),
+                });
+            }
+        });
+    }
+
+    /// Puts complets that will not leave back in their slots, with their
+    /// names. Nothing was journaled for them before the verdict, so
+    /// nothing is compensated.
+    fn restore(&self, departing: Vec<Departing>) {
+        let me = self.inner.node.index();
+        for d in departing {
+            let slot = self.inner.complets.read().get(&d.id).cloned();
+            if let Some(slot) = slot {
+                *slot.state.lock() = SlotState::Present(d.complet);
+            }
+            let mut naming = self.inner.naming.lock();
+            for name in d.names {
+                naming.insert(name, RefDescriptor::link(d.id, &d.type_name, me));
+            }
         }
     }
 
@@ -579,28 +508,33 @@ impl Core {
         }
     }
 
-    /// Marshals a complet's state without removing it (for `duplicate`).
-    /// Falls back to fetching from a remote host when not local.
-    fn snapshot_complet(&self, id: CompletId, hint: u32) -> Option<(String, Value)> {
-        if let Some(slot) = self.inner.complets.read().get(&id).cloned() {
-            let guard = slot.state.try_lock_for(self.inner.config.transit_wait)?;
-            if let SlotState::Present(c) = &*guard {
-                return Some((slot.type_name.clone(), c.marshal()));
+    /// A `duplicate` target's copy: a brand-new complet minted here (no
+    /// move history, epoch 0) with the target's current state, marshaled
+    /// without removing it — fetched from its host when not local.
+    /// `None` when the target cannot be read.
+    fn duplicate(&self, id: CompletId, hint: u32) -> Option<CompletPacket> {
+        let local = self.inner.complets.read().get(&id).cloned();
+        let (type_name, state) = match local {
+            Some(slot) => match &*slot.state.try_lock_for(self.inner.config.transit_wait)? {
+                SlotState::Present(c) => (slot.type_name.clone(), c.marshal()),
+                _ => return None,
+            },
+            None => {
+                let host = self.locate(id).unwrap_or(hint);
+                match self.rpc(host, Request::FetchState { id }).ok()? {
+                    Reply::StateOk { type_name, state } => (type_name, state),
+                    _ => return None,
+                }
             }
-            return None;
-        }
-        let host = self.locate(id).ok().or(Some(hint))?;
-        match self.rpc(host, Request::FetchState { id }).ok()? {
-            Reply::StateOk { type_name, state } => Some((type_name, state)),
-            _ => None,
-        }
-    }
-
-    fn hint_for(&self, id: CompletId) -> u32 {
-        match self.inner.trackers.peek(id) {
-            Some(TrackerTarget::Forward(n)) => n,
-            _ => id.origin,
-        }
+        };
+        let seq = self.inner.complet_seq.fetch_add(1, Ordering::Relaxed);
+        Some(CompletPacket {
+            id: CompletId::new(self.inner.node.index(), seq),
+            type_name,
+            state,
+            names: vec![],
+            epoch: 0,
+        })
     }
 
     /// Unbinds and returns every logical name bound to `id` here; the
@@ -787,8 +721,9 @@ impl Core {
         Reply::PrepareOk { epoch }
     }
 
-    /// Serves `MoveCommit`: activates a held stream. A duplicate commit
-    /// (the stream already activated) is acknowledged idempotently.
+    /// Serves `MoveCommit`: activates a held stream and answers `Ok`. A
+    /// duplicate commit (the stream already activated) is acknowledged
+    /// idempotently.
     pub(crate) fn handle_move_commit(
         &self,
         root: CompletId,
@@ -798,11 +733,11 @@ impl Core {
         let held = self.inner.held_moves.lock().remove(&(root, epoch));
         match held {
             Some(h) => {
-                let arrived = self.activate_held(root, epoch, h, trace);
-                Reply::MoveOk { arrived }
+                self.activate_held(root, epoch, h, trace);
+                Reply::Ok
             }
             None => match self.inner.move_outcomes.get(root, epoch) {
-                Some(true) => Reply::MoveOk { arrived: vec![] },
+                Some(true) => Reply::Ok,
                 Some(false) => Reply::Err(FargoError::Protocol(format!(
                     "move of {root} (epoch {epoch}) was aborted"
                 ))),
@@ -838,21 +773,6 @@ impl Core {
         Reply::Ok
     }
 
-    /// Serves `MoveQuery` (source asking the destination): what this Core
-    /// knows about the `(root, epoch)` transaction it received.
-    pub(crate) fn handle_move_query(&self, root: CompletId, epoch: u64) -> Reply {
-        let state = if self.inner.held_moves.lock().contains_key(&(root, epoch)) {
-            MoveTxnState::Held
-        } else {
-            match self.inner.move_outcomes.get(root, epoch) {
-                Some(true) => MoveTxnState::Committed,
-                Some(false) => MoveTxnState::Aborted,
-                None => MoveTxnState::Unknown,
-            }
-        };
-        Reply::MoveState { state }
-    }
-
     /// Serves `MoveDecision` (destination asking the source): the verdict
     /// this Core recorded for a move it coordinated.
     pub(crate) fn handle_move_decision(&self, root: CompletId, epoch: u64) -> Reply {
@@ -872,13 +792,12 @@ impl Core {
         epoch: u64,
         held: HeldMove,
         trace: Option<TraceContext>,
-    ) -> Vec<CompletId> {
+    ) {
         let t = &self.inner.telemetry;
         let _span = t.span(SpanParent::Remote(trace), || {
             format!("arrive[{}]", held.complets.len())
         });
         self.inner.move_outcomes.record(root, epoch, true);
-        let mut arrived = Vec::with_capacity(held.complets.len());
         for (packet, complet) in held.image.packets.iter().zip(held.complets) {
             // A packet is stale if this Core already advanced the
             // complet to the packet's epoch or past it. That happens
@@ -891,11 +810,9 @@ impl Core {
             // pre-arrival snapshot and re-fire the arrival callbacks —
             // acknowledge the duplicate without installing instead.
             if packet.epoch > 0 && self.current_move_epoch(packet.id) >= packet.epoch {
-                arrived.push(packet.id);
                 continue;
             }
             self.install_arrival(packet, complet);
-            arrived.push(packet.id);
         }
         // The live State records written by `install_arrival` supersede
         // the Held snapshot; resolving it keeps replay from re-holding a
@@ -915,12 +832,13 @@ impl Core {
         if let Some(cont) = held.continuation {
             self.spawn_continuation(cont);
         }
-        arrived
     }
 
     /// Resolves held moves whose deadline passed by asking the source
     /// for its recorded verdict; called from the monitor thread each
-    /// tick. While the source is unreachable the stream stays held (the
+    /// tick. This is the one resolver of a move in doubt: a source whose
+    /// commit went unanswered reports `MoveInDoubt` and leaves the rest
+    /// to it. While the source is unreachable the stream stays held (the
     /// deadline is re-armed past the query round-trip so ticks don't
     /// stack resolver threads): holding duplicates nothing, whereas
     /// discarding could lose the only copy of a committed move.

@@ -54,7 +54,9 @@ impl Core {
 
     /// Reliable-messaging counters for this Core, in order:
     /// (rpc retransmissions, dedup-cache replays, reply send failures,
-    /// in-doubt moves resolved by epoch query).
+    /// moves whose commit round went unanswered — each returned
+    /// [`FargoError::MoveInDoubt`] and was left to the destination's
+    /// held-move sweep).
     pub fn reliability_stats(&self) -> (u64, u64, u64, u64) {
         let t = &self.inner.telemetry;
         (

@@ -190,6 +190,12 @@ impl Core {
     /// `Present`). Must not be called while the caller holds the slot
     /// lock — use [`Core::wal_capture_state`] with a pre-marshaled state
     /// from inside a locked section.
+    ///
+    /// The record is appended before the slot lock is released, as the
+    /// invocation path does: callers have already made the complet
+    /// reachable, and an invocation acknowledged after the release could
+    /// otherwise append its newer state first and be durably superseded
+    /// by this older image (fold keeps the last record per id).
     pub(crate) fn wal_capture(&self, id: CompletId) {
         if self.inner.wal.is_none() {
             return;
@@ -197,14 +203,10 @@ impl Core {
         let Some(slot) = self.inner.complets.read().get(&id).cloned() else {
             return;
         };
-        let state = {
-            let guard = slot.state.lock();
-            match &*guard {
-                SlotState::Present(c) => c.marshal(),
-                _ => return,
-            }
-        };
-        self.wal_capture_state(id, &slot.type_name, state);
+        let guard = slot.state.lock();
+        if let SlotState::Present(c) = &*guard {
+            self.wal_capture_state(id, &slot.type_name, c.marshal());
+        }
     }
 
     /// Appends a `State` record from an already-marshaled state. Safe

@@ -6,7 +6,9 @@
 //!   backoff inside the overall `rpc_timeout` budget ([`retry_delay`]);
 //! * receivers remember what they replied per `(origin, req_id)` in a
 //!   bounded [`ReplyCache`], so a retransmitted request re-sends the
-//!   recorded reply instead of executing a second time;
+//!   recorded reply instead of executing a second time — or, at a Core
+//!   that forwarded it, retraces its first copy's path to the Core that
+//!   did;
 //! * two-phase moves record their commit/abort verdicts in a bounded
 //!   [`DecisionLog`], which is what peers consult to resolve in-doubt
 //!   transactions after lost replies.
@@ -36,6 +38,10 @@ pub(crate) enum CacheSlot {
     /// Execution finished; retransmits get this encoded reply body
     /// re-sent verbatim and nothing re-executes.
     Done(Bytes),
+    /// Forwarded along a tracker chain to this node; retransmits are
+    /// re-sent there, wherever the tracker points now, so they retrace
+    /// the first copy's path to the Core whose entry replays the reply.
+    Forwarded(u32),
 }
 
 /// Bounded `(origin, req_id) → reply` cache with FIFO eviction; the
@@ -76,8 +82,8 @@ impl ReplyCache {
 
     /// Admits one copy of a request: what is known of it, or `None` on a
     /// first sighting — execute it (an `InFlight` marker is now held and
-    /// must be resolved with `complete` or `forget`) — plus how many old
-    /// entries were evicted to make room.
+    /// must be resolved with `complete` or `forwarded`) — plus how many
+    /// old entries were evicted to make room.
     pub(crate) fn begin(&self, origin: u32, req_id: ReqId) -> (Option<CacheSlot>, u64) {
         if self.capacity == 0 {
             return (None, 0);
@@ -115,8 +121,9 @@ impl ReplyCache {
         let (mut evicted, mut at) = (0u64, 0);
         while g.bytes > DEDUP_CACHE_MAX_BYTES && at < g.order.len() {
             let k = g.order[at];
-            // An `InFlight` entry owns no bytes, and dropping it would
-            // let a retransmission execute beside the first copy.
+            // An `InFlight` or `Forwarded` entry owns no bytes, and
+            // dropping it would let a retransmission execute beside the
+            // first copy.
             if k != key && matches!(g.slots[&k], CacheSlot::Done(_)) {
                 g.remove(at);
                 evicted += 1;
@@ -127,15 +134,13 @@ impl ReplyCache {
         evicted
     }
 
-    /// Drops a request's entry without recording a reply. Forwarding hops
-    /// call this: the reply is produced (and cached) at the executing
-    /// Core, and a lingering `InFlight` marker here would swallow every
-    /// retransmission for good.
-    pub(crate) fn forget(&self, origin: u32, req_id: ReqId) {
-        let mut g = self.inner.lock();
-        // A forgotten entry is nearly always the newest one.
-        if let Some(at) = g.order.iter().rposition(|k| *k == (origin, req_id)) {
-            g.remove(at);
+    /// Records that a request admitted with `begin` was forwarded to
+    /// `next` rather than executed here. The slot owns no bytes; like any
+    /// entry it is evicted by the capacity.
+    pub(crate) fn forwarded(&self, origin: u32, req_id: ReqId, next: u32) {
+        if let Some(slot @ CacheSlot::InFlight) = self.inner.lock().slots.get_mut(&(origin, req_id))
+        {
+            *slot = CacheSlot::Forwarded(next);
         }
     }
 
@@ -228,8 +233,10 @@ impl RetryBudget {
 
 /// Bounded log of two-phase move verdicts, keyed `(root, epoch)`:
 /// `true` = committed, `false` = aborted. The source Core records its
-/// decision here *before* sending `MoveCommit`, so either side can
-/// resolve a lost reply by asking; FIFO eviction bounds memory.
+/// decision here *before* sending `MoveCommit`, so a destination whose
+/// commit never came can ask for it (`MoveDecision`); a destination
+/// records its outcomes in one too, to answer retransmitted prepares and
+/// commits. FIFO eviction bounds memory.
 pub(crate) struct DecisionLog {
     capacity: usize,
     inner: Mutex<DecisionState>,
@@ -299,7 +306,7 @@ mod tests {
             .values()
             .map(|s| match s {
                 CacheSlot::Done(b) => b.len(),
-                CacheSlot::InFlight => 0,
+                CacheSlot::InFlight | CacheSlot::Forwarded(_) => 0,
             })
             .sum();
         assert_eq!(g.bytes, held);
@@ -353,36 +360,34 @@ mod tests {
         assert_consistent(&cache);
     }
 
+    /// A Core that only forwards keeps one slot per request naming the
+    /// next hop, bounded by the capacity like any entry, owning no bytes
+    /// and never evicted for a reply's bytes.
     #[test]
-    fn forget_reopens_the_entry() {
-        let cache = ReplyCache::new(8);
-        cache.begin(1, 1);
-        cache.forget(1, 1);
-        let (d, _) = cache.begin(1, 1);
-        assert!(d.is_none(), "forgotten entry must re-admit");
-    }
-
-    /// A Core that only forwards admits and forgets every request and
-    /// never fills its cache; the eviction order must not remember them.
-    #[test]
-    fn a_forwarding_core_does_not_grow_the_eviction_order() {
+    fn forwarded_slots_are_bounded_by_the_capacity_and_own_no_bytes() {
         let cache = ReplyCache::new(8);
         for req_id in 0..100_000 {
             let (d, evicted) = cache.begin(3, req_id);
             assert!(d.is_none());
-            assert_eq!(evicted, 0);
-            cache.forget(3, req_id);
+            assert_eq!(evicted, u64::from(req_id >= 8));
+            cache.forwarded(3, req_id, 2);
             assert!(cache.inner.lock().order.len() <= 8);
         }
-        assert_eq!(cache.usage(), (0, 0));
-        // Forgetting among entries that stay: only the forgotten key goes.
-        for req_id in 0..6 {
-            cache.begin(1, req_id);
-            cache.complete(1, req_id, body(5, 0));
-        }
-        cache.forget(1, 2);
-        cache.forget(1, 99);
-        assert_eq!(cache.usage(), (5, 25));
+        assert_eq!(cache.usage(), (8, 0));
+        // A retransmission of a forwarded request is told where it went.
+        let (d, _) = cache.begin(3, 99_999);
+        assert!(matches!(d, Some(CacheSlot::Forwarded(2))));
+        // Only a slot still executing turns into a forward.
+        cache.begin(1, 1);
+        cache.complete(1, 1, body(5, 0));
+        cache.forwarded(1, 1, 2);
+        let (d, _) = cache.begin(1, 1);
+        assert!(matches!(d, Some(CacheSlot::Done(b)) if b == body(5, 0)));
+        // A reply over the byte budget evicts recorded replies, never
+        // forwarded slots.
+        cache.begin(1, 2);
+        cache.complete(1, 2, body(DEDUP_CACHE_MAX_BYTES, 1));
+        assert_eq!(cache.usage(), (7, DEDUP_CACHE_MAX_BYTES));
         assert_consistent(&cache);
     }
 

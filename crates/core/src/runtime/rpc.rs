@@ -156,9 +156,9 @@ impl Core {
     }
 
     /// Sends a request without registering a pending reply slot: the
-    /// answer (if any) is dropped by `handle_reply`. Used for abort and
-    /// commit nudges whose delivery is guaranteed by timeout queries,
-    /// not by retransmission.
+    /// answer (if any) is dropped by `handle_reply`. Used for a move's
+    /// abort, whose delivery the destination's held-move sweep
+    /// guarantees, not retransmission.
     pub(crate) fn send_request_oneway(&self, node: u32, body: Request) {
         let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
         let head = Header::Request(req_id, self.inner.node.index(), None);

@@ -45,7 +45,6 @@ const MSG_KINDS: &[&str] = &[
     "move_prep",
     "move_commit",
     "move_abort",
-    "move_query",
     "move_decision",
     "locate",
     "shard_list",
@@ -142,13 +141,15 @@ pub(crate) struct CoreTelemetry {
     pub dedup_inflight_total: Counter,
     /// Dedup-cache entries evicted to stay within capacity or byte bound.
     pub dedup_evictions_total: Counter,
-    /// Requests the dedup cache holds right now (executing or replied).
+    /// Requests the dedup cache holds right now (executing, replied or
+    /// forwarded).
     pub dedup_cache_entries: Gauge,
     /// Bytes of encoded reply bodies the dedup cache holds right now.
     pub dedup_cache_bytes: Gauge,
     /// Replies that failed to send (the requester will retry or time out).
     pub reply_send_failures: Counter,
-    /// Two-phase moves whose commit outcome needed epoch-query resolution.
+    /// Two-phase moves whose commit round went unanswered: reported as
+    /// `MoveInDoubt`, resolved by the destination's held-move sweep.
     pub move_indoubt_total: Counter,
     /// Requests dropped because the worker-pool queue was full.
     pub worker_rejections_total: Counter,

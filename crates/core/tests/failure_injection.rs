@@ -268,6 +268,42 @@ fn retried_invocations_execute_exactly_once() {
 }
 
 #[test]
+fn a_retransmission_retraces_its_first_copys_path_after_the_complet_moves_back() {
+    // A retransmitted call must not execute twice because the complet
+    // moved between its copies. The first copy goes core0 -> core2 ->
+    // core1 and executes there; its reply dies on the last hop. Then the
+    // complet moves back to core2, where core0's stale tracker sends the
+    // retransmission: core2 must send it on to core1, as it did the
+    // first copy, and core1 replays the recorded reply.
+    let (net, cores) = lossy_cluster_with(0.0, 3, |c| {
+        c.with_rpc_timeout(Duration::from_secs(5))
+            .with_rpc_retries(8)
+    });
+    let x = cores[0].new_complet_at("core2", "Counter", &[]).unwrap();
+    assert_eq!(x.call("get", &[]).unwrap(), Value::I64(0));
+    cores[2].move_complet(x.id(), "core1", None).unwrap();
+    net.set_link_directed(
+        cores[2].node(),
+        cores[0].node(),
+        LinkConfig::instant().with_loss(1.0),
+    )
+    .unwrap();
+    let pending = x.call_async("add", &[Value::I64(1)]);
+    // The first copy executed at core1; only its reply was lost.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while net.link_stats(cores[2].node(), cores[0].node()).dropped == 0 {
+        assert!(Instant::now() < deadline, "the reply never left core2");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cores[1].move_complet(x.id(), "core2", None).unwrap();
+    net.set_link_directed(cores[2].node(), cores[0].node(), LinkConfig::instant())
+        .unwrap();
+    assert_eq!(pending.wait().unwrap(), Value::I64(1));
+    assert_eq!(x.call("get", &[]).unwrap(), Value::I64(1), "executed twice");
+    teardown(&cores);
+}
+
+#[test]
 fn retried_graph_scans_execute_exactly_once_and_replay_the_whole_reply() {
     // The same guarantee for a reply the size of the benchmark's
     // `scan(256)`: the dedup cache keeps such a reply as the bytes it

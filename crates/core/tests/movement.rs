@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{cluster, relay, teardown};
+use common::{cluster, cluster_with_config, relay, teardown, test_config};
 use fargo_core::{define_complet, FargoError, TrackerTarget, Value};
+use simnet::{LinkConfig, Network, NodeId};
 
 #[test]
 fn state_survives_relocation() {
@@ -364,5 +365,52 @@ fn carrier_facade_moves_with_continuation() {
     assert!(cores[1].hosts(counter.id()));
     Carrier::r#move(&cores[0], counter.complet_ref(), "core0").unwrap();
     assert!(cores[0].hosts(counter.id()));
+    teardown(&cores);
+}
+
+/// The link a `SilencesOnArrival` complet cuts from inside its own
+/// arrival: `(network, from, to)`.
+static CUT_ON_ARRIVAL: std::sync::Mutex<Option<(Network, NodeId, NodeId)>> =
+    std::sync::Mutex::new(None);
+
+define_complet! {
+    /// Cuts one link when it arrives, so the answer to the `MoveCommit`
+    /// that activates it is lost.
+    pub complet SilencesOnArrival {
+        state { x: i64 = 0 }
+        lifecycle {
+            fn pre_arrival(&mut self, _ctx) {
+                if let Some((net, from, to)) = CUT_ON_ARRIVAL.lock().unwrap().take() {
+                    net.set_link_directed(from, to, LinkConfig::instant().with_loss(1.0))
+                        .unwrap();
+                }
+            }
+        }
+        fn touch(&mut self, _ctx, _args) {
+            self.x += 1;
+            Ok(Value::I64(self.x))
+        }
+    }
+}
+
+#[test]
+fn an_unanswered_commit_is_in_doubt_and_the_destination_keeps_the_complet() {
+    let config = test_config().with_rpc_timeout(Duration::from_millis(300));
+    let (net, reg, cores) = cluster_with_config(2, config);
+    SilencesOnArrival::register(&reg);
+    let c = cores[0].new_complet("SilencesOnArrival", &[]).unwrap();
+    assert_eq!(c.call("touch", &[]).unwrap(), Value::I64(1));
+    // Activated by the commit, the complet silences core1 -> core0: the
+    // commit's answer and every replayed copy of it are lost.
+    *CUT_ON_ARRIVAL.lock().unwrap() = Some((net.clone(), cores[1].node(), cores[0].node()));
+    assert_eq!(c.move_to("core1"), Err(FargoError::MoveInDoubt(c.id())));
+    // The verdict was commit: the source finalized, the destination
+    // hosts the one copy and nobody had to ask anybody.
+    assert!(cores[1].hosts(c.id()));
+    assert!(!cores[0].hosts(c.id()));
+    assert_eq!(cores[0].reliability_stats().3, 1);
+    net.set_link_directed(cores[1].node(), cores[0].node(), LinkConfig::instant())
+        .unwrap();
+    assert_eq!(c.call("touch", &[]).unwrap(), Value::I64(2));
     teardown(&cores);
 }
