@@ -3,11 +3,11 @@
 # Run from the repository root.
 set -eu
 
-# Crash-recovery tests and E23 keep their write-ahead logs in
-# per-process scratch dirs under $TMPDIR; they clean up after
-# themselves, but a killed run must not leave logs behind either.
+# Crash-recovery tests keep their write-ahead logs in per-process
+# scratch dirs under $TMPDIR; they clean up after themselves, but a
+# killed run must not leave logs behind either.
 cleanup_wal_scratch() {
-    rm -rf "${TMPDIR:-/tmp}"/fargo-crash-* "${TMPDIR:-/tmp}"/fargo-e23-*
+    rm -rf "${TMPDIR:-/tmp}"/fargo-crash-*
 }
 trap cleanup_wal_scratch EXIT
 
@@ -57,6 +57,8 @@ if [ "${1:-}" = loc ]; then exit 0; fi
 echo "==> cargo build --release"
 cargo build --release
 
+# Tier-1: the whole workspace suite, which asserts every paper claim and
+# guardrail (EXPERIMENTS.md names the test behind each row).
 echo "==> cargo test -q"
 cargo test -q
 
@@ -100,59 +102,6 @@ echo "==> by-value memory bound"
 cargo test -q -p fargo-wire --test value_footprint
 cargo test -q -p fargo-core --test by_value_memory
 
-# E14 guardrail: the reliability layer's loss-free overhead and its
-# recovery under loss (the run exits nonzero if any invocation fails to
-# recover). It doubles as the smoke test of the experiments runner's
-# JSON exposition: the binary self-validates the report (tables +
-# metrics + journal snapshot) and exits nonzero on renderer drift; also
-# insist the journal key shipped.
-echo "==> experiments json smoke (E14)"
-e14=$(cargo run -q -p fargo-bench --bin experiments --release -- json E14)
-echo "$e14" | grep -q '"E14"'
-echo "$e14" | grep -q '"journal"'
-
-# E15 guardrails, swept over simnet seeds (different jitter schedules):
-# the adaptive layout planner must converge and cut inter-Core messages
-# by at least 30% against the static adversarial layout, and the
-# attached-but-disabled loop must run no planning round and ask no peer
-# for edge rows (counted, not timed; the timing ratio is printed in the
-# row). The table rows say "guardrail ok" only when both hold.
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E15, seed $seed)"
-    e15=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E15)
-    echo "$e15" | grep -q 'guardrail ok (>=30% vs static, converged)'
-    echo "$e15" | grep -q 'guardrail ok (attached-but-disabled ~ absent)'
-done
-
-# E17 guardrails, swept over the same simnet seeds: under an injected
-# 2ms link the receiver's network-phase histogram must absorb the delay
-# and the slow-request ring must retain traced requests. The table rows
-# say "guardrail ok" only when both hold; the per-call cost of phase
-# timing is printed in its own row, not gated (a sub-microsecond
-# difference of two means flakes on a shared machine — the standing
-# benchmark's `telemetry.per_call_ns` is the per-call cost measurement).
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E17, seed $seed)"
-    e17=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E17)
-    echo "$e17" | grep -q 'guardrail ok (network phase >= injected 2ms)'
-    echo "$e17" | grep -q 'guardrail ok (tail retained with spans)'
-done
-
-# E18 guardrails, swept over the same simnet seeds (each is a different
-# Zipf call schedule): a 64-slot Space-Saving sketch must recall at
-# least 90% of the true top-10 talkers, and load-weighted partition
-# seats must keep every Core within capacity where count seats overload
-# one. The per-call cost of accounting is printed, not gated, as E17's.
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E18, seed $seed)"
-    e18=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E18)
-    echo "$e18" | grep -q 'guardrail ok (top-10 of'
-    echo "$e18" | grep -q 'guardrail ok (within capacity and below the count-based maximum)'
-done
-
 # The full core integration suite again, this time with every envelope
 # on real sockets: FARGO_TRANSPORT=tcp makes the test fixture pre-bind
 # one loopback listener per Core and run the TCP backend, with the
@@ -160,33 +109,6 @@ done
 # delivery gate), so partition/loss scenarios must behave identically.
 echo "==> core integration suite over TCP loopback"
 FARGO_TRANSPORT=tcp cargo test -q -p fargo-core
-
-# E21 guardrails, swept over the same simnet seeds: one Core must hold
-# at least 10,000 concurrent in-flight RPCs (completion-keyed replies,
-# not parked threads) with zero worker-pool rejections, and both
-# transport backends must sustain the request-reply throughput floor.
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E21, seed $seed)"
-    e21=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E21)
-    echo "$e21" | grep -q 'guardrail ok (>=10,000 in flight'
-    echo "$e21" | grep -q 'guardrail ok (simnet window'
-    echo "$e21" | grep -q 'guardrail ok (tcp window'
-done
-
-# E22 guardrails, swept over the same simnet seeds: the sharded
-# location service must resolve a querier's three-hop-stale hint in at
-# most 2 network hops (p99) at every population size, both over simnet
-# and with every envelope framed on loopback TCP sockets; the chain-walk
-# baseline rows are informational.
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E22, seed $seed)"
-    e22=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E22)
-    echo "$e22" | grep -q 'guardrail ok ('
-    echo "$e22" | grep -q 'shard/tcp'
-    if echo "$e22" | grep -q 'guardrail FAILED'; then exit 1; fi
-done
 
 # Multi-process smoke test: three OS processes, one Core each, framed
 # envelopes over loopback sockets. The parent drives an invoke + migrate
@@ -220,19 +142,6 @@ timeout 120 cargo run -q -p fargo-check --release -- \
 echo "==> fargo-check stress sweep (1000 seeds, 60s budget)"
 timeout 60 cargo run -q -p fargo-check --release -- \
     --seeds 1000 --ops 12 --cores 3 --stress
-
-# E23 guardrails, swept over the same simnet seeds: a killed-and-
-# restarted Core must recover 100% of acknowledged state from its
-# write-ahead log, and post-recovery lookups from a cold peer must
-# resolve in <= 2 hops; the embedded fault sweep must come back clean.
-for seed in 7 11 23; do
-    echo "==> experiments json smoke (E23, seed $seed)"
-    e23=$(FARGO_SIMNET_SEED=$seed \
-        cargo run -q -p fargo-bench --bin experiments --release -- json E23)
-    echo "$e23" | grep -q 'guardrail ok (replayed'
-    echo "$e23" | grep -q 'fault sweep clean'
-    if echo "$e23" | grep -q 'FAILED'; then exit 1; fi
-done
 
 # The standing benchmark's own tests: its unit tests plus one second of
 # each of the four workloads with the oracle on, so a wire or runtime

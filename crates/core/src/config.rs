@@ -65,10 +65,6 @@ pub struct CoreConfig {
     /// envelopes to the Core↔Core traffic matrix. Off restores the
     /// unaccounted hot path (one branch).
     pub accounting: bool,
-    /// Complets the per-Core accountant tracks at once; beyond it the
-    /// Space-Saving sketch evicts the minimum-load entry, so memory
-    /// stays O(capacity) at any population.
-    pub account_capacity: usize,
     /// Whether the sharded location service runs: each complet id is
     /// consistent-hashed to an owning Core whose `LocationShard` holds
     /// its authoritative `(complet → Core, epoch)` entry, published
@@ -118,7 +114,6 @@ impl Default for CoreConfig {
             clock: fargo_telemetry::Clock::Wall,
             phase_timing: true,
             accounting: true,
-            account_capacity: 512,
             naming_shards: true,
             wal_dir: None,
             wal_fsync: true,
@@ -206,13 +201,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the accountant's sketch capacity replaced
-    /// (minimum one entry per shard).
-    pub fn with_account_capacity(mut self, capacity: usize) -> Self {
-        self.account_capacity = capacity;
-        self
-    }
-
     /// Configuration with the request worker pool resized. Both values
     /// must be at least 1; `Core::builder(..).spawn()` rejects a zero
     /// with [`crate::FargoError::InvalidArgument`] instead of silently
@@ -276,7 +264,6 @@ mod tests {
         let c = CoreConfig::default();
         assert!(c.phase_timing, "phase timing is on by default");
         assert!(c.accounting, "accounting is on by default");
-        assert!(c.account_capacity > 0);
         assert_eq!(c.journal_seq_base, 0);
     }
 
@@ -287,13 +274,11 @@ mod tests {
             .strict_stamps()
             .with_phase_timing(false)
             .with_accounting(false)
-            .with_account_capacity(64)
             .with_journal_seq_base(42);
         assert_eq!(c.rpc_timeout, Duration::from_millis(5));
         assert!(c.stamp_strict);
         assert!(!c.phase_timing);
         assert!(!c.accounting);
-        assert_eq!(c.account_capacity, 64);
         assert_eq!(c.journal_seq_base, 42);
     }
 

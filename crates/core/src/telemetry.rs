@@ -59,6 +59,11 @@ const SLOW_LOG_CAPACITY: usize = 16;
 /// Ring-buffer capacity of a Core's span log (oldest trace evicted).
 const TRACE_CAPACITY: usize = 1024;
 
+/// Keys the per-Core accountant and the call-edge table track at once;
+/// beyond it the Space-Saving sketch evicts the minimum-load entry, so
+/// memory stays O(capacity) at any population.
+const ACCOUNT_CAPACITY: usize = 512;
+
 /// Observations per epoch of the sliding latency window behind "recent"
 /// percentile estimates (the window spans 1–2 epochs).
 const LATENCY_WINDOW: u64 = 512;
@@ -307,8 +312,8 @@ impl CoreTelemetry {
             worker_inline_total: registry.counter("fargo_worker_inline_total", l),
             tracker_stale_total: registry.counter("fargo_tracker_stale_rejections_total", l),
             accounting: config.accounting,
-            accountant: Accountant::new(config.account_capacity),
-            edges: Accountant::new(config.account_capacity),
+            accountant: Accountant::new(ACCOUNT_CAPACITY),
+            edges: Accountant::new(ACCOUNT_CAPACITY),
             matrix: TrafficMatrix::new(&registry),
             invoke_errors_total: registry.counter("fargo_invoke_errors_total", l),
             moves_attempted_total: registry.counter("fargo_moves_attempted_total", l),

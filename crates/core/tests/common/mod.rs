@@ -109,9 +109,20 @@ pub fn cluster(n: usize) -> (Network, CompletRegistry, Vec<Core>) {
 /// attached as the fault-injection control plane, so partition/loss
 /// scenarios behave identically).
 pub fn cluster_with_config(n: usize, config: CoreConfig) -> (Network, CompletRegistry, Vec<Core>) {
-    let net = fast_network();
+    let tcp = std::env::var("FARGO_TRANSPORT").as_deref() == Ok("tcp");
+    cluster_on(fast_network(), n, config, tcp)
+}
+
+/// Spawns `n` cores on `net`, their envelopes carried by `net` itself
+/// or, with `tcp`, by loopback sockets that `net` gates.
+pub fn cluster_on(
+    net: Network,
+    n: usize,
+    config: CoreConfig,
+    tcp: bool,
+) -> (Network, CompletRegistry, Vec<Core>) {
     let reg = registry();
-    if std::env::var("FARGO_TRANSPORT").as_deref() == Ok("tcp") {
+    if tcp {
         // Bind everything first so the full peer table exists before any
         // Core spawns (ephemeral ports — no fixed-port collisions when
         // test binaries run in parallel).
@@ -178,6 +189,22 @@ pub fn counter(core: &Core, name: &str) -> u64 {
             _ => 0,
         })
         .sum()
+}
+
+/// Waits until no message is in flight and no Core has queued work,
+/// twice in a row.
+pub fn quiesce(net: &Network, cores: &[Core]) {
+    let mut stable = 0;
+    for _ in 0..4000 {
+        let pending =
+            net.in_flight() as usize + cores.iter().map(Core::pending_work).sum::<usize>();
+        stable = if pending == 0 { stable + 1 } else { 0 };
+        if stable >= 2 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("cluster failed to quiesce");
 }
 
 /// Sum of a gauge's series in `core`'s metrics registry.

@@ -11,7 +11,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use common::{fast_network, registry, test_config};
+use common::{fast_network, quiesce, registry, test_config};
 use fargo_core::{
     define_complet, BoundRef, CompletId, CompletRef, CompletRegistry, Core, CoreConfig, FargoError,
     JournalKind, RefDescriptor, Value,
@@ -229,6 +229,51 @@ fn crash_d_source_crash_after_departure_does_not_resurrect() {
     // the complet through the recovered forwarding tracker.
     let fresh = fresh_stub(&cores[0], counter.id(), "Counter");
     assert_eq!(fresh.call("get", &[]).unwrap(), Value::I64(2));
+    cleanup(&root, &cores);
+}
+
+// --- a population killed cold ------------------------------------------------
+
+/// A Core hosting a population is stopped cold — no checkpoint, no
+/// evacuation — and restarted on its log: every complet comes back with
+/// both of its acknowledged adds, and a peer holding no hint finds each
+/// one within two hops, because recovery republishes the survivors to
+/// their shards.
+#[test]
+fn kill_restart_recovers_every_acked_complet() {
+    const N: usize = 128;
+    let (net, reg, mut cores, root) = wal_cluster(3, "kill");
+    let counters: Vec<_> = (0..N)
+        .map(|_| cores[1].new_complet("Counter", &[]).unwrap())
+        .collect();
+    for c in &counters {
+        c.call("add", &[Value::I64(1)]).unwrap();
+        c.call("add", &[Value::I64(1)]).unwrap();
+    }
+
+    cores[1].stop();
+    cores[1] = restart(&net, &reg, test_config(), &root, &cores[1], 1);
+    assert_eq!(
+        cores[1].recovery_report().expect("recovery ran").replayed,
+        N
+    );
+    quiesce(&net, &cores);
+
+    let mut hops = Vec::with_capacity(N);
+    for c in &counters {
+        let r = cores[0].locate_explain(c.id()).unwrap();
+        assert_eq!(r.node, cores[1].node().index(), "{}", c.id());
+        hops.push(r.hops);
+        let fresh = fresh_stub(&cores[0], c.id(), "Counter");
+        assert_eq!(
+            fresh.call("add", &[Value::I64(1)]).unwrap(),
+            Value::I64(3),
+            "{} lost an acknowledged add",
+            c.id()
+        );
+    }
+    hops.sort_unstable();
+    assert!(hops[N * 99 / 100] <= 2, "p99 {} hops", hops[N * 99 / 100]);
     cleanup(&root, &cores);
 }
 

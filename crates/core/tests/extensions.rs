@@ -120,6 +120,19 @@ fn capacity_limits_local_instantiation() {
     teardown(&cores);
 }
 
+/// Unbounded, one repository holds thousands, and the newest answers.
+#[test]
+fn one_repository_holds_thousands_of_complets() {
+    let (_net, _reg, cores) = cluster(1);
+    for _ in 0..5_000 {
+        cores[0].new_complet("Counter", &[]).unwrap();
+    }
+    assert_eq!(cores[0].complet_count(), 5_000);
+    let newest = cores[0].new_complet("Counter", &[]).unwrap();
+    assert_eq!(newest.call("add", &[Value::I64(1)]).unwrap(), Value::I64(1));
+    teardown(&cores);
+}
+
 #[test]
 fn capacity_refuses_whole_move_streams_and_sender_restores() {
     let (_net, _reg, cores) = cluster_with_config(2, test_config().with_capacity(1));

@@ -268,6 +268,40 @@ fn retried_invocations_execute_exactly_once() {
 }
 
 #[test]
+fn retries_recover_every_call_under_loss() {
+    // Whatever the loss rate, every call completes; retransmission is
+    // what recovers the lost ones, and with nothing lost nothing is
+    // resent.
+    for loss in [0.0, 0.10, 0.30] {
+        let (_net, cores) = lossy_cluster_with(loss, 2, |c| {
+            let c = c
+                .with_rpc_timeout(Duration::from_secs(10))
+                .with_rpc_retries(16);
+            if loss > 0.0 {
+                return c;
+            }
+            // Loss-free, a resend could only be the timer firing on a
+            // slow host: give the first one a second.
+            CoreConfig {
+                rpc_retry_base: Duration::from_secs(1),
+                ..c
+            }
+        });
+        let msg = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+        for _ in 0..40 {
+            msg.call("print", &[]).expect("call succeeds");
+        }
+        let resent = counter(&cores[0], "fargo_rpc_retries_total");
+        if loss > 0.0 {
+            assert!(resent > 0, "{loss} loss must have forced a retransmission");
+        } else {
+            assert_eq!(resent, 0, "a loss-free link needs no retransmission");
+        }
+        teardown(&cores);
+    }
+}
+
+#[test]
 fn a_retransmission_retraces_its_first_copys_path_after_the_complet_moves_back() {
     // A retransmitted call must not execute twice because the complet
     // moved between its copies. The first copy goes core0 -> core2 ->

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use common::{cluster, teardown};
-use fargo_core::{define_complet, CompletId, EventPayload, Service, Value};
+use common::{cluster, cluster_with_config, teardown, test_config};
+use fargo_core::{define_complet, CompletId, CoreConfig, EventPayload, Service, Value};
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
@@ -113,18 +113,33 @@ fn continuous_invocation_rate_is_measured() {
 
 #[test]
 fn threshold_event_fires_on_crossing() {
+    threshold_crossing(1);
+}
+
+/// One crossing fans out to every listener, once each.
+#[test]
+fn one_crossing_notifies_every_listener_once() {
+    threshold_crossing(25);
+}
+
+/// `listeners` edge-triggered `completLoad > 3` listeners: none fires
+/// below the threshold, each fires exactly once on crossing it, and
+/// staying above does not re-fire.
+fn threshold_crossing(listeners: usize) {
     let (_net, _reg, cores) = cluster(1);
     let fired = Arc::new(AtomicUsize::new(0));
-    let f = fired.clone();
-    cores[0].on_event(
-        "completLoad",
-        Some(3.0),
-        true,
-        Arc::new(move |e| {
-            assert!(e.value().unwrap() >= 3.0);
-            f.fetch_add(1, Ordering::SeqCst);
-        }),
-    );
+    for _ in 0..listeners {
+        let f = fired.clone();
+        cores[0].on_event(
+            "completLoad",
+            Some(3.0),
+            true,
+            Arc::new(move |e| {
+                assert!(e.value().unwrap() >= 3.0);
+                f.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
+    }
     cores[0].profile_start(Service::CompletLoad, Duration::from_millis(10));
     for _ in 0..2 {
         cores[0].new_complet("Message", &[]).unwrap();
@@ -135,11 +150,60 @@ fn threshold_event_fires_on_crossing() {
         cores[0].new_complet("Message", &[]).unwrap();
     }
     assert!(wait_until(Duration::from_secs(3), || {
-        fired.load(Ordering::SeqCst) >= 1
+        fired.load(Ordering::SeqCst) >= listeners
     }));
     // Edge triggering: staying above the threshold does not re-fire.
     std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(fired.load(Ordering::SeqCst), 1);
+    assert_eq!(fired.load(Ordering::SeqCst), listeners);
+    teardown(&cores);
+}
+
+/// §4.2: the application is "notified asynchronously … instead of having
+/// to continuously poll". A crossing reaches the listener within a
+/// second, and every sampler evaluation behind it was a continuous
+/// tick that produced an event: the application probed nothing.
+#[test]
+fn events_detect_a_crossing_without_application_probes() {
+    let (_net, _reg, cores) = cluster(1);
+    let notified = Arc::new(Mutex::new(None::<Instant>));
+    let n = notified.clone();
+    cores[0].on_event(
+        "completLoad",
+        Some(3.0),
+        true,
+        Arc::new(move |_| {
+            n.lock().unwrap().get_or_insert_with(Instant::now);
+        }),
+    );
+    cores[0].profile_start(Service::CompletLoad, Duration::from_millis(10));
+    std::thread::sleep(Duration::from_millis(60));
+    let crossing = Instant::now();
+    // Overshoot: the exponential average must exceed, not just reach, 3.
+    for _ in 0..5 {
+        cores[0].new_complet("Message", &[]).unwrap();
+    }
+    assert!(wait_until(Duration::from_secs(5), || notified
+        .lock()
+        .unwrap()
+        .is_some()));
+    let latency = notified.lock().unwrap().unwrap() - crossing;
+    assert!(
+        latency < Duration::from_secs(1),
+        "detection took {latency:?}"
+    );
+    let monitor = cores[0].monitor();
+    assert_eq!(monitor.cache_hits(), 0, "no instant probe was served");
+    // A tick counts its sample before its event, so read between ticks.
+    assert!(
+        wait_until(Duration::from_secs(1), || {
+            let events = monitor.events_emitted();
+            let samples = monitor.samples();
+            events == monitor.events_emitted() && samples == events
+        }),
+        "{} sampler evaluations for {} events",
+        monitor.samples(),
+        monitor.events_emitted()
+    );
     teardown(&cores);
 }
 
@@ -336,4 +400,43 @@ fn monitor_stats_expose_cache_effect() {
     let after = cores[0].monitor().cache_hits();
     assert!(after >= before + 8);
     teardown(&cores);
+}
+
+/// Sampler evaluations and cache hits spent by 2,000 instant probes,
+/// one after every call, on a Core whose instant cache keeps results
+/// for `ttl`.
+fn probe_after_every_call(ttl: Duration) -> (u64, u64) {
+    let config = CoreConfig {
+        monitor_cache_ttl: ttl,
+        ..test_config()
+    };
+    let (_net, _reg, cores) = cluster_with_config(1, config);
+    let msg = cores[0].new_complet("Message", &[]).unwrap();
+    let monitor = cores[0].monitor();
+    let (evals, hits) = (monitor.samples(), monitor.cache_hits());
+    for _ in 0..2_000 {
+        msg.call("print", &[]).unwrap();
+        cores[0].profile_instant(&Service::CompletLoad).unwrap();
+    }
+    let spent = (monitor.samples() - evals, monitor.cache_hits() - hits);
+    teardown(&cores);
+    spent
+}
+
+/// §4.1's instant cache: within its TTL most probes are answered from
+/// the cache instead of re-evaluating the measure.
+#[test]
+fn instant_probes_within_the_ttl_hit_the_cache() {
+    let (evals, hits) = probe_after_every_call(Duration::from_millis(100));
+    assert!(
+        hits > 1_500 && evals < 500,
+        "cached: {evals} evals, {hits} hits"
+    );
+}
+
+/// With no TTL every probe pays exactly one sampler evaluation.
+#[test]
+fn uncached_instant_probes_each_run_the_sampler() {
+    let spent = probe_after_every_call(Duration::ZERO);
+    assert_eq!(spent, (2_000, 0), "uncached: one eval per probe");
 }

@@ -94,6 +94,29 @@ fn pull_reference_drags_target_along() {
 }
 
 #[test]
+fn move_bytes_show_what_travels() {
+    // A pulled dependency rides in the holder's move stream; a linked one
+    // stays home, so the holder travels alone.
+    const DEP_STATE: usize = 50_000;
+    let mut bytes = Vec::new();
+    for relocator in ["link", "pull"] {
+        let (net, _reg, cores) = cluster(2);
+        let (holder, dep) = setup_holder_with_dep(relocator, &cores);
+        dep.call("set_text", &[Value::from("x".repeat(DEP_STATE))])
+            .unwrap();
+        let link = || net.link_stats(cores[0].node(), cores[1].node()).bytes;
+        let before = link();
+        holder.move_to("core1").unwrap();
+        bytes.push(link() - before);
+        teardown(&cores);
+    }
+    assert!(
+        bytes[1] > bytes[0] + DEP_STATE as u64 / 2,
+        "pull ships the dependency, link does not: {bytes:?}"
+    );
+}
+
+#[test]
 fn pull_closure_moves_in_one_message() {
     // "all complets that should move as a result of the same movement
     // request are part of the same stream, thus only a single inter-Core

@@ -3,8 +3,13 @@
 
 mod common;
 
-use common::{cluster, cluster_with_config, teardown, test_config};
-use fargo_core::{define_complet, FargoError, Value};
+use std::time::Duration;
+
+use common::{
+    cluster, cluster_on, cluster_with_config, fast_network, registry, teardown, test_config,
+};
+use fargo_core::{define_complet, Core, FargoError, MetricValue, TelemetryRegistry, Value};
+use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// A chained invocation across three Cores must produce one span tree:
 /// the caller's `invoke` span, the intermediate Core's `forward` span,
@@ -77,6 +82,109 @@ fn tracing_disabled_records_no_spans() {
         metrics.contains("fargo_invoke_total{core=\"core0\"} 1"),
         "{metrics}"
     );
+    teardown(&cores);
+}
+
+/// Exact mean of `core`'s network phase: histogram sum over count, free
+/// of the log buckets' interpolation.
+fn network_mean_us(core: &Core) -> f64 {
+    let snapshot = core.telemetry().snapshot();
+    let network = snapshot
+        .iter()
+        .find(|s| s.name == "fargo_latency_network_us");
+    match network.map(|s| &s.value) {
+        Some(MetricValue::Histogram { sum, count, .. }) if *count > 0 => {
+            *sum as f64 / *count as f64
+        }
+        _ => 0.0,
+    }
+}
+
+/// Two Cores behind a 2 ms link (plus up to 0.5 ms of jitter drawn from
+/// `seed`), phase timing on or off, after five calls from core0 to a
+/// complet on core1.
+fn delayed_pair(seed: u64, timing: bool) -> (Network, Vec<Core>) {
+    let net = Network::new(NetworkConfig {
+        default_link: Some(
+            LinkConfig::new(Duration::from_millis(2)).with_jitter(Duration::from_micros(500)),
+        ),
+        seed,
+        ..NetworkConfig::default()
+    });
+    let config = test_config().with_phase_timing(timing);
+    let (net, _reg, cores) = cluster_on(net, 2, config, false);
+    let msg = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    for _ in 0..5 {
+        msg.call("print", &[]).unwrap();
+    }
+    (net, cores)
+}
+
+/// Behind the delayed link the receiver's network phase absorbs the
+/// delay, and the caller's slow ring keeps those requests with their
+/// span trees.
+#[test]
+fn an_injected_link_delay_lands_in_the_network_phase() {
+    for seed in [7, 11, 23] {
+        let (_net, cores) = delayed_pair(seed, true);
+        let receiver = cores[1].latency_summaries();
+        let network = receiver
+            .iter()
+            .find(|s| s.phase == "network")
+            .expect("network row");
+        assert!(network.count > 0, "seed {seed}: no wire phase observed");
+        let mean = network_mean_us(&cores[1]);
+        assert!(mean >= 2_000.0, "seed {seed}: network mean {mean} us");
+        // The percentile is a log-bucket estimate: one bucket of slack.
+        assert!(network.p50.unwrap_or(0.0) >= 1_000.0, "{network:?}");
+        let slow = cores[0].slow_records();
+        let first = slow.first().expect("the slow ring retained nothing");
+        assert!(first.total_us >= 4_000, "seed {seed}: {first:?}");
+        assert!(!first.spans.is_empty(), "seed {seed}: no span snapshot");
+        teardown(&cores);
+    }
+}
+
+/// With phase timing off, the same delayed traffic records no phase and
+/// the slow ring retains nothing.
+#[test]
+fn phase_timing_off_records_no_phase_and_retains_nothing() {
+    for seed in [7, 11, 23] {
+        let (_net, cores) = delayed_pair(seed, false);
+        let receiver = cores[1].latency_summaries();
+        for s in receiver.iter().filter(|s| !s.phase.starts_with("invoke")) {
+            assert_eq!(s.count, 0, "seed {seed}: phase off recorded {s:?}");
+        }
+        let slow = cores[0].slow_records();
+        assert!(slow.is_empty(), "seed {seed}: {slow:?}");
+        teardown(&cores);
+    }
+}
+
+/// Cores built with one registry publish into it side by side, each
+/// series labelled with its Core, and a remote call leaves the link
+/// gauges behind in the JSON exposition.
+#[test]
+fn a_shared_registry_covers_every_core_and_exports_json() {
+    let net = fast_network();
+    let (reg, shared) = (registry(), TelemetryRegistry::new());
+    let cores: Vec<Core> = (0..2)
+        .map(|i| {
+            Core::builder(&net, &format!("core{i}"))
+                .registry(&reg)
+                .config(test_config())
+                .telemetry(&shared)
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    let msg = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    msg.call("print", &[]).unwrap();
+    let json = cores[0].render_metrics_json();
+    assert!(json.contains("\"name\":\"fargo_invoke_total\""), "{json}");
+    assert!(json.contains("\"core\":\"core0\""), "{json}");
+    assert!(json.contains("\"core\":\"core1\""), "{json}");
+    assert!(json.contains("\"name\":\"fargo_link_bytes\""), "{json}");
     teardown(&cores);
 }
 

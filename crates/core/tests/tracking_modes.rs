@@ -5,7 +5,9 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{cluster, cluster_with_config, counter, relay, teardown, test_config};
+use common::{
+    cluster, cluster_on, cluster_with_config, counter, fast_network, relay, teardown, test_config,
+};
 use fargo_core::{CompletId, CompletRef, Core, RefDescriptor, ResolveVia, Value};
 
 /// Index of the Core whose shard holds `id` as living on `host`. Shard
@@ -98,6 +100,56 @@ fn shard_resolves_a_stale_hint_in_one_hop_whatever_the_chain_length() {
             0,
             "k={k}: the chain must stay quiet"
         );
+        teardown(&cores);
+    }
+}
+
+#[test]
+fn a_three_hop_stale_hint_resolves_within_two_hops_at_scale() {
+    // Eight Cores; core0 hosts nothing and asks. `n` complets spread over
+    // the seven others; a sample of them is called once from core0, which
+    // pins a hint, then moved three times more. p99 resolution stays
+    // within two network hops at every population, over either
+    // transport: the bound is the protocol's, not simnet's.
+    for (n, tcp) in [(1_000, false), (4_000, false), (500, true)] {
+        let config = test_config().with_rpc_timeout(Duration::from_secs(30));
+        let (_net, _reg, cores) = cluster_on(fast_network(), 8, config, tcp);
+        let spokes = cores.len() - 1;
+        // The host of a sampled complet born at spoke `o` after `k` moves.
+        let host = |o: usize, k: usize| &cores[(o - 1 + k) % spokes + 1];
+        let stride = n / 128;
+        let mut sampled = Vec::new();
+        for i in 0..n {
+            let origin = i % spokes + 1;
+            let c = cores[origin].new_complet("Message", &[]).unwrap();
+            if i % stride == 0 && sampled.len() < 128 {
+                sampled.push((origin, c));
+            }
+        }
+        for (o, c) in &sampled {
+            c.move_to(host(*o, 1).name()).unwrap();
+        }
+        for (_, c) in &sampled {
+            cores[0]
+                .stub(c.complet_ref().clone())
+                .call("print", &[])
+                .unwrap();
+        }
+        for k in 2..=4 {
+            for (o, c) in &sampled {
+                c.move_to(host(*o, k).name()).unwrap();
+            }
+        }
+        let mut hops = Vec::new();
+        for (o, c) in &sampled {
+            owner_once_published(&cores, c.id(), host(*o, 4));
+            let r = cores[0].locate_explain(c.id()).unwrap();
+            assert_eq!(r.node, host(*o, 4).node().index(), "n={n} tcp={tcp}");
+            hops.push(r.hops);
+        }
+        hops.sort_unstable();
+        let p99 = hops[hops.len() * 99 / 100];
+        assert!(p99 <= 2, "n={n} tcp={tcp}: p99 {p99} hops");
         teardown(&cores);
     }
 }

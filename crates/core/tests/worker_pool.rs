@@ -3,14 +3,19 @@
 
 mod common;
 
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use common::{cluster_with_config, counter, registry, teardown, test_config};
 use fargo_core::{define_complet, Core, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
+/// Closed until a test opens it; `Sleeper::park` waits for it.
+static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
 define_complet! {
-    /// Holds a worker thread hostage for a caller-chosen duration.
+    /// Holds a worker thread hostage for a caller-chosen duration, or
+    /// until the gate opens.
     pub complet Sleeper {
         state {
             naps: i64 = 0,
@@ -20,6 +25,14 @@ define_complet! {
             std::thread::sleep(Duration::from_millis(ms as u64));
             self.naps += 1;
             Ok(Value::I64(self.naps))
+        }
+        fn park(&mut self, _ctx, _args) {
+            let (open, opened) = &GATE;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+            Ok(Value::Null)
         }
     }
 }
@@ -92,6 +105,44 @@ fn shed_requests_are_counted_exactly_once() {
     assert_eq!(busy.wait().expect("busy nap"), Value::I64(1));
     assert_eq!(queued.wait().expect("queued nap"), Value::I64(2));
     drop(shed);
+    teardown(&cores);
+}
+
+/// An outstanding call is an entry in the caller's pending map, not a
+/// parked thread: with the callee's two workers held at a gate, one Core
+/// holds ten thousand calls in flight at once, a queue deep enough for
+/// all of them sheds none, and every one is answered once the gate
+/// opens.
+#[test]
+fn ten_thousand_calls_stay_in_flight_without_a_rejection() {
+    const CALLS: usize = 10_000;
+    let mut cfg = test_config().with_worker_pool(2, 32_768);
+    cfg.rpc_max_retries = 0; // one transmission per call: counts are exact
+    cfg.rpc_timeout = Duration::from_secs(60);
+    let (_net, reg, cores) = cluster_with_config(2, cfg);
+    Sleeper::register(&reg);
+
+    let sleeper = cores[0]
+        .new_complet_at("core1", "Sleeper", &[])
+        .expect("spawn sleeper");
+    // The first park holds the complet; whatever the second worker picks
+    // up next waits behind it.
+    let parked: Vec<_> = (0..2).map(|_| sleeper.call_async("park", &[])).collect();
+    let calls: Vec<_> = (0..CALLS).map(|_| sleeper.call_async("nap", &[])).collect();
+    let in_flight = cores[0].inflight_rpcs();
+
+    let (open, opened) = &GATE;
+    *open.lock().unwrap() = true;
+    opened.notify_all();
+    let failed = parked
+        .into_iter()
+        .chain(calls)
+        .map(|p| p.wait())
+        .filter(Result::is_err)
+        .count();
+    assert!(in_flight >= CALLS, "{in_flight} calls in flight");
+    assert_eq!(failed, 0, "every call is answered");
+    assert_eq!(counter(&cores[1], "fargo_worker_rejections_total"), 0);
     teardown(&cores);
 }
 

@@ -406,6 +406,49 @@ mod tests {
         assert_ne!(a[&c(1)], a[&c(2)], "load capacity forces a split: {a:?}");
     }
 
+    /// The same two heavy hitters, each with light satellites (1 seat
+    /// each): under head-count capacity (6 complets ≤ 10) they are packed
+    /// together and one Core carries all 20 units; load seats split them
+    /// and no Core carries more than its 10.
+    #[test]
+    fn load_seats_split_what_count_seats_colocate() {
+        let load = |seq: u64| if seq <= 2 { 8.0 } else { 1.0 };
+        let max_core_load = |load_seats: bool| -> f64 {
+            let mut g = AffinityGraph::new();
+            g.add_edge(c(1), c(2), 100.0);
+            for s in 3..=6u64 {
+                g.add_edge(c(1 + s % 2), c(s), 2.0);
+            }
+            if load_seats {
+                for s in 1..=6u64 {
+                    g.set_load(c(s), load(s));
+                }
+            }
+            let cost = CostModel::uniform(&[0, 1]);
+            let current: BTreeMap<CompletId, u32> = (1..=6u64).map(|s| (c(s), 0)).collect();
+            let a = partition(PartitionProblem {
+                graph: &g,
+                cost: &cost,
+                current: &current,
+                capacity: Some(10),
+            });
+            if load_seats {
+                assert_ne!(a[&c(1)], a[&c(2)], "load capacity forces a split: {a:?}");
+            }
+            let mut per_core: BTreeMap<u32, f64> = BTreeMap::new();
+            for (id, core) in &a {
+                *per_core.entry(*core).or_insert(0.0) += load(id.seq);
+            }
+            per_core.values().fold(0.0, |m, &l| m.max(l))
+        };
+        let (by_count, by_load) = (max_core_load(false), max_core_load(true));
+        assert!(by_count > 10.0, "count seats overload a Core: {by_count}");
+        assert!(
+            by_load <= 10.0 + 1e-6,
+            "load seats respect capacity: {by_load}"
+        );
+    }
+
     /// A heavy hitter and its light satellites: the satellites co-locate
     /// with it up to the load capacity, and the leftover spills — the
     /// per-Core load sum never exceeds the seat budget.

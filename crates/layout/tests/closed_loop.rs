@@ -5,7 +5,10 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use fargo_core::{define_complet, CompletRegistry, Core, CoreConfig, JournalKind, Value};
+use fargo_core::{
+    define_complet, BoundRef, CompletRef, CompletRegistry, Core, CoreConfig, FargoError,
+    JournalKind, Value,
+};
 use fargo_layout::{AutoLayout, Executor, ExecutorConfig, LayoutPlan, MoveStep, PlannerConfig};
 use fargo_wire::CompletId;
 use simnet::{LinkConfig, Network, NetworkConfig};
@@ -23,9 +26,31 @@ define_complet! {
     }
 }
 
+define_complet! {
+    /// Calls the services it holds references to.
+    pub complet Hub {
+        state {
+            deps: Vec<CompletRef> = Vec::new(),
+        }
+        fn add_dep(&mut self, _ctx, args) {
+            let d = args.first().and_then(Value::as_ref_desc).cloned()
+                .ok_or_else(|| FargoError::InvalidArgument("need a ref".into()))?;
+            self.deps.push(CompletRef::from_descriptor(d));
+            Ok(Value::Null)
+        }
+        fn call_dep(&mut self, ctx, args) {
+            let i = args.first().and_then(Value::as_i64).unwrap_or(0) as usize;
+            let d = self.deps.get(i).cloned()
+                .ok_or_else(|| FargoError::App("no such dep".into()))?;
+            ctx.call(&d, "touch", &[])
+        }
+    }
+}
+
 fn registry() -> CompletRegistry {
     let reg = CompletRegistry::new();
     Echo::register(&reg);
+    Hub::register(&reg);
     reg
 }
 
@@ -132,6 +157,117 @@ fn skewed_traffic_converges_to_colocation() {
     auto.detach();
     for c in &cores {
         c.stop();
+    }
+}
+
+/// Inter-Core messages so far, over every directed link between
+/// `cores`, less every retransmission: what the protocol sent, not what
+/// a busy host sent again.
+fn remote_messages(net: &Network, cores: &[Core]) -> u64 {
+    let mut sent = 0;
+    for a in cores {
+        for b in cores.iter().filter(|b| b.node() != a.node()) {
+            sent += net.link_stats(a.node(), b.node()).messages;
+        }
+    }
+    sent - cores.iter().map(|c| c.reliability_stats().0).sum::<u64>()
+}
+
+/// Three Hubs, one per Core, each calling two Echoes placed on the two
+/// other Cores: every call of the workload crosses a link.
+fn scattered_hubs(cores: &[Core]) -> Vec<BoundRef> {
+    (0..cores.len())
+        .map(|home| {
+            let hub = cores[home].new_complet("Hub", &[]).unwrap();
+            for d in 1..=2 {
+                let at = cores[(home + d) % cores.len()].name();
+                let echo = cores[home].new_complet_at(at, "Echo", &[]).unwrap();
+                hub.call("add_dep", &[echo.complet_ref().descriptor().into()])
+                    .unwrap();
+            }
+            hub
+        })
+        .collect()
+}
+
+/// Remote messages spent by `passes` rounds of every hub calling both
+/// of its dependencies.
+fn drive(net: &Network, cores: &[Core], hubs: &[BoundRef], passes: usize) -> u64 {
+    let before = remote_messages(net, cores);
+    for _ in 0..passes {
+        for hub in hubs {
+            for d in 0..2 {
+                hub.call("call_dep", &[Value::I64(d)]).unwrap();
+            }
+        }
+    }
+    remote_messages(net, cores) - before
+}
+
+/// Observed traffic, not the deployer, decides placement: from a layout
+/// where every call crosses a link, the converged loop cuts the
+/// workload's inter-Core messages by at least 30%. Attached but
+/// disabled, the loop runs no planning round and asks no peer for its
+/// edge rows.
+#[test]
+fn planner_cuts_remote_messages_and_a_disabled_loop_plans_nothing() {
+    let config = CoreConfig {
+        monitor_tick: Duration::from_millis(10),
+        rpc_timeout: Duration::from_secs(5),
+        ..CoreConfig::default()
+    };
+    for seed in [7, 11, 23] {
+        let net = jittery_network(seed);
+        let cores = spawn_cluster(&net, 3, &config);
+        let hubs = scattered_hubs(&cores);
+        drive(&net, &cores, &hubs, 20);
+        let fixed = drive(&net, &cores, &hubs, 60);
+
+        let auto = AutoLayout::attach_with(
+            cores[0].clone(),
+            PlannerConfig {
+                period_ticks: 2,
+                hysteresis: 0.02,
+                max_moves: 8,
+                ..PlannerConfig::default()
+            },
+            ExecutorConfig::default(),
+        );
+        drive(&net, &cores, &hubs, 20);
+        std::thread::sleep(config.monitor_tick * 3 * auto.planner().config().period_ticks);
+        let edge_requests = [("core", "core0"), ("kind", "edges")];
+        let asked = cores[0]
+            .telemetry()
+            .counter("fargo_msg_out_total", &edge_requests)
+            .get();
+        assert_eq!(
+            auto.status().rounds,
+            0,
+            "seed {seed}: a disabled loop planned"
+        );
+        assert_eq!(asked, 0, "seed {seed}: a disabled loop asked for edge rows");
+
+        auto.enable();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !auto.status().converged() {
+            assert!(
+                Instant::now() < deadline,
+                "seed {seed}: no convergence; status {:?}",
+                auto.status()
+            );
+            drive(&net, &cores, &hubs, 1);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        auto.disable();
+        let planned = drive(&net, &cores, &hubs, 60);
+        auto.detach();
+        assert!(
+            planned * 10 <= fixed * 7,
+            "seed {seed}: {planned} remote messages planned vs {fixed} static"
+        );
+        for c in &cores {
+            c.stop();
+        }
     }
 }
 

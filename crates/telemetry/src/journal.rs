@@ -762,8 +762,8 @@ impl LayoutHistory {
 
 // --- JSON exposition -------------------------------------------------------
 
-/// Renders a merged timeline as a JSON array, for the experiments runner
-/// and any external tooling. One object per event, stable key order.
+/// Renders a merged timeline as a JSON array, for `fargo-check` and any
+/// external tooling. One object per event, stable key order.
 pub fn render_journal_json(events: &[JournalEvent]) -> String {
     let mut out = String::from("[");
     for (i, e) in events.iter().enumerate() {
