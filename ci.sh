@@ -50,6 +50,66 @@ loc() {
         END { printf "CoreConfig fields: %d\n", fields }
     ' crates/core/src/config.rs
 }
+# The trajectory file: `./ci.sh bench <pr> [runs]` runs BENCHMARK.json's
+# command on each of its workloads `runs` times (default 3), a fresh
+# process each, plus one `--trace 1` run, folds each run's last line
+# ({correct, attempted, failed, metrics}) with jq, and writes
+# BENCH_<pr>.json at the repository root: the commit (and whether the
+# tree differed from it), the loc stage's lines, and per workload the
+# median, q1 and q3 of every end-to-end metric over the untraced runs,
+# the traced run's per-layer values, and the attempted/failed totals.
+# A plain ./ci.sh never runs it, and it gates nothing.
+bench() { # <pr> [runs]
+    pr=$1
+    runs=${2:-3}
+    tmp=$(mktemp -d)
+    seconds=$(jq -r '.run_seconds' BENCHMARK.json)
+    # BENCHMARK.json's command: arguments without spaces, one per word.
+    command=$(jq -r '.command | join(" ")' BENCHMARK.json)
+    for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+        i=0
+        while [ "$i" -lt "$runs" ]; do
+            echo "==> bench $w run $((i + 1))/$runs"
+            $command --workload "$w" --seconds "$seconds" | tail -n 1 >"$tmp/$w.$i.run"
+            i=$((i + 1))
+        done
+        echo "==> bench $w traced"
+        $command --workload "$w" --seconds "$seconds" --trace 1 | tail -n 1 >"$tmp/$w.trace"
+        jq -s --arg w "$w" --slurpfile traced "$tmp/$w.trace" '
+            def q(p): sort | ((length - 1) * p) as $i | ($i | floor) as $lo
+                | .[$lo] + (.[$i | ceil] - .[$lo]) * ($i - $lo);
+            . as $runs | ($runs + $traced) as $all | {
+                workload: $w,
+                runs: ($runs | length),
+                correct: ([$all[].correct] | all),
+                attempted: ([$all[].attempted] | add),
+                failed: ([$all[].failed] | add),
+                end_to_end: ($runs[0].metrics | with_entries(.key as $m | .value = {
+                    unit: .value.unit,
+                    median: ([$runs[].metrics[$m].value] | q(0.5)),
+                    q1: ([$runs[].metrics[$m].value] | q(0.25)),
+                    q3: ([$runs[].metrics[$m].value] | q(0.75))
+                })),
+                per_layer: ($traced[0].metrics | map_values(.value))
+            }' "$tmp/$w".[0-9]*.run >"$tmp/$w.summary"
+    done
+    jq -s --argjson pr "$pr" --arg commit "$(git rev-parse HEAD)" \
+        --argjson dirty "$([ -n "$(git status --porcelain --untracked-files=no)" ] && echo true || echo false)" \
+        --arg loc "$(loc)" '{
+            pr: $pr,
+            commit: $commit,
+            dirty: $dirty,
+            loc: ($loc | split("\n") | map(sub("^ +"; ""))),
+            workloads: .
+        }' "$tmp"/*.summary >"BENCH_$pr.json"
+    rm -rf "$tmp"
+    echo "wrote BENCH_$pr.json"
+}
+if [ "${1:-}" = bench ]; then
+    bench "${2:?usage: ./ci.sh bench <pr> [runs]}" "${3:-3}"
+    exit 0
+fi
+
 echo "==> loc (report only)"
 loc
 if [ "${1:-}" = loc ]; then exit 0; fi
@@ -83,11 +143,15 @@ done
 # must decode to Err (a log: stop at the torn frame) or to a valid
 # message or record, without a panic and without asking the allocator
 # for more than a small multiple of the input. The filter matches
-# `proto::tests::` and `runtime::wal::tests::`.
+# `proto::tests::` and `runtime::wal::tests::`. The TCP frame reader
+# gets the same treatment: 12k mutants of framed values per seed, none
+# of which may make it ask for one allocation above
+# max(64 KiB, 2 x the bytes on the stream).
 for seed in 7 11 23; do
-    echo "==> proto + wal mutation fuzz (seed $seed)"
+    echo "==> proto + wal + frame mutation fuzz (seed $seed)"
     FARGO_PROTO_FUZZ_SEED=$seed cargo test -q -p fargo-core --lib \
         mutation_fuzz_never_panics_or_over_allocates
+    FARGO_NET_FUZZ_SEED=$seed cargo test -q -p fargo-net --test frame_fuzz
 done
 
 # By-value memory bound: 2,000 alternating `scan(256)` / `put_batch(256)`

@@ -21,7 +21,7 @@ use std::thread;
 use std::time::Duration;
 
 use fargo_core::{
-    define_complet, CompletRef, CompletRegistry, Core, CoreConfig, FargoError, Value,
+    define_complet, CompletId, CompletRef, CompletRegistry, Core, CoreConfig, FargoError, Value,
 };
 use fargo_telemetry::{merge_timelines, Clock, JournalEvent};
 use simnet::{LinkConfig, Network, NetworkConfig};
@@ -350,6 +350,9 @@ impl Cluster {
             }
             Op::Invoke { from, .. } => self.down.get(from).copied().unwrap_or(false),
             Op::Move { to, .. } => self.down.get(to).copied().unwrap_or(false),
+            Op::MoveMany { to, .. } => [to, (to + 1) % self.cores.len()]
+                .iter()
+                .any(|&c| self.down.get(c).copied().unwrap_or(false)),
             _ => false,
         }
     }
@@ -503,6 +506,27 @@ fn apply(
             cl.cores[to]
                 .move_complet(r.id(), &dest, None)
                 .map_err(|e| format!("move slot{slot} -> {dest}: {e}"))
+        }
+        Op::MoveMany { ref slots, to } => {
+            let bound = slots.iter().filter_map(|&s| refs[s].get());
+            let ids: Vec<CompletId> = bound.map(|r| r.id()).collect();
+            let hosts = || -> Vec<Option<usize>> {
+                let host = |&id| cl.cores.iter().position(|c: &Core| c.hosts(id));
+                ids.iter().map(host).collect()
+            };
+            let (before, dest) = (hosts(), cl.cores[to].name().to_owned());
+            // Issued from the Core after `to`, which hosts the slots in
+            // some schedules (the local path) and not in others (one
+            // list-form `MoveRequest` to their host).
+            match cl.cores[(to + 1) % cl.cores.len()].move_many(&ids, &dest) {
+                // Slots on two Cores fail as a unit, with nothing moved.
+                Err(FargoError::UnknownComplet(_))
+                    if before.iter().any(|h| *h != before[0]) && hosts() == before =>
+                {
+                    Ok(())
+                }
+                result => result.map_err(|e| format!("move-many {slots:?} -> {dest}: {e}")),
+            }
         }
         Op::Link {
             holder,
@@ -778,7 +802,7 @@ fn stress_phase(
             let _ = apply(cl, refs, audits, op);
             let _ = cl.quiesce(1000);
         } else {
-            rest.push(*op);
+            rest.push(op.clone());
         }
     }
     thread::scope(|s| {

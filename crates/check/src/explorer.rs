@@ -7,7 +7,7 @@
 //! bugs (every ordering fails). The report carries everything needed to
 //! replay: the seed, the violations, and the shrunk schedule text.
 
-use crate::driver::{run, RunConfig, RunReport};
+use crate::driver::{run, RunConfig};
 use crate::oracles::Violation;
 use crate::shrink::shrink_schedule;
 use crate::workload::Schedule;
@@ -74,18 +74,6 @@ impl SweepReport {
     pub fn clean(&self) -> bool {
         self.failures.is_empty()
     }
-}
-
-/// Generates and runs the schedule for one seed.
-pub fn run_seed(seed: u64, ops: usize, cores: usize, stress: bool) -> RunReport {
-    let schedule = Schedule::generate(seed, ops, cores);
-    run(
-        &schedule,
-        &RunConfig {
-            stress,
-            ..RunConfig::default()
-        },
-    )
 }
 
 /// Sweeps the configured seed window.

@@ -13,9 +13,16 @@ pub const RELOCATORS: [&str; 4] = ["link", "pull", "duplicate", "stamp"];
 /// moves and invocations keep colliding on the same complets.
 pub const MAX_SLOTS: usize = 6;
 
+/// Each schedule's op mix as cumulative percentages of a roll, one per
+/// kind in order: new, invoke, move, move-many, link, advance, collect,
+/// crash, restart, partition; heal takes what is left. A `new` roll
+/// invokes once every slot exists.
+const MIX: [u64; 10] = [18, 46, 68, 76, 86, 94, 100, 100, 100, 100];
+const FAULTY_MIX: [u64; 10] = [14, 38, 52, 58, 64, 72, 76, 84, 92, 96];
+
 /// One step of a schedule. Slots index the driver's complet table; cores
 /// index the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Op {
     /// Create a fresh complet in `slot`, hosted on `core`.
     New { slot: usize, core: usize },
@@ -24,6 +31,9 @@ pub enum Op {
     Invoke { slot: usize, from: usize },
     /// Relocate the complet in `slot` to Core `to`.
     Move { slot: usize, to: usize },
+    /// Relocate the complets in `slots` to Core `to` in one transaction,
+    /// which fails as a unit when they do not share one host.
+    MoveMany { slots: Vec<usize>, to: usize },
     /// Make `holder`'s complet hold a reference to `dep`'s complet,
     /// typed with `RELOCATORS[relocator]` — later moves of the holder
     /// then exercise pull/duplicate/stamp closures.
@@ -74,46 +84,7 @@ impl Schedule {
     /// Generates the schedule for `seed`: `n_ops` ops over `n_cores`
     /// Cores. Ops only reference slots already created.
     pub fn generate(seed: u64, n_ops: usize, n_cores: usize) -> Schedule {
-        let cores = n_cores.max(2);
-        let mut rng = Rng::new(seed);
-        let mut ops = Vec::with_capacity(n_ops);
-        let mut created = 0usize;
-        while ops.len() < n_ops {
-            let roll = rng.below(100);
-            let op = if created == 0 || (roll < 18 && created < MAX_SLOTS) {
-                created += 1;
-                Op::New {
-                    slot: created - 1,
-                    core: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 46 {
-                Op::Invoke {
-                    slot: rng.below(created as u64) as usize,
-                    from: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 76 {
-                Op::Move {
-                    slot: rng.below(created as u64) as usize,
-                    to: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 86 {
-                Op::Link {
-                    holder: rng.below(created as u64) as usize,
-                    dep: rng.below(created as u64) as usize,
-                    relocator: rng.below(RELOCATORS.len() as u64) as usize,
-                }
-            } else if roll < 94 {
-                Op::Advance {
-                    micros: (1 + rng.below(5)) * 100_000,
-                }
-            } else {
-                Op::Collect {
-                    core: rng.below(cores as u64) as usize,
-                }
-            };
-            ops.push(op);
-        }
-        Schedule { seed, cores, ops }
+        Schedule::generate_from(&MIX, seed, n_ops, n_cores.max(2))
     }
 
     /// Generates a fault schedule for `seed`: the workload mix of
@@ -124,58 +95,65 @@ impl Schedule {
     /// driver rather than forbidden here, so ddmin can delete any op and
     /// the remainder still replays.
     pub fn generate_faulty(seed: u64, n_ops: usize, n_cores: usize) -> Schedule {
-        let cores = n_cores.max(3);
+        Schedule::generate_from(&FAULTY_MIX, seed, n_ops, n_cores.max(3))
+    }
+
+    fn generate_from(mix: &[u64; 10], seed: u64, n_ops: usize, cores: usize) -> Schedule {
         let mut rng = Rng::new(seed);
         let mut ops = Vec::with_capacity(n_ops);
         let mut created = 0usize;
+        let below = |rng: &mut Rng, n: usize| rng.below(n as u64) as usize;
         while ops.len() < n_ops {
             let roll = rng.below(100);
-            let op = if created == 0 || (roll < 14 && created < MAX_SLOTS) {
-                created += 1;
-                Op::New {
-                    slot: created - 1,
-                    core: rng.below(cores as u64) as usize,
+            let op = match mix.iter().position(|&t| roll < t).unwrap_or(mix.len()) {
+                k if created == 0 || (k == 0 && created < MAX_SLOTS) => {
+                    created += 1;
+                    let core = below(&mut rng, cores);
+                    Op::New {
+                        slot: created - 1,
+                        core,
+                    }
                 }
-            } else if roll < 38 {
-                Op::Invoke {
-                    slot: rng.below(created as u64) as usize,
-                    from: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 58 {
-                Op::Move {
-                    slot: rng.below(created as u64) as usize,
-                    to: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 64 {
-                Op::Link {
-                    holder: rng.below(created as u64) as usize,
-                    dep: rng.below(created as u64) as usize,
-                    relocator: rng.below(RELOCATORS.len() as u64) as usize,
-                }
-            } else if roll < 72 {
-                Op::Advance {
+                0 | 1 => Op::Invoke {
+                    slot: below(&mut rng, created),
+                    from: below(&mut rng, cores),
+                },
+                2 => Op::Move {
+                    slot: below(&mut rng, created),
+                    to: below(&mut rng, cores),
+                },
+                3 => Op::MoveMany {
+                    slots: (0..2 + below(&mut rng, 2))
+                        .map(|_| below(&mut rng, created))
+                        .collect(),
+                    to: below(&mut rng, cores),
+                },
+                4 => Op::Link {
+                    holder: below(&mut rng, created),
+                    dep: below(&mut rng, created),
+                    relocator: below(&mut rng, RELOCATORS.len()),
+                },
+                5 => Op::Advance {
                     micros: (1 + rng.below(5)) * 100_000,
+                },
+                6 => Op::Collect {
+                    core: below(&mut rng, cores),
+                },
+                7 => Op::Crash {
+                    core: 1 + below(&mut rng, cores - 1),
+                },
+                8 => Op::Restart {
+                    core: 1 + below(&mut rng, cores - 1),
+                },
+                k => {
+                    let a = below(&mut rng, cores);
+                    let b = (a + 1 + below(&mut rng, cores - 1)) % cores;
+                    if k == 9 {
+                        Op::Partition { a, b }
+                    } else {
+                        Op::Heal { a, b }
+                    }
                 }
-            } else if roll < 76 {
-                Op::Collect {
-                    core: rng.below(cores as u64) as usize,
-                }
-            } else if roll < 84 {
-                Op::Crash {
-                    core: 1 + rng.below((cores - 1) as u64) as usize,
-                }
-            } else if roll < 92 {
-                Op::Restart {
-                    core: 1 + rng.below((cores - 1) as u64) as usize,
-                }
-            } else if roll < 96 {
-                let a = rng.below(cores as u64) as usize;
-                let b = (a + 1 + rng.below((cores - 1) as u64) as usize) % cores;
-                Op::Partition { a, b }
-            } else {
-                let a = rng.below(cores as u64) as usize;
-                let b = (a + 1 + rng.below((cores - 1) as u64) as usize) % cores;
-                Op::Heal { a, b }
             };
             ops.push(op);
         }
@@ -188,6 +166,7 @@ impl Schedule {
             .iter()
             .map(|op| match *op {
                 Op::New { slot, .. } | Op::Invoke { slot, .. } | Op::Move { slot, .. } => slot + 1,
+                Op::MoveMany { ref slots, .. } => slots.iter().max().map_or(0, |s| s + 1),
                 Op::Link { holder, dep, .. } => holder.max(dep) + 1,
                 Op::Advance { .. }
                 | Op::Collect { .. }
@@ -212,6 +191,10 @@ impl Schedule {
                 Op::New { slot, core } => format!("new {slot} @{core}"),
                 Op::Invoke { slot, from } => format!("invoke {slot} from {from}"),
                 Op::Move { slot, to } => format!("move {slot} -> {to}"),
+                Op::MoveMany { ref slots, to } => {
+                    let slots: Vec<String> = slots.iter().map(usize::to_string).collect();
+                    format!("move-many {} -> {to}", slots.join(","))
+                }
                 Op::Link {
                     holder,
                     dep,
@@ -268,6 +251,13 @@ impl Schedule {
                 },
                 ["move", slot, "->", to] => Op::Move {
                     slot: num(slot, "slot")?,
+                    to: num(to, "core")?,
+                },
+                ["move-many", slots, "->", to] => Op::MoveMany {
+                    slots: slots
+                        .split(',')
+                        .map(|s| num(s, "slot"))
+                        .collect::<Result<_, _>>()?,
                     to: num(to, "core")?,
                 },
                 ["link", holder, dep, reloc] => Op::Link {
@@ -330,6 +320,7 @@ mod tests {
     #[test]
     fn text_roundtrip() {
         let s = Schedule::generate(1234, 40, 4);
+        assert!(s.ops.iter().any(|op| matches!(op, Op::MoveMany { .. })));
         let parsed = Schedule::parse(&s.to_text()).unwrap();
         assert_eq!(parsed, s);
     }
@@ -338,6 +329,7 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(Schedule::parse("teleport 3 -> 9").is_err());
         assert!(Schedule::parse("link 0 1 osmosis").is_err());
+        assert!(Schedule::parse("move-many 0,,1 -> 2").is_err());
     }
 
     #[test]

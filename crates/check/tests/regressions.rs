@@ -145,6 +145,47 @@ fn seed_779_origin_crash_loses_forwarding_trackers() {
     );
 }
 
+/// `move-many` is issued from the Core after its destination: here
+/// first from the slots' host (the local path), then from a Core that
+/// hosts neither (one list-form `MoveRequest`), then for slots on two
+/// Cores, which must fail as a unit with nothing moved.
+#[test]
+fn move_many_runs_locally_remotely_and_fails_as_a_unit() {
+    assert_clean(
+        1,
+        "# fargo-check schedule v1 seed=1 cores=3\n\
+         new 0 @0\n\
+         new 1 @0\n\
+         new 2 @1\n\
+         link 0 1 pull\n\
+         move-many 0,1 -> 2\n\
+         move-many 1,0 -> 0\n\
+         move-many 0,2 -> 2\n\
+         invoke 0 from 1\n\
+         invoke 1 from 2\n\
+         invoke 2 from 0\n",
+    );
+}
+
+/// Fault-sweep find: the shard owner of slot 1 (core 1) crashed and
+/// restarted without its slice, and the origin collected its idle
+/// forwarding tracker, so the final audit found no way to the complet
+/// living on core 2. At such a dead end a Core now asks its peers
+/// whether they host the complet.
+#[test]
+fn seed_103_dead_end_after_the_shard_owner_restarts() {
+    assert_clean(
+        103,
+        "# fargo-check schedule v1 seed=103 cores=3\n\
+         new 1 @0\n\
+         move 1 -> 2\n\
+         new 2 @1\n\
+         crash 1\n\
+         advance 400000\n\
+         collect 0\n",
+    );
+}
+
 /// Same root cause as seed 215, caught through the move path: the
 /// restarted Core's move/locate RPCs were answered from stale dedup
 /// entries, leaving the moved complet unreachable.

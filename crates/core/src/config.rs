@@ -247,12 +247,6 @@ impl CoreConfig {
         self.journal_seq_base = base;
         self
     }
-
-    /// The anomaly-pass thresholds the shell and the observatory run
-    /// with (the telemetry layer's defaults; not tunable per Core).
-    pub fn anomaly_thresholds(&self) -> fargo_telemetry::AnomalyThresholds {
-        fargo_telemetry::AnomalyThresholds::default()
-    }
 }
 
 #[cfg(test)]

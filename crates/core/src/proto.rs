@@ -115,9 +115,9 @@ pub(crate) enum Request {
     /// constructs and *holds* the complets — invisible and un-invocable
     /// — until it hears `MoveCommit`.
     MovePrepare {
-        /// The moved root (the transaction key together with `epoch`).
+        /// The first moved root (the transaction key together with `epoch`).
         root: CompletId,
-        /// The root's move epoch for this transaction.
+        /// That root's move epoch for this transaction.
         epoch: u64,
         packets: Vec<CompletPacket>,
         continuation: Option<Continuation>,
@@ -136,8 +136,8 @@ pub(crate) enum Request {
     NameLookup { name: String },
     /// Fetch a complet's marshaled state (remote `duplicate`).
     FetchState { id: CompletId },
-    /// Ask the receiver (the complet's current host) to move it.
-    MoveRequest { id: CompletId, dest: u32 },
+    /// Ask the host of `ids[0]` to move `ids` to `dest` in one transaction.
+    MoveRequest { ids: Vec<CompletId>, dest: u32 },
     /// Where does the receiver's tracker table believe this complet is
     /// (one step of the chain walk)?
     WhereIs { id: CompletId },
@@ -626,9 +626,9 @@ wire_enum! { FargoError, "error tag";
 
 // --- bodies --------------------------------------------------------------------
 
-// Tags 1 and 5 are retired (the single-phase move stream; the source's
-// in-doubt query `MoveQuery`) and decode to `Err`; the remaining tags keep
-// their numbers.
+// Tags 1, 5 and 10 are retired (the single-phase move stream; the
+// source's in-doubt query `MoveQuery`; the single-id `MoveRequest`) and
+// decode to `Err`; the remaining tags keep their numbers.
 wire_enum! { Request, "request tag";
     0 => Invoke { target, method, args, chain, path, hops },
     2 => MovePrepare { root, epoch, packets, continuation },
@@ -638,7 +638,6 @@ wire_enum! { Request, "request tag";
     7 => NewComplet { type_name, args },
     8 => NameLookup { name },
     9 => FetchState { id },
-    10 => MoveRequest { id, dest },
     11 => WhereIs { id },
     12 => LocateQuery { id },
     13 => ShardList,
@@ -652,6 +651,7 @@ wire_enum! { Request, "request tag";
     21 => TrafficMatrix,
     22 => Ping,
     23 => InvokeEdges,
+    24 => MoveRequest { ids, dest },
 }
 
 // Tag 1 is retired (it was `MoveOk`, a commit's answer, now `Ok`) and
@@ -967,7 +967,14 @@ pub(crate) mod tests {
                 name: "postbox".into(),
             },
             Request::FetchState { id: id(4) },
-            Request::MoveRequest { id: id(4), dest: 2 },
+            Request::MoveRequest {
+                ids: vec![id(4)],
+                dest: 2,
+            },
+            Request::MoveRequest {
+                ids: vec![id(4), id(8), id(1)],
+                dest: 2,
+            },
             Request::WhereIs { id: id(5) },
             Request::LocateQuery { id: id(6) },
             Request::ShardList,
@@ -1506,7 +1513,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Request tags 1 and 5, reply tag 1 and move-state tag 0 are
+    /// Request tags 1, 5 and 10, reply tag 1 and move-state tag 0 are
     /// retired: a frame carrying one is an error, and the surviving
     /// request kinds keep the tag numbers peers already speak.
     #[test]
@@ -1531,7 +1538,6 @@ pub(crate) mod tests {
                 Request::NewComplet { .. } => 7,
                 Request::NameLookup { .. } => 8,
                 Request::FetchState { .. } => 9,
-                Request::MoveRequest { .. } => 10,
                 Request::WhereIs { .. } => 11,
                 Request::LocateQuery { .. } => 12,
                 Request::ShardList => 13,
@@ -1545,6 +1551,7 @@ pub(crate) mod tests {
                 Request::TrafficMatrix => 21,
                 Request::Ping => 22,
                 Request::InvokeEdges => 23,
+                Request::MoveRequest { .. } => 24,
             };
             seen.insert(tag);
             let msg = Message::Request {
@@ -1556,7 +1563,7 @@ pub(crate) mod tests {
             let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
-            for retired in [1, 5] {
+            for retired in [1, 5, 10] {
                 assert!(patched(&msg, TAG_AT, retired).is_err(), "{msg:?}");
             }
         }

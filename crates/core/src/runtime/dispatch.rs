@@ -254,8 +254,8 @@ impl Core {
                 desc: self.lookup(&name).map(|r| r.descriptor()),
             },
             Request::FetchState { id } => self.handle_fetch_state(id),
-            Request::MoveRequest { id, dest } => {
-                match self.move_complet(id, &self.core_name_of(dest), None) {
+            Request::MoveRequest { ids, dest } => {
+                match self.move_many(&ids, &self.core_name_of(dest)) {
                     Ok(()) => Reply::Ok,
                     Err(e) => Reply::Err(e),
                 }

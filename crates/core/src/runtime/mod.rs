@@ -465,11 +465,6 @@ impl Core {
         self.inner.tick_hooks.lock().retain(|(h, _)| *h != id);
     }
 
-    /// Whether the Core is still accepting work.
-    pub fn is_running(&self) -> bool {
-        !self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     // --- complet management ----------------------------------------------
 
     /// Instantiates a complet of a registered type on this Core and
@@ -1016,13 +1011,6 @@ impl std::fmt::Debug for BoundRef {
 impl Core {
     pub(crate) fn make_ctx(&self, id: CompletId, type_name: &str, chain: Vec<CompletId>) -> Ctx {
         Ctx::new(self.clone(), id, type_name.to_owned(), chain)
-    }
-
-    /// Builds a bare invocation context for driving complet code outside
-    /// the normal dispatch path — benchmarking and test tooling only.
-    #[doc(hidden)]
-    pub fn test_ctx(&self, id: CompletId, type_name: &str) -> Ctx {
-        self.make_ctx(id, type_name, vec![id])
     }
 
     /// Executes the deferred relocations a [`Ctx`] accumulated.

@@ -10,10 +10,11 @@
 //! * `stamp` — only the target's type travels; the destination re-binds
 //!   to a local complet of that type.
 //!
-//! Everything that moves as a result of one request ships in **one**
-//! inter-Core message. Incoming references are preserved by repointing
-//! the local trackers to the destination; outgoing references are
-//! preserved because descriptors keep tracking their targets.
+//! Everything that moves as a result of one request — one root's
+//! closure, or the closures of every root given to `move_many` — ships
+//! in **one** inter-Core message. Incoming references are preserved by
+//! repointing the local trackers to the destination; outgoing references
+//! are preserved because descriptors keep tracking their targets.
 //!
 //! The sending half is the two-phase protocol's steps, in order:
 //! `marshal_closure`, `prepare`, `decide`, then `commit` and
@@ -25,6 +26,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread;
 
 use fargo_telemetry::{JournalKind, TraceContext};
@@ -43,18 +45,21 @@ use crate::telemetry::SpanParent;
 
 /// A complet taken out of its slot for departure.
 struct Departing {
-    id: CompletId,
-    type_name: String,
+    /// The slot it was taken out of, marked in transit.
+    slot: Arc<CompletSlot>,
     complet: Box<dyn Complet>,
     names: Vec<String>,
+    /// The departure's move epoch (its packet's).
+    epoch: u64,
 }
 
 /// What a marshaled closure leaves behind at the source until the
 /// verdict (its packets travel in `MovePrepare`).
 struct Closure {
-    /// The root's move epoch: `(root, epoch)` names the transaction.
+    /// The first root's move epoch: `(first root, epoch)` names the
+    /// transaction.
     epoch: u64,
-    /// Taken out of their slots, root first.
+    /// Taken out of their slots, first root first.
     departing: Vec<Departing>,
     /// `pull` targets hosted elsewhere: they follow with moves of their
     /// own once the closure has left.
@@ -101,49 +106,61 @@ impl Core {
         dest: &str,
         continuation: Option<(String, Vec<Value>)>,
     ) -> Result<()> {
-        let dest_node = self.resolve_core(dest)?;
-        if !self.hosts(id) {
-            let host = self.locate(id)?;
-            if host == self.inner.node.index() {
-                return Err(FargoError::UnknownComplet(id));
+        self.move_roots(&[id], dest, continuation)
+    }
+
+    /// Moves the complets `ids`, which share one host, to the Core named
+    /// `dest` as **one** transaction (keyed by the first id): one
+    /// `MovePrepare` carries all their closures, and they commit or abort
+    /// as a unit. The request is forwarded to the host of the first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Core::move_complet`]; [`FargoError::UnknownComplet`] when one
+    /// of `ids` is not hosted where the first is.
+    pub fn move_many(&self, ids: &[CompletId], dest: &str) -> Result<()> {
+        self.move_roots(ids, dest, None)
+    }
+
+    /// The one move path: one `MoveRequest` to the first root's host when
+    /// this Core is not it, otherwise the sending half of the mobility
+    /// protocol, step by step, in a `move` span (root, or a child of the
+    /// ambient trace when moved from inside an invocation).
+    fn move_roots(
+        &self,
+        roots: &[CompletId],
+        dest: &str,
+        continuation: Option<(String, Vec<Value>)>,
+    ) -> Result<()> {
+        let (dest, me) = (self.resolve_core(dest)?, self.inner.node.index());
+        let Some(&root) = roots.first() else {
+            return Ok(());
+        };
+        if !self.hosts(root) {
+            let host = self.locate(root)?;
+            if host == me {
+                return Err(FargoError::UnknownComplet(root));
             }
-            if host == dest_node {
-                return Ok(());
-            }
-            return match self.rpc(
-                host,
-                Request::MoveRequest {
-                    id,
-                    dest: dest_node,
-                },
-            )? {
+            let ids = roots.to_vec();
+            return match self.rpc(host, Request::MoveRequest { ids, dest })? {
                 Reply::Ok => Ok(()),
                 Reply::Err(e) => Err(e),
                 other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
             };
         }
-        if dest_node == self.inner.node.index() {
-            return Ok(());
+        if dest == me {
+            return match roots.iter().find(|&&id| !self.hosts(id)) {
+                Some(&id) => Err(FargoError::UnknownComplet(id)),
+                None => Ok(()),
+            };
         }
-        self.move_local(id, dest_node, continuation)
-    }
-
-    /// The sending half of the mobility protocol for a locally hosted
-    /// root complet, step by step, in a `move` span (root, or a child of
-    /// the ambient trace when moved from inside an invocation).
-    fn move_local(
-        &self,
-        root: CompletId,
-        dest: u32,
-        continuation: Option<(String, Vec<Value>)>,
-    ) -> Result<()> {
         let t = &self.inner.telemetry;
         let _span = t.span(SpanParent::Ambient, || {
             format!("move {root} -> {}", self.core_name_of(dest))
         });
         t.moves_attempted_total.inc();
         let result = self
-            .marshal_closure(root, dest)
+            .marshal_closure(roots, dest)
             .and_then(|(closure, packets)| {
                 let continuation = continuation.map(|(method, args)| Continuation {
                     target: root,
@@ -175,24 +192,34 @@ impl Core {
         result
     }
 
-    /// Marshal: walks the closure from `root` (§3.3), taking every
+    /// Marshal: walks the closure from `roots` (§3.3), taking every
     /// complet it reaches here out of its slot (`marshal_one`);
-    /// a `pull` target hosted elsewhere is left to a move of its own.
+    /// a `pull` target hosted elsewhere is left to a move of its own,
+    /// while a root that is not here fails the whole walk.
     /// Returns what stays behind and the packets that leave — one per
     /// departing complet, in the same order, then one per `duplicate`
     /// copy. On failure whatever was taken out is restored.
-    fn marshal_closure(&self, root: CompletId, dest: u32) -> Result<(Closure, Vec<CompletPacket>)> {
+    fn marshal_closure(
+        &self,
+        roots: &[CompletId],
+        dest: u32,
+    ) -> Result<(Closure, Vec<CompletPacket>)> {
         let t = &self.inner.telemetry;
         let marshal_start = t.phase_timing.then(|| t.phase_now_us());
         let (mut departing, mut packets, mut remote_pulls) = (Vec::new(), Vec::new(), Vec::new());
         // Original target -> its copy, for `duplicate` references.
         let mut copies: HashMap<CompletId, CompletPacket> = HashMap::new();
-        let mut queue = VecDeque::from([root]);
-        let mut visited = HashSet::from([root]);
+        let mut visited = HashSet::new();
+        let mut queue: VecDeque<_> = roots
+            .iter()
+            .copied()
+            .filter(|&r| visited.insert(r))
+            .collect();
         while let Some(cur) = queue.pop_front() {
             let Some(slot) = self.inner.complets.read().get(&cur).cloned() else {
-                if cur == root {
-                    return Err(FargoError::UnknownComplet(root));
+                if roots.contains(&cur) {
+                    self.restore(departing);
+                    return Err(FargoError::UnknownComplet(cur));
                 }
                 remote_pulls.push(cur);
                 continue;
@@ -236,7 +263,7 @@ impl Core {
     /// the departing complet, its packet and its `pull` targets.
     fn marshal_one(
         &self,
-        slot: &CompletSlot,
+        slot: &Arc<CompletSlot>,
         dest: u32,
         copies: &mut HashMap<CompletId, CompletPacket>,
     ) -> Result<(Departing, CompletPacket, Vec<CompletId>)> {
@@ -286,20 +313,21 @@ impl Core {
                 _ => r,
             });
         }
-        let (names, type_name) = (self.take_names(id), slot.type_name.clone());
+        let (names, epoch) = (self.take_names(id), self.bump_move_epoch(id));
         let packet = CompletPacket {
             id,
-            type_name: type_name.clone(),
+            type_name: slot.type_name.clone(),
             state,
             names: names.clone(),
-            epoch: self.bump_move_epoch(id),
+            epoch,
         };
+        let slot = slot.clone();
         Ok((
             Departing {
-                id,
-                type_name,
+                slot,
                 complet,
                 names,
+                epoch,
             },
             packet,
             pulls,
@@ -345,15 +373,16 @@ impl Core {
             // `MoveCommit` or on the sweep's answer — is stamped after
             // these departures and orders after them in the merged
             // timeline.
-            for d in &closure.departing {
+            for Departing { slot, .. } in &closure.departing {
+                let (id, type_name) = (&slot.id, &slot.type_name);
                 t.journal(
                     JournalKind::CompletDeparted,
-                    &d.id,
-                    &d.type_name,
+                    id,
+                    type_name,
                     "move",
                     Some(dest),
                 );
-                ids.push(d.id);
+                ids.push(slot.id);
             }
         }
         self.inner.move_decisions.record(root, epoch, committed);
@@ -394,36 +423,42 @@ impl Core {
     fn finalize_departure(&self, closure: Closure, dest: u32) {
         let me = self.inner.node.index();
         for mut d in closure.departing {
-            let mut ctx = self.make_ctx(d.id, &d.type_name, vec![]);
+            let (id, type_name) = (d.slot.id, d.slot.type_name.clone());
+            let mut ctx = self.make_ctx(id, &type_name, vec![]);
             d.complet.post_departure(&mut ctx);
-            // Release the old copy; the tracker forwards from now
-            // on (the incoming-reference fix-up of §3.3).
-            if let Some(slot) = self.inner.complets.write().remove(&d.id) {
-                *slot.state.lock() = SlotState::Gone;
+            *d.slot.state.lock() = SlotState::Gone;
+            // Release the old copy; the tracker forwards from now on (the
+            // incoming-reference fix-up of §3.3). A complet that is back
+            // already — the commit's answer can be slower than a move
+            // back — has a slot, tracker and log of its own to keep.
+            let released = {
+                let mut complets = self.inner.complets.write();
+                let ours = complets.get(&id).is_some_and(|s| Arc::ptr_eq(s, &d.slot));
+                ours && complets.remove(&id).is_some()
+            };
+            if released {
+                // The departure's epoch rides on the repoint, so
+                // stragglers from earlier incarnations can never undo it.
+                let _ = self
+                    .inner
+                    .trackers
+                    .point(id, TrackerTarget::Forward(dest), d.epoch);
+                self.inner.telemetry.journal(
+                    JournalKind::TrackerForwarded,
+                    &id,
+                    &type_name,
+                    "",
+                    Some(dest),
+                );
+                self.wal_append(&WalRecord::Departed {
+                    id,
+                    epoch: d.epoch,
+                    dest: Some(dest),
+                });
             }
-            // The departure's epoch (bumped at marshal time) rides on the
-            // repoint, so stragglers from earlier incarnations can never
-            // undo it.
-            let epoch = self.current_move_epoch(d.id);
-            let _ = self
-                .inner
-                .trackers
-                .point(d.id, TrackerTarget::Forward(dest), epoch);
-            self.inner.telemetry.journal(
-                JournalKind::TrackerForwarded,
-                &d.id,
-                &d.type_name,
-                "",
-                Some(dest),
-            );
-            self.wal_append(&WalRecord::Departed {
-                id: d.id,
-                epoch,
-                dest: Some(dest),
-            });
             self.fire_event(EventPayload::CompletDeparted {
-                id: d.id,
-                type_name: d.type_name,
+                id,
+                type_name,
                 dest,
                 core: me,
             });
@@ -472,13 +507,10 @@ impl Core {
     fn restore(&self, departing: Vec<Departing>) {
         let me = self.inner.node.index();
         for d in departing {
-            let slot = self.inner.complets.read().get(&d.id).cloned();
-            if let Some(slot) = slot {
-                *slot.state.lock() = SlotState::Present(d.complet);
-            }
+            *d.slot.state.lock() = SlotState::Present(d.complet);
             let mut naming = self.inner.naming.lock();
             for name in d.names {
-                naming.insert(name, RefDescriptor::link(d.id, &d.type_name, me));
+                naming.insert(name, RefDescriptor::link(d.slot.id, &d.slot.type_name, me));
             }
         }
     }

@@ -241,7 +241,6 @@ impl Core {
     /// link gauges refreshed first.
     pub fn render_metrics(&self) -> String {
         self.refresh_link_metrics();
-        self.refresh_accounting_metrics();
         self.inner.telemetry.registry.render_prometheus()
     }
 
@@ -249,7 +248,6 @@ impl Core {
     /// [`Core::render_metrics`]), for machine consumers like `stats json`.
     pub fn render_metrics_json(&self) -> String {
         self.refresh_link_metrics();
-        self.refresh_accounting_metrics();
         render_snapshots_json(&self.inner.telemetry.registry.snapshot())
     }
 
@@ -344,37 +342,6 @@ impl Core {
             .into_iter()
             .filter(|ev| ev.kind == JournalKind::Alert)
             .collect()
-    }
-
-    /// Folds the accountant's current top complets into `fargo_complet_*`
-    /// gauges (bounded by the sketch capacity, so exposition cardinality
-    /// stays safe no matter how many complets exist).
-    pub fn refresh_accounting_metrics(&self) {
-        let t = &self.inner.telemetry;
-        if !t.accounting {
-            return;
-        }
-        let reg = &t.registry;
-        for row in t.accountant.top(usize::MAX) {
-            let complet = CompletId {
-                origin: row.key.0,
-                seq: row.key.1,
-            }
-            .to_string();
-            let l = &[
-                ("complet", complet.as_str()),
-                ("core", self.inner.name.as_str()),
-            ][..];
-            reg.gauge("fargo_complet_load", l).set(row.load as f64);
-            reg.gauge("fargo_complet_invokes", l)
-                .set(row.invokes as f64);
-            reg.gauge("fargo_complet_exec_us", l)
-                .set(row.exec_us as f64);
-            reg.gauge("fargo_complet_bytes_in", l)
-                .set(row.bytes_in as f64);
-            reg.gauge("fargo_complet_bytes_out", l)
-                .set(row.bytes_out as f64);
-        }
     }
 
     /// Builds the cumulative [`HealthSample`] the SLO engine consumes —

@@ -209,22 +209,35 @@ impl Core {
     /// this Core owns it (0 hops), otherwise one `LocateQuery` round
     /// trip. Returns `(node, epoch, hops)` for a live entry, `None` for
     /// no entry / a tombstone / naming disabled / owner unreachable.
+    ///
+    /// Without a live entry — the owner restarted without its slice, or
+    /// a one-way publish was lost — it asks every peer whether it hosts
+    /// `id` (one `WhereIs` each, the answer at epoch 0): the last resort,
+    /// paid only where a lookup would otherwise dead-end.
     pub(crate) fn shard_consult(&self, id: CompletId) -> Option<(u32, u64, u32)> {
         if !self.naming_enabled() {
             return None;
         }
         let owner = self.ring_owner(id)?;
-        if owner == self.inner.node.index() {
-            let e = self.inner.shard.lookup(id)?;
-            return e.alive.then_some((e.node, e.epoch, 0));
-        }
-        match self.rpc(owner, Request::LocateQuery { id }) {
-            Ok(Reply::LocateOk {
-                node: Some(n),
-                epoch,
-            }) => Some((n, epoch, 1)),
-            _ => None,
-        }
+        let entry = if owner == self.inner.node.index() {
+            let e = self.inner.shard.lookup(id);
+            e.filter(|e| e.alive).map(|e| (e.node, e.epoch, 0))
+        } else {
+            match self.rpc(owner, Request::LocateQuery { id }) {
+                Ok(Reply::LocateOk {
+                    node: Some(n),
+                    epoch,
+                }) => Some((n, epoch, 1)),
+                _ => None,
+            }
+        };
+        entry.or_else(|| {
+            let answers = self.ask_peers(&Request::WhereIs { id });
+            answers.into_iter().find_map(|(n, reply)| match reply {
+                Reply::WhereOk { node: Some(host) } if host == n => Some((n, 0, 1)),
+                _ => None,
+            })
+        })
     }
 
     /// The local hint for `id`: the tracker's forward and the move epoch

@@ -3,7 +3,7 @@
 //! lets nested complet-to-complet calls join their caller's trace.
 //!
 //! All series carry a `core=<name>` label, so several Cores may share one
-//! [`Registry`] (as the bench harness and viz monitor do) without
+//! [`Registry`] (as the standing benchmark's cluster does) without
 //! colliding. Handles are resolved once at Core spawn; recording on the
 //! hot path touches only atomics.
 

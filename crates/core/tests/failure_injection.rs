@@ -231,6 +231,38 @@ fn lost_move_replies_leave_exactly_one_copy() {
 }
 
 #[test]
+fn a_late_commit_answer_leaves_the_complet_that_came_back_alone() {
+    // A move's commit answer can be slower than the complet's way back:
+    // core1's answers reach core0 a second late, and before core0 hears
+    // that its move of x committed, x has gone on to core2 and back to
+    // core0. The late departure must not release the returned complet.
+    let (net, cores) = lossy_cluster_with(0.0, 3, |c| c.with_rpc_timeout(Duration::from_secs(5)));
+    let x = cores[0].new_complet("Counter", &[]).unwrap();
+    x.call("add", &[Value::I64(5)]).unwrap();
+    net.set_link_directed(
+        cores[1].node(),
+        cores[0].node(),
+        LinkConfig::new(Duration::from_secs(1)),
+    )
+    .unwrap();
+    let mover = {
+        let (core, id) = (cores[0].clone(), x.id());
+        std::thread::spawn(move || core.move_complet(id, "core1", None))
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cores[1].hosts(x.id()) {
+        assert!(Instant::now() < deadline, "x never arrived at core1");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cores[1].move_complet(x.id(), "core2", None).unwrap();
+    cores[2].move_complet(x.id(), "core0", None).unwrap();
+    mover.join().unwrap().unwrap();
+    assert!(cores[0].hosts(x.id()), "the late departure released x");
+    assert_eq!(x.call("get", &[]).unwrap(), Value::I64(5));
+    teardown(&cores);
+}
+
+#[test]
 fn retried_invocations_execute_exactly_once() {
     // A non-idempotent method under 30% loss with a generous rpc budget:
     // every call eventually succeeds via retransmission, and the

@@ -188,6 +188,25 @@ fn a_shared_registry_covers_every_core_and_exports_json() {
     teardown(&cores);
 }
 
+/// The exposition does not grow with the complets a Core has served:
+/// after a second batch of accountant-capacity (512) fresh complets,
+/// each called once, a render exports no more series than the first.
+#[test]
+fn the_exposition_does_not_grow_with_served_complets() {
+    let (_net, _reg, cores) = cluster(1);
+    let mut series = Vec::new();
+    for _ in 0..2 {
+        for _ in 0..512 {
+            let msg = cores[0].new_complet("Message", &[]).unwrap();
+            msg.call("print", &[]).unwrap();
+        }
+        cores[0].render_metrics();
+        series.push(cores[0].telemetry().snapshot().len());
+    }
+    assert_eq!(series[0], series[1], "series after each batch: {series:?}");
+    teardown(&cores);
+}
+
 /// Shortening a tracker chain after a chained invocation is counted.
 #[test]
 fn chain_shortening_is_counted() {

@@ -21,7 +21,7 @@ use fargo_core::{Core, JournalKind};
 use fargo_script::{ScriptEngine, ScriptError, ScriptValue};
 use parking_lot::Mutex;
 
-use crate::executor::{Executor, ExecutorConfig};
+use crate::executor::Executor;
 use crate::plan::LayoutPlan;
 use crate::planner::{Planner, PlannerConfig};
 
@@ -78,14 +78,14 @@ impl AutoLayout {
     /// [`AutoLayout::enable`] to start planning.
     pub fn attach(core: Core) -> AutoLayout {
         let planner_cfg = PlannerConfig::from_core(&core);
-        AutoLayout::attach_with(core, planner_cfg, ExecutorConfig::default())
+        AutoLayout::attach_with(core, planner_cfg)
     }
 
-    /// Attaches with explicit planner/executor tunables.
-    pub fn attach_with(core: Core, planner: PlannerConfig, executor: ExecutorConfig) -> AutoLayout {
+    /// Attaches with explicit planner tunables.
+    pub fn attach_with(core: Core, planner: PlannerConfig) -> AutoLayout {
         let inner = Arc::new(AutoInner {
             planner: Planner::new(core.clone(), planner),
-            executor: Executor::new(core.clone(), executor),
+            executor: Executor::new(core.clone()),
             core,
             enabled: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -147,7 +147,7 @@ impl AutoLayout {
 
     /// Stops planning (the hook stays installed but reduces to one
     /// atomic load per tick) and aborts any in-flight plan between
-    /// steps.
+    /// move transactions.
     pub fn disable(&self) {
         self.inner.enabled.store(false, Ordering::SeqCst);
         self.inner

@@ -1,15 +1,17 @@
-//! The plan executor: rate-limited, abortable, verified step by step.
+//! The plan executor: one move transaction per `(from, to)` group of a
+//! plan's steps, abortable between groups.
 //!
-//! Each step rides the Core's two-phase move protocol
-//! (`MovePrepare` → `MoveCommit`, PR 3), so a crash or lost reply can
-//! never leave two live copies — the executor's own failure handling is
-//! about *plan* atomicity, not copy safety. A step counts once
-//! `move_complet` has returned `Ok` — the destination's word that the
-//! complet arrived — and the location service places it there (the
-//! journal is written for the operator; nothing here reads it). On a
-//! failed or unverifiable step the executor stops, rolls the
-//! already-executed steps back (reverse order), journals the rollback,
-//! and reports — the closed loop then re-plans from reality.
+//! Each group is one [`Core::move_many`]: one `MovePrepare` carrying its
+//! complets, one `MoveCommit`. The group commits or aborts as a unit, so
+//! a failed group leaves nothing half-moved, and a crash or lost reply
+//! never leaves two live copies. A group counts once `move_many` returned
+//! `Ok` and the location service places all of it at the destination
+//! (the journal is written for the operator; nothing here reads it). A
+//! failed group stops the plan: the landed groups move back — the same
+//! `move_many` with source and destination swapped, latest group first —
+//! and the closed loop re-plans from reality. A group whose complets no
+//! longer share the host the plan saw (an earlier group's `pull`
+//! relocator carried one away) fails the same way.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,28 +19,14 @@ use std::thread;
 use std::time::Duration;
 
 use fargo_core::{Core, JournalKind};
+use fargo_wire::CompletId;
 
 use crate::plan::{LayoutPlan, MoveStep};
 
-/// Executor tunables.
-#[derive(Debug, Clone)]
-pub struct ExecutorConfig {
-    /// Pause between consecutive steps: relocation competes with the
-    /// application for links, so plans drain gradually.
-    pub step_interval: Duration,
-    /// How long to wait for the location service to place a moved
-    /// complet at its destination before declaring the step failed.
-    pub verify_timeout: Duration,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> ExecutorConfig {
-        ExecutorConfig {
-            step_interval: Duration::from_millis(10),
-            verify_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// How long the location service gets to place a moved group. A poll
+/// budget, not a wall-clock deadline, so the outcome does not race the
+/// scheduler (and replays under the checker's virtual clock).
+const VERIFY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What happened to one plan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -46,7 +34,7 @@ pub struct ExecutionReport {
     pub plan_id: u64,
     /// Steps that moved and verified.
     pub executed: usize,
-    /// Steps undone after a later failure.
+    /// Steps undone after a later group failed.
     pub rolled_back: usize,
     /// True when the abort flag stopped the plan early.
     pub aborted: bool,
@@ -61,24 +49,40 @@ impl ExecutionReport {
     }
 }
 
+/// `steps` grouped by `(from, to)` — one move transaction each — with
+/// groups and their steps in the order they first appear.
+fn groups(steps: &[MoveStep]) -> Vec<Vec<MoveStep>> {
+    let mut out: Vec<Vec<MoveStep>> = Vec::new();
+    for &step in steps {
+        let key = (step.from, step.to);
+        match out.iter_mut().find(|g| (g[0].from, g[0].to) == key) {
+            Some(g) => g.push(step),
+            None => out.push(vec![step]),
+        }
+    }
+    out
+}
+
+fn ids(group: &[MoveStep]) -> Vec<CompletId> {
+    group.iter().map(|s| s.complet).collect()
+}
+
 /// Executes [`LayoutPlan`]s against a Core.
 pub struct Executor {
     core: Core,
-    cfg: ExecutorConfig,
     abort: Arc<AtomicBool>,
 }
 
 impl Executor {
-    pub fn new(core: Core, cfg: ExecutorConfig) -> Executor {
+    pub fn new(core: Core) -> Executor {
         Executor {
             core,
-            cfg,
             abort: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// A handle that stops the executor between steps when set. The flag
-    /// is re-armed (cleared) at the start of every `execute` call.
+    /// A handle that stops the executor between groups when set. The
+    /// flag is re-armed (cleared) at the start of every `execute` call.
     pub fn abort_handle(&self) -> Arc<AtomicBool> {
         self.abort.clone()
     }
@@ -100,85 +104,78 @@ impl Executor {
             &format!("{:.1}", plan.predicted_delta()),
             None,
         );
-        let mut done: Vec<MoveStep> = Vec::new();
-        for (i, step) in plan.steps.iter().enumerate() {
+        let groups = groups(&plan.steps);
+        for (i, group) in groups.iter().enumerate() {
             if self.abort.load(Ordering::SeqCst) {
                 report.aborted = true;
                 break;
             }
-            if i > 0 {
-                thread::sleep(self.cfg.step_interval);
+            if let Err(reason) = self.run_group(plan.id, group) {
+                report.rolled_back = self.rollback(plan.id, &groups[..i], &reason);
+                report.failures.push(reason);
+                break;
             }
-            match self.run_step(plan.id, step) {
-                Ok(()) => {
-                    report.executed += 1;
-                    done.push(*step);
-                }
-                Err(reason) => {
-                    report.failures.push(reason.clone());
-                    report.rolled_back = self.rollback(plan.id, &done, &reason);
-                    return report;
-                }
-            }
+            report.executed += group.len();
         }
         report
     }
 
-    /// One journaled, verified move.
-    fn run_step(&self, plan_id: u64, step: &MoveStep) -> Result<(), String> {
-        let dest = self.core.core_name_of(step.to);
-        self.core.journal_note(
-            JournalKind::PlanStep,
-            &step.complet.to_string(),
-            &format!("plan{plan_id}"),
-            &format!("gain {:.1}", step.predicted_gain),
-            Some(step.to),
-        );
+    /// One journaled, verified move transaction.
+    fn run_group(&self, plan_id: u64, group: &[MoveStep]) -> Result<(), String> {
+        let (to, dest) = (group[0].to, self.core.core_name_of(group[0].to));
+        for step in group {
+            self.core.journal_note(
+                JournalKind::PlanStep,
+                &step.complet.to_string(),
+                &format!("plan{plan_id}"),
+                &format!("gain {:.1}", step.predicted_gain),
+                Some(to),
+            );
+        }
+        let mut unplaced = ids(group);
         self.core
-            .move_complet(step.complet, &dest, None)
-            .map_err(|e| format!("{} -> {dest}: {e}", step.complet))?;
-        // The reply said the complet arrived; the step counts once the
-        // location service (published to one-way) agrees. A poll budget,
-        // not a wall-clock deadline: the iteration count is fixed by the
-        // timeout, so the outcome does not race the scheduler (and stays
-        // reproducible under the checker's virtual clock).
-        for _ in 0..=self.cfg.verify_timeout.as_millis() / 2 {
-            if self.core.locate(step.complet) == Ok(step.to) {
+            .move_many(&unplaced, &dest)
+            .map_err(|e| format!("{unplaced:?} -> {dest}: {e}"))?;
+        // The reply said the group arrived; it counts once the location
+        // service (published to one-way) agrees for every complet.
+        for _ in 0..=VERIFY_TIMEOUT.as_millis() / 2 {
+            unplaced.retain(|&id| self.core.locate(id) != Ok(to));
+            if unplaced.is_empty() {
                 return Ok(());
             }
             thread::sleep(Duration::from_millis(2));
         }
         Err(format!(
-            "{} move to {dest} unverified after {:?}",
-            step.complet, self.cfg.verify_timeout
+            "{unplaced:?} moved to {dest} unverified after {VERIFY_TIMEOUT:?}"
         ))
     }
 
-    /// Undoes executed steps in reverse order, best effort. Returns how
-    /// many undo moves succeeded.
-    fn rollback(&self, plan_id: u64, done: &[MoveStep], reason: &str) -> usize {
+    /// Moves the landed groups back, latest first, each as one
+    /// transaction. Returns how many steps were undone.
+    fn rollback(&self, plan_id: u64, done: &[Vec<MoveStep>], reason: &str) -> usize {
         self.core.journal_note(
             JournalKind::PlanRollback,
             &format!("plan{plan_id}"),
-            &done.len().to_string(),
+            &done.iter().map(Vec::len).sum::<usize>().to_string(),
             reason,
             None,
         );
         let mut undone = 0;
-        for step in done.iter().rev() {
-            let back = self.core.core_name_of(step.from);
-            // On a failed undo the two-phase protocol still guarantees a
-            // single live copy; the complet just stays at its new Core
-            // for the next round to reconsider.
-            if self.core.move_complet(step.complet, &back, None).is_ok() {
-                undone += 1;
-                self.core.journal_note(
-                    JournalKind::PlanRollback,
-                    &step.complet.to_string(),
-                    &format!("plan{plan_id}"),
-                    "undo",
-                    Some(step.from),
-                );
+        for group in done.iter().rev() {
+            let (from, back) = (group[0].from, self.core.core_name_of(group[0].from));
+            // A failed undo aborts as a unit: the group stays at its new
+            // Core, one live copy each, for the next round to reconsider.
+            if self.core.move_many(&ids(group), &back).is_ok() {
+                undone += group.len();
+                for step in group {
+                    self.core.journal_note(
+                        JournalKind::PlanRollback,
+                        &step.complet.to_string(),
+                        &format!("plan{plan_id}"),
+                        "undo",
+                        Some(from),
+                    );
+                }
             }
         }
         undone
@@ -188,6 +185,39 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn step(seq: u64, from: u32, to: u32) -> MoveStep {
+        MoveStep {
+            complet: CompletId::new(0, seq),
+            from,
+            to,
+            predicted_gain: 1.0,
+        }
+    }
+
+    #[test]
+    fn steps_group_by_source_and_destination_in_first_appearance_order() {
+        let steps = [
+            step(1, 0, 1),
+            step(2, 2, 1),
+            step(3, 0, 1),
+            step(4, 1, 0),
+            step(5, 2, 1),
+        ];
+        let grouped: Vec<(u32, u32, Vec<CompletId>)> = groups(&steps)
+            .iter()
+            .map(|g| (g[0].from, g[0].to, ids(g)))
+            .collect();
+        let ids = |seqs: &[u64]| seqs.iter().map(|&s| CompletId::new(0, s)).collect();
+        assert_eq!(
+            grouped,
+            vec![
+                (0, 1, ids(&[1, 3])),
+                (2, 1, ids(&[2, 5])),
+                (1, 0, ids(&[4])),
+            ]
+        );
+    }
 
     #[test]
     fn empty_plan_is_a_noop_report() {

@@ -19,9 +19,9 @@
 //! 4. **[`LayoutPlan`]** — the placement diff as `move_complet` steps,
 //!    each with a predicted traffic-cost delta; plans below the
 //!    hysteresis threshold are discarded.
-//! 5. **[`Executor`]** — rate-limited, abortable execution over the
-//!    two-phase move protocol, verifying each step by the move reply
-//!    and the location service and rolling the plan back when one fails.
+//! 5. **[`Executor`]** — one move transaction per `(from, to)` group of
+//!    steps, committed or aborted as a unit, verified by `locate` rounds
+//!    and rolled back group by group when a later group fails.
 //!
 //! [`AutoLayout`] ties the stages into a closed loop driven by the Core's
 //! monitor tick, with an `autolayout` script action and shell commands
@@ -38,7 +38,7 @@ mod planner;
 pub use affinity::AffinityGraph;
 pub use auto::{register_script_action, AutoLayout, AutoLayoutStatus};
 pub use cost::CostModel;
-pub use executor::{ExecutionReport, Executor, ExecutorConfig};
+pub use executor::{ExecutionReport, Executor};
 pub use partition::{assignment_cost, partition, PartitionProblem};
 pub use plan::{LayoutPlan, MoveStep};
 pub use planner::{Planner, PlannerConfig};

@@ -2,14 +2,14 @@
 //! co-location under simnet jitter, and a failed plan step must roll
 //! back cleanly with exactly one live copy per complet.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use fargo_core::{
     define_complet, BoundRef, CompletRef, CompletRegistry, Core, CoreConfig, FargoError,
     JournalKind, Value,
 };
-use fargo_layout::{AutoLayout, Executor, ExecutorConfig, LayoutPlan, MoveStep, PlannerConfig};
+use fargo_layout::{AutoLayout, Executor, LayoutPlan, MoveStep, PlannerConfig};
 use fargo_wire::CompletId;
 use simnet::{LinkConfig, Network, NetworkConfig};
 
@@ -82,6 +82,34 @@ fn live_copies(cores: &[Core], id: CompletId) -> usize {
     cores.iter().filter(|c| c.hosts(id)).count()
 }
 
+/// For every executed plan in the cluster's merged journal: the move
+/// transactions it ran (each destination journals one `MovePrepared` per
+/// transaction) and the distinct `(from, to)` pairs among them.
+fn transactions_per_plan(core: &Core) -> Vec<(usize, usize)> {
+    let mut plans: Vec<Vec<(Option<u32>, u32)>> = Vec::new();
+    for e in core.collect_journal() {
+        match (e.kind, plans.last_mut()) {
+            (JournalKind::PlanProposed, _) => plans.push(Vec::new()),
+            (JournalKind::MovePrepared, Some(pairs)) => pairs.push((e.peer, e.core)),
+            _ => {}
+        }
+    }
+    let distinct = |pairs: &Vec<_>| pairs.iter().collect::<BTreeSet<_>>().len();
+    plans.iter().map(|p| (p.len(), distinct(p))).collect()
+}
+
+/// A plan moves as one transaction per `(from, to)` pair.
+fn assert_one_transaction_per_pair(core: &Core, what: &str) {
+    let plans = transactions_per_plan(core);
+    assert!(!plans.is_empty(), "{what}: no plan was executed");
+    assert!(
+        plans
+            .iter()
+            .all(|&(transactions, pairs)| transactions == pairs),
+        "{what}: (transactions, (from, to) pairs) per plan: {plans:?}"
+    );
+}
+
 #[test]
 fn skewed_traffic_converges_to_colocation() {
     let net = jittery_network(7);
@@ -106,7 +134,6 @@ fn skewed_traffic_converges_to_colocation() {
             hysteresis: 0.01,
             ..PlannerConfig::default()
         },
-        ExecutorConfig::default(),
     );
     auto.enable();
 
@@ -140,6 +167,7 @@ fn skewed_traffic_converges_to_colocation() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(cores[0].hosts(id), "settled layout keeps the co-location");
+    assert_one_transaction_per_pair(&cores[0], "skewed");
     let kinds: Vec<JournalKind> = cores[0].collect_journal().iter().map(|e| e.kind).collect();
     assert!(
         kinds.contains(&JournalKind::PlanProposed),
@@ -231,7 +259,6 @@ fn planner_cuts_remote_messages_and_a_disabled_loop_plans_nothing() {
                 max_moves: 8,
                 ..PlannerConfig::default()
             },
-            ExecutorConfig::default(),
         );
         drive(&net, &cores, &hubs, 20);
         std::thread::sleep(config.monitor_tick * 3 * auto.planner().config().period_ticks);
@@ -259,6 +286,8 @@ fn planner_cuts_remote_messages_and_a_disabled_loop_plans_nothing() {
             std::thread::sleep(Duration::from_millis(5));
         }
         auto.disable();
+        println!("seed {seed}: converged in {} rounds", auto.status().rounds);
+        assert_one_transaction_per_pair(&cores[0], &format!("seed {seed}"));
         let planned = drive(&net, &cores, &hubs, 60);
         auto.detach();
         assert!(
@@ -309,14 +338,7 @@ fn failed_step_rolls_back_to_single_copies() {
         current_cost: 3.0,
         planned_cost: 0.0,
     };
-    let executor = Executor::new(
-        cores[0].clone(),
-        ExecutorConfig {
-            step_interval: Duration::from_millis(1),
-            verify_timeout: Duration::from_secs(2),
-        },
-    );
-    let report = executor.execute(&plan);
+    let report = Executor::new(cores[0].clone()).execute(&plan);
 
     assert!(!report.complete(&plan));
     assert_eq!(report.executed, 1, "the first step lands");
@@ -341,6 +363,43 @@ fn failed_step_rolls_back_to_single_copies() {
     }
 }
 
+/// Two steps with one source and destination are one transaction: when
+/// one of them cannot move (`b` is not on core0, where the plan thinks
+/// it is), the other does not move either, and nothing needs undoing.
+#[test]
+fn a_group_with_a_failing_step_moves_nothing() {
+    let net = jittery_network(11);
+    let cores = spawn_cluster(&net, 3, &CoreConfig::default());
+    let a = cores[0].new_complet("Echo", &[]).unwrap();
+    let b = cores[0].new_complet_at("core1", "Echo", &[]).unwrap();
+    let plan = LayoutPlan {
+        id: 100,
+        steps: [a.id(), b.id()]
+            .into_iter()
+            .map(|complet| MoveStep {
+                complet,
+                from: 0,
+                to: 2,
+                predicted_gain: 1.0,
+            })
+            .collect(),
+        current_cost: 2.0,
+        planned_cost: 0.0,
+    };
+    let report = Executor::new(cores[0].clone()).execute(&plan);
+
+    assert_eq!(report.failures.len(), 1, "{report:?}");
+    assert_eq!((report.executed, report.rolled_back), (0, 0), "{report:?}");
+    assert!(cores[0].hosts(a.id()), "a never left core0");
+    assert!(cores[1].hosts(b.id()), "b never left core1");
+    for id in [a.id(), b.id()] {
+        assert_eq!(live_copies(&cores, id), 1);
+    }
+    for c in &cores {
+        c.stop();
+    }
+}
+
 #[test]
 fn planner_preview_reads_live_traffic() {
     let net = jittery_network(23);
@@ -360,7 +419,6 @@ fn planner_preview_reads_live_traffic() {
             hysteresis: 0.01,
             ..PlannerConfig::default()
         },
-        ExecutorConfig::default(),
     );
     // Preview plans without executing: the skew is visible, the move is
     // proposed, and nothing actually moves.
@@ -407,7 +465,6 @@ fn converges_with_journaling_off() {
             hysteresis: 0.01,
             ..PlannerConfig::default()
         },
-        ExecutorConfig::default(),
     );
     auto.enable();
     let deadline = Instant::now() + Duration::from_secs(20);

@@ -96,8 +96,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::TooLarge(len as u64));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The prefix is only a claim: the buffer grows with the bytes that
+    // arrive, and a frame up to 64 KiB fills one buffer of its length.
+    let mut payload = Vec::with_capacity(len.min(64 * 1024));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(FrameError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
     Ok(Bytes::from(payload))
 }
 

@@ -418,8 +418,7 @@ impl Shell {
     /// Runs the anomaly pass (long chains, ping-pong, orphans) over the
     /// merged journal.
     fn cmd_anomalies(&self) -> Result<String, ShellError> {
-        let thresholds = self.core.config().anomaly_thresholds();
-        let anomalies = self.core.layout_history().anomalies_with(&thresholds);
+        let anomalies = self.core.layout_history().anomalies();
         if anomalies.is_empty() {
             return Ok("(no layout anomalies)".to_owned());
         }

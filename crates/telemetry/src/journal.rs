@@ -602,8 +602,9 @@ impl fmt::Display for Anomaly {
 pub const LONG_CHAIN_THRESHOLD: usize = 3;
 
 /// Tunable knobs for the anomaly pass. The defaults reproduce the
-/// historical hard-coded behaviour; Cores surface these as `CoreConfig`
-/// fields so the planner and tests can tighten or relax them.
+/// historical hard-coded behaviour and are what the shell and the
+/// observatory judge with; tests pass their own to
+/// [`LayoutHistory::anomalies_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnomalyThresholds {
     /// Forwarding chains of at least this many hops are flagged.

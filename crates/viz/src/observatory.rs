@@ -65,11 +65,10 @@ impl Observatory {
     }
 
     /// One line per detected anomaly in the full history, judged with the
-    /// attached Core's configured thresholds.
+    /// default thresholds.
     pub fn anomaly_lines(&self) -> Vec<String> {
-        let thresholds = self.core.config().anomaly_thresholds();
         self.history()
-            .anomalies_with(&thresholds)
+            .anomalies()
             .into_iter()
             .map(|a| a.to_string())
             .collect()

@@ -285,6 +285,45 @@ fn claim_independent_moves_cost_two_messages_each() {
     }
 }
 
+/// §3.3 extended from one root to a layout plan: eight unlinked complets
+/// moved by one `move_many` cost what one closure costs — one prepare and
+/// one commit — where moved one at a time they cost eight of each.
+#[test]
+fn claim_unlinked_roots_move_in_one_transaction() {
+    for (batched, k) in [(true, 1), (false, 8)] {
+        let (_net, cores) = unnamed_pair();
+        let ids: Vec<_> = (0..8)
+            .map(|_| cores[0].new_complet("Store", &[]).unwrap().id())
+            .collect();
+        let sent = |kind| {
+            let labels = [("core", "core0"), ("kind", kind)];
+            cores[0]
+                .telemetry()
+                .counter("fargo_msg_out_total", &labels)
+                .get()
+        };
+        let (prep, commit, resent) = (
+            sent("move_prep"),
+            sent("move_commit"),
+            cores[0].reliability_stats().0,
+        );
+        if batched {
+            cores[0].move_many(&ids, "core1").unwrap();
+        } else {
+            for &id in &ids {
+                cores[0].move_complet(id, "core1", None).unwrap();
+            }
+        }
+        let (prep, commit) = (sent("move_prep") - prep, sent("move_commit") - commit);
+        let resent = cores[0].reliability_stats().0 - resent;
+        let what = format!("batched={batched}: {prep} prepares, {commit} commits, {resent} resent");
+        assert_eq!(prep + commit - resent, 2 * k, "{what}");
+        assert!(prep >= k && commit >= k, "{what}");
+        assert!(ids.iter().all(|&id| cores[1].hosts(id)), "{what}");
+        teardown(&cores);
+    }
+}
+
 /// §3.3: weak mobility — four movement callbacks and continuations exist
 /// (asserted in depth in the core crate; here: continuation runs).
 #[test]
