@@ -105,8 +105,72 @@ bench() { # <pr> [runs]
     rm -rf "$tmp"
     echo "wrote BENCH_$pr.json"
 }
+# Alternating pairs: `./ci.sh bench-pairs <parent-tree> <workload> <n>`
+# builds BENCHMARK.json's benchmark once in <parent-tree> (a second
+# checkout of the parent commit) and once here, then runs <workload> in
+# `n` pairs of one run per side, alternating which side goes first (odd
+# pairs the parent). It prints one line per pair — the end-to-end metrics
+# and attempted/failed, parent / change — then per metric both medians,
+# the parent's q1 and q3, and in how many pairs the change was strictly
+# better. A claimed gain needs it better in most pairs and its median
+# past the parent's q1–q3 spread. It gates nothing.
+bench_pairs() { # <parent-tree> <workload> <n>
+    parent=$1
+    workload=$2
+    n=$3
+    tmp=$(mktemp -d)
+    seconds=$(jq -r '.run_seconds' BENCHMARK.json)
+    command=$(jq -r '.command | join(" ")' BENCHMARK.json)
+    for tree in "$parent" .; do
+        echo "==> build the benchmark in $tree"
+        (cd "$tree" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+    done
+    run_side() { # <side> <tree>
+        echo "==> $workload pair $i/$n: $1"
+        (cd "$2" && $command --workload "$workload" --seconds "$seconds") | tail -n 1 >>"$tmp/$1.jsonl"
+    }
+    i=1
+    while [ "$i" -le "$n" ]; do
+        if [ $((i % 2)) -eq 1 ]; then
+            run_side parent "$parent"
+            run_side change .
+        else
+            run_side change .
+            run_side parent "$parent"
+        fi
+        i=$((i + 1))
+    done
+    jq -n -r --arg w "$workload" --slurpfile p "$tmp/parent.jsonl" \
+        --slurpfile c "$tmp/change.jsonl" --slurpfile b BENCHMARK.json '
+        def q(p): sort | ((length - 1) * p) as $i | ($i | floor) as $lo
+            | .[$lo] + (.[$i | ceil] - .[$lo]) * ($i - $lo);
+        def r: . * 1000 | round / 1000;
+        $b[0].end_to_end as $spec | [range(0; $p | length)] as $pairs
+        | "\($w), parent / change:",
+          ($pairs[] as $k
+            | "pair \($k + 1) (\(if $k % 2 == 0 then "parent" else "change" end) first): "
+              + ([$spec[].name as $m
+                  | "\($m) \($p[$k].metrics[$m].value | r) / \($c[$k].metrics[$m].value | r)"]
+                 | join(", "))
+              + ", attempted \($p[$k].attempted) / \($c[$k].attempted)"
+              + ", failed \($p[$k].failed) / \($c[$k].failed)"),
+          ($spec[] as $s
+            | [$p[].metrics[$s.name].value] as $pv | [$c[].metrics[$s.name].value] as $cv
+            | [$pairs[] | select(if $s.better == "lower"
+                                 then $cv[.] < $pv[.] else $cv[.] > $pv[.] end)] as $wins
+            | "\($s.name): parent median \($pv | q(0.5) | r)"
+              + " (q1 \($pv | q(0.25) | r), q3 \($pv | q(0.75) | r)),"
+              + " change median \($cv | q(0.5) | r),"
+              + " change better in \($wins | length)/\($pairs | length) pairs")'
+    rm -rf "$tmp"
+}
 if [ "${1:-}" = bench ]; then
     bench "${2:?usage: ./ci.sh bench <pr> [runs]}" "${3:-3}"
+    exit 0
+fi
+if [ "${1:-}" = bench-pairs ]; then
+    usage="usage: ./ci.sh bench-pairs <parent-tree> <workload> <n>"
+    bench_pairs "${2:?$usage}" "${3:?$usage}" "${4:?$usage}"
     exit 0
 fi
 

@@ -65,12 +65,6 @@ pub struct CoreConfig {
     /// envelopes to the Core↔Core traffic matrix. Off restores the
     /// unaccounted hot path (one branch).
     pub accounting: bool,
-    /// Whether the sharded location service runs: each complet id is
-    /// consistent-hashed to an owning Core whose `LocationShard` holds
-    /// its authoritative `(complet → Core, epoch)` entry, published
-    /// once per layout change. Off is the paper-faithful ablation: tracker
-    /// chains alone, where a collected tracker is a terminal dead end.
-    pub naming_shards: bool,
     /// Directory of this Core's write-ahead passivation log. `None`
     /// (the default) disables durability: complets are memory-only, as
     /// in the paper. When set, every acknowledged state transition is
@@ -114,7 +108,6 @@ impl Default for CoreConfig {
             clock: fargo_telemetry::Clock::Wall,
             phase_timing: true,
             accounting: true,
-            naming_shards: true,
             wal_dir: None,
             wal_fsync: true,
             wal_compact_records: 512,
@@ -211,13 +204,6 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with the sharded location service switched on or
-    /// off.
-    pub fn with_naming_shards(mut self, enabled: bool) -> Self {
-        self.naming_shards = enabled;
-        self
-    }
-
     /// Configuration with durability enabled: the write-ahead log lives
     /// under `dir` (created if missing).
     pub fn with_wal_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -282,13 +268,6 @@ mod tests {
         let v = CoreConfig::default().with_clock(fargo_telemetry::Clock::new_virtual(5));
         assert!(v.clock.is_virtual());
         assert_eq!(v.clock.now_us(), 5);
-    }
-
-    #[test]
-    fn naming_knobs() {
-        let c = CoreConfig::default();
-        assert!(c.naming_shards, "sharded naming is on by default");
-        assert!(!c.with_naming_shards(false).naming_shards);
     }
 
     #[test]

@@ -138,13 +138,11 @@ pub(crate) enum Request {
     FetchState { id: CompletId },
     /// Ask the host of `ids[0]` to move `ids` to `dest` in one transaction.
     MoveRequest { ids: Vec<CompletId>, dest: u32 },
-    /// Where does the receiver's tracker table believe this complet is
-    /// (one step of the chain walk)?
-    WhereIs { id: CompletId },
-    /// Where does the receiver's *location shard* believe this complet
-    /// is? Asked of the complet's ring owner; answered with
-    /// [`Reply::LocateOk`] carrying the entry's move epoch so the caller
-    /// can rank it against its own hints.
+    /// Where is this complet? The one location question: a receiver that
+    /// hosts it names itself, any other answers from its location-shard
+    /// slice. Asked of the ring owner first, then of each peer in turn;
+    /// answered with [`Reply::LocateOk`] carrying the move epoch so the
+    /// caller can rank it against its own hints.
     LocateQuery { id: CompletId },
     /// List the live entries of the receiver's location shard (the
     /// planner's one-RPC-per-Core placement read).
@@ -197,7 +195,6 @@ impl Request {
             Request::NameLookup { .. } => "lookup",
             Request::FetchState { .. } => "fetch",
             Request::MoveRequest { .. } => "move_req",
-            Request::WhereIs { .. } => "where",
             Request::LocateQuery { .. } => "locate",
             Request::ShardList => "shard_list",
             Request::Subscribe { .. } => "subscribe",
@@ -221,7 +218,6 @@ impl Request {
             self,
             Request::NameLookup { .. }
                 | Request::FetchState { .. }
-                | Request::WhereIs { .. }
                 | Request::LocateQuery { .. }
                 | Request::ShardList
                 | Request::ListComplets
@@ -247,7 +243,6 @@ impl Request {
         matches!(
             self,
             Request::NameLookup { .. }
-                | Request::WhereIs { .. }
                 | Request::LocateQuery { .. }
                 | Request::ShardList
                 | Request::ListComplets
@@ -298,12 +293,10 @@ pub(crate) enum Reply {
         type_name: String,
         state: Value,
     },
-    WhereOk {
-        node: Option<u32>,
-    },
-    /// A location shard's answer to [`Request::LocateQuery`]: the node
-    /// the shard believes hosts the complet (`None` = no entry or a
-    /// tombstone) and the move epoch of that belief (0 = never moved).
+    /// The answer to [`Request::LocateQuery`]: the replying Core itself
+    /// if it hosts the complet, else the node its shard slice names
+    /// (`None` = no entry, a tombstone, or a departure in flight), and
+    /// the move epoch of that belief (0 = never moved).
     LocateOk {
         node: Option<u32>,
         epoch: u64,
@@ -626,8 +619,9 @@ wire_enum! { FargoError, "error tag";
 
 // --- bodies --------------------------------------------------------------------
 
-// Tags 1, 5 and 10 are retired (the single-phase move stream; the
-// source's in-doubt query `MoveQuery`; the single-id `MoveRequest`) and
+// Tags 1, 5, 10 and 11 are retired (the single-phase move stream; the
+// source's in-doubt query `MoveQuery`; the single-id `MoveRequest`;
+// `WhereIs`, the tracker-chain walk's question, now `LocateQuery`) and
 // decode to `Err`; the remaining tags keep their numbers.
 wire_enum! { Request, "request tag";
     0 => Invoke { target, method, args, chain, path, hops },
@@ -638,7 +632,6 @@ wire_enum! { Request, "request tag";
     7 => NewComplet { type_name, args },
     8 => NameLookup { name },
     9 => FetchState { id },
-    11 => WhereIs { id },
     12 => LocateQuery { id },
     13 => ShardList,
     14 => Subscribe { selector, threshold, above, listener },
@@ -654,8 +647,9 @@ wire_enum! { Request, "request tag";
     24 => MoveRequest { ids, dest },
 }
 
-// Tag 1 is retired (it was `MoveOk`, a commit's answer, now `Ok`) and
-// decodes to `Err`; the remaining tags keep their numbers.
+// Tags 1 and 7 are retired (`MoveOk`, a commit's answer, now `Ok`;
+// `WhereOk`, the answer to the retired `WhereIs`) and decode to `Err`;
+// the remaining tags keep their numbers.
 wire_enum! { Reply, "reply tag";
     0 => InvokeOk { final_location, target, epoch, value },
     2 => PrepareOk { epoch },
@@ -663,7 +657,6 @@ wire_enum! { Reply, "reply tag";
     4 => NewOk { desc },
     5 => NameOk { desc },
     6 => StateOk { type_name, state },
-    7 => WhereOk { node },
     8 => LocateOk { node, epoch },
     9 => ShardEntries { entries },
     10 => Complets { items },
@@ -975,7 +968,6 @@ pub(crate) mod tests {
                 ids: vec![id(4), id(8), id(1)],
                 dest: 2,
             },
-            Request::WhereIs { id: id(5) },
             Request::LocateQuery { id: id(6) },
             Request::ShardList,
             Request::Subscribe {
@@ -1088,8 +1080,6 @@ pub(crate) mod tests {
                 type_name: "T".into(),
                 state: gen_value(rng, 3),
             },
-            Reply::WhereOk { node: Some(4) },
-            Reply::WhereOk { node: None },
             Reply::LocateOk {
                 node: Some(3),
                 epoch: 5,
@@ -1276,9 +1266,9 @@ pub(crate) mod tests {
     fn samples_cover_every_variant() {
         let kinds = |n: usize, seen: usize| assert_eq!(seen, n, "a variant lost its sample");
         let names: HashSet<_> = requests().iter().map(Request::kind_name).collect();
-        kinds(22, names.len());
+        kinds(21, names.len());
         kinds(
-            19,
+            18,
             replies()
                 .iter()
                 .map(discriminant)
@@ -1513,9 +1503,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Request tags 1, 5 and 10, reply tag 1 and move-state tag 0 are
-    /// retired: a frame carrying one is an error, and the surviving
-    /// request kinds keep the tag numbers peers already speak.
+    /// Request tags 1, 5, 10 and 11, reply tags 1 and 7 and move-state
+    /// tag 0 are retired: a frame carrying one is an error, and the
+    /// surviving request and reply kinds keep the tag numbers peers
+    /// already speak.
     #[test]
     fn request_tag_one_is_retired_and_the_rest_keep_their_numbers() {
         // One-byte `req_id` and `origin` (a request) or `req_id` and
@@ -1538,7 +1529,6 @@ pub(crate) mod tests {
                 Request::NewComplet { .. } => 7,
                 Request::NameLookup { .. } => 8,
                 Request::FetchState { .. } => 9,
-                Request::WhereIs { .. } => 11,
                 Request::LocateQuery { .. } => 12,
                 Request::ShardList => 13,
                 Request::Subscribe { .. } => 14,
@@ -1563,30 +1553,51 @@ pub(crate) mod tests {
             let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
-            for retired in [1, 5, 10] {
+            for retired in [1, 5, 10, 11] {
                 assert!(patched(&msg, TAG_AT, retired).is_err(), "{msg:?}");
             }
         }
-        assert_eq!(seen.len(), 22, "every surviving tag was checked");
+        assert_eq!(seen.len(), 21, "every surviving request tag was checked");
+        seen.clear();
         for body in replies() {
-            let state = matches!(body, Reply::MoveState { .. });
+            let tag = match &body {
+                Reply::InvokeOk { .. } => 0,
+                Reply::PrepareOk { .. } => 2,
+                Reply::MoveState { .. } => 3,
+                Reply::NewOk { .. } => 4,
+                Reply::NameOk { .. } => 5,
+                Reply::StateOk { .. } => 6,
+                Reply::LocateOk { .. } => 8,
+                Reply::ShardEntries { .. } => 9,
+                Reply::Complets { .. } => 10,
+                Reply::Trackers { .. } => 11,
+                Reply::Spans { .. } => 12,
+                Reply::Journal { .. } => 13,
+                Reply::TopComplets { .. } => 14,
+                Reply::Matrix { .. } => 15,
+                Reply::Ok => 16,
+                Reply::Pong => 17,
+                Reply::Err(_) => 18,
+                Reply::InvokeEdges { .. } => 19,
+            };
+            seen.insert(tag);
             let msg = Message::Reply {
                 req_id: 1,
                 route: vec![],
                 body,
             };
-            assert_eq!(
-                Message::decode(encode(&msg, &EnvelopeMeta::default()))
-                    .unwrap()
-                    .0,
-                msg
-            );
-            assert!(patched(&msg, TAG_AT, 1).is_err(), "{msg:?}");
+            let bytes = encode(&msg, &EnvelopeMeta::default());
+            assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
+            assert_eq!(Message::decode(bytes).unwrap().0, msg);
+            for retired in [1, 7] {
+                assert!(patched(&msg, TAG_AT, retired).is_err(), "{msg:?}");
+            }
             // A move state's own tag follows the reply's.
-            if state {
+            if tag == 3 {
                 assert!(patched(&msg, TAG_AT + 1, 0).is_err(), "{msg:?}");
             }
         }
+        assert_eq!(seen.len(), 18, "every surviving reply tag was checked");
     }
 
     /// ROADMAP item 5c: a seeded mutation fuzz. Every mutant of every

@@ -94,11 +94,6 @@ impl TrackerTable {
         self.map.lock().get(&id).map(|t| t.target)
     }
 
-    /// Reads a tracker without any routing intent.
-    pub fn peek(&self, id: CompletId) -> Option<TrackerTarget> {
-        self.map.lock().get(&id).map(|t| t.target)
-    }
-
     /// Reads a tracker together with the move epoch it was accepted at,
     /// so resolvers can rank it against other location hints.
     pub fn peek_with_epoch(&self, id: CompletId) -> Option<(TrackerTarget, u64)> {
@@ -242,7 +237,6 @@ mod tests {
         t.point(id(1), TrackerTarget::Local, 0);
         t.route(id(1));
         t.route(id(1));
-        t.peek(id(1));
         assert_eq!(t.snapshot()[0].hits, 0, "routing alone is not traffic");
         t.credit(id(1));
         t.credit(id(1));
@@ -263,7 +257,7 @@ mod tests {
                 current_epoch: 2
             }
         );
-        assert_eq!(t.peek(id(1)), Some(TrackerTarget::Forward(2)));
+        assert_eq!(t.route(id(1)), Some(TrackerTarget::Forward(2)));
         // Same epoch is allowed: chain shortening within one incarnation.
         let out = t.point(id(1), TrackerTarget::Forward(5), 2);
         assert_eq!(
@@ -283,9 +277,9 @@ mod tests {
         let t = table();
         t.point(id(1), TrackerTarget::Local, 0);
         t.seed_forward(id(1), 9);
-        assert_eq!(t.peek(id(1)), Some(TrackerTarget::Local));
+        assert_eq!(t.route(id(1)), Some(TrackerTarget::Local));
         t.seed_forward(id(2), 9);
-        assert_eq!(t.peek(id(2)), Some(TrackerTarget::Forward(9)));
+        assert_eq!(t.route(id(2)), Some(TrackerTarget::Forward(9)));
     }
 
     #[test]
@@ -301,8 +295,8 @@ mod tests {
         clock.advance(Duration::from_millis(5));
         let dropped = t.collect_idle(Duration::from_millis(1));
         assert_eq!(dropped, vec![id(2)]);
-        assert_eq!(t.peek(id(1)), Some(TrackerTarget::Local));
-        assert_eq!(t.peek(id(2)), None);
+        assert_eq!(t.route(id(1)), Some(TrackerTarget::Local));
+        assert_eq!(t.route(id(2)), None);
     }
 
     #[test]

@@ -260,18 +260,8 @@ impl Core {
                     Err(e) => Reply::Err(e),
                 }
             }
-            Request::WhereIs { id } => Reply::WhereOk {
-                node: self.local_belief(id),
-            },
             Request::LocateQuery { id } => {
-                // The authoritative answer of this Core's shard slice.
-                // `None` covers tombstones and unknown ids alike; the
-                // epoch still rides back so the asker can rank hints.
-                let (node, epoch) = match self.inner.shard.lookup(id) {
-                    Some(e) if e.alive => (Some(e.node), e.epoch),
-                    Some(e) => (None, e.epoch),
-                    None => (None, 0),
-                };
+                let (node, epoch) = self.locate_answer(id);
                 Reply::LocateOk { node, epoch }
             }
             Request::ShardList => Reply::ShardEntries {

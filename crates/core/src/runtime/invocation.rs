@@ -326,13 +326,11 @@ impl Core {
         }
     }
 
-    /// Last-resort routing: ask the owning location shard, which answers
-    /// in at most one hop whoever originated the complet. With naming
-    /// off (the chains ablation) there is nobody to ask — a collected
-    /// tracker is a terminal dead end, as in the paper.
+    /// Last-resort routing: ask the resolver — the owning location shard,
+    /// then the peers — whoever originated the complet.
     fn route_via_shard(&self, id: CompletId) -> Route {
         match self.shard_consult(id) {
-            Some((n, ..)) if n != self.inner.node.index() => Route::Remote(n),
+            Some(r) if r.node != self.inner.node.index() => Route::Remote(r.node),
             _ => Route::Unknown,
         }
     }

@@ -72,7 +72,7 @@ use crate::telemetry::CoreTelemetry;
 /// resolution (FIFO-evicted; far above any realistic concurrent load).
 const MOVE_DECISION_LOG: usize = 1024;
 
-/// Maximum tracker hops an invocation or a chain walk may traverse.
+/// Maximum tracker hops an invocation may traverse.
 pub(crate) const MAX_HOPS: u32 = 64;
 
 /// Smoothing factor of the monitor's exponential averages, in `(0, 1]`;
@@ -804,17 +804,6 @@ impl Core {
     /// (0 = never moved through here).
     pub(crate) fn current_move_epoch(&self, id: CompletId) -> u64 {
         self.inner.move_epochs.lock().get(&id).copied().unwrap_or(0)
-    }
-
-    /// This Core's best belief of where a complet is (for `WhereIs`).
-    fn local_belief(&self, id: CompletId) -> Option<u32> {
-        if self.hosts(id) {
-            return Some(self.inner.node.index());
-        }
-        match self.inner.trackers.peek(id) {
-            Some(TrackerTarget::Forward(n)) => Some(n),
-            _ => None,
-        }
     }
 
     /// Feeds a location report into the tracker table exactly as a

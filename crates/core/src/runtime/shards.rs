@@ -8,9 +8,11 @@
 //! also the handoff vehicle); nothing is broadcast. Every Core's
 //! tracker table is a hint cache — the only one — that learns from the
 //! replies passing it (§3.1) or from a descriptor it was handed, and a
-//! caller at a dead end asks the shard (`shard_consult`). Resolution
-//! ([`Core::locate_explain`]) goes cache → shard → chain walk, with a
-//! stale cache detected by a move-epoch mismatch and repaired in place.
+//! caller at a dead end asks the resolver (`shard_consult`). Where a
+//! complet is has one question, [`Request::LocateQuery`]: asked of the
+//! owner first, then of each peer in turn when the owner has no live
+//! answer. A stale cache is detected by a move-epoch mismatch and
+//! repaired in place.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +23,7 @@ use fargo_wire::CompletId;
 use crate::error::{FargoError, Result};
 use crate::proto::{DeltaTuple, Notify, Reply, Request};
 use crate::reference::tracker::TrackerTarget;
-use crate::runtime::{Core, MAX_HOPS};
+use crate::runtime::Core;
 
 /// Virtual nodes per Core on the consistent-hash ring; more vnodes
 /// spread ownership more evenly and shrink handoffs on membership change.
@@ -37,8 +39,8 @@ pub enum ResolveVia {
     Cache,
     /// The owning location shard answered (locally or in one hop).
     Shard,
-    /// The tracker chain was walked, `WhereIs` hop by hop.
-    Chain,
+    /// The owner had no live answer; a peer asked in turn named itself.
+    Peers,
 }
 
 impl ResolveVia {
@@ -48,7 +50,7 @@ impl ResolveVia {
             ResolveVia::Hosted => "hosted",
             ResolveVia::Cache => "cache",
             ResolveVia::Shard => "shard",
-            ResolveVia::Chain => "chain",
+            ResolveVia::Peers => "peers",
         }
     }
 }
@@ -68,11 +70,6 @@ pub struct LocateReport {
 }
 
 impl Core {
-    /// Whether the sharded location service is active on this Core.
-    pub(crate) fn naming_enabled(&self) -> bool {
-        self.inner.config.naming_shards
-    }
-
     /// The Core owning `id`'s slice of the location ring, refreshing the
     /// ring first if cluster membership changed since it was built.
     /// Refreshing hands off entries this Core no longer owns, so the
@@ -137,9 +134,6 @@ impl Core {
     /// when this Core owns the id, otherwise sent as a directed delta.
     /// `alive = false` publishes a tombstone (release).
     pub(crate) fn publish_location(&self, id: CompletId, node: u32, epoch: u64, alive: bool) {
-        if !self.naming_enabled() {
-            return;
-        }
         self.inner.telemetry.naming_publishes_total.inc();
         let Some(owner) = self.ring_owner(id) else {
             return;
@@ -205,39 +199,79 @@ impl Core {
         }
     }
 
-    /// Consults the owning location shard for `id`: the local shard when
-    /// this Core owns it (0 hops), otherwise one `LocateQuery` round
-    /// trip. Returns `(node, epoch, hops)` for a live entry, `None` for
-    /// no entry / a tombstone / naming disabled / owner unreachable.
+    /// This Core's answer to a [`Request::LocateQuery`] for `id`: itself
+    /// and its move epoch when it hosts `id`, otherwise its shard slice's
+    /// entry. `None` covers no entry, a tombstone, and an entry naming
+    /// this Core while it has no slot for `id` — a departure in flight.
+    /// The epoch rides back either way so the asker can rank hints.
     ///
-    /// Without a live entry — the owner restarted without its slice, or
-    /// a one-way publish was lost — it asks every peer whether it hosts
-    /// `id` (one `WhereIs` each, the answer at epoch 0): the last resort,
-    /// paid only where a lookup would otherwise dead-end.
-    pub(crate) fn shard_consult(&self, id: CompletId) -> Option<(u32, u64, u32)> {
-        if !self.naming_enabled() {
-            return None;
-        }
-        let owner = self.ring_owner(id)?;
-        let entry = if owner == self.inner.node.index() {
-            let e = self.inner.shard.lookup(id);
-            e.filter(|e| e.alive).map(|e| (e.node, e.epoch, 0))
-        } else {
-            match self.rpc(owner, Request::LocateQuery { id }) {
-                Ok(Reply::LocateOk {
-                    node: Some(n),
-                    epoch,
-                }) => Some((n, epoch, 1)),
-                _ => None,
+    /// A host's epoch is its local tracker's: the epoch the complet
+    /// arrived at. The move counter runs ahead of it while a departure is
+    /// in flight, and that epoch belongs to the destination's copy — paired
+    /// with this Core, it would outrank the destination's own tracker.
+    pub(crate) fn locate_answer(&self, id: CompletId) -> (Option<u32>, u64) {
+        let me = self.inner.node.index();
+        if let Some((TrackerTarget::Local, epoch)) = self.inner.trackers.peek_with_epoch(id) {
+            if self.hosts(id) {
+                return (Some(me), epoch);
             }
-        };
-        entry.or_else(|| {
-            let answers = self.ask_peers(&Request::WhereIs { id });
-            answers.into_iter().find_map(|(n, reply)| match reply {
-                Reply::WhereOk { node: Some(host) } if host == n => Some((n, 0, 1)),
-                _ => None,
-            })
-        })
+        }
+        match self.inner.shard.lookup(id) {
+            Some(e) if e.alive && e.node != me => (Some(e.node), e.epoch),
+            Some(e) => (None, e.epoch),
+            None => (None, 0),
+        }
+    }
+
+    /// Asks `node` where `id` is: answered here when `node` is this Core,
+    /// otherwise in one round trip, which `hops` counts. An unreachable
+    /// or confused peer is an answer of `None`.
+    fn ask_locate(&self, node: u32, id: CompletId, hops: &mut u32) -> (Option<u32>, u64) {
+        if node == self.inner.node.index() {
+            return self.locate_answer(id);
+        }
+        *hops += 1;
+        match self.rpc(node, Request::LocateQuery { id }) {
+            Ok(Reply::LocateOk { node, epoch }) => (node, epoch),
+            _ => (None, 0),
+        }
+    }
+
+    /// The one resolver, behind [`Core::locate_explain`] and invocation's
+    /// dead ends. It asks the ring owner of `id` first (locally when this
+    /// Core owns it). Without a live answer — the owner restarted without
+    /// its slice, or a one-way publish was lost — it asks each other peer
+    /// in `node_ids()` order and stops at the first that names itself.
+    /// The report carries the answer's move epoch and every round trip
+    /// spent; `None` when nobody knows.
+    pub(crate) fn shard_consult(&self, id: CompletId) -> Option<LocateReport> {
+        let me = self.inner.node.index();
+        let owner = self.ring_owner(id)?;
+        let mut hops = 0;
+        if let (Some(node), epoch) = self.ask_locate(owner, id, &mut hops) {
+            if node != me {
+                return Some(LocateReport {
+                    node,
+                    via: ResolveVia::Shard,
+                    hops,
+                    epoch,
+                });
+            }
+        }
+        let peers = self.inner.net.node_ids().into_iter().map(|n| n.index());
+        for peer in peers.filter(|&n| n != me && n != owner) {
+            if let (Some(node), epoch) = self.ask_locate(peer, id, &mut hops) {
+                if node == peer {
+                    return Some(LocateReport {
+                        node,
+                        via: ResolveVia::Peers,
+                        hops,
+                        epoch,
+                    });
+                }
+            }
+        }
+        None
     }
 
     /// The local hint for `id`: the tracker's forward and the move epoch
@@ -250,106 +284,48 @@ impl Core {
     }
 
     /// Resolves a complet's current host and reports how: local slot →
-    /// hint cache → owning shard → tracker-chain walk. The shard answer
-    /// also repairs a stale cache in place (epoch mismatch), so the next
-    /// resolution short-circuits.
+    /// the resolver (`shard_consult`). An answer the hint cache
+    /// already held at least as fresh is reported as `Cache`; any other
+    /// repairs the cache in place, so the next resolution is local.
     ///
     /// # Errors
     ///
-    /// Fails when no layer admits to knowing the complet, or the chain
-    /// walk exhausts [`MAX_HOPS`].
+    /// [`FargoError::UnknownComplet`] when neither the owner nor any peer
+    /// admits to knowing the complet.
     pub fn locate_explain(&self, id: CompletId) -> Result<LocateReport> {
-        let me = self.inner.node.index();
         let t = &self.inner.telemetry;
         t.naming_lookups_total.inc();
         if self.hosts(id) {
             t.naming_lookup_hops.observe(0);
             return Ok(LocateReport {
-                node: me,
+                node: self.inner.node.index(),
                 via: ResolveVia::Hosted,
                 hops: 0,
                 epoch: self.current_move_epoch(id),
             });
         }
         let hint = self.tracker_hint(id);
-        if let Some((node, epoch, shard_hops)) = self.shard_consult(id) {
-            let via = match hint {
-                // The cache already knew at least this incarnation; the
-                // shard merely confirmed it.
-                Some((hn, he)) if hn == node && he >= epoch => ResolveVia::Cache,
-                // The cache was behind (or empty): adopt the shard's
-                // belief so the next lookup is local.
-                _ => {
-                    if hint.is_some() {
-                        t.naming_repairs_total.inc();
-                    }
-                    self.learn_location(id, node, epoch);
-                    ResolveVia::Shard
+        let mut report = self
+            .shard_consult(id)
+            .ok_or(FargoError::UnknownComplet(id))?;
+        t.naming_lookup_hops.observe(u64::from(report.hops));
+        match hint {
+            // The cache already knew at least this incarnation; the owner
+            // merely confirmed it.
+            Some((node, epoch)) if node == report.node && epoch >= report.epoch => {
+                if report.via == ResolveVia::Shard {
+                    report.via = ResolveVia::Cache;
                 }
-            };
-            if node != me {
-                t.naming_lookup_hops.observe(u64::from(shard_hops));
-                return Ok(LocateReport {
-                    node,
-                    via,
-                    hops: shard_hops,
-                    epoch,
-                });
             }
-            // The shard says "here" but the slot is gone: a departure is
-            // mid-flight and the shard has not heard yet. Fall through to
-            // the chain, whose forward was repointed before our slot was
-            // released.
-            return self.chain_walk(id, hint, shard_hops);
-        }
-        self.chain_walk(id, hint, 0)
-    }
-
-    /// The demoted resolution path (and the only one in the chains
-    /// ablation): walk `WhereIs` answers tracker by tracker, from the
-    /// local hint — or, lacking one, from the head of the chain, the
-    /// Core the complet was created on — until some Core claims the
-    /// complet. `spent` seeds the hop count with round trips the caller
-    /// already paid.
-    fn chain_walk(
-        &self,
-        id: CompletId,
-        hint: Option<(u32, u64)>,
-        spent: u32,
-    ) -> Result<LocateReport> {
-        let me = self.inner.node.index();
-        let t = &self.inner.telemetry;
-        let mut cur = match hint {
-            Some((n, _)) => n,
-            None => id.origin,
-        };
-        if cur == me {
-            // No outbound hint and the trail leads to ourselves: nothing
-            // left to ask.
-            return Err(FargoError::UnknownComplet(id));
-        }
-        let mut hops = spent;
-        for _ in 0..MAX_HOPS {
-            hops += 1;
-            match self.rpc(cur, Request::WhereIs { id })? {
-                Reply::WhereOk { node: Some(n) } => {
-                    if n == cur {
-                        t.naming_lookup_hops.observe(u64::from(hops));
-                        return Ok(LocateReport {
-                            node: n,
-                            via: ResolveVia::Chain,
-                            hops,
-                            epoch: hint.map(|(_, e)| e).unwrap_or(0),
-                        });
-                    }
-                    cur = n;
+            // The cache was behind (or empty): adopt the answer.
+            _ => {
+                if hint.is_some() {
+                    t.naming_repairs_total.inc();
                 }
-                Reply::WhereOk { node: None } => return Err(FargoError::UnknownComplet(id)),
-                Reply::Err(e) => return Err(e),
-                other => return Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
+                self.learn_location(id, report.node, report.epoch);
             }
         }
-        Err(FargoError::HopLimit(MAX_HOPS))
+        Ok(report)
     }
 
     /// Resolves a complet's current host (see [`Core::locate_explain`]

@@ -31,7 +31,6 @@ const MSG_KINDS: &[&str] = &[
     "lookup",
     "fetch",
     "move_req",
-    "where",
     "subscribe",
     "unsubscribe",
     "list",

@@ -191,6 +191,29 @@ pub fn counter(core: &Core, name: &str) -> u64 {
         .sum()
 }
 
+/// Move messages `core` sends while `f` runs: its `move_prep` and
+/// `move_commit` envelopes, less its retransmissions — what the protocol
+/// sent, not what a busy host sent again. Shard publishes and lookups
+/// are kinds of their own and do not count.
+pub fn move_msgs_during(core: &Core, f: impl FnOnce()) -> u64 {
+    let count = || {
+        let sent = |kind| {
+            let labels = [("core", core.name()), ("kind", kind)];
+            core.telemetry()
+                .counter("fargo_msg_out_total", &labels)
+                .get()
+        };
+        (
+            sent("move_prep") + sent("move_commit"),
+            core.reliability_stats().0,
+        )
+    };
+    let (sent, resent) = count();
+    f();
+    let (sent_after, resent_after) = count();
+    (sent_after - sent) - (resent_after - resent)
+}
+
 /// Waits until no message is in flight and no Core has queued work,
 /// twice in a row.
 pub fn quiesce(net: &Network, cores: &[Core]) {

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{cluster, cluster_with_config, counter, relay, teardown, test_config};
+use common::{cluster, cluster_with_config, move_msgs_during, relay, teardown, test_config};
 use fargo_core::{define_complet, FargoError, TrackerTarget, Value};
 use simnet::{LinkConfig, Network, NodeId};
 
@@ -36,22 +36,15 @@ fn state_survives_relocation() {
 fn move_bytes_grow_with_state_in_the_same_two_messages() {
     let mut bytes = Vec::new();
     for len in [1_000, 200_000] {
-        // Naming off: shard publishes would add notifies of their own.
-        let (net, _reg, cores) = cluster_with_config(2, test_config().with_naming_shards(false));
+        let (net, _reg, cores) = cluster(2);
         let msg = cores[0]
             .new_complet("Message", &[Value::from("x".repeat(len))])
             .unwrap();
-        let link = || net.link_stats(cores[0].node(), cores[1].node());
-        let resent = || counter(&cores[0], "fargo_rpc_retries_total");
-        let (before, resent_before) = (link(), resent());
-        msg.move_to("core1").unwrap();
-        let (after, resent_after) = (link(), resent());
-        assert_eq!(
-            after.messages - before.messages - (resent_after - resent_before),
-            2,
-            "{len}-byte state: prepare + commit"
-        );
-        bytes.push(after.bytes - before.bytes);
+        let link = || net.link_stats(cores[0].node(), cores[1].node()).bytes;
+        let before = link();
+        let msgs = move_msgs_during(&cores[0], || msg.move_to("core1").unwrap());
+        assert_eq!(msgs, 2, "{len}-byte state: prepare + commit");
+        bytes.push(link() - before);
         teardown(&cores);
     }
     assert!(

@@ -5,7 +5,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{cluster, cluster_with_config, teardown, test_config};
+use common::{cluster, cluster_with_config, move_msgs_during, teardown, test_config};
 use fargo_core::{define_complet, ArrivalAction, FargoError, MarshalAction, Relocator, Value};
 
 define_complet! {
@@ -122,17 +122,12 @@ fn pull_closure_moves_in_one_message() {
     // request are part of the same stream, thus only a single inter-Core
     // message is involved" (§3.3). The two-phase transfer adds one
     // constant-size MoveCommit: the closure still ships in exactly one
-    // data-bearing message (the MovePrepare). Naming is pinned off —
-    // shard publishes are constant-size control notifies, but they would
-    // skew this raw message count.
-    let (net, _reg, cores) = cluster_with_config(2, test_config().with_naming_shards(false));
+    // data-bearing message (the MovePrepare).
+    let (_net, _reg, cores) = cluster(2);
     let (holder, _dep) = setup_holder_with_dep("pull", &cores);
-    let before = net.link_stats(cores[0].node(), cores[1].node()).messages;
-    holder.move_to("core1").unwrap();
-    let after = net.link_stats(cores[0].node(), cores[1].node()).messages;
+    let msgs = move_msgs_during(&cores[0], || holder.move_to("core1").unwrap());
     assert_eq!(
-        after - before,
-        2,
+        msgs, 2,
         "the whole pull closure must travel in one prepare + one commit"
     );
     teardown(&cores);

@@ -8,7 +8,10 @@ use std::time::{Duration, Instant};
 use common::{
     cluster, cluster_on, cluster_with_config, counter, fast_network, relay, teardown, test_config,
 };
-use fargo_core::{CompletId, CompletRef, Core, RefDescriptor, ResolveVia, Value};
+use fargo_core::{
+    CompletId, CompletRef, Core, MetricValue, RefDescriptor, ResolveVia, TrackerTarget, Value,
+};
+use simnet::LinkConfig;
 
 /// Index of the Core whose shard holds `id` as living on `host`. Shard
 /// publishes are one-shot asynchronous notifies, so this polls until
@@ -189,6 +192,102 @@ fn resolution_does_not_depend_on_the_origin_core() {
         cores[0].node().index(),
     )));
     assert_eq!(stale.call("print", &[]).unwrap(), Value::from("orphaned"));
+    teardown(&cores);
+}
+
+/// The owner of a complet's shard slice restarts without it, and the
+/// asker's tracker points at that owner, which no longer knows the
+/// complet either. The resolver asks the owner, then each peer in turn;
+/// the host names itself with its move epoch, which repoints the
+/// tracker instead of being rejected as stale.
+#[test]
+fn the_peer_sweep_reports_its_hops_and_the_hosts_epoch() {
+    let (net, reg, mut cores) = cluster_on(fast_network(), 4, test_config(), false);
+    let msg = (0..64)
+        .map(|_| cores[0].new_complet("Message", &[]).unwrap())
+        .find(|m| owner_once_published(&cores, m.id(), &cores[0]) == 1)
+        .expect("a complet whose shard lives on core1");
+    let id = msg.id();
+    cores[0].move_complet(id, "core1", None).unwrap();
+    cores[1].move_complet(id, "core3", None).unwrap();
+    assert_eq!(owner_once_published(&cores, id, &cores[3]), 1);
+    cores[1].stop();
+    let ep = net.restart_node(cores[1].node()).expect("restart node");
+    cores[1] = Core::builder(&net, "core1")
+        .endpoint(ep)
+        .registry(&reg)
+        .config(test_config())
+        .spawn()
+        .expect("restarted core must spawn");
+    let tracker = |core: &Core| {
+        let snapshot = core.tracker_snapshot();
+        let t = snapshot.iter().find(|t| t.id == id).expect("a tracker");
+        (t.target, t.epoch)
+    };
+    let core1 = cores[1].node().index();
+    let (core3, host_epoch) = (cores[3].node().index(), 2);
+    assert_eq!(tracker(&cores[0]), (TrackerTarget::Forward(core1), 1));
+
+    let lookup_hops = || {
+        let snapshot = cores[0].telemetry().snapshot();
+        let s = snapshot
+            .iter()
+            .find(|s| s.name == "fargo_naming_lookup_hops");
+        s.map_or(0, |s| match s.value {
+            MetricValue::Histogram { sum, .. } => sum,
+            _ => 0,
+        })
+    };
+    let stale = counter(&cores[0], "fargo_tracker_stale_rejections_total");
+    let hops = lookup_hops();
+    let r = cores[0].locate_explain(id).unwrap();
+    assert_eq!(
+        (r.node, r.via, r.epoch),
+        (core3, ResolveVia::Peers, host_epoch)
+    );
+    // The owner, then core2, then core3.
+    assert_eq!(r.hops, 1 + 2, "{r:?}");
+    assert_eq!(lookup_hops() - hops, u64::from(r.hops));
+    assert_eq!(
+        tracker(&cores[0]),
+        (TrackerTarget::Forward(core3), host_epoch)
+    );
+    assert_eq!(
+        counter(&cores[0], "fargo_tracker_stale_rejections_total"),
+        stale
+    );
+    teardown(&cores);
+}
+
+/// While a move's prepare is outstanding the source still hosts the
+/// complet, but its move counter already holds the epoch of the copy on
+/// its way out. Asked where the complet is, the source names itself at
+/// the epoch of the copy it holds: paired with the new epoch it would
+/// outrank the destination's own tracker once the copy lands there.
+#[test]
+fn a_departing_host_answers_with_the_epoch_of_the_copy_it_holds() {
+    let config = test_config().with_rpc_timeout(Duration::from_millis(600));
+    let (net, _reg, cores) = cluster_on(fast_network(), 3, config, false);
+    let msg = (0..64)
+        .map(|_| cores[0].new_complet("Message", &[]).unwrap())
+        .find(|m| owner_once_published(&cores, m.id(), &cores[0]) == 0)
+        .expect("a complet whose shard lives on its host");
+    let id = msg.id();
+    let (source, dest) = (cores[0].node(), cores[1].node());
+    let lossy = LinkConfig::instant().with_loss(1.0);
+    net.set_link_directed(source, dest, lossy).unwrap();
+    let mover = cores[0].clone();
+    let moving = std::thread::spawn(move || mover.move_complet(id, "core1", None));
+    // The prepare leaves only once the complet is out of its slot, and
+    // over a link that loses everything it stays unanswered.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cores[0].inflight_rpcs() == 0 {
+        assert!(Instant::now() < deadline, "the prepare never left");
+        std::thread::yield_now();
+    }
+    let r = cores[2].locate_explain(id).unwrap();
+    assert_eq!((r.node, r.epoch), (cores[0].node().index(), 0), "{r:?}");
+    assert!(moving.join().unwrap().is_err(), "the prepare never arrives");
     teardown(&cores);
 }
 

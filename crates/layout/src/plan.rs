@@ -110,9 +110,8 @@ impl LayoutPlan {
         self.steps.is_empty()
     }
 
-    /// Human-readable rendering, one line per step, for the shell and
-    /// the Observatory overlay. `name_of` maps node indices to Core
-    /// names.
+    /// Human-readable rendering, one line per step, for the shell.
+    /// `name_of` maps node indices to Core names.
     pub fn render(&self, name_of: &dyn Fn(u32) -> String) -> String {
         if self.is_empty() {
             return format!("plan #{}: no moves (layout is settled)", self.id);

@@ -130,8 +130,8 @@ impl Planner {
     /// live shard entries across Cores is the whole placement in one
     /// `ShardList` RPC per Core, independent of how many complets each
     /// Core hosts (duplicates from handoff overlap resolve by highest
-    /// move epoch). An empty union — nothing published, or naming off —
-    /// is an empty placement.
+    /// move epoch). An empty union — nothing published — is an empty
+    /// placement.
     pub fn placement(&self) -> BTreeMap<CompletId, u32> {
         let mut best: BTreeMap<CompletId, (u32, u64)> = BTreeMap::new();
         for node in self.core.network().node_ids() {

@@ -82,7 +82,7 @@ FarGo shell commands:
   retype <target> <relocator>        change a named reference's relocator
   whereis <target>                   locate a complet
   where <target>                     locate with the resolution path
-                                     (hosted/cache/shard/chain, hops,
+                                     (hosted/cache/shard/peers, hops,
                                      move epoch)
   profile <service>                  instant profiling (e.g. completLoad)
   layout [at <hlc>]                  complets across every core; with
@@ -332,7 +332,7 @@ impl Shell {
     }
 
     /// Like `whereis`, but shows which layer of the naming stack answered
-    /// (hosted / cache / shard / chain), how many network hops the
+    /// (hosted / cache / shard / peers), how many network hops the
     /// resolution spent, and the winning move epoch.
     fn cmd_where(&self, args: &[&str]) -> Result<String, ShellError> {
         let target = args.first().ok_or(ShellError::Usage("where <target>"))?;

@@ -438,7 +438,7 @@ fn where_command_reports_resolution_path() {
     assert!(out.contains("is at core2"), "{out}");
     assert!(out.contains("(via "), "{out}");
     assert!(
-        ["hosted", "cache", "shard", "chain"]
+        ["hosted", "cache", "shard", "peers"]
             .iter()
             .any(|l| out.contains(l)),
         "{out}"

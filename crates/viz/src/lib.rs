@@ -31,4 +31,4 @@ mod monitor;
 mod observatory;
 
 pub use monitor::{LayoutMonitor, LayoutSnapshot};
-pub use observatory::{plan_overlay, render_state, state_to_dot, Observatory};
+pub use observatory::{plan_overlay, render_state, state_to_dot};

@@ -1,94 +1,14 @@
-//! The layout observatory pane: renders reconstructed layout history
-//! (placement, inter-complet reference graph, tracker-chain topology)
-//! from the flight-recorder journal, as ASCII frames and DOT export.
+//! Renderers for reconstructed layout history (placement,
+//! inter-complet reference graph, tracker-chain topology) and layout
+//! plans, as ASCII frames and DOT export.
 //!
 //! Unlike [`LayoutMonitor`](crate::LayoutMonitor), which follows *live*
-//! events, the observatory works entirely from the merged cluster-wide
-//! journal timeline, so it can show the layout as it was at any HLC
-//! instant — including states no monitor was attached to witness.
+//! events, these work from a [`LayoutState`] replayed out of the merged
+//! cluster-wide journal, so they can show the layout as it was at any
+//! HLC instant — including states no monitor was attached to witness.
 
-use fargo_core::{Core, Hlc, LayoutHistory, LayoutState};
+use fargo_core::LayoutState;
 use fargo_layout::LayoutPlan;
-
-/// A journal-backed view of layout history across the whole cluster.
-pub struct Observatory {
-    core: Core,
-}
-
-impl Observatory {
-    /// Attaches the observatory to any Core of the cluster (the journal
-    /// is collected from every reachable peer on each query).
-    pub fn attach(core: Core) -> Observatory {
-        Observatory { core }
-    }
-
-    /// The merged cluster-wide history (one journal collection).
-    pub fn history(&self) -> LayoutHistory {
-        self.core.layout_history()
-    }
-
-    /// ASCII frame of the layout at `at` (or the final journaled state
-    /// when `None`).
-    pub fn render_at(&self, at: Option<Hlc>) -> String {
-        let history = self.history();
-        let state = match at {
-            Some(h) => history.at(h),
-            None => history.final_state(),
-        };
-        let header = match at {
-            Some(h) => format!("== layout observatory @ {h} ==\n"),
-            None => "== layout observatory (latest) ==\n".to_owned(),
-        };
-        let core = self.core.clone();
-        header + &render_state(&state, |n| core.core_name_of(n))
-    }
-
-    /// DOT (Graphviz) export of the layout at `at`: Cores as clusters,
-    /// complets as nodes, reference edges solid, tracker forwards dashed.
-    pub fn render_dot(&self, at: Option<Hlc>) -> String {
-        let history = self.history();
-        let state = match at {
-            Some(h) => history.at(h),
-            None => history.final_state(),
-        };
-        let core = self.core.clone();
-        state_to_dot(&state, |n| core.core_name_of(n))
-    }
-
-    /// The latest ASCII frame with an adaptive layout plan drawn over
-    /// it: below the placement boxes, one arrow line per pending move,
-    /// so an operator can eyeball what the planner intends before (or
-    /// while) the executor drains it.
-    pub fn render_with_plan(&self, plan: &LayoutPlan) -> String {
-        let core = self.core.clone();
-        self.render_at(None) + &plan_overlay(plan, |n| core.core_name_of(n))
-    }
-
-    /// One line per detected anomaly in the full history, judged with the
-    /// default thresholds.
-    pub fn anomaly_lines(&self) -> Vec<String> {
-        self.history()
-            .anomalies()
-            .into_iter()
-            .map(|a| a.to_string())
-            .collect()
-    }
-
-    /// The last `n` merged journal events, oldest first.
-    pub fn timeline_lines(&self, n: usize) -> Vec<String> {
-        let events = self.history().events().to_vec();
-        let skip = events.len().saturating_sub(n);
-        events[skip..].iter().map(|e| e.to_string()).collect()
-    }
-}
-
-impl std::fmt::Debug for Observatory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Observatory")
-            .field("core", &self.core.name())
-            .finish()
-    }
-}
 
 /// Renders a reconstructed [`LayoutState`] as an ASCII frame: one box per
 /// Core holding complets, then reference edges, then tracker chains.
@@ -202,7 +122,7 @@ pub fn state_to_dot(state: &LayoutState, name_of: impl Fn(u32) -> String) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fargo_core::{JournalEvent, JournalKind};
+    use fargo_core::{Hlc, JournalEvent, JournalKind, LayoutHistory};
 
     fn ev(
         seq: u64,

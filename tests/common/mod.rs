@@ -91,24 +91,45 @@ pub fn cluster(n: usize) -> (Network, Vec<Core>) {
     (net, cores)
 }
 
-/// `n` cores on instantaneous links, with an explicit Core config.
+/// Move messages `core` sends while `f` runs: its `move_prep` and
+/// `move_commit` envelopes, less its retransmissions — what the protocol
+/// sent, not what a busy host sent again. Shard publishes and lookups
+/// are kinds of their own and do not count.
 #[allow(dead_code)] // not every test binary that includes common/ uses it
-pub fn cluster_with_config(n: usize, config: CoreConfig) -> (Network, Vec<Core>) {
-    let net = Network::new(NetworkConfig {
-        default_link: Some(LinkConfig::instant()),
-        ..NetworkConfig::default()
-    });
-    let reg = registry();
-    let cores = (0..n)
-        .map(|i| {
-            Core::builder(&net, &format!("core{i}"))
-                .registry(&reg)
-                .config(config.clone())
-                .spawn()
-                .expect("spawn core")
-        })
-        .collect();
-    (net, cores)
+pub fn move_msgs_during(core: &Core, f: impl FnOnce()) -> u64 {
+    let count = || {
+        let sent = |kind| {
+            let labels = [("core", core.name()), ("kind", kind)];
+            core.telemetry()
+                .counter("fargo_msg_out_total", &labels)
+                .get()
+        };
+        (
+            sent("move_prep") + sent("move_commit"),
+            core.reliability_stats().0,
+        )
+    };
+    let (sent, resent) = count();
+    f();
+    let (sent_after, resent_after) = count();
+    (sent_after - sent) - (resent_after - resent)
+}
+
+/// Waits until no message is in flight and no Core has queued work,
+/// twice in a row.
+#[allow(dead_code)] // not every test binary that includes common/ uses it
+pub fn quiesce(net: &Network, cores: &[Core]) {
+    let mut stable = 0;
+    for _ in 0..4000 {
+        let pending =
+            net.in_flight() as usize + cores.iter().map(Core::pending_work).sum::<usize>();
+        stable = if pending == 0 { stable + 1 } else { 0 };
+        if stable >= 2 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("cluster failed to quiesce");
 }
 
 /// Polls `cond` until it holds or `timeout` expires.
