@@ -55,10 +55,11 @@ loc() {
 # process each, plus one `--trace 1` run, folds each run's last line
 # ({correct, attempted, failed, metrics}) with jq, and writes
 # BENCH_<pr>.json at the repository root: the commit (and whether the
-# tree differed from it), the loc stage's lines, and per workload the
-# median, q1 and q3 of every end-to-end metric over the untraced runs,
-# the traced run's per-layer values, and the attempted/failed totals.
-# A plain ./ci.sh never runs it, and it gates nothing.
+# tree differed from it), the loc stage's lines, the number of tier-1
+# tests that passed, and per workload the median, q1 and q3 of every
+# end-to-end metric over the untraced runs, the traced run's per-layer
+# values, and the attempted/failed totals. A plain ./ci.sh never runs
+# it, and it gates nothing.
 bench() { # <pr> [runs]
     pr=$1
     runs=${2:-3}
@@ -95,15 +96,57 @@ bench() { # <pr> [runs]
     done
     jq -s --argjson pr "$pr" --arg commit "$(git rev-parse HEAD)" \
         --argjson dirty "$([ -n "$(git status --porcelain --untracked-files=no)" ] && echo true || echo false)" \
-        --arg loc "$(loc)" '{
+        --arg loc "$(loc)" --argjson tests "$(tests_passed)" '{
             pr: $pr,
             commit: $commit,
             dirty: $dirty,
             loc: ($loc | split("\n") | map(sub("^ +"; ""))),
+            tests: $tests,
             workloads: .
         }' "$tmp"/*.summary >"BENCH_$pr.json"
     rm -rf "$tmp"
     echo "wrote BENCH_$pr.json"
+}
+# Tier-1 tests that pass in this tree: the sum of `cargo test -q`'s
+# "N passed" counts.
+tests_passed() {
+    cargo test -q 2>&1 | awk '/^test result:/ { n += $4 } END { print n + 0 }'
+}
+# The trajectory's step: `./ci.sh bench-diff [old new]` compares two
+# BENCH_*.json files, by default the two with the highest PR numbers.
+# It prints per workload and end-to-end metric both medians and the
+# change, and exits non-zero if a metric got worse than its
+# BENCHMARK.json bound (a fraction of the old median) or a workload's
+# failed ops rose.
+bench_diff() { # [old new]
+    if [ $# -lt 2 ]; then
+        # shellcheck disable=SC2046
+        set -- $(ls BENCH_*.json | sed 's/^BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -n 2 |
+            sed 's/.*/BENCH_&.json/')
+    fi
+    [ $# -eq 2 ] || { echo "bench-diff: needs two BENCH_*.json files" >&2; exit 2; }
+    jq -n -r --arg old "$1" --arg new "$2" --slurpfile o "$1" --slurpfile n "$2" \
+        --slurpfile b BENCHMARK.json '
+        def r: . * 1000 | round / 1000;
+        ($o[0].workloads | map({key: .workload, value: .}) | from_entries) as $before
+        | [$n[0].workloads[] | select($before[.workload]) | . as $w | $before[$w.workload] as $p
+           | ($b[0].end_to_end[] | .name as $m
+              | $p.end_to_end[$m].median as $was | $w.end_to_end[$m].median as $now
+              | {w: $w.workload, m: $m, was: $was, now: $now,
+                 worse: (if .better == "lower" then $now > $was * (1 + .bound)
+                         else $now < $was * (1 - .bound) end),
+                 bound: .bound}),
+             {w: $w.workload, m: "failed", was: $p.failed, now: $w.failed,
+              worse: ($w.failed > $p.failed), bound: null}]
+        | . as $rows
+        | "\($old) -> \($new), medians:",
+          ($rows[] | "\(.w) \(.m): \(.was | r) -> \(.now | r)"
+              + (if .was != 0 then " (\((.now / .was - 1) * 100 | r)%)" else "" end)
+              + (if .worse then "  WORSE" else "" end)
+              + (if .worse and .bound then " than its bound \(.bound * 100)%" else "" end)),
+          ([$rows[] | select(.worse)] | length) as $bad
+          | if $bad > 0 then "\($bad) past their bound\n" | halt_error(1)
+            else "all within their bounds" end'
 }
 # Alternating pairs: `./ci.sh bench-pairs <parent-tree> <workload> <n>`
 # builds BENCHMARK.json's benchmark once in <parent-tree> (a second
@@ -166,6 +209,11 @@ bench_pairs() { # <parent-tree> <workload> <n>
 }
 if [ "${1:-}" = bench ]; then
     bench "${2:?usage: ./ci.sh bench <pr> [runs]}" "${3:-3}"
+    exit 0
+fi
+if [ "${1:-}" = bench-diff ]; then
+    shift
+    bench_diff "$@"
     exit 0
 fi
 if [ "${1:-}" = bench-pairs ]; then

@@ -13,7 +13,9 @@
 //!
 //! ```text
 //! [version u8][kind u8][flags u8]
-//! request: req_id, origin        reply: req_id, route        notify: -
+//! request: req_id, origin, req_id − acked
+//! reply:   req_id, route
+//! notify:  -
 //! flags, in bit order: trace (trace_id, span_id) · hlc (wall_us, logical)
 //!                      · ts (send µs); bit 3 is retired
 //! [body tag u8] positional fields
@@ -106,9 +108,9 @@ pub(crate) enum Request {
         /// Complet ids already on the synchronous call chain
         /// (re-entrancy detection).
         chain: Vec<CompletId>,
-        /// Node indices the request has traversed, origin first.
+        /// Node indices the request has traversed, origin first: the
+        /// tracker hops so far are `path.len() − 1`.
         path: Vec<u32>,
-        hops: u32,
     },
     /// Phase one of a two-phase move: the full marshaled stream (the
     /// root complet plus all co-movers). The destination validates,
@@ -364,6 +366,11 @@ pub(crate) enum Message {
         req_id: ReqId,
         /// Node index of the Core awaiting the reply.
         origin: u32,
+        /// The origin's answered-below mark when this copy left it: the
+        /// smallest id it still had pending (never above `req_id`), so
+        /// every id of `origin` below it has been answered or abandoned
+        /// and will not be sent again. Written as `req_id − acked`.
+        acked: ReqId,
         /// Trace context propagated from the caller, if the operation is
         /// being traced (the envelope's `trace` flag).
         trace: Option<TraceContext>,
@@ -390,7 +397,7 @@ pub(crate) struct EnvelopeMeta {
 }
 
 /// The one envelope layout this build reads and writes.
-pub(crate) const ENVELOPE_VERSION: u8 = 1;
+pub(crate) const ENVELOPE_VERSION: u8 = 2;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
@@ -624,7 +631,7 @@ wire_enum! { FargoError, "error tag";
 // `WhereIs`, the tracker-chain walk's question, now `LocateQuery`) and
 // decode to `Err`; the remaining tags keep their numbers.
 wire_enum! { Request, "request tag";
-    0 => Invoke { target, method, args, chain, path, hops },
+    0 => Invoke { target, method, args, chain, path },
     2 => MovePrepare { root, epoch, packets, continuation },
     3 => MoveCommit { root, epoch },
     4 => MoveAbort { root, epoch },
@@ -686,8 +693,8 @@ wire_enum! { Notify, "notify tag";
 /// encoded once can go out again — a retransmitted request, a replayed
 /// reply — under a header stamped (`hlc`, `ts`) for the resend.
 pub(crate) enum Header<'a> {
-    /// `(req_id, origin, trace)`, as in [`Message::Request`].
-    Request(ReqId, u32, Option<TraceContext>),
+    /// `(req_id, origin, acked, trace)`, as in [`Message::Request`].
+    Request(ReqId, u32, ReqId, Option<TraceContext>),
     /// `(req_id, route)`, as in [`Message::Reply`].
     Reply(ReqId, &'a [u32]),
     Notify,
@@ -706,8 +713,8 @@ impl Header<'_> {
             | flag(meta.ts.is_some(), FLAG_TS);
         w.put_u8(ENVELOPE_VERSION).put_u8(kind).put_u8(flags);
         match self {
-            Header::Request(req_id, origin, _) => {
-                w.put_u64(*req_id).put_u32(*origin);
+            Header::Request(req_id, origin, acked, _) => {
+                w.put_u64(*req_id).put_u32(*origin).put_u64(req_id - acked);
             }
             Header::Reply(req_id, route) => {
                 w.put_u64(*req_id);
@@ -739,7 +746,6 @@ pub(crate) fn put_invoke(
     args: &[Value],
     chain: &[CompletId],
     path: &[u32],
-    hops: u32,
 ) {
     w.put_u8(0).put_complet_id(target).put_str(method);
     w.put_u64(args.len() as u64);
@@ -748,7 +754,6 @@ pub(crate) fn put_invoke(
     }
     put_seq(chain, w);
     put_seq(path, w);
-    w.put_u32(hops);
 }
 
 /// The `args` of an encoded [`Request::Invoke`] body.
@@ -788,10 +793,16 @@ impl Message {
         if flags & !FLAGS_KNOWN != 0 || (flags & FLAG_TRACE != 0 && kind != KIND_REQUEST) {
             return Err(unknown("envelope flags", flags));
         }
-        let (req_id, origin, route) = match kind {
-            KIND_REQUEST => (r.get_u64()?, r.get_u32()?, Vec::new()),
-            KIND_REPLY => (r.get_u64()?, 0, Wire::get(r)?),
-            KIND_NOTIFY => (0, 0, Vec::new()),
+        let (req_id, origin, acked, route) = match kind {
+            KIND_REQUEST => {
+                let (req_id, origin) = (r.get_u64()?, r.get_u32()?);
+                let acked = req_id.checked_sub(r.get_u64()?).ok_or_else(|| {
+                    FargoError::Protocol(format!("request {req_id}'s mark below zero"))
+                })?;
+                (req_id, origin, acked, Vec::new())
+            }
+            KIND_REPLY => (r.get_u64()?, 0, 0, Wire::get(r)?),
+            KIND_NOTIFY => (0, 0, 0, Vec::new()),
             k => return Err(unknown("envelope kind", k)),
         };
         let section = |bit: u8| flags & bit != 0;
@@ -802,6 +813,7 @@ impl Message {
             KIND_REQUEST => Message::Request {
                 req_id,
                 origin,
+                acked,
                 trace,
                 body: Wire::get(r)?,
             },
@@ -935,7 +947,6 @@ pub(crate) mod tests {
                 args: vec![Value::from("hi"), gen_value(rng, 3)],
                 chain: vec![id(1), id(2)],
                 path: vec![1, 2, 300],
-                hops: 2,
             },
             Request::MovePrepare {
                 root,
@@ -1188,6 +1199,7 @@ pub(crate) mod tests {
         let requests = requests().into_iter().map(|body| Message::Request {
             req_id: (7 << 32) | 42,
             origin: 1,
+            acked: (7 << 32) | 39,
             trace,
             body,
         });
@@ -1221,9 +1233,10 @@ pub(crate) mod tests {
             Message::Request {
                 req_id,
                 origin,
+                acked,
                 trace,
                 ..
-            } => Header::Request(*req_id, *origin, *trace),
+            } => Header::Request(*req_id, *origin, *acked, *trace),
             Message::Reply { req_id, route, .. } => Header::Reply(*req_id, route),
             Message::Notify(_) => Header::Notify,
         }
@@ -1326,7 +1339,7 @@ pub(crate) mod tests {
                 .collect();
             let (chain, path) = (vec![id(1), id(round)], vec![0, 300]);
             let mut borrowed = WireWriter::new();
-            put_invoke(&mut borrowed, id(7), "scan", &args, &chain, &path, 2);
+            put_invoke(&mut borrowed, id(7), "scan", &args, &chain, &path);
             let borrowed = borrowed.finish();
             let mut table = WireWriter::new();
             Request::Invoke {
@@ -1335,7 +1348,6 @@ pub(crate) mod tests {
                 args: degraded.clone(),
                 chain,
                 path,
-                hops: 2,
             }
             .put(&mut table);
             assert_eq!(borrowed, table.finish());
@@ -1389,6 +1401,7 @@ pub(crate) mod tests {
         let ping = Message::Request {
             req_id: 1,
             origin: 0,
+            acked: 1,
             trace: None,
             body: Request::Ping,
         };
@@ -1412,6 +1425,27 @@ pub(crate) mod tests {
         assert!(Message::decode(Bytes::from_static(b"garbage")).is_err());
     }
 
+    /// A request's mark travels as its distance below `req_id`: one byte
+    /// while fewer than 128 calls are outstanding, and a distance past
+    /// `req_id` names no id, so it is rejected.
+    #[test]
+    fn a_mark_travels_as_its_distance_below_the_request_id() {
+        for (acked, len) in [(301, 8), (174, 8), (173, 9), (0, 9)] {
+            let msg = Message::Request {
+                req_id: 301,
+                origin: 0,
+                acked,
+                trace: None,
+                body: Request::Ping,
+            };
+            let bytes = encode(&msg, &EnvelopeMeta::default());
+            assert_eq!(bytes.len(), len, "acked {acked}");
+            assert_eq!(Message::decode(bytes).unwrap().0, msg);
+        }
+        let below_zero = [ENVELOPE_VERSION, KIND_REQUEST, 0, 1, 0, 2, 22];
+        assert!(Message::decode(Bytes::copy_from_slice(&below_zero)).is_err());
+    }
+
     /// Flag bit 3 is retired: a frame carrying it is an error whatever the
     /// other bits say, and the surviving sections keep their bits, their
     /// order and their bytes.
@@ -1427,6 +1461,7 @@ pub(crate) mod tests {
         let ping = Message::Request {
             req_id: 1,
             origin: 2,
+            acked: 1,
             trace: Some(TraceContext {
                 trace_id: 5,
                 span_id: 6,
@@ -1439,8 +1474,9 @@ pub(crate) mod tests {
             body: Reply::Pong,
         };
         let invoke = Message::Request {
-            req_id: 1,
+            req_id: 9,
             origin: 2,
+            acked: 6,
             trace: None,
             body: Request::Invoke {
                 target: CompletId::new(3, 4),
@@ -1448,19 +1484,19 @@ pub(crate) mod tests {
                 args: vec![Value::I64(1), Value::Null],
                 chain: vec![CompletId::new(1, 2)],
                 path: vec![2, 0],
-                hops: 1,
             },
         };
-        // version, kind, flags; ids; trace, hlc, ts; body tag; for the
-        // invoke its row in table order: target, method, args (a count
-        // and the values), chain, path, hops.
+        // version, kind, flags; ids (a request's `req_id − acked` last);
+        // trace, hlc, ts; body tag; for the invoke its row in table
+        // order: target, method, args (a count and the values), chain,
+        // path.
         let goldens: [(&Message, &[u8]); 3] = [
-            (&ping, &[1, 0, 0b111, 1, 2, 5, 6, 7, 8, 9, 22]),
-            (&pong, &[1, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+            (&ping, &[2, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
+            (&pong, &[2, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
             (
                 &invoke,
                 &[
-                    1, 0, 0b110, 1, 2, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0, 1,
+                    2, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
                 ],
             ),
         ];
@@ -1509,9 +1545,10 @@ pub(crate) mod tests {
     /// already speak.
     #[test]
     fn request_tag_one_is_retired_and_the_rest_keep_their_numbers() {
-        // One-byte `req_id` and `origin` (a request) or `req_id` and
-        // empty `route` (a reply) follow the three-byte header; the body
-        // tag comes next.
+        // One-byte `req_id`, `origin` and `req_id − acked` (a request)
+        // or `req_id` and empty `route` (a reply) follow the three-byte
+        // header; the body tag comes next.
+        const REQUEST_TAG_AT: usize = 6;
         const TAG_AT: usize = 5;
         let patched = |msg: &Message, at: usize, byte: u8| {
             let mut bytes = encode(msg, &EnvelopeMeta::default()).to_vec();
@@ -1547,14 +1584,15 @@ pub(crate) mod tests {
             let msg = Message::Request {
                 req_id: 1,
                 origin: 2,
+                acked: 1,
                 trace: None,
                 body,
             };
             let bytes = encode(&msg, &EnvelopeMeta::default());
-            assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
+            assert_eq!(bytes[REQUEST_TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
             for retired in [1, 5, 10, 11] {
-                assert!(patched(&msg, TAG_AT, retired).is_err(), "{msg:?}");
+                assert!(patched(&msg, REQUEST_TAG_AT, retired).is_err(), "{msg:?}");
             }
         }
         assert_eq!(seen.len(), 21, "every surviving request tag was checked");
@@ -1657,6 +1695,7 @@ pub(crate) mod tests {
         let get = Message::Request {
             req_id: 150_000,
             origin: 0,
+            acked: 150_000,
             trace: Some(TraceContext {
                 trace_id: 300_000,
                 span_id: 300_001,
@@ -1667,7 +1706,6 @@ pub(crate) mod tests {
                 args: vec![Value::from("key-00042")],
                 chain: vec![],
                 path: vec![0],
-                hops: 0,
             },
         };
         let request_len = encode(&get, &meta).len();

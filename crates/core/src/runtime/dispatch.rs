@@ -26,6 +26,7 @@ use crate::runtime::Core;
 pub(crate) struct WorkRequest {
     pub origin: u32,
     pub req_id: ReqId,
+    pub acked: ReqId,
     pub trace: Option<TraceContext>,
     /// Shared-clock µs at which the receiver enqueued the request
     /// (`None` when phase timing is off); the worker that picks it up
@@ -69,7 +70,9 @@ impl Core {
                                     t.phase_now_us().saturating_sub(enq),
                                 );
                             }
-                            core.handle_request(job.origin, job.req_id, job.trace, job.body);
+                            core.handle_request(
+                                job.origin, job.req_id, job.acked, job.trace, job.body,
+                            );
                             core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
                         }
                         Err(RecvTimeoutError::Timeout) => {}
@@ -130,9 +133,15 @@ impl Core {
             Message::Request {
                 req_id,
                 origin,
+                acked,
                 trace,
                 body,
             } => {
+                // The origin has every reply below its mark: their bytes
+                // go, whatever becomes of this request.
+                if self.inner.reply_cache.release(origin, acked) > 0 {
+                    self.publish_reply_cache_usage();
+                }
                 // Read-only snapshot requests are served right here on
                 // the dispatch loop: they never run complet code, never
                 // block, and never rpc, so they cannot stall the loop —
@@ -141,7 +150,7 @@ impl Core {
                 if body.inline_safe() {
                     self.inner.telemetry.worker_inline_total.inc();
                     self.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
-                    self.handle_request(origin, req_id, trace, body);
+                    self.handle_request(origin, req_id, acked, trace, body);
                     self.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
                     return;
                 }
@@ -153,6 +162,7 @@ impl Core {
                 let job = WorkRequest {
                     origin,
                     req_id,
+                    acked,
                     trace,
                     enqueued_us: self.inner.telemetry.phase_send_stamp(),
                     body,
@@ -181,6 +191,7 @@ impl Core {
         &self,
         origin: u32,
         req_id: ReqId,
+        acked: ReqId,
         trace: Option<TraceContext>,
         body: Request,
     ) {
@@ -189,9 +200,9 @@ impl Core {
         }
         // At-most-once admission: a retransmitted copy of a request we
         // already executed replays the recorded reply; one we are still
-        // executing is dropped; one we forwarded follows the first copy.
-        // Idempotent (read-only) kinds skip the cache and simply
-        // re-execute.
+        // executing, or whose caller already has the reply, is dropped;
+        // one we forwarded follows the first copy. Idempotent
+        // (read-only) kinds skip the cache and simply re-execute.
         let mut retrace = None;
         if !body.idempotent() {
             let (decision, evicted) = self.inner.reply_cache.begin(origin, req_id);
@@ -204,6 +215,7 @@ impl Core {
                     self.inner.telemetry.dedup_inflight_total.inc();
                     return;
                 }
+                Some(CacheSlot::Answered) => return,
                 Some(CacheSlot::Done(body)) => {
                     // The recorded body, as it is, under a fresh header.
                     self.inner.telemetry.dedup_hits_total.inc();
@@ -223,13 +235,12 @@ impl Core {
                 args,
                 chain,
                 path,
-                hops,
             } => {
                 // The one kind whose reply retraces the request's path.
                 // `None`: forwarded along the chain — the Core that
                 // executes it answers.
                 if let Some(reply) = self.handle_invoke(
-                    origin, req_id, trace, target, method, args, chain, &path, hops, retrace,
+                    origin, req_id, acked, trace, target, method, args, chain, &path, retrace,
                 ) {
                     self.respond(origin, req_id, &path, reply);
                 }
@@ -353,7 +364,8 @@ impl Core {
         }
     }
 
-    /// Brings the dedup-cache gauges up to date (an entry was settled).
+    /// Brings the dedup-cache gauges up to date (an entry was settled or
+    /// a mark released some).
     pub(crate) fn publish_reply_cache_usage(&self) {
         let (entries, bytes) = self.inner.reply_cache.usage();
         let t = &self.inner.telemetry;

@@ -128,6 +128,8 @@ fn envelope_size_does_not_depend_on_shard_population_or_uptime() {
     let get = Message::Request {
         req_id,
         origin: 0,
+        // The only call pending: the mark is its own id.
+        acked: req_id,
         trace: None,
         body: Request::Invoke {
             target: echo.id(),
@@ -135,7 +137,6 @@ fn envelope_size_does_not_depend_on_shard_population_or_uptime() {
             args,
             chain: vec![],
             path: vec![0],
-            hops: 0,
         },
     };
     let ok = Message::Reply {
@@ -168,6 +169,7 @@ fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
     let ping = Message::Request {
         req_id: 1,
         origin: core1.node().index(),
+        acked: 1,
         trace: None,
         body: Request::Ping,
     };
@@ -199,7 +201,8 @@ fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
 
 /// A retransmitted request is answered from the bytes of the first
 /// reply: the method runs once, and the replayed envelope is a fresh
-/// header (later stamps) around a byte-identical body.
+/// header (later stamps) around a byte-identical body. Once its caller's
+/// mark passes it, the bytes go and a late copy gets no answer.
 #[test]
 fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
     let clock = Clock::new_virtual(25_000_000);
@@ -208,20 +211,23 @@ fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
     // A peer that is no Core: its requests and their replies are frames
     // in this test's hands.
     let raw = net.add_node("raw").unwrap();
-    let scan = Message::Request {
-        req_id: 77,
-        origin: raw.id().index(),
-        trace: None,
-        body: Request::Invoke {
-            target: echo.id(),
-            method: "scan".into(),
-            args: vec![],
-            chain: vec![],
-            path: vec![raw.id().index()],
-            hops: 0,
-        },
+    let call = |req_id, method: &str| {
+        let msg = Message::Request {
+            req_id,
+            origin: raw.id().index(),
+            acked: req_id,
+            trace: None,
+            body: Request::Invoke {
+                target: echo.id(),
+                method: method.into(),
+                args: vec![],
+                chain: vec![],
+                path: vec![raw.id().index()],
+            },
+        };
+        encode(&msg, &EnvelopeMeta::default())
     };
-    let request = encode(&scan, &EnvelopeMeta::default());
+    let request = call(77, "scan");
     let mut replies = Vec::new();
     for _ in 0..3 {
         raw.send(core0.node(), request.clone()).unwrap();
@@ -246,14 +252,25 @@ fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
     }
     // Only the header differs: it carries the stamps of its own send.
     assert!(decoded[0].1.ts < decoded[1].1.ts && decoded[1].1.ts < decoded[2].1.ts);
+    let t = &core0.inner.telemetry;
+    assert_eq!(t.dedup_cache_bytes.get(), body.len() as f64);
+    let entries = t.dedup_cache_entries.get();
+    // The next request says every reply below 78 has arrived: the scan's
+    // bytes go, its key stays.
+    raw.send(core0.node(), call(78, "get")).unwrap();
+    let frame = raw.recv_timeout(Duration::from_secs(10)).unwrap().payload;
+    let get = encode_body(&Message::decode(frame).unwrap().0);
+    assert_eq!(t.dedup_cache_bytes.get(), get.len() as f64);
+    assert_eq!(t.dedup_cache_entries.get(), entries + 1.0);
+    // A late copy of the scan is dropped, neither executed nor answered.
+    raw.send(core0.node(), request).unwrap();
+    assert!(raw.recv_timeout(Duration::from_millis(200)).is_err());
     assert_eq!(core0.reliability_stats().1, 2, "two replays");
     assert_eq!(
         echo.call("ping", &[]).unwrap(),
         Value::I64(2),
         "one scan ran"
     );
-    let t = &core0.inner.telemetry;
-    assert_eq!(t.dedup_cache_bytes.get(), body.len() as f64);
     core0.stop();
     core1.stop();
 }

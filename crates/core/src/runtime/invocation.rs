@@ -182,7 +182,7 @@ impl Core {
     ) -> Result<PendingRpc> {
         let path = [self.inner.node.index()];
         self.rpc_begin(node, "invoke", |w| match args {
-            CallArgs::Borrowed(args) => put_invoke(w, target, method, args, chain, &path, 0),
+            CallArgs::Borrowed(args) => put_invoke(w, target, method, args, chain, &path),
             CallArgs::Encoded(body) => w.put_raw(body),
         })
     }
@@ -421,21 +421,26 @@ impl Core {
     /// `retrace` is the node this Core forwarded an earlier copy of the
     /// request to: a retransmission goes there, not where the tracker
     /// points now, so it ends at the Core whose entry replays the reply.
+    /// A forward passes the origin's mark `acked` on as it came: no Core
+    /// claims more for the origin than the origin did.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_invoke(
         &self,
         origin: u32,
         req_id: ReqId,
+        acked: ReqId,
         trace: Option<TraceContext>,
         target: CompletId,
         method: String,
         args: Vec<Value>,
         chain: Vec<CompletId>,
         path: &[u32],
-        hops: u32,
         mut retrace: Option<u32>,
     ) -> Option<Reply> {
         let me = self.inner.node.index();
+        // Tracker hops so far: the path lists the origin and each Core
+        // that forwarded the request.
+        let hops = path.len().saturating_sub(1) as u32;
         loop {
             let route = retrace.take().map(TrackerTarget::Forward);
             match route.or_else(|| self.inner.trackers.route(target)) {
@@ -486,12 +491,12 @@ impl Core {
                     // the rendered tree shows each chain hop; a Core that
                     // records none passes the requester's context on.
                     let span = t.span(SpanParent::Remote(trace), || format!("forward {method}"));
-                    let head = Header::Request(req_id, origin, span.ctx().or(trace));
+                    let head = Header::Request(req_id, origin, acked, span.ctx().or(trace));
                     let fwd_path = [path, &[me]].concat();
                     let fwd_start = t.phase_timing.then(|| t.phase_now_us());
                     // Straight from the decoded parts, nothing cloned.
                     let sent = self.send(next, "invoke", &head, |w| {
-                        put_invoke(w, target, &method, &args, &chain, &fwd_path, hops + 1);
+                        put_invoke(w, target, &method, &args, &chain, &fwd_path);
                     });
                     if let Some(t0) = fwd_start {
                         t.latency_forward_us

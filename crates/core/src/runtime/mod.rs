@@ -38,7 +38,7 @@ pub use reliable::DEDUP_CACHE_MAX_BYTES;
 pub use shards::{LocateReport, ResolveVia};
 pub use wal::RecoveryReport;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -113,7 +113,9 @@ pub(crate) struct CoreInner {
     pub complets: RwLock<HashMap<CompletId, Arc<CompletSlot>>>,
     pub trackers: TrackerTable,
     pub naming: Mutex<HashMap<String, RefDescriptor>>,
-    pub pending: Mutex<HashMap<ReqId, Sender<Reply>>>,
+    /// Requests awaiting their reply, by id; the smallest is the mark
+    /// every outgoing request carries.
+    pub pending: Mutex<BTreeMap<ReqId, Sender<Reply>>>,
     /// Local sinks receiving events from remote subscriptions.
     pub sinks: Mutex<HashMap<u64, EventHandler>>,
     pub sink_seq: AtomicU64,
@@ -342,7 +344,7 @@ impl<'a> CoreBuilder<'a> {
             complets: RwLock::new(HashMap::new()),
             trackers: TrackerTable::new(config.clock.clone()),
             naming: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(HashMap::new()),
             sink_seq: AtomicU64::new(1),
             // Salt request ids with the WAL's durable incarnation number:

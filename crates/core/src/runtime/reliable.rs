@@ -8,12 +8,14 @@
 //!   bounded [`ReplyCache`], so a retransmitted request re-sends the
 //!   recorded reply instead of executing a second time — or, at a Core
 //!   that forwarded it, retraces its first copy's path to the Core that
-//!   did;
+//!   did. A reply's bytes are held only until its caller has it: every
+//!   request carries its origin's answered-below mark, and the entries
+//!   of that origin below the mark keep their key but drop their bytes;
 //! * two-phase moves record their commit/abort verdicts in a bounded
 //!   [`DecisionLog`], which is what peers consult to resolve in-doubt
 //!   transactions after lost replies.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -26,7 +28,8 @@ use crate::proto::ReqId;
 type Key = (u32, ReqId);
 
 /// Bytes of encoded replies one Core's dedup cache may hold, whatever
-/// `dedup_cache_capacity` (the knob, in entries) says.
+/// `dedup_cache_capacity` (the knob, in entries) says. A backstop only:
+/// the callers' marks release each reply once it has been received.
 pub const DEDUP_CACHE_MAX_BYTES: usize = 16 << 20;
 
 /// What the dedup cache knows about a request it has seen before.
@@ -38,6 +41,10 @@ pub(crate) enum CacheSlot {
     /// Execution finished; retransmits get this encoded reply body
     /// re-sent verbatim and nothing re-executes.
     Done(Bytes),
+    /// Execution finished and the caller has the reply (or gave up on
+    /// it): its mark passed this id. The bytes are gone; a late copy is
+    /// dropped, neither executed nor answered.
+    Answered,
     /// Forwarded along a tracker chain to this node; retransmits are
     /// re-sent there, wherever the tracker points now, so they retrace
     /// the first copy's path to the Core whose entry replays the reply.
@@ -46,9 +53,10 @@ pub(crate) enum CacheSlot {
 
 /// Bounded `(origin, req_id) → reply` cache with FIFO eviction; the
 /// receiver half of at-most-once execution. Replies are kept as the
-/// bytes the responder encoded, bounded in entries by the capacity and in
-/// bytes by [`DEDUP_CACHE_MAX_BYTES`]. Capacity `0` disables it (every
-/// copy executes — the historical behaviour).
+/// bytes the responder encoded until their origin's mark passes them,
+/// bounded in entries by the capacity and in bytes by
+/// [`DEDUP_CACHE_MAX_BYTES`]. Capacity `0` disables it (every copy
+/// executes — the historical behaviour).
 pub(crate) struct ReplyCache {
     capacity: usize,
     inner: Mutex<CacheState>,
@@ -61,6 +69,18 @@ struct CacheState {
     order: VecDeque<Key>,
     /// Sum of the lengths of the `Done` bodies.
     bytes: usize,
+    /// Per origin, what its marks have said so far.
+    origins: HashMap<u32, Origin>,
+}
+
+#[derive(Default)]
+struct Origin {
+    /// The highest mark seen: every id below it has been answered or
+    /// abandoned at the origin, which never sends it again.
+    acked: ReqId,
+    /// The ids of the origin's `Done` slots, in order: what the next
+    /// mark releases.
+    done: BTreeSet<ReqId>,
 }
 
 impl CacheState {
@@ -68,6 +88,9 @@ impl CacheState {
         let key = self.order.remove(at).expect("index taken from `order`");
         if let Some(CacheSlot::Done(body)) = self.slots.remove(&key) {
             self.bytes -= body.len();
+            if let Some(o) = self.origins.get_mut(&key.0) {
+                o.done.remove(&key.1);
+            }
         }
     }
 }
@@ -83,7 +106,9 @@ impl ReplyCache {
     /// Admits one copy of a request: what is known of it, or `None` on a
     /// first sighting — execute it (an `InFlight` marker is now held and
     /// must be resolved with `complete` or `forwarded`) — plus how many
-    /// old entries were evicted to make room.
+    /// old entries were evicted to make room. An entry still executing
+    /// is never evicted, or a copy would run beside it; the worker queue
+    /// bounds how far the cache can overshoot its capacity for them.
     pub(crate) fn begin(&self, origin: u32, req_id: ReqId) -> (Option<CacheSlot>, u64) {
         if self.capacity == 0 {
             return (None, 0);
@@ -95,7 +120,12 @@ impl ReplyCache {
         }
         let mut evicted = 0u64;
         while g.order.len() >= self.capacity {
-            g.remove(0);
+            let oldest_settled = g
+                .order
+                .iter()
+                .position(|k| !matches!(g.slots[k], CacheSlot::InFlight));
+            let Some(at) = oldest_settled else { break };
+            g.remove(at);
             evicted += 1;
         }
         g.slots.insert(key, CacheSlot::InFlight);
@@ -103,27 +133,36 @@ impl ReplyCache {
         (None, evicted)
     }
 
-    /// Records the encoded reply of a request admitted with `begin`, then
-    /// evicts the oldest recorded replies (never this one) until the byte
-    /// bound holds; returns how many. A no-op when the entry was evicted
-    /// meanwhile or never admitted (idempotent requests skip the cache).
+    /// Records the encoded reply of a request admitted with `begin` —
+    /// only that it was answered, if its origin's mark has already passed
+    /// it — then evicts the oldest recorded replies (never this one)
+    /// until the byte bound holds; returns how many. A no-op when the
+    /// entry was evicted meanwhile or never admitted (idempotent requests
+    /// skip the cache).
     pub(crate) fn complete(&self, origin: u32, req_id: ReqId, body: Bytes) -> u64 {
         let mut g = self.inner.lock();
+        let g = &mut *g;
         let key = (origin, req_id);
         let Some(slot) = g.slots.get_mut(&key) else {
             return 0;
         };
-        let added = body.len();
-        if let CacheSlot::Done(old) = std::mem::replace(slot, CacheSlot::Done(body)) {
+        let o = g.origins.entry(origin).or_default();
+        let settled = if req_id < o.acked {
+            CacheSlot::Answered
+        } else {
+            o.done.insert(req_id);
+            g.bytes += body.len();
+            CacheSlot::Done(body)
+        };
+        if let CacheSlot::Done(old) = std::mem::replace(slot, settled) {
             g.bytes -= old.len();
         }
-        g.bytes += added;
         let (mut evicted, mut at) = (0u64, 0);
         while g.bytes > DEDUP_CACHE_MAX_BYTES && at < g.order.len() {
             let k = g.order[at];
-            // An `InFlight` or `Forwarded` entry owns no bytes, and
-            // dropping it would let a retransmission execute beside the
-            // first copy.
+            // Only a `Done` entry owns bytes, and dropping an `InFlight`
+            // or `Forwarded` one would let a retransmission execute
+            // beside the first copy.
             if k != key && matches!(g.slots[&k], CacheSlot::Done(_)) {
                 g.remove(at);
                 evicted += 1;
@@ -132,6 +171,37 @@ impl ReplyCache {
             }
         }
         evicted
+    }
+
+    /// Applies `origin`'s answered-below mark: each of its `Done` entries
+    /// below `acked` becomes `Answered` — its key kept, its bytes
+    /// dropped. A mark no higher than one seen before changes nothing.
+    /// Returns how many replies were released, each at O(log n).
+    pub(crate) fn release(&self, origin: u32, acked: ReqId) -> usize {
+        if self.capacity == 0 {
+            return 0;
+        }
+        let mut g = self.inner.lock();
+        let g = &mut *g;
+        let o = g.origins.entry(origin).or_default();
+        if acked <= o.acked {
+            return 0;
+        }
+        o.acked = acked;
+        let mut released = 0;
+        while let Some(&id) = o.done.first() {
+            if id >= acked {
+                break;
+            }
+            o.done.pop_first();
+            if let Some(slot) = g.slots.get_mut(&(origin, id)) {
+                if let CacheSlot::Done(body) = std::mem::replace(slot, CacheSlot::Answered) {
+                    g.bytes -= body.len();
+                    released += 1;
+                }
+            }
+        }
+        released
     }
 
     /// Records that a request admitted with `begin` was forwarded to
@@ -295,8 +365,9 @@ mod tests {
         Bytes::from(vec![fill; len])
     }
 
-    /// The two sides of the cache agree: `order` lists exactly the keys
-    /// of `slots`, and `bytes` is what the recorded bodies add up to.
+    /// The sides of the cache agree: `order` lists exactly the keys of
+    /// `slots`, `bytes` is what the recorded bodies add up to, and the
+    /// per-origin index lists exactly the `Done` slots.
     fn assert_consistent(cache: &ReplyCache) {
         let g = cache.inner.lock();
         assert_eq!(g.order.len(), g.slots.len());
@@ -306,10 +377,30 @@ mod tests {
             .values()
             .map(|s| match s {
                 CacheSlot::Done(b) => b.len(),
-                CacheSlot::InFlight | CacheSlot::Forwarded(_) => 0,
+                CacheSlot::InFlight | CacheSlot::Answered | CacheSlot::Forwarded(_) => 0,
             })
             .sum();
         assert_eq!(g.bytes, held);
+        let mut done: Vec<Key> = g
+            .slots
+            .iter()
+            .filter(|(_, s)| matches!(s, CacheSlot::Done(_)))
+            .map(|(k, _)| *k)
+            .collect();
+        done.sort_unstable();
+        let mut indexed: Vec<Key> = g
+            .origins
+            .iter()
+            .flat_map(|(&o, marks)| marks.done.iter().map(move |&id| (o, id)))
+            .collect();
+        indexed.sort_unstable();
+        assert_eq!(done, indexed);
+    }
+
+    /// Admits and completes `(origin, req_id)` with a `len`-byte reply.
+    fn answer(cache: &ReplyCache, origin: u32, req_id: ReqId, len: usize) {
+        assert!(cache.begin(origin, req_id).0.is_none());
+        cache.complete(origin, req_id, body(len, req_id as u8));
     }
 
     #[test]
@@ -357,6 +448,105 @@ mod tests {
         // The oldest entry (1,1) is gone: it now re-executes.
         let (d, _) = cache.begin(1, 1);
         assert!(d.is_none());
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn capacity_eviction_never_drops_an_executing_request() {
+        let cache = ReplyCache::new(2);
+        for req_id in 1..=3 {
+            let (d, evicted) = cache.begin(1, req_id);
+            assert!(d.is_none());
+            assert_eq!(evicted, 0, "every entry is still executing");
+        }
+        // The cache overshoots its capacity rather than forget one.
+        assert_eq!(cache.usage(), (3, 0));
+        let (d, _) = cache.begin(1, 1);
+        assert!(matches!(d, Some(CacheSlot::InFlight)), "1 would run twice");
+        // Once settled, the oldest entries go first again.
+        cache.complete(1, 1, body(4, 1));
+        let (_, evicted) = cache.begin(1, 4);
+        assert_eq!(evicted, 1);
+        assert!(cache.begin(1, 1).0.is_none(), "1 was the one evicted");
+        assert_consistent(&cache);
+    }
+
+    #[test]
+    fn a_mark_drops_the_bytes_below_it_and_keeps_the_keys() {
+        let cache = ReplyCache::new(8);
+        for req_id in 1..=4 {
+            answer(&cache, 1, req_id, 100);
+        }
+        answer(&cache, 2, 1, 50);
+        assert_eq!(cache.usage(), (5, 450));
+        // Origin 1 has every reply below 3: two released, two kept.
+        assert_eq!(cache.release(1, 3), 2);
+        assert_eq!(cache.usage(), (5, 250));
+        assert!(matches!(cache.begin(1, 2).0, Some(CacheSlot::Answered)));
+        assert!(matches!(cache.begin(1, 3).0, Some(CacheSlot::Done(_))));
+        // Another origin's entry with the same id is its own.
+        assert!(matches!(cache.begin(2, 1).0, Some(CacheSlot::Done(_))));
+        assert_consistent(&cache);
+    }
+
+    /// A copy of a released request finds `Answered`, never a first
+    /// sighting: the dispatcher drops it, neither executed nor answered.
+    #[test]
+    fn a_late_copy_of_a_released_request_is_not_admitted() {
+        let cache = ReplyCache::new(8);
+        answer(&cache, 1, 7, 10);
+        cache.release(1, 8);
+        for _ in 0..3 {
+            let (d, evicted) = cache.begin(1, 7);
+            assert!(matches!(d, Some(CacheSlot::Answered)));
+            assert_eq!(evicted, 0);
+        }
+        assert_eq!(cache.usage(), (1, 0));
+        assert_consistent(&cache);
+    }
+
+    /// A request whose caller gave up while it executed: the mark passed
+    /// it before its reply was recorded, so nothing is kept but the key.
+    #[test]
+    fn complete_below_the_mark_stores_no_bytes() {
+        let cache = ReplyCache::new(8);
+        assert!(cache.begin(1, 5).0.is_none());
+        assert_eq!(cache.release(1, 9), 0, "nothing recorded yet");
+        assert!(matches!(cache.begin(1, 5).0, Some(CacheSlot::InFlight)));
+        assert_eq!(cache.complete(1, 5, body(1_000, 5)), 0);
+        assert_eq!(cache.usage(), (1, 0));
+        assert!(matches!(cache.begin(1, 5).0, Some(CacheSlot::Answered)));
+        // At or above the mark a reply is recorded as before.
+        answer(&cache, 1, 9, 30);
+        assert_eq!(cache.usage(), (2, 30));
+        assert_consistent(&cache);
+    }
+
+    /// Marks travel on different requests and workers, so they arrive in
+    /// any order; a lower one after a higher one releases nothing more
+    /// and brings nothing back.
+    #[test]
+    fn marks_out_of_order_never_unrelease_an_entry() {
+        let cache = ReplyCache::new(16);
+        for req_id in 1..=6 {
+            answer(&cache, 1, req_id, 10);
+        }
+        assert_eq!(cache.release(1, 5), 4);
+        assert_eq!(cache.release(1, 2), 0);
+        assert_eq!(cache.release(1, 5), 0);
+        // The origin's mark is still 5: a late reply below it is not kept.
+        assert!(cache.begin(1, 3).0.is_some());
+        answer(&cache, 1, 0, 10);
+        assert!(matches!(cache.begin(1, 0).0, Some(CacheSlot::Answered)));
+        for req_id in 1..=4 {
+            assert!(matches!(
+                cache.begin(1, req_id).0,
+                Some(CacheSlot::Answered)
+            ));
+        }
+        assert_eq!(cache.usage(), (7, 20));
+        assert_eq!(cache.release(1, 7), 2);
+        assert_eq!(cache.usage(), (7, 0));
         assert_consistent(&cache);
     }
 

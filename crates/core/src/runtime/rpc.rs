@@ -3,7 +3,9 @@
 //!
 //! There is one way out ([`Core::send`]: [`Core::frame`], then
 //! [`Core::transmit`]), one place a request is given its id, one table
-//! of requests awaiting their reply, and one retransmitting wait
+//! of requests awaiting their reply — whose smallest id is the mark every
+//! request header carries ([`Core::request_head`]) — and one
+//! retransmitting wait
 //! ([`PendingRpc::wait`]) — the blocking [`Core::rpc`] is
 //! `rpc_begin(..)?.wait()`, and both invocation styles issue and settle
 //! through the same two calls.
@@ -12,6 +14,7 @@ use std::sync::atomic::Ordering;
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
+use fargo_telemetry::TraceContext;
 use fargo_wire::WireWriter;
 
 use crate::error::{FargoError, Result};
@@ -116,7 +119,6 @@ impl Core {
         kind: &'static str,
         body: impl FnOnce(&mut WireWriter),
     ) -> Result<PendingRpc> {
-        let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
         let cfg = &self.inner.config;
         let budget = RetryBudget::new(
             cfg.clock.clone(),
@@ -126,7 +128,15 @@ impl Core {
             cfg.rpc_retry_cap,
         );
         let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(req_id, tx);
+        // Minted under the table's lock, so no id below the table's
+        // smallest is ever still on its way in: that is what makes the
+        // smallest the mark.
+        let req_id = {
+            let mut pending = self.inner.pending.lock();
+            let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
+            pending.insert(req_id, tx);
+            req_id
+        };
         // From here the slot is released by `PendingRpc`'s `Drop`,
         // whichever way this function or the wait ends.
         let mut pending = PendingRpc {
@@ -134,7 +144,7 @@ impl Core {
             node,
             req_id,
             kind,
-            head: Header::Request(req_id, self.inner.node.index(), current_trace()),
+            trace: current_trace(),
             body: Bytes::new(),
             rx,
             budget,
@@ -149,7 +159,8 @@ impl Core {
         // (and the peer works on it) while the caller does other things.
         // A synchronous send failure (unknown or down node) is
         // definitive — retransmitting cannot answer it.
-        let (frame, body) = self.frame(&pending.head, body);
+        let head = self.request_head(req_id, pending.trace);
+        let (frame, body) = self.frame(&head, body);
         pending.body = body;
         self.transmit(node, kind, frame)?;
         Ok(pending)
@@ -161,8 +172,19 @@ impl Core {
     /// guarantees, not retransmission.
     pub(crate) fn send_request_oneway(&self, node: u32, body: Request) {
         let req_id = self.inner.req_seq.fetch_add(1, Ordering::Relaxed);
-        let head = Header::Request(req_id, self.inner.node.index(), None);
+        let head = self.request_head(req_id, None);
         let _ = self.send(node, body.kind_name(), &head, |w| body.put(w));
+    }
+
+    /// The header of one copy of request `req_id`, originated here. It
+    /// carries this Core's answered-below mark as of now: the smallest id
+    /// still awaiting its reply, capped at `req_id`. Every id below it
+    /// has been answered or abandoned and is never sent again, so the
+    /// Core that executed it may drop its reply's bytes.
+    fn request_head(&self, req_id: ReqId, trace: Option<TraceContext>) -> Header<'static> {
+        let lowest = self.inner.pending.lock().keys().next().copied();
+        let acked = lowest.map_or(req_id, |low| low.min(req_id));
+        Header::Request(req_id, self.inner.node.index(), acked, trace)
     }
 
     /// Hands a reply that reached its final hop to the caller waiting on
@@ -209,8 +231,9 @@ pub(crate) struct PendingRpc {
     pub(super) node: u32,
     pub(super) req_id: ReqId,
     kind: &'static str,
-    head: Header<'static>,
-    /// As first sent; a retransmission is `head`, re-stamped, around it.
+    trace: Option<TraceContext>,
+    /// As first sent; a retransmission is a fresh header (new stamps, the
+    /// mark as of then) around it.
     pub(super) body: Bytes,
     rx: Receiver<Reply>,
     budget: RetryBudget,
@@ -233,7 +256,8 @@ impl PendingRpc {
                     }
                     self.core.inner.telemetry.rpc_retries_total.inc();
                     let (core, body) = (&self.core, &self.body);
-                    core.send(self.node, self.kind, &self.head, |w| w.put_raw(body))?;
+                    let head = core.request_head(self.req_id, self.trace);
+                    core.send(self.node, self.kind, &head, |w| w.put_raw(body))?;
                 }
             }
         }

@@ -402,6 +402,54 @@ fn retried_graph_scans_execute_exactly_once_and_replay_the_whole_reply() {
 }
 
 #[test]
+fn a_lost_reply_is_replayed_until_its_callers_next_request_releases_it() {
+    // The caller's mark cannot pass a request it still waits on: a reply
+    // lost on its link stays in the executing Core's cache, and the
+    // retransmission is replayed from it. The caller's next request
+    // carries a mark past it, and the entry keeps its key but not its
+    // bytes.
+    let (net, cores) = lossy_cluster_with(0.0, 2, |c| {
+        c.with_rpc_timeout(Duration::from_secs(5))
+            .with_rpc_retries(8)
+    });
+    let chunk = cores[0].new_complet_at("core1", "GraphChunk", &[]).unwrap();
+    let back = (cores[1].node(), cores[0].node());
+    net.set_link_directed(back.0, back.1, LinkConfig::instant().with_loss(1.0))
+        .unwrap();
+    let pending = chunk.call_async("scan", &[]);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while net.link_stats(back.0, back.1).dropped == 0 {
+        assert!(Instant::now() < deadline, "the reply never left core1");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    net.set_link_directed(back.0, back.1, LinkConfig::instant())
+        .unwrap();
+    let expected = Value::List(fargo_wire::testgen::graph_records(256, 0));
+    assert_eq!(pending.wait().unwrap(), expected);
+    assert!(counter(&cores[1], "fargo_dedup_hits_total") > 0, "replayed");
+    let scan_body = fargo_wire::encode_value(&expected).len() as f64;
+    let held = common::gauge(&cores[1], "fargo_dedup_cache_bytes");
+    let entries = common::gauge(&cores[1], "fargo_dedup_cache_entries");
+    assert!(held >= scan_body, "{held} bytes: the scan reply is held");
+    assert_eq!(
+        chunk.call("scans", &[]).unwrap(),
+        Value::I64(1),
+        "one scan ran"
+    );
+    let after = common::gauge(&cores[1], "fargo_dedup_cache_bytes");
+    assert!(
+        after < scan_body,
+        "{after} bytes: the scan reply was released"
+    );
+    assert_eq!(
+        common::gauge(&cores[1], "fargo_dedup_cache_entries"),
+        entries + 1.0,
+        "its key is kept"
+    );
+    teardown(&cores);
+}
+
+#[test]
 fn dedup_cache_eviction_under_churn() {
     // A tiny dedup cache under many distinct requests must evict old
     // entries (bounded memory) without disturbing live calls.
