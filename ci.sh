@@ -14,7 +14,7 @@ trap cleanup_wal_scratch EXIT
 # Size report: non-test Rust under crates/ (integration-test dirs,
 # `*_tests.rs` files and `#[cfg(test)]` modules left out), all lines and
 # code lines (no blanks, no `//` lines), the same count for the
-# telemetry stack alone (ROADMAP item 10 gates on it going down) and for
+# telemetry stack alone (ROADMAP items 9 and 12 gate on it) and for
 # the wire crate (what a `Value` is, and costs, is decided there), then
 # each file of the Core runtime, then the number of `CoreConfig` fields
 # (ROADMAP's north-star knob count). ROADMAP wants the net line count of

@@ -291,8 +291,10 @@ struct Subscription {
     token: u64,
     selector: String,
     threshold: Option<f64>,
-    /// `true`: fire when value rises to or above threshold;
-    /// `false`: fire when it falls to or below.
+    /// `true`: fire when value rises above threshold;
+    /// `false`: fire when it falls to or below. The two directions
+    /// partition the values, so an above and a below listener on one
+    /// threshold make a fire/resolve pair.
     above: bool,
     /// Edge-trigger state: armed until the condition fires, re-armed when
     /// the condition clears. Prevents storms of identical notifications.
@@ -314,7 +316,7 @@ impl Subscription {
             return true;
         };
         let crossed = if self.above {
-            value >= threshold
+            value > threshold
         } else {
             value <= threshold
         };
@@ -341,56 +343,33 @@ impl EventHub {
         EventHub::default()
     }
 
-    fn add(&self, sub: Subscription) -> u64 {
-        let token = sub.token;
-        self.subs.lock().push(sub);
+    /// Registers a listener — a local closure, a complet or a peer
+    /// Core; returns its token.
+    pub fn subscribe(
+        &self,
+        selector: &str,
+        threshold: Option<f64>,
+        above: bool,
+        sink: Delivery,
+    ) -> u64 {
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        self.subs.lock().push(Subscription {
+            token,
+            selector: selector.to_owned(),
+            threshold,
+            above,
+            armed: true,
+            sink,
+        });
         token
     }
 
-    /// Registers a local closure listener; returns its token.
-    pub fn subscribe_local(
-        &self,
-        selector: &str,
-        threshold: Option<f64>,
-        above: bool,
-        handler: EventHandler,
-    ) -> u64 {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.add(Subscription {
-            token,
-            selector: selector.to_owned(),
-            threshold,
-            above,
-            armed: true,
-            sink: Delivery::Local(handler),
-        })
-    }
-
-    /// Registers a remote listener (complet or peer Core).
-    pub fn subscribe_remote(
-        &self,
-        selector: &str,
-        threshold: Option<f64>,
-        above: bool,
-        listener: ListenerAddr,
-    ) -> u64 {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.add(Subscription {
-            token,
-            selector: selector.to_owned(),
-            threshold,
-            above,
-            armed: true,
-            sink: Delivery::Remote(listener),
-        })
-    }
-
-    /// Removes a subscription by token. Returns whether it existed.
-    pub fn unsubscribe(&self, token: u64) -> bool {
+    /// Removes a subscription by token. Returns its selector, or `None`
+    /// when no subscription had that token.
+    pub fn unsubscribe(&self, token: u64) -> Option<String> {
         let mut subs = self.subs.lock();
-        let before = subs.len();
-        subs.retain(|s| s.token != token);
-        subs.len() != before
+        let at = subs.iter().position(|s| s.token == token)?;
+        Some(subs.remove(at).selector)
     }
 
     /// Removes remote subscriptions matching a listener address and
@@ -522,13 +501,13 @@ mod tests {
         let hub = EventHub::new();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        hub.subscribe_local(
+        hub.subscribe(
             "completLoad",
             Some(3.0),
             true,
-            Arc::new(move |_| {
+            Delivery::Local(Arc::new(move |_| {
                 h.fetch_add(1, Ordering::SeqCst);
-            }),
+            })),
         );
         // Below threshold: filtered.
         for d in hub.matching(&profile("completLoad", "", 1.0)) {
@@ -537,14 +516,14 @@ mod tests {
             }
         }
         assert_eq!(hits.load(Ordering::SeqCst), 0);
-        // At/above threshold: delivered.
+        // Above threshold: delivered.
         assert_eq!(hub.matching(&profile("completLoad", "", 3.5)).len(), 1);
     }
 
     #[test]
     fn threshold_is_edge_triggered() {
         let hub = EventHub::new();
-        hub.subscribe_local("load", Some(2.0), true, Arc::new(|_| {}));
+        hub.subscribe("load", Some(2.0), true, Delivery::Local(Arc::new(|_| {})));
         assert_eq!(hub.matching(&profile("load", "", 5.0)).len(), 1);
         // Still above: no re-fire until it clears.
         assert_eq!(hub.matching(&profile("load", "", 6.0)).len(), 0);
@@ -557,20 +536,42 @@ mod tests {
     #[test]
     fn below_direction() {
         let hub = EventHub::new();
-        hub.subscribe_local("bandwidth", Some(100.0), false, Arc::new(|_| {}));
+        hub.subscribe(
+            "bandwidth",
+            Some(100.0),
+            false,
+            Delivery::Local(Arc::new(|_| {})),
+        );
         assert_eq!(hub.matching(&profile("bandwidth", "", 500.0)).len(), 0);
         assert_eq!(hub.matching(&profile("bandwidth", "", 50.0)).len(), 1);
+        // An above listener on the same threshold: every value crosses
+        // exactly one of the two, the threshold itself the below one.
+        hub.subscribe(
+            "bandwidth",
+            Some(100.0),
+            true,
+            Delivery::Local(Arc::new(|_| {})),
+        );
+        for (value, fired) in [(100.0, 0), (101.0, 1), (100.0, 1), (101.0, 1)] {
+            let got = hub.matching(&profile("bandwidth", "", value)).len();
+            assert_eq!(got, fired, "at {value}");
+        }
     }
 
     #[test]
     fn unsubscribe_by_token_and_address() {
         let hub = EventHub::new();
-        let t = hub.subscribe_local("coreShutdown", None, true, Arc::new(|_| {}));
+        let t = hub.subscribe(
+            "coreShutdown",
+            None,
+            true,
+            Delivery::Local(Arc::new(|_| {})),
+        );
         let addr = ListenerAddr::Core { node: 1, token: 5 };
-        hub.subscribe_remote("coreShutdown", None, true, addr.clone());
+        hub.subscribe("coreShutdown", None, true, Delivery::Remote(addr.clone()));
         assert_eq!(hub.len(), 2);
-        assert!(hub.unsubscribe(t));
-        assert!(!hub.unsubscribe(t));
+        assert_eq!(hub.unsubscribe(t).as_deref(), Some("coreShutdown"));
+        assert_eq!(hub.unsubscribe(t), None);
         assert_eq!(hub.unsubscribe_remote("coreShutdown", &addr), 1);
         assert_eq!(hub.len(), 0);
     }
@@ -578,7 +579,12 @@ mod tests {
     #[test]
     fn layout_events_ignore_thresholds() {
         let hub = EventHub::new();
-        hub.subscribe_local("coreShutdown", Some(99.0), true, Arc::new(|_| {}));
+        hub.subscribe(
+            "coreShutdown",
+            Some(99.0),
+            true,
+            Delivery::Local(Arc::new(|_| {})),
+        );
         assert_eq!(
             hub.matching(&EventPayload::CoreShutdown { core: 0 }).len(),
             1

@@ -88,9 +88,8 @@ pub use runtime::{
 pub use fargo_wire::{CompletId, RefDescriptor, Value};
 
 pub use fargo_telemetry::{
-    default_slo_rules, render_health, render_journal_json, render_matrix, render_slow_log,
-    render_span_tree, AccountRecord, Anomaly, AnomalyThresholds, Clock, HealthSample, Hlc,
-    JournalEvent, JournalKind, LayoutHistory, LayoutState, MatrixCell, MetricValue,
-    Registry as TelemetryRegistry, RuleStatus, SloKind, SloRule, SlowRecord,
-    Snapshot as MetricSnapshot, SpanRecord, TraceContext,
+    render_journal_json, render_matrix, render_slow_log, render_span_tree, AccountRecord, Anomaly,
+    AnomalyThresholds, Clock, Hlc, JournalEvent, JournalKind, LayoutHistory, LayoutState,
+    MatrixCell, MetricValue, Registry as TelemetryRegistry, SlowRecord, Snapshot as MetricSnapshot,
+    SpanRecord, TraceContext,
 };

@@ -66,8 +66,9 @@ pub struct Monitor {
     samples_total: Counter,
     cache_hits_total: Counter,
     events_total: Counter,
-    /// Rate bookkeeping: last total seen per rate-style service, with the
-    /// [`Clock`] microseconds it was observed at.
+    /// Baselines of the services computed from counter deltas: the last
+    /// numerator and denominator totals (for a rate, the [`Clock`]
+    /// microseconds it was read at).
     last_totals: Mutex<HashMap<Service, (u64, u64)>>,
     /// Time source for cache TTLs, sampling intervals, and rate windows.
     clock: Clock,
@@ -276,21 +277,24 @@ impl Monitor {
     }
 
     /// Converts a monotone total into a rate (events/second) since this
-    /// method was last called for `service`. Used by the Core's sampler to
-    /// implement `methodInvokeRate`.
+    /// method was last called for `service`: the ratio of its increment
+    /// to the [`Clock`]'s. Used by the Core's sampler to implement
+    /// `methodInvokeRate`.
     pub(crate) fn rate_from_total(&self, service: &Service, total: u64) -> f64 {
-        let now = self.clock.now_us();
-        let mut last = self.last_totals.lock();
-        match last.insert(service.clone(), (total, now)) {
-            Some((prev_total, prev_at)) => {
-                let dt = now.saturating_sub(prev_at) as f64 / 1_000_000.0;
-                if dt <= 0.0 {
-                    0.0
-                } else {
-                    (total.saturating_sub(prev_total)) as f64 / dt
-                }
+        self.ratio_from_totals(service, total, self.clock.now_us()) * 1_000_000.0
+    }
+
+    /// Converts two monotone totals into the ratio of their increments
+    /// since this method was last called for `service` — 0 without a
+    /// baseline or when the denominator did not move. Used by the Core's
+    /// sampler to implement the SLO ratios (`errorRate`, `shedRate`,
+    /// `moveFailureRate`).
+    pub(crate) fn ratio_from_totals(&self, service: &Service, num: u64, den: u64) -> f64 {
+        match self.last_totals.lock().insert(service.clone(), (num, den)) {
+            Some((prev_num, prev_den)) if den > prev_den => {
+                num.saturating_sub(prev_num) as f64 / (den - prev_den) as f64
             }
-            None => 0.0,
+            _ => 0.0,
         }
     }
 }
@@ -433,6 +437,10 @@ mod tests {
         clock.advance(Duration::from_millis(20));
         let r = m.rate_from_total(&s, 30);
         assert_eq!(r, 1000.0, "20 events over 20ms is 1000/s");
+        let s = Service::ErrorRate;
+        assert_eq!(m.ratio_from_totals(&s, 3, 10), 0.0, "no baseline yet");
+        assert_eq!(m.ratio_from_totals(&s, 5, 20), 0.2, "2 of 10 failed");
+        assert_eq!(m.ratio_from_totals(&s, 5, 20), 0.0, "nothing issued");
     }
 
     #[test]
@@ -462,14 +470,19 @@ mod tests {
         );
     }
 
-    /// A monitor whose `methodInvokeRate` sampler turns the shared
-    /// `total` into a rate the way the Core's does.
+    /// A monitor whose sampler turns the shared `total` into a rate for
+    /// `methodInvokeRate` and into a ratio (of `total` to itself) for
+    /// the ratio services, the way the Core's does.
     fn rate_monitor(clock: &Clock, total: &Arc<AtomicU64>) -> Arc<Monitor> {
         let m = Arc::new(Monitor::new(Duration::from_millis(50), 0.5, clock.clone()));
         let (weak, total) = (Arc::downgrade(&m), total.clone());
         m.install_sampler(Arc::new(move |s| {
             let m = weak.upgrade()?;
-            Some(m.rate_from_total(s, total.load(Ordering::SeqCst)))
+            let total = total.load(Ordering::SeqCst);
+            Some(match s {
+                Service::MethodInvokeRate { .. } => m.rate_from_total(s, total),
+                _ => m.ratio_from_totals(s, total, total),
+            })
         }));
         m
     }
@@ -483,17 +496,20 @@ mod tests {
 
     #[test]
     fn stopped_rate_profiles_leave_no_baseline_behind() {
-        let m = rate_monitor(&Clock::new_virtual(0), &Arc::new(AtomicU64::new(7)));
-        for seq in 0..10_000 {
-            m.start(rate_of(seq), Duration::ZERO);
-            m.tick(0); // the sample takes a baseline
-            m.stop(&rate_of(seq));
+        let ratio: fn(u64) -> Service = |_| Service::ErrorRate;
+        for service in [rate_of, ratio] {
+            let m = rate_monitor(&Clock::new_virtual(0), &Arc::new(AtomicU64::new(7)));
+            for seq in 0..10_000 {
+                m.start(service(seq), Duration::ZERO);
+                m.tick(0); // the sample takes a baseline
+                m.stop(&service(seq));
+            }
+            assert_eq!(m.active_services(), 0);
+            assert!(
+                m.last_totals.lock().is_empty(),
+                "one entry leaked per profile"
+            );
         }
-        assert_eq!(m.active_services(), 0);
-        assert!(
-            m.last_totals.lock().is_empty(),
-            "one entry leaked per profile"
-        );
     }
 
     #[test]

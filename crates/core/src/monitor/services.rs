@@ -42,6 +42,14 @@ pub enum Service {
     MemoryUse,
     /// Pending messages in the Core's receive queue (system).
     QueueLen,
+    /// p99 of the recent invoke-latency window, in µs (SLO).
+    InvokeP99,
+    /// Failed invocations per invocation issued (SLO).
+    ErrorRate,
+    /// Requests the worker pool shed per invocation issued (SLO).
+    ShedRate,
+    /// Failed moves per move attempted (SLO).
+    MoveFailureRate,
 }
 
 impl Service {
@@ -55,16 +63,20 @@ impl Service {
             Service::CompletSize { .. } => "completSize",
             Service::MemoryUse => "memoryUse",
             Service::QueueLen => "queueLen",
+            Service::InvokeP99 => "invokeP99",
+            Service::ErrorRate => "errorRate",
+            Service::ShedRate => "shedRate",
+            Service::MoveFailureRate => "moveFailureRate",
         }
     }
 
     /// The service-specific key (empty for keyless services).
     pub fn key(&self) -> String {
         match self {
-            Service::CompletLoad | Service::MemoryUse | Service::QueueLen => String::new(),
             Service::Bandwidth { peer } | Service::Latency { peer } => format!("n{peer}"),
             Service::MethodInvokeRate { src, dst } => format!("{src}->{dst}"),
             Service::CompletSize { id } => id.to_string(),
+            _ => String::new(),
         }
     }
 
@@ -86,28 +98,36 @@ impl Service {
                 .and_then(|x| x.parse().ok())
                 .ok_or_else(|| bad("bad node key"))
         };
-        match name {
-            "completLoad" => Ok(Service::CompletLoad),
-            "memoryUse" => Ok(Service::MemoryUse),
-            "queueLen" => Ok(Service::QueueLen),
-            "bandwidth" => Ok(Service::Bandwidth {
+        let service = match name {
+            "completLoad" => Service::CompletLoad,
+            "memoryUse" => Service::MemoryUse,
+            "queueLen" => Service::QueueLen,
+            "invokeP99" => Service::InvokeP99,
+            "errorRate" => Service::ErrorRate,
+            "shedRate" => Service::ShedRate,
+            "moveFailureRate" => Service::MoveFailureRate,
+            "bandwidth" => Service::Bandwidth {
                 peer: parse_node(key)?,
-            }),
-            "latency" => Ok(Service::Latency {
+            },
+            "latency" => Service::Latency {
                 peer: parse_node(key)?,
-            }),
-            "completSize" => Ok(Service::CompletSize {
+            },
+            "completSize" => Service::CompletSize {
                 id: key.parse().map_err(|_| bad("bad complet id"))?,
-            }),
+            },
             "methodInvokeRate" => {
                 let (a, b) = key.split_once("->").ok_or_else(|| bad("bad rate key"))?;
-                Ok(Service::MethodInvokeRate {
+                Service::MethodInvokeRate {
                     src: a.parse().map_err(|_| bad("bad src id"))?,
                     dst: b.parse().map_err(|_| bad("bad dst id"))?,
-                })
+                }
             }
-            _ => Err(bad("unknown service")),
+            _ => return Err(bad("unknown service")),
+        };
+        if service.key().is_empty() && !key.is_empty() {
+            return Err(bad("unexpected key"));
         }
+        Ok(service)
     }
 }
 
@@ -132,6 +152,10 @@ mod tests {
             Service::CompletLoad,
             Service::MemoryUse,
             Service::QueueLen,
+            Service::InvokeP99,
+            Service::ErrorRate,
+            Service::ShedRate,
+            Service::MoveFailureRate,
             Service::Bandwidth { peer: 3 },
             Service::Latency { peer: 0 },
             Service::MethodInvokeRate {
@@ -156,6 +180,7 @@ mod tests {
             "methodInvokeRate:c0.1",
             "methodInvokeRate:c0.1->garbage",
             "completSize:9",
+            "errorRate:x",
         ] {
             assert!(Service::parse(bad).is_err(), "{bad} should not parse");
         }

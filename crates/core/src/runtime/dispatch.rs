@@ -17,7 +17,7 @@ use fargo_telemetry::{JournalKind, TraceContext};
 use simnet::NodeId;
 
 use crate::error::FargoError;
-use crate::events::EventPayload;
+use crate::events::{Delivery, EventPayload};
 use crate::proto::{Header, Message, Notify, Reply, ReqId, Request, Wire};
 use crate::runtime::reliable::CacheSlot;
 use crate::runtime::Core;
@@ -293,11 +293,12 @@ impl Core {
                 self.start_profiling_for_selector(&selector);
                 self.inner
                     .hub
-                    .subscribe_remote(&selector, threshold, above, listener);
+                    .subscribe(&selector, threshold, above, Delivery::Remote(listener));
                 Reply::Ok
             }
             Request::Unsubscribe { selector, listener } => {
-                if self.inner.hub.unsubscribe_remote(&selector, &listener) > 0 {
+                // One release per subscription removed: each started one.
+                for _ in 0..self.inner.hub.unsubscribe_remote(&selector, &listener) {
                     self.stop_profiling_for_selector(&selector);
                 }
                 Reply::Ok

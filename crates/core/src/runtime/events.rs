@@ -31,9 +31,8 @@ impl Core {
         handler: EventHandler,
     ) -> u64 {
         self.start_profiling_for_selector(selector);
-        self.inner
-            .hub
-            .subscribe_local(selector, threshold, above, handler)
+        let sink = Delivery::Local(handler);
+        self.inner.hub.subscribe(selector, threshold, above, sink)
     }
 
     /// If the selector names a profiling service, begin continuous
@@ -57,9 +56,14 @@ impl Core {
         }
     }
 
-    /// Removes a local subscription.
+    /// Removes a local subscription, and releases the profiling its
+    /// selector started. Returns whether the subscription existed.
     pub fn unsubscribe(&self, token: u64) -> bool {
-        self.inner.hub.unsubscribe(token)
+        let Some(selector) = self.inner.hub.unsubscribe(token) else {
+            return false;
+        };
+        self.stop_profiling_for_selector(&selector);
+        true
     }
 
     /// Registers a complet as a listener at this Core. Delivery is an
@@ -73,12 +77,8 @@ impl Core {
         listener: CompletRef,
     ) -> u64 {
         self.start_profiling_for_selector(selector);
-        self.inner.hub.subscribe_remote(
-            selector,
-            threshold,
-            above,
-            ListenerAddr::Complet(listener.descriptor()),
-        )
+        let sink = Delivery::Remote(ListenerAddr::Complet(listener.descriptor()));
+        self.inner.hub.subscribe(selector, threshold, above, sink)
     }
 
     /// Subscribes a local handler to events fired by a **remote** Core.

@@ -48,7 +48,7 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use fargo_net::{
     DeliveryGate, SimnetTransport, TcpTransport, TcpTransportConfig, Transport, TransportError,
 };
-use fargo_telemetry::{HealthEngine, JournalKind, Registry as TelemetryRegistry};
+use fargo_telemetry::{JournalKind, Registry as TelemetryRegistry};
 use fargo_wire::{CompletId, RefDescriptor, Value};
 use parking_lot::{Mutex, RwLock};
 use simnet::{Endpoint, Network, NodeId};
@@ -148,8 +148,6 @@ pub(crate) struct CoreInner {
     /// layout planner's cadence source), keyed for removal.
     pub tick_hooks: Mutex<Vec<(u64, TickHook)>>,
     pub tick_hook_seq: AtomicU64,
-    /// The SLO/health engine, fed one [`HealthSample`] per monitor tick.
-    pub health: Mutex<HealthEngine>,
     /// Consistent-hash ring assigning each complet id's authoritative
     /// location shard to a Core (rebuilt when membership changes).
     pub ring: Mutex<fargo_naming::HashRing>,
@@ -366,7 +364,6 @@ impl<'a> CoreBuilder<'a> {
             held_moves: Mutex::new(HashMap::new()),
             tick_hooks: Mutex::new(Vec::new()),
             tick_hook_seq: AtomicU64::new(1),
-            health: Mutex::new(HealthEngine::new(fargo_telemetry::default_slo_rules())),
             // Membership may still be growing while Cores spawn one by
             // one; every use refreshes the ring against the live node
             // list, so starting from what is visible now is safe.
@@ -828,7 +825,6 @@ impl Core {
                     }
                     core.sweep_held_moves();
                     core.wal_compact_if_due();
-                    core.evaluate_health();
                     // Ring refresh + shard handoff for the sharded
                     // location service (nothing to hand off when it is
                     // disabled: the shard stays empty).
@@ -900,6 +896,20 @@ fn sample_service(inner: &Arc<CoreInner>, service: &Service) -> Option<f64> {
             Some(total as f64)
         }
         Service::QueueLen => Some(inner.transport.queue_len() as f64),
+        Service::InvokeP99 => {
+            let p99 = inner.telemetry.invoke_latency_us.quantile_recent(0.99);
+            Some(p99.unwrap_or(0.0))
+        }
+        Service::ErrorRate | Service::ShedRate | Service::MoveFailureRate => {
+            let t = &inner.telemetry;
+            let (num, den) = match service {
+                Service::ErrorRate => (&t.invoke_errors_total, &t.invoke_total),
+                Service::ShedRate => (&t.worker_rejections_total, &t.invoke_total),
+                _ => (&t.move_failures_total, &t.moves_attempted_total),
+            };
+            let (num, den) = (num.get(), den.get());
+            Some(inner.monitor.ratio_from_totals(service, num, den))
+        }
     }
 }
 

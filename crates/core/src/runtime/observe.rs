@@ -1,11 +1,10 @@
 //! What an operator can ask a running Core: traces, the layout journal,
-//! the tail-latency, heavy-hitter, traffic-matrix and SLO observatories,
-//! the metrics exposition, and remote table inspection.
+//! the tail-latency, heavy-hitter and traffic-matrix observatories, the
+//! metrics exposition, and remote table inspection.
 
 use fargo_telemetry::{
-    merge_timelines, render_snapshots_json, render_span_tree, AccountRecord, HealthSample,
-    Histogram, Hlc, JournalEvent, JournalKind, LayoutHistory, MatrixCell, RuleStatus, SlowRecord,
-    SpanRecord,
+    merge_timelines, render_snapshots_json, render_span_tree, AccountRecord, Histogram, Hlc,
+    JournalEvent, JournalKind, LayoutHistory, MatrixCell, SlowRecord, SpanRecord,
 };
 use fargo_wire::CompletId;
 
@@ -328,61 +327,6 @@ impl Core {
         }
         cells.sort_by(|a, b| (&a.src, &a.dst).cmp(&(&b.src, &b.dst)));
         cells
-    }
-
-    /// Current state of every SLO rule on this Core: short/long window
-    /// burn rates and whether the alert is firing.
-    pub fn health_status(&self) -> Vec<RuleStatus> {
-        self.inner.health.lock().status()
-    }
-
-    /// Every alert transition journaled cluster-wide, oldest first.
-    pub fn collect_alerts(&self) -> Vec<JournalEvent> {
-        self.collect_journal()
-            .into_iter()
-            .filter(|ev| ev.kind == JournalKind::Alert)
-            .collect()
-    }
-
-    /// Builds the cumulative [`HealthSample`] the SLO engine consumes —
-    /// one call per monitor tick, but public so tests and the checker can
-    /// drive the engine deterministically.
-    pub fn health_sample(&self) -> HealthSample {
-        let t = &self.inner.telemetry;
-        HealthSample {
-            p99_invoke_us: t.invoke_latency_us.quantile_recent(0.99),
-            invokes: t.invoke_total.get(),
-            errors: t.invoke_errors_total.get(),
-            sheds: t.worker_rejections_total.get(),
-            moves: t.moves_attempted_total.get(),
-            move_failures: t.move_failures_total.get(),
-        }
-    }
-
-    /// Feeds one sample to the SLO engine, journals every alert
-    /// transition, and updates the per-rule alert counter/status gauge.
-    /// Called by the monitor thread each tick; public for deterministic
-    /// tests.
-    pub fn evaluate_health(&self) {
-        let sample = self.health_sample();
-        let transitions = self.inner.health.lock().observe(sample);
-        let t = &self.inner.telemetry;
-        for tr in &transitions {
-            let detail = format!(
-                "short={:.4} long={:.4} threshold={:.4}",
-                tr.short, tr.long, tr.threshold
-            );
-            let object = if tr.firing { "firing" } else { "resolved" };
-            t.journal(JournalKind::Alert, &tr.rule, object, &detail, None);
-            if let Some((fired, status)) = t.health_series.get(&tr.rule) {
-                if tr.firing {
-                    fired.inc();
-                    status.set(1.0);
-                } else {
-                    status.set(0.0);
-                }
-            }
-        }
     }
 
     /// This Core's tracker table in the shape `ListTrackers` ships it.

@@ -180,9 +180,6 @@ pub(crate) struct CoreTelemetry {
     pub moves_attempted_total: Counter,
     /// `move_complet` attempts that failed.
     pub move_failures_total: Counter,
-    /// Per-SLO-rule alert series: `fargo_alerts_total` edges and the
-    /// `fargo_health_status` 0/1 gauge, pre-registered per rule.
-    pub health_series: HashMap<String, (Counter, Gauge)>,
 
     // Sharded location service.
     /// `locate()` resolutions, by any path.
@@ -247,19 +244,6 @@ impl CoreTelemetry {
             };
         let phase_hist =
             |name: &str| -> Histogram { registry.histogram(name, l, BUCKETS_LATENCY_US) };
-        let health_series = fargo_telemetry::default_slo_rules()
-            .iter()
-            .map(|r| {
-                let rl = &[("core", core), ("rule", r.name.as_str())][..];
-                (
-                    r.name.clone(),
-                    (
-                        registry.counter("fargo_alerts_total", rl),
-                        registry.gauge("fargo_health_status", rl),
-                    ),
-                )
-            })
-            .collect();
         CoreTelemetry {
             spans: SpanLog::for_core(core, TRACE_CAPACITY, clock.clone()),
             trace_enabled: config.trace_enabled,
@@ -317,7 +301,6 @@ impl CoreTelemetry {
             invoke_errors_total: registry.counter("fargo_invoke_errors_total", l),
             moves_attempted_total: registry.counter("fargo_moves_attempted_total", l),
             move_failures_total: registry.counter("fargo_move_failures_total", l),
-            health_series,
             naming_lookups_total: registry.counter("fargo_naming_lookups_total", l),
             naming_lookup_hops: registry.histogram("fargo_naming_lookup_hops", l, BUCKETS_COUNT),
             naming_publishes_total: registry.counter("fargo_naming_publishes_total", l),

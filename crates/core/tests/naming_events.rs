@@ -110,29 +110,33 @@ fn event_subscription_counting_and_unsubscribe() {
 fn profile_event_subscription_autostarts_and_autostops_profiling() {
     // §4.2: "Internally, the event registration mechanism invokes the
     // proper start method."
+    // A listener at another Core, then one at the subscriber's own Core
+    // (a local subscription, cancelled without a message).
     let (_net, _reg, cores) = cluster(2);
     let selector = "completLoad";
     let service = Service::CompletLoad;
-    assert!(!cores[1].monitor().is_profiling(&service));
-    let sub = cores[0]
-        .subscribe_at("core1", selector, Some(100.0), true, Arc::new(|_| {}))
-        .unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while !cores[1].monitor().is_profiling(&service) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "profiling never started"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    sub.cancel();
-    let deadline = std::time::Instant::now() + Duration::from_secs(2);
-    while cores[1].monitor().is_profiling(&service) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "profiling never stopped"
-        );
-        std::thread::sleep(Duration::from_millis(5));
+    for (at, watched) in [("core1", &cores[1]), ("core0", &cores[0])] {
+        assert!(!watched.monitor().is_profiling(&service));
+        let sub = cores[0]
+            .subscribe_at(at, selector, Some(100.0), true, Arc::new(|_| {}))
+            .unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !watched.monitor().is_profiling(&service) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "profiling at {at} never started"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        sub.cancel();
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while watched.monitor().is_profiling(&service) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "profiling at {at} never stopped"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
     teardown(&cores);
 }

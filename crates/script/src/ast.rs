@@ -41,7 +41,7 @@ pub struct EventSpec {
     pub name: String,
     /// Threshold for profiling events (`methodInvokeRate(3)`).
     pub threshold: Option<f64>,
-    /// `true` for `below(x)` thresholds; default is at-or-above.
+    /// `true` for `below(x)` thresholds; default fires above the threshold.
     pub below: bool,
     /// `firedby $var`: bind the firing Core's name in the action scope.
     pub firedby: Option<String>,

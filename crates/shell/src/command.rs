@@ -5,11 +5,13 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use fargo_core::{
-    render_health, render_matrix, render_slow_log, CompletId, CompletRef, Core, FargoError,
+    render_matrix, render_slow_log, CompletId, CompletRef, Core, FargoError, JournalKind,
     RefDescriptor, Service, Value,
 };
 use fargo_layout::{register_script_action, AutoLayout};
 use fargo_script::{ScriptEngine, ScriptError, ScriptValue};
+
+use crate::slo::Slo;
 
 /// Errors from shell command execution.
 #[derive(Debug)]
@@ -66,6 +68,7 @@ pub struct Shell {
     core: Core,
     engine: ScriptEngine,
     auto: AutoLayout,
+    slo: Slo,
 }
 
 const HELP: &str = "\
@@ -106,7 +109,7 @@ FarGo shell commands:
   matrix                             core-to-core traffic heatmap
   edges [<n>]                        most-called references cluster-wide,
                                      the planner's traffic input (default 10)
-  health                             SLO rule status (burn-rate windows)
+  health                             SLO rules per core, FIRING or ok
   alerts [<n>]                       journaled alert transitions
                                      (last n; default 20)
   trace [<id>]                       span tree of a trace (default: the
@@ -133,7 +136,13 @@ impl Shell {
         let engine = ScriptEngine::new(core.clone());
         let auto = AutoLayout::attach(core.clone());
         register_script_action(&engine, &auto);
-        Shell { core, engine, auto }
+        let slo = Slo::new(&engine);
+        Shell {
+            core,
+            engine,
+            auto,
+            slo,
+        }
     }
 
     /// The script engine backing the `script` command (register custom
@@ -611,15 +620,19 @@ impl Shell {
         Ok(out)
     }
 
-    /// Current SLO rule status on this Core.
+    /// Every SLO rule at every Core, FIRING or ok; the first `health`
+    /// or `alerts` loads the rules.
     fn cmd_health(&self) -> Result<String, ShellError> {
-        Ok(render_health(&self.core.health_status()))
+        let cores = self.slo.watch(&self.core, &self.engine)?;
+        Ok(self.slo.render(&cores))
     }
 
     /// Journaled alert transitions, cluster-wide, newest last.
     fn cmd_alerts(&self, args: &[&str]) -> Result<String, ShellError> {
         let n = count_arg(args, 20, "alerts [<n>]")?;
-        let events: Vec<_> = self.core.collect_alerts();
+        self.slo.watch(&self.core, &self.engine)?;
+        let mut events = self.core.collect_journal();
+        events.retain(|ev| ev.kind == JournalKind::Alert);
         if events.is_empty() {
             return Ok("(no alerts recorded)".to_owned());
         }

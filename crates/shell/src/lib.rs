@@ -24,5 +24,7 @@
 //! ```
 
 mod command;
+mod slo;
 
 pub use command::{Shell, ShellError};
+pub use slo::SLO_RULES;

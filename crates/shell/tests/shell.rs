@@ -1,8 +1,10 @@
 //! Shell integration tests against a live cluster.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use fargo_core::{define_complet, CompletRegistry, Core, Value};
+use fargo_core::{
+    define_complet, CompletRef, CompletRegistry, Core, CoreConfig, FargoError, Value,
+};
 use fargo_shell::{Shell, ShellError};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
@@ -15,6 +17,25 @@ define_complet! {
         fn set_text(&mut self, _ctx, args) {
             self.text = args.first().and_then(Value::as_str).unwrap_or("").to_owned();
             Ok(Value::Null)
+        }
+    }
+}
+
+define_complet! {
+    /// `nap <ms>` sleeps; `relay <peer> <ms>` naps through `peer`, so a
+    /// relayed call is also an invocation issued where the relay runs.
+    pub complet Napper {
+        state { naps: i64 = 0 }
+        fn nap(&mut self, _ctx, args) {
+            let ms = args.first().and_then(Value::as_i64).unwrap_or(0);
+            std::thread::sleep(Duration::from_millis(ms as u64));
+            self.naps += 1;
+            Ok(Value::Null)
+        }
+        fn relay(&mut self, ctx, args) {
+            let peer = args.first().and_then(Value::as_ref_desc).cloned()
+                .ok_or_else(|| FargoError::InvalidArgument("peer".into()))?;
+            ctx.call(&CompletRef::from_descriptor(peer), "nap", &args[1..])
         }
     }
 }
@@ -348,22 +369,143 @@ fn top_and_matrix_report_accounted_load_and_traffic() {
 #[test]
 fn health_and_alerts_commands_render_slo_state() {
     let (cores, shell) = setup();
+    assert_eq!(cores[1].monitor().active_services(), 0, "nobody asked yet");
     let health = shell.exec("health").unwrap();
+    let rules = [
+        ("p99-latency", "invokeP99(100000)"),
+        ("error-rate", "errorRate(0.05)"),
+        ("shed-rate", "shedRate(0.05)"),
+        ("move-failure-rate", "moveFailureRate(0.5)"),
+    ];
+    for c in &cores {
+        for (rule, watch) in rules {
+            let row = [c.name(), rule, "ok", watch];
+            assert!(
+                health.lines().any(|l| l.split_whitespace().eq(row)),
+                "missing {row:?}: {health}"
+            );
+        }
+        // The first `health` loaded the rules: each Core now profiles
+        // the four SLO services.
+        assert_eq!(c.monitor().active_services(), 4, "{}", c.name());
+    }
+    assert_eq!(
+        health.lines().count(),
+        rules.len() * cores.len(),
+        "{health}"
+    );
+    assert_eq!(shell.exec("alerts").unwrap(), "(no alerts recorded)");
+    assert!(matches!(shell.exec("alerts x"), Err(ShellError::Usage(_))));
+    for c in &cores {
+        c.stop();
+    }
+}
+
+/// The state `health` shows for one Core and rule.
+fn slo_state(shell: &Shell, core: &str, rule: &str) -> String {
+    let health = shell.exec("health").unwrap();
+    let row = health
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .find(|w| w[..2] == [core, rule])
+        .unwrap_or_else(|| panic!("no {core} {rule} row: {health}"));
+    row[2].to_owned()
+}
+
+/// Runs `load` until `health` shows `rule` at `core` in `state`; fails
+/// after 5 s.
+fn drive_until(shell: &Shell, core: &str, rule: &str, state: &str, mut load: impl FnMut()) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while slo_state(shell, core, rule) != state {
+        assert!(
+            Instant::now() < deadline,
+            "{rule} at {core} not {state} within 5 s"
+        );
+        load();
+    }
+}
+
+#[test]
+fn each_default_slo_rule_fires_and_resolves_through_the_shipped_script() {
+    let net = Network::new(NetworkConfig {
+        default_link: Some(LinkConfig::instant()),
+        ..NetworkConfig::default()
+    });
+    let reg = CompletRegistry::new();
+    Message::register(&reg);
+    Napper::register(&reg);
+    let fast_ticks = CoreConfig {
+        monitor_tick: Duration::from_millis(10),
+        ..CoreConfig::default()
+    };
+    let spawn = |name: &str, config: CoreConfig| {
+        Core::builder(&net, name)
+            .registry(&reg)
+            .config(config)
+            .spawn()
+            .unwrap()
+    };
+    let core0 = spawn("core0", fast_ticks.clone());
+    // One worker and one queue slot: concurrent calls are shed.
+    let core1 = spawn("core1", fast_ticks.clone().with_worker_pool(1, 1));
+    // Full from the start: every move into it fails.
+    let core2 = spawn("core2", fast_ticks.with_capacity(0));
+    let shell = Shell::new(core0.clone());
+    shell.exec("health").unwrap();
+    let idle = || std::thread::sleep(Duration::from_millis(10));
+
+    // p99-latency: calls slower than 100 ms, then enough fast ones to
+    // push them out of the recent invoke window.
+    shell.exec("new Napper as napper").unwrap();
+    shell.exec("new Message as postbox").unwrap();
+    drive_until(&shell, "core0", "p99-latency", "FIRING", || {
+        shell.exec("call napper nap 150").unwrap();
+    });
+    for _ in 0..1_100 {
+        shell.exec("call postbox print").unwrap();
+    }
+    drive_until(&shell, "core0", "p99-latency", "ok", idle);
+
+    // error-rate: calls to a method Message does not have.
+    drive_until(&shell, "core0", "error-rate", "FIRING", || {
+        assert!(shell.exec("call postbox nope").is_err());
+    });
+    drive_until(&shell, "core0", "error-rate", "ok", idle);
+
+    // shed-rate: eight concurrent relays into core1's single worker.
+    let relay = core0.new_complet_at("core1", "Napper", &[]).unwrap();
+    let sleeper = core0.new_complet_at("core1", "Napper", &[]).unwrap();
+    let args = [
+        Value::from(sleeper.complet_ref().descriptor()),
+        Value::from(20),
+    ];
+    drive_until(&shell, "core1", "shed-rate", "FIRING", || {
+        let calls: Vec<_> = (0..8).map(|_| relay.call_async("relay", &args)).collect();
+        for call in calls {
+            let _ = call.wait();
+        }
+    });
+    drive_until(&shell, "core1", "shed-rate", "ok", idle);
+
+    // move-failure-rate: moves into the full core2.
+    drive_until(&shell, "core0", "move-failure-rate", "FIRING", || {
+        assert!(shell.exec("move postbox to core2").is_err());
+    });
+    drive_until(&shell, "core0", "move-failure-rate", "ok", idle);
+
+    let alerts = shell.exec("alerts 100").unwrap();
     for rule in [
         "p99-latency",
         "error-rate",
         "shed-rate",
         "move-failure-rate",
     ] {
-        assert!(health.contains(rule), "missing {rule} row: {health}");
+        for state in ["firing", "resolved"] {
+            let edge = format!(" alert {rule} {state} ");
+            assert!(alerts.contains(&edge), "no{edge}in {alerts}");
+        }
     }
-    assert!(
-        !health.contains("FIRING"),
-        "idle cluster is healthy: {health}"
-    );
-    assert_eq!(shell.exec("alerts").unwrap(), "(no alerts recorded)");
-    assert!(matches!(shell.exec("alerts x"), Err(ShellError::Usage(_))));
-    for c in &cores {
+    for c in [&core0, &core1, &core2] {
         c.stop();
     }
 }

@@ -265,9 +265,9 @@ journal_kinds! {
     /// (subject = complet, object = rejected epoch, detail = current
     /// epoch, peer = the target the stale update wanted).
     TrackerStale => "trk_stale",
-    /// An SLO alert edge from the health engine (subject = rule name,
-    /// object = "firing"/"resolved", detail = the window means vs the
-    /// threshold).
+    /// An SLO alert edge, journaled by the action of a script rule
+    /// (subject = rule name, object = "firing"/"resolved", detail = the
+    /// Core it fired for and the service's average, peer = that Core).
     Alert => "alert",
     /// A location-shard entry was accepted by the recording Core's
     /// shard (subject = complet, object = the placement node or "gone"

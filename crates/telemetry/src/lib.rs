@@ -1,6 +1,6 @@
 //! Dependency-free telemetry for FarGo-RS.
 //!
-//! Three parts, all built on `std` only:
+//! Six modules, all built on `std` only:
 //!
 //! * [`metrics`] — a registry of lock-free counters, gauges, and
 //!   fixed-bucket histograms, registered by name + labels, snapshottable,
@@ -25,16 +25,16 @@
 //! * [`account`] — per-complet resource accounting bounded by a
 //!   Space-Saving heavy-hitter sketch, and the Core↔Core traffic
 //!   matrix, both exposed through the metrics registry.
-//! * [`health`] — declarative SLO rules evaluated per monitor tick with
-//!   multi-window burn-rate alerting.
+//!
+//! Thresholds are not evaluated here: SLO rules are the Core's monitor
+//! services plus layout-script rules (see `fargo-shell`'s `health`).
 //!
 //! The crate deliberately has no dependencies (not even in-workspace
-//! ones) so every layer — wire, simnet, core, shell, viz, bench — can
-//! use it without cycles.
+//! ones) so every layer that records — the transport (`fargo-net`), the
+//! Core, the checker and the benchmark — can use it without cycles.
 
 pub mod account;
 pub mod clock;
-pub mod health;
 pub mod journal;
 pub mod metrics;
 pub mod tail;
@@ -44,10 +44,6 @@ pub use account::{
     render_matrix, AccountKey, AccountRecord, Accountant, MatrixCell, TrafficMatrix,
 };
 pub use clock::Clock;
-pub use health::{
-    default_slo_rules, render_health, AlertTransition, HealthEngine, HealthSample, RuleStatus,
-    SloKind, SloRule,
-};
 pub use journal::{
     merge_timelines, render_journal_json, Anomaly, AnomalyThresholds, Hlc, HlcClock, Journal,
     JournalEvent, JournalKind, LayoutHistory, LayoutState,

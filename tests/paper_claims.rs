@@ -336,21 +336,49 @@ fn claim_interest_driven_monitoring() {
     teardown(&cores);
 }
 
-/// §4.1, the overhead half: nobody asked, so a thousand calls later the
-/// sampler has never run.
+/// §4.1, the overhead half: nobody asked, so a thousand calls later —
+/// some of them failing, which moves the counter behind `errorRate` —
+/// the sampler has never run. Once the shipped SLO rules are loaded at
+/// the Core it samples; once they are cancelled, it stops again.
 #[test]
 fn claim_an_unwatched_core_never_samples() {
     let (_net, cores) = cluster(1);
     let core = &cores[0];
     let store = core.new_complet("Store", &[]).unwrap();
-    for _ in 0..1_000 {
-        store.call("ops", &[]).unwrap();
+    for i in 0..1_000 {
+        if i % 10 == 0 {
+            assert!(store.call("nope", &[]).is_err());
+        } else {
+            store.call("ops", &[]).unwrap();
+        }
     }
+    let metrics = core.render_metrics();
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l.starts_with("fargo_invoke_errors_total{") && l.ends_with(" 100")),
+        "100 failed calls counted: {metrics}"
+    );
     assert_eq!(
         core.monitor().samples(),
         0,
         "nothing requested, nothing measured"
     );
+
+    let engine = ScriptEngine::new(core.clone());
+    let watched = ScriptValue::List(vec![ScriptValue::Str(core.name().to_owned())]);
+    let rules = engine.load(fargo::shell::SLO_RULES, vec![watched]).unwrap();
+    assert_eq!(core.monitor().active_services(), 4);
+    assert!(wait_until(Duration::from_secs(5), || core
+        .monitor()
+        .samples()
+        > 0));
+    rules.cancel();
+    assert_eq!(core.monitor().active_services(), 0, "cancelled, released");
+    let after = core.monitor().samples();
+    // Twenty ticks: two of the rules' sampling intervals.
+    std::thread::sleep(core.config().monitor_tick * 20);
+    assert_eq!(core.monitor().samples(), after, "and nothing samples");
     teardown(&cores);
 }
 
