@@ -112,6 +112,10 @@ bench() { # <pr> [runs]
 tests_passed() {
     cargo test -q 2>&1 | awk '/^test result:/ { n += $4 } END { print n + 0 }'
 }
+# The two BENCH_*.json names read on stdin with the highest PR numbers.
+newest_two() {
+    sed 's/^BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -n 2 | sed 's/.*/BENCH_&.json/'
+}
 # The trajectory's step: `./ci.sh bench-diff [old new]` compares two
 # BENCH_*.json files, by default the two with the highest PR numbers.
 # It prints per workload and end-to-end metric both medians and the
@@ -121,8 +125,7 @@ tests_passed() {
 bench_diff() { # [old new]
     if [ $# -lt 2 ]; then
         # shellcheck disable=SC2046
-        set -- $(ls BENCH_*.json | sed 's/^BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -n 2 |
-            sed 's/.*/BENCH_&.json/')
+        set -- $(ls BENCH_*.json | newest_two)
     fi
     [ $# -eq 2 ] || { echo "bench-diff: needs two BENCH_*.json files" >&2; exit 2; }
     jq -n -r --arg old "$1" --arg new "$2" --slurpfile o "$1" --slurpfile n "$2" \
@@ -225,6 +228,12 @@ fi
 echo "==> loc (report only)"
 loc
 if [ "${1:-}" = loc ]; then exit 0; fi
+
+# The trajectory's last step, read from the two newest committed
+# BENCH_*.json files: no benchmark run, and bench-diff's exit rule.
+echo "==> bench-diff (the two newest committed BENCH_*.json)"
+# shellcheck disable=SC2046
+bench_diff $(git ls-files 'BENCH_*.json' | newest_two)
 
 echo "==> cargo build --release"
 cargo build --release

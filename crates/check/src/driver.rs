@@ -152,9 +152,10 @@ struct Cluster {
     wal_root: Option<PathBuf>,
     /// Which cores are currently crashed.
     down: Vec<bool>,
-    /// Journal sequence each core resumes from after a restart, so one
-    /// logical core keeps one gap-free timeline across incarnations.
-    seq_base: Vec<u64>,
+    /// Complets lost to unlogged restarts: what the Core hosted when it
+    /// crashed. The counter audit and the acked-loss oracle forgive their
+    /// lost state, never an extra execution.
+    lost: Vec<CompletId>,
     /// Journal snapshots captured from crashed incarnations (their
     /// telemetry dies with the handle; the merge still needs the events).
     retired: Vec<Vec<JournalEvent>>,
@@ -235,7 +236,7 @@ impl Cluster {
             cc,
             wal_root,
             down: vec![false; schedule.cores],
-            seq_base: vec![0; schedule.cores],
+            lost: Vec::new(),
             retired: Vec::new(),
             cut: Vec::new(),
         };
@@ -270,16 +271,20 @@ impl Cluster {
                     return;
                 }
                 // The handle's telemetry dies with it; keep the journal
-                // for the merged timeline and note where its sequence
-                // left off so the next incarnation continues it.
+                // for the merged timeline.
                 self.retired.push(self.cores[core].journal_snapshot());
-                self.seq_base[core] = self.cores[core].journal_next_seq();
                 self.cores[core].stop();
                 self.down[core] = true;
             }
-            Op::Restart { core } => {
+            Op::Restart { core, log } => {
                 if core >= self.cores.len() || !self.down[core] {
                     return;
+                }
+                if !log {
+                    if let Some(root) = &self.wal_root {
+                        let _ = std::fs::remove_dir_all(root.join(format!("core{core}")));
+                    }
+                    self.lost.extend(self.cores[core].complet_ids());
                 }
                 // A restarted Core stamps fresh HLCs from the shared
                 // clock; jump it past any logical catch-up accumulated at
@@ -294,10 +299,7 @@ impl Cluster {
                 let spawned = Core::builder(&self.net, &format!("core{core}"))
                     .endpoint(ep)
                     .registry(&self.reg)
-                    .config(
-                        self.core_config(core)
-                            .with_journal_seq_base(self.seq_base[core]),
-                    )
+                    .config(self.core_config(core))
                     .spawn();
                 let Ok(c) = spawned else {
                     let _ = self.net.set_node_up(node, false);
@@ -338,6 +340,14 @@ impl Cluster {
             }
             _ => {}
         }
+    }
+
+    /// Drops the acked-loss findings about complets an unlogged restart
+    /// lost: their acknowledged state went with the Core's memory.
+    fn forgive_lost(&self, found: &mut Vec<Violation>) {
+        found.retain(|v| {
+            v.oracle != "acked-loss" || !self.lost.iter().any(|id| id.to_string() == v.subject)
+        });
     }
 
     /// Whether `op` touches a crashed core and must be skipped. Invokes
@@ -652,6 +662,7 @@ pub fn run(schedule: &Schedule, cfg: &RunConfig) -> RunReport {
                     // not have landed; the shard oracle binds only at the
                     // healed, quiescent end.
                     found.retain(|v| v.oracle != "shard");
+                    cl.forgive_lost(&mut found);
                 }
                 if let Some((node, id, Some(len_before))) = before {
                     if let Some(len_after) = oracles::chain_len(&events, node, &id) {
@@ -684,7 +695,7 @@ pub fn run(schedule: &Schedule, cfg: &RunConfig) -> RunReport {
         }
         for i in 0..cl.cores.len() {
             if cl.down[i] {
-                cl.apply_fault(&Op::Restart { core: i });
+                cl.apply_fault(&Op::Restart { core: i, log: true });
             }
         }
         let _ = cl.quiesce(cfg.quiesce_polls);
@@ -712,6 +723,7 @@ pub fn run(schedule: &Schedule, cfg: &RunConfig) -> RunReport {
                 // legitimately leave a shard stale at rest, so the shard
                 // oracle only binds on lossless fault-free links.
                 found.retain(|v| v.oracle != "shard");
+                cl.forgive_lost(&mut found);
             }
             violations.extend(found);
             violations.extend(audit_counters(&cl, &refs, &audits, cfg.stress || faults));
@@ -740,7 +752,8 @@ pub fn run(schedule: &Schedule, cfg: &RunConfig) -> RunReport {
 /// faults), land between the successes and successes + failures. The
 /// lower bound is the durability oracle: every *acknowledged* add must
 /// survive any crash; the upper bound is at-most-once: a failed
-/// invocation may still have executed, but never twice.
+/// invocation may still have executed, but never twice. A slot an
+/// unlogged restart lost is excused the lower bound and reachability.
 fn audit_counters(
     cl: &Cluster,
     refs: &[slotcell::SlotCell],
@@ -762,18 +775,22 @@ fn audit_counters(
                 _ => thread::sleep(Duration::from_millis(2)),
             }
         }
+        // A slot an unlogged restart lost may be gone or behind its acks,
+        // never ahead of its calls.
+        let lost = cl.lost.contains(&r.id());
+        let least = if lost { 0 } else { ok };
         match value {
-            Some(n) if lenient && (n < ok || n > ok + failed) => out.push(Violation::new(
+            Some(n) if lenient && (n < least || n > ok + failed) => out.push(Violation::new(
                 "counter",
                 format!("slot{slot}"),
-                format!("counter {n} outside [{ok}, {}]", ok + failed),
+                format!("counter {n} outside [{least}, {}]", ok + failed),
             )),
             Some(n) if !lenient && n != ok => out.push(Violation::new(
                 "counter",
                 format!("slot{slot}"),
                 format!("counter {n} after {ok} successful adds"),
             )),
-            None => out.push(Violation::new(
+            None if !lost => out.push(Violation::new(
                 "counter",
                 format!("slot{slot}"),
                 "unreachable for final audit".to_owned(),

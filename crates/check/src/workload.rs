@@ -51,9 +51,11 @@ pub enum Op {
     /// only its write-ahead log survives. Core 0 is the coordinator the
     /// driver audits through and is never crashed (the driver skips it).
     Crash { core: usize },
-    /// Restart a crashed `core` on the same network node and WAL
-    /// directory; recovery replays the log. Skipped when `core` is up.
-    Restart { core: usize },
+    /// Restart a crashed `core` on the same network node. With `log` it
+    /// keeps its WAL directory and recovery replays the log; without,
+    /// the directory is wiped first and the Core remembers nothing of
+    /// its previous life. Skipped when `core` is up.
+    Restart { core: usize, log: bool },
     /// Cut both link directions between `a` and `b`.
     Partition { a: usize, b: usize },
     /// Restore the links between `a` and `b`.
@@ -144,6 +146,7 @@ impl Schedule {
                 },
                 8 => Op::Restart {
                     core: 1 + below(&mut rng, cores - 1),
+                    log: rng.below(4) != 0,
                 },
                 k => {
                     let a = below(&mut rng, cores);
@@ -203,7 +206,8 @@ impl Schedule {
                 Op::Advance { micros } => format!("advance {micros}"),
                 Op::Collect { core } => format!("collect {core}"),
                 Op::Crash { core } => format!("crash {core}"),
-                Op::Restart { core } => format!("restart {core}"),
+                Op::Restart { core, log: true } => format!("restart {core}"),
+                Op::Restart { core, log: false } => format!("restart {core} nolog"),
                 Op::Partition { a, b } => format!("partition {a} {b}"),
                 Op::Heal { a, b } => format!("heal {a} {b}"),
             };
@@ -277,9 +281,12 @@ impl Schedule {
                 ["crash", core] => Op::Crash {
                     core: num(core, "core")?,
                 },
-                ["restart", core] => Op::Restart {
-                    core: num(core, "core")?,
-                },
+                ["restart", core, rest @ ..] if rest.is_empty() || rest == ["nolog"] => {
+                    Op::Restart {
+                        core: num(core, "core")?,
+                        log: rest.is_empty(),
+                    }
+                }
                 ["partition", a, b] => Op::Partition {
                     a: num(a, "core")?,
                     b: num(b, "core")?,
@@ -337,7 +344,7 @@ mod tests {
         let s = Schedule::generate_faulty(7, 60, 3);
         assert_eq!(s, Schedule::generate_faulty(7, 60, 3));
         for op in &s.ops {
-            if let Op::Crash { core } | Op::Restart { core } = op {
+            if let Op::Crash { core } | Op::Restart { core, .. } = op {
                 assert_ne!(*core, 0, "core 0 must never be crashed/restarted");
             }
             if let Op::Partition { a, b } | Op::Heal { a, b } = op {
@@ -349,11 +356,18 @@ mod tests {
     #[test]
     fn faulty_schedules_contain_faults_and_roundtrip() {
         let mut saw_fault = false;
+        let mut saw_restart = [false; 2];
         for seed in 0..20 {
             let s = Schedule::generate_faulty(seed, 40, 4);
             saw_fault |= s.ops.iter().any(Op::is_fault);
+            for op in &s.ops {
+                if let Op::Restart { log, .. } = *op {
+                    saw_restart[usize::from(log)] = true;
+                }
+            }
             assert_eq!(Schedule::parse(&s.to_text()).unwrap(), s);
         }
         assert!(saw_fault, "20 fault schedules produced zero fault ops");
+        assert_eq!(saw_restart, [true; 2], "restarts with and without a log");
     }
 }

@@ -4,7 +4,31 @@
 
 use fargo_check::driver::{run, RunConfig};
 use fargo_check::workload::Schedule;
-use fargo_telemetry::render_journal_json;
+use fargo_telemetry::{render_journal_json, JournalEvent};
+
+/// Asserts two merged journals render to the same JSON. On a mismatch it
+/// names the index of the first event that differs and both sides of
+/// it, so a failure says where the runs diverged.
+fn assert_same_journal(a: &[JournalEvent], b: &[JournalEvent], what: &str) {
+    if render_journal_json(a) == render_journal_json(b) {
+        return;
+    }
+    let side = |j: &[JournalEvent], i: usize| {
+        j.get(i).map_or("(journal ended)".to_owned(), |e| {
+            render_journal_json(std::slice::from_ref(e))
+        })
+    };
+    let at = (0..a.len().max(b.len()))
+        .find(|&i| side(a, i) != side(b, i))
+        .expect("journals that render differently differ in some event");
+    panic!(
+        "{what}: the journals ({} and {} events) first differ at event {at}\n  a: {}\n  b: {}",
+        a.len(),
+        b.len(),
+        side(a, at),
+        side(b, at)
+    );
+}
 
 /// Running the same schedule twice must produce byte-identical merged
 /// journals: same events, same HLC stamps, same order.
@@ -16,10 +40,12 @@ fn same_seed_twice_is_byte_identical() {
     let b = run(&schedule, &cfg);
     assert!(!a.failed(), "violations: {:?}", a.violations);
     assert!(!b.failed(), "violations: {:?}", b.violations);
-    let ja = render_journal_json(&a.journal);
-    let jb = render_journal_json(&b.journal);
-    assert!(!ja.is_empty());
-    assert_eq!(ja, jb, "same seed must replay to an identical journal");
+    assert!(!render_journal_json(&a.journal).is_empty());
+    assert_same_journal(
+        &a.journal,
+        &b.journal,
+        "same seed must replay to an identical journal",
+    );
 }
 
 /// Span timestamps read the shared virtual clock, so the id-free span
@@ -43,10 +69,7 @@ fn span_timing_is_seed_stable() {
         "same seed must replay to identical span timing"
     );
     // And tracing must not perturb the journal contract.
-    assert_eq!(
-        render_journal_json(&a.journal),
-        render_journal_json(&b.journal)
-    );
+    assert_same_journal(&a.journal, &b.journal, "tracing perturbed the journal");
 }
 
 /// The accounting layer rides the same contract: per-complet counters
@@ -91,12 +114,11 @@ fn transport_stays_deterministic_under_virtual_clock() {
     let elapsed = started.elapsed();
     assert!(!a.failed(), "violations: {:?}", a.violations);
     assert!(!b.failed(), "violations: {:?}", b.violations);
-    let ja = render_journal_json(&a.journal);
-    assert!(!ja.is_empty());
-    assert_eq!(
-        ja,
-        render_journal_json(&b.journal),
-        "same seed must replay to an identical journal through the transport layer"
+    assert!(!render_journal_json(&a.journal).is_empty());
+    assert_same_journal(
+        &a.journal,
+        &b.journal,
+        "same seed must replay to an identical journal through the transport layer",
     );
     assert!(
         elapsed < std::time::Duration::from_secs(30),
@@ -122,8 +144,21 @@ fn schedule_text_roundtrip_preserves_journal() {
     let cfg = RunConfig::default();
     let a = run(&schedule, &cfg);
     let b = run(&reparsed, &cfg);
-    assert_eq!(
-        render_journal_json(&a.journal),
-        render_journal_json(&b.journal)
+    assert_same_journal(
+        &a.journal,
+        &b.journal,
+        "the reparsed schedule replayed differently",
     );
+}
+
+/// A divergence is reported at its first differing event, with both
+/// sides of it.
+#[test]
+#[should_panic(expected = "first differ at event 1\n  a: [{")]
+fn a_divergence_is_reported_at_its_first_event() {
+    let a = run(&Schedule::generate(42, 12, 3), &RunConfig::default()).journal;
+    let mut b = a.clone();
+    b[1].detail.push('!');
+    b.truncate(2);
+    assert_same_journal(&a, &b, "divergence");
 }

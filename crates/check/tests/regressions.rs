@@ -94,8 +94,8 @@ fn seed_707_collect_at_origin() {
 
 /// Fault-sweep find: creating a complet on a freshly recovered Core
 /// re-minted the id of a WAL-replayed survivor, installing two complets
-/// under one identity. Recovery now re-seeds the id allocator past every
-/// locally minted id in the log.
+/// under one identity. Every Core now mints its complet ids from its
+/// incarnation's base, above every id of its earlier lives.
 #[test]
 fn seed_22_id_reuse_after_recovery() {
     assert_clean(
@@ -111,8 +111,8 @@ fn seed_22_id_reuse_after_recovery() {
 /// Fault-sweep find: a restarted Core re-minted request ids from 1, so
 /// its fresh requests collided with the previous incarnation's entries
 /// in peers' reply-dedup caches — the peer served the *cached* old
-/// reply and never executed the call. Request ids are now salted with
-/// the WAL's durable incarnation generation.
+/// reply and never executed the call. Request ids now start at the
+/// Core's incarnation's base, like every id it mints.
 #[test]
 fn seed_215_request_id_reuse_hits_dedup_cache() {
     assert_clean(
@@ -200,5 +200,26 @@ fn seed_107_stale_dedup_reply_breaks_move_after_restart() {
          crash 2\n\
          restart 2\n\
          move 1 -> 0\n",
+    );
+}
+
+/// A Core restarted without its log remembers nothing of its earlier
+/// life, but its node's restart count does: the complet it mints after
+/// the restart takes a fresh id, so the reference to the complet it lost
+/// dead-ends instead of reaching the newcomer (which would count calls
+/// made through both slots). The lost slot's state is forgiven; an extra
+/// execution never is.
+#[test]
+fn an_unlogged_restart_never_remints_a_lost_complets_id() {
+    assert_clean(
+        0,
+        "# fargo-check schedule v1 seed=0 cores=3\n\
+         new 0 @1\n\
+         invoke 0 from 0\n\
+         crash 1\n\
+         restart 1 nolog\n\
+         new 1 @1\n\
+         invoke 1 from 0\n\
+         invoke 0 from 0\n",
     );
 }

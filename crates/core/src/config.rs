@@ -80,10 +80,6 @@ pub struct CoreConfig {
     /// Appends between monitor-tick log compactions (a compaction
     /// rewrites the log as a fresh snapshot of live state).
     pub wal_compact_records: u64,
-    /// First journal sequence number this Core emits. A restarted Core
-    /// passes its predecessor's high-water mark so merged timelines
-    /// never collide on `(core, seq)`.
-    pub journal_seq_base: u64,
 }
 
 impl Default for CoreConfig {
@@ -111,7 +107,6 @@ impl Default for CoreConfig {
             wal_dir: None,
             wal_fsync: true,
             wal_compact_records: 512,
-            journal_seq_base: 0,
         }
     }
 }
@@ -226,13 +221,6 @@ impl CoreConfig {
         self.wal_compact_records = records.max(1);
         self
     }
-
-    /// Configuration with the journal sequence base replaced (restart
-    /// continuity for merged timelines).
-    pub fn with_journal_seq_base(mut self, base: u64) -> Self {
-        self.journal_seq_base = base;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +232,6 @@ mod tests {
         let c = CoreConfig::default();
         assert!(c.phase_timing, "phase timing is on by default");
         assert!(c.accounting, "accounting is on by default");
-        assert_eq!(c.journal_seq_base, 0);
     }
 
     #[test]
@@ -253,13 +240,11 @@ mod tests {
             .with_rpc_timeout(Duration::from_millis(5))
             .strict_stamps()
             .with_phase_timing(false)
-            .with_accounting(false)
-            .with_journal_seq_base(42);
+            .with_accounting(false);
         assert_eq!(c.rpc_timeout, Duration::from_millis(5));
         assert!(c.stamp_strict);
         assert!(!c.phase_timing);
         assert!(!c.accounting);
-        assert_eq!(c.journal_seq_base, 42);
     }
 
     #[test]

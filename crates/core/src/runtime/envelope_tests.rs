@@ -202,7 +202,7 @@ fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
 /// A retransmitted request is answered from the bytes of the first
 /// reply: the method runs once, and the replayed envelope is a fresh
 /// header (later stamps) around a byte-identical body. Once its caller's
-/// mark passes it, the bytes go and a late copy gets no answer.
+/// mark passes it, the entry goes and a late copy gets no answer.
 #[test]
 fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
     let clock = Clock::new_virtual(25_000_000);
@@ -256,12 +256,12 @@ fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
     assert_eq!(t.dedup_cache_bytes.get(), body.len() as f64);
     let entries = t.dedup_cache_entries.get();
     // The next request says every reply below 78 has arrived: the scan's
-    // bytes go, its key stays.
+    // entry goes, bytes and key, and the get's takes its place.
     raw.send(core0.node(), call(78, "get")).unwrap();
     let frame = raw.recv_timeout(Duration::from_secs(10)).unwrap().payload;
     let get = encode_body(&Message::decode(frame).unwrap().0);
     assert_eq!(t.dedup_cache_bytes.get(), get.len() as f64);
-    assert_eq!(t.dedup_cache_entries.get(), entries + 1.0);
+    assert_eq!(t.dedup_cache_entries.get(), entries);
     // A late copy of the scan is dropped, neither executed nor answered.
     raw.send(core0.node(), request).unwrap();
     assert!(raw.recv_timeout(Duration::from_millis(200)).is_err());

@@ -282,7 +282,29 @@ impl<'a> CoreBuilder<'a> {
             None => (self.net.add_node(&self.name)?, self.name),
         };
         let node = endpoint.id();
+        let restarts = endpoint.restarts();
         let config = self.config;
+        // The log is read here, before any thread starts: a log this
+        // build cannot decode fails the spawn and stays as it was found.
+        let (wal_log, replay, replay_read) = match &config.wal_dir {
+            Some(dir) => {
+                let log = wal::Wal::open(dir, &name, config.wal_fsync)
+                    .map_err(|e| FargoError::App(format!("wal open: {e}")))?;
+                let started = Instant::now();
+                let replay = wal::Wal::replay_path(log.path())
+                    .map_err(|e| FargoError::App(format!("wal replay: {e}")))?;
+                (Some(log), replay, started.elapsed())
+            }
+            None => (None, wal::WalReplay::default(), Duration::ZERO),
+        };
+        // This life's incarnation, above every earlier life the log or the
+        // network remembers (a first life is 0). Every id counter starts at
+        // its base, so no id of this life names what an earlier one named.
+        let incarnation = wal_log
+            .as_ref()
+            .map_or(0, |w| w.generation().saturating_sub(1))
+            .max(restarts);
+        let first_id = (incarnation << 32) | 1;
         // Whatever the backend, simnet stays the control plane: TCP sends
         // are first *offered* to the network model, so partitions, loss
         // and link statistics behave identically on both backends. Simnet
@@ -308,6 +330,7 @@ impl<'a> CoreBuilder<'a> {
             self.telemetry.unwrap_or_default(),
             &name,
             node.index(),
+            first_id,
             &config,
         );
         let monitor = Monitor::new(
@@ -316,19 +339,6 @@ impl<'a> CoreBuilder<'a> {
             config.clock.clone(),
         );
         monitor.register_metrics(&telemetry.registry, &name);
-        // The log is read here, before any thread starts: a log this
-        // build cannot decode fails the spawn and stays as it was found.
-        let (wal_log, replay, replay_read) = match &config.wal_dir {
-            Some(dir) => {
-                let log = wal::Wal::open(dir, &name, config.wal_fsync)
-                    .map_err(|e| FargoError::App(format!("wal open: {e}")))?;
-                let started = Instant::now();
-                let replay = wal::Wal::replay_path(log.path())
-                    .map_err(|e| FargoError::App(format!("wal replay: {e}")))?;
-                (Some(log), replay, started.elapsed())
-            }
-            None => (None, wal::WalReplay::default(), Duration::ZERO),
-        };
         let (work_tx, work_rx) = bounded(config.worker_queue_depth);
         let inner = Arc::new(CoreInner {
             name,
@@ -344,14 +354,10 @@ impl<'a> CoreBuilder<'a> {
             naming: Mutex::new(HashMap::new()),
             pending: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(HashMap::new()),
-            sink_seq: AtomicU64::new(1),
-            // Salt request ids with the WAL's durable incarnation number:
-            // a restarted Core that re-minted ids from 1 would hit peers'
-            // reply-dedup caches and be served the previous incarnation's
-            // cached replies instead of executing.
-            req_seq: AtomicU64::new(wal_log.as_ref().map_or(1, |w| (w.generation() << 32) | 1)),
+            sink_seq: AtomicU64::new(first_id),
+            req_seq: AtomicU64::new(first_id),
             // Seq 0 is reserved for the application pseudo-complet.
-            complet_seq: AtomicU64::new(1),
+            complet_seq: AtomicU64::new(first_id),
             hub: EventHub::new(),
             shutdown: AtomicBool::new(false),
             reply_cache: ReplyCache::new(config.dedup_cache_capacity),

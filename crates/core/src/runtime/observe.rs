@@ -154,14 +154,6 @@ impl Core {
         self.inner.telemetry.journal.snapshot()
     }
 
-    /// The sequence number this Core's next journal entry will take.
-    /// Restart harnesses feed it to
-    /// [`CoreConfig::with_journal_seq_base`](crate::CoreConfig) so a
-    /// replacement incarnation's entries never collide with this one's.
-    pub fn journal_next_seq(&self) -> u64 {
-        self.inner.telemetry.journal.next_seq()
-    }
-
     /// Collects the journals of this Core **and** every reachable peer
     /// Core and merges them into one causally-consistent timeline ordered
     /// by hybrid logical clock. Unreachable peers are skipped.

@@ -37,7 +37,6 @@
 //!
 //! [`CoreConfig::wal_dir`]: crate::config::CoreConfig
 
-use std::sync::atomic;
 use std::time::{Duration, Instant};
 
 use fargo_telemetry::JournalKind;
@@ -262,38 +261,6 @@ impl Core {
             &replay.records.len().to_string(),
             None,
         );
-        // Re-seed the id allocator past every locally minted id the log
-        // has ever seen — survivors *and* departed/decided ids — so a
-        // post-recovery `new_complet` can never re-mint an id that is
-        // still live here or, worse, living on elsewhere.
-        let mut max_seq = 0u64;
-        let mut bump = |id: CompletId| {
-            if id.origin == me {
-                max_seq = max_seq.max(id.seq);
-            }
-        };
-        for r in &replay.records {
-            match r {
-                wal::WalRecord::State(s) => bump(s.id),
-                wal::WalRecord::Departed { id, .. } => bump(*id),
-                wal::WalRecord::Held(h) => {
-                    bump(h.root);
-                    for p in &h.packets {
-                        bump(p.id);
-                    }
-                }
-                wal::WalRecord::HeldResolved { root, .. } => bump(*root),
-                wal::WalRecord::Decision { root, ids, .. } => {
-                    bump(*root);
-                    for id in ids {
-                        bump(*id);
-                    }
-                }
-            }
-        }
-        self.inner
-            .complet_seq
-            .fetch_max(max_seq + 1, atomic::Ordering::SeqCst);
         let folded = wal::fold(replay.records);
         // The verdict logs first: a recovered survivor set is only safe
         // to expose once in-doubt queries from peers answer correctly.

@@ -185,14 +185,13 @@ impl Wal {
     /// Opens (creating if necessary) the log for `core` under `dir`.
     ///
     /// Each open also bumps the sidecar *generation* counter — a durable
-    /// incarnation number for the Core. Request ids, dedup keys, and
-    /// anything else that must never collide across a crash/restart
-    /// boundary can be salted with [`Wal::generation`]. The sidecar is
-    /// rewritten via temp-file-and-rename so a crash mid-bump cannot
-    /// leave a partial file; an existing sidecar that does not parse is
-    /// corruption and refuses to open (silently restarting at 1 would
-    /// re-enable exactly the stale-request-id collisions the counter
-    /// exists to prevent).
+    /// count of the Core's lives, one of the two its incarnation is drawn
+    /// from, so every id it mints stays above the ids its log names. The
+    /// sidecar is rewritten via temp-file-and-rename so a crash mid-bump
+    /// cannot leave a partial file; an existing sidecar that does not
+    /// parse is corruption and refuses to open (silently restarting at 1
+    /// would re-enable exactly the id collisions the counter exists to
+    /// prevent).
     ///
     /// With `fsync` on, every append (and the sidecar bump) is synced
     /// to stable storage before it is acknowledged; off, records stop

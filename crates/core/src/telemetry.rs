@@ -145,8 +145,9 @@ pub(crate) struct CoreTelemetry {
     pub dedup_inflight_total: Counter,
     /// Dedup-cache entries evicted to stay within capacity or byte bound.
     pub dedup_evictions_total: Counter,
-    /// Requests the dedup cache holds right now (executing, replied or
-    /// forwarded).
+    /// Requests the dedup cache holds right now: only those at or above
+    /// their origin's answered-below mark (executing, replied or
+    /// forwarded), so typically each caller's latest.
     pub dedup_cache_entries: Gauge,
     /// Bytes of encoded reply bodies the dedup cache holds right now.
     pub dedup_cache_bytes: Gauge,
@@ -215,7 +216,15 @@ pub(crate) struct CoreTelemetry {
 }
 
 impl CoreTelemetry {
-    pub(crate) fn new(registry: Registry, core: &str, node: u32, config: &CoreConfig) -> Self {
+    /// Telemetry for the Core `core` on `node`, whose journal starts at
+    /// sequence number `journal_base` (its incarnation's first id).
+    pub(crate) fn new(
+        registry: Registry,
+        core: &str,
+        node: u32,
+        journal_base: u64,
+        config: &CoreConfig,
+    ) -> Self {
         let clock = config.clock.clone();
         let l = &[("core", core)][..];
         let move_by_relocator = RELOCATOR_KINDS
@@ -247,7 +256,7 @@ impl CoreTelemetry {
         CoreTelemetry {
             spans: SpanLog::for_core(core, TRACE_CAPACITY, clock.clone()),
             trace_enabled: config.trace_enabled,
-            journal: Journal::with_base(config.journal_capacity, config.journal_seq_base),
+            journal: Journal::with_base(config.journal_capacity, journal_base),
             clock: HlcClock::with_source(clock.clone()),
             journal_enabled: config.journal_enabled,
             journal_stamp: Mutex::new(()),
@@ -502,7 +511,7 @@ mod tests {
 
     #[test]
     fn ambient_trace_nests_and_restores() {
-        let t = CoreTelemetry::new(Registry::new(), "c", 0, &test_cfg(true));
+        let t = CoreTelemetry::new(Registry::new(), "c", 0, 1, &test_cfg(true));
         assert!(current_trace().is_none());
         {
             let outer = t.span(SpanParent::Ambient, || "outer".to_owned());
@@ -523,7 +532,7 @@ mod tests {
 
     #[test]
     fn unknown_message_kind_is_ignored() {
-        let t = CoreTelemetry::new(Registry::new(), "c", 0, &test_cfg(true));
+        let t = CoreTelemetry::new(Registry::new(), "c", 0, 1, &test_cfg(true));
         t.record_msg_out("no_such_kind", 10);
         t.record_msg_in("invoke", 10);
         let snap = t.registry.snapshot();
@@ -534,12 +543,12 @@ mod tests {
     fn phase_timing_gates_stamps_and_histograms() {
         let mut cfg = test_cfg(false);
         cfg.phase_timing = false;
-        let off = CoreTelemetry::new(Registry::new(), "c", 0, &cfg);
+        let off = CoreTelemetry::new(Registry::new(), "c", 0, 1, &cfg);
         assert!(off.phase_send_stamp().is_none());
         off.observe_phase(&off.latency_queue_us, 5);
         assert_eq!(off.latency_queue_us.count(), 0);
 
-        let on = CoreTelemetry::new(Registry::new(), "c", 0, &test_cfg(false));
+        let on = CoreTelemetry::new(Registry::new(), "c", 0, 1, &test_cfg(false));
         assert!(on.phase_send_stamp().is_some());
         on.observe_phase(&on.latency_queue_us, 5);
         assert_eq!(on.latency_queue_us.count(), 1);
@@ -547,7 +556,7 @@ mod tests {
 
     #[test]
     fn journal_helper_records_and_gates() {
-        let on = CoreTelemetry::new(Registry::new(), "c", 3, &test_cfg(true));
+        let on = CoreTelemetry::new(Registry::new(), "c", 3, 1, &test_cfg(true));
         on.journal(JournalKind::CompletArrived, &"c0.1", "Agent", "", Some(1));
         let snap = on.journal.snapshot();
         assert_eq!(snap.len(), 1);
@@ -555,7 +564,7 @@ mod tests {
         assert_eq!(snap[0].kind, JournalKind::CompletArrived);
         assert!(on.hlc_send_stamp().is_some());
 
-        let off = CoreTelemetry::new(Registry::new(), "c", 3, &test_cfg(false));
+        let off = CoreTelemetry::new(Registry::new(), "c", 3, 1, &test_cfg(false));
         off.journal(JournalKind::CompletArrived, &"c0.1", "", "", None);
         assert!(off.journal.snapshot().is_empty());
         assert!(off.hlc_send_stamp().is_none());

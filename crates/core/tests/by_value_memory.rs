@@ -47,14 +47,13 @@ fn reply_caches_hold_wire_bytes_within_their_bound_and_callers_hold_nothing() {
     for core in &cores[1..] {
         let entries = gauge(core, "fargo_dedup_cache_entries");
         let bytes = gauge(core, "fargo_dedup_cache_bytes");
-        // Each data Core served half the calls and remembers them all:
-        // the keys are kept, at-most-once is unchanged.
-        assert!(entries >= (CALLS / 2) as f64, "{}: {entries}", core.name());
-        // But only the replies of calls still unanswered when this
-        // Core's last request left core0 keep their bytes — the sync
-        // call and at most 16 pipelined ones — each as encoded bytes no
-        // larger than a scan reply on the wire (its decoded tree is
-        // several times that).
+        // Each data Core served half the calls but holds only the calls
+        // still unanswered when its last request left core0 — the sync
+        // call and at most 16 pipelined ones: core0's mark answers any
+        // copy of the rest.
+        assert!(entries <= 17.0, "{}: {entries}", core.name());
+        // Their replies are held as encoded bytes no larger than a scan
+        // reply on the wire (its decoded tree is several times that).
         assert!(
             bytes <= 17.0 * scan_wire as f64,
             "{}: {bytes} bytes in {entries} entries",

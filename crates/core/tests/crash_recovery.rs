@@ -601,6 +601,75 @@ fn torn_log_tail_still_recovers_its_prefix() {
     cleanup(&root, &cores);
 }
 
+// --- restarts without a log -------------------------------------------------
+
+/// Crashes core `i` and restarts it on its old node with no write-ahead
+/// log: a Core that remembers nothing of its previous life.
+fn restart_unlogged(net: &Network, reg: &CompletRegistry, old: &Core, i: usize) -> Core {
+    old.stop();
+    let ep = net.restart_node(old.node()).expect("restart node");
+    Core::builder(net, &format!("core{i}"))
+        .endpoint(ep)
+        .registry(reg)
+        .config(test_config())
+        .spawn()
+        .expect("restarted core must spawn")
+}
+
+/// A reference to `id` whose hint names `host`, as one handed out before
+/// a restart still does.
+fn hinted_stub(at: &Core, id: CompletId, host: &Core) -> BoundRef {
+    at.stub(CompletRef::from_descriptor(RefDescriptor::link(
+        id,
+        "Counter",
+        host.node().index(),
+    )))
+}
+
+/// A caller restarted without a log mints its request ids above its
+/// previous life's, so the callee executes its calls rather than taking
+/// them for copies of requests it answered before the restart.
+#[test]
+fn an_unlogged_caller_restart_is_served_fresh() {
+    let (net, reg, mut cores) = common::cluster_on(fast_network(), 2, test_config(), false);
+    let counter = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+    for _ in 0..5 {
+        counter.call("add", &[]).unwrap();
+    }
+    cores[0] = restart_unlogged(&net, &reg, &cores[0], 0);
+    let stub = hinted_stub(&cores[0], counter.id(), &cores[1]);
+    let budget = test_config().rpc_timeout / 5;
+    for (method, expect) in [("add", 6), ("add", 7), ("add", 8), ("get", 8)] {
+        let started = Instant::now();
+        assert_eq!(stub.call(method, &[]).unwrap(), Value::I64(expect));
+        assert!(
+            started.elapsed() < budget,
+            "{method} took {:?}",
+            started.elapsed()
+        );
+    }
+    common::teardown(&cores);
+}
+
+/// A host restarted without a log mints its complet ids above its
+/// previous life's: a newcomer never takes the id of a complet that
+/// moved away before the restart, so a reference still hinted at the old
+/// host finds the complet it names.
+#[test]
+fn an_unlogged_host_restart_never_remints_a_moved_complets_id() {
+    let (net, reg, mut cores) = common::cluster_on(fast_network(), 3, test_config(), false);
+    let a = cores[1].new_complet("Counter", &[]).unwrap();
+    a.call("add", &[Value::I64(100)]).unwrap();
+    a.move_to("core2").unwrap();
+    cores[1] = restart_unlogged(&net, &reg, &cores[1], 1);
+    let b = cores[1].new_complet("Counter", &[]).unwrap();
+    b.call("add", &[Value::I64(7)]).unwrap();
+    assert_ne!(b.id(), a.id());
+    let stale = hinted_stub(&cores[0], a.id(), &cores[1]);
+    assert_eq!(stale.call("get", &[]).unwrap(), Value::I64(100));
+    common::teardown(&cores);
+}
+
 // --- a log the parent build wrote -------------------------------------------
 
 define_complet! {

@@ -406,8 +406,7 @@ fn a_lost_reply_is_replayed_until_its_callers_next_request_releases_it() {
     // The caller's mark cannot pass a request it still waits on: a reply
     // lost on its link stays in the executing Core's cache, and the
     // retransmission is replayed from it. The caller's next request
-    // carries a mark past it, and the entry keeps its key but not its
-    // bytes.
+    // carries a mark past it, and the entry goes, bytes and key.
     let (net, cores) = lossy_cluster_with(0.0, 2, |c| {
         c.with_rpc_timeout(Duration::from_secs(5))
             .with_rpc_retries(8)
@@ -443,23 +442,45 @@ fn a_lost_reply_is_replayed_until_its_callers_next_request_releases_it() {
     );
     assert_eq!(
         common::gauge(&cores[1], "fargo_dedup_cache_entries"),
-        entries + 1.0,
-        "its key is kept"
+        entries,
+        "its entry went, and the latest call's took its place"
     );
+    teardown(&cores);
+}
+
+#[test]
+fn sequential_calls_leave_the_callee_one_dedup_entry() {
+    // Each call carries a mark past every earlier one, so the callee
+    // holds the latest call's entry alone: the mark is its only memory
+    // of the calls answered before it.
+    let (_net, cores) = lossy_cluster_with(0.0, 2, |c| c.with_rpc_timeout(Duration::from_secs(5)));
+    let counter = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+    for _ in 0..300 {
+        counter.call("add", &[]).unwrap();
+    }
+    let entries = common::gauge(&cores[1], "fargo_dedup_cache_entries");
+    assert!(entries <= 1.0, "{entries} entries after 300 calls");
     teardown(&cores);
 }
 
 #[test]
 fn dedup_cache_eviction_under_churn() {
     // A tiny dedup cache under many distinct requests must evict old
-    // entries (bounded memory) without disturbing live calls.
+    // entries (bounded memory) without disturbing live calls. Ten calls
+    // in flight at a time hold the caller's mark at the oldest of them,
+    // so more than eight entries sit above it.
     let (_net, cores) = lossy_cluster_with(0.0, 2, |c| {
         c.with_rpc_timeout(Duration::from_secs(5))
             .with_dedup_capacity(8)
     });
     let counter = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
-    for _ in 0..100 {
-        counter.call("add", &[Value::I64(1)]).unwrap();
+    for _ in 0..10 {
+        let batch: Vec<_> = (0..10)
+            .map(|_| counter.call_async("add", &[Value::I64(1)]))
+            .collect();
+        for pending in batch {
+            pending.wait().unwrap();
+        }
     }
     assert_eq!(counter.call("get", &[]).unwrap(), Value::I64(100));
     let evictions = common::counter(&cores[1], "fargo_dedup_evictions_total");

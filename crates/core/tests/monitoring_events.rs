@@ -275,6 +275,48 @@ fn remote_subscription_receives_events_across_cores() {
     teardown(&cores);
 }
 
+/// A subscriber restarted without a log mints its subscription tokens
+/// above its previous life's, so a subscription its predecessor left at
+/// a peer never reaches a handler of the new life.
+#[test]
+fn a_restarted_subscriber_never_receives_its_predecessors_events() {
+    let (net, reg, mut cores) = common::cluster_on(common::fast_network(), 3, test_config(), false);
+    let counting = |n: &Arc<AtomicUsize>| -> fargo_core::EventHandler {
+        let n = n.clone();
+        Arc::new(move |_| {
+            n.fetch_add(1, Ordering::SeqCst);
+        })
+    };
+    let old = Arc::new(AtomicUsize::new(0));
+    cores[0]
+        .subscribe_at("core1", "completArrived", None, true, counting(&old))
+        .unwrap();
+    cores[0].stop();
+    let ep = net.restart_node(cores[0].node()).unwrap();
+    cores[0] = fargo_core::Core::builder(&net, "core0")
+        .endpoint(ep)
+        .registry(&reg)
+        .config(test_config())
+        .spawn()
+        .unwrap();
+    let seen = Arc::new(AtomicUsize::new(0));
+    cores[0]
+        .subscribe_at("core2", "completArrived", None, true, counting(&seen))
+        .unwrap();
+    cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        seen.load(Ordering::SeqCst),
+        0,
+        "an event from core1 arrived"
+    );
+    cores[0].new_complet_at("core2", "Message", &[]).unwrap();
+    assert!(wait_until(Duration::from_secs(3), || seen
+        .load(Ordering::SeqCst)
+        == 1));
+    teardown(&cores);
+}
+
 define_complet! {
     /// A complet that counts events delivered to it via `on_event`.
     pub complet Watcher {

@@ -18,16 +18,28 @@ pub struct Endpoint {
     net: Network,
     id: NodeId,
     rx: Receiver<Incoming>,
+    restarts: u64,
 }
 
 impl Endpoint {
-    pub(crate) fn new(net: Network, id: NodeId, rx: Receiver<Incoming>) -> Self {
-        Endpoint { net, id, rx }
+    pub(crate) fn new(net: Network, id: NodeId, rx: Receiver<Incoming>, restarts: u64) -> Self {
+        Endpoint {
+            net,
+            id,
+            rx,
+            restarts,
+        }
     }
 
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
         self.id
+    }
+
+    /// How many times [`Network::restart_node`] had revived the node when
+    /// it handed out this endpoint (0 from [`Network::add_node`]).
+    pub fn restarts(&self) -> u64 {
+        self.restarts
     }
 
     /// The network this endpoint is attached to.

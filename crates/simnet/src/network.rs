@@ -49,6 +49,8 @@ struct NodeRecord {
     name: String,
     up: bool,
     tx: Sender<Incoming>,
+    /// How many times [`Network::restart_node`] revived this node.
+    restarts: u64,
 }
 
 #[derive(Debug)]
@@ -119,9 +121,10 @@ impl Network {
             name: name.to_owned(),
             up: true,
             tx,
+            restarts: 0,
         });
         names.insert(name.to_owned(), id);
-        Ok(Endpoint::new(self.clone(), id, rx))
+        Ok(Endpoint::new(self.clone(), id, rx, 0))
     }
 
     /// Crash-restarts a node: its old inbox (and any [`Endpoint`] still
@@ -130,7 +133,8 @@ impl Network {
     /// returned. Packets already scheduled toward the old queue are lost —
     /// exactly what a process crash does to its socket buffers. The name
     /// registration is unchanged, so peers keep addressing the node by the
-    /// same id.
+    /// same id. The node's restart count grows by one, and the new
+    /// endpoint reports it ([`Endpoint::restarts`]).
     ///
     /// # Errors
     ///
@@ -143,7 +147,8 @@ impl Network {
         let (tx, rx) = channel::unbounded();
         rec.tx = tx;
         rec.up = true;
-        Ok(Endpoint::new(self.clone(), id, rx))
+        rec.restarts += 1;
+        Ok(Endpoint::new(self.clone(), id, rx, rec.restarts))
     }
 
     /// Looks up a node by name.
@@ -599,6 +604,7 @@ mod tests {
         ));
         let b2 = n.restart_node(b.id()).unwrap();
         assert_eq!(b2.id(), b.id());
+        assert_eq!((b.restarts(), b2.restarts()), (0, 1));
         assert!(n.node_up(b.id()).unwrap());
         assert_eq!(n.node_name(b2.id()).unwrap(), "b");
         a.send(b.id(), b"post-restart".to_vec()).unwrap();
@@ -606,6 +612,7 @@ mod tests {
         assert_eq!(m.payload.as_ref(), b"post-restart");
         // The fresh queue never saw the pre-crash packet.
         assert!(b2.recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(n.restart_node(b.id()).unwrap().restarts(), 2);
     }
 
     #[test]

@@ -362,10 +362,9 @@ impl Journal {
 
     /// A journal whose first event takes sequence number `base`.
     ///
-    /// A crash-restarted Core resumes its journal above the last
-    /// sequence its previous incarnation emitted, so merged timelines
-    /// (deduplicated on `(core, seq)`) never conflate pre-crash and
-    /// post-crash events.
+    /// A Core starts its journal at its incarnation's base, like every
+    /// id it mints, so merged timelines (deduplicated on `(core, seq)`)
+    /// never conflate pre-crash and post-crash events.
     pub fn with_base(capacity: usize, base: u64) -> Journal {
         let cap = capacity.max(1);
         let slots = (0..cap).map(|_| Mutex::new(None)).collect::<Vec<_>>();
@@ -393,11 +392,6 @@ impl Journal {
     /// (including evicted ones; a restart base does not count).
     pub fn appended(&self) -> u64 {
         self.cursor.load(Ordering::Acquire) - self.base
-    }
-
-    /// The sequence number the next appended event will take.
-    pub fn next_seq(&self) -> u64 {
-        self.cursor.load(Ordering::Acquire)
     }
 
     /// Number of events evicted by ring wraparound.
@@ -916,12 +910,11 @@ mod tests {
     #[test]
     fn journal_base_offsets_sequences() {
         let j = Journal::with_base(4, 100);
-        assert_eq!(j.next_seq(), 100);
         let seq = j.append(ev((1, 0), 0, 0, JournalKind::Invoke, "c0.1"));
         assert_eq!(seq, 100);
         assert_eq!(j.appended(), 1, "base does not count as appends");
         assert_eq!(j.dropped(), 0);
-        assert_eq!(j.next_seq(), 101);
+        assert_eq!(j.append(ev((2, 0), 0, 0, JournalKind::Invoke, "c0.1")), 101);
     }
 
     #[test]
