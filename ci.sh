@@ -16,10 +16,12 @@ trap cleanup_wal_scratch EXIT
 # code lines (no blanks, no `//` lines), the same count for the
 # telemetry stack alone (ROADMAP items 9 and 12 gate on it) and for
 # the wire crate (what a `Value` is, and costs, is decided there), then
-# each file of the Core runtime, then the number of `CoreConfig` fields
-# (ROADMAP's north-star knob count). ROADMAP wants the net line count of
-# every PR reported; the difference between this stage at the parent
-# commit and here is that number. It prints, it does not gate.
+# each file of the Core runtime (non-test lines too: ROADMAP's per-file
+# gates count those; an all-test file prints nothing), then the number
+# of `CoreConfig` fields (ROADMAP's north-star knob count). ROADMAP
+# wants the net line count of every PR reported; the difference between
+# this stage at the parent commit and here is that number. It prints,
+# it does not gate.
 # `./ci.sh loc` runs it alone.
 non_test_lines() { # <label> <path>...
     label=$1
@@ -42,7 +44,9 @@ loc() {
     non_test_lines "of which the telemetry stack" \
         crates/telemetry/src crates/core/src/telemetry.rs
     non_test_lines "of which crates/wire" crates/wire/src
-    wc -l crates/core/src/runtime/*.rs
+    for f in crates/core/src/runtime/*.rs; do
+        non_test_lines "$f" "$f"
+    done
     awk '
         /^pub struct CoreConfig \{/ { inside = 1; next }
         inside && /^}/ { exit }

@@ -19,11 +19,10 @@ use crate::error::Result;
 use crate::reference::CompletRef;
 use crate::runtime::Core;
 
-/// A relocation request recorded during an invocation, executed after it.
+/// A move of the invoking complet recorded during an invocation, executed
+/// after it.
 #[derive(Debug, Clone)]
 pub(crate) struct DeferredMove {
-    /// The complet to move (usually the invoker itself).
-    pub target: CompletId,
     /// Destination Core name.
     pub dest: String,
     /// Optional continuation: `(method, args)` invoked on the moved
@@ -112,7 +111,6 @@ impl Ctx {
     /// invocation returns.
     pub fn move_self(&mut self, dest: &str) {
         self.deferred.push(DeferredMove {
-            target: self.self_id,
             dest: dest.to_owned(),
             continuation: None,
         });
@@ -122,18 +120,8 @@ impl Ctx {
     /// this complet after it arrives — the mobile-agent itinerary idiom.
     pub fn move_self_with(&mut self, dest: &str, method: &str, args: Vec<Value>) {
         self.deferred.push(DeferredMove {
-            target: self.self_id,
             dest: dest.to_owned(),
             continuation: Some((method.to_owned(), args)),
-        });
-    }
-
-    /// Requests relocation of another complet after this invocation.
-    pub fn request_move(&mut self, target: &CompletRef, dest: &str) {
-        self.deferred.push(DeferredMove {
-            target: target.id(),
-            dest: dest.to_owned(),
-            continuation: None,
         });
     }
 

@@ -42,10 +42,10 @@ use crate::events::EventPayload;
 pub(crate) type ReqId = u64;
 
 /// Continuation attached to a move: method + args invoked on the moved
-/// complet at the destination (§3.3's call-with-continuation style).
+/// root — the stream's first packet — at the destination (§3.3's
+/// call-with-continuation style).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Continuation {
-    pub target: CompletId,
     pub method: String,
     pub args: Vec<Value>,
 }
@@ -117,10 +117,8 @@ pub(crate) enum Request {
     /// constructs and *holds* the complets — invisible and un-invocable
     /// — until it hears `MoveCommit`.
     MovePrepare {
-        /// The first moved root (the transaction key together with `epoch`).
-        root: CompletId,
-        /// That root's move epoch for this transaction.
-        epoch: u64,
+        /// The first moved root's packet first: its `(id, epoch)` names
+        /// the transaction.
         packets: Vec<CompletPacket>,
         continuation: Option<Continuation>,
     },
@@ -397,7 +395,7 @@ pub(crate) struct EnvelopeMeta {
 }
 
 /// The one envelope layout this build reads and writes.
-pub(crate) const ENVELOPE_VERSION: u8 = 2;
+pub(crate) const ENVELOPE_VERSION: u8 = 3;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
@@ -528,7 +526,7 @@ pub(crate) use wire_record;
 wire_record! {
     TraceContext { trace_id, span_id }
     Hlc { wall_us, logical }
-    Continuation { target, method, args }
+    Continuation { method, args }
     CompletPacket { id, type_name, epoch, names, state }
     SpanRecord { trace_id, span_id, parent_id, name, core, start_us, duration_us }
     JournalEvent { hlc, core, seq, kind, subject, object, detail, peer }
@@ -632,7 +630,7 @@ wire_enum! { FargoError, "error tag";
 // decode to `Err`; the remaining tags keep their numbers.
 wire_enum! { Request, "request tag";
     0 => Invoke { target, method, args, chain, path },
-    2 => MovePrepare { root, epoch, packets, continuation },
+    2 => MovePrepare { packets, continuation },
     3 => MoveCommit { root, epoch },
     4 => MoveAbort { root, epoch },
     6 => MoveDecision { root, epoch },
@@ -929,7 +927,6 @@ pub(crate) mod tests {
 
     fn continuation() -> Continuation {
         Continuation {
-            target: id(1),
             method: "start".into(),
             args: vec![Value::I64(1), Value::Null],
         }
@@ -949,14 +946,10 @@ pub(crate) mod tests {
                 path: vec![1, 2, 300],
             },
             Request::MovePrepare {
-                root,
-                epoch,
                 packets: vec![packet(3), packet(0)],
                 continuation: Some(continuation()),
             },
             Request::MovePrepare {
-                root,
-                epoch,
                 packets: vec![],
                 continuation: None,
             },
@@ -1491,12 +1484,12 @@ pub(crate) mod tests {
         // order: target, method, args (a count and the values), chain,
         // path.
         let goldens: [(&Message, &[u8]); 3] = [
-            (&ping, &[2, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
-            (&pong, &[2, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+            (&ping, &[3, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
+            (&pong, &[3, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
             (
                 &invoke,
                 &[
-                    2, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
+                    3, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
                 ],
             ),
         ];

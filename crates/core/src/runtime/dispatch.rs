@@ -247,11 +247,9 @@ impl Core {
                 return;
             }
             Request::MovePrepare {
-                root,
-                epoch,
                 packets,
                 continuation,
-            } => self.handle_move_prepare(origin, root, epoch, packets, continuation),
+            } => self.handle_move_prepare(origin, packets, continuation),
             Request::MoveCommit { root, epoch } => self.handle_move_commit(root, epoch, trace),
             Request::MoveAbort { root, epoch } => self.handle_move_abort(root, epoch),
             Request::MoveDecision { root, epoch } => self.handle_move_decision(root, epoch),

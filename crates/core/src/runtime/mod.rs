@@ -69,8 +69,9 @@ use crate::runtime::reliable::{DecisionLog, ReplyCache};
 use crate::telemetry::CoreTelemetry;
 
 /// How many two-phase move verdicts each Core retains for in-doubt
-/// resolution (FIFO-evicted; far above any realistic concurrent load).
-const MOVE_DECISION_LOG: usize = 1024;
+/// resolution, on either side of a move (FIFO-evicted; far above any
+/// realistic concurrent load).
+const MOVE_DECISION_LOG: usize = 2 * 1024;
 
 /// Maximum tracker hops an invocation may traverse.
 pub(crate) const MAX_HOPS: u32 = 64;
@@ -138,10 +139,11 @@ pub(crate) struct CoreInner {
     /// Per-complet move-epoch counters (updated on departure and arrival
     /// so epochs stay monotonic across hosts).
     pub move_epochs: Mutex<HashMap<CompletId, u64>>,
-    /// Source-side verdicts of two-phase moves this Core coordinated.
-    pub move_decisions: DecisionLog,
-    /// Destination-side verdicts of two-phase moves this Core received.
-    pub move_outcomes: DecisionLog,
+    /// This life's first id, `incarnation << 32 | 1`: where every id
+    /// counter starts, and the floor of every move epoch it mints.
+    pub id_base: u64,
+    /// Verdicts of the two-phase moves this Core coordinated or received.
+    pub move_verdicts: DecisionLog,
     /// Prepared-but-uncommitted move streams, keyed `(root, epoch)`.
     pub held_moves: Mutex<HashMap<(CompletId, u64), HeldMove>>,
     /// Callbacks run by the monitor thread after each tick (the adaptive
@@ -365,8 +367,8 @@ impl<'a> CoreBuilder<'a> {
             work_rx: work_rx.clone(),
             busy_workers: AtomicU64::new(0),
             move_epochs: Mutex::new(HashMap::new()),
-            move_decisions: DecisionLog::new(MOVE_DECISION_LOG),
-            move_outcomes: DecisionLog::new(MOVE_DECISION_LOG),
+            id_base: first_id,
+            move_verdicts: DecisionLog::new(MOVE_DECISION_LOG),
             held_moves: Mutex::new(HashMap::new()),
             tick_hooks: Mutex::new(Vec::new()),
             tick_hook_seq: AtomicU64::new(1),
@@ -1022,8 +1024,9 @@ impl Core {
 
     /// Executes the deferred relocations a [`Ctx`] accumulated.
     pub(crate) fn run_deferred(&self, ctx: Ctx) {
+        let id = ctx.self_id();
         for d in ctx.deferred {
-            let _ = self.move_complet(d.target, &d.dest, d.continuation);
+            let _ = self.move_complet(id, &d.dest, d.continuation);
         }
     }
 }

@@ -23,7 +23,8 @@
 //!   ([`wal`](crate::runtime::wal)). When [`CoreConfig::wal_dir`] is
 //!   set, the Core appends every state the caller could have observed as
 //!   acknowledged — instantiation, each successful invocation,
-//!   arrival, departure, and the two-phase move verdicts — *before* the
+//!   arrival, release, and each two-phase move's verdict (one record,
+//!   which at the source also says who left) — *before* the
 //!   acknowledgement leaves this process, and (under `wal_fsync`, the
 //!   default) fsyncs each append so the guarantee covers OS crashes and
 //!   power loss, not just process deaths. A restarted Core replays the
@@ -241,7 +242,7 @@ impl Core {
     /// Replays this Core's write-ahead log after a restart: re-installs
     /// every complet whose state was acknowledged before the crash (at
     /// its recorded move epoch, republished to the location shards),
-    /// reloads the two-phase verdict logs, and re-holds
+    /// reloads the two-phase verdict log, and re-holds
     /// prepared-but-undecided move streams for resolution against their
     /// sources. `spawn` replays the log (and refuses to start on one it
     /// cannot read) and hands over the records and the time reading
@@ -262,13 +263,10 @@ impl Core {
             None,
         );
         let folded = wal::fold(replay.records);
-        // The verdict logs first: a recovered survivor set is only safe
+        // The verdict log first: a recovered survivor set is only safe
         // to expose once in-doubt queries from peers answer correctly.
-        for &(root, epoch, committed) in &folded.decisions {
-            self.inner.move_decisions.record(root, epoch, committed);
-        }
-        for &(root, epoch, committed) in &folded.outcomes {
-            self.inner.move_outcomes.record(root, epoch, committed);
+        for &(root, epoch, committed) in &folded.verdicts {
+            self.inner.move_verdicts.record(root, epoch, committed);
         }
         let mut replayed = 0usize;
         for mut s in folded.survivors {
@@ -357,27 +355,22 @@ impl Core {
     /// swap was silently erased from the log.
     pub fn wal_compact_now(&self) {
         let Some(wal) = &self.inner.wal else { return };
-        let mut extra: Vec<wal::WalRecord> = Vec::new();
-        for (root, epoch, committed) in self.inner.move_decisions.snapshot() {
-            // Departures are already folded into the log's Departed
-            // records; the verdict itself must outlive the restart so
-            // in-doubt peers still get an answer — hence empty
-            // `ids`/`dest`.
-            extra.push(wal::WalRecord::Decision {
+        // Departures are already folded into the image's Departed
+        // records; the verdict itself must outlive the restart so
+        // in-doubt peers still get an answer — hence empty `left`.
+        let mut extra: Vec<wal::WalRecord> = self
+            .inner
+            .move_verdicts
+            .snapshot()
+            .into_iter()
+            .map(|(root, epoch, committed)| wal::WalRecord::Decision {
                 root,
                 epoch,
                 committed,
-                ids: vec![],
+                left: vec![],
                 dest: 0,
-            });
-        }
-        for (root, epoch, committed) in self.inner.move_outcomes.snapshot() {
-            extra.push(wal::WalRecord::HeldResolved {
-                root,
-                epoch,
-                committed,
-            });
-        }
+            })
+            .collect();
         // Forwarding trackers are durable routing state: an origin Core
         // that compacted away its Departed records and then crashed would
         // otherwise dead-end every chain that runs through it. The

@@ -13,9 +13,9 @@
 //!   that origin below the mark are dropped, and the mark alone answers
 //!   any late copy of them. A Core's ids grow across its incarnations,
 //!   so an origin's mark only ever rises;
-//! * two-phase moves record their commit/abort verdicts in a bounded
-//!   [`DecisionLog`], which is what peers consult to resolve in-doubt
-//!   transactions after lost replies.
+//! * two-phase moves record their commit/abort verdicts in one bounded
+//!   [`DecisionLog`] per Core, which is what peers consult to resolve
+//!   in-doubt transactions after lost replies.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -297,11 +297,12 @@ impl RetryBudget {
 }
 
 /// Bounded log of two-phase move verdicts, keyed `(root, epoch)`:
-/// `true` = committed, `false` = aborted. The source Core records its
+/// `true` = committed, `false` = aborted. A source Core records its
 /// decision here *before* sending `MoveCommit`, so a destination whose
 /// commit never came can ask for it (`MoveDecision`); a destination
-/// records its outcomes in one too, to answer retransmitted prepares and
-/// commits. FIFO eviction bounds memory.
+/// records its outcome in the same log, to answer retransmitted prepares
+/// and commits. A key is minted once, by one source, so no Core is both
+/// sides of one transaction. FIFO eviction bounds memory.
 pub(crate) struct DecisionLog {
     capacity: usize,
     inner: Mutex<DecisionState>,

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fargo_core::{Core, EventPayload, RemoteSubscription, Service};
+use fargo_core::{Core, EventPayload, RemoteSubscription};
 use parking_lot::{Mutex, RwLock};
 
 use crate::ast::{Action, EventSpec, Expr, Rule, Script, Stmt};
@@ -418,12 +418,6 @@ impl ScriptEngine {
                 Ok(ScriptValue::Str(self.core.core_name_of(node)))
             }
         }
-    }
-
-    /// Convenience: when the selector of a rule names a profiling service,
-    /// expose the parsed service (used by tooling and tests).
-    pub fn parse_service(selector: &str) -> Option<Service> {
-        Service::parse(selector).ok()
     }
 }
 
