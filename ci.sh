@@ -155,19 +155,29 @@ bench_diff() { # [old new]
           | if $bad > 0 then "\($bad) past their bound\n" | halt_error(1)
             else "all within their bounds" end'
 }
-# Alternating pairs: `./ci.sh bench-pairs <parent-tree> <workload> <n>`
-# builds BENCHMARK.json's benchmark once in <parent-tree> (a second
-# checkout of the parent commit) and once here, then runs <workload> in
-# `n` pairs of one run per side, alternating which side goes first (odd
-# pairs the parent). It prints one line per pair — the end-to-end metrics
-# and attempted/failed, parent / change — then per metric both medians,
-# the parent's q1 and q3, and in how many pairs the change was strictly
-# better. A claimed gain needs it better in most pairs and its median
-# past the parent's q1–q3 spread. It gates nothing.
-bench_pairs() { # <parent-tree> <workload> <n>
+# Alternating pairs: `./ci.sh bench-pairs <parent-tree> <workload> <n>
+# [--trace]` builds BENCHMARK.json's benchmark once in <parent-tree> (a
+# second checkout of the parent commit) and once here, then runs
+# <workload> in `n` pairs of one run per side, alternating which side
+# goes first (odd pairs the parent). It prints one line per pair — the
+# end-to-end metrics and attempted/failed, parent / change — then per
+# metric both medians, the parent's q1 and q3, and in how many pairs the
+# change was strictly better. A claimed gain needs it better in most
+# pairs and its median past the parent's q1–q3 spread. With `--trace`
+# every run is a `--trace 1` run, which reports BENCHMARK.json's
+# per-layer metrics instead of the end-to-end ones: the per-pair lines
+# then hold attempted/failed, and the per-metric lines cover every
+# per-layer metric both sides report — the same-session pairs a
+# per-layer claim rests on. It gates nothing.
+bench_pairs() { # <parent-tree> <workload> <n> [--trace]
     parent=$1
     workload=$2
     n=$3
+    case "${4:-}" in
+        "") trace=0 ;;
+        --trace) trace=1 ;;
+        *) echo "bench-pairs: unknown option $4" >&2; exit 2 ;;
+    esac
     tmp=$(mktemp -d)
     seconds=$(jq -r '.run_seconds' BENCHMARK.json)
     command=$(jq -r '.command | join(" ")' BENCHMARK.json)
@@ -177,7 +187,8 @@ bench_pairs() { # <parent-tree> <workload> <n>
     done
     run_side() { # <side> <tree>
         echo "==> $workload pair $i/$n: $1"
-        (cd "$2" && $command --workload "$workload" --seconds "$seconds") | tail -n 1 >>"$tmp/$1.jsonl"
+        (cd "$2" && $command --workload "$workload" --seconds "$seconds" --trace "$trace") |
+            tail -n 1 >>"$tmp/$1.jsonl"
     }
     i=1
     while [ "$i" -le "$n" ]; do
@@ -191,19 +202,23 @@ bench_pairs() { # <parent-tree> <workload> <n>
         i=$((i + 1))
     done
     jq -n -r --arg w "$workload" --slurpfile p "$tmp/parent.jsonl" \
-        --slurpfile c "$tmp/change.jsonl" --slurpfile b BENCHMARK.json '
+        --slurpfile c "$tmp/change.jsonl" --slurpfile b BENCHMARK.json \
+        --argjson trace "$trace" '
         def q(p): sort | ((length - 1) * p) as $i | ($i | floor) as $lo
             | .[$lo] + (.[$i | ceil] - .[$lo]) * ($i - $lo);
         def r: . * 1000 | round / 1000;
-        $b[0].end_to_end as $spec | [range(0; $p | length)] as $pairs
+        def reported: [.[] | .name as $m | select(all($p[], $c[]; .metrics[$m].value != null))];
+        ($b[0].end_to_end | reported) as $e2e
+        | ($e2e + if $trace == 1 then $b[0].per_layer | reported else [] end) as $spec
+        | [range(0; $p | length)] as $pairs
         | "\($w), parent / change:",
           ($pairs[] as $k
             | "pair \($k + 1) (\(if $k % 2 == 0 then "parent" else "change" end) first): "
-              + ([$spec[].name as $m
+              + ([$e2e[].name as $m
                   | "\($m) \($p[$k].metrics[$m].value | r) / \($c[$k].metrics[$m].value | r)"]
-                 | join(", "))
-              + ", attempted \($p[$k].attempted) / \($c[$k].attempted)"
-              + ", failed \($p[$k].failed) / \($c[$k].failed)"),
+                 + ["attempted \($p[$k].attempted) / \($c[$k].attempted)",
+                    "failed \($p[$k].failed) / \($c[$k].failed)"]
+                 | join(", "))),
           ($spec[] as $s
             | [$p[].metrics[$s.name].value] as $pv | [$c[].metrics[$s.name].value] as $cv
             | [$pairs[] | select(if $s.better == "lower"
@@ -224,8 +239,8 @@ if [ "${1:-}" = bench-diff ]; then
     exit 0
 fi
 if [ "${1:-}" = bench-pairs ]; then
-    usage="usage: ./ci.sh bench-pairs <parent-tree> <workload> <n>"
-    bench_pairs "${2:?$usage}" "${3:?$usage}" "${4:?$usage}"
+    usage="usage: ./ci.sh bench-pairs <parent-tree> <workload> <n> [--trace]"
+    bench_pairs "${2:?$usage}" "${3:?$usage}" "${4:?$usage}" "${5:-}"
     exit 0
 fi
 

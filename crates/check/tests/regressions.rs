@@ -223,3 +223,41 @@ fn an_unlogged_restart_never_remints_a_lost_complets_id() {
          invoke 0 from 0\n",
     );
 }
+
+/// A move issued away from the complet's host goes to where the
+/// issuer's tracker points. Here that is the destination, which no longer
+/// hosts the complet: it must answer at once that it does not, rather
+/// than serve the request with a nested one of its own, which left the
+/// worker that would serve the source's prepare blocked until the move
+/// timed out.
+#[test]
+fn seed_889_a_move_hinted_at_its_destination_does_not_starve_it() {
+    assert_clean(
+        889,
+        "# fargo-check schedule v1 seed=889 cores=3\n\
+         new 0 @2\n\
+         move 0 -> 0\n\
+         invoke 0 from 1\n\
+         move 0 -> 2\n\
+         move-many 0,0 -> 0\n",
+    );
+}
+
+/// The shard entry of a moved complet whose owner is neither party to
+/// the move is one delta from the source, lost here to a partition; the
+/// source then restarts without its log. A call that dead-ends at the
+/// restarted source must not take the owner's stale answer for the last
+/// word: it asks the peers past it and finds the complet.
+#[test]
+fn seed_492_a_dead_end_named_by_the_owner_is_asked_past() {
+    assert_clean(
+        492,
+        "# fargo-check schedule v1 seed=492 cores=3\n\
+         new 0 @2\n\
+         partition 2 0\n\
+         move 0 -> 1\n\
+         crash 2\n\
+         restart 2 nolog\n\
+         restart 2 nolog\n",
+    );
+}

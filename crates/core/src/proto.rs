@@ -136,7 +136,10 @@ pub(crate) enum Request {
     NameLookup { name: String },
     /// Fetch a complet's marshaled state (remote `duplicate`).
     FetchState { id: CompletId },
-    /// Ask the host of `ids[0]` to move `ids` to `dest` in one transaction.
+    /// Ask the host of `ids[0]` to move `ids` to `dest` in one
+    /// transaction. Answered with [`Reply::ShardEntries`] naming where
+    /// each complet of the stream went, or `UnknownComplet(ids[0])` by a
+    /// Core that does not host it.
     MoveRequest { ids: Vec<CompletId>, dest: u32 },
     /// Where is this complet? The one location question: a receiver that
     /// hosts it names itself, any other answers from its location-shard
@@ -301,8 +304,9 @@ pub(crate) enum Reply {
         node: Option<u32>,
         epoch: u64,
     },
-    /// The replying Core's live location-shard entries:
-    /// `(complet, node, epoch)`.
+    /// `(complet, node, epoch)` location entries: the replying Core's
+    /// live location-shard entries, or, answering a
+    /// [`Request::MoveRequest`], where each complet of the stream went.
     ShardEntries {
         entries: Vec<(CompletId, u32, u64)>,
     },
@@ -395,7 +399,7 @@ pub(crate) struct EnvelopeMeta {
 }
 
 /// The one envelope layout this build reads and writes.
-pub(crate) const ENVELOPE_VERSION: u8 = 3;
+pub(crate) const ENVELOPE_VERSION: u8 = 4;
 
 const KIND_REQUEST: u8 = 0;
 const KIND_REPLY: u8 = 1;
@@ -1484,12 +1488,12 @@ pub(crate) mod tests {
         // order: target, method, args (a count and the values), chain,
         // path.
         let goldens: [(&Message, &[u8]); 3] = [
-            (&ping, &[3, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
-            (&pong, &[3, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+            (&ping, &[4, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
+            (&pong, &[4, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
             (
                 &invoke,
                 &[
-                    3, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
+                    4, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
                 ],
             ),
         ];

@@ -262,10 +262,23 @@ impl Core {
             Request::NameLookup { name } => Reply::NameOk {
                 desc: self.lookup(&name).map(|r| r.descriptor()),
             },
-            Request::FetchState { id } => self.handle_fetch_state(id),
+            Request::FetchState { id } => match self.marshal_in_place(id) {
+                Ok((type_name, state)) => Reply::StateOk { type_name, state },
+                Err(e) => Reply::Err(e),
+            },
+            // Moved for `origin` when this Core hosts the first id, and
+            // answered with where each complet of the stream went. A Core
+            // that does not host it says so and asks nobody: a worker
+            // blocked in a nested request could starve the very prepare
+            // it waits on.
             Request::MoveRequest { ids, dest } => {
-                match self.move_many(&ids, &self.core_name_of(dest)) {
-                    Ok(()) => Reply::Ok,
+                let moved = match ids.first() {
+                    Some(&root) if !self.hosts(root) => Err(FargoError::UnknownComplet(root)),
+                    Some(_) => self.move_hosted(&ids, dest, None, Some(origin)),
+                    None => Ok(Vec::new()),
+                };
+                match moved {
+                    Ok(entries) => Reply::ShardEntries { entries },
                     Err(e) => Reply::Err(e),
                 }
             }
@@ -334,8 +347,12 @@ impl Core {
     /// idempotent kinds, which were never admitted to the cache). It then
     /// walks `path` — the nodes the request traversed, origin first —
     /// backwards, so every tracker on an invocation chain learns the
-    /// final location; an empty path answers the origin directly.
+    /// final location (§3.1); an empty path answers the origin directly.
+    /// The walk skips the last forwarder: it forwarded to this Core, so
+    /// its tracker already names it, and with one forwarder the reply
+    /// goes straight to the origin.
     fn respond(&self, origin: u32, req_id: ReqId, path: &[u32], body: Reply) {
+        let path = path.split_last().map_or(path, |(_, rest)| rest);
         let (first, route) = match path.split_last() {
             Some((&last, rest)) => (last, rest.iter().rev().copied().collect()),
             None => (origin, Vec::new()),

@@ -266,7 +266,7 @@ impl Core {
                             Some(node),
                         );
                     }
-                    if let Route::Remote(n) = self.route_via_shard(id) {
+                    if let Route::Remote(n) = self.route_via_shard(id, Some(node)) {
                         self.inner.trackers.seed_forward(id, n);
                         continue;
                     }
@@ -320,16 +320,17 @@ impl Core {
                     Route::Local
                 } else {
                     // The tracker may have been garbage-collected.
-                    self.route_via_shard(id)
+                    self.route_via_shard(id, None)
                 }
             }
         }
     }
 
     /// Last-resort routing: ask the resolver — the owning location shard,
-    /// then the peers — whoever originated the complet.
-    fn route_via_shard(&self, id: CompletId) -> Route {
-        match self.shard_consult(id) {
+    /// then the peers — whoever originated the complet; `dead_end` is the
+    /// Core just found without it.
+    fn route_via_shard(&self, id: CompletId, dead_end: Option<u32>) -> Route {
+        match self.shard_consult(id, dead_end) {
             Some(r) if r.node != self.inner.node.index() => Route::Remote(r.node),
             _ => Route::Unknown,
         }

@@ -134,7 +134,8 @@ pub(crate) struct CoreInner {
     /// A receiver handle kept only so queue depth is observable
     /// (crossbeam senders cannot report length).
     pub work_rx: Receiver<WorkRequest>,
-    /// Workers currently executing a request (quiescence detection).
+    /// Workers currently executing a request, and pull follow-up moves
+    /// (quiescence detection).
     pub busy_workers: AtomicU64,
     /// Per-complet move-epoch counters (updated on departure and arrival
     /// so epochs stay monotonic across hosts).
@@ -528,16 +529,19 @@ impl Core {
             self.inner.node.index(),
             self.inner.complet_seq.fetch_add(1, Ordering::Relaxed),
         );
-        self.install_complet_with_id(id, type_name, complet);
+        let epoch = self.install_complet_with_id(id, type_name, complet);
+        self.publish_location(id, self.inner.node.index(), epoch, true);
         id
     }
 
+    /// Installs a complet under `id` with its local tracker, at its
+    /// current move epoch, which it returns; the caller publishes.
     pub(crate) fn install_complet_with_id(
         &self,
         id: CompletId,
         type_name: &str,
         complet: Box<dyn Complet>,
-    ) {
+    ) -> u64 {
         let slot = Arc::new(CompletSlot {
             id,
             type_name: type_name.to_owned(),
@@ -552,7 +556,7 @@ impl Core {
         self.inner
             .telemetry
             .journal(JournalKind::TrackerCreated, &id, type_name, "", None);
-        self.publish_location(id, self.inner.node.index(), epoch, true);
+        epoch
     }
 
     /// Whether a complet currently lives on this Core.

@@ -16,12 +16,17 @@
 //! repointing the local trackers to the destination; outgoing references
 //! are preserved because descriptors keep tracking their targets.
 //!
+//! A move issued away from the roots' host is one `MoveRequest` to
+//! where the issuer's tracker points; only when that Core does not host
+//! them does the issuer ask the authoritative `locate`. The host answers
+//! where each complet went, and the issuer's trackers follow.
+//!
 //! The sending half is the two-phase protocol's steps, in order:
-//! `marshal_closure`, `prepare`, `decide`, then `commit` and
-//! `finalize_departure` — or one `restore`. Once the commit verdict is
-//! recorded the source finalizes and does nothing else: the
-//! destination's held-move sweep (`sweep_held_moves`) is the one
-//! resolver of a move in doubt.
+//! `marshal_closure`, the `MovePrepare` round trip, `decide`, then
+//! `commit` and `finalize_departure` — or one `restore` — and the shard
+//! publish of what left (`publish_departures`). Once the commit verdict
+//! is recorded the source does nothing more: the destination's held-move
+//! sweep (`sweep_held_moves`) is the one resolver of a move in doubt.
 //!
 //! A transaction is named once, by its first packet's `(id, epoch)` —
 //! the first root's — minted above the source's incarnation, and a
@@ -81,11 +86,8 @@ pub(crate) struct HeldMove {
     complets: Vec<Box<dyn Complet>>,
     /// Invoked on the root once the stream is activated.
     continuation: Option<Continuation>,
-    /// When to start asking the source for its verdict, in [`Clock`]
-    /// microseconds (re-armed after each unanswered query so monitor
-    /// ticks don't stack resolvers).
-    ///
-    /// [`Clock`]: fargo_telemetry::Clock
+    /// When to ask the source for its verdict, in `Clock` µs; re-armed
+    /// after each unanswered query so monitor ticks don't stack resolvers.
     deadline: u64,
 }
 
@@ -94,8 +96,8 @@ impl Core {
     /// to the Core named `dest`, optionally invoking
     /// `continuation = (method, args)` on it after arrival.
     ///
-    /// The complet need not be hosted here: the request is forwarded to
-    /// its current host.
+    /// The complet need not be hosted here: the request goes to its
+    /// current host.
     ///
     /// # Errors
     ///
@@ -117,7 +119,7 @@ impl Core {
     /// Moves the complets `ids`, which share one host, to the Core named
     /// `dest` as **one** transaction (keyed by the first id): one
     /// `MovePrepare` carries all their closures, and they commit or abort
-    /// as a unit. The request is forwarded to the host of the first.
+    /// as a unit. The request goes to the host of the first.
     ///
     /// # Errors
     ///
@@ -127,10 +129,9 @@ impl Core {
         self.move_roots(ids, dest, None)
     }
 
-    /// The one move path: one `MoveRequest` to the first root's host when
-    /// this Core is not it, otherwise the sending half of the mobility
-    /// protocol, step by step, in a `move` span (root, or a child of the
-    /// ambient trace when moved from inside an invocation).
+    /// The one move path: the sending half when this Core hosts the first
+    /// root, else a `MoveRequest` to where its tracker points, and only
+    /// when that Core does not host it the authoritative `locate`.
     fn move_roots(
         &self,
         roots: &[CompletId],
@@ -141,40 +142,84 @@ impl Core {
         let Some(&root) = roots.first() else {
             return Ok(());
         };
-        if !self.hosts(root) {
-            let host = self.locate(root)?;
-            if host == me {
-                return Err(FargoError::UnknownComplet(root));
-            }
-            let ids = roots.to_vec();
-            return match self.rpc(host, Request::MoveRequest { ids, dest })? {
-                Reply::Ok => Ok(()),
-                Reply::Err(e) => Err(e),
-                other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
-            };
+        if self.hosts(root) {
+            return self.move_hosted(roots, dest, continuation, None).map(drop);
         }
-        if dest == me {
+        // The host's answer names where each complet went: the trackers
+        // here follow, so the next move goes straight to the host.
+        let ask = |host, ids| match self.rpc(host, Request::MoveRequest { ids, dest })? {
+            Reply::ShardEntries { entries } => {
+                self.learn_departures(&entries);
+                Ok(())
+            }
+            Reply::Err(e) => Err(e),
+            other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
+        };
+        if let Some((hint, _)) = self.tracker_hint(root) {
+            // A hint that does not host the root, or a send that never
+            // left, falls back to the authority.
+            match ask(hint, roots.to_vec()) {
+                Err(FargoError::UnknownComplet(id)) if id == root => {}
+                Err(FargoError::Net(_)) => {}
+                done => return done,
+            }
+        }
+        match self.locate(root)? {
+            host if host == me => Err(FargoError::UnknownComplet(root)),
+            host => ask(host, roots.to_vec()),
+        }
+    }
+
+    /// The sending half of the mobility protocol for `roots`, the first
+    /// hosted here, step by step, in a `move` span (root, or a child of
+    /// the ambient trace when moved from inside an invocation). Returns
+    /// `(id, dest, epoch)` per complet of the committed stream, whose
+    /// shard entries the parties to the move apply (`publish_departures`):
+    /// `requester`, when another Core asked, applies its own from them.
+    pub(crate) fn move_hosted(
+        &self,
+        roots: &[CompletId],
+        dest: u32,
+        continuation: Option<(String, Vec<Value>)>,
+        requester: Option<u32>,
+    ) -> Result<Vec<(CompletId, u32, u64)>> {
+        if dest == self.inner.node.index() {
             return match roots.iter().find(|&&id| !self.hosts(id)) {
                 Some(&id) => Err(FargoError::UnknownComplet(id)),
-                None => Ok(()),
+                None => Ok(Vec::new()),
             };
         }
         let t = &self.inner.telemetry;
         let _span = t.span(SpanParent::Ambient, || {
-            format!("move {root} -> {}", self.core_name_of(dest))
+            format!("move {} -> {}", roots[0], self.core_name_of(dest))
         });
         t.moves_attempted_total.inc();
         let result = self
             .marshal_closure(roots, dest)
             .and_then(|(closure, packets)| {
+                let placed: Vec<_> = packets.iter().map(|p| (p.id, dest, p.epoch)).collect();
+                // Prepare: the closure in one `MovePrepare`, which the
+                // destination validates, reconstructs and holds.
                 let continuation = continuation.map(|(method, args)| Continuation { method, args });
-                let prepared = self.prepare(dest, packets, continuation);
+                let prepare = Request::MovePrepare {
+                    packets,
+                    continuation,
+                };
+                let prepared = match self.rpc(dest, prepare) {
+                    Ok(Reply::PrepareOk { .. }) => Ok(()),
+                    Ok(Reply::Err(e)) | Err(e) => Err(e),
+                    Ok(other) => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
+                };
                 let (root, epoch) = self.decide(dest, &closure, prepared.as_ref().err());
                 match prepared {
                     Ok(()) => {
                         let committed = self.commit(root, epoch, dest);
+                        // Before the pull follow-ups' threads, whose sends
+                        // would race this Core's own shard apply.
+                        let answered = requester.filter(|_| committed.is_ok());
+                        self.publish_departures(&placed, dest, answered);
                         self.finalize_departure(closure, dest);
-                        committed
+                        committed.map(|()| placed)
                     }
                     Err(e) => {
                         // Fire and forget: a lost abort is recovered by the
@@ -334,25 +379,6 @@ impl Core {
         ))
     }
 
-    /// Prepare: ships the closure in one `MovePrepare` and waits for the
-    /// destination to validate, reconstruct and hold it.
-    fn prepare(
-        &self,
-        dest: u32,
-        packets: Vec<CompletPacket>,
-        continuation: Option<Continuation>,
-    ) -> Result<()> {
-        let prepare = Request::MovePrepare {
-            packets,
-            continuation,
-        };
-        match self.rpc(dest, prepare)? {
-            Reply::PrepareOk { .. } => Ok(()),
-            Reply::Err(e) => Err(e),
-            other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
     /// Decide: records the verdict — commit unless `abort` says why not —
     /// in the decision log the destination's sweep asks (`MoveDecision`),
     /// in the write-ahead log and in the journal, before the destination
@@ -418,9 +444,7 @@ impl Core {
     /// Completes a committed departure: `post_departure` callbacks, slot
     /// release, tracker forwarding, events, and the follow-up moves of
     /// remotely hosted pull targets. Nothing is logged: the `Decision`
-    /// record already says who left, where, and at which epoch. The new
-    /// placement is not published from here: the destination does that
-    /// when it installs the complet.
+    /// record already says who left, where, and at which epoch.
     fn finalize_departure(&self, closure: Closure, dest: u32) {
         let me = self.inner.node.index();
         for mut d in closure.departing {
@@ -465,20 +489,20 @@ impl Core {
     }
 
     /// Moves a pull target hosted elsewhere after the closure it belongs
-    /// to, on its own thread. One retry covers transient faults; a
-    /// complet already in transit belongs to another move and is left
-    /// alone. A final failure is journaled and surfaced as a `moveFailed`
-    /// event instead of vanishing.
+    /// to, on its own thread, counted busy so quiescence waits for it. One
+    /// retry covers transient faults; a complet already in transit belongs
+    /// to another move. A final failure is journaled and surfaced as a
+    /// `moveFailed` event instead of vanishing.
     fn pull_after(&self, id: CompletId, dest: u32) {
-        let core = self.clone();
-        let dest_name = self.core_name_of(dest);
+        let (core, dest_name) = (self.clone(), self.core_name_of(dest));
+        core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
         thread::spawn(move || {
-            let mut result = core.move_complet(id, &dest_name, None);
-            if let Err(e) = &result {
-                if !matches!(e, FargoError::AlreadyMoving(_)) {
-                    result = core.move_complet(id, &dest_name, None);
+            let result = match core.move_complet(id, &dest_name, None) {
+                Err(e) if !matches!(e, FargoError::AlreadyMoving(_)) => {
+                    core.move_complet(id, &dest_name, None)
                 }
-            }
+                first => first,
+            };
             if let Err(e) = result {
                 core.inner.telemetry.journal(
                     JournalKind::RelocatorDecision,
@@ -494,12 +518,12 @@ impl Core {
                     error: e.to_string(),
                 });
             }
+            core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
         });
     }
 
     /// Puts complets that will not leave back in their slots, with their
-    /// names. Nothing was journaled for them before the verdict, so
-    /// nothing is compensated.
+    /// names; nothing was journaled for them, so nothing is compensated.
     fn restore(&self, departing: Vec<Departing>) {
         for d in departing {
             *d.slot.state.lock() = SlotState::Present(d.complet);
@@ -517,13 +541,10 @@ impl Core {
         }
     }
 
-    /// Bumps and returns the move epoch of a departing complet. Epochs
-    /// are monotonic across hosts: arrival records the packet's epoch
-    /// into the local counter, so the next departure continues from it.
-    /// They are floored at this life's id base, like every id it mints:
-    /// an epoch bumped by a move that failed before its verdict was
-    /// logged is forgotten by a restart, and without the floor the next
-    /// move would name a transaction with the key of that earlier one.
+    /// Bumps and returns the move epoch of a departing complet: monotonic
+    /// across hosts (arrival records the packet's epoch here), and floored
+    /// at this life's id base, so a restart that forgot an epoch bumped by
+    /// a failed move never names a new transaction with its key.
     fn bump_move_epoch(&self, id: CompletId) -> u64 {
         let mut g = self.inner.move_epochs.lock();
         let e = g.entry(id).or_insert(0);
@@ -551,19 +572,15 @@ impl Core {
     /// without removing it — fetched from its host when not local.
     /// `None` when the target cannot be read.
     fn duplicate(&self, id: CompletId, hint: u32) -> Option<CompletPacket> {
-        let local = self.inner.complets.read().get(&id).cloned();
-        let (type_name, state) = match local {
-            Some(slot) => match &*slot.state.try_lock_for(self.inner.config.transit_wait)? {
-                SlotState::Present(c) => (slot.type_name.clone(), c.marshal()),
-                _ => return None,
-            },
-            None => {
+        let (type_name, state) = match self.marshal_in_place(id) {
+            Err(FargoError::UnknownComplet(_)) => {
                 let host = self.locate(id).unwrap_or(hint);
                 match self.rpc(host, Request::FetchState { id }).ok()? {
                     Reply::StateOk { type_name, state } => (type_name, state),
                     _ => return None,
                 }
             }
+            image => image.ok()?,
         };
         let seq = self.inner.complet_seq.fetch_add(1, Ordering::Relaxed);
         Some(CompletPacket {
@@ -635,36 +652,37 @@ impl Core {
             .collect()
     }
 
-    /// Makes one reconstructed complet live on this Core at `epoch` —
-    /// the install path behind move arrival (the packet's epoch), WAL
-    /// recovery (the recorded epoch) and checkpoint restore (one past
-    /// it): epoch bookkeeping, install with its tracker and shard
-    /// publish, names. The move epoch is seeded *before* installing: the
-    /// install path points the local tracker and publishes the shard
-    /// delta at the current epoch, which must already be this
-    /// incarnation's — otherwise the fresh Local tracker would carry
-    /// epoch 0 and any stale Forward straggler could overwrite it.
+    /// Makes one reconstructed complet live on this Core at `epoch` (a
+    /// move's packet epoch; WAL recovery's recorded one; checkpoint
+    /// restore's one past it) with its tracker and names, and returns the
+    /// epoch, which the caller publishes. The epoch is seeded *before*
+    /// installing, or the fresh Local tracker would carry epoch 0 and any
+    /// stale Forward straggler could overwrite it.
     pub(crate) fn install_image(
         &self,
         image: &CompletPacket,
         epoch: u64,
         complet: Box<dyn Complet>,
-    ) {
+    ) -> u64 {
         {
             let mut epochs = self.inner.move_epochs.lock();
             let e = epochs.entry(image.id).or_insert(0);
             *e = (*e).max(epoch);
         }
-        self.install_complet_with_id(image.id, &image.type_name, complet);
+        let epoch = self.install_complet_with_id(image.id, &image.type_name, complet);
         self.bind_names(image.id, &image.type_name, image.names.iter().cloned());
+        epoch
     }
 
     /// Pass 2 of arrival: installs one reconstructed complet between its
-    /// arrival callbacks, logs it, and fires the arrival event.
+    /// arrival callbacks, logs it, and fires the arrival event. Its shard
+    /// entry is applied here only when this Core owns the slice: an
+    /// arrival sends no delta (the source publishes the rest).
     fn install_arrival(&self, packet: &CompletPacket, mut complet: Box<dyn Complet>) {
         let mut ctx = self.make_ctx(packet.id, &packet.type_name, vec![]);
         complet.pre_arrival(&mut ctx);
-        self.install_image(packet, packet.epoch, complet);
+        let epoch = self.install_image(packet, packet.epoch, complet);
+        self.apply_if_owned((packet.id, self.inner.node.index(), epoch, true));
         self.run_post_arrival(packet.id);
         // Write-ahead: from this point the arrival is visible to
         // invocation, so its state (possibly rewritten by
@@ -746,13 +764,9 @@ impl Core {
             unreachable!("built as Held above")
         };
         self.hold(key, image, complets, continuation);
-        self.inner.telemetry.journal(
-            JournalKind::MovePrepared,
-            &root,
-            "",
-            &epoch.to_string(),
-            Some(origin),
-        );
+        let detail = epoch.to_string();
+        let t = &self.inner.telemetry;
+        t.journal(JournalKind::MovePrepared, &root, "", &detail, Some(origin));
         Reply::PrepareOk { epoch }
     }
 
@@ -792,22 +806,26 @@ impl Core {
             self.inner.move_verdicts.record(root, epoch, false);
         }
         if held.is_some() {
-            self.wal_append(&WalRecord::Decision {
-                root,
-                epoch,
-                committed: false,
-                left: vec![],
-                dest: self.inner.node.index(),
-            });
-            self.inner.telemetry.journal(
-                JournalKind::MoveAborted,
-                &root,
-                "",
-                &epoch.to_string(),
-                None,
-            );
+            self.log_held_verdict(root, epoch, JournalKind::MoveAborted, None);
         }
         Reply::Ok
+    }
+
+    /// Logs this destination's verdict on a held move — its `Decision`
+    /// record, which keeps replay from re-holding the stream — and
+    /// journals it.
+    fn log_held_verdict(&self, root: CompletId, epoch: u64, kind: JournalKind, peer: Option<u32>) {
+        let (committed, dest) = (kind == JournalKind::MoveCommitted, self.inner.node.index());
+        let left = vec![];
+        self.wal_append(&WalRecord::Decision {
+            root,
+            epoch,
+            committed,
+            left,
+            dest,
+        });
+        let (t, detail) = (&self.inner.telemetry, epoch.to_string());
+        t.journal(kind, &root, "", &detail, peer);
     }
 
     /// Serves `MoveDecision` (destination asking the source): the verdict
@@ -852,22 +870,9 @@ impl Core {
             self.install_arrival(packet, complet);
         }
         // The live State records written by `install_arrival` supersede
-        // the Held snapshot; the verdict resolves it, which keeps replay
-        // from re-holding a transaction that already activated.
-        self.wal_append(&WalRecord::Decision {
-            root,
-            epoch,
-            committed: true,
-            left: vec![],
-            dest: self.inner.node.index(),
-        });
-        t.journal(
-            JournalKind::MoveCommitted,
-            &root,
-            "",
-            &epoch.to_string(),
-            Some(held.image.source),
-        );
+        // the Held snapshot, which the verdict resolves.
+        let source = Some(held.image.source);
+        self.log_held_verdict(root, epoch, JournalKind::MoveCommitted, source);
         if let Some(cont) = held.continuation {
             self.spawn_continuation(root, cont);
         }
@@ -883,24 +888,28 @@ impl Core {
     /// discarding could lose the only copy of a committed move.
     pub(crate) fn sweep_held_moves(&self) {
         let cfg = &self.inner.config;
-        let now = cfg.clock.now_us();
-        let expired: Vec<(CompletId, u64, u32)> = {
-            let mut g = self.inner.held_moves.lock();
-            let re_arm = cfg
-                .clock
-                .deadline_us(cfg.move_hold_timeout + cfg.rpc_timeout);
-            g.iter_mut()
-                .filter(|(_, h)| h.deadline <= now)
-                .map(|(k, h)| {
-                    h.deadline = re_arm;
-                    (k.0, k.1, h.image.source)
-                })
-                .collect()
-        };
-        for (root, epoch, source) in expired {
+        let re_arm = cfg
+            .clock
+            .deadline_us(cfg.move_hold_timeout + cfg.rpc_timeout);
+        for (root, epoch, source) in self.held_keys(Some(re_arm)) {
             let core = self.clone();
             thread::spawn(move || core.resolve_held(root, epoch, source));
         }
+    }
+
+    /// `(root, epoch, source)` of every held move — with `re_arm`, of
+    /// those whose deadline passed, each deadline moved to `re_arm`.
+    fn held_keys(&self, re_arm: Option<u64>) -> Vec<(CompletId, u64, u32)> {
+        let now = self.inner.config.clock.now_us();
+        let mut held = self.inner.held_moves.lock();
+        let due = held
+            .iter_mut()
+            .filter(|(_, h)| re_arm.is_none_or(|_| h.deadline <= now));
+        let key = |(k, h): (&(CompletId, u64), &mut HeldMove)| {
+            h.deadline = re_arm.unwrap_or(h.deadline);
+            (k.0, k.1, h.image.source)
+        };
+        due.map(key).collect()
     }
 
     /// Asks `source` for its recorded verdict on the held move
@@ -908,13 +917,12 @@ impl Core {
     /// abort. Unknown or unreachable keeps holding (a later sweep
     /// retries). Returns whether the hold was resolved.
     fn resolve_held(&self, root: CompletId, epoch: u64, source: u32) -> bool {
+        use MoveTxnState::{Aborted, Committed};
         match self.rpc(source, Request::MoveDecision { root, epoch }) {
-            Ok(Reply::MoveState {
-                state: MoveTxnState::Committed,
-            }) => matches!(self.handle_move_commit(root, epoch, None), Reply::Ok),
-            Ok(Reply::MoveState {
-                state: MoveTxnState::Aborted,
-            }) => {
+            Ok(Reply::MoveState { state: Committed }) => {
+                matches!(self.handle_move_commit(root, epoch, None), Reply::Ok)
+            }
+            Ok(Reply::MoveState { state: Aborted }) => {
                 let _ = self.handle_move_abort(root, epoch);
                 true
             }
@@ -971,15 +979,8 @@ impl Core {
     /// monitor. Streams whose source answers `Unknown` (or is
     /// unreachable) stay held. Returns how many were resolved.
     pub fn resolve_held_now(&self) -> usize {
-        let pending: Vec<(CompletId, u64, u32)> = self
-            .inner
-            .held_moves
-            .lock()
-            .iter()
-            .map(|(k, h)| (k.0, k.1, h.image.source))
-            .collect();
+        let pending = self.held_keys(None).into_iter();
         pending
-            .into_iter()
             .filter(|&(root, epoch, source)| self.resolve_held(root, epoch, source))
             .count()
     }
@@ -999,20 +1000,19 @@ impl Core {
         }
     }
 
-    /// Serves `FetchState` (remote duplicate).
-    pub(crate) fn handle_fetch_state(&self, id: CompletId) -> Reply {
+    /// A hosted complet's type and current state, marshaled without
+    /// taking it out: what a `duplicate` copies, here or for a peer's
+    /// `FetchState`.
+    pub(crate) fn marshal_in_place(&self, id: CompletId) -> Result<(String, Value)> {
         let Some(slot) = self.inner.complets.read().get(&id).cloned() else {
-            return Reply::Err(FargoError::UnknownComplet(id));
+            return Err(FargoError::UnknownComplet(id));
         };
         let Some(guard) = slot.state.try_lock_for(self.inner.config.transit_wait) else {
-            return Reply::Err(FargoError::Timeout);
+            return Err(FargoError::Timeout);
         };
         match &*guard {
-            SlotState::Present(c) => Reply::StateOk {
-                type_name: slot.type_name.clone(),
-                state: c.marshal(),
-            },
-            _ => Reply::Err(FargoError::AlreadyMoving(id)),
+            SlotState::Present(c) => Ok((slot.type_name.clone(), c.marshal())),
+            _ => Err(FargoError::AlreadyMoving(id)),
         }
     }
 }

@@ -164,7 +164,8 @@ impl Core {
     /// (the recorded one; the recorded one + 1). Constructor and arrival
     /// callbacks ran in the complet's first life and do not run again.
     fn install_revived(&self, image: &CompletPacket, epoch: u64, complet: Box<dyn Complet>) {
-        self.install_image(image, epoch, complet);
+        let epoch = self.install_image(image, epoch, complet);
+        self.publish_location(image.id, self.inner.node.index(), epoch, true);
         self.fire_event(EventPayload::CompletArrived {
             id: image.id,
             type_name: image.type_name.clone(),

@@ -5,7 +5,12 @@
 //! [`fargo_naming::LocationShard`] holds the authoritative `(node,
 //! move_epoch)` entry for it. A layout change publishes once, to the
 //! owner (locally or as a directed [`Notify::ShardDelta`], which is
-//! also the handoff vehicle); nothing is broadcast. Every Core's
+//! also the handoff vehicle); nothing is broadcast. A move's entries
+//! are applied by whichever party to the move owns their slice — the
+//! destination as it installs, the source once the commit returns, the
+//! requester from the host's answer — so only an owner outside the move
+//! is sent a delta, by the source, and nothing names the destination
+//! before it installs (an unanswered commit aside). Every Core's
 //! tracker table is a hint cache — the only one — that learns from the
 //! replies passing it (§3.1) or from a descriptor it was handed, and a
 //! caller at a dead end asks the resolver (`shard_consult`). Where a
@@ -135,14 +140,68 @@ impl Core {
     /// `alive = false` publishes a tombstone (release).
     pub(crate) fn publish_location(&self, id: CompletId, node: u32, epoch: u64, alive: bool) {
         self.inner.telemetry.naming_publishes_total.inc();
-        let Some(owner) = self.ring_owner(id) else {
-            return;
-        };
+        let delta = (id, node, epoch, alive);
+        match self.apply_if_owned(delta) {
+            Some(owner) if owner != self.inner.node.index() => {
+                let entries = vec![delta];
+                let _ = self.send_notify(owner, &Notify::ShardDelta { entries });
+            }
+            _ => {}
+        }
+    }
+
+    /// Applies one location delta to the local shard when this Core owns
+    /// its slice, and returns the owner either way.
+    pub(crate) fn apply_if_owned(&self, (id, node, epoch, alive): DeltaTuple) -> Option<u32> {
+        let owner = self.ring_owner(id)?;
         if owner == self.inner.node.index() {
             self.apply_shard_delta(id, ShardEntry { node, epoch, alive });
-        } else {
-            let entries = vec![(id, node, epoch, alive)];
+        }
+        Some(owner)
+    }
+
+    /// Publishes where a committed move stream went, `(id, dest, epoch)`
+    /// per complet, so that each entry is applied by exactly one party to
+    /// the move: the destination applied the slices it owns when it
+    /// installed, `requester` applies its own from the answer, this Core
+    /// applies its own here, and every other owner gets one `ShardDelta`.
+    /// `requester` is `None` when no answer reaches another Core: the
+    /// move was issued here, or its commit went unanswered.
+    pub(crate) fn publish_departures(
+        &self,
+        placed: &[(CompletId, u32, u64)],
+        dest: u32,
+        requester: Option<u32>,
+    ) {
+        let me = self.inner.node.index();
+        let mut by_owner: BTreeMap<u32, Vec<DeltaTuple>> = BTreeMap::new();
+        for &(id, node, epoch) in placed {
+            self.inner.telemetry.naming_publishes_total.inc();
+            let delta = (id, node, epoch, true);
+            match self.apply_if_owned(delta) {
+                Some(owner) if owner != me && owner != dest && Some(owner) != requester => {
+                    by_owner.entry(owner).or_default().push(delta);
+                }
+                _ => {}
+            }
+        }
+        for (owner, entries) in by_owner {
             let _ = self.send_notify(owner, &Notify::ShardDelta { entries });
+        }
+    }
+
+    /// Learns where a move this Core asked for put its complets — the
+    /// `(id, dest, epoch)` entries of the host's answer: the trackers
+    /// here repoint, so the next move of the same complet goes straight
+    /// to its host, and the entries of the slices this Core owns are
+    /// applied (the host left them to it; the destination applied its
+    /// own when it installed).
+    pub(crate) fn learn_departures(&self, placed: &[(CompletId, u32, u64)]) {
+        for &(id, node, epoch) in placed {
+            self.learn_location(id, node, epoch);
+            if node != self.inner.node.index() {
+                self.apply_if_owned((id, node, epoch, true));
+            }
         }
     }
 
@@ -242,20 +301,33 @@ impl Core {
     /// Core owns it). Without a live answer — the owner restarted without
     /// its slice, or a one-way publish was lost — it asks each other peer
     /// in `node_ids()` order and stops at the first that names itself.
+    /// An owner naming `dead_end`, a Core the caller just found without
+    /// the complet, is asked past in the same way, and is the answer only
+    /// when no peer names itself (the complet may be on its way there).
     /// The report carries the answer's move epoch and every round trip
     /// spent; `None` when nobody knows.
-    pub(crate) fn shard_consult(&self, id: CompletId) -> Option<LocateReport> {
+    pub(crate) fn shard_consult(
+        &self,
+        id: CompletId,
+        dead_end: Option<u32>,
+    ) -> Option<LocateReport> {
         let me = self.inner.node.index();
         let owner = self.ring_owner(id)?;
         let mut hops = 0;
+        let mut named = None;
         if let (Some(node), epoch) = self.ask_locate(owner, id, &mut hops) {
             if node != me {
-                return Some(LocateReport {
+                let via = ResolveVia::Shard;
+                let report = LocateReport {
                     node,
-                    via: ResolveVia::Shard,
+                    via,
                     hops,
                     epoch,
-                });
+                };
+                if Some(node) != dead_end {
+                    return Some(report);
+                }
+                named = Some(report);
             }
         }
         let peers = self.inner.net.node_ids().into_iter().map(|n| n.index());
@@ -271,12 +343,12 @@ impl Core {
                 }
             }
         }
-        None
+        named.map(|r| LocateReport { hops, ..r })
     }
 
     /// The local hint for `id`: the tracker's forward and the move epoch
     /// it was learned at, unless it points at this Core itself.
-    fn tracker_hint(&self, id: CompletId) -> Option<(u32, u64)> {
+    pub(crate) fn tracker_hint(&self, id: CompletId) -> Option<(u32, u64)> {
         match self.inner.trackers.peek_with_epoch(id) {
             Some((TrackerTarget::Forward(n), e)) if n != self.inner.node.index() => Some((n, e)),
             _ => None,
@@ -306,7 +378,7 @@ impl Core {
         }
         let hint = self.tracker_hint(id);
         let mut report = self
-            .shard_consult(id)
+            .shard_consult(id, None)
             .ok_or(FargoError::UnknownComplet(id))?;
         t.naming_lookup_hops.observe(u64::from(report.hops));
         match hint {

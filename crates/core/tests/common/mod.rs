@@ -2,6 +2,7 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use fargo_core::{
@@ -169,9 +170,9 @@ pub fn test_config() -> CoreConfig {
 }
 
 /// Relays `id` from `cores[0]` along `cores`, each move issued at the
-/// current host. (Issued elsewhere, a move first locates the complet
-/// through its shard, which repairs the issuer's tracker — cutting the
-/// forwarding chain a chain-walk scenario wants to grow.)
+/// current host. (Issued elsewhere, a move's answer repoints the
+/// issuer's tracker at the destination — cutting the forwarding chain a
+/// chain-walk scenario wants to grow.)
 pub fn relay(cores: &[Core], id: CompletId) {
     for hop in cores.windows(2) {
         hop[0].move_complet(id, hop[1].name(), None).unwrap();
@@ -212,6 +213,38 @@ pub fn move_msgs_during(core: &Core, f: impl FnOnce()) -> u64 {
     f();
     let (sent_after, resent_after) = count();
     (sent_after - sent) - (resent_after - resent)
+}
+
+/// Messages `cores` send while `f` runs, by kind: the `kind` label of
+/// `fargo_msg_out_total` (`locate`, `notify`, `move_req`, `reply`, …),
+/// kinds that sent nothing left out. A retransmission would blur the
+/// bill, so none may happen.
+pub fn msgs_by_kind(cores: &[Core], f: impl FnOnce()) -> BTreeMap<String, u64> {
+    let count = || {
+        let mut by_kind = BTreeMap::new();
+        for s in cores.iter().flat_map(|c| c.telemetry().snapshot()) {
+            if let (true, MetricValue::Counter(v)) = (s.name == "fargo_msg_out_total", s.value) {
+                let kind = s.labels.into_iter().find(|(k, _)| k == "kind");
+                *by_kind
+                    .entry(kind.map(|(_, v)| v).unwrap_or_default())
+                    .or_insert(0) += v;
+            }
+        }
+        by_kind
+    };
+    let resent = || -> u64 { cores.iter().map(|c| c.reliability_stats().0).sum() };
+    let (before, resent_before) = (count(), resent());
+    f();
+    let after = count();
+    assert_eq!(resent(), resent_before, "a retransmission blurs the bill");
+    after
+        .into_iter()
+        .map(|(kind, n)| {
+            let sent = n - before.get(&kind).copied().unwrap_or(0);
+            (kind, sent)
+        })
+        .filter(|&(_, sent)| sent > 0)
+        .collect()
 }
 
 /// Waits until no message is in flight and no Core has queued work,

@@ -337,10 +337,11 @@ fn retries_recover_every_call_under_loss() {
 fn a_retransmission_retraces_its_first_copys_path_after_the_complet_moves_back() {
     // A retransmitted call must not execute twice because the complet
     // moved between its copies. The first copy goes core0 -> core2 ->
-    // core1 and executes there; its reply dies on the last hop. Then the
-    // complet moves back to core2, where core0's stale tracker sends the
-    // retransmission: core2 must send it on to core1, as it did the
-    // first copy, and core1 replays the recorded reply.
+    // core1 and executes there; its reply, which skips the forwarder
+    // core2, dies on the way back to core0. Then the complet moves back
+    // to core2, where core0's stale tracker sends the retransmission:
+    // core2 must send it on to core1, as it did the first copy, and
+    // core1 replays the recorded reply.
     let (net, cores) = lossy_cluster_with(0.0, 3, |c| {
         c.with_rpc_timeout(Duration::from_secs(5))
             .with_rpc_retries(8)
@@ -348,21 +349,18 @@ fn a_retransmission_retraces_its_first_copys_path_after_the_complet_moves_back()
     let x = cores[0].new_complet_at("core2", "Counter", &[]).unwrap();
     assert_eq!(x.call("get", &[]).unwrap(), Value::I64(0));
     cores[2].move_complet(x.id(), "core1", None).unwrap();
-    net.set_link_directed(
-        cores[2].node(),
-        cores[0].node(),
-        LinkConfig::instant().with_loss(1.0),
-    )
-    .unwrap();
+    let back = (cores[1].node(), cores[0].node());
+    net.set_link_directed(back.0, back.1, LinkConfig::instant().with_loss(1.0))
+        .unwrap();
     let pending = x.call_async("add", &[Value::I64(1)]);
     // The first copy executed at core1; only its reply was lost.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while net.link_stats(cores[2].node(), cores[0].node()).dropped == 0 {
-        assert!(Instant::now() < deadline, "the reply never left core2");
+    while net.link_stats(back.0, back.1).dropped == 0 {
+        assert!(Instant::now() < deadline, "the reply never left core1");
         std::thread::sleep(Duration::from_millis(1));
     }
     cores[1].move_complet(x.id(), "core2", None).unwrap();
-    net.set_link_directed(cores[2].node(), cores[0].node(), LinkConfig::instant())
+    net.set_link_directed(back.0, back.1, LinkConfig::instant())
         .unwrap();
     assert_eq!(pending.wait().unwrap(), Value::I64(1));
     assert_eq!(x.call("get", &[]).unwrap(), Value::I64(1), "executed twice");

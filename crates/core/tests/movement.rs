@@ -7,8 +7,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{cluster, cluster_with_config, move_msgs_during, relay, teardown, test_config};
-use fargo_core::{define_complet, FargoError, TrackerTarget, Value};
+use std::collections::BTreeMap;
+
+use common::{
+    cluster, cluster_with_config, move_msgs_during, msgs_by_kind, quiesce, relay, teardown,
+    test_config,
+};
+use fargo_core::{
+    define_complet, CompletRegistry, Core, CoreConfig, FargoError, TrackerTarget, Value,
+};
 use simnet::{LinkConfig, Network, NodeId};
 
 #[test]
@@ -436,5 +443,168 @@ fn an_unanswered_commit_is_in_doubt_and_the_destination_keeps_the_complet() {
     net.set_link_directed(cores[1].node(), cores[0].node(), LinkConfig::instant())
         .unwrap();
     assert_eq!(c.call("touch", &[]).unwrap(), Value::I64(2));
+    teardown(&cores);
+}
+
+/// A cluster whose message bills hold only what the protocol sends: no
+/// retransmission before 2 s and no held-move sweep before 10 s.
+fn bill_cluster(n: usize) -> (Network, CompletRegistry, Vec<Core>) {
+    let config = CoreConfig {
+        rpc_retry_base: Duration::from_secs(2),
+        move_hold_timeout: Duration::from_secs(10),
+        ..test_config()
+    };
+    cluster_with_config(n, config)
+}
+
+fn bill(entries: &[(&str, u64)]) -> BTreeMap<String, u64> {
+    entries.iter().map(|&(k, n)| (k.to_owned(), n)).collect()
+}
+
+/// What a relocation costs, by message kind. A third party whose
+/// tracker already names the host sends it the move, and the host
+/// prepares and commits with the destination: three requests, three
+/// replies. In a 3-Core cluster every ring owner is a party to the move,
+/// so no shard delta is sent; and nobody locates.
+#[test]
+fn a_warmed_third_party_move_costs_three_requests_and_their_replies() {
+    let (_net, _reg, cores) = bill_cluster(3);
+    let n = 16;
+    let chunks: Vec<_> = (0..n)
+        .map(|i| {
+            let host = format!("core{}", 1 + i % 2);
+            cores[0].new_complet_at(&host, "Counter", &[]).unwrap()
+        })
+        .collect();
+    for c in &chunks {
+        c.call("get", &[]).unwrap();
+    }
+    let sent = msgs_by_kind(&cores, || {
+        for (i, c) in chunks.iter().enumerate() {
+            c.move_to(&format!("core{}", 2 - i % 2)).unwrap();
+        }
+    });
+    let n = n as u64;
+    let expected = [
+        ("move_req", n),
+        ("move_prep", n),
+        ("move_commit", n),
+        ("reply", 3 * n),
+    ];
+    assert_eq!(sent, bill(&expected));
+    for (i, c) in chunks.iter().enumerate() {
+        assert!(cores[2 - i % 2].hosts(c.id()));
+    }
+    teardown(&cores);
+}
+
+/// The answer to a move names where the complet went, so the issuer's
+/// tracker follows it: back-to-back moves with no calls between them
+/// still go straight to the host.
+#[test]
+fn back_to_back_moves_from_a_third_party_never_locate() {
+    let (_net, _reg, cores) = bill_cluster(3);
+    let c = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+    c.call("add", &[]).unwrap();
+    let sent = msgs_by_kind(&cores, || {
+        for dest in ["core2", "core1", "core2", "core1"] {
+            c.move_to(dest).unwrap();
+        }
+    });
+    assert_eq!(sent.get("locate"), None, "{sent:?}");
+    assert_eq!(sent.get("move_req"), Some(&4), "{sent:?}");
+    assert!(cores[1].hosts(c.id()));
+    assert_eq!(c.call("get", &[]).unwrap(), Value::I64(1));
+    teardown(&cores);
+}
+
+/// A ring owner outside the move is told by the source, in one delta.
+#[test]
+fn an_owner_outside_the_move_costs_one_delta() {
+    let (net, _reg, cores) = bill_cluster(4);
+    let made: Vec<_> = (0..64)
+        .map(|_| cores[0].new_complet_at("core1", "Counter", &[]).unwrap())
+        .collect();
+    quiesce(&net, &cores);
+    let owned_by_core3 = |id| cores[3].shard_live_at(3).unwrap().iter().any(|e| e.0 == id);
+    let c = made
+        .iter()
+        .find(|c| owned_by_core3(c.id()))
+        .expect("one of 64 ids on core3's slice");
+    c.call("get", &[]).unwrap();
+    let sent = msgs_by_kind(&cores, || c.move_to("core2").unwrap());
+    let expected = [
+        ("move_req", 1),
+        ("move_prep", 1),
+        ("move_commit", 1),
+        ("reply", 3),
+        ("notify", 1),
+    ];
+    assert_eq!(sent, bill(&expected));
+    quiesce(&net, &cores);
+    let entry = cores[3]
+        .shard_live_at(3)
+        .unwrap()
+        .into_iter()
+        .find(|e| e.0 == c.id());
+    assert_eq!(entry.map(|e| e.1), Some(2));
+    teardown(&cores);
+}
+
+/// A reply skips the last Core that forwarded its call — that Core's
+/// tracker named the executor already — and every earlier forwarder
+/// still sees it and shortens its tracker (§3.1).
+#[test]
+fn a_forwarded_reply_skips_the_last_forwarder() {
+    let (_net, _reg, cores) = bill_cluster(4);
+    // One forwarder: core0 -> core1 -> core2, answered straight to core0.
+    let x = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+    x.call("add", &[]).unwrap();
+    cores[1].move_complet(x.id(), "core2", None).unwrap();
+    let sent = msgs_by_kind(&cores[1..2], || {
+        assert_eq!(x.call("get", &[]).unwrap(), Value::I64(1));
+    });
+    assert_eq!(sent, bill(&[("invoke", 1)]));
+    // Two forwarders: core0 -> core1 -> core2 -> core3. The reply goes
+    // core3 -> core1 -> core0, and core1 learns where the complet is.
+    let y = cores[0].new_complet("Counter", &[]).unwrap();
+    relay(&cores, y.id());
+    let forwarders = (&cores[1..2], &cores[2..3]);
+    let first = msgs_by_kind(forwarders.0, || {
+        let last = msgs_by_kind(forwarders.1, || {
+            assert_eq!(y.call("get", &[]).unwrap(), Value::I64(0));
+        });
+        assert_eq!(last, bill(&[("invoke", 1)]));
+    });
+    assert_eq!(first, bill(&[("invoke", 1), ("reply", 1)]));
+    let tracker = |core: &Core| {
+        let id = y.id();
+        core.tracker_snapshot()
+            .into_iter()
+            .find(|t| t.id == id)
+            .map(|t| t.target)
+    };
+    let at_core3 = Some(TrackerTarget::Forward(cores[3].node().index()));
+    assert_eq!(
+        tracker(&cores[1]),
+        at_core3,
+        "the first forwarder shortened"
+    );
+    assert_eq!(tracker(&cores[2]), at_core3);
+    teardown(&cores);
+}
+
+/// A hint naming a Core that is gone costs nothing but the refused send:
+/// the move falls back to the authoritative locate and reaches the host.
+#[test]
+fn a_move_hinted_at_a_stopped_core_falls_back_to_locate() {
+    let (_net, _reg, cores) = cluster(3);
+    let c = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+    c.call("add", &[]).unwrap();
+    cores[1].move_complet(c.id(), "core2", None).unwrap();
+    cores[1].stop();
+    cores[0].move_complet(c.id(), "core0", None).unwrap();
+    assert!(cores[0].hosts(c.id()));
+    assert_eq!(c.call("get", &[]).unwrap(), Value::I64(1));
     teardown(&cores);
 }

@@ -6,7 +6,7 @@ mod common;
 use std::time::Duration;
 
 use common::{
-    cluster, cluster_on, cluster_with_config, fast_network, registry, teardown, test_config,
+    cluster, cluster_on, cluster_with_config, fast_network, registry, relay, teardown, test_config,
 };
 use fargo_core::{define_complet, Core, FargoError, MetricValue, TelemetryRegistry, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
@@ -18,9 +18,9 @@ use simnet::{LinkConfig, Network, NetworkConfig};
 fn trace_spans_follow_chained_invocation() {
     let (_net, _reg, cores) = cluster(3);
     let msg = cores[0].new_complet("Message", &[]).unwrap();
-    msg.move_to("core1").unwrap();
-    msg.move_to("core2").unwrap();
-    // core0's reference still points at core1, which forwards to core2.
+    // Each move issued at the host: core0's reference still points at
+    // core1, which forwards to core2.
+    relay(&cores, msg.id());
     msg.call("print", &[]).unwrap();
     // The reply can overtake the forwarder's own bookkeeping: core1
     // closes its span after the forwarded request has left.
