@@ -62,8 +62,8 @@ loc() {
 # tree differed from it), the loc stage's lines, the number of tier-1
 # tests that passed, and per workload the median, q1 and q3 of every
 # end-to-end metric over the untraced runs, the traced run's per-layer
-# values, and the attempted/failed totals. A plain ./ci.sh never runs
-# it, and it gates nothing.
+# values, and the attempted/failed totals, plus a `host` block (see
+# host_block). A plain ./ci.sh never runs it, and it gates nothing.
 bench() { # <pr> [runs]
     pr=$1
     runs=${2:-3}
@@ -100,16 +100,30 @@ bench() { # <pr> [runs]
     done
     jq -s --argjson pr "$pr" --arg commit "$(git rev-parse HEAD)" \
         --argjson dirty "$([ -n "$(git status --porcelain --untracked-files=no)" ] && echo true || echo false)" \
-        --arg loc "$(loc)" --argjson tests "$(tests_passed)" '{
+        --arg loc "$(loc)" --argjson tests "$(tests_passed)" \
+        --argjson host "$(host_block)" '{
             pr: $pr,
             commit: $commit,
             dirty: $dirty,
+            host: $host,
             loc: ($loc | split("\n") | map(sub("^ +"; ""))),
             tests: $tests,
             workloads: .
         }' "$tmp"/*.summary >"BENCH_$pr.json"
     rm -rf "$tmp"
     echo "wrote BENCH_$pr.json"
+}
+# The host a bench ran on, as JSON: CPU count, kernel release, and a
+# CPU probe — ns per iteration of a fixed awk loop of 5e6 iterations
+# (about 0.3 s), so bench-diff can tell a slower host from a slower
+# change.
+host_block() {
+    start=$(date +%s%N)
+    awk 'BEGIN { for (i = 0; i < 5000000; i++) s += i % 7; print s }' >/dev/null
+    end=$(date +%s%N)
+    jq -n --argjson nproc "$(nproc)" --arg uname_r "$(uname -r)" \
+        --argjson probe "$(awk -v ns=$((end - start)) 'BEGIN { printf "%.1f", ns / 5000000 }')" \
+        '{nproc: $nproc, uname_r: $uname_r, cpu_probe_ns: $probe}'
 }
 # Tier-1 tests that pass in this tree: the sum of `cargo test -q`'s
 # "N passed" counts.
@@ -122,10 +136,11 @@ newest_two() {
 }
 # The trajectory's step: `./ci.sh bench-diff [old new]` compares two
 # BENCH_*.json files, by default the two with the highest PR numbers.
-# It prints per workload and end-to-end metric both medians and the
-# change, and exits non-zero if a metric got worse than its
-# BENCHMARK.json bound (a fraction of the old median) or a workload's
-# failed ops rose.
+# It prints the hosts' CPU probe ratio (new / old; `host changed` when
+# it moved more than 10 %, `no host block` when a file lacks one), per
+# workload and end-to-end metric both medians and the change, and exits
+# non-zero if a metric got worse than its BENCHMARK.json bound (a
+# fraction of the old median) or a workload's failed ops rose.
 bench_diff() { # [old new]
     if [ $# -lt 2 ]; then
         # shellcheck disable=SC2046
@@ -146,7 +161,12 @@ bench_diff() { # [old new]
              {w: $w.workload, m: "failed", was: $p.failed, now: $w.failed,
               worse: ($w.failed > $p.failed), bound: null}]
         | . as $rows
+        | [$o[0].host.cpu_probe_ns, $n[0].host.cpu_probe_ns] as [$was, $now]
         | "\($old) -> \($new), medians:",
+          (if $was and $now then
+               "host cpu_probe_ns: \($was) -> \($now) (ratio \($now / $was | r))",
+               (if ($now / $was - 1 | fabs) > 0.1 then "host changed" else empty end)
+           else "no host block" end),
           ($rows[] | "\(.w) \(.m): \(.was | r) -> \(.now | r)"
               + (if .was != 0 then " (\((.now / .was - 1) * 100 | r)%)" else "" end)
               + (if .worse then "  WORSE" else "" end)

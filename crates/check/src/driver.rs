@@ -109,10 +109,11 @@ pub struct RunReport {
     /// should use [`RunReport::span_shape`].
     pub spans: Vec<fargo_core::SpanRecord>,
     /// Rendered per-Core accounting state at the end of the run: every
-    /// tracked complet's counters plus each Core's outbound traffic
-    /// matrix. Under the virtual clock this is a pure function of the
-    /// schedule (exec time is 0µs, so load == invokes), and the
-    /// determinism regression compares it byte-for-byte.
+    /// tracked complet's counters plus each Core's traffic matrix cells
+    /// (what its outbound links admitted, across its restarts). Under
+    /// the virtual clock this is a pure function of the schedule (exec
+    /// time is 0µs, so load == invokes), and the determinism regression
+    /// compares it byte-for-byte.
     pub accounting: String,
 }
 
@@ -423,8 +424,8 @@ impl Cluster {
     }
 
     /// Renders every Core's accounting state without sending a single
-    /// message (local snapshots only, so rendering cannot perturb the
-    /// matrix it reports).
+    /// message (local snapshots and link stats only, so rendering
+    /// cannot perturb the matrix it reports).
     fn accounting_report(&self) -> String {
         let mut out = String::new();
         for c in &self.cores {

@@ -61,9 +61,10 @@ pub struct CoreConfig {
     /// back to the layout cost model. Off restores stamp-free envelopes.
     pub phase_timing: bool,
     /// Whether executed invocations are attributed to their complet
-    /// (exec time, invoke count, marshaled bytes in/out) and outbound
-    /// envelopes to the Core↔Core traffic matrix. Off restores the
-    /// unaccounted hot path (one branch).
+    /// (exec time, invoke count, marshaled bytes in/out). Off restores
+    /// the unaccounted hot path (one branch). The Core↔Core traffic
+    /// matrix does not depend on it: it reads the network's link
+    /// statistics.
     pub accounting: bool,
     /// Directory of this Core's write-ahead passivation log. `None`
     /// (the default) disables durability: complets are memory-only, as
@@ -182,8 +183,7 @@ impl CoreConfig {
         self
     }
 
-    /// Configuration with per-complet accounting (and the traffic
-    /// matrix feed) switched on or off.
+    /// Configuration with per-complet accounting switched on or off.
     pub fn with_accounting(mut self, enabled: bool) -> Self {
         self.accounting = enabled;
         self

@@ -330,7 +330,7 @@ impl Core {
                 rows: self.inner.telemetry.accountant.top(n as usize),
             },
             Request::TrafficMatrix => Reply::Matrix {
-                cells: self.inner.telemetry.matrix.snapshot(),
+                cells: self.traffic_matrix(),
             },
             Request::Ping => Reply::Pong,
             Request::InvokeEdges => Reply::InvokeEdges {

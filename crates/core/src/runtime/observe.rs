@@ -7,6 +7,7 @@ use fargo_telemetry::{
     JournalEvent, JournalKind, LayoutHistory, MatrixCell, SlowRecord, SpanRecord,
 };
 use fargo_wire::CompletId;
+use simnet::LinkStats;
 
 use crate::error::{FargoError, Result};
 use crate::events::EventPayload;
@@ -199,21 +200,29 @@ impl Core {
         fired
     }
 
+    /// The links leaving this node that have admitted or dropped
+    /// anything, in node order, each with its peer's name: the network's
+    /// one count of what crossed a link, which both the link gauges and
+    /// the traffic matrix read.
+    fn outbound_links(&self) -> Vec<(String, LinkStats)> {
+        let me = self.inner.node;
+        self.inner
+            .net
+            .node_ids()
+            .into_iter()
+            .filter(|&peer| peer != me)
+            .map(|peer| (peer, self.inner.net.link_stats(me, peer)))
+            .filter(|(_, stats)| stats.messages > 0 || stats.dropped > 0)
+            .map(|(peer, stats)| (self.core_name_of(peer.index()), stats))
+            .collect()
+    }
+
     /// Folds simnet's per-link traffic counters (for links leaving this
     /// node) into the metrics registry as gauges, so the exposition also
     /// covers the network layer. Links that never carried traffic are
     /// skipped.
     pub fn refresh_link_metrics(&self) {
-        let me = self.inner.node;
-        for peer in self.inner.net.node_ids() {
-            if peer == me {
-                continue;
-            }
-            let stats = self.inner.net.link_stats(me, peer);
-            if stats.messages == 0 && stats.dropped == 0 {
-                continue;
-            }
-            let peer_name = self.core_name_of(peer.index());
+        for (peer_name, stats) in self.outbound_links() {
             let l = &[
                 ("src", self.inner.name.as_str()),
                 ("dst", peer_name.as_str()),
@@ -302,9 +311,20 @@ impl Core {
     }
 
     /// This Core's outbound Core↔Core traffic matrix cells (src is always
-    /// this Core), ordered by destination.
+    /// this Core), ordered by destination: what each outbound link has
+    /// admitted since the network was built, so a cell survives this
+    /// Core's restarts. Links that admitted nothing are skipped.
     pub fn traffic_matrix(&self) -> Vec<MatrixCell> {
-        self.inner.telemetry.matrix.snapshot()
+        self.outbound_links()
+            .into_iter()
+            .filter(|(_, stats)| stats.messages > 0)
+            .map(|(dst, stats)| MatrixCell {
+                src: self.inner.name.clone(),
+                dst,
+                msgs: stats.messages,
+                bytes: stats.bytes,
+            })
+            .collect()
     }
 
     /// The **cluster-wide** traffic matrix: every Core reports its own

@@ -80,16 +80,11 @@ impl Core {
         (frame, body)
     }
 
-    /// Hands one encoded envelope to the transport and counts it.
+    /// Hands one encoded envelope to the transport and counts it by
+    /// kind. What crossed which link is counted once, by the network's
+    /// admission.
     pub(crate) fn transmit(&self, node: u32, kind: &'static str, frame: Bytes) -> Result<()> {
-        let t = &self.inner.telemetry;
-        t.record_msg_out(kind, frame.len());
-        if t.accounting && node != self.inner.node.index() {
-            t.matrix
-                .record(self.inner.node.index(), node, frame.len() as u64, || {
-                    (self.inner.name.clone(), self.core_name_of(node))
-                });
-        }
+        self.inner.telemetry.record_msg_out(kind, frame.len());
         self.inner
             .transport
             .send(node, frame)

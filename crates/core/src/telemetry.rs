@@ -16,8 +16,8 @@ use parking_lot::Mutex;
 
 use fargo_telemetry::{
     Accountant, Clock, Counter, Gauge, Histogram, Hlc, HlcClock, Journal, JournalEvent,
-    JournalKind, Registry, SlowLog, SpanLog, SpanRecord, TraceContext, TrafficMatrix,
-    WindowedHistogram, BUCKETS_BYTES, BUCKETS_COUNT, BUCKETS_LATENCY_US,
+    JournalKind, Registry, SlowLog, SpanLog, SpanRecord, TraceContext, WindowedHistogram,
+    BUCKETS_BYTES, BUCKETS_COUNT, BUCKETS_LATENCY_US,
 };
 use fargo_wire::CompletId;
 
@@ -165,7 +165,7 @@ pub(crate) struct CoreTelemetry {
     pub tracker_stale_total: Counter,
 
     // Cluster health observatory.
-    /// Per-complet accounting gate (the matrix rides the same switch).
+    /// Per-complet accounting gate.
     pub accounting: bool,
     /// Per-complet exec/invoke/bytes attribution, Space-Saving bounded.
     pub accountant: Accountant,
@@ -173,8 +173,6 @@ pub(crate) struct CoreTelemetry {
     /// at this Core (§4.1's "invocation rate per reference"), the same
     /// sketch under the same bound, counted whatever the switches say.
     pub edges: Accountant<(CompletId, CompletId)>,
-    /// Messages and bytes per directed Core pair, fed from `transmit`.
-    pub matrix: TrafficMatrix,
     /// Invocations that returned an error to the caller.
     pub invoke_errors_total: Counter,
     /// `move_complet` attempts.
@@ -306,7 +304,6 @@ impl CoreTelemetry {
             accounting: config.accounting,
             accountant: Accountant::new(ACCOUNT_CAPACITY),
             edges: Accountant::new(ACCOUNT_CAPACITY),
-            matrix: TrafficMatrix::new(&registry),
             invoke_errors_total: registry.counter("fargo_invoke_errors_total", l),
             moves_attempted_total: registry.counter("fargo_moves_attempted_total", l),
             move_failures_total: registry.counter("fargo_move_failures_total", l),

@@ -6,9 +6,12 @@ mod common;
 use std::time::Duration;
 
 use common::{
-    cluster, cluster_on, cluster_with_config, fast_network, registry, relay, teardown, test_config,
+    cluster, cluster_on, cluster_with_config, fast_network, quiesce, registry, relay, teardown,
+    test_config,
 };
-use fargo_core::{define_complet, Core, FargoError, MetricValue, TelemetryRegistry, Value};
+use fargo_core::{
+    define_complet, Core, CoreConfig, FargoError, MetricValue, TelemetryRegistry, Value,
+};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// A chained invocation across three Cores must produce one span tree:
@@ -236,6 +239,53 @@ fn message_counters_track_wire_traffic() {
     assert!(out.contains("kind=\"invoke\""), "{out}");
     let inbound = cores[1].render_metrics();
     assert!(inbound.contains("fargo_msg_in_total"), "{inbound}");
+    teardown(&cores);
+}
+
+/// The traffic matrix is the links' own count: under 30 % loss each
+/// way, with retransmission recovering every call, a Core's cell toward
+/// its peer holds exactly the messages and bytes the link admitted —
+/// the copies the loss model dropped are the link's `dropped`, not
+/// traffic.
+#[test]
+fn matrix_cells_are_what_the_links_admitted() {
+    let config = CoreConfig {
+        monitor_tick: Duration::from_secs(3600),
+        ..test_config()
+            .with_rpc_timeout(Duration::from_secs(10))
+            .with_rpc_retries(16)
+    };
+    let (net, _reg, cores) = cluster_with_config(2, config);
+    let msg = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    let (n0, n1) = (cores[0].node(), cores[1].node());
+    net.set_link(n0, n1, LinkConfig::instant().with_loss(0.3))
+        .unwrap();
+    for _ in 0..40 {
+        msg.call("print", &[])
+            .expect("retransmission recovers the call");
+    }
+    quiesce(&net, &cores);
+    assert!(
+        net.link_stats(n0, n1).dropped + net.link_stats(n1, n0).dropped > 0,
+        "30 % loss must have dropped a copy"
+    );
+    for (core, peer) in [(&cores[0], &cores[1]), (&cores[1], &cores[0])] {
+        // The local call: collecting over RPC would add traffic.
+        let cells = core.traffic_matrix();
+        let link = net.link_stats(core.node(), peer.node());
+        let cell = cells
+            .iter()
+            .find(|c| c.dst == peer.name())
+            .expect("a cell toward the peer");
+        assert_eq!(cell.src, core.name());
+        assert_eq!(
+            (cell.msgs, cell.bytes),
+            (link.messages, link.bytes),
+            "{} -> {}",
+            cell.src,
+            cell.dst
+        );
+    }
     teardown(&cores);
 }
 

@@ -62,6 +62,16 @@ struct LinkState {
     stats: StatsWindow,
 }
 
+/// What [`Network::admit`] did with one payload.
+enum Admission<T> {
+    /// `src == dst`: the link model does not apply.
+    Local,
+    /// The loss model dropped it; the link counted the drop.
+    Lost,
+    /// The link counted it; `T` is what the caller's schedule returned.
+    Admitted(T),
+}
+
 #[derive(Debug)]
 pub(crate) struct Inner {
     config: NetworkConfig,
@@ -213,16 +223,10 @@ impl Network {
         self.check_node(src)?;
         self.check_node(dst)?;
         let mut links = self.inner.links.lock();
-        let now = Instant::now();
-        let window = self.inner.config.stats_window;
         links
             .entry((src, dst))
             .and_modify(|l| l.config = config.clone())
-            .or_insert_with(|| LinkState {
-                config,
-                busy_until: now,
-                stats: StatsWindow::new(window),
-            });
+            .or_insert_with(|| self.link_state(config, Instant::now()));
         Ok(())
     }
 
@@ -288,13 +292,9 @@ impl Network {
             return;
         };
         let mut links = self.inner.links.lock();
-        let now = Instant::now();
-        let window = self.inner.config.stats_window;
-        let link = links.entry((src, dst)).or_insert_with(|| LinkState {
-            config: cfg,
-            busy_until: now,
-            stats: StatsWindow::new(window),
-        });
+        let link = links
+            .entry((src, dst))
+            .or_insert_with(|| self.link_state(cfg, Instant::now()));
         link.stats.record_observed_latency(us);
     }
 
@@ -314,6 +314,15 @@ impl Network {
         Ok(self.link_config(src, dst)?.bandwidth)
     }
 
+    /// A fresh link-table entry: an idle serialiser and empty statistics.
+    fn link_state(&self, config: LinkConfig, now: Instant) -> LinkState {
+        LinkState {
+            config,
+            busy_until: now,
+            stats: StatsWindow::new(self.inner.config.stats_window),
+        }
+    }
+
     fn scaled(&self, d: Duration) -> Duration {
         d.mul_f64(self.inner.config.time_scale.max(0.0))
     }
@@ -324,6 +333,49 @@ impl Network {
         } else {
             Err(NetError::UnknownNode(id))
         }
+    }
+
+    /// The one admission of a payload onto the `src → dst` link, shared
+    /// by both transports ([`Network::offer`] is exactly this): both
+    /// nodes known and up, the link configured and up, the loss draw, and
+    /// the link statistics. `schedule` runs on an admitted payload's link
+    /// under the same lock, so [`Network::send`]'s bandwidth and jitter
+    /// schedule follows the loss draw without another caller's draw in
+    /// between.
+    fn admit<T>(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        len: usize,
+        schedule: impl FnOnce(&mut LinkState, &LinkConfig, Instant) -> T,
+    ) -> Result<Admission<T>, NetError> {
+        {
+            let nodes = self.inner.nodes.read();
+            for id in [src, dst] {
+                let node = nodes.get(id.0 as usize).ok_or(NetError::UnknownNode(id))?;
+                if !node.up {
+                    return Err(NetError::NodeDown(id));
+                }
+            }
+        }
+        if src == dst {
+            return Ok(Admission::Local);
+        }
+        let cfg = self.link_config(src, dst)?;
+        if !cfg.up {
+            return Err(NetError::LinkDown(src, dst));
+        }
+        let now = Instant::now();
+        let mut links = self.inner.links.lock();
+        let link = links
+            .entry((src, dst))
+            .or_insert_with(|| self.link_state(cfg.clone(), now));
+        if cfg.loss > 0.0 && self.inner.rng.lock().gen_f64() < cfg.loss {
+            link.stats.record_drop();
+            return Ok(Admission::Lost);
+        }
+        link.stats.record(now, len as u64);
+        Ok(Admission::Admitted(schedule(link, &cfg, now)))
     }
 
     /// Sends `payload` from `src` to `dst`, subject to the link model.
@@ -337,59 +389,8 @@ impl Network {
     /// Fails if either node is unknown or down, or the link is down or
     /// missing (with no default configured).
     pub fn send(&self, src: NodeId, dst: NodeId, payload: Bytes) -> Result<(), NetError> {
-        let (dst_tx, seq) = {
-            let nodes = self.inner.nodes.read();
-            let s = nodes
-                .get(src.0 as usize)
-                .ok_or(NetError::UnknownNode(src))?;
-            if !s.up {
-                return Err(NetError::NodeDown(src));
-            }
-            let d = nodes
-                .get(dst.0 as usize)
-                .ok_or(NetError::UnknownNode(dst))?;
-            if !d.up {
-                return Err(NetError::NodeDown(dst));
-            }
-            (d.tx.clone(), self.inner.seq.fetch_add(1, Ordering::Relaxed))
-        };
-
-        let now = Instant::now();
-        let msg = Incoming {
-            src,
-            dst,
-            payload,
-            delivered_at: now,
-            seq,
-        };
-
-        if src == dst {
-            let _ = dst_tx.send(msg);
-            return Ok(());
-        }
-
-        let cfg = self.link_config(src, dst)?;
-        if !cfg.up {
-            return Err(NetError::LinkDown(src, dst));
-        }
-
-        let size = msg.payload.len();
-        let deliver_at = {
-            let mut links = self.inner.links.lock();
-            let window = self.inner.config.stats_window;
-            let link = links.entry((src, dst)).or_insert_with(|| LinkState {
-                config: cfg.clone(),
-                busy_until: now,
-                stats: StatsWindow::new(window),
-            });
-
-            // Loss model.
-            if cfg.loss > 0.0 && self.inner.rng.lock().gen_f64() < cfg.loss {
-                link.stats.record_drop();
-                return Ok(());
-            }
-            link.stats.record(now, size as u64);
-
+        let size = payload.len();
+        let deliver_at = match self.admit(src, dst, size, |link, cfg, now| {
             // Bandwidth queueing: serialisation occupies the link.
             let ser = self.scaled(cfg.serialisation_delay(size));
             let start = link.busy_until.max(now);
@@ -402,13 +403,29 @@ impl Network {
                 cfg.jitter.mul_f64(self.inner.rng.lock().gen_f64())
             };
             start + ser + self.scaled(cfg.latency) + self.scaled(jitter)
+        })? {
+            Admission::Lost => return Ok(()),
+            Admission::Local => None,
+            Admission::Admitted(at) => Some(at),
         };
-
+        // Admission found `dst`, and nodes are never removed.
+        let to = self.inner.nodes.read()[dst.0 as usize].tx.clone();
+        let msg = Incoming {
+            src,
+            dst,
+            payload,
+            delivered_at: Instant::now(),
+            seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
+        };
+        let Some(deliver_at) = deliver_at else {
+            let _ = to.send(msg);
+            return Ok(());
+        };
         self.inner.in_flight.fetch_add(1, Ordering::SeqCst);
         if !self.inner.scheduler.submit(Scheduled {
             deliver_at,
             msg,
-            to: dst_tx,
+            to,
         }) {
             self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
         }
@@ -420,9 +437,9 @@ impl Network {
     /// When envelopes travel over a real transport (e.g. TCP loopback),
     /// the simnet network stays attached as the cluster's fault-injection
     /// control plane: the transport consults `offer` before putting a
-    /// payload on the wire. `offer` applies the same admission rules and
-    /// bookkeeping as [`Network::send`] — node/link up checks, the loss
-    /// model, link statistics — but never schedules a delivery.
+    /// payload on the wire. `offer` is the admission [`Network::send`]
+    /// runs — node/link up checks, the loss model, link statistics —
+    /// without the delivery schedule.
     ///
     /// Returns `Ok(true)` if the payload may be transmitted, `Ok(false)`
     /// if the loss model dropped it (the caller must discard it silently,
@@ -433,45 +450,8 @@ impl Network {
     /// Fails under the same conditions as [`Network::send`]: unknown or
     /// down node, down or missing link.
     pub fn offer(&self, src: NodeId, dst: NodeId, len: usize) -> Result<bool, NetError> {
-        {
-            let nodes = self.inner.nodes.read();
-            let s = nodes
-                .get(src.0 as usize)
-                .ok_or(NetError::UnknownNode(src))?;
-            if !s.up {
-                return Err(NetError::NodeDown(src));
-            }
-            let d = nodes
-                .get(dst.0 as usize)
-                .ok_or(NetError::UnknownNode(dst))?;
-            if !d.up {
-                return Err(NetError::NodeDown(dst));
-            }
-        }
-
-        if src == dst {
-            return Ok(true);
-        }
-
-        let cfg = self.link_config(src, dst)?;
-        if !cfg.up {
-            return Err(NetError::LinkDown(src, dst));
-        }
-
-        let now = Instant::now();
-        let mut links = self.inner.links.lock();
-        let window = self.inner.config.stats_window;
-        let link = links.entry((src, dst)).or_insert_with(|| LinkState {
-            config: cfg.clone(),
-            busy_until: now,
-            stats: StatsWindow::new(window),
-        });
-        if cfg.loss > 0.0 && self.inner.rng.lock().gen_f64() < cfg.loss {
-            link.stats.record_drop();
-            return Ok(false);
-        }
-        link.stats.record(now, len as u64);
-        Ok(true)
+        let admission = self.admit(src, dst, len, |_, _, _| ())?;
+        Ok(!matches!(admission, Admission::Lost))
     }
 
     /// Packets currently travelling through the link model: accepted by
@@ -716,5 +696,56 @@ mod tests {
             Duration::from_millis(7)
         );
         assert_eq!(n.model_bandwidth(a.id(), b.id()).unwrap(), Some(42));
+    }
+
+    /// `send` and `offer` are one admission: on two networks with the
+    /// same seed, N sends and N offers of the same lengths leave the
+    /// same link statistics, and both calls refuse alike.
+    #[test]
+    fn send_and_offer_admit_alike() {
+        let lossy = || {
+            let n = Network::new(NetworkConfig {
+                seed: 7,
+                ..NetworkConfig::default()
+            });
+            let a = n.add_node("a").unwrap().id();
+            let b = n.add_node("b").unwrap().id();
+            n.set_link(a, b, LinkConfig::instant().with_loss(0.3))
+                .unwrap();
+            (n, a, b)
+        };
+        let (sent, a, b) = lossy();
+        let (offered, _, _) = lossy();
+        for i in 0..200 {
+            let len = 1 + i % 37;
+            sent.send(a, b, Bytes::from(vec![0u8; len])).unwrap();
+            offered.offer(a, b, len).unwrap();
+        }
+        let counts = |n: &Network| {
+            let s = n.link_stats(a, b);
+            (s.messages, s.bytes, s.dropped)
+        };
+        let (messages, _, dropped) = counts(&sent);
+        assert!(
+            messages > 0 && dropped > 0,
+            "the loss model must draw both ways"
+        );
+        assert_eq!(counts(&sent), counts(&offered));
+
+        let refusal = |n: &Network| {
+            (
+                n.send(a, b, Bytes::from_static(b"x")).unwrap_err(),
+                n.offer(a, b, 1).unwrap_err(),
+            )
+        };
+        sent.partition(a, b).unwrap();
+        let (send_err, offer_err) = refusal(&sent);
+        assert_eq!(send_err, NetError::LinkDown(a, b));
+        assert_eq!(send_err, offer_err);
+        sent.heal(a, b).unwrap();
+        sent.set_node_up(b, false).unwrap();
+        let (send_err, offer_err) = refusal(&sent);
+        assert_eq!(send_err, NetError::NodeDown(b));
+        assert_eq!(send_err, offer_err);
     }
 }

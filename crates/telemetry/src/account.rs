@@ -1,8 +1,6 @@
 //! Per-complet resource accounting with cardinality safety, plus the
-//! Core↔Core traffic matrix — the data layer of the cluster health
-//! observatory.
-//!
-//! Two structures:
+//! rendering of the Core↔Core traffic matrix — the data layer of the
+//! cluster health observatory.
 //!
 //! * [`Accountant`] — attributes exec time, invoke count, and marshaled
 //!   bytes to the *executing* complet (keyed by `(source, target)`, the
@@ -16,10 +14,10 @@
 //!   heavy hitter — any complet whose load exceeds the evicted minimum —
 //!   is retained (the classic Space-Saving guarantee, applied per
 //!   shard).
-//! * [`TrafficMatrix`] — messages and bytes per directed Core pair, fed
-//!   from the envelope send path. Cells are registry counters labelled
-//!   `src`/`dst`, so the Prometheus/JSON expositions get the matrix for
-//!   free; [`render_matrix`] draws the ASCII heatmap.
+//! * [`MatrixCell`] — one directed Core pair's messages and bytes. The
+//!   counts are not kept here: the network's link statistics are the one
+//!   count of what crossed a link, and the Core reads its cells from
+//!   them; [`render_matrix`] draws the ASCII heatmap.
 //!
 //! The *load* unit of the sketch is `exec_µs + invokes`: each
 //! invocation contributes at least one unit (so the sketch degrades to
@@ -31,8 +29,6 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-
-use crate::metrics::{Counter, Registry};
 
 /// Identifies a complet as `(origin node index, sequence)` — the two
 /// halves of a `CompletId`, kept as a plain tuple so this crate stays
@@ -245,7 +241,8 @@ impl<K: Ord + Copy + Hash> std::fmt::Debug for Accountant<K> {
 
 // --- traffic matrix -------------------------------------------------------
 
-/// One directed Core-pair cell of the traffic matrix.
+/// One directed Core-pair cell of the traffic matrix: what the
+/// network's `src → dst` link admitted (drops are not counted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatrixCell {
     /// Sending Core name.
@@ -256,85 +253,6 @@ pub struct MatrixCell {
     pub msgs: u64,
     /// Envelope bytes sent `src → dst`.
     pub bytes: u64,
-}
-
-struct MatrixCounters {
-    src: String,
-    dst: String,
-    msgs: Counter,
-    bytes: Counter,
-}
-
-/// Messages and bytes per directed Core pair, fed from the envelope
-/// send path. Cells are registry counters (`fargo_matrix_messages_total`
-/// / `fargo_matrix_bytes_total`, labelled `src`/`dst`), so the matrix
-/// rides along in every metrics exposition; the first send to a new
-/// peer resolves names and registers the pair, every later send is two
-/// atomic adds under a read-lock.
-pub struct TrafficMatrix {
-    registry: Registry,
-    cells: RwLock<BTreeMap<(u32, u32), Arc<MatrixCounters>>>,
-}
-
-impl TrafficMatrix {
-    /// A matrix exposing its cells through `registry`.
-    pub fn new(registry: &Registry) -> TrafficMatrix {
-        TrafficMatrix {
-            registry: registry.clone(),
-            cells: RwLock::new(BTreeMap::new()),
-        }
-    }
-
-    /// Counts one message of `bytes` on the directed pair `src → dst`
-    /// (node indices). `names` resolves the pair to Core names; it runs
-    /// only on the first message of a pair.
-    pub fn record(&self, src: u32, dst: u32, bytes: u64, names: impl FnOnce() -> (String, String)) {
-        {
-            let map = self.cells.read().unwrap_or_else(|p| p.into_inner());
-            if let Some(cell) = map.get(&(src, dst)) {
-                cell.msgs.inc();
-                cell.bytes.add(bytes);
-                return;
-            }
-        }
-        let mut map = self.cells.write().unwrap_or_else(|p| p.into_inner());
-        let cell = map.entry((src, dst)).or_insert_with(|| {
-            let (src_name, dst_name) = names();
-            let l = &[("src", src_name.as_str()), ("dst", dst_name.as_str())][..];
-            Arc::new(MatrixCounters {
-                msgs: self.registry.counter("fargo_matrix_messages_total", l),
-                bytes: self.registry.counter("fargo_matrix_bytes_total", l),
-                src: src_name,
-                dst: dst_name,
-            })
-        });
-        cell.msgs.inc();
-        cell.bytes.add(bytes);
-    }
-
-    /// All cells, ordered by `(src, dst)` node index.
-    pub fn snapshot(&self) -> Vec<MatrixCell> {
-        let map = self.cells.read().unwrap_or_else(|p| p.into_inner());
-        map.values()
-            .map(|c| MatrixCell {
-                src: c.src.clone(),
-                dst: c.dst.clone(),
-                msgs: c.msgs.get(),
-                bytes: c.bytes.get(),
-            })
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for TrafficMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrafficMatrix")
-            .field(
-                "pairs",
-                &self.cells.read().unwrap_or_else(|p| p.into_inner()).len(),
-            )
-            .finish()
-    }
 }
 
 /// Renders matrix cells as an ASCII heatmap (rows send, columns
@@ -535,31 +453,6 @@ mod tests {
             edges.records(),
             run().records(),
             "eviction is deterministic"
-        );
-    }
-
-    #[test]
-    fn matrix_counts_pairs_and_exposes_counters() {
-        let reg = Registry::new();
-        let m = TrafficMatrix::new(&reg);
-        let names = |s: u32, d: u32| move || (format!("core{s}"), format!("core{d}"));
-        m.record(0, 1, 100, names(0, 1));
-        m.record(0, 1, 50, names(0, 1));
-        m.record(1, 0, 7, names(1, 0));
-        let cells = m.snapshot();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].src, "core0");
-        assert_eq!(cells[0].dst, "core1");
-        assert_eq!(cells[0].msgs, 2);
-        assert_eq!(cells[0].bytes, 150);
-        let prom = reg.render_prometheus();
-        assert!(
-            prom.contains("fargo_matrix_messages_total{dst=\"core1\",src=\"core0\"} 2"),
-            "{prom}"
-        );
-        assert!(
-            prom.contains("fargo_matrix_bytes_total{dst=\"core0\",src=\"core1\"} 7"),
-            "{prom}"
         );
     }
 

@@ -23,8 +23,9 @@
 //!   keeps full span trees only for the slowest requests, with a
 //!   self-adjusting admission threshold (top-K by latency).
 //! * [`account`] — per-complet resource accounting bounded by a
-//!   Space-Saving heavy-hitter sketch, and the Core↔Core traffic
-//!   matrix, both exposed through the metrics registry.
+//!   Space-Saving heavy-hitter sketch, and the cell type and renderer
+//!   of the Core↔Core traffic matrix (whose counts are the network's
+//!   link statistics, not kept here).
 //!
 //! Thresholds are not evaluated here: SLO rules are the Core's monitor
 //! services plus layout-script rules (see `fargo-shell`'s `health`).
@@ -40,9 +41,7 @@ pub mod metrics;
 pub mod tail;
 pub mod trace;
 
-pub use account::{
-    render_matrix, AccountKey, AccountRecord, Accountant, MatrixCell, TrafficMatrix,
-};
+pub use account::{render_matrix, AccountKey, AccountRecord, Accountant, MatrixCell};
 pub use clock::Clock;
 pub use journal::{
     merge_timelines, render_journal_json, Anomaly, AnomalyThresholds, Hlc, HlcClock, Journal,

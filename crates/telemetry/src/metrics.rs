@@ -292,11 +292,6 @@ impl WindowedHistogram {
     pub fn quantile_recent(&self, q: f64) -> Option<f64> {
         quantile_from_cumulative(&self.recent_cumulative(), q)
     }
-
-    /// Quantile estimate over every observation since creation.
-    pub fn quantile_lifetime(&self, q: f64) -> Option<f64> {
-        self.lifetime.quantile(q)
-    }
 }
 
 /// A point-in-time copy of one metric series.
@@ -874,7 +869,7 @@ mod tests {
             w.observe(5);
         }
         let recent = w.quantile_recent(0.99).unwrap();
-        let lifetime = w.quantile_lifetime(0.99).unwrap();
+        let lifetime = w.lifetime().quantile(0.99).unwrap();
         assert!(recent <= 10.0, "recent p99 must be fast: {recent}");
         assert!(
             lifetime > 1_000.0,
