@@ -14,8 +14,10 @@ trap cleanup_wal_scratch EXIT
 # Size report: non-test Rust under crates/ (integration-test dirs,
 # `*_tests.rs` files and `#[cfg(test)]` modules left out), all lines and
 # code lines (no blanks, no `//` lines), the same count for the
-# telemetry stack alone (ROADMAP items 9 and 12 gate on it) and for
-# the wire crate (what a `Value` is, and costs, is decided there), then
+# telemetry stack alone (ROADMAP items 9 and 12 gate on it), for
+# the wire crate (what a `Value` is, and costs, is decided there) and
+# for the layout planner (`crates/layout/src`, ROADMAP items 8 and 17
+# gate on it), then
 # each file of the Core runtime (non-test lines too: ROADMAP's per-file
 # gates count those; an all-test file prints nothing), then the number
 # of `CoreConfig` fields (ROADMAP's north-star knob count). ROADMAP
@@ -44,6 +46,7 @@ loc() {
     non_test_lines "of which the telemetry stack" \
         crates/telemetry/src crates/core/src/telemetry.rs
     non_test_lines "of which crates/wire" crates/wire/src
+    non_test_lines "of which crates/layout" crates/layout/src
     for f in crates/core/src/runtime/*.rs; do
         non_test_lines "$f" "$f"
     done

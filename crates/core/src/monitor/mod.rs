@@ -288,7 +288,7 @@ impl Monitor {
     /// since this method was last called for `service` — 0 without a
     /// baseline or when the denominator did not move. Used by the Core's
     /// sampler to implement the SLO ratios (`errorRate`, `shedRate`,
-    /// `moveFailureRate`).
+    /// `moveFailureRate`) and the layout rule's `remoteShare`.
     pub(crate) fn ratio_from_totals(&self, service: &Service, num: u64, den: u64) -> f64 {
         match self.last_totals.lock().insert(service.clone(), (num, den)) {
             Some((prev_num, prev_den)) if den > prev_den => {

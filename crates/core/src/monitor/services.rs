@@ -50,6 +50,12 @@ pub enum Service {
     ShedRate,
     /// Failed moves per move attempted (SLO).
     MoveFailureRate,
+    /// `invoke` envelopes sent per invocation issued (layout): 0 when
+    /// every call stays on this Core, 1 when every call leaves it. A
+    /// tracker hop counts where it is sent: a Core that forwards other
+    /// Cores' calls reads above the share of its own calls that leave,
+    /// and a retransmitted request counts again.
+    RemoteShare,
 }
 
 impl Service {
@@ -67,6 +73,7 @@ impl Service {
             Service::ErrorRate => "errorRate",
             Service::ShedRate => "shedRate",
             Service::MoveFailureRate => "moveFailureRate",
+            Service::RemoteShare => "remoteShare",
         }
     }
 
@@ -106,6 +113,7 @@ impl Service {
             "errorRate" => Service::ErrorRate,
             "shedRate" => Service::ShedRate,
             "moveFailureRate" => Service::MoveFailureRate,
+            "remoteShare" => Service::RemoteShare,
             "bandwidth" => Service::Bandwidth {
                 peer: parse_node(key)?,
             },
@@ -156,6 +164,7 @@ mod tests {
             Service::ErrorRate,
             Service::ShedRate,
             Service::MoveFailureRate,
+            Service::RemoteShare,
             Service::Bandwidth { peer: 3 },
             Service::Latency { peer: 0 },
             Service::MethodInvokeRate {

@@ -147,10 +147,6 @@ pub(crate) struct CoreInner {
     pub move_verdicts: DecisionLog,
     /// Prepared-but-uncommitted move streams, keyed `(root, epoch)`.
     pub held_moves: Mutex<HashMap<(CompletId, u64), HeldMove>>,
-    /// Callbacks run by the monitor thread after each tick (the adaptive
-    /// layout planner's cadence source), keyed for removal.
-    pub tick_hooks: Mutex<Vec<(u64, TickHook)>>,
-    pub tick_hook_seq: AtomicU64,
     /// Consistent-hash ring assigning each complet id's authoritative
     /// location shard to a Core (rebuilt when membership changes).
     pub ring: Mutex<fargo_naming::HashRing>,
@@ -165,14 +161,6 @@ pub(crate) struct CoreInner {
     /// ran: durability off or an empty log).
     pub recovery: Mutex<Option<wal::RecoveryReport>>,
 }
-
-/// A callback invoked by the Core's monitor thread once per tick.
-///
-/// Hooks must be cheap and non-blocking: they run on the monitor thread
-/// itself, between the sampling pass and the next sleep. Anything heavy
-/// (like a planning round) should flip a flag or send on a channel for a
-/// worker thread to pick up.
-pub type TickHook = Arc<dyn Fn() + Send + Sync + 'static>;
 
 /// A handle to a running Core. Cloning yields another handle to the same
 /// Core.
@@ -371,8 +359,6 @@ impl<'a> CoreBuilder<'a> {
             id_base: first_id,
             move_verdicts: DecisionLog::new(MOVE_DECISION_LOG),
             held_moves: Mutex::new(HashMap::new()),
-            tick_hooks: Mutex::new(Vec::new()),
-            tick_hook_seq: AtomicU64::new(1),
             // Membership may still be growing while Cores spawn one by
             // one; every use refreshes the ring against the live node
             // list, so starting from what is visible now is safe.
@@ -453,24 +439,6 @@ impl Core {
     /// This Core's configuration (immutable once spawned).
     pub fn config(&self) -> &CoreConfig {
         &self.inner.config
-    }
-
-    /// Registers a callback run by the monitor thread after every tick
-    /// and returns a handle for [`Core::remove_monitor_tick_hook`].
-    ///
-    /// This is the extension point the adaptive layout planner hangs off:
-    /// the Core does not know about planning, it just provides cadence.
-    /// Hooks must be cheap (see [`TickHook`]).
-    pub fn add_monitor_tick_hook(&self, hook: TickHook) -> u64 {
-        let id = self.inner.tick_hook_seq.fetch_add(1, Ordering::SeqCst);
-        self.inner.tick_hooks.lock().push((id, hook));
-        id
-    }
-
-    /// Removes a tick hook by the handle `add_monitor_tick_hook` returned.
-    /// Unknown handles are ignored.
-    pub fn remove_monitor_tick_hook(&self, id: u64) {
-        self.inner.tick_hooks.lock().retain(|(h, _)| *h != id);
     }
 
     // --- complet management ----------------------------------------------
@@ -841,14 +809,6 @@ impl Core {
                     // location service (nothing to hand off when it is
                     // disabled: the shard stays empty).
                     core.naming_rebalance();
-                    // Clone out of the lock: a hook may add/remove hooks.
-                    let hooks: Vec<TickHook> = {
-                        let guard = core.inner.tick_hooks.lock();
-                        guard.iter().map(|(_, h)| h.clone()).collect()
-                    };
-                    for hook in hooks {
-                        hook();
-                    }
                 }
             })
             .expect("failed to spawn monitor thread");
@@ -912,14 +872,17 @@ fn sample_service(inner: &Arc<CoreInner>, service: &Service) -> Option<f64> {
             let p99 = inner.telemetry.invoke_latency_us.quantile_recent(0.99);
             Some(p99.unwrap_or(0.0))
         }
-        Service::ErrorRate | Service::ShedRate | Service::MoveFailureRate => {
+        Service::ErrorRate
+        | Service::ShedRate
+        | Service::MoveFailureRate
+        | Service::RemoteShare => {
             let t = &inner.telemetry;
             let (num, den) = match service {
-                Service::ErrorRate => (&t.invoke_errors_total, &t.invoke_total),
-                Service::ShedRate => (&t.worker_rejections_total, &t.invoke_total),
-                _ => (&t.move_failures_total, &t.moves_attempted_total),
+                Service::ErrorRate => (t.invoke_errors_total.get(), t.invoke_total.get()),
+                Service::ShedRate => (t.worker_rejections_total.get(), t.invoke_total.get()),
+                Service::RemoteShare => (t.msgs_out("invoke"), t.invoke_total.get()),
+                _ => (t.move_failures_total.get(), t.moves_attempted_total.get()),
             };
-            let (num, den) = (num.get(), den.get());
             Some(inner.monitor.ratio_from_totals(service, num, den))
         }
     }

@@ -344,6 +344,12 @@ impl CoreTelemetry {
         }
     }
 
+    /// Messages of `kind` sent so far: what `fargo_msg_out_total` shows
+    /// for it (0 for a kind it does not list).
+    pub(crate) fn msgs_out(&self, kind: &str) -> u64 {
+        self.msg_out.get(kind).map_or(0, |(msgs, _)| msgs.get())
+    }
+
     /// Counts one inbound message of `kind` and its wire size.
     pub(crate) fn record_msg_in(&self, kind: &str, bytes: usize) {
         if let Some((msgs, total)) = self.msg_in.get(kind) {

@@ -111,6 +111,48 @@ fn continuous_invocation_rate_is_measured() {
     teardown(&cores);
 }
 
+/// `remoteShare` is the `invoke` envelopes a Core sent per invocation
+/// issued there since it was last read: 0 when every call stays on the
+/// Core, 1 when every call leaves it. A tracker hop counts at the Core
+/// that forwards it, whoever issued the call; a third Core is there only
+/// to make that hop.
+#[test]
+fn remote_share_counts_the_invokes_that_leave() {
+    let config = CoreConfig {
+        monitor_cache_ttl: Duration::ZERO,
+        // No retransmission adds an envelope to what is counted.
+        rpc_max_retries: 0,
+        ..test_config()
+    };
+    let (_net, _reg, cores) = cluster_with_config(3, config);
+    let share = |i: usize| cores[i].profile_instant(&Service::RemoteShare).unwrap();
+    let here = cores[0].new_complet("Message", &[]).unwrap();
+    let there = cores[0].new_complet_at("core1", "Message", &[]).unwrap();
+    there.call("print", &[]).unwrap();
+    assert_eq!(share(0), 0.0, "the first read sets the baseline");
+    for _ in 0..10 {
+        here.call("print", &[]).unwrap();
+    }
+    assert_eq!(share(0), 0.0, "all-local calls");
+    for _ in 0..10 {
+        there.call("print", &[]).unwrap();
+    }
+    assert_eq!(share(0), 1.0, "all-remote calls");
+    assert_eq!(share(0), 0.0, "no call since the last read");
+
+    // core1 sends `there` on to core2, so core0's next call to it goes
+    // through core1's tracker. core1 issues two calls, both local.
+    let local = cores[1].new_complet("Message", &[]).unwrap();
+    cores[1].move_complet(there.id(), "core2", None).unwrap();
+    share(1);
+    for _ in 0..2 {
+        local.call("print", &[]).unwrap();
+    }
+    there.call("print", &[]).unwrap();
+    assert_eq!(share(1), 0.5, "the forwarded invoke counts at core1");
+    teardown(&cores);
+}
+
 #[test]
 fn threshold_event_fires_on_crossing() {
     threshold_crossing(1);

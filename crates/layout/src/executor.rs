@@ -1,5 +1,5 @@
 //! The plan executor: one move transaction per `(from, to)` group of a
-//! plan's steps, abortable between groups.
+//! plan's steps.
 //!
 //! Each group is one [`Core::move_many`]: one `MovePrepare` carrying its
 //! complets, one `MoveCommit`. The group commits or aborts as a unit, so
@@ -9,24 +9,23 @@
 //! (the journal is written for the operator; nothing here reads it). A
 //! failed group stops the plan: the landed groups move back — the same
 //! `move_many` with source and destination swapped, latest group first —
-//! and the closed loop re-plans from reality. A group whose complets no
+//! and the next round re-plans from reality. A group whose complets no
 //! longer share the host the plan saw (an earlier group's `pull`
 //! relocator carried one away) fails the same way.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 use fargo_core::{Core, JournalKind};
 use fargo_wire::CompletId;
 
 use crate::plan::{LayoutPlan, MoveStep};
 
-/// How long the location service gets to place a moved group. A poll
-/// budget, not a wall-clock deadline, so the outcome does not race the
-/// scheduler (and replays under the checker's virtual clock).
-const VERIFY_TIMEOUT: Duration = Duration::from_secs(5);
+/// Location queries a moved group gets for the location service to
+/// place all of it at the destination. The move's source publishes to
+/// the shard owners before it answers, so an owner that is a third Core
+/// catches up within a round trip or two of the answer. Each query is a
+/// round trip to that owner (none when the answer already updated this
+/// Core), which paces the check: a count, not a wall-clock deadline, so
+/// the outcome does not race the scheduler.
+const VERIFY_QUERIES: usize = 64;
 
 /// What happened to one plan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -36,8 +35,6 @@ pub struct ExecutionReport {
     pub executed: usize,
     /// Steps undone after a later group failed.
     pub rolled_back: usize,
-    /// True when the abort flag stopped the plan early.
-    pub aborted: bool,
     /// Human-readable failure descriptions, in occurrence order.
     pub failures: Vec<String>,
 }
@@ -45,7 +42,7 @@ pub struct ExecutionReport {
 impl ExecutionReport {
     /// Every step ran and verified.
     pub fn complete(&self, plan: &LayoutPlan) -> bool {
-        !self.aborted && self.failures.is_empty() && self.executed == plan.steps.len()
+        self.failures.is_empty() && self.executed == plan.steps.len()
     }
 }
 
@@ -70,26 +67,15 @@ fn ids(group: &[MoveStep]) -> Vec<CompletId> {
 /// Executes [`LayoutPlan`]s against a Core.
 pub struct Executor {
     core: Core,
-    abort: Arc<AtomicBool>,
 }
 
 impl Executor {
     pub fn new(core: Core) -> Executor {
-        Executor {
-            core,
-            abort: Arc::new(AtomicBool::new(false)),
-        }
+        Executor { core }
     }
 
-    /// A handle that stops the executor between groups when set. The
-    /// flag is re-armed (cleared) at the start of every `execute` call.
-    pub fn abort_handle(&self) -> Arc<AtomicBool> {
-        self.abort.clone()
-    }
-
-    /// Runs the plan to completion, rollback, or abort.
+    /// Runs the plan to completion or rollback.
     pub fn execute(&self, plan: &LayoutPlan) -> ExecutionReport {
-        self.abort.store(false, Ordering::SeqCst);
         let mut report = ExecutionReport {
             plan_id: plan.id,
             ..ExecutionReport::default()
@@ -106,10 +92,6 @@ impl Executor {
         );
         let groups = groups(&plan.steps);
         for (i, group) in groups.iter().enumerate() {
-            if self.abort.load(Ordering::SeqCst) {
-                report.aborted = true;
-                break;
-            }
             if let Err(reason) = self.run_group(plan.id, group) {
                 report.rolled_back = self.rollback(plan.id, &groups[..i], &reason);
                 report.failures.push(reason);
@@ -138,15 +120,14 @@ impl Executor {
             .map_err(|e| format!("{unplaced:?} -> {dest}: {e}"))?;
         // The reply said the group arrived; it counts once the location
         // service (published to one-way) agrees for every complet.
-        for _ in 0..=VERIFY_TIMEOUT.as_millis() / 2 {
+        for _ in 0..VERIFY_QUERIES {
             unplaced.retain(|&id| self.core.locate(id) != Ok(to));
             if unplaced.is_empty() {
                 return Ok(());
             }
-            thread::sleep(Duration::from_millis(2));
         }
         Err(format!(
-            "{unplaced:?} moved to {dest} unverified after {VERIFY_TIMEOUT:?}"
+            "{unplaced:?} moved to {dest}, not placed there after {VERIFY_QUERIES} location queries"
         ))
     }
 

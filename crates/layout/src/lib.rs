@@ -2,10 +2,10 @@
 //!
 //! FarGo's monitoring facility (§4.1) and relocation semantics (§3) exist
 //! so that an application's layout can be *changed at runtime to match
-//! observed behaviour* — but in the paper the decision loop is left to
-//! administrators and layout scripts. This crate closes the loop: it
-//! consumes the signals the runtime already produces and moves complets
-//! on its own.
+//! observed behaviour* — but in the paper the decision is left to
+//! administrators and their layout scripts. This crate makes it: it
+//! consumes the signals the runtime already produces, decides where
+//! complets should live, and ships the layout script that moves them.
 //!
 //! The pipeline, run by one admin Core:
 //!
@@ -23,25 +23,27 @@
 //!    steps, committed or aborted as a unit, verified by `locate` rounds
 //!    and rolled back group by group when a later group fails.
 //!
-//! [`AutoLayout`] ties the stages into a closed loop driven by the Core's
-//! monitor tick, with an `autolayout` script action and shell commands
-//! (`plan`, `rebalance`, `autolayout on|off|status`) layered on top.
+//! The loop is closed by a monitor event, not a timer: the shipped
+//! script [`LAYOUT_RULES`] fires the `plan` action when a Core's
+//! `remoteShare` crosses its threshold, and the action runs rounds at a
+//! [`Rebalancer`] until one plans nothing. The shell loads the rule on
+//! `autolayout on`; `plan` and `rebalance` preview and run one round.
 
 mod affinity;
-mod auto;
 mod cost;
 mod executor;
 mod partition;
 mod plan;
 mod planner;
+mod rule;
 
 pub use affinity::AffinityGraph;
-pub use auto::{register_script_action, AutoLayout, AutoLayoutStatus};
 pub use cost::CostModel;
 pub use executor::{ExecutionReport, Executor};
 pub use partition::{assignment_cost, partition, PartitionProblem};
 pub use plan::{LayoutPlan, MoveStep};
 pub use planner::{Planner, PlannerConfig};
+pub use rule::{register_plan_action, Rebalancer, LAYOUT_RULES};
 
 use fargo_wire::CompletId;
 

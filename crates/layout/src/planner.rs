@@ -13,7 +13,7 @@
 //! configured fraction is reported as empty. Observed traffic is noisy;
 //! without a dead band the partitioner would happily chase one-invocation
 //! differences around the cluster, and every move costs real transfer
-//! work plus a tracker chain. The threshold means the loop only acts when
+//! work plus a tracker chain. The threshold means a round only acts when
 //! the expected win clearly exceeds that churn.
 
 use std::collections::BTreeMap;
@@ -54,18 +54,15 @@ fn next_round(prev: &Traffic, totals: BTreeMap<(CompletId, CompletId), u64>) -> 
     totals.into_iter().map(weigh).collect()
 }
 
-/// Planner tunables. [`Planner::new`] clamps the cadence to at least
-/// one tick and the dead band to at least zero.
+/// Planner tunables. [`Planner::new`] clamps the dead band to at least
+/// zero.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Monitor ticks between planning rounds of the closed loop.
-    pub period_ticks: u32,
     /// Minimum predicted relative traffic-cost gain (fraction of the
     /// current cost) before a plan is non-empty; smaller gains are
     /// discarded so marginal, oscillating plans never move anything.
     pub hysteresis: f64,
-    /// Maximum steps per plan; the executor rate-limits within the round
-    /// on top of this.
+    /// Maximum steps per plan.
     pub max_moves: usize,
     /// Per-Core complet capacity handed to the partitioner.
     pub capacity: Option<usize>,
@@ -74,7 +71,6 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> PlannerConfig {
         PlannerConfig {
-            period_ticks: 25,
             hysteresis: 0.05,
             max_moves: 4,
             capacity: None,
@@ -93,7 +89,6 @@ impl PlannerConfig {
     }
 
     fn clamped(mut self) -> PlannerConfig {
-        self.period_ticks = self.period_ticks.max(1);
         self.hysteresis = self.hysteresis.max(0.0);
         self
     }
@@ -260,13 +255,11 @@ mod tests {
     #[test]
     fn autolayout_knobs_clamp() {
         let c = PlannerConfig {
-            period_ticks: 0,
             hysteresis: -1.0,
             max_moves: 2,
             ..PlannerConfig::default()
         }
         .clamped();
-        assert_eq!(c.period_ticks, 1, "period clamps to >= 1");
         assert_eq!(c.hysteresis, 0.0, "hysteresis clamps to >= 0");
         assert_eq!(c.max_moves, 2);
     }

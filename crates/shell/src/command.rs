@@ -3,15 +3,16 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 use fargo_core::{
     render_matrix, render_slow_log, CompletId, CompletRef, Core, FargoError, JournalKind,
     RefDescriptor, Service, Value,
 };
-use fargo_layout::{register_script_action, AutoLayout};
-use fargo_script::{ScriptEngine, ScriptError, ScriptValue};
+use fargo_layout::{register_plan_action, Rebalancer, LAYOUT_RULES};
+use fargo_script::{LoadedScript, ScriptEngine, ScriptError, ScriptValue};
 
-use crate::slo::Slo;
+use crate::slo::{cores_up, Slo};
 
 /// Errors from shell command execution.
 #[derive(Debug)]
@@ -67,7 +68,9 @@ impl From<ScriptError> for ShellError {
 pub struct Shell {
     core: Core,
     engine: ScriptEngine,
-    auto: AutoLayout,
+    rebalancer: Arc<Rebalancer>,
+    /// The layout rule, loaded while `autolayout` is on.
+    layout_rule: Mutex<Option<LoadedScript>>,
     slo: Slo,
 }
 
@@ -100,7 +103,9 @@ FarGo shell commands:
   plan                               preview the adaptive layout plan the
                                      planner would execute right now
   rebalance                          plan and execute one layout round
-  autolayout on|off|status           closed-loop adaptive relocation
+  autolayout on|off|status           load or cancel the layout rule
+                                     (plan when a core's remote share
+                                     rises); status of its rounds
   stats [full|json]                  runtime counters; 'full' renders the
                                      whole metrics exposition (incl. links),
                                      'json' the same as JSON
@@ -134,13 +139,14 @@ impl Shell {
     /// Binds a shell to an admin Core.
     pub fn new(core: Core) -> Self {
         let engine = ScriptEngine::new(core.clone());
-        let auto = AutoLayout::attach(core.clone());
-        register_script_action(&engine, &auto);
+        let rebalancer = Arc::new(Rebalancer::new(core.clone()));
+        register_plan_action(&engine, rebalancer.clone());
         let slo = Slo::new(&engine);
         Shell {
             core,
             engine,
-            auto,
+            rebalancer,
+            layout_rule: Mutex::new(None),
             slo,
         }
     }
@@ -149,11 +155,6 @@ impl Shell {
     /// actions here).
     pub fn engine(&self) -> &ScriptEngine {
         &self.engine
-    }
-
-    /// The adaptive layout loop backing `plan`/`rebalance`/`autolayout`.
-    pub fn autolayout(&self) -> &AutoLayout {
-        &self.auto
     }
 
     /// Executes one command line and returns its output.
@@ -441,13 +442,13 @@ impl Shell {
     /// Previews the plan the adaptive planner would execute right now,
     /// without moving anything.
     fn cmd_plan(&self) -> Result<String, ShellError> {
-        let plan = self.auto.preview();
+        let plan = self.rebalancer.planner().preview();
         Ok(plan.render(&|n| self.core.core_name_of(n)))
     }
 
     /// One synchronous planning round: plan, execute, verify.
     fn cmd_rebalance(&self) -> Result<String, ShellError> {
-        let (plan, report) = self.auto.run_once();
+        let (plan, report) = self.rebalancer.rebalance();
         let mut out = plan.render(&|n| self.core.core_name_of(n));
         if !plan.is_empty() {
             writeln!(
@@ -463,30 +464,41 @@ impl Shell {
         Ok(out)
     }
 
+    /// `on` loads the layout rule at every Core that is up, `off`
+    /// cancels it (a round already running finishes); the status is
+    /// read from this Core's `fargo_planner_*` series.
     fn cmd_autolayout(&self, args: &[&str]) -> Result<String, ShellError> {
-        let usage = "autolayout on|off|status";
+        let mut rule = self.layout_rule.lock().expect("layout rule lock poisoned");
         match args {
             ["on"] => {
-                self.auto.enable();
-                Ok("autolayout enabled".to_owned())
+                if rule.is_none() {
+                    let cores = cores_up(&self.core).into_iter().map(ScriptValue::Str);
+                    let list = ScriptValue::List(cores.collect());
+                    *rule = Some(self.engine.load(LAYOUT_RULES, vec![list])?);
+                }
+                Ok("autolayout on".to_owned())
             }
             ["off"] => {
-                self.auto.disable();
-                Ok("autolayout disabled".to_owned())
+                if let Some(loaded) = rule.take() {
+                    loaded.cancel();
+                }
+                Ok("autolayout off".to_owned())
             }
             ["status"] | [] => {
-                let s = self.auto.status();
+                let reg = self.core.telemetry();
+                let labels = &[("core", self.core.name())][..];
+                let count = |name| reg.counter(name, labels).get();
+                let stable = reg.gauge("fargo_planner_stable_rounds", labels).get();
                 Ok(format!(
-                    "autolayout {}: rounds={} moves={} rollbacks={} stable_rounds={} converged={}",
-                    if s.enabled { "on" } else { "off" },
-                    s.rounds,
-                    s.moves_executed,
-                    s.rollbacks,
-                    s.stable_rounds,
-                    s.converged(),
+                    "autolayout {}: rounds={} moves={} rollbacks={} converged={}",
+                    if rule.is_some() { "on" } else { "off" },
+                    count("fargo_planner_rounds_total"),
+                    count("fargo_planner_executed_moves_total"),
+                    count("fargo_planner_rollbacks_total"),
+                    stable > 0.0,
                 ))
             }
-            _ => Err(ShellError::Usage(usage)),
+            _ => Err(ShellError::Usage("autolayout on|off|status")),
         }
     }
 

@@ -49,13 +49,7 @@ impl Slo {
         if let Some(cores) = &*watched {
             return Ok(cores.clone());
         }
-        let net = core.network();
-        let cores: Vec<String> = net
-            .node_ids()
-            .into_iter()
-            .filter(|&n| net.node_up(n).unwrap_or(false))
-            .filter_map(|n| net.node_name(n).ok())
-            .collect();
+        let cores = cores_up(core);
         let list = ScriptValue::List(cores.iter().cloned().map(ScriptValue::Str).collect());
         engine.load(SLO_RULES, vec![list])?;
         *watched = Some(cores.clone());
@@ -88,6 +82,17 @@ impl Slo {
         }
         out
     }
+}
+
+/// The names of the Cores that are up: the `%1` a shipped rule script
+/// is loaded with.
+pub(crate) fn cores_up(core: &Core) -> Vec<String> {
+    let net = core.network();
+    net.node_ids()
+        .into_iter()
+        .filter(|&n| net.node_up(n).unwrap_or(false))
+        .filter_map(|n| net.node_name(n).ok())
+        .collect()
 }
 
 /// The `alert <rule> firing|resolved <core>` action. An edge that

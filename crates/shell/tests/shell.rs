@@ -628,20 +628,35 @@ fn plan_and_autolayout_commands_drive_the_loop() {
     let whereis = shell.exec("whereis postbox").unwrap();
     assert!(whereis.contains("core0"), "{whereis}");
 
-    // The toggle and status surface the loop state.
-    assert!(shell.exec("autolayout on").unwrap().contains("enabled"));
+    // The status reads the planner's registry series.
     let status = shell.exec("autolayout status").unwrap();
-    assert!(status.contains("autolayout on"), "{status}");
-    assert!(status.contains("moves=1"), "{status}");
-    assert!(shell.exec("autolayout off").unwrap().contains("disabled"));
+    assert!(status.contains("autolayout off"), "{status}");
+    assert!(status.contains("rounds=1 moves=1"), "{status}");
+
+    // The toggle loads the layout rule at every Core and cancels it.
+    let subs = |shell: &Shell| {
+        let out = shell.exec("stats").unwrap();
+        let line = out.lines().find(|l| l.contains("subscriptions")).unwrap();
+        line.split_whitespace().last().unwrap().to_owned()
+    };
+    let before = subs(&shell);
+    assert_eq!(shell.exec("autolayout on").unwrap(), "autolayout on");
+    assert!(shell.exec("autolayout").unwrap().contains("autolayout on"));
+    assert_ne!(subs(&shell), before, "the rule listens at the shell's Core");
+    assert_eq!(shell.exec("autolayout off").unwrap(), "autolayout off");
+    assert_eq!(subs(&shell), before, "and is gone once cancelled");
+    assert!(matches!(
+        shell.exec("autolayout now"),
+        Err(ShellError::Usage(_))
+    ));
 
     // The decision trail landed in the journal.
     let journal = shell.exec("journal 200").unwrap();
     assert!(journal.contains("plan_propose"), "{journal}");
     assert!(journal.contains("plan_step"), "{journal}");
 
-    // And the script engine gained the autolayout action.
-    assert!(shell.engine().has_action("autolayout"));
+    // And the script engine gained the rule's plan action.
+    assert!(shell.engine().has_action("plan"));
     for c in &cores {
         c.stop();
     }

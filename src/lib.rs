@@ -65,7 +65,6 @@ pub mod prelude {
         CoreConfig, Ctx, EventPayload, FargoError, MetaRef, RefDescriptor, Relocator,
         RelocatorRegistry, Service, StateValue, Value,
     };
-    pub use fargo_layout::AutoLayout;
     pub use fargo_script::{ScriptEngine, ScriptValue};
     pub use fargo_shell::Shell;
     pub use fargo_viz::LayoutMonitor;
