@@ -343,6 +343,18 @@ FARGO_TRANSPORT=tcp cargo test -q -p fargo-core
 echo "==> tcp_cluster example (3 processes over loopback)"
 cargo run -q --release --example tcp_cluster | grep -q 'TCP cluster OK'
 
+# The paper-scenario examples, each run to completion: each must exit
+# 0 (an example returns its first error from `main`, and some assert
+# their outcome), and `timeout` turns a hang into a failure. `monitor_view` is the layout monitor's
+# only caller outside tests; `shell -- demo` is the shell's canned
+# session. They are built first so the budget covers the run alone.
+echo "==> paper-scenario examples"
+cargo build -q --release --examples
+for example in quickstart adaptive_chat evacuation load_balancer mobile_agent monitor_view; do
+    timeout 30 cargo run -q --release --example "$example" >/dev/null
+done
+timeout 30 cargo run -q --release --example shell -- demo >/dev/null
+
 # Deterministic schedule-explorer sweep: 1000 seeded workloads (moves,
 # invokes, relocator links, time advances, idle-tracker collections)
 # through the virtual-clock driver, every merged journal checked against

@@ -357,8 +357,6 @@ pub(crate) enum Notify {
     /// A batch of location-shard deltas for the owning shard: a publish,
     /// or the handoff stream after a ring change.
     ShardDelta { entries: Vec<DeltaTuple> },
-    /// The sending Core is about to shut down.
-    CoreShutdown { node: u32 },
 }
 
 /// The full message envelope.
@@ -680,12 +678,13 @@ wire_enum! { Reply, "reply tag";
     19 => InvokeEdges { rows },
 }
 
-// Tag 0 is retired (it was the origin-registry location update) and
-// decodes to `Err`; the remaining tags keep their numbers.
+// Tags 0 and 3 are retired (the origin-registry location update; a
+// Core's shutdown notice, which no Core ever sent — remote listeners
+// learn of a shutdown from the `coreShutdown` event) and decode to
+// `Err`; the remaining tags keep their numbers.
 wire_enum! { Notify, "notify tag";
     1 => Event { token, payload },
     2 => ShardDelta { entries },
-    3 => CoreShutdown { node },
 }
 
 // --- envelope --------------------------------------------------------------------
@@ -1161,12 +1160,9 @@ pub(crate) mod tests {
 
     /// Every notify kind, with every event payload shape.
     fn notifies() -> Vec<Notify> {
-        let mut out = vec![
-            Notify::ShardDelta {
-                entries: vec![(id(9), 3, 5, true), (id(1), 1, 2, false)],
-            },
-            Notify::CoreShutdown { node: 2 },
-        ];
+        let mut out = vec![Notify::ShardDelta {
+            entries: vec![(id(9), 3, 5, true), (id(1), 1, 2, false)],
+        }];
         for payload in [
             EventPayload::CompletArrived {
                 id: id(1),
@@ -1188,7 +1184,7 @@ pub(crate) mod tests {
 
     /// All sample messages; `traced` sets the trace section on requests
     /// (the only kind that has one).
-    fn samples(traced: bool) -> Vec<Message> {
+    pub(crate) fn samples(traced: bool) -> Vec<Message> {
         let trace = traced.then_some(TraceContext {
             trace_id: 812,
             span_id: 4_004,
@@ -1286,7 +1282,7 @@ pub(crate) mod tests {
                 .len(),
         );
         kinds(
-            3,
+            2,
             notifies()
                 .iter()
                 .map(discriminant)
@@ -1513,8 +1509,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Notify tag 0 is retired: a frame carrying it is an error, and the
-    /// surviving kinds keep the tag numbers peers already speak.
+    /// Notify tags 0 and 3 are retired: a frame carrying one is an error,
+    /// and the surviving kinds keep the tag numbers peers already speak.
     #[test]
     fn notify_tag_zero_is_retired_and_the_rest_keep_their_numbers() {
         // A notify has no id section: the body tag follows the
@@ -1524,15 +1520,16 @@ pub(crate) mod tests {
             let tag = match &n {
                 Notify::Event { .. } => 1,
                 Notify::ShardDelta { .. } => 2,
-                Notify::CoreShutdown { .. } => 3,
             };
             let msg = Message::Notify(n);
             let bytes = encode(&msg, &EnvelopeMeta::default());
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
-            let mut retired = bytes.to_vec();
-            retired[TAG_AT] = 0;
-            assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
+            for tag in [0, 3] {
+                let mut retired = bytes.to_vec();
+                retired[TAG_AT] = tag;
+                assert!(Message::decode(retired.into()).is_err(), "{msg:?}");
+            }
         }
     }
 

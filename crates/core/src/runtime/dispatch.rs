@@ -17,7 +17,7 @@ use fargo_telemetry::{JournalKind, TraceContext};
 use simnet::NodeId;
 
 use crate::error::FargoError;
-use crate::events::{Delivery, EventPayload};
+use crate::events::Delivery;
 use crate::proto::{Header, Message, Notify, Reply, ReqId, Request, Wire};
 use crate::runtime::reliable::CacheSlot;
 use crate::runtime::Core;
@@ -419,9 +419,6 @@ impl Core {
             }
             Notify::ShardDelta { entries } => {
                 self.absorb_shard_publishes(entries);
-            }
-            Notify::CoreShutdown { node } => {
-                self.fire_event(EventPayload::CoreShutdown { core: node });
             }
         }
     }

@@ -110,7 +110,7 @@ impl Core {
             node: self.inner.node.index(),
             token,
         };
-        match self.rpc(
+        let error = match self.rpc(
             node,
             Request::Subscribe {
                 selector: selector.to_owned(),
@@ -118,19 +118,21 @@ impl Core {
                 above,
                 listener,
             },
-        )? {
-            Reply::Ok => Ok(RemoteSubscription {
-                core: self.clone(),
-                peer: Some(node),
-                token,
-                selector: selector.to_owned(),
-            }),
-            Reply::Err(e) => {
-                self.inner.sinks.lock().remove(&token);
-                Err(e)
+        ) {
+            Ok(Reply::Ok) => {
+                return Ok(RemoteSubscription {
+                    core: self.clone(),
+                    peer: Some(node),
+                    token,
+                    selector: selector.to_owned(),
+                })
             }
-            other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            Ok(Reply::Err(e)) | Err(e) => e,
+            Ok(other) => FargoError::Protocol(format!("unexpected reply {other:?}")),
+        };
+        // No subscription stands: the sink would never be cancelled.
+        self.inner.sinks.lock().remove(&token);
+        Err(error)
     }
 
     /// Fires an event: delivers to every matching listener, each on its

@@ -505,6 +505,20 @@ impl Drop for SpanGuard<'_> {
 mod tests {
     use super::*;
 
+    /// Every label a message is counted under — each request kind,
+    /// `reply` and `notify` — is pre-registered, and nothing else is: an
+    /// unlisted label would vanish from `fargo_msg_out_total`.
+    #[test]
+    fn msg_kinds_are_exactly_the_message_labels() {
+        let labels: std::collections::BTreeSet<&str> = crate::proto::tests::samples(false)
+            .iter()
+            .map(crate::proto::Message::kind_label)
+            .collect();
+        let registered: std::collections::BTreeSet<&str> = MSG_KINDS.iter().copied().collect();
+        assert_eq!(registered.len(), MSG_KINDS.len(), "a label is listed twice");
+        assert_eq!(labels, registered);
+    }
+
     fn test_cfg(journaling: bool) -> CoreConfig {
         CoreConfig::default()
             .with_tracing(true)

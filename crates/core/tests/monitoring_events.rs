@@ -317,6 +317,20 @@ fn remote_subscription_receives_events_across_cores() {
     teardown(&cores);
 }
 
+/// A subscription that never stood holds no handler: subscribing at a
+/// stopped Core fails and leaves the handler with its caller alone.
+#[test]
+fn a_failed_remote_subscription_releases_its_handler() {
+    let (_net, _reg, cores) = cluster(2);
+    cores[1].stop();
+    let handler: fargo_core::EventHandler = Arc::new(|_| {});
+    assert!(cores[0]
+        .subscribe_at("core1", "completArrived", None, true, handler.clone())
+        .is_err());
+    assert_eq!(Arc::strong_count(&handler), 1);
+    teardown(&cores);
+}
+
 /// A subscriber restarted without a log mints its subscription tokens
 /// above its previous life's, so a subscription its predecessor left at
 /// a peer never reaches a handler of the new life.

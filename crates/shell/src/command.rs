@@ -93,7 +93,8 @@ FarGo shell commands:
   profile <service>                  instant profiling (e.g. completLoad)
   layout [at <hlc>]                  complets across every core; with
                                      'at', reconstructed from the journal
-                                     at an HLC instant (e.g. 1234.0)
+                                     at an HLC instant (e.g. 1234.0),
+                                     with refs and forwarding trackers
   journal [<n>]                      merged cluster-wide layout journal:
                                      moves, trackers, shard applies, plan
                                      notes, alerts; calls are not in it,
@@ -377,7 +378,8 @@ impl Shell {
     }
 
     /// Reconstructs the cluster-wide placement at an HLC instant from the
-    /// merged journal timeline (the layout observatory).
+    /// merged journal timeline (the layout observatory): one line per
+    /// Core, the reference edges, then one line per forwarding tracker.
     fn cmd_layout_at(&self, hlc: &str) -> Result<String, ShellError> {
         let at: fargo_core::Hlc = hlc
             .parse()
@@ -403,6 +405,12 @@ impl Shell {
                 .map(|(src, dst, rel)| format!("{src} -{rel}-> {dst}"))
                 .collect();
             writeln!(out, "refs: {}", edges.join(", ")).expect("write to string");
+        }
+        for ((node, complet), target) in &state.trackers {
+            if let Some(to) = target {
+                let (from, to) = (self.core.core_name_of(*node), self.core.core_name_of(*to));
+                writeln!(out, "tracker {complet}: {from} -> {to}").expect("write to string");
+            }
         }
         Ok(out)
     }

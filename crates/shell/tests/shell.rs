@@ -207,6 +207,71 @@ fn layout_and_stats_commands() {
 }
 
 #[test]
+fn layout_at_reconstructs_placement_refs_and_tracker_chains() {
+    let net = Network::new(NetworkConfig {
+        default_link: Some(LinkConfig::instant()),
+        ..NetworkConfig::default()
+    });
+    let reg = CompletRegistry::new();
+    Napper::register(&reg);
+    let cores: Vec<Core> = (0..2)
+        .map(|i| {
+            Core::builder(&net, &format!("core{i}"))
+                .registry(&reg)
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    let shell = Shell::new(cores[0].clone());
+    // The latest instant any Core's clock has reached.
+    let now = || cores.iter().map(Core::hlc_now).max().unwrap();
+
+    let empty = shell.exec(&format!("layout at {}", now())).unwrap();
+    assert!(empty.contains("(no complets placed)"), "{empty}");
+
+    let napper = cores[0].new_complet("Napper", &[]).unwrap();
+    let relay = cores[0].new_complet("Napper", &[]).unwrap();
+    relay
+        .call(
+            "relay",
+            &[
+                Value::from(napper.complet_ref().descriptor()),
+                Value::from(0),
+            ],
+        )
+        .unwrap();
+    let before = now();
+    napper.move_to("core1").unwrap();
+
+    let at_before = shell.exec(&format!("layout at {before}")).unwrap();
+    assert!(at_before.contains("core0: c0.1, c0.2"), "{at_before}");
+    assert!(!at_before.contains("core1:"), "{at_before}");
+
+    // The source's tracker is journaled as forwarding once the move's
+    // commit lands there.
+    let deadline = Instant::now() + Duration::from_secs(3);
+    let after = loop {
+        let out = shell.exec(&format!("layout at {}", now())).unwrap();
+        if out.contains("tracker c0.1: core0 -> core1") || Instant::now() > deadline {
+            break out;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(after.contains("core0: c0.2"), "{after}");
+    assert!(after.contains("core1: c0.1"), "{after}");
+    assert!(after.contains("refs: c0.2 -link-> c0.1"), "{after}");
+    assert!(after.contains("tracker c0.1: core0 -> core1"), "{after}");
+
+    assert!(matches!(
+        shell.exec("layout at noon"),
+        Err(ShellError::Usage(_))
+    ));
+    for c in &cores {
+        c.stop();
+    }
+}
+
+#[test]
 fn stats_full_renders_metrics_exposition() {
     let (cores, shell) = setup();
     shell.exec("new Message at core1 as postbox").unwrap();

@@ -8,7 +8,12 @@
 //! This crate reproduces the monitor's *system-facing* behaviour for a
 //! headless environment: the same live, event-driven layout model and the
 //! same manipulation operations, rendered as text frames instead of
-//! pixels (see DESIGN.md for the substitution rationale).
+//! pixels (see DESIGN.md for the substitution rationale). It holds only
+//! that monitor: the frame with its event ticker, drag-to-move,
+//! reference inspection and retyping, and the tracker pane. Every other
+//! operator view (the layout reconstructed from the journal, plans,
+//! metrics, slow requests, heavy hitters) has its one renderer in the
+//! shell.
 //!
 //! ```
 //! # use fargo_core::{Core, CompletRegistry};
@@ -28,7 +33,5 @@
 //! ```
 
 mod monitor;
-mod observatory;
 
 pub use monitor::{LayoutMonitor, LayoutSnapshot};
-pub use observatory::{plan_overlay, render_state, state_to_dot};

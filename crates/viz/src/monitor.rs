@@ -3,9 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use fargo_core::{
-    CompletId, Core, EventPayload, FargoError, MetricValue, RemoteSubscription, Result,
-};
+use fargo_core::{CompletId, Core, EventPayload, FargoError, RemoteSubscription, Result};
 use parking_lot::Mutex;
 
 /// A point-in-time copy of the monitor's layout model.
@@ -100,7 +98,6 @@ impl LayoutMonitor {
                                 let to = core2.core_name_of(*dest);
                                 // Arrival events place it; departure only
                                 // logs (avoids races with the arrival).
-                                let _ = (from.as_str(), id);
                                 m.log(format!("{id} departed {from} -> {to}"));
                             }
                             EventPayload::CoreShutdown { core } => {
@@ -110,13 +107,8 @@ impl LayoutMonitor {
                                 }
                                 m.log(format!("{cname} shut down"));
                             }
-                            EventPayload::MoveFailed {
-                                id, dest, error, ..
-                            } => {
-                                let to = core2.core_name_of(*dest);
-                                m.log(format!("{id} failed to reach {to}: {error}"));
-                            }
-                            EventPayload::Profile { .. } => {}
+                            // The other kinds are not subscribed to.
+                            _ => {}
                         }
                     }),
                 )?;
@@ -204,104 +196,6 @@ impl LayoutMonitor {
         out.push_str(&"-".repeat(28));
         out.push('\n');
         for line in m.events.iter().rev().take(8).rev() {
-            out.push_str(&format!("|   {line}\n"));
-        }
-        out
-    }
-
-    /// One line per non-idle metric series of the attached Core's
-    /// registry (shared registries show every Core) — the monitor's
-    /// telemetry pane. Zero-valued counters and empty histograms are
-    /// elided so the pane stays readable.
-    pub fn telemetry_lines(&self) -> Vec<String> {
-        self.core.refresh_link_metrics();
-        let mut lines = Vec::new();
-        for s in self.core.telemetry().snapshot() {
-            let value = match s.value {
-                MetricValue::Counter(0) => continue,
-                MetricValue::Histogram { count: 0, .. } => continue,
-                MetricValue::Counter(v) => v.to_string(),
-                MetricValue::Gauge(v) => format!("{v:.1}"),
-                MetricValue::Histogram { sum, count, .. } => {
-                    format!(
-                        "count={count} sum={sum} avg={:.1}",
-                        sum as f64 / count as f64
-                    )
-                }
-            };
-            let labels: Vec<String> = s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let label_str = if labels.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", labels.join(","))
-            };
-            lines.push(format!("{}{label_str} {value}", s.name));
-        }
-        lines
-    }
-
-    /// The layout frame with the telemetry pane appended.
-    pub fn render_with_telemetry(&self) -> String {
-        let mut out = self.render();
-        out.push_str("+--- telemetry ");
-        out.push_str(&"-".repeat(25));
-        out.push('\n');
-        for line in self.telemetry_lines() {
-            out.push_str(&format!("|   {line}\n"));
-        }
-        out
-    }
-
-    /// The tail observatory pane: the slowest requests the attached Core
-    /// retained, each with its per-hop span breakdown, one line per row.
-    pub fn slow_lines(&self) -> Vec<String> {
-        let records = self.core.slow_records();
-        fargo_core::render_slow_log(&records, true)
-            .lines()
-            .map(str::to_owned)
-            .collect()
-    }
-
-    /// The layout frame with the slow-request pane appended — the
-    /// monitor view for chasing tail latency.
-    pub fn render_with_slow(&self) -> String {
-        let mut out = self.render();
-        out.push_str("+--- slow requests ");
-        out.push_str(&"-".repeat(21));
-        out.push('\n');
-        for line in self.slow_lines() {
-            out.push_str(&format!("|   {line}\n"));
-        }
-        out
-    }
-
-    /// The heavy-hitters pane: the cluster's heaviest complets by
-    /// accounted load (exec µs + invokes), one line per row, heaviest
-    /// first.
-    pub fn top_lines(&self, n: usize) -> Vec<String> {
-        let rows = self.core.collect_top(n);
-        if rows.is_empty() {
-            return vec!["(no accounting data)".to_owned()];
-        }
-        rows.into_iter()
-            .map(|(core, r)| {
-                let id = CompletId::new(r.key.0, r.key.1);
-                format!(
-                    "{id} @{core} load={} invokes={} exec_us={} bytes={}/{}",
-                    r.load, r.invokes, r.exec_us, r.bytes_in, r.bytes_out
-                )
-            })
-            .collect()
-    }
-
-    /// The layout frame with the heavy-hitters pane appended — the
-    /// monitor view for spotting load imbalance before it hurts.
-    pub fn render_with_top(&self, n: usize) -> String {
-        let mut out = self.render();
-        out.push_str("+--- heavy hitters ");
-        out.push_str(&"-".repeat(21));
-        out.push('\n');
-        for line in self.top_lines(n) {
             out.push_str(&format!("|   {line}\n"));
         }
         out
