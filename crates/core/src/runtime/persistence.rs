@@ -269,7 +269,7 @@ impl Core {
         for &(root, epoch, committed) in &folded.verdicts {
             self.inner.move_verdicts.record(root, epoch, committed);
         }
-        let mut replayed = 0usize;
+        let (mut replayed, mut dropped) = (0usize, 0usize);
         for mut s in folded.survivors {
             if self.hosts(s.id) {
                 continue;
@@ -277,6 +277,7 @@ impl Core {
             let state = std::mem::take(&mut s.state);
             let Ok(complet) = self.inner.registry.reconstruct(&s.type_name, state) else {
                 t.wal_errors_total.inc();
+                dropped += 1;
                 continue;
             };
             // The recorded epoch — the one the shards already associate
@@ -325,6 +326,7 @@ impl Core {
         t.recovery_corrupt_total.add(replay.corrupt as u64);
         let report = wal::RecoveryReport {
             replayed,
+            dropped,
             held,
             forwards,
             corrupt: replay.corrupt,

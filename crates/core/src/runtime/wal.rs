@@ -164,6 +164,10 @@ pub(crate) struct WalFold {
 pub struct RecoveryReport {
     /// Complets re-installed from the log.
     pub replayed: usize,
+    /// Complets the log holds but this Core's registry could not
+    /// rebuild (an unknown type, or state its constructor refused):
+    /// dropped, not re-installed.
+    pub dropped: usize,
     /// Prepared moves re-held for outcome resolution.
     pub held: usize,
     /// Forwarding trackers rebuilt from departure records.

@@ -877,9 +877,9 @@ const TREE_MAP_LOG: [u8; 198] = [
 
 /// The map's representation is not its encoding: a log of the build
 /// before the sorted-vector map replays here, and the same state is
-/// logged here as the very bytes that build wrote.
+/// logged here in the compact forms — shorter, and replayed in turn.
 #[test]
-fn log_written_before_the_sorted_vector_map_replays_and_is_rewritten_identically() {
+fn log_written_before_the_sorted_vector_map_replays_and_is_relogged_shorter() {
     let root = wal_root("treemap");
     let log = root.join("core0").join("core0.wal");
     std::fs::create_dir_all(log.parent().unwrap()).unwrap();
@@ -898,9 +898,59 @@ fn log_written_before_the_sorted_vector_map_replays_and_is_rewritten_identically
     let shelf = fresh_stub(&core, CompletId::new(0, 1), "Shelf");
     assert_eq!(shelf.call("item", &[]).unwrap(), shelf_item());
 
-    // That acknowledged call logged the state again: the parent's frame.
+    // That acknowledged call logged the state again: the second record
+    // names the fields once, and its short strings and lists carry their
+    // lengths in their tags.
     core.stop();
+    let relogged = std::fs::read(&log).unwrap();
+    let relogged = last_frame(&relogged);
     let put_frame = &TREE_MAP_LOG[29..];
-    assert!(std::fs::read(&log).unwrap().ends_with(put_frame));
-    let _ = std::fs::remove_dir_all(&root);
+    assert!(
+        relogged.len() < put_frame.len(),
+        "{} bytes relogged, {} in the parent's frame",
+        relogged.len(),
+        put_frame.len()
+    );
+    let core = restart(&net, &reg, test_config(), &root, &core, 0);
+    let report = core.recovery_report().expect("recovery ran");
+    assert_eq!((report.replayed, report.corrupt), (1, 0), "{report:?}");
+    let shelf = fresh_stub(&core, CompletId::new(0, 1), "Shelf");
+    assert_eq!(shelf.call("item", &[]).unwrap(), shelf_item());
+    cleanup(&root, &[core]);
+}
+
+/// The last frame of a log: `[version][len u32 BE]` and `len` bytes.
+fn last_frame(log: &[u8]) -> &[u8] {
+    let mut at = 0;
+    loop {
+        let len = u32::from_be_bytes(log[at + 1..at + 5].try_into().unwrap()) as usize;
+        if at + 5 + len == log.len() {
+            return &log[at..];
+        }
+        at += 5 + len;
+    }
+}
+
+/// A survivor this Core's registry cannot rebuild is dropped, and the
+/// recovery report counts it.
+#[test]
+fn a_survivor_of_an_unregistered_type_is_reported_dropped() {
+    let root = wal_root("dropped");
+    let net = fast_network();
+    let reg = registry();
+    Shelf::register(&reg);
+    let core = Core::builder(&net, "core0")
+        .registry(&reg)
+        .config(wal_config(test_config(), &root, 0))
+        .spawn()
+        .expect("core must spawn");
+    let shelf = core.new_complet("Shelf", &[]).unwrap();
+    shelf.call("put", &[shelf_item()]).unwrap();
+    core.stop();
+
+    let without_shelf = registry();
+    let core = restart(&net, &without_shelf, test_config(), &root, &core, 0);
+    let report = core.recovery_report().expect("recovery ran");
+    assert_eq!((report.replayed, report.dropped), (0, 1), "{report:?}");
+    cleanup(&root, &[core]);
 }

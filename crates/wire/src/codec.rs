@@ -45,6 +45,52 @@ const TAG_BYTES: u8 = 6;
 const TAG_LIST: u8 = 7;
 const TAG_MAP: u8 = 8;
 const TAG_REF: u8 = 9;
+/// A map whose keys are those of a shape its top-level value registered
+/// before: then a one-byte shape index, then only the values.
+const TAG_SHAPED: u8 = 10;
+/// `FIXLIST | n`: a list of `n` < 16 items, then the items.
+const FIXLIST: u8 = 0x10;
+/// `FIXSTR | len`: a string of `len` < 32 bytes, then the bytes.
+const FIXSTR: u8 = 0x20;
+
+/// Bounds per top-level value, past which maps are written literally.
+const MAX_SHAPES: usize = 8;
+const MAX_SHAPE_KEYS: usize = 32;
+const MAX_SHAPE_LEN: usize = 16;
+
+/// Whether a literal map of `n` keys, once written or read in full,
+/// becomes the next shape of its top-level value, after `shapes` shapes
+/// holding `keys` keys — the one rule both sides apply.
+fn registers(shapes: usize, keys: usize, n: usize) -> bool {
+    (1..=MAX_SHAPE_LEN).contains(&n) && shapes < MAX_SHAPES && keys + n <= MAX_SHAPE_KEYS
+}
+
+/// The literal maps one [`WireWriter::put_value`] call has registered as
+/// shapes, in order; on the stack, so splicing encoded sections with
+/// [`WireWriter::put_raw`] stays safe.
+#[derive(Default)]
+struct Shapes<'v> {
+    maps: [Option<&'v ValueMap>; MAX_SHAPES],
+    len: usize,
+    keys: usize,
+}
+
+impl<'v> Shapes<'v> {
+    /// The index of the shape with `m`'s keys, in order.
+    fn find(&self, m: &ValueMap) -> Option<usize> {
+        self.maps[..self.len].iter().flatten().position(|s| {
+            s.len() == m.len() && s.iter().zip(m.iter()).all(|((a, _), (b, _))| a == b)
+        })
+    }
+
+    fn register(&mut self, m: &'v ValueMap) {
+        if registers(self.len, self.keys, m.len()) {
+            self.maps[self.len] = Some(m);
+            self.len += 1;
+            self.keys += m.len();
+        }
+    }
+}
 
 /// Encodes a single [`Value`] into a fresh buffer.
 pub fn encode_value(v: &Value) -> Bytes {
@@ -167,19 +213,21 @@ impl WireWriter {
         self.put_u32(r.last_known)
     }
 
-    /// Appends a whole [`Value`] tree.
+    /// Appends a whole [`Value`] tree. A map with the keys of one written
+    /// earlier in the same tree is written as a shape index and its
+    /// values; nothing is remembered across calls.
     pub fn put_value(&mut self, v: &Value) -> &mut Self {
-        self.put_tree(v, false)
+        self.put_tree(v, false, &mut Shapes::default())
     }
 
     /// [`put_value`](Self::put_value) with every reference written
     /// [`degraded`](RefDescriptor::degraded) to `link` (§3.1), without
     /// building the degraded tree.
     pub fn put_value_degraded(&mut self, v: &Value) -> &mut Self {
-        self.put_tree(v, true)
+        self.put_tree(v, true, &mut Shapes::default())
     }
 
-    fn put_tree(&mut self, v: &Value, degrade: bool) -> &mut Self {
+    fn put_tree<'v>(&mut self, v: &'v Value, degrade: bool, shapes: &mut Shapes<'v>) -> &mut Self {
         match v {
             Value::Null => {
                 self.put_u8(TAG_NULL);
@@ -197,24 +245,42 @@ impl WireWriter {
                 self.put_u8(TAG_F64).put_f64(*x);
             }
             Value::Str(s) => {
-                self.put_u8(TAG_STR).put_str(s);
+                // One read of the text: an inline one is checked at each.
+                let s = s.as_str();
+                if s.len() < 32 {
+                    self.put_u8(FIXSTR | s.len() as u8).put_raw(s.as_bytes());
+                } else {
+                    self.put_u8(TAG_STR).put_str(s);
+                }
             }
             Value::Bytes(b) => {
                 self.put_u8(TAG_BYTES).put_bytes(b);
             }
             Value::List(items) => {
-                self.put_u8(TAG_LIST).put_u64(items.len() as u64);
+                match items.len() {
+                    n @ 0..16 => self.put_u8(FIXLIST | n as u8),
+                    n => self.put_u8(TAG_LIST).put_u64(n as u64),
+                };
                 for item in items {
-                    self.put_tree(item, degrade);
+                    self.put_tree(item, degrade, shapes);
                 }
             }
-            Value::Map(m) => {
-                self.put_u8(TAG_MAP).put_u64(m.len() as u64);
-                for (k, val) in m.iter() {
-                    self.put_str(k);
-                    self.put_tree(val, degrade);
+            Value::Map(m) => match shapes.find(m) {
+                Some(i) => {
+                    self.put_u8(TAG_SHAPED).put_u8(i as u8);
+                    for val in m.values() {
+                        self.put_tree(val, degrade, shapes);
+                    }
                 }
-            }
+                None => {
+                    self.put_u8(TAG_MAP).put_u64(m.len() as u64);
+                    for (k, val) in m.iter() {
+                        self.put_str(k);
+                        self.put_tree(val, degrade, shapes);
+                    }
+                    shapes.register(m);
+                }
+            },
             Value::Ref(r) if degrade && !r.is_link() => {
                 self.put_u8(TAG_REF).put_ref(&r.degraded());
             }
@@ -249,6 +315,11 @@ pub struct WireReader {
     keys: [Option<Key>; SHARED_KEYS],
     /// The slot the next unseen key takes.
     next_key: usize,
+    /// The keys of the shapes the value being read registered, shape
+    /// after shape; `shapes` holds each one's `(start, len)` in it.
+    shape_keys: [Option<Key>; MAX_SHAPE_KEYS],
+    shapes: [(u8, u8); MAX_SHAPES],
+    shape_count: usize,
 }
 
 impl WireReader {
@@ -258,6 +329,9 @@ impl WireReader {
             buf,
             keys: Default::default(),
             next_key: 0,
+            shape_keys: Default::default(),
+            shapes: [(0, 0); MAX_SHAPES],
+            shape_count: 0,
         }
     }
 
@@ -355,9 +429,18 @@ impl WireReader {
     /// Fails on a hostile count or on the first element that fails.
     pub fn get_seq<T, E: From<WireError>>(
         &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+        item: impl FnMut(&mut Self) -> Result<T, E>,
     ) -> Result<Vec<T>, E> {
         let n = self.get_count()?;
+        self.get_items(n, item)
+    }
+
+    /// [`get_seq`](Self::get_seq) with the count `n` already read.
+    fn get_items<T, E>(
+        &mut self,
+        n: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, E>,
+    ) -> Result<Vec<T>, E> {
         let mut out = Vec::with_capacity(n.min(PREALLOC_HINT));
         for _ in 0..n {
             out.push(item(self)?);
@@ -379,6 +462,11 @@ impl WireReader {
     /// it lies, then copied once.
     fn get_utf8<T: for<'a> From<&'a str>>(&mut self) -> Result<T, WireError> {
         let len = self.get_blob_len()?;
+        self.take_utf8(len)
+    }
+
+    /// The next `len` bytes, known to be there, as a string `T`.
+    fn take_utf8<T: for<'a> From<&'a str>>(&mut self, len: usize) -> Result<T, WireError> {
         let s = T::from(utf8(&self.buf[..len])?);
         self.buf.advance(len);
         Ok(s)
@@ -426,6 +514,15 @@ impl WireReader {
         Ok(len as usize)
     }
 
+    /// A length or count a tag carried, which at one byte an element
+    /// must fit the remaining input.
+    fn fits(&self, n: usize) -> Result<usize, WireError> {
+        if n > self.buf.remaining() {
+            return Err(WireError::BadLength(n as u64));
+        }
+        Ok(n)
+    }
+
     /// Reads a [`CompletId`].
     ///
     /// # Errors
@@ -457,6 +554,8 @@ impl WireReader {
     ///
     /// Fails on malformed, truncated, or over-deep input.
     pub fn get_value(&mut self) -> Result<Value, WireError> {
+        // Shapes are the writer's per `put_value` call: none carry over.
+        self.shape_count = 0;
         self.get_value_at(0)
     }
 
@@ -471,15 +570,55 @@ impl WireReader {
             TAG_I64 => Ok(Value::I64(self.get_i64()?)),
             TAG_F64 => Ok(Value::F64(self.get_f64()?)),
             TAG_STR => Ok(Value::Str(self.get_utf8()?)),
+            tag @ FIXSTR..=0x3f => {
+                let len = self.fits(usize::from(tag & 0x1f))?;
+                Ok(Value::Str(self.take_utf8(len)?))
+            }
             TAG_BYTES => Ok(Value::Bytes(self.get_bytes()?)),
             TAG_LIST => Ok(Value::List(self.get_seq(|r| r.get_value_at(depth + 1))?)),
+            tag @ FIXLIST..=0x1f => {
+                let n = self.fits(usize::from(tag & 0x0f))?;
+                Ok(Value::List(
+                    self.get_items(n, |r| r.get_value_at(depth + 1))?,
+                ))
+            }
             // Entries are kept in wire order — sorted when our encoder
             // wrote them; `from_entries` repairs a peer's that are not.
-            TAG_MAP => Ok(Value::Map(ValueMap::from_entries(self.get_seq(|r| {
-                Ok::<_, WireError>((r.get_key()?, r.get_value_at(depth + 1)?))
-            })?))),
+            TAG_MAP => {
+                let entries = self
+                    .get_seq(|r| Ok::<_, WireError>((r.get_key()?, r.get_value_at(depth + 1)?)))?;
+                self.register(&entries);
+                Ok(Value::Map(ValueMap::from_entries(entries)))
+            }
+            TAG_SHAPED => {
+                let i = self.get_u8()?;
+                let shape = self.shapes[..self.shape_count].get(usize::from(i));
+                let (start, len) = shape
+                    .map(|&(at, n)| (usize::from(at), usize::from(n)))
+                    .ok_or(WireError::BadTag(i))?;
+                let mut entries = Vec::with_capacity(self.fits(len)?);
+                for slot in start..start + len {
+                    let key = self.shape_keys[slot].clone().expect("registered");
+                    entries.push((key, self.get_value_at(depth + 1)?));
+                }
+                Ok(Value::Map(ValueMap::from_entries(entries)))
+            }
             TAG_REF => Ok(Value::from(self.get_ref()?)),
             tag => Err(WireError::BadTag(tag)),
+        }
+    }
+
+    /// Registers the keys of a literal map just read, in wire order, as
+    /// the next shape if [`registers`] says so.
+    fn register(&mut self, entries: &[(Key, Value)]) {
+        let shapes = &self.shapes[..self.shape_count];
+        let start = shapes.last().map_or(0, |&(at, n)| usize::from(at + n));
+        if registers(self.shape_count, start, entries.len()) {
+            for (slot, (key, _)) in self.shape_keys[start..].iter_mut().zip(entries) {
+                *slot = Some(key.clone());
+            }
+            self.shapes[self.shape_count] = (start as u8, entries.len() as u8);
+            self.shape_count += 1;
         }
     }
 
@@ -685,12 +824,31 @@ mod tests {
     #[test]
     fn random_values_roundtrip() {
         let mut rng = TestRng(0xc0dec);
+        let mut shaped = 0;
         for _ in 0..256 {
             let v = gen_value(&mut rng, 4);
             let bytes = encode_value(&v);
             let back = decode_value(&bytes).expect("roundtrip must succeed");
             assert_eq!(back, v);
             assert_eq!(encode_value(&back), bytes);
+            shaped += usize::from(shaped_maps(&v, &mut Shapes::default()) > 0);
+        }
+        assert!(shaped >= 64, "only {shaped} of 256 trees repeat a shape");
+    }
+
+    /// How many maps of `v` the writer writes as a shape index.
+    fn shaped_maps<'v>(v: &'v Value, shapes: &mut Shapes<'v>) -> usize {
+        match v {
+            Value::List(items) => items.iter().map(|i| shaped_maps(i, shapes)).sum(),
+            Value::Map(m) => {
+                let hit = shapes.find(m).is_some();
+                let inner: usize = m.values().map(|i| shaped_maps(i, shapes)).sum();
+                if !hit {
+                    shapes.register(m);
+                }
+                inner + usize::from(hit)
+            }
+            _ => 0,
         }
     }
 
@@ -784,5 +942,153 @@ mod tests {
             let v = gen_value(&mut rng, 4);
             assert_eq!(encode_value(&v), encode_value(&v));
         }
+    }
+
+    // --- compact forms: shapes, fixstr, fixlist --------------------------
+
+    /// Two records of the benchmark's shape, byte by byte: the first
+    /// names its fields and registers its shape, the second is shape 0.
+    #[test]
+    fn a_two_record_batch_encodes_to_these_bytes() {
+        let batch = Value::List(crate::testgen::graph_records(2, 0));
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0x12, // fixlist: 2 records
+            TAG_MAP, 3,
+            1, b'k', 0x30, b'k', b'0', b'0', b'0', b'0', b'0', b'0', b'0',
+            b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'0', // fixstr: 16 bytes
+            4, b't', b'a', b'g', b's', 0x13, // fixlist: 3 tags
+            0x26, b't', b'0', b'0', b'0', b'0', b'0',
+            0x26, b't', b'0', b'0', b'0', b'0', b'1',
+            0x26, b't', b'0', b'0', b'0', b'0', b'2',
+            1, b'v', TAG_I64, 0,
+            TAG_SHAPED, 0,
+            0x30, b'k', b'0', b'0', b'0', b'0', b'0', b'0', b'0',
+            b'0', b'0', b'0', b'0', b'0', b'0', b'0', b'1',
+            0x13,
+            0x26, b't', b'0', b'0', b'0', b'0', b'3',
+            0x26, b't', b'0', b'0', b'0', b'0', b'4',
+            0x26, b't', b'0', b'0', b'0', b'0', b'5',
+            TAG_I64, 0x80, 0x80, 0x80, 0x80, 0x20, // zigzag(1 << 32)
+        ];
+        assert_eq!(&encode_value(&batch)[..], golden);
+        assert_eq!(decode_value(golden), Ok(batch));
+    }
+
+    #[test]
+    fn a_shape_index_past_the_registered_shapes_is_refused() {
+        assert_eq!(decode_value(&[TAG_SHAPED, 0]), Err(WireError::BadTag(0)));
+        // One shape registered: index 0 reads, index 1 does not.
+        let two = |i: u8| [0x12, TAG_MAP, 1, 1, b'a', TAG_NULL, TAG_SHAPED, i, TAG_TRUE];
+        let a = |v: Value| Value::map([("a", v)]);
+        assert_eq!(
+            decode_value(&two(0)),
+            Ok(Value::list([a(Value::Null), a(Value::Bool(true))]))
+        );
+        for i in [1, 7, 8, 255] {
+            assert_eq!(decode_value(&two(i)), Err(WireError::BadTag(i)));
+        }
+    }
+
+    #[test]
+    fn every_cut_of_a_shaped_value_is_refused() {
+        let v = Value::List(crate::testgen::graph_records(3, 9));
+        let bytes = encode_value(&v);
+        assert!(bytes.contains(&TAG_SHAPED));
+        for cut in 0..bytes.len() {
+            assert!(decode_value(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_cut_or_invalid_fixstr_is_refused() {
+        assert_eq!(
+            decode_value(&[FIXSTR | 3, b'a', b'b']),
+            Err(WireError::BadLength(3))
+        );
+        assert_eq!(decode_value(&[FIXSTR | 31]), Err(WireError::BadLength(31)));
+        // `é` is 0xc3 0xa9: a tag length of 2 ends between them.
+        assert_eq!(
+            decode_value(&[FIXSTR | 2, b'a', 0xc3]),
+            Err(WireError::InvalidUtf8)
+        );
+        assert_eq!(
+            decode_value(&[FIXSTR | 2, 0xff, b'a']),
+            Err(WireError::InvalidUtf8)
+        );
+        assert_eq!(
+            decode_value(&[FIXLIST | 2, TAG_NULL]),
+            Err(WireError::BadLength(2))
+        );
+    }
+
+    /// A map past the shape bounds is written literally, every time.
+    fn literal_repeat_of(maps: Vec<Value>) {
+        let last = maps.last().unwrap().clone();
+        let v = Value::list(maps.into_iter().chain([last.clone()]));
+        let bytes = encode_value(&v);
+        assert_eq!(decode_value(&bytes), Ok(v));
+        let alone = encode_value(&last);
+        assert_eq!(alone[0], TAG_MAP);
+        assert!(bytes.ends_with(&alone), "the repeat is literal");
+    }
+
+    #[test]
+    fn past_eight_shapes_or_32_keys_maps_are_written_literally() {
+        let one_key = |i: usize| Value::map([(format!("f{i}"), Value::Null)]);
+        // Shapes 0–7 repeat as indices; the 9th map registers none.
+        literal_repeat_of((0..9).map(one_key).collect());
+        let eight = (0..8).map(one_key).collect::<Vec<_>>();
+        let again = encode_value(&Value::list(eight.iter().chain(&eight).cloned()));
+        assert!(again.ends_with(&[TAG_SHAPED, 7, TAG_NULL]));
+
+        // Two 16-key shapes fill the 32 keys: a 1-key map is the 33rd.
+        let wide = |tag: &str| Value::map((0..16).map(|i| (format!("{tag}{i:02}"), Value::Null)));
+        literal_repeat_of(vec![wide("a"), wide("b"), one_key(0)]);
+        // And a 17-key map is never a shape.
+        literal_repeat_of(vec![Value::map(
+            (0..17).map(|i| (format!("g{i:02}"), Value::Null)),
+        )]);
+    }
+
+    #[test]
+    fn shapes_are_scoped_to_one_top_level_value() {
+        let a = Value::list((0..3).map(|i| crate::testgen::graph_record(i, 1)));
+        let b = Value::map([("meta", crate::testgen::graph_record(9, 2))]);
+        // Two values of one writer: the second names its fields again.
+        let mut w = WireWriter::new();
+        w.put_value(&a).put_value_degraded(&b);
+        let both = w.finish();
+        assert_eq!(both, [&encode_value(&a)[..], &encode_value(&b)].concat());
+        let mut r = WireReader::new(both);
+        assert_eq!(r.get_value(), Ok(a.clone()));
+        assert_eq!(r.get_value(), Ok(b.clone()));
+        r.expect_end().unwrap();
+
+        // A value encoded alone, spliced after a shaped one.
+        let mut w = WireWriter::new();
+        w.put_value(&a).put_raw(&encode_value(&b));
+        let mut r = WireReader::new(w.finish());
+        assert_eq!(r.get_value(), Ok(a));
+        assert_eq!(r.get_value(), Ok(b));
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn literal_forms_of_every_length_still_decode() {
+        // What a writer without the short forms and shapes wrote.
+        let mut w = WireWriter::new();
+        w.put_u8(TAG_LIST).put_u64(3);
+        w.put_u8(TAG_STR).put_str("ab");
+        w.put_u8(TAG_MAP).put_u64(1).put_str("k").put_u8(TAG_NULL);
+        w.put_u8(TAG_MAP).put_u64(1).put_str("k").put_u8(TAG_TRUE);
+        let v = Value::list([
+            Value::from("ab"),
+            Value::map([("k", Value::Null)]),
+            Value::map([("k", Value::Bool(true))]),
+        ]);
+        let old = w.finish();
+        assert_eq!(decode_value(&old), Ok(v.clone()));
+        assert!(encode_value(&v).len() < old.len());
     }
 }

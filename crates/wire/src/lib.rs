@@ -18,7 +18,8 @@
 //!   [`Text`]: short ones live in the node.
 //! * [`CompletId`] — globally unique complet instance identity.
 //! * A compact binary codec ([`encode_value`] / [`decode_value`], plus the
-//!   lower-level [`WireWriter`] / [`WireReader`]) with varint integers.
+//!   lower-level [`WireWriter`] / [`WireReader`]) with varint integers,
+//!   short forms, and field names sent once per record shape per value.
 //!
 //! ```
 //! use fargo_wire::{decode_value, encode_value, Value};

@@ -47,43 +47,53 @@ pub fn gen_ref(rng: &mut TestRng) -> RefDescriptor {
     }
 }
 
-/// A random [`Value`] tree of at most `depth` nesting levels.
+/// A random [`Value`] tree of at most `depth` nesting levels, a list or
+/// a map at its root if it nests. Strings fall on both sides of 32 bytes,
+/// lists mostly under 16 items, and maps take one of two key sets drawn
+/// per tree, so that they repeat their shapes as a batch of records does.
 pub fn gen_value(rng: &mut TestRng, depth: u32) -> Value {
-    let pick = if depth == 0 {
-        rng.below(7)
-    } else {
-        rng.below(9)
+    let pool: Vec<Vec<String>> = (0..2)
+        .map(|_| (0..rng.below(8)).map(|_| rng.string(6)).collect())
+        .collect();
+    gen_tree(rng, depth, &pool, true)
+}
+
+fn gen_tree(rng: &mut TestRng, depth: u32, pool: &[Vec<String>], root: bool) -> Value {
+    let pick = match (depth, root) {
+        (0, _) => rng.below(7),
+        (_, true) => 7 + rng.below(5),
+        _ => rng.below(12),
     };
+    let sub = |rng: &mut TestRng| gen_tree(rng, depth - 1, pool, false);
     match pick {
         0 => Value::Null,
         1 => Value::Bool(rng.next_u64() & 1 == 0),
         2 => Value::I64(rng.next_u64() as i64),
         // Finite floats only (NaN breaks PartialEq comparison).
         3 => Value::F64((rng.next_u64() as i64 as f64) / 1e6),
-        4 => Value::from(rng.string(24)),
+        4 => Value::from(rng.string(40)),
         5 => {
             let len = rng.below(64) as usize;
             Value::Bytes((0..len).map(|_| rng.next_u64() as u8).collect())
         }
         6 => Value::from(gen_ref(rng)),
-        7 => {
-            let len = rng.below(8) as usize;
-            Value::List((0..len).map(|_| gen_value(rng, depth - 1)).collect())
+        7 | 8 => {
+            let len = match rng.below(8) {
+                0 => 16 + rng.below(4),
+                _ => rng.below(8),
+            };
+            Value::List((0..len).map(|_| sub(rng)).collect())
         }
         _ => {
-            let len = rng.below(8) as usize;
-            Value::Map(
-                (0..len)
-                    .map(|_| (rng.string(6), gen_value(rng, depth - 1)))
-                    .collect(),
-            )
+            let keys = pool[rng.below(2) as usize].iter();
+            Value::Map(keys.map(|k| (k.as_str(), sub(rng))).collect())
         }
     }
 }
 
 /// One record of the standing benchmark's `graph-simnet` shape: `{k:
-/// 16-char string, v: i64, tags: [3 short strings]}` — 7 nodes, ~60
-/// bytes encoded.
+/// 16-char string, v: i64, tags: [3 short strings]}` — 7 nodes, 48
+/// bytes encoded in a batch (52 for the first, which names the fields).
 pub fn graph_record(i: i64, version: i64) -> Value {
     Value::map([
         ("k", Value::from(format!("k{i:015x}"))),

@@ -1,8 +1,10 @@
-//! What a decoded record costs, counted at the allocator (`ci.sh`, stage
-//! "by-value memory bound"). The benchmark's `peak_rss_mb` shows the same
-//! thing late and noisily; this shows a regression of the map layout, of
-//! the decoder's key sharing or of the in-node strings exactly, on the
-//! record shape the benchmark's `graph-simnet` workload uses.
+//! What a record costs, decoded (counted at the allocator) and on the
+//! wire (`ci.sh`, stage "by-value memory bound"). The benchmark's
+//! `peak_rss_mb` and `wire_bytes_per_op` show the same things late and
+//! noisily; this shows a regression of the map layout, of the decoder's
+//! key sharing, of the in-node strings or of the codec's compact forms
+//! exactly, on the record shape the benchmark's `graph-simnet` workload
+//! uses.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,6 +85,17 @@ fn a_decoded_record_costs_what_it_holds() {
     assert_eq!(copy, decoded);
 }
 
+/// What the benchmark's by-value graph costs on the wire: the first
+/// record names its fields, the other 255 refer to its shape, and the
+/// short strings and the tag list carry their lengths in their tags.
+/// With every field name and length written out it was 62 bytes.
+#[test]
+fn a_record_of_a_batch_encodes_in_at_most_50_bytes() {
+    const RECORDS: usize = 256;
+    let bytes = encode_value(&Value::List(graph_records(RECORDS as i64, 0)));
+    assert!(bytes.len() <= 50 * RECORDS, "{} bytes", bytes.len());
+}
+
 /// The decoder reserves at most 4,096 slots for a declared count it
 /// cannot trust yet and doubles past that; the 3,192 slots (≈ 100 KB)
 /// the doubling leaves over a 5,000-record list are given back.
@@ -136,14 +149,41 @@ fn strings_roundtrip_across_the_inline_bound() {
         }
     }
     // A character cut by the declared length is invalid UTF-8: refused,
-    // whichever side of the bound it falls, before anything is copied.
-    for len in [3, 22, 23, 40] {
+    // whichever side of either bound it falls, before anything is copied.
+    for len in [3, 22, 23, 31, 32, 40] {
         let s = format!("{}é", "a".repeat(len - 1));
+        let at = usize::from(s.len() >= 32);
         let mut bytes = encode_value(&Value::from(s)).to_vec();
-        bytes[1] -= 1; // the length prefix: one byte, now mid-character
+        // The length: in the tag below 32 bytes, else the one-byte
+        // prefix after it; now mid-character.
+        bytes[at] -= 1;
         bytes.pop();
         let (got, allocs, _) = measured(|| decode_value(&bytes));
         assert_eq!(got, Err(WireError::InvalidUtf8));
         assert_eq!(allocs, 1, "the copy of the input `decode_value` makes");
+    }
+}
+
+/// A hostile compact form is refused before anything is allocated for
+/// it: a shape index past the shapes registered, a shaped map with
+/// fewer bytes left than it has values, a fixstr cut short or cut in a
+/// character. Alone each allocates nothing; after a record, only that
+/// record (its list, entries and keys) was allocated.
+#[test]
+fn hostile_compact_forms_allocate_nothing_for_themselves() {
+    let decode = |input: &[u8]| {
+        let input = bytes::Bytes::copy_from_slice(input);
+        let (got, allocs, _) = measured(|| decode_value_from_bytes(input));
+        assert!(got.is_err(), "{got:?}");
+        allocs
+    };
+    // 0x0a: a shaped map, then its index; 0x2n: a fixstr of n bytes.
+    for alone in [&[0x0a, 0][..], &[0x23, b'a', b'b'], &[0x22, b'a', 0xc3]] {
+        assert_eq!(decode(alone), 0, "{alone:?}");
+    }
+    // A fixlist of 2, then {a: null, b: null}: shape 0.
+    let record = [0x12, 8, 2, 1, b'a', 0, 1, b'b', 0];
+    for (tail, allocs) in [(&[0x0a, 1, 0, 0][..], 4), (&[0x0a, 0, 0][..], 4)] {
+        assert_eq!(decode(&[&record[..], tail].concat()), allocs, "{tail:?}");
     }
 }
