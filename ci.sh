@@ -332,6 +332,16 @@ echo "==> by-value memory bound"
 cargo test -q -p fargo-wire --test value_footprint
 cargo test -q -p fargo-core --test by_value_memory
 
+# Write-ahead-log memory bound: a Core logs 2,048 acknowledged puts over
+# 16 complets of 2 KiB state (a log of >= 4 MiB, the monitor never
+# compacting), then compacts it on the test thread, whose peak live heap
+# counted at the allocator must stay <= 1 MiB: compaction streams the
+# log frame by frame and copies the surviving frames, never holding the
+# whole log or every record of it. A restart must then install the 16
+# newest states from the compacted image.
+echo "==> write-ahead-log memory bound"
+cargo test -q -p fargo-core --test wal_footprint
+
 # The full core integration suite again, this time with every envelope
 # on real sockets: FARGO_TRANSPORT=tcp makes the test fixture pre-bind
 # one loopback listener per Core and run the TCP backend, with the

@@ -286,7 +286,7 @@ impl<'a> CoreBuilder<'a> {
                     .map_err(|e| FargoError::App(format!("wal replay: {e}")))?;
                 (Some(log), replay, started.elapsed())
             }
-            None => (None, wal::WalReplay::default(), Duration::ZERO),
+            None => (None, wal::WalFold::default(), Duration::ZERO),
         };
         // This life's incarnation, above every earlier life the log or the
         // network remembers (a first life is 0). Every id counter starts at

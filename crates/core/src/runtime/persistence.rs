@@ -91,8 +91,9 @@ impl Core {
             match &*guard {
                 SlotState::Present(c) => {
                     let image = self.image_of(slot.id, &slot.type_name, c.marshal());
-                    wal::write_record(&mut snapshot, &wal::WalRecord::State(image))
+                    let frame = wal::encode_record(&wal::WalRecord::State(image))
                         .map_err(|e| FargoError::InvalidArgument(e.to_string()))?;
+                    snapshot.extend_from_slice(&frame);
                 }
                 other => {
                     let detail = match other {
@@ -130,20 +131,27 @@ impl Core {
     ///
     /// Fails with [`FargoError::InvalidArgument`] on a snapshot with a
     /// torn, corrupted or undecodable frame, and on unknown complet
-    /// types or state mismatches. The whole snapshot is replayed and
+    /// types or state mismatches. The whole snapshot is folded and
     /// every complet reconstructed before any is installed, so a
     /// rejected snapshot leaves the Core untouched. Restoring is
     /// idempotent per complet — re-restore overwrites.
     pub fn restore_checkpoint(&self, snapshot: &[u8]) -> Result<Vec<CompletId>> {
-        let replay = wal::replay(bytes::Bytes::copy_from_slice(snapshot))
-            .map_err(|e| FargoError::InvalidArgument(format!("checkpoint: {e}")))?;
-        if replay.corrupt != 0 {
+        let invalid = |e| FargoError::InvalidArgument(format!("checkpoint: {e}"));
+        let folded =
+            wal::fold(wal::Frames::new(snapshot, snapshot.len() as u64)).map_err(invalid)?;
+        if folded.corrupt != 0 {
             return Err(FargoError::InvalidArgument(
                 "checkpoint: torn or corrupted frame".into(),
             ));
         }
         let mut revived = Vec::new();
-        for mut image in wal::fold(replay.records).survivors {
+        for frame in &folded.survivors {
+            let wal::WalRecord::State(mut image) = wal::decode_frame(frame).map_err(invalid)?
+            else {
+                return Err(FargoError::InvalidArgument(
+                    "checkpoint: not a state".into(),
+                ));
+            };
             let state = std::mem::take(&mut image.state);
             let complet = self.inner.registry.reconstruct(&image.type_name, state)?;
             revived.push((image, complet));
@@ -245,12 +253,13 @@ impl Core {
     /// its recorded move epoch, republished to the location shards),
     /// reloads the two-phase verdict log, and re-holds
     /// prepared-but-undecided move streams for resolution against their
-    /// sources. `spawn` replays the log (and refuses to start on one it
-    /// cannot read) and hands over the records and the time reading
-    /// them took; the folded log is compacted afterwards so the next
-    /// restart replays the minimum.
-    pub(crate) fn recover_from_wal(&self, replay: wal::WalReplay, read: Duration) {
-        if replay.records.is_empty() && replay.corrupt == 0 {
+    /// sources. `spawn` folds the log (and refuses to start on one it
+    /// cannot read) and hands over the fold and the time reading the log
+    /// took; only the survivors are decoded again, to be installed, and
+    /// the log is compacted afterwards so the next restart replays the
+    /// minimum.
+    pub(crate) fn recover_from_wal(&self, folded: wal::WalFold, read: Duration) {
+        if folded.records == 0 && folded.corrupt == 0 {
             return;
         }
         let started = Instant::now();
@@ -260,17 +269,23 @@ impl Core {
             JournalKind::RecoveryStarted,
             &CompletId::new(me, 0),
             "",
-            &replay.records.len().to_string(),
+            &folded.records.to_string(),
             None,
         );
-        let folded = wal::fold(replay.records);
         // The verdict log first: a recovered survivor set is only safe
         // to expose once in-doubt queries from peers answer correctly.
         for &(root, epoch, committed) in &folded.verdicts {
             self.inner.move_verdicts.record(root, epoch, committed);
         }
         let (mut replayed, mut dropped) = (0usize, 0usize);
-        for mut s in folded.survivors {
+        for frame in &folded.survivors {
+            // A kept frame that does not decode to a state is dropped like
+            // a state the registry refuses.
+            let Ok(wal::WalRecord::State(mut s)) = wal::decode_frame(frame) else {
+                t.wal_errors_total.inc();
+                dropped += 1;
+                continue;
+            };
             if self.hosts(s.id) {
                 continue;
             }
@@ -316,20 +331,21 @@ impl Core {
             forwards += 1;
         }
         let mut held = 0usize;
-        for h in folded.held {
-            if self.rehold_recovered(h) {
-                held += 1;
+        for frame in &folded.held {
+            match wal::decode_frame(frame) {
+                Ok(wal::WalRecord::Held(h)) => held += usize::from(self.rehold_recovered(h)),
+                _ => t.wal_errors_total.inc(),
             }
         }
         t.recovery_replayed_total.add(replayed as u64);
         t.recovery_held_total.add(held as u64);
-        t.recovery_corrupt_total.add(replay.corrupt as u64);
+        t.recovery_corrupt_total.add(folded.corrupt as u64);
         let report = wal::RecoveryReport {
             replayed,
             dropped,
             held,
             forwards,
-            corrupt: replay.corrupt,
+            corrupt: folded.corrupt,
             duration_us: (read + started.elapsed()).as_micros() as u64,
         };
         t.recovery_duration_us.set(report.duration_us as f64);

@@ -29,22 +29,26 @@
 //! and power loss; off, records stop at the OS page cache and the
 //! guarantee narrows to process crashes.
 //!
-//! On restart, [`Wal::replay_path`] reads the surviving prefix and
-//! [`fold`] reduces it to the set of complets that were live (and the
-//! move-protocol state that was in flight) at the crash; the Core
-//! re-installs those survivors and resumes the protocol. Periodic
-//! [`Wal::compact`] compaction (driven from the monitor tick) replaces
-//! the log with its folded image so it does not grow without bound; a
-//! checkpoint snapshot is that same image, `State` frames only.
+//! A log is read as a stream: [`Frames`] yields one checked frame at a
+//! time with its decoded record, and [`fold`], the one reduction, keeps
+//! the frame of each surviving `State` and open `Held` and drops every
+//! record as it moves on — neither the log nor its records are ever in
+//! memory whole. On restart, [`Wal::replay_path`] folds the surviving
+//! prefix and the Core decodes only the survivors it re-installs.
+//! Periodic [`Wal::compact`] compaction (driven from the monitor tick)
+//! replaces the log with its folded image — the kept frames copied byte
+//! for byte, departures and the caller's records encoded anew — so it
+//! does not grow without bound; a checkpoint snapshot is that same
+//! image, `State` frames only.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use fargo_net::frame::{write_frame, FrameError, FRAME_VERSION};
+use fargo_net::frame::{FrameError, FRAME_VERSION, MAX_FRAME};
 use fargo_wire::{CompletId, WireReader, WireWriter};
 use parking_lot::Mutex;
 
@@ -131,23 +135,19 @@ wire_enum! { WalRecord, "wal record tag";
     6 => Decision { root, epoch, committed, left, dest },
 }
 
-/// Result of replaying a log.
-#[derive(Debug, Default)]
-pub(crate) struct WalReplay {
-    /// Records in append order, up to the first corruption.
-    pub records: Vec<WalRecord>,
-    /// `1` if replay stopped at a torn or corrupted tail, else `0`.
-    pub corrupt: usize,
-}
-
 /// [`fold`]'s reduction of a replayed log: what was true at the crash.
 #[derive(Debug, Default)]
 pub(crate) struct WalFold {
-    /// Complets live on this Core, newest state per id, in first-seen
-    /// order.
-    pub survivors: Vec<CompletPacket>,
-    /// Prepared moves never resolved (recovery re-holds and queries).
-    pub held: Vec<WalHeld>,
+    /// Records read, up to the first corruption.
+    pub records: usize,
+    /// `1` if the read stopped at a torn or corrupted tail, else `0`.
+    pub corrupt: usize,
+    /// Complets live on this Core: the newest `State` frame per id, in
+    /// first-seen order ([`decode_frame`] decodes one).
+    pub survivors: Vec<Bytes>,
+    /// Prepared moves never resolved (recovery re-holds and queries):
+    /// their `Held` frames.
+    pub held: Vec<Bytes>,
     /// Move verdicts, in append order (recovery reloads the decision log
     /// so peers' verdict queries and retransmits still get answers).
     pub verdicts: Vec<(CompletId, u64, bool)>,
@@ -272,8 +272,7 @@ impl Wal {
     ///
     /// Propagates filesystem errors.
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
-        let mut frame = Vec::new();
-        write_record(&mut frame, record)?;
+        let frame = encode_record(record)?;
         let mut file = self.file.lock();
         file.write_all(&frame)?;
         if self.fsync {
@@ -288,30 +287,33 @@ impl Wal {
         self.appends.load(Ordering::Relaxed)
     }
 
-    /// Replays a log file, stopping cleanly at a torn or corrupted tail.
+    /// Reads a log file frame by frame and [`fold`]s it, stopping
+    /// cleanly at a torn or corrupted tail.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors reading the file (a missing file is
-    /// an empty replay) and fails with `InvalidData`, naming the file,
-    /// on an intact frame this build cannot decode — see [`replay`].
-    pub fn replay_path(path: &Path) -> io::Result<WalReplay> {
-        let log = match fs::read(path) {
-            Ok(log) => log,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
+    /// an empty log) and fails with `InvalidData`, naming the file, on an
+    /// intact frame this build cannot decode — see [`Frames`].
+    pub fn replay_path(path: &Path) -> io::Result<WalFold> {
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalFold::default()),
             Err(e) => return Err(e),
         };
-        replay(log.into()).map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
+        fold(Frames::new(BufReader::new(&file), file.metadata()?.len()))
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 
-    /// Compacts the log in place to its folded image — newest `State`
-    /// per survivor, unresolved holds, still-effective departures —
-    /// followed by the caller's `extra` records (verdict snapshots,
-    /// tracker-derived forwards; appended last so they win the next
-    /// fold). The whole replay-fold-write runs under the append lock:
-    /// a concurrently acknowledged mutation either lands before the
-    /// fold and is folded in, or blocks until the new image is in
-    /// place and is appended after it — compaction can never lose
+    /// Compacts the log in place to its folded image — the frames of the
+    /// newest `State` per survivor and of unresolved holds, copied as
+    /// written, then still-effective departures — followed by the
+    /// caller's `extra` records (verdict snapshots, tracker-derived
+    /// forwards; appended last so they win the next fold). The log is
+    /// streamed, never read whole, and the fold-and-write runs under the
+    /// append lock: a concurrently acknowledged mutation either lands
+    /// before the fold and is folded in, or blocks until the new image
+    /// is in place and is appended after it — compaction can never lose
     /// acknowledged state. The image is written to a temporary file,
     /// synced, and renamed over the old log, so a crash mid-compaction
     /// leaves one valid log.
@@ -323,28 +325,21 @@ impl Wal {
     /// Propagates filesystem errors.
     pub fn compact(&self, extra: &[WalRecord]) -> io::Result<usize> {
         let mut file = self.file.lock();
-        let folded = fold(Self::replay_path(&self.path)?.records);
-        let states = folded.survivors.into_iter().map(WalRecord::State);
-        let held = folded.held.into_iter().map(WalRecord::Held);
-        let departed = folded
-            .departed
-            .into_iter()
-            .map(|(id, epoch, dest)| WalRecord::Departed {
-                id,
-                epoch,
-                dest: Some(dest),
-            });
-        let folded: Vec<WalRecord> = states.chain(held).chain(departed).collect();
-        let mut image = Vec::new();
-        for rec in folded.iter().chain(extra) {
-            write_record(&mut image, rec)?;
-        }
+        let folded = Self::replay_path(&self.path)?;
         let tmp = self.path.with_extension("wal.tmp");
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(&image)?;
-            out.sync_data()?;
+        let mut out = BufWriter::new(File::create(&tmp)?);
+        for frame in folded.survivors.iter().chain(&folded.held) {
+            out.write_all(frame)?;
         }
+        for &(id, epoch, dest) in &folded.departed {
+            let dest = Some(dest);
+            out.write_all(&encode_record(&WalRecord::Departed { id, epoch, dest })?)?;
+        }
+        for record in extra {
+            out.write_all(&encode_record(record)?)?;
+        }
+        let out = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        out.sync_data()?;
         fs::rename(&tmp, &self.path)?;
         // The rename itself lives in the directory: without a directory
         // fsync a power loss can un-do it, resurrecting the old inode
@@ -356,7 +351,7 @@ impl Wal {
         }
         *file = OpenOptions::new().append(true).open(&self.path)?;
         self.appends.store(0, Ordering::Relaxed);
-        Ok(folded.len() + extra.len())
+        Ok(folded.survivors.len() + folded.held.len() + folded.departed.len() + extra.len())
     }
 }
 
@@ -365,13 +360,17 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Reduces a replayed record sequence to crash-time truth: the newest
+/// Reduces a log, read frame by frame, to crash-time truth: the newest
 /// state per still-live complet, unresolved held moves, and the
-/// move-protocol verdicts.
-pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
+/// move-protocol verdicts. It keeps frames, not records.
+///
+/// # Errors
+///
+/// Whatever reading `frames` fails with — see [`Frames`].
+pub(crate) fn fold(mut frames: Frames<impl Read>) -> io::Result<WalFold> {
     let mut order: Vec<CompletId> = Vec::new();
-    let mut states: HashMap<CompletId, CompletPacket> = HashMap::new();
-    let mut held: Vec<WalHeld> = Vec::new();
+    let mut states: HashMap<CompletId, Bytes> = HashMap::new();
+    let mut held: Vec<(Option<(CompletId, u64)>, Bytes)> = Vec::new();
     let mut gone_order: Vec<CompletId> = Vec::new();
     let mut gone: HashMap<CompletId, (u64, u32)> = HashMap::new();
     let mut out = WalFold::default();
@@ -385,8 +384,9 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
         }
         gone.insert(id, (epoch, dest));
     };
-    for rec in records {
-        match rec {
+    while let Some((frame, record)) = frames.next_frame()? {
+        out.records += 1;
+        match record {
             WalRecord::State(s) => {
                 if !states.contains_key(&s.id) {
                     order.push(s.id);
@@ -394,7 +394,7 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
                 // A later arrival supersedes any earlier departure: the
                 // complet is live here again.
                 gone.remove(&s.id);
-                states.insert(s.id, s);
+                states.insert(s.id, frame);
             }
             WalRecord::Departed { id, epoch, dest } => {
                 states.remove(&id);
@@ -403,8 +403,9 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
                 }
             }
             WalRecord::Held(h) => {
-                held.retain(|x| x.key() != h.key());
-                held.push(h);
+                let key = h.key();
+                held.retain(|(k, _)| *k != key);
+                held.push((key, frame));
             }
             WalRecord::Decision {
                 root,
@@ -413,7 +414,7 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
                 left,
                 dest,
             } => {
-                held.retain(|x| x.key() != Some((root, epoch)));
+                held.retain(|(k, _)| *k != Some((root, epoch)));
                 out.verdicts.push((root, epoch, committed));
                 for (id, epoch) in left {
                     states.remove(&id);
@@ -422,76 +423,113 @@ pub(crate) fn fold(records: Vec<WalRecord>) -> WalFold {
             }
         }
     }
+    out.corrupt = usize::from(frames.torn);
     out.survivors = order
         .into_iter()
         .filter_map(|id| states.remove(&id))
         .collect();
-    out.held = held;
+    out.held = held.into_iter().map(|(_, frame)| frame).collect();
     out.departed = gone_order
         .into_iter()
         .filter_map(|id| gone.remove(&id).map(|(epoch, dest)| (id, epoch, dest)))
         .collect();
-    out
+    Ok(out)
 }
 
-/// Appends one frame to `out` — the one encoder behind log appends,
-/// compaction and checkpoint snapshots.
+/// Encodes one record as a whole frame — the one encoder behind log
+/// appends, compaction and checkpoint snapshots — in one buffer: the
+/// body goes behind 9 reserved bytes, then the header over them.
 ///
 /// # Errors
 ///
 /// Fails when the record exceeds `fargo-net`'s frame bound.
-pub(crate) fn write_record(out: &mut Vec<u8>, record: &WalRecord) -> io::Result<()> {
+pub(crate) fn encode_record(record: &WalRecord) -> io::Result<Vec<u8>> {
     let mut w = WireWriter::new();
+    w.put_raw(&[0; 9]);
     w.put_u8(WAL_VERSION);
     record.put(&mut w);
-    let body = w.finish();
-    let mut payload = Vec::with_capacity(4 + body.len());
-    payload.extend_from_slice(&crc32(&body).to_be_bytes());
-    payload.extend_from_slice(&body);
-    write_frame(out, &payload).map_err(|e| match e {
-        FrameError::Io(io) => io,
-        other => io::Error::other(other.to_string()),
-    })
+    let mut frame = w.into_vec();
+    let len = frame.len() - 5;
+    if len > MAX_FRAME {
+        return Err(io::Error::other(FrameError::TooLarge(len as u64)));
+    }
+    let sum = crc32(&frame[9..]);
+    frame[0] = FRAME_VERSION;
+    frame[1..5].copy_from_slice(&(len as u32).to_be_bytes());
+    frame[5..9].copy_from_slice(&sum.to_be_bytes());
+    Ok(frame)
 }
 
-/// Replays the frames of a log (or of a checkpoint snapshot, which is
-/// one), stopping cleanly at a torn or corrupted tail.
+/// The frames of a log (or of a checkpoint snapshot, which is one), read
+/// one at a time from a file or from memory. A torn or corrupted tail —
+/// a short header, a foreign frame version, a length past the end of the
+/// source (nothing is allocated for it), a checksum mismatch — ends the
+/// stream and sets `torn`, keeping the prefix.
+pub(crate) struct Frames<R> {
+    src: R,
+    /// Bytes of `src` not read yet.
+    left: u64,
+    /// One frame's bytes as read, reused from frame to frame.
+    buf: Vec<u8>,
+    /// Whether the stream ended at a torn or corrupted tail.
+    torn: bool,
+}
+
+impl<R: Read> Frames<R> {
+    /// The frames of the `len` bytes `src` holds.
+    pub fn new(src: R, len: u64) -> Self {
+        Frames {
+            src,
+            left: len,
+            buf: Vec::new(),
+            torn: false,
+        }
+    }
+
+    /// The next intact frame, as written, and its record; `None` at the
+    /// end or at a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read errors; fails with `InvalidData` on a frame whose
+    /// checksum holds but which does not decode: another build's record,
+    /// not damage, and everything behind it would be lost with it.
+    pub fn next_frame(&mut self) -> io::Result<Option<(Bytes, WalRecord)>> {
+        if self.left < 5 || self.torn {
+            self.torn |= self.left > 0;
+            return Ok(None);
+        }
+        // Torn tail or bit rot, unless the frame proves intact.
+        self.torn = true;
+        let mut header = [0; 5];
+        self.src.read_exact(&mut header)?;
+        let [version, len @ ..] = header;
+        let len = u64::from(u32::from_be_bytes(len));
+        if version != FRAME_VERSION || len < 4 || self.left - 5 < len {
+            return Ok(None);
+        }
+        self.left -= 5 + len;
+        self.buf.resize(5 + len as usize, 0);
+        self.buf[..5].copy_from_slice(&header);
+        self.src.read_exact(&mut self.buf[5..])?;
+        let sum = u32::from_be_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]]);
+        if crc32(&self.buf[9..]) != sum {
+            return Ok(None);
+        }
+        self.torn = false;
+        let frame = Bytes::copy_from_slice(&self.buf);
+        decode_frame(&frame).map(|record| Some((frame, record)))
+    }
+}
+
+/// Decodes the record of a whole frame whose checksum held, such as one
+/// [`fold`] kept.
 ///
 /// # Errors
 ///
-/// Fails with `InvalidData` on a frame whose checksum holds but which
-/// does not decode: that is another build's record, not damage, and
-/// everything behind it would be lost with it.
-pub(crate) fn replay(mut log: Bytes) -> io::Result<WalReplay> {
-    let mut replay = WalReplay::default();
-    while !log.is_empty() {
-        match split_frame(&mut log) {
-            Some(body) => replay.records.push(decode_record(body)?),
-            None => {
-                // Torn tail or bit rot: keep the valid prefix.
-                replay.corrupt = 1;
-                break;
-            }
-        }
-    }
-    Ok(replay)
-}
-
-/// Splits the next frame off `log` and returns its checksummed body.
-/// `None` is a torn tail: a short header, a foreign frame version, a
-/// length that runs past the end of the log (nothing is allocated for
-/// it), or a checksum mismatch.
-fn split_frame(log: &mut Bytes) -> Option<Bytes> {
-    let header = log.get(..5)?;
-    let len = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
-    if header[0] != FRAME_VERSION || len < 4 || log.len() - 5 < len {
-        return None;
-    }
-    let payload = log.slice(5..5 + len);
-    *log = log.slice(5 + len..);
-    let sum = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-    let body = payload.slice(4..);
-    (crc32(&body) == sum).then_some(body)
+/// Fails with `InvalidData` on a frame that does not decode.
+pub(crate) fn decode_frame(frame: &Bytes) -> io::Result<WalRecord> {
+    decode_record(frame.slice(9..))
 }
 
 fn decode_record(body: Bytes) -> io::Result<WalRecord> {
@@ -508,27 +546,89 @@ fn decode_record(body: Bytes) -> io::Result<WalRecord> {
     decode().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial), bitwise — no tables, no
-/// dependencies; WAL records are small enough that speed is irrelevant.
+/// CRC-32 (IEEE 802.3, reflected polynomial), a table lookup per byte:
+/// it runs over every byte of every durable ack and of every compaction.
 fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    !data.iter().fold(!0u32, |crc, &b| {
+        CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8)
+    })
 }
+
+/// [`crc32`]'s table: entry `i` is the register after shifting byte `i`
+/// through it bit by bit.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+#[cfg(test)]
+pub(crate) use tests::replay;
 
 #[cfg(test)]
 mod tests {
+    use fargo_net::frame::write_frame;
     use fargo_wire::testgen::{gen_value, TestRng};
     use fargo_wire::{encode_value, Value};
 
     use super::*;
     use crate::proto::tests::{fuzz_seed, mutate, requested_during, ALLOC_FACTOR, ALLOC_SLACK};
+
+    /// A log (or a snapshot) record by record: the frame reader alone,
+    /// without the fold.
+    #[derive(Debug, Default)]
+    pub(crate) struct WalReplay {
+        /// Records in append order, up to the first corruption.
+        pub records: Vec<WalRecord>,
+        /// `1` if the read stopped at a torn or corrupted tail, else `0`.
+        pub corrupt: usize,
+    }
+
+    pub(crate) fn replay(log: Bytes) -> io::Result<WalReplay> {
+        let mut frames = Frames::new(&log[..], log.len() as u64);
+        let mut replay = WalReplay::default();
+        while let Some((_, record)) = frames.next_frame()? {
+            replay.records.push(record);
+        }
+        replay.corrupt = usize::from(frames.torn);
+        Ok(replay)
+    }
+
+    fn replay_file(path: &Path) -> WalReplay {
+        replay(fs::read(path).unwrap().into()).unwrap()
+    }
+
+    /// [`fold`] over the frames of `records`.
+    fn fold_records(records: &[WalRecord]) -> WalFold {
+        let log: Vec<u8> = records.iter().flat_map(encode).collect();
+        fold(Frames::new(&log[..], log.len() as u64)).unwrap()
+    }
+
+    /// The decoded records of frames a fold kept.
+    fn decoded(frames: &[Bytes]) -> Vec<WalRecord> {
+        frames.iter().map(|f| decode_frame(f).unwrap()).collect()
+    }
+
+    /// The decoded survivors of a fold.
+    fn states(f: &WalFold) -> Vec<CompletPacket> {
+        decoded(&f.survivors)
+            .into_iter()
+            .map(|r| match r {
+                WalRecord::State(image) => image,
+                other => panic!("a survivor frame holds {other:?}"),
+            })
+            .collect()
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("fargo-wal-test-{}-{tag}", std::process::id()));
@@ -588,9 +688,7 @@ mod tests {
     }
 
     fn encode(record: &WalRecord) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_record(&mut out, record).unwrap();
-        out
+        encode_record(record).unwrap()
     }
 
     /// A checksummed frame around an arbitrary body, as some other build
@@ -632,6 +730,28 @@ mod tests {
     fn crc32_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The table-driven CRC is the bitwise definition, shifted a byte at
+    /// a time.
+    #[test]
+    fn crc32_table_matches_the_bitwise_definition() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+                }
+            }
+            !crc
+        }
+        let rng = &mut TestRng(fuzz_seed());
+        for len in (0..64).chain([255, 256, 1000, 4096]) {
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&data), bitwise(&data), "{len} bytes");
+        }
     }
 
     /// The record table, pinned: version byte, tag, then the fields in
@@ -721,7 +841,7 @@ mod tests {
             wal.append(r).unwrap();
         }
         assert_eq!(wal.appends_since_rewrite(), records.len() as u64);
-        let replay = Wal::replay_path(wal.path()).unwrap();
+        let replay = replay_file(wal.path());
         assert_eq!(replay.corrupt, 0);
         assert_eq!(replay.records, records);
         let _ = fs::remove_dir_all(&dir);
@@ -729,9 +849,9 @@ mod tests {
 
     #[test]
     fn missing_log_is_empty_replay() {
-        let replay = Wal::replay_path(Path::new("/nonexistent/fargo.wal")).unwrap();
-        assert!(replay.records.is_empty());
-        assert_eq!(replay.corrupt, 0);
+        let folded = Wal::replay_path(Path::new("/nonexistent/fargo.wal")).unwrap();
+        assert_eq!(folded.records, 0);
+        assert_eq!(folded.corrupt, 0);
     }
 
     #[test]
@@ -760,9 +880,9 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(wal.path(), &bytes).unwrap();
-        let replay = Wal::replay_path(wal.path()).unwrap();
-        assert!(replay.records.is_empty());
-        assert_eq!(replay.corrupt, 1);
+        let folded = Wal::replay_path(wal.path()).unwrap();
+        assert_eq!(folded.records, 0);
+        assert_eq!(folded.corrupt, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -859,12 +979,16 @@ mod tests {
                 packets: vec![sample_state(7, 7)],
             }),
         ];
-        let f = fold(records);
-        let ids: Vec<_> = f.survivors.iter().map(|s| s.id.seq).collect();
+        let f = fold_records(&records);
+        assert_eq!(f.records, records.len());
+        let survivors = states(&f);
+        let ids: Vec<_> = survivors.iter().map(|s| s.id.seq).collect();
         assert_eq!(ids, vec![1, 4]);
-        assert_eq!(f.survivors[0].state.get("n").unwrap().as_i64(), Some(5));
-        assert_eq!(f.held.len(), 1);
-        assert_eq!(f.held[0].key(), Some((CompletId::new(0, 7), 3)));
+        assert_eq!(survivors[0].state.get("n").unwrap().as_i64(), Some(5));
+        // Each survivor and hold is kept as the frame it was written in.
+        assert_eq!(f.survivors[0], encode(&records[2]));
+        assert_eq!(f.held, vec![encode(&records[11])]);
+        assert_eq!(decoded(&f.held), vec![records[11].clone()]);
         assert_eq!(
             f.verdicts,
             vec![
@@ -899,7 +1023,7 @@ mod tests {
             },
             WalRecord::State(sample_state(1, 3)),
         ];
-        let f = fold(records);
+        let f = fold_records(&records);
         assert_eq!(f.survivors.len(), 1);
         assert!(f.departed.is_empty());
     }
@@ -915,13 +1039,16 @@ mod tests {
         assert_eq!(wal.compact(&[]).unwrap(), 1);
         assert_eq!(wal.appends_since_rewrite(), 0);
         assert!(fs::metadata(wal.path()).unwrap().len() < big);
-        // The image keeps the newest acknowledged state.
-        let replay = Wal::replay_path(wal.path()).unwrap();
-        let f = fold(replay.records);
-        assert_eq!(f.survivors.len(), 1);
+        // The image keeps the newest acknowledged state, in the frame
+        // it was appended in.
+        let f = Wal::replay_path(wal.path()).unwrap();
         assert_eq!(
-            f.survivors[0].state.get("n").and_then(Value::as_i64),
+            states(&f)[0].state.get("n").and_then(Value::as_i64),
             Some(9)
+        );
+        assert_eq!(
+            fs::read(wal.path()).unwrap(),
+            encode(&WalRecord::State(sample_state(1, 9)))
         );
         // Appends after the compaction land in the new file.
         wal.append(&WalRecord::Departed {
@@ -930,9 +1057,8 @@ mod tests {
             dest: Some(1),
         })
         .unwrap();
-        let replay = Wal::replay_path(wal.path()).unwrap();
-        assert_eq!(replay.records.len(), 2);
-        let f = fold(replay.records);
+        let f = Wal::replay_path(wal.path()).unwrap();
+        assert_eq!(f.records, 2);
         assert!(f.survivors.is_empty());
         assert_eq!(f.departed, vec![(CompletId::new(0, 1), 9, 1)]);
         let _ = fs::remove_dir_all(&dir);
@@ -957,8 +1083,7 @@ mod tests {
             dest: Some(2),
         }])
         .unwrap();
-        let replay = Wal::replay_path(wal.path()).unwrap();
-        let f = fold(replay.records);
+        let f = Wal::replay_path(wal.path()).unwrap();
         assert_eq!(f.survivors.len(), 1);
         assert_eq!(f.departed, vec![(CompletId::new(0, 2), 3, 2)]);
         let _ = fs::remove_dir_all(&dir);
@@ -1011,12 +1136,17 @@ mod tests {
             let mut file = log.clone();
             mutate(rng, &mut file);
             let len = file.len();
+            let (folded, requested) = requested_during(|| fold(Frames::new(&file[..], len as u64)));
+            bounded(requested, len, round);
             let (replayed, requested) = requested_during(|| replay(file.into()));
             bounded(requested, len, round);
             // A checksum stands between a mutation and the decoder, so a
             // mutated log is a torn tail, never `InvalidData`.
             let replayed = replayed.unwrap();
             assert!(records.starts_with(&replayed.records), "round {round}");
+            let folded = folded.unwrap();
+            assert_eq!(folded.records, replayed.records.len(), "round {round}");
+            assert_eq!(folded.corrupt, replayed.corrupt, "round {round}");
             if replayed.corrupt == 1 {
                 torn += 1;
             } else {

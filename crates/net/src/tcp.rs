@@ -169,19 +169,23 @@ impl Transport for TcpTransport {
             let _ = self.shared.queue_tx.send(Datagram { src: dst, payload });
             return Ok(());
         }
-        let link = self.shared.link_to(dst);
-        let Some(link) = link else {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return Ok(()); // dial failed: drop, retransmission redials
-        };
-        let mut stream = link.lock();
-        if write_frame(&mut *stream, &payload).is_err() {
-            // Half-dead connection: tear it down so the next send redials.
+        // A cached link can be dead without knowing it (the peer
+        // restarted): a write that fails on it tears it down and redials
+        // once, at once, rather than dropping the datagram until the
+        // retransmission timer fires.
+        for _ in 0..2 {
+            let Some(link) = self.shared.link_to(dst) else {
+                break; // dial failed: drop, retransmission redials
+            };
+            let mut stream = link.lock();
+            if write_frame(&mut *stream, &payload).is_ok() {
+                return Ok(());
+            }
             let _ = stream.shutdown(Shutdown::Both);
             drop(stream);
             self.shared.links.lock().remove(&dst);
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        self.shared.dropped.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -490,6 +494,48 @@ mod tests {
         assert_eq!(d.payload.as_ref(), b"hello again");
         assert_eq!(a.dropped_sends(), 1);
         assert_eq!(a.suppressed_dials(), 0);
+    }
+
+    /// A peer that restarts on its address leaves the sender a cached
+    /// link that is dead: the write that finds out redials and delivers,
+    /// so no datagram is counted dropped on the way to the new peer.
+    #[test]
+    fn a_dead_cached_link_is_redialed_by_the_send_that_finds_it() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr1 = l1.local_addr().unwrap();
+        let peers = vec![l0.local_addr().unwrap().to_string(), addr1.to_string()];
+        let start = |local: u32, l: TcpListener| {
+            let config = TcpTransportConfig {
+                local,
+                peers: peers.clone(),
+            };
+            TcpTransport::start(config, l, None).unwrap()
+        };
+        let a = start(0, l0);
+        let b = start(1, l1);
+        a.send(1, Bytes::from_static(b"first life")).unwrap();
+        b.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(b);
+        // The old acceptor lets go of the port within its poll.
+        let l1 = (0..1_000)
+            .find_map(|_| {
+                let bound = TcpListener::bind(addr1).ok();
+                if bound.is_none() {
+                    thread::sleep(ACCEPT_POLL);
+                }
+                bound
+            })
+            .expect("the port is free again");
+        let b = start(1, l1);
+        // Writes into the dead link may be taken by the kernel and lost;
+        // the first one refused redials, and from then on they arrive.
+        let delivered = (0..20).any(|_| {
+            a.send(1, Bytes::from_static(b"second life")).unwrap();
+            b.recv_timeout(Duration::from_millis(100)).is_ok()
+        });
+        assert!(delivered);
+        assert_eq!(a.dropped_sends(), 0);
     }
 
     #[test]

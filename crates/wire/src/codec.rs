@@ -245,12 +245,12 @@ impl WireWriter {
                 self.put_u8(TAG_F64).put_f64(*x);
             }
             Value::Str(s) => {
-                // One read of the text: an inline one is checked at each.
-                let s = s.as_str();
+                // Its bytes, unchecked: they were UTF-8 when the text was made.
+                let s = s.as_bytes();
                 if s.len() < 32 {
-                    self.put_u8(FIXSTR | s.len() as u8).put_raw(s.as_bytes());
+                    self.put_u8(FIXSTR | s.len() as u8).put_raw(s);
                 } else {
-                    self.put_u8(TAG_STR).put_str(s);
+                    self.put_u8(TAG_STR).put_bytes(s);
                 }
             }
             Value::Bytes(b) => {
@@ -304,6 +304,13 @@ impl WireWriter {
     /// Consumes the writer and yields the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// Consumes the writer and yields its buffer as it is, for a caller
+    /// that patches bytes it reserved at the front (no copy, unlike
+    /// [`finish`](Self::finish)).
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into()
     }
 }
 

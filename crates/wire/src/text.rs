@@ -47,6 +47,26 @@ impl Text {
             Repr::Heap(s) => s,
         }
     }
+
+    /// The string's bytes, not checked again: comparing, measuring and
+    /// encoding a text need no UTF-8 check.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// Length in bytes (what `str::len` through `Deref` says, without
+    /// its check).
+    pub fn len(&self) -> usize {
+        self.as_bytes().len()
+    }
+
+    /// Whether the string is empty.
+    pub fn is_empty(&self) -> bool {
+        self.as_bytes().is_empty()
+    }
 }
 
 impl Deref for Text {
@@ -91,7 +111,7 @@ impl From<Text> for String {
 
 impl PartialEq for Text {
     fn eq(&self, other: &Text) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -118,7 +138,13 @@ mod tests {
             for t in [Text::from(s.as_str()), Text::from(s.clone())] {
                 assert_eq!(is_inline(&t), len <= INLINE, "{len}");
                 assert_eq!(t.as_str(), s);
-                assert_eq!(t.len(), len, "`str` methods through `Deref`");
+                assert_eq!(t.len(), len);
+                assert_eq!(t.as_bytes(), s.as_bytes());
+                assert_eq!(t.is_empty(), len == 0);
+                assert!(
+                    t.starts_with(&s[..len / 2]),
+                    "`str` methods through `Deref`"
+                );
                 assert_eq!(t.clone(), t);
                 assert_eq!(String::from(t), s);
             }
