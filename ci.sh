@@ -285,6 +285,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The vendored stand-ins for `bytes`, `crossbeam` and `parking_lot` are
+# workspace members but not default members, so the stage above never
+# runs their unit tests; every crate of the workspace builds on them.
+echo "==> vendored stand-ins' tests"
+cargo test -q -p bytes -p crossbeam -p parking_lot
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -39,8 +39,6 @@ pub enum FargoError {
     UnknownCore(String),
     /// A logical name is not bound in the consulted naming service.
     NameNotBound(String),
-    /// No complet of the required type exists at a `stamp` destination.
-    StampUnresolved(String),
     /// A complet was asked to move while already in transit.
     AlreadyMoving(CompletId),
     /// The relocator name is not registered.
@@ -91,9 +89,6 @@ impl fmt::Display for FargoError {
             FargoError::Timeout => write!(f, "remote core did not answer in time"),
             FargoError::UnknownCore(name) => write!(f, "unknown core {name:?}"),
             FargoError::NameNotBound(name) => write!(f, "name {name:?} is not bound"),
-            FargoError::StampUnresolved(t) => {
-                write!(f, "no complet of type {t:?} at stamp destination")
-            }
             FargoError::AlreadyMoving(id) => write!(f, "complet {id} is already in transit"),
             FargoError::UnknownRelocator(name) => {
                 write!(f, "relocator {name:?} is not registered")

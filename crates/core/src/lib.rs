@@ -80,7 +80,7 @@ pub use reference::{
 };
 pub use runtime::{
     BoundRef, Checkpoint, Core, CoreBuilder, LatencySummary, LocateReport, PendingCall,
-    RecoveryReport, RemoteSubscription, ResolveVia, DEDUP_CACHE_MAX_BYTES,
+    RecoveryReport, RemoteSubscription, ResolveVia, DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES,
 };
 
 // Re-exported so `define_complet!` expansions and user code agree on the

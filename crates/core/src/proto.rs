@@ -16,8 +16,8 @@
 //! request: req_id, origin, req_id − acked
 //! reply:   req_id, route
 //! notify:  -
-//! flags, in bit order: trace (trace_id, span_id) · hlc (wall_us, logical)
-//!                      · ts (send µs); bit 3 is retired
+//! flags, in bit order: trace (trace_id, span_id) · hlc (wall_us, logical);
+//!                      bits 2 and 3 are retired
 //! [body tag u8] positional fields
 //! ```
 //!
@@ -385,17 +385,6 @@ pub(crate) enum Message {
     Notify(Notify),
 }
 
-/// What rides on an envelope beside the message itself.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct EnvelopeMeta {
-    /// The sender's hybrid logical clock; the receiver merges it so the
-    /// journal's global timeline stays causally consistent.
-    pub hlc: Option<Hlc>,
-    /// The sender's shared-clock send time in µs, from which the
-    /// receiver attributes the network phase of a request's latency.
-    pub ts: Option<u64>,
-}
-
 /// The one envelope layout this build reads and writes.
 pub(crate) const ENVELOPE_VERSION: u8 = 4;
 
@@ -405,10 +394,10 @@ const KIND_NOTIFY: u8 = 2;
 
 const FLAG_TRACE: u8 = 1 << 0;
 const FLAG_HLC: u8 = 1 << 1;
-const FLAG_TS: u8 = 1 << 2;
-// Bit 3 is retired (it was the piggybacked shard-delta section) and
-// decodes to `Err`; the remaining bits keep their positions.
-const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC | FLAG_TS;
+// Bits 2 and 3 are retired (the `ts` send-time section, whose reading
+// the `hlc` section's `wall_us` carries; the piggybacked shard-delta
+// section) and decode to `Err`; the remaining bits keep their positions.
+const FLAGS_KNOWN: u8 = FLAG_TRACE | FLAG_HLC;
 
 pub(crate) fn unknown(what: &str, tag: u8) -> FargoError {
     FargoError::Protocol(format!("unknown {what} {tag}"))
@@ -605,7 +594,10 @@ wire_enum! { ListenerAddr, "listener kind";
 // The five variants that only describe the *replying* Core's local
 // trouble (`Net`, `Wire`, `UnknownCore`, `InvalidArgument`, `Protocol`)
 // travel as `App` carrying their display text, so a caller never
-// mistakes a peer's transport failure for one of its own.
+// mistakes a peer's transport failure for one of its own. Tag 7 is
+// retired (`StampUnresolved`, the refusal of a strict `stamp` resolution,
+// which no Core makes any more) and decodes to `Err`; the remaining tags
+// keep their numbers.
 wire_enum! { FargoError, "error tag";
     0 => UnknownComplet(id),
     1 => UnknownType(type_name),
@@ -614,7 +606,6 @@ wire_enum! { FargoError, "error tag";
     4 => ReentrantInvocation(id),
     5 => Timeout,
     6 => NameNotBound(name),
-    7 => StampUnresolved(type_name),
     8 => AlreadyMoving(id),
     9 => UnknownRelocator(name),
     10 => HopLimit(hops),
@@ -692,7 +683,7 @@ wire_enum! { Notify, "notify tag";
 /// What precedes the body: version, kind, flags, the kind's correlation
 /// fields and the flagged sections. Written separately, so that a body
 /// encoded once can go out again — a retransmitted request, a replayed
-/// reply — under a header stamped (`hlc`, `ts`) for the resend.
+/// reply — under a header stamped (`hlc`) for the resend.
 pub(crate) enum Header<'a> {
     /// `(req_id, origin, acked, trace)`, as in [`Message::Request`].
     Request(ReqId, u32, ReqId, Option<TraceContext>),
@@ -702,16 +693,16 @@ pub(crate) enum Header<'a> {
 }
 
 impl Header<'_> {
-    pub(crate) fn encode(&self, meta: &EnvelopeMeta, w: &mut WireWriter) {
+    /// Writes the header; `hlc` is the sender's stamp, the `hlc`
+    /// section, absent when the sender neither journals nor times phases.
+    pub(crate) fn encode(&self, hlc: Option<Hlc>, w: &mut WireWriter) {
         let (kind, trace) = match self {
             Header::Request(.., trace) => (KIND_REQUEST, *trace),
             Header::Reply(..) => (KIND_REPLY, None),
             Header::Notify => (KIND_NOTIFY, None),
         };
         let flag = |on: bool, bit: u8| if on { bit } else { 0 };
-        let flags = flag(trace.is_some(), FLAG_TRACE)
-            | flag(meta.hlc.is_some(), FLAG_HLC)
-            | flag(meta.ts.is_some(), FLAG_TS);
+        let flags = flag(trace.is_some(), FLAG_TRACE) | flag(hlc.is_some(), FLAG_HLC);
         w.put_u8(ENVELOPE_VERSION).put_u8(kind).put_u8(flags);
         match self {
             Header::Request(req_id, origin, acked, _) => {
@@ -728,11 +719,8 @@ impl Header<'_> {
         if let Some(tr) = trace {
             tr.put(w);
         }
-        if let Some(hlc) = meta.hlc {
+        if let Some(hlc) = hlc {
             hlc.put(w);
-        }
-        if let Some(ts) = meta.ts {
-            ts.put(w);
         }
     }
 }
@@ -777,14 +765,14 @@ impl Message {
     }
 
     /// Decodes one envelope from a transport payload, in place: the
-    /// message and its metadata.
+    /// message and the sender's `hlc` stamp.
     ///
     /// # Errors
     ///
     /// Fails with [`FargoError::Protocol`] or a wire error on an unknown
     /// envelope version, kind, flag bit or tag, and on truncated,
     /// malformed or trailing bytes.
-    pub(crate) fn decode(payload: bytes::Bytes) -> Result<(Message, EnvelopeMeta)> {
+    pub(crate) fn decode(payload: bytes::Bytes) -> Result<(Message, Option<Hlc>)> {
         let r = &mut WireReader::new(payload);
         let version = r.get_u8()?;
         if version != ENVELOPE_VERSION {
@@ -809,7 +797,6 @@ impl Message {
         let section = |bit: u8| flags & bit != 0;
         let trace = section(FLAG_TRACE).then(|| Wire::get(r)).transpose()?;
         let hlc = section(FLAG_HLC).then(|| Wire::get(r)).transpose()?;
-        let ts = section(FLAG_TS).then(|| Wire::get(r)).transpose()?;
         let msg = match kind {
             KIND_REQUEST => Message::Request {
                 req_id,
@@ -826,7 +813,7 @@ impl Message {
             _ => Message::Notify(Wire::get(r)?),
         };
         r.expect_end()?;
-        Ok((msg, EnvelopeMeta { hlc, ts }))
+        Ok((msg, hlc))
     }
 }
 
@@ -1020,7 +1007,6 @@ pub(crate) mod tests {
             FargoError::Timeout,
             FargoError::UnknownCore("everest".into()),
             FargoError::NameNotBound("x".into()),
-            FargoError::StampUnresolved("Printer".into()),
             FargoError::AlreadyMoving(id(2)),
             FargoError::UnknownRelocator("warp".into()),
             FargoError::InvalidArgument("zero workers".into()),
@@ -1207,17 +1193,15 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The four combinations of the `hlc` / `ts` sections.
-    fn metas() -> Vec<EnvelopeMeta> {
-        (0..4)
-            .map(|bits| EnvelopeMeta {
-                hlc: (bits & 1 != 0).then_some(Hlc {
-                    wall_us: 55_000_123,
-                    logical: 3,
-                }),
-                ts: (bits & 2 != 0).then_some(55_000_321),
-            })
-            .collect()
+    /// The `hlc` section absent, then present.
+    fn stamps() -> [Option<Hlc>; 2] {
+        [
+            None,
+            Some(Hlc {
+                wall_us: 55_000_123,
+                logical: 3,
+            }),
+        ]
     }
 
     /// The part of `msg`'s envelope that precedes the body.
@@ -1247,9 +1231,9 @@ pub(crate) mod tests {
     }
 
     /// The whole envelope: header, flagged sections, body.
-    pub(crate) fn encode(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
+    pub(crate) fn encode(msg: &Message, hlc: Option<Hlc>) -> Bytes {
         let mut w = WireWriter::new();
-        header(msg).encode(meta, &mut w);
+        header(msg).encode(hlc, &mut w);
         w.put_raw(&encode_body(msg));
         w.finish()
     }
@@ -1257,9 +1241,9 @@ pub(crate) mod tests {
     /// The envelope as a first send builds it: header and body written
     /// into one buffer ([`encode`] writes the header around a body
     /// encoded beforehand, as a resend does).
-    fn encode_in_one(msg: &Message, meta: &EnvelopeMeta) -> Bytes {
+    fn encode_in_one(msg: &Message, hlc: Option<Hlc>) -> Bytes {
         let mut w = WireWriter::new();
-        header(msg).encode(meta, &mut w);
+        header(msg).encode(hlc, &mut w);
         match msg {
             Message::Request { body, .. } => body.put(&mut w),
             Message::Reply { body, .. } => body.put(&mut w),
@@ -1290,7 +1274,7 @@ pub(crate) mod tests {
                 .len(),
         );
         kinds(
-            19,
+            18,
             errors()
                 .iter()
                 .map(discriminant)
@@ -1300,19 +1284,19 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn every_variant_roundtrips_under_all_eight_flag_combinations() {
+    fn every_variant_roundtrips_under_all_four_flag_combinations() {
         for traced in [false, true] {
-            for meta in metas() {
+            for hlc in stamps() {
                 for msg in samples(traced) {
-                    let (back, back_meta) = Message::decode(encode(&msg, &meta))
+                    let (back, back_hlc) = Message::decode(encode(&msg, hlc))
                         .unwrap_or_else(|e| panic!("{msg:?}: {e}"));
                     assert_eq!(back, msg);
-                    assert_eq!(back_meta, meta);
+                    assert_eq!(back_hlc, hlc);
                     // A header around a pre-encoded body is the same
                     // envelope, byte for byte.
-                    let in_one = encode_in_one(&msg, &meta);
-                    assert_eq!(in_one, encode(&msg, &meta), "{msg:?}");
-                    assert_eq!(Message::decode(in_one).unwrap(), (back, back_meta));
+                    let in_one = encode_in_one(&msg, hlc);
+                    assert_eq!(in_one, encode(&msg, hlc), "{msg:?}");
+                    assert_eq!(Message::decode(in_one).unwrap(), (back, back_hlc));
                 }
             }
         }
@@ -1359,7 +1343,7 @@ pub(crate) mod tests {
                 route: vec![],
                 body: Reply::Err(e.clone()),
             };
-            let bytes = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, None);
             match Message::decode(bytes).unwrap().0 {
                 Message::Reply {
                     body: Reply::Err(got),
@@ -1372,10 +1356,9 @@ pub(crate) mod tests {
 
     #[test]
     fn every_strict_prefix_and_any_trailing_byte_is_an_error() {
-        let metas = metas();
-        for meta in [&metas[0], &metas[3]] {
+        for hlc in stamps() {
             for msg in samples(true) {
-                let bytes = encode(&msg, meta);
+                let bytes = encode(&msg, hlc);
                 for cut in 0..bytes.len() {
                     assert!(
                         Message::decode(bytes.slice(..cut)).is_err(),
@@ -1404,7 +1387,7 @@ pub(crate) mod tests {
             body: Reply::Pong,
         };
         let patched = |msg: &Message, at: usize, byte: u8| {
-            let mut bytes = encode(msg, &EnvelopeMeta::default()).to_vec();
+            let mut bytes = encode(msg, None).to_vec();
             bytes[at] = byte;
             Message::decode(bytes.into())
         };
@@ -1431,7 +1414,7 @@ pub(crate) mod tests {
                 trace: None,
                 body: Request::Ping,
             };
-            let bytes = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, None);
             assert_eq!(bytes.len(), len, "acked {acked}");
             assert_eq!(Message::decode(bytes).unwrap().0, msg);
         }
@@ -1439,18 +1422,31 @@ pub(crate) mod tests {
         assert!(Message::decode(Bytes::copy_from_slice(&below_zero)).is_err());
     }
 
+    /// A frame with the retired flag `bit` set is an error, whatever the
+    /// other bits say, for every sample under every flag combination.
+    fn assert_flag_bit_retired(bit: u8) {
+        const FLAGS_AT: usize = 2;
+        for traced in [false, true] {
+            for hlc in stamps() {
+                for msg in samples(traced) {
+                    let mut bytes = encode(&msg, hlc).to_vec();
+                    assert_eq!(bytes[FLAGS_AT] & (1 << bit), 0, "{msg:?}");
+                    bytes[FLAGS_AT] |= 1 << bit;
+                    assert!(Message::decode(bytes.into()).is_err(), "{msg:?}");
+                }
+            }
+        }
+    }
+
     /// Flag bit 3 is retired: a frame carrying it is an error whatever the
     /// other bits say, and the surviving sections keep their bits, their
     /// order and their bytes.
     #[test]
     fn flag_bit_three_is_retired_and_the_rest_keep_their_bits() {
-        let meta = EnvelopeMeta {
-            hlc: Some(Hlc {
-                wall_us: 7,
-                logical: 8,
-            }),
-            ts: Some(9),
-        };
+        let hlc = Some(Hlc {
+            wall_us: 7,
+            logical: 8,
+        });
         let ping = Message::Request {
             req_id: 1,
             origin: 2,
@@ -1480,33 +1476,30 @@ pub(crate) mod tests {
             },
         };
         // version, kind, flags; ids (a request's `req_id − acked` last);
-        // trace, hlc, ts; body tag; for the invoke its row in table
-        // order: target, method, args (a count and the values), chain,
-        // path.
+        // trace, hlc; body tag; for the invoke its row in table order:
+        // target, method, args (a count and the values), chain, path.
         let goldens: [(&Message, &[u8]); 3] = [
-            (&ping, &[4, 0, 0b111, 1, 2, 0, 5, 6, 7, 8, 9, 22]),
-            (&pong, &[4, 1, 0b110, 1, 1, 0, 7, 8, 9, 17]),
+            (&ping, &[4, 0, 0b011, 1, 2, 0, 5, 6, 7, 8, 22]),
+            (&pong, &[4, 1, 0b010, 1, 1, 0, 7, 8, 17]),
             (
                 &invoke,
                 &[
-                    4, 0, 0b110, 9, 2, 3, 7, 8, 9, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
+                    4, 0, 0b010, 9, 2, 3, 7, 8, 0, 3, 4, 1, b'm', 2, 3, 2, 0, 1, 1, 2, 2, 2, 0,
                 ],
             ),
         ];
         for (msg, golden) in goldens {
-            assert_eq!(&encode(msg, &meta)[..], golden, "{msg:?}");
+            assert_eq!(&encode(msg, hlc)[..], golden, "{msg:?}");
         }
-        const FLAGS_AT: usize = 2;
-        for traced in [false, true] {
-            for meta in metas() {
-                for msg in samples(traced) {
-                    let mut bytes = encode(&msg, &meta).to_vec();
-                    assert_eq!(bytes[FLAGS_AT] & (1 << 3), 0, "{msg:?}");
-                    bytes[FLAGS_AT] |= 1 << 3;
-                    assert!(Message::decode(bytes.into()).is_err(), "{msg:?}");
-                }
-            }
-        }
+        assert_flag_bit_retired(3);
+    }
+
+    /// Flag bit 2 is retired: it was the `ts` section, the sender's send
+    /// time, which the `hlc` section's `wall_us` carries. A frame with it
+    /// set is refused as unknown flags, like bit 3.
+    #[test]
+    fn flag_bit_two_is_retired_like_bit_three() {
+        assert_flag_bit_retired(2);
     }
 
     /// Notify tags 0 and 3 are retired: a frame carrying one is an error,
@@ -1522,7 +1515,7 @@ pub(crate) mod tests {
                 Notify::ShardDelta { .. } => 2,
             };
             let msg = Message::Notify(n);
-            let bytes = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, None);
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
             for tag in [0, 3] {
@@ -1545,7 +1538,7 @@ pub(crate) mod tests {
         const REQUEST_TAG_AT: usize = 6;
         const TAG_AT: usize = 5;
         let patched = |msg: &Message, at: usize, byte: u8| {
-            let mut bytes = encode(msg, &EnvelopeMeta::default()).to_vec();
+            let mut bytes = encode(msg, None).to_vec();
             bytes[at] = byte;
             Message::decode(bytes.into())
         };
@@ -1582,7 +1575,7 @@ pub(crate) mod tests {
                 trace: None,
                 body,
             };
-            let bytes = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, None);
             assert_eq!(bytes[REQUEST_TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes.clone()).unwrap().0, msg);
             for retired in [1, 5, 10, 11] {
@@ -1618,7 +1611,7 @@ pub(crate) mod tests {
                 route: vec![],
                 body,
             };
-            let bytes = encode(&msg, &EnvelopeMeta::default());
+            let bytes = encode(&msg, None);
             assert_eq!(bytes[TAG_AT], tag, "{msg:?}");
             assert_eq!(Message::decode(bytes).unwrap().0, msg);
             for retired in [1, 7] {
@@ -1640,7 +1633,7 @@ pub(crate) mod tests {
     fn mutation_fuzz_never_panics_or_over_allocates() {
         let seed = fuzz_seed();
         let rng = &mut TestRng(seed);
-        let full = &metas()[3];
+        let [_, full] = stamps();
         let corpus: Vec<Vec<u8>> = samples(true)
             .iter()
             .map(|m| encode(m, full).to_vec())
@@ -1658,11 +1651,11 @@ pub(crate) mod tests {
                 "round {round}: {requested} bytes requested for a {len}-byte frame"
             );
             match decoded {
-                Ok((msg, meta)) => {
+                Ok((msg, hlc)) => {
                     // A valid message: it encodes and decodes to itself,
                     // in one piece or as a header around its body.
-                    let again = encode(&msg, &meta);
-                    assert_eq!(again, encode_in_one(&msg, &meta));
+                    let again = encode(&msg, hlc);
+                    assert_eq!(again, encode_in_one(&msg, hlc));
                     assert_eq!(Message::decode(again).unwrap().0, msg);
                     accepted += 1;
                 }
@@ -1679,13 +1672,10 @@ pub(crate) mod tests {
     /// The size budget of ISSUE 12: the canonical `small-tcp` call.
     #[test]
     fn small_get_fits_its_byte_budget() {
-        let meta = EnvelopeMeta {
-            hlc: Some(Hlc {
-                wall_us: 25_000_000,
-                logical: 0,
-            }),
-            ts: Some(25_000_040),
-        };
+        let hlc = Some(Hlc {
+            wall_us: 25_000_000,
+            logical: 0,
+        });
         let get = Message::Request {
             req_id: 150_000,
             origin: 0,
@@ -1702,8 +1692,8 @@ pub(crate) mod tests {
                 path: vec![0],
             },
         };
-        let request_len = encode(&get, &meta).len();
-        assert!(request_len <= 60, "get request is {request_len} bytes");
+        let request_len = encode(&get, hlc).len();
+        assert!(request_len <= 56, "get request is {request_len} bytes");
 
         let value = Value::Bytes(vec![7; 64]);
         let value_len = fargo_wire::encode_value(&value).len();
@@ -1717,9 +1707,9 @@ pub(crate) mod tests {
                 epoch: 0,
             },
         };
-        let reply_len = encode(&ok, &meta).len();
+        let reply_len = encode(&ok, hlc).len();
         assert!(
-            reply_len <= value_len + 30,
+            reply_len <= value_len + 26,
             "reply is {reply_len} bytes for a {value_len}-byte value"
         );
     }

@@ -101,21 +101,20 @@ impl Core {
     fn receive(&self, incoming: Datagram) {
         let t = &self.inner.telemetry;
         let wire_len = incoming.payload.len();
-        let Ok((msg, meta)) = Message::decode(incoming.payload) else {
+        let Ok((msg, hlc)) = Message::decode(incoming.payload) else {
             // Malformed, truncated or unknown-version frame: dropped, as
             // a real Core would, and counted.
             t.msg_decode_errors_total.inc();
             return;
         };
-        if let Some(h) = meta.hlc {
+        if let Some(h) = hlc {
             t.observe_hlc(h);
-        }
-        if let Some(sent_us) = meta.ts {
             // One-way delivery latency as the application experienced it
             // (propagation + queueing + marshal), measured on the shared
-            // clock. Fed back to the substrate so the layout cost model
-            // calibrates from observations.
-            let us = t.phase_now_us().saturating_sub(sent_us);
+            // clock the sender's `wall_us` was read from. Fed back to the
+            // substrate so the layout cost model calibrates from
+            // observations.
+            let us = t.phase_now_us().saturating_sub(h.wall_us);
             t.observe_phase(&t.latency_network_us, us);
             self.inner.net.record_observed_latency(
                 NodeId::from_index(incoming.src),

@@ -11,7 +11,7 @@ use fargo_wire::Value;
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 use crate::proto::tests::{encode, encode_body};
-use crate::proto::{EnvelopeMeta, Message, Reply, Request, ENVELOPE_VERSION};
+use crate::proto::{Message, Reply, Request, ENVELOPE_VERSION};
 use crate::runtime::Core;
 use crate::{CompletRegistry, CoreConfig};
 
@@ -75,16 +75,13 @@ fn out_bytes(core: &Core, kind: &str) -> u64 {
 }
 
 /// What a Core puts on the wire for `msg` at virtual time `now_us`:
-/// the message under an `hlc` and a `ts` section and nothing else.
+/// the message under an `hlc` section and nothing else.
 fn wire_len(msg: &Message, now_us: u64) -> u64 {
-    let meta = EnvelopeMeta {
-        hlc: Some(Hlc {
-            wall_us: now_us,
-            logical: 0,
-        }),
-        ts: Some(now_us),
+    let hlc = Hlc {
+        wall_us: now_us,
+        logical: 0,
     };
-    encode(msg, &meta).len() as u64
+    encode(msg, Some(hlc)).len() as u64
 }
 
 /// The canonical small call of `proto::tests::small_get_fits_its_byte_budget`
@@ -92,7 +89,7 @@ fn wire_len(msg: &Message, now_us: u64) -> u64 {
 /// shards hold and however many naming passes the monitor has run.
 #[test]
 fn envelope_size_does_not_depend_on_shard_population_or_uptime() {
-    // A virtual clock pins the width of the `hlc` and `ts` varints;
+    // A virtual clock pins the width of the `hlc` varints;
     // trace ids come from a process-wide counter, so tracing is off.
     let clock = Clock::new_virtual(25_000_000);
     let (_net, core0, core1) = pair(
@@ -173,7 +170,7 @@ fn undecodable_frames_are_counted_and_the_core_keeps_serving() {
         trace: None,
         body: Request::Ping,
     };
-    let good = encode(&ping, &EnvelopeMeta::default());
+    let good = encode(&ping, None);
     let truncated = good.slice(..good.len() - 1);
     let mut future = good.to_vec();
     future[0] = ENVELOPE_VERSION + 1;
@@ -225,7 +222,7 @@ fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
                 path: vec![raw.id().index()],
             },
         };
-        encode(&msg, &EnvelopeMeta::default())
+        encode(&msg, None)
     };
     let request = call(77, "scan");
     let mut replies = Vec::new();
@@ -250,8 +247,9 @@ fn a_replayed_reply_carries_the_first_reply_body_byte_for_byte() {
         assert_eq!(*msg, decoded[0].0);
         assert_eq!(frame[frame.len() - body.len()..], body[..]);
     }
-    // Only the header differs: it carries the stamps of its own send.
-    assert!(decoded[0].1.ts < decoded[1].1.ts && decoded[1].1.ts < decoded[2].1.ts);
+    // Only the header differs: it carries the stamp of its own send.
+    let sent: Vec<u64> = decoded.iter().map(|(_, h)| h.unwrap().wall_us).collect();
+    assert!(sent[0] < sent[1] && sent[1] < sent[2], "{sent:?}");
     let t = &core0.inner.telemetry;
     assert_eq!(t.dedup_cache_bytes.get(), body.len() as f64);
     let entries = t.dedup_cache_entries.get();

@@ -34,7 +34,7 @@ pub use events::RemoteSubscription;
 pub use invocation::PendingCall;
 pub use observe::LatencySummary;
 pub use persistence::Checkpoint;
-pub use reliable::DEDUP_CACHE_MAX_BYTES;
+pub use reliable::{DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES};
 pub use shards::{LocateReport, ResolveVia};
 pub use wal::RecoveryReport;
 
@@ -351,7 +351,7 @@ impl<'a> CoreBuilder<'a> {
             complet_seq: AtomicU64::new(first_id),
             hub: EventHub::new(),
             shutdown: AtomicBool::new(false),
-            reply_cache: ReplyCache::new(config.dedup_cache_capacity),
+            reply_cache: ReplyCache::new(DEDUP_CACHE_MAX_ENTRIES),
             work_tx,
             work_rx: work_rx.clone(),
             busy_workers: AtomicU64::new(0),
@@ -378,10 +378,12 @@ impl<'a> CoreBuilder<'a> {
         });
         let core = Core { inner };
         core.install_sampler();
+        // Recovery first: no request is served, and nothing appends to
+        // the log, until the logged state is back.
+        core.recover_from_wal(replay, replay_read);
         core.spawn_workers(work_rx);
         core.spawn_receiver();
         core.spawn_monitor_thread();
-        core.recover_from_wal(replay, replay_read);
         Ok(core)
     }
 }

@@ -609,46 +609,37 @@ impl Core {
     /// Pass 1 of arrival: resolves arrival actions (notably `stamp`) for
     /// every packet, then reconstructs (constructs + unmarshals) each
     /// complet — without installing anything, so a failure anywhere
-    /// rejects the whole stream and the sender can restore.
+    /// rejects the whole stream and the sender can restore. A `stamp`
+    /// reference that finds no complet of its type here keeps its old
+    /// target.
     fn reconstruct_stream(&self, packets: &[CompletPacket]) -> Result<Vec<Box<dyn Complet>>> {
         let me = self.inner.node.index();
-        let mut prepared: Vec<(&CompletPacket, Value)> = Vec::new();
-        let arriving: HashSet<CompletId> = packets.iter().map(|p| p.id).collect();
-        for packet in packets {
-            let mut stamp_failure: Option<String> = None;
-            let state = packet.state.clone().transform_refs(&mut |r| {
-                let action = self
-                    .inner
-                    .relocators
-                    .resolve(&r.relocator)
-                    .map(|rl| rl.arrival_action())
-                    .unwrap_or(ArrivalAction::Keep);
-                match action {
-                    ArrivalAction::Keep => r,
-                    ArrivalAction::ResolveByType => match self.find_local_by_type(&r.target_type) {
-                        Some(local) => RefDescriptor {
-                            target: local,
-                            last_known: me,
-                            ..r
-                        },
-                        None if arriving.contains(&r.target) => r,
-                        None => {
-                            if self.inner.config.stamp_strict {
-                                stamp_failure = Some(r.target_type.clone());
+        packets
+            .iter()
+            .map(|packet| {
+                let state = packet.state.clone().transform_refs(&mut |r| {
+                    let action = self
+                        .inner
+                        .relocators
+                        .resolve(&r.relocator)
+                        .map(|rl| rl.arrival_action())
+                        .unwrap_or(ArrivalAction::Keep);
+                    match action {
+                        ArrivalAction::Keep => r,
+                        ArrivalAction::ResolveByType => {
+                            match self.find_local_by_type(&r.target_type) {
+                                Some(local) => RefDescriptor {
+                                    target: local,
+                                    last_known: me,
+                                    ..r
+                                },
+                                None => r,
                             }
-                            r
                         }
-                    },
-                }
-            });
-            if let Some(t) = stamp_failure {
-                return Err(FargoError::StampUnresolved(t));
-            }
-            prepared.push((packet, state));
-        }
-        prepared
-            .into_iter()
-            .map(|(packet, state)| self.inner.registry.reconstruct(&packet.type_name, state))
+                    }
+                });
+                self.inner.registry.reconstruct(&packet.type_name, state)
+            })
             .collect()
     }
 

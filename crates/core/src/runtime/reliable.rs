@@ -28,9 +28,13 @@ use parking_lot::Mutex;
 use crate::proto::ReqId;
 
 /// Bytes of encoded replies one Core's dedup cache may hold, whatever
-/// `dedup_cache_capacity` (the knob, in entries) says. A backstop only:
-/// the callers' marks release each reply once it has been received.
+/// its entry count. A backstop only: the callers' marks release each
+/// reply once it has been received.
 pub const DEDUP_CACHE_MAX_BYTES: usize = 16 << 20;
+
+/// Entries one Core's dedup cache may hold. A backstop like
+/// [`DEDUP_CACHE_MAX_BYTES`], for callers whose marks lag.
+pub const DEDUP_CACHE_MAX_ENTRIES: usize = 1024;
 
 /// What the dedup cache knows about a request it has seen before.
 #[derive(Clone)]
@@ -54,10 +58,10 @@ pub(crate) enum CacheSlot {
 /// Bounded `(origin, req_id) → reply` cache; the receiver half of
 /// at-most-once execution. Per origin it keeps the answered-below mark
 /// and the entries at or above it, each reply as the bytes the responder
-/// encoded. The capacity (in entries) and [`DEDUP_CACHE_MAX_BYTES`] are
-/// backstops for callers whose marks lag; they evict from the origin
-/// holding the most entries, lowest settled id first. Capacity `0`
-/// disables it (every copy executes — the historical behaviour).
+/// encoded. The capacity (in entries; [`DEDUP_CACHE_MAX_ENTRIES`] on a
+/// Core) and [`DEDUP_CACHE_MAX_BYTES`] are backstops for callers whose
+/// marks lag; they evict from the origin holding the most entries,
+/// lowest settled id first.
 pub(crate) struct ReplyCache {
     capacity: usize,
     inner: Mutex<CacheState>,
@@ -129,9 +133,6 @@ impl ReplyCache {
     /// worker queue bounds how far the cache can overshoot its capacity
     /// for them.
     pub(crate) fn begin(&self, origin: u32, req_id: ReqId) -> (Option<CacheSlot>, u64) {
-        if self.capacity == 0 {
-            return (None, 0);
-        }
         let mut g = self.inner.lock();
         if let Some(o) = g.origins.get(&origin) {
             if req_id < o.acked {
@@ -180,9 +181,6 @@ impl ReplyCache {
     /// higher than one seen before changes nothing. Returns how many
     /// entries were dropped, each at O(log n).
     pub(crate) fn release(&self, origin: u32, acked: ReqId) -> usize {
-        if self.capacity == 0 {
-            return 0;
-        }
         let mut g = self.inner.lock();
         let g = &mut *g;
         let o = g.origins.entry(origin).or_default();
@@ -407,16 +405,6 @@ mod tests {
         assert!(d.is_none());
         assert_eq!(cache.usage(), (2, 3));
         assert_consistent(&cache);
-    }
-
-    #[test]
-    fn zero_capacity_disables_dedup() {
-        let cache = ReplyCache::new(0);
-        for _ in 0..3 {
-            let (d, e) = cache.begin(1, 1);
-            assert!(d.is_none());
-            assert_eq!(e, 0);
-        }
     }
 
     #[test]

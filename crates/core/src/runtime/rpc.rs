@@ -18,7 +18,7 @@ use fargo_telemetry::TraceContext;
 use fargo_wire::WireWriter;
 
 use crate::error::{FargoError, Result};
-use crate::proto::{EnvelopeMeta, Header, Notify, Reply, ReqId, Request, Wire};
+use crate::proto::{Header, Notify, Reply, ReqId, Request, Wire};
 use crate::runtime::reliable::RetryBudget;
 use crate::runtime::Core;
 use crate::telemetry::current_trace;
@@ -55,26 +55,22 @@ impl Core {
         body: impl FnOnce(&mut WireWriter),
     ) -> (Bytes, Bytes) {
         let t = &self.inner.telemetry;
-        // Every outbound envelope carries this Core's HLC (when the
-        // journal is on), so the receiver's merge keeps the global
-        // timeline causally consistent — plus, when phase timing is on,
-        // the shared-clock send stamp the receiver subtracts from its
-        // own clock to attribute the network phase. The stamp is read
-        // before encoding (it rides inside the payload), so the network
-        // measurement absorbs the marshal time also recorded here.
-        let ts = t.phase_send_stamp();
-        let meta = EnvelopeMeta {
-            hlc: t.hlc_send_stamp(),
-            ts,
-        };
+        // Every outbound envelope carries this Core's send stamp when the
+        // journal or phase timing is on: a journaling receiver merges it
+        // so the global timeline stays causally consistent, and a timing
+        // one subtracts its `wall_us` from its own clock to attribute
+        // the network phase. The stamp is read before encoding (it rides
+        // inside the payload), so the network measurement absorbs the
+        // marshal time also recorded here.
+        let hlc = t.hlc_send_stamp();
         let mut w = WireWriter::with_capacity(ENVELOPE_CAPACITY_HINT);
-        head.encode(&meta, &mut w);
+        head.encode(hlc, &mut w);
         let body_at = w.len();
         body(&mut w);
         let frame = w.finish();
-        if let Some(t0) = ts {
+        if let Some(sent) = hlc.filter(|_| t.phase_timing) {
             t.latency_marshal_us
-                .observe(t.phase_now_us().saturating_sub(t0));
+                .observe(t.phase_now_us().saturating_sub(sent.wall_us));
         }
         let body = frame.slice(body_at..);
         (frame, body)
@@ -227,8 +223,8 @@ pub(crate) struct PendingRpc {
     pub(super) req_id: ReqId,
     kind: &'static str,
     trace: Option<TraceContext>,
-    /// As first sent; a retransmission is a fresh header (new stamps, the
-    /// mark as of then) around it.
+    /// As first sent; a retransmission is a fresh header (a new stamp,
+    /// the mark as of then) around it.
     pub(super) body: Bytes,
     rx: Receiver<Reply>,
     budget: RetryBudget,

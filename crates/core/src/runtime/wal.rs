@@ -314,9 +314,7 @@ impl Wal {
     /// append lock: a concurrently acknowledged mutation either lands
     /// before the fold and is folded in, or blocks until the new image
     /// is in place and is appended after it — compaction can never lose
-    /// acknowledged state. The image is written to a temporary file,
-    /// synced, and renamed over the old log, so a crash mid-compaction
-    /// leaves one valid log.
+    /// acknowledged state.
     ///
     /// Returns the number of records in the compacted image.
     ///
@@ -326,6 +324,31 @@ impl Wal {
     pub fn compact(&self, extra: &[WalRecord]) -> io::Result<usize> {
         let mut file = self.file.lock();
         let folded = Self::replay_path(&self.path)?;
+        self.write_image(&mut file, &folded, extra)
+    }
+
+    /// Replaces the log with `folded`'s image and `extra`, as
+    /// [`Wal::compact`] does, from a fold the caller already holds: a
+    /// restarting Core writes the fold it read at spawn, before anything
+    /// can append, instead of folding the same file again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn rewrite(&self, folded: &WalFold, extra: &[WalRecord]) -> io::Result<usize> {
+        let mut file = self.file.lock();
+        self.write_image(&mut file, folded, extra)
+    }
+
+    /// Writes `folded`'s image and `extra` under the held append lock.
+    /// The image goes to a temporary file, is synced, and is renamed
+    /// over the old log, so a crash mid-write leaves one valid log.
+    fn write_image(
+        &self,
+        file: &mut File,
+        folded: &WalFold,
+        extra: &[WalRecord],
+    ) -> io::Result<usize> {
         let tmp = self.path.with_extension("wal.tmp");
         let mut out = BufWriter::new(File::create(&tmp)?);
         for frame in folded.survivors.iter().chain(&folded.held) {

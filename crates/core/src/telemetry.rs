@@ -421,11 +421,23 @@ impl CoreTelemetry {
         self.journal_events_total.inc();
     }
 
-    /// The HLC stamp for an outbound envelope: a fresh tick when
-    /// journaling is on (so receive-side merges order after every event
-    /// this Core recorded), nothing when it is off.
+    /// The `hlc` stamp for an outbound envelope, the only send stamp it
+    /// carries: a fresh tick when journaling is on (so receive-side
+    /// merges order after every event this Core recorded); with phase
+    /// timing alone, the shared-clock time with no logical part, the
+    /// clock left unticked; nothing when both are off. Either way its
+    /// `wall_us` is the send time the receiver attributes the network
+    /// phase from: every Core reads one monotonic clock, and no merged
+    /// remote stamp can run ahead of it.
     pub(crate) fn hlc_send_stamp(&self) -> Option<Hlc> {
-        self.journal_enabled.then(|| self.clock.tick())
+        if self.journal_enabled {
+            Some(self.clock.tick())
+        } else {
+            self.phase_send_stamp().map(|wall_us| Hlc {
+                wall_us,
+                logical: 0,
+            })
+        }
     }
 
     /// Merges a remote envelope HLC into this Core's clock.
@@ -440,9 +452,8 @@ impl CoreTelemetry {
         self.time.now_us()
     }
 
-    /// The send-timestamp for an outbound envelope's optional `ts`
-    /// field: the current shared-clock time when phase timing is on,
-    /// nothing when it is off (the field is then omitted from the wire).
+    /// The current shared-clock time when phase timing is on, nothing
+    /// when it is off: a request's enqueue stamp.
     pub(crate) fn phase_send_stamp(&self) -> Option<u64> {
         self.phase_timing.then(|| self.time.now_us())
     }
@@ -584,6 +595,15 @@ mod tests {
         let off = CoreTelemetry::new(Registry::new(), "c", 3, 1, &test_cfg(false));
         off.journal(JournalKind::CompletArrived, &"c0.1", "", "", None);
         assert!(off.journal.snapshot().is_empty());
-        assert!(off.hlc_send_stamp().is_none());
+        // Phase timing alone still stamps the send time, without a
+        // logical part and without ticking the clock.
+        let stamp = off.hlc_send_stamp().expect("phase timing stamps");
+        assert_eq!(stamp.logical, 0);
+        assert_eq!(off.clock.peek().wall_us, 0, "the clock was ticked");
+
+        let mut cfg = test_cfg(false);
+        cfg.phase_timing = false;
+        let neither = CoreTelemetry::new(Registry::new(), "c", 3, 1, &cfg);
+        assert!(neither.hlc_send_stamp().is_none());
     }
 }

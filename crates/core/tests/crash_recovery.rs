@@ -436,6 +436,50 @@ fn kill_restart_recovers_every_acked_complet() {
     cleanup(&root, &cores);
 }
 
+/// Invokes already waiting at a restarting Core's endpoint when it spawns
+/// are served from the recovered state: recovery runs before the
+/// receiver and the workers start, so none of them finds the Core
+/// without its logged complets, is answered `UnknownComplet`, and makes
+/// the caller retire its tracker as a dead end.
+#[test]
+fn invokes_queued_before_spawn_are_served_from_the_recovered_state() {
+    const N: usize = 512;
+    let config = test_config().with_wal_fsync(false);
+    let (net, reg, mut cores, root) = wal_cluster_with(2, "queued", config.clone());
+    let counters: Vec<_> = (0..N)
+        .map(|i| {
+            let c = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
+            c.call("add", &[Value::I64(i as i64)]).unwrap();
+            c
+        })
+        .collect();
+    cores[1].stop();
+    let ep = net.restart_node(cores[1].node()).expect("restart node");
+    // Nothing serves core1's endpoint yet: the invokes queue there, the
+    // last complet recovery installs first.
+    let pending: Vec<_> = counters
+        .iter()
+        .rev()
+        .map(|c| c.call_async("get", &[]))
+        .collect();
+    cores[1] = Core::builder(&net, "core1")
+        .endpoint(ep)
+        .registry(&reg)
+        .config(wal_config(config, &root, 1))
+        .spawn()
+        .expect("restarted core must spawn");
+    for (call, i) in pending.into_iter().zip((0..N).rev()) {
+        assert_eq!(call.wait().unwrap(), Value::I64(i as i64));
+    }
+    let dead_ends = cores[0]
+        .journal_snapshot()
+        .into_iter()
+        .filter(|e| e.kind == JournalKind::TrackerRetired)
+        .count();
+    assert_eq!(dead_ends, 0, "invokes answered before recovery");
+    cleanup(&root, &cores);
+}
+
 // --- partition + crash + heal ----------------------------------------------
 
 /// A partition isolates the host, the host crashes mid-partition, the

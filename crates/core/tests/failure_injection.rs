@@ -6,7 +6,7 @@ mod common;
 use std::time::{Duration, Instant};
 
 use common::{counter, registry, teardown, test_config};
-use fargo_core::{Core, CoreConfig, FargoError, Value};
+use fargo_core::{Core, CoreConfig, FargoError, Value, DEDUP_CACHE_MAX_ENTRIES};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// Seed for the simnet loss/jitter generator. CI sweeps several seeds
@@ -170,7 +170,8 @@ fn stop_wakes_callers_blocked_in_an_rpc() {
     // No retransmit slot to notice the stop at, and ten seconds of
     // budget to sit out: the stop itself must release the caller.
     let (net, cores) = lossy_cluster_with(0.0, 2, |c| {
-        c.with_rpc_timeout(Duration::from_secs(10)).single_shot()
+        c.with_rpc_timeout(Duration::from_secs(10))
+            .with_rpc_retries(0)
     });
     // A silent partition: requests vanish, the send itself succeeds.
     net.set_link(
@@ -463,26 +464,37 @@ fn sequential_calls_leave_the_callee_one_dedup_entry() {
 
 #[test]
 fn dedup_cache_eviction_under_churn() {
-    // A tiny dedup cache under many distinct requests must evict old
-    // entries (bounded memory) without disturbing live calls. Ten calls
-    // in flight at a time hold the caller's mark at the oldest of them,
-    // so more than eight entries sit above it.
-    let (_net, cores) = lossy_cluster_with(0.0, 2, |c| {
-        c.with_rpc_timeout(Duration::from_secs(5))
-            .with_dedup_capacity(8)
-    });
+    // The dedup cache under more distinct requests than it has entries
+    // must evict old entries (bounded memory) without disturbing live
+    // calls. A call that never returns — its request vanishes on a
+    // silent link to core2 — holds the caller's mark below every later
+    // call, so all of them sit above it at core1.
+    let (net, cores) = lossy_cluster_with(0.0, 3, |c| c.with_rpc_timeout(Duration::from_secs(5)));
     let counter = cores[0].new_complet_at("core1", "Counter", &[]).unwrap();
-    for _ in 0..10 {
-        let batch: Vec<_> = (0..10)
-            .map(|_| counter.call_async("add", &[Value::I64(1)]))
-            .collect();
-        for pending in batch {
-            pending.wait().unwrap();
-        }
+    let unreached = cores[0].new_complet_at("core2", "Counter", &[]).unwrap();
+    net.set_link(
+        cores[0].node(),
+        cores[2].node(),
+        LinkConfig::instant().with_loss(1.0),
+    )
+    .unwrap();
+    let stuck = unreached.call_async("get", &[]);
+    let calls = DEDUP_CACHE_MAX_ENTRIES + 100;
+    for _ in 0..calls {
+        counter.call("add", &[Value::I64(1)]).unwrap();
     }
-    assert_eq!(counter.call("get", &[]).unwrap(), Value::I64(100));
+    let entries = common::gauge(&cores[1], "fargo_dedup_cache_entries");
+    assert!(
+        entries <= DEDUP_CACHE_MAX_ENTRIES as f64,
+        "{entries} entries"
+    );
     let evictions = common::counter(&cores[1], "fargo_dedup_evictions_total");
-    assert!(evictions > 0, "capacity 8 under 100+ requests must evict");
+    assert!(
+        evictions >= 100,
+        "{calls} requests above the mark made {evictions} evictions"
+    );
+    drop(stuck);
+    assert_eq!(counter.call("get", &[]).unwrap(), Value::I64(calls as i64));
     teardown(&cores);
 }
 

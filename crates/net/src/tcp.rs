@@ -349,14 +349,21 @@ fn spawn_reader(shared: Arc<Shared>, stream: TcpStream) {
                             return;
                         }
                     }
+                    // The peer hung up (EOF or a reset): it shut down or
+                    // restarted, so our cached link to it is dead too,
+                    // though no write has failed on it yet — the kernel
+                    // takes the first write after a hang-up and loses it.
+                    // Dropping the link makes the next send redial.
+                    Err(FrameError::Io(_)) => {
+                        if !shared.down.load(Ordering::SeqCst) {
+                            shared.links.lock().remove(&src);
+                        }
+                        return;
+                    }
                     // A framing violation is unrecoverable on a stream —
                     // there is no resync point — so the connection dies
                     // and the peer's next send redials.
-                    Err(
-                        FrameError::BadVersion(_) | FrameError::TooLarge(_) | FrameError::Io(_),
-                    ) => {
-                        return;
-                    }
+                    Err(FrameError::BadVersion(_) | FrameError::TooLarge(_)) => return,
                 }
             }
         })
@@ -535,6 +542,54 @@ mod tests {
             b.recv_timeout(Duration::from_millis(100)).is_ok()
         });
         assert!(delivered);
+        assert_eq!(a.dropped_sends(), 0);
+    }
+
+    /// A peer that hangs up takes the cached link to it along: the reader
+    /// of its connection sees the hang-up and drops the link, so the first
+    /// datagram sent after the peer restarts on its address dials the new
+    /// peer and arrives, rather than going into the dead link.
+    #[test]
+    fn a_peer_that_hangs_up_loses_its_cached_link() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr1 = l1.local_addr().unwrap();
+        let peers = vec![l0.local_addr().unwrap().to_string(), addr1.to_string()];
+        let start = |local: u32, l: TcpListener| {
+            let config = TcpTransportConfig {
+                local,
+                peers: peers.clone(),
+            };
+            TcpTransport::start(config, l, None).unwrap()
+        };
+        let a = start(0, l0);
+        let b = start(1, l1);
+        a.send(1, Bytes::from_static(b"to b")).unwrap();
+        b.recv_timeout(Duration::from_secs(5)).unwrap();
+        b.send(0, Bytes::from_static(b"to a")).unwrap();
+        a.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(b);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while a.shared.links.lock().contains_key(&1) {
+            assert!(
+                Instant::now() < deadline,
+                "the hang-up left the link cached"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        let l1 = (0..1_000)
+            .find_map(|_| {
+                let bound = TcpListener::bind(addr1).ok();
+                if bound.is_none() {
+                    thread::sleep(ACCEPT_POLL);
+                }
+                bound
+            })
+            .expect("the port is free again");
+        let b = start(1, l1);
+        a.send(1, Bytes::from_static(b"second life")).unwrap();
+        let d = b.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(d.payload.as_ref(), b"second life");
         assert_eq!(a.dropped_sends(), 0);
     }
 
