@@ -297,6 +297,16 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# No raw thread spawns in the Core (ROADMAP item 20): the work a Core
+# starts itself (event deliveries, pull follow-ups, continuations,
+# held-move resolutions) runs as tasks on its bounded worker pool, so
+# its thread count is fixed when it starts — E26 counts it.
+echo "==> no raw thread spawns in the Core"
+if grep -rn "thread::spawn" crates/core/src; then
+    echo "a Core submits its work to the worker pool, not to a new thread"
+    exit 1
+fi
+
 # Failure-injection suite across several deterministic simnet seeds:
 # each seed is a different loss/jitter schedule, so the reliable
 # messaging layer (retransmission, reply dedup, two-phase moves) is

@@ -6,12 +6,13 @@
 //! A served request is answered in exactly one place,
 //! [`Core::respond`], which also records the reply for the dedup cache.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TrySendError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fargo_net::Datagram;
 use fargo_telemetry::{JournalKind, TraceContext};
 use simnet::NodeId;
@@ -22,7 +23,7 @@ use crate::proto::{Header, Message, Notify, Reply, ReqId, Request, Wire};
 use crate::runtime::reliable::CacheSlot;
 use crate::runtime::Core;
 
-/// One request handed from the receiver loop to the worker pool.
+/// One request, as the receiver loop serves it inline or hands it over.
 pub(crate) struct WorkRequest {
     pub origin: u32,
     pub req_id: ReqId,
@@ -35,6 +36,14 @@ pub(crate) struct WorkRequest {
     pub body: Request,
 }
 
+/// One unit of work for the worker pool, the Core's one executor.
+pub(crate) enum Job {
+    /// A request the receiver loop handed over.
+    Request(WorkRequest),
+    /// Work the Core started itself: events, follow-ups, resolutions.
+    Task(Box<dyn FnOnce(&Core) + Send>),
+}
+
 impl Core {
     pub(super) fn spawn_receiver(&self) {
         let core = self.clone();
@@ -44,11 +53,11 @@ impl Core {
             .expect("failed to spawn core receiver thread");
     }
 
-    /// Starts the bounded request-worker pool. Workers share one queue;
-    /// replies and notifies bypass it (handled inline on the receiver
-    /// loop), so a pool saturated with requests blocked in nested rpcs
-    /// can still be unblocked by incoming replies.
-    pub(super) fn spawn_workers(&self, work_rx: Receiver<WorkRequest>) {
+    /// Starts the bounded worker pool. Workers share one queue; replies
+    /// and notifies bypass it (handled inline on the receiver loop), so a
+    /// pool saturated with jobs blocked in nested rpcs can still be
+    /// unblocked by incoming replies.
+    pub(super) fn spawn_workers(&self, work_rx: Receiver<Job>) {
         for i in 0..self.inner.config.worker_threads {
             let core = self.clone();
             let rx = work_rx.clone();
@@ -61,18 +70,13 @@ impl Core {
                     match rx.recv_timeout(Duration::from_millis(25)) {
                         Ok(job) => {
                             core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
-                            let t = &core.inner.telemetry;
-                            if let Some(enq) = job.enqueued_us {
-                                // Queue-wait phase: receiver enqueue to
-                                // worker pickup.
-                                t.observe_phase(
-                                    &t.latency_queue_us,
-                                    t.phase_now_us().saturating_sub(enq),
-                                );
+                            match job {
+                                Job::Request(req) => core.handle_request(req),
+                                // A panicking listener ends its delivery only.
+                                Job::Task(task) => {
+                                    let _ = panic::catch_unwind(AssertUnwindSafe(|| task(&core)));
+                                }
                             }
-                            core.handle_request(
-                                job.origin, job.req_id, job.acked, job.trace, job.body,
-                            );
                             core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
                         }
                         Err(RecvTimeoutError::Timeout) => {}
@@ -81,6 +85,18 @@ impl Core {
                 })
                 .expect("failed to spawn core worker thread");
         }
+    }
+
+    /// Hands `job` to the worker pool, or sheds it (counted once) when the
+    /// queue is full: never blocks, since the receiver loop and running
+    /// jobs submit. Returns whether the pool accepted it. (The queue
+    /// cannot disconnect: `CoreInner` holds a receiver.)
+    pub(crate) fn submit(&self, job: Job) -> bool {
+        let accepted = self.inner.work_tx.try_send(job).is_ok();
+        if !accepted {
+            self.inner.telemetry.worker_rejections_total.inc();
+        }
+        accepted
     }
 
     fn receiver_loop(&self) {
@@ -146,10 +162,18 @@ impl Core {
                 // block, and never rpc, so they cannot stall the loop —
                 // and they no longer occupy (or get shed from) pool
                 // slots while the pool is saturated with slow work.
-                if body.inline_safe() {
+                let mut req = WorkRequest {
+                    origin,
+                    req_id,
+                    acked,
+                    trace,
+                    enqueued_us: None,
+                    body,
+                };
+                if req.body.inline_safe() {
                     self.inner.telemetry.worker_inline_total.inc();
                     self.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
-                    self.handle_request(origin, req_id, acked, trace, body);
+                    self.handle_request(req);
                     self.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
                     return;
                 }
@@ -158,24 +182,8 @@ impl Core {
                 // loop (replies must keep flowing or workers blocked in
                 // nested rpcs would deadlock) — and the sender's
                 // retransmission recovers it once workers drain.
-                let job = WorkRequest {
-                    origin,
-                    req_id,
-                    acked,
-                    trace,
-                    enqueued_us: self.inner.telemetry.phase_send_stamp(),
-                    body,
-                };
-                match self.inner.work_tx.try_send(job) {
-                    Ok(()) => {}
-                    // One shed, one count. Disconnection is shutdown, not
-                    // load shedding — counting it inflated the rejection
-                    // series on every teardown.
-                    Err(TrySendError::Full(_)) => {
-                        self.inner.telemetry.worker_rejections_total.inc();
-                    }
-                    Err(TrySendError::Disconnected(_)) => {}
-                }
+                req.enqueued_us = self.inner.telemetry.phase_send_stamp();
+                self.submit(Job::Request(req));
             }
             Message::Reply {
                 req_id,
@@ -186,14 +194,20 @@ impl Core {
         }
     }
 
-    fn handle_request(
-        &self,
-        origin: u32,
-        req_id: ReqId,
-        acked: ReqId,
-        trace: Option<TraceContext>,
-        body: Request,
-    ) {
+    fn handle_request(&self, req: WorkRequest) {
+        let WorkRequest {
+            origin,
+            req_id,
+            acked,
+            trace,
+            enqueued_us,
+            body,
+        } = req;
+        let t = &self.inner.telemetry;
+        if let Some(enq) = enqueued_us {
+            // Queue-wait phase: receiver enqueue to worker pickup.
+            t.observe_phase(&t.latency_queue_us, t.phase_now_us().saturating_sub(enq));
+        }
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return self.respond(origin, req_id, &[], Reply::Err(FargoError::ShuttingDown));
         }
@@ -413,7 +427,7 @@ impl Core {
             Notify::Event { token, payload } => {
                 let handler = self.inner.sinks.lock().get(&token).cloned();
                 if let Some(h) = handler {
-                    thread::spawn(move || h(&payload));
+                    self.submit(Job::Task(Box::new(move |_| h(&payload))));
                 }
             }
             Notify::ShardDelta { entries } => {
@@ -423,7 +437,7 @@ impl Core {
     }
 
     /// Work the Core has accepted but not yet finished: undelivered
-    /// datagrams, queued worker jobs, and requests currently executing.
+    /// datagrams, queued worker jobs, and jobs or inline requests running.
     /// Zero across every Core (with the network drained) means the
     /// cluster is quiescent — the deterministic checker's step barrier.
     #[doc(hidden)]

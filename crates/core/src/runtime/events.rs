@@ -1,7 +1,6 @@
 //! Event subscriptions, delivery and the profiling they start (§4.2).
 
 use std::sync::atomic::Ordering;
-use std::thread;
 use std::time::Duration;
 
 use crate::error::{FargoError, Result};
@@ -9,6 +8,7 @@ use crate::events::{Delivery, EventHandler, EventPayload};
 use crate::monitor::Service;
 use crate::proto::{ListenerAddr, Notify, Reply, Request};
 use crate::reference::CompletRef;
+use crate::runtime::dispatch::Job;
 use crate::runtime::Core;
 
 impl Core {
@@ -135,26 +135,26 @@ impl Core {
         Err(error)
     }
 
-    /// Fires an event: delivers to every matching listener, each on its
-    /// own thread (the paper's asynchronous notification).
+    /// Fires an event: delivers to every matching listener without
+    /// waiting (the paper's asynchronous notification), a local or
+    /// complet listener as a worker-pool task, only counted if shed.
     pub(crate) fn fire_event(&self, payload: EventPayload) {
         for delivery in self.inner.hub.matching(&payload) {
             match delivery {
                 Delivery::Local(handler) => {
                     let p = payload.clone();
-                    thread::spawn(move || handler(&p));
+                    self.submit(Job::Task(Box::new(move |_| handler(&p))));
                 }
                 Delivery::Remote(ListenerAddr::Core { node, token }) => {
                     let payload = payload.clone();
                     let _ = self.send_notify(node, &Notify::Event { token, payload });
                 }
                 Delivery::Remote(ListenerAddr::Complet(desc)) => {
-                    let core = self.clone();
                     let p = payload.clone();
-                    thread::spawn(move || {
+                    self.submit(Job::Task(Box::new(move |core| {
                         let r = CompletRef::from_descriptor(desc);
                         let _ = core.invoke(&r, "on_event", &[p.to_value()]);
-                    });
+                    })));
                 }
             }
         }

@@ -63,7 +63,7 @@ use crate::proto::{Reply, ReqId, Request};
 use crate::reference::relocator::RelocatorRegistry;
 use crate::reference::tracker::{PointOutcome, TrackerSnapshot, TrackerTable, TrackerTarget};
 use crate::reference::{CompletRef, MetaRef};
-use crate::runtime::dispatch::WorkRequest;
+use crate::runtime::dispatch::Job;
 use crate::runtime::movement::HeldMove;
 use crate::runtime::reliable::{DecisionLog, ReplyCache};
 use crate::telemetry::CoreTelemetry;
@@ -129,12 +129,12 @@ pub(crate) struct CoreInner {
     /// Receiver-side reply-dedup cache: the at-most-once half of the
     /// reliable messaging layer.
     pub reply_cache: ReplyCache,
-    /// Bounded queue feeding the request-worker pool.
-    pub work_tx: Sender<WorkRequest>,
+    /// Bounded queue feeding the worker pool: requests and Core tasks.
+    pub work_tx: Sender<Job>,
     /// A receiver handle kept only so queue depth is observable
     /// (crossbeam senders cannot report length).
-    pub work_rx: Receiver<WorkRequest>,
-    /// Workers currently executing a request, and pull follow-up moves
+    pub work_rx: Receiver<Job>,
+    /// Jobs executing on the workers, and requests served inline
     /// (quiescence detection).
     pub busy_workers: AtomicU64,
     /// Per-complet move-epoch counters (updated on departure and arrival

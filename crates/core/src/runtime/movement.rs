@@ -39,7 +39,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
 
 use fargo_telemetry::{JournalKind, TraceContext};
 use fargo_wire::{CompletId, RefDescriptor, Value};
@@ -51,6 +50,7 @@ use crate::proto::{CompletPacket, Continuation, MoveTxnState, Reply, Request};
 use crate::reference::relocator::{ArrivalAction, MarshalAction};
 use crate::reference::tracker::TrackerTarget;
 use crate::reference::CompletRef;
+use crate::runtime::dispatch::Job;
 use crate::runtime::wal::{WalHeld, WalRecord};
 use crate::runtime::{CompletSlot, Core, SlotState};
 use crate::telemetry::SpanParent;
@@ -489,14 +489,13 @@ impl Core {
     }
 
     /// Moves a pull target hosted elsewhere after the closure it belongs
-    /// to, on its own thread, counted busy so quiescence waits for it. One
-    /// retry covers transient faults; a complet already in transit belongs
-    /// to another move. A final failure is journaled and surfaced as a
-    /// `moveFailed` event instead of vanishing.
+    /// to, as a task on the worker pool. One retry covers transient
+    /// faults; a complet already in transit belongs to another move. A
+    /// final failure, or a follow-up the full pool sheds, is journaled
+    /// and surfaced as a `moveFailed` event instead of vanishing.
     fn pull_after(&self, id: CompletId, dest: u32) {
-        let (core, dest_name) = (self.clone(), self.core_name_of(dest));
-        core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
-        thread::spawn(move || {
+        let follow_up = move |core: &Core| {
+            let dest_name = core.core_name_of(dest);
             let result = match core.move_complet(id, &dest_name, None) {
                 Err(e) if !matches!(e, FargoError::AlreadyMoving(_)) => {
                     core.move_complet(id, &dest_name, None)
@@ -504,21 +503,27 @@ impl Core {
                 first => first,
             };
             if let Err(e) = result {
-                core.inner.telemetry.journal(
-                    JournalKind::RelocatorDecision,
-                    &id,
-                    &dest_name,
-                    &format!("pull follow-up failed: {e}"),
-                    Some(dest),
-                );
-                core.fire_event(EventPayload::MoveFailed {
-                    id,
-                    dest,
-                    core: core.inner.node.index(),
-                    error: e.to_string(),
-                });
+                core.pull_failed(id, dest, e.to_string());
             }
-            core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
+        };
+        if !self.submit(Job::Task(Box::new(follow_up))) {
+            self.pull_failed(id, dest, "worker queue full".into());
+        }
+    }
+
+    fn pull_failed(&self, id: CompletId, dest: u32, error: String) {
+        self.inner.telemetry.journal(
+            JournalKind::RelocatorDecision,
+            &id,
+            &self.core_name_of(dest),
+            &format!("pull follow-up failed: {error}"),
+            Some(dest),
+        );
+        self.fire_event(EventPayload::MoveFailed {
+            id,
+            dest,
+            core: self.inner.node.index(),
+            error,
         });
     }
 
@@ -686,16 +691,15 @@ impl Core {
         });
     }
 
-    /// Runs a move continuation on the arrived `root`, on its own thread
-    /// (the invocation joins the normal dispatch path through a local
-    /// reference).
+    /// Runs a move continuation on the arrived `root` as a task on the
+    /// worker pool (the invocation joins the normal dispatch path through
+    /// a local reference); one the full pool sheds is only counted.
     fn spawn_continuation(&self, root: CompletId, cont: Continuation) {
-        let core = self.clone();
-        thread::spawn(move || {
+        self.submit(Job::Task(Box::new(move |core| {
             let r =
                 CompletRef::from_descriptor(RefDescriptor::link(root, "", core.inner.node.index()));
             let _ = core.invoke(&r, &cont.method, &cont.args);
-        });
+        })));
     }
 
     // --- two-phase arrival (prepare / commit / abort) ----------------------
@@ -869,22 +873,23 @@ impl Core {
         }
     }
 
-    /// Resolves held moves whose deadline passed by asking the source
-    /// for its recorded verdict; called from the monitor thread each
-    /// tick. This is the one resolver of a move in doubt: a source whose
-    /// commit went unanswered reports `MoveInDoubt` and leaves the rest
-    /// to it. While the source is unreachable the stream stays held (the
-    /// deadline is re-armed past the query round-trip so ticks don't
-    /// stack resolver threads): holding duplicates nothing, whereas
-    /// discarding could lose the only copy of a committed move.
+    /// Resolves held moves whose deadline passed, each a worker-pool task
+    /// asking the source for its recorded verdict; called from the monitor
+    /// thread each tick. This is the one resolver of a move in doubt: a
+    /// source whose commit went unanswered reports `MoveInDoubt` and leaves
+    /// the rest to it. While the source is unreachable the stream stays
+    /// held (re-armed past the query round-trip; a shed task waits for a
+    /// later sweep): holding duplicates nothing, discarding could lose the
+    /// only copy of a committed move.
     pub(crate) fn sweep_held_moves(&self) {
         let cfg = &self.inner.config;
         let re_arm = cfg
             .clock
             .deadline_us(cfg.move_hold_timeout + cfg.rpc_timeout);
         for (root, epoch, source) in self.held_keys(Some(re_arm)) {
-            let core = self.clone();
-            thread::spawn(move || core.resolve_held(root, epoch, source));
+            self.submit(Job::Task(Box::new(move |core| {
+                core.resolve_held(root, epoch, source);
+            })));
         }
     }
 

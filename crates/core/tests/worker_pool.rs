@@ -1,10 +1,12 @@
-//! Worker-pool semantics: sizing is validated at spawn, shed requests are
-//! counted exactly once, and read-only requests bypass the pool entirely.
+//! Worker-pool semantics: sizing is validated at spawn, shed requests and
+//! shed tasks are counted exactly once, and read-only requests bypass the
+//! pool entirely.
 
 mod common;
 
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use common::{cluster_with_config, counter, registry, teardown, test_config};
 use fargo_core::{define_complet, Core, Value};
@@ -105,6 +107,74 @@ fn shed_requests_are_counted_exactly_once() {
     assert_eq!(busy.wait().expect("busy nap"), Value::I64(1));
     assert_eq!(queued.wait().expect("queued nap"), Value::I64(2));
     drop(shed);
+    teardown(&cores);
+}
+
+/// Waits until `core` holds exactly `n` units of accepted work.
+fn wait_pending(core: &Core, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while core.pending_work() != n {
+        assert!(Instant::now() < deadline, "{} pending", core.pending_work());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The Core's own tasks share the pool's queue and its shed policy: with
+/// the only worker held in `nap` and the depth-1 queue filled, `K` local
+/// event deliveries are each shed and counted once, never run, and never
+/// block the Core that fires them; an inline-safe request is still
+/// answered; and the accepted work completes after release.
+#[test]
+fn shed_tasks_are_counted_exactly_once() {
+    let mut cfg = test_config().with_worker_pool(1, 1);
+    cfg.rpc_timeout = Duration::from_secs(10);
+    let (_net, reg, cores) = cluster_with_config(2, cfg);
+    Sleeper::register(&reg);
+
+    let sleeper = cores[0]
+        .new_complet_at("core1", "Sleeper", &[])
+        .expect("spawn sleeper");
+    let fired = Arc::new(AtomicUsize::new(0));
+    let f = fired.clone();
+    cores[1].on_event(
+        "completArrived",
+        None,
+        true,
+        Arc::new(move |_| {
+            f.fetch_add(1, Ordering::SeqCst);
+        }),
+    );
+
+    // Occupy the only worker...
+    let busy = sleeper.call_async("nap", &[Value::I64(900)]);
+    std::thread::sleep(Duration::from_millis(200));
+    // ...and fill the depth-1 queue behind it.
+    let queued = sleeper.call_async("nap", &[Value::I64(0)]);
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(cores[1].pending_work(), 2, "one nap running, one queued");
+
+    let before = counter(&cores[1], "fargo_worker_rejections_total");
+    const K: usize = 5;
+    for _ in 0..K {
+        // Created on the test thread: each arrival fires one delivery.
+        cores[1].new_complet("Message", &[]).expect("local create");
+    }
+    let rejected = counter(&cores[1], "fargo_worker_rejections_total") - before;
+    assert_eq!(
+        rejected, K as u64,
+        "each shed delivery must be counted exactly once"
+    );
+    cores[0]
+        .ping("core1")
+        .expect("ping must be served inline while the pool is full");
+
+    // The accepted work still completes, and the drained pool takes the
+    // next delivery: the shed ones never ran.
+    assert_eq!(busy.wait().expect("busy nap"), Value::I64(1));
+    assert_eq!(queued.wait().expect("queued nap"), Value::I64(2));
+    cores[1].new_complet("Message", &[]).expect("local create");
+    wait_pending(&cores[1], 0);
+    assert_eq!(fired.load(Ordering::SeqCst), 1);
     teardown(&cores);
 }
 

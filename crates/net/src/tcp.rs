@@ -4,8 +4,9 @@
 //! by node index (the same index order as the cluster directory). One
 //! acceptor thread takes inbound connections; each accepted connection
 //! gets a reader thread that first expects a 4-byte *hello* payload
-//! carrying the dialer's node index, then forwards every following frame
-//! into the transport's single receive queue. Outbound connections are
+//! carrying the dialer's node index — within a dial's time, and naming a
+//! peer, or it hangs up — then forwards every following frame into the
+//! transport's single receive queue. Outbound connections are
 //! cached per peer in a links map and lazily (re)dialed.
 //!
 //! Failure philosophy: a connect refusal, reset, or short write is
@@ -311,6 +312,8 @@ fn spawn_acceptor(shared: Arc<Shared>, listener: TcpListener) {
 struct PatientReader {
     stream: TcpStream,
     down: Arc<Shared>,
+    /// While set, reading past it fails: the hello's deadline.
+    deadline: Option<Instant>,
 }
 
 impl Read for PatientReader {
@@ -318,6 +321,9 @@ impl Read for PatientReader {
         loop {
             if self.down.down.load(Ordering::SeqCst) {
                 return Err(std::io::Error::other("transport shut down"));
+            }
+            if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(ErrorKind::TimedOut.into());
             }
             match self.stream.read(buf) {
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
@@ -336,12 +342,20 @@ fn spawn_reader(shared: Arc<Shared>, stream: TcpStream) {
             let mut reader = PatientReader {
                 stream,
                 down: Arc::clone(&shared),
+                deadline: Some(Instant::now() + CONNECT_TIMEOUT),
             };
-            // The first frame is the hello: the dialer's node index.
+            // The first frame is the hello: the dialer's node index, sent
+            // as soon as it connects. A connection that does not send it
+            // in a dial's time, or names no peer, is not one of ours:
+            // hang up rather than hold this thread for it.
             let src = match read_frame(&mut reader) {
                 Ok(b) if b.len() == 4 => u32::from_be_bytes([b[0], b[1], b[2], b[3]]),
-                _ => return, // not one of ours; hang up
+                _ => return,
             };
+            if src as usize >= shared.peers.len() {
+                return;
+            }
+            reader.deadline = None;
             loop {
                 match read_frame(&mut reader) {
                     Ok(payload) => {
@@ -415,6 +429,23 @@ mod tests {
         let d = a.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(d.src, 0);
         assert_eq!(d.payload.as_ref(), b"me");
+    }
+
+    /// A connection that never says hello, or names an index outside the
+    /// peer table, is hung up on instead of holding its reader thread
+    /// for the transport's life.
+    #[test]
+    fn strangers_are_hung_up_on() {
+        let (a, _b) = pair();
+        let addr = &a.shared.peers[0];
+        let silent = TcpStream::connect(addr).unwrap();
+        let mut stranger = TcpStream::connect(addr).unwrap();
+        write_frame(&mut stranger, &7u32.to_be_bytes()).unwrap();
+        for mut conn in [silent, stranger] {
+            conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let read = conn.read(&mut [0u8; 1]);
+            assert_eq!(read.expect("a hang-up, not a timeout"), 0);
+        }
     }
 
     #[test]
