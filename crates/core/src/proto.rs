@@ -745,6 +745,13 @@ pub(crate) fn put_invoke(
     put_seq(path, w);
 }
 
+/// The `Request` table's row 7 written from borrowed parts: the
+/// arguments are encoded where they stand, not cloned into a request.
+pub(crate) fn put_new_complet(w: &mut WireWriter, type_name: &str, args: &[Value]) {
+    w.put_u8(7).put_str(type_name);
+    put_seq(args, w);
+}
+
 /// The `args` of an encoded [`Request::Invoke`] body.
 pub(crate) fn invoke_args(body: bytes::Bytes) -> Result<Vec<Value>> {
     match Request::get(&mut WireReader::new(body))? {
@@ -1333,6 +1340,25 @@ pub(crate) mod tests {
         let mut ping = WireWriter::new();
         Request::Ping.put(&mut ping);
         assert!(invoke_args(ping.finish()).is_err());
+    }
+
+    /// `put_new_complet` writes the `NewComplet` row, byte for byte, with
+    /// references left as they are.
+    #[test]
+    fn borrowed_new_complet_encoding_matches_the_table_row() {
+        let rng = &mut TestRng(0x1741);
+        for round in 0..64 {
+            let args: Vec<Value> = (0..round % 4).map(|_| gen_value(rng, 3)).collect();
+            let mut borrowed = WireWriter::new();
+            put_new_complet(&mut borrowed, "Chunk", &args);
+            let mut table = WireWriter::new();
+            Request::NewComplet {
+                type_name: "Chunk".into(),
+                args,
+            }
+            .put(&mut table);
+            assert_eq!(borrowed.finish(), table.finish());
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! A served request is answered in exactly one place,
 //! [`Core::respond`], which also records the reply for the dedup cache.
 
+use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::thread;
@@ -44,6 +45,15 @@ pub(crate) enum Job {
     Task(Box<dyn FnOnce(&Core) + Send>),
 }
 
+/// What a caught panic said, for the error its caller receives.
+fn panic_message(cause: &(dyn Any + Send)) -> String {
+    let said = cause
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| cause.downcast_ref::<String>().map(String::as_str));
+    format!("panicked: {}", said.unwrap_or("(no message)"))
+}
+
 impl Core {
     pub(super) fn spawn_receiver(&self) {
         let core = self.clone();
@@ -71,7 +81,16 @@ impl Core {
                         Ok(job) => {
                             core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
                             match job {
-                                Job::Request(req) => core.handle_request(req),
+                                // A panicking method fails its call, not
+                                // the worker: the caller hears at once.
+                                Job::Request(req) => {
+                                    let (origin, req_id) = (req.origin, req.req_id);
+                                    let served = AssertUnwindSafe(|| core.handle_request(req));
+                                    if let Err(cause) = panic::catch_unwind(served) {
+                                        let err = FargoError::App(panic_message(&*cause));
+                                        core.respond(origin, req_id, &[], Reply::Err(err));
+                                    }
+                                }
                                 // A panicking listener ends its delivery only.
                                 Job::Task(task) => {
                                     let _ = panic::catch_unwind(AssertUnwindSafe(|| task(&core)));

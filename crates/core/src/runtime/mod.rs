@@ -59,7 +59,7 @@ use crate::ctx::Ctx;
 use crate::error::{FargoError, Result};
 use crate::events::{EventHandler, EventHub, EventPayload};
 use crate::monitor::{Monitor, Service};
-use crate::proto::{Reply, ReqId, Request};
+use crate::proto::{put_new_complet, Reply, ReqId, Request};
 use crate::reference::relocator::RelocatorRegistry;
 use crate::reference::tracker::{PointOutcome, TrackerSnapshot, TrackerTable, TrackerTarget};
 use crate::reference::{CompletRef, MetaRef};
@@ -481,13 +481,8 @@ impl Core {
             return self.new_complet(type_name, args);
         }
         let node = self.resolve_core(core_name)?;
-        match self.rpc(
-            node,
-            Request::NewComplet {
-                type_name: type_name.to_owned(),
-                args: args.to_vec(),
-            },
-        )? {
+        let request = self.rpc_begin(node, "new", |w| put_new_complet(w, type_name, args))?;
+        match request.wait()? {
             Reply::NewOk { desc } => Ok(self.stub(CompletRef::from_descriptor(desc))),
             Reply::Err(e) => Err(e),
             other => Err(FargoError::Protocol(format!("unexpected reply {other:?}"))),

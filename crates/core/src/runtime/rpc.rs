@@ -67,7 +67,16 @@ impl Core {
         head.encode(hlc, &mut w);
         let body_at = w.len();
         body(&mut w);
-        let frame = w.finish();
+        // `Bytes` takes the buffer over, capacity and all, and a window
+        // into the frame may be held for long (a recorded reply, a
+        // request kept for retransmission). A frame that outgrew the
+        // reserve doubled its way there, so it is shrunk before it is
+        // shared; one that did not pins under 128 spare bytes.
+        let mut frame = w.into_vec();
+        if frame.capacity() > ENVELOPE_CAPACITY_HINT {
+            frame.shrink_to_fit();
+        }
+        let frame = Bytes::from(frame);
         if let Some(sent) = hlc.filter(|_| t.phase_timing) {
             t.latency_marshal_us
                 .observe(t.phase_now_us().saturating_sub(sent.wall_us));

@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{cluster_with_config, counter, registry, teardown, test_config};
-use fargo_core::{define_complet, Core, Value};
+use fargo_core::{define_complet, Core, FargoError, Value};
 use simnet::{LinkConfig, Network, NetworkConfig};
 
 /// Closed until a test opens it; `Sleeper::park` waits for it.
@@ -35,6 +35,9 @@ define_complet! {
                 open = opened.wait(open).unwrap();
             }
             Ok(Value::Null)
+        }
+        fn boom(&mut self, _ctx, _args) {
+            panic!("boom");
         }
     }
 }
@@ -244,5 +247,36 @@ fn inline_requests_bypass_a_saturated_pool() {
 
     busy.wait().expect("busy nap");
     queued.wait().expect("queued nap");
+    teardown(&cores);
+}
+
+/// A method that panics fails its call at once, not at the caller's
+/// timeout, and the pool's only worker lives on to serve the next call.
+#[test]
+fn a_panicking_method_fails_its_call_and_spares_the_worker() {
+    let (_net, reg, cores) = cluster_with_config(2, test_config().with_worker_pool(1, 8));
+    Sleeper::register(&reg);
+    let sleeper = cores[0]
+        .new_complet_at("core1", "Sleeper", &[])
+        .expect("spawn sleeper");
+
+    let started = Instant::now();
+    let err = sleeper
+        .call("boom", &[])
+        .expect_err("a panic fails the call");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "answered after {:?}, the timeout is 5 s",
+        started.elapsed()
+    );
+    assert!(
+        matches!(&err, FargoError::App(m) if m.contains("boom")),
+        "{err:?}"
+    );
+    assert_eq!(
+        sleeper.call("nap", &[Value::I64(0)]).unwrap(),
+        Value::I64(1)
+    );
+    wait_pending(&cores[1], 0);
     teardown(&cores);
 }

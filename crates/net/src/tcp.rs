@@ -6,8 +6,10 @@
 //! gets a reader thread that first expects a 4-byte *hello* payload
 //! carrying the dialer's node index — within a dial's time, and naming a
 //! peer, or it hangs up — then forwards every following frame into the
-//! transport's single receive queue. Outbound connections are
-//! cached per peer in a links map and lazily (re)dialed.
+//! transport's single receive queue. It reads through one buffer, so a
+//! burst of frames costs one `recv`. Outbound connections are
+//! cached per peer in a links map and lazily (re)dialed; a frame goes
+//! out in one write.
 //!
 //! Failure philosophy: a connect refusal, reset, or short write is
 //! *packet loss*, not an error — the link is torn down, the datagram is
@@ -17,7 +19,7 @@
 //! `simnet::Network::send`.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::{BufReader, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -339,11 +341,11 @@ fn spawn_reader(shared: Arc<Shared>, stream: TcpStream) {
     thread::Builder::new()
         .name(format!("fargo-net-reader-{}", shared.local))
         .spawn(move || {
-            let mut reader = PatientReader {
+            let mut reader = BufReader::new(PatientReader {
                 stream,
                 down: Arc::clone(&shared),
                 deadline: Some(Instant::now() + CONNECT_TIMEOUT),
-            };
+            });
             // The first frame is the hello: the dialer's node index, sent
             // as soon as it connects. A connection that does not send it
             // in a dial's time, or names no peer, is not one of ours:
@@ -355,7 +357,7 @@ fn spawn_reader(shared: Arc<Shared>, stream: TcpStream) {
             if src as usize >= shared.peers.len() {
                 return;
             }
-            reader.deadline = None;
+            reader.get_mut().deadline = None;
             loop {
                 match read_frame(&mut reader) {
                     Ok(payload) => {

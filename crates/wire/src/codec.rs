@@ -301,14 +301,15 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
-    /// Consumes the writer and yields the encoded bytes.
+    /// Consumes the writer and yields the encoded bytes: its buffer,
+    /// taken over with its capacity, not copied.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
     }
 
     /// Consumes the writer and yields its buffer as it is, for a caller
-    /// that patches bytes it reserved at the front (no copy, unlike
-    /// [`finish`](Self::finish)).
+    /// that patches bytes it reserved at the front or trims the buffer
+    /// before sharing it.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf.into()
     }

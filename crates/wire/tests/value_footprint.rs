@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fargo_wire::testgen::{graph_records, TestRng};
+use fargo_wire::testgen::{graph_record, graph_records, TestRng};
 use fargo_wire::{decode_value, decode_value_from_bytes, encode_value, Value, WireError};
 
 thread_local! {
@@ -83,6 +83,41 @@ fn a_decoded_record_costs_what_it_holds() {
     assert_eq!(clone_allocs, 2 * RECORDS + 1, "a clone allocates no key");
     assert!(clone_live < live, "{clone_live} vs {live}");
     assert_eq!(copy, decoded);
+}
+
+/// A record stored over one of its own shape — what a `put_batch` of
+/// the benchmark's graph does to each record it keeps — reuses the
+/// target's entry vector and tag list: nothing is allocated, record or
+/// batch, and the keys become the source's (the target's own may go). A
+/// derived `clone_from` cloned afresh, two allocations a record.
+#[test]
+fn clone_from_onto_the_same_shape_allocates_nothing() {
+    let mut stored = graph_record(1, 0);
+    let incoming = graph_record(2, 1);
+    let ((), allocs, live) = measured(|| stored.clone_from(&incoming));
+    assert_eq!(stored, incoming);
+    assert!(
+        allocs == 0 && live <= 0,
+        "one record: {allocs}, {live} bytes"
+    );
+
+    let mut stored = graph_records(256, 0);
+    let incoming = graph_records(256, 1);
+    let ((), allocs, live) = measured(|| stored.clone_from_slice(&incoming));
+    assert_eq!(stored, incoming);
+    assert!(allocs == 0 && live <= 0, "a batch: {allocs}, {live} bytes");
+
+    // Another shape still comes out equal to its source.
+    let mut stored = Value::List(graph_records(3, 0));
+    for other in [
+        Value::Null,
+        Value::from("x"),
+        Value::List(Vec::new()),
+        graph_record(9, 9),
+    ] {
+        stored.clone_from(&other);
+        assert_eq!(stored, other);
+    }
 }
 
 /// What the benchmark's by-value graph costs on the wire: the first
