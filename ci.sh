@@ -307,6 +307,24 @@ if grep -rn "thread::spawn" crates/core/src; then
     exit 1
 fi
 
+# The simulator is read in one place (ROADMAP item 21): after spawn, a
+# Core's members, names, up flags and links come from its directory
+# (`crates/core/src/runtime/members.rs`), and the shell, scripts, the
+# planner and the monitor ask the Core, not simnet's `Network`. A
+# `.net` that starts a line is an `inner.net` split across lines.
+echo "==> the simulator is read in one place"
+if grep -rn '\.network()' crates/shell/src crates/script/src crates/layout/src crates/viz/src ||
+    grep -rnE '\binner\s*\.net\b|^\s*\.net\b' crates/core/src |
+        grep -v '^crates/core/src/runtime/members\.rs:' ||
+    awk '/^\[/ { deps = ($0 == "[dependencies]") }
+         deps && /^simnet/ { print FILENAME ": " $0; found = 1 }
+         END { exit !found }' \
+        crates/shell/Cargo.toml crates/script/Cargo.toml \
+        crates/layout/Cargo.toml crates/viz/Cargo.toml; then
+    echo "ask the Core's directory (Core::members, core_index, link), not the network"
+    exit 1
+fi
+
 # Failure-injection suite across several deterministic simnet seeds:
 # each seed is a different loss/jitter schedule, so the reliable
 # messaging layer (retransmission, reply dedup, two-phase moves) is

@@ -79,8 +79,9 @@ pub use reference::{
     TrackerSnapshot, TrackerTarget,
 };
 pub use runtime::{
-    BoundRef, Checkpoint, Core, CoreBuilder, LatencySummary, LocateReport, PendingCall,
-    RecoveryReport, RemoteSubscription, ResolveVia, DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES,
+    BoundRef, Checkpoint, Core, CoreBuilder, LatencySummary, LinkConfig, LinkStats, LinkView,
+    LocateReport, Member, PendingCall, RecoveryReport, RemoteSubscription, ResolveVia,
+    DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES,
 };
 
 // Re-exported so `define_complet!` expansions and user code agree on the

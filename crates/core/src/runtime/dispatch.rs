@@ -16,7 +16,6 @@ use bytes::Bytes;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use fargo_net::Datagram;
 use fargo_telemetry::{JournalKind, TraceContext};
-use simnet::NodeId;
 
 use crate::error::FargoError;
 use crate::events::Delivery;
@@ -151,11 +150,7 @@ impl Core {
             // observations.
             let us = t.phase_now_us().saturating_sub(h.wall_us);
             t.observe_phase(&t.latency_network_us, us);
-            self.inner.net.record_observed_latency(
-                NodeId::from_index(incoming.src),
-                self.inner.node,
-                us,
-            );
+            self.record_link_latency(incoming.src, us);
         }
         t.record_msg_in(msg.kind_label(), wire_len);
         t.queue_depth.set(self.inner.transport.queue_len() as f64);

@@ -103,7 +103,7 @@ impl Core {
                 selector: selector.to_owned(),
             });
         }
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         let token = self.inner.sink_seq.fetch_add(1, Ordering::Relaxed);
         self.inner.sinks.lock().insert(token, handler);
         let listener = ListenerAddr::Core {

@@ -18,6 +18,7 @@
 pub(crate) mod dispatch;
 pub(crate) mod events;
 pub(crate) mod invocation;
+pub(crate) mod members;
 pub(crate) mod movement;
 pub(crate) mod naming;
 pub(crate) mod observe;
@@ -32,6 +33,7 @@ mod envelope_tests;
 
 pub use events::RemoteSubscription;
 pub use invocation::PendingCall;
+pub use members::{LinkConfig, LinkStats, LinkView, Member};
 pub use observe::LatencySummary;
 pub use persistence::Checkpoint;
 pub use reliable::{DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES};
@@ -331,6 +333,7 @@ impl<'a> CoreBuilder<'a> {
         );
         monitor.register_metrics(&telemetry.registry, &name);
         let (work_tx, work_rx) = bounded(config.worker_queue_depth);
+        let members: Vec<u32> = self.net.node_ids().iter().map(|n| n.index()).collect();
         let inner = Arc::new(CoreInner {
             name,
             node,
@@ -362,15 +365,7 @@ impl<'a> CoreBuilder<'a> {
             // Membership may still be growing while Cores spawn one by
             // one; every use refreshes the ring against the live node
             // list, so starting from what is visible now is safe.
-            ring: Mutex::new(fargo_naming::HashRing::new(
-                &self
-                    .net
-                    .node_ids()
-                    .iter()
-                    .map(|n| n.index())
-                    .collect::<Vec<u32>>(),
-                shards::NAMING_VNODES,
-            )),
+            ring: Mutex::new(fargo_naming::HashRing::new(&members, shards::NAMING_VNODES)),
             shard: fargo_naming::LocationShard::new(),
             wal: wal_log,
             recovery: Mutex::new(None),
@@ -411,11 +406,6 @@ impl Core {
     /// This Core's network node id.
     pub fn node(&self) -> NodeId {
         self.inner.node
-    }
-
-    /// The network this Core is attached to.
-    pub fn network(&self) -> &Network {
-        &self.inner.net
     }
 
     /// The complet type registry this Core constructs from.
@@ -480,7 +470,7 @@ impl Core {
         if core_name == self.inner.name {
             return self.new_complet(type_name, args);
         }
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         let request = self.rpc_begin(node, "new", |w| put_new_complet(w, type_name, args))?;
         match request.wait()? {
             Reply::NewOk { desc } => Ok(self.stub(CompletRef::from_descriptor(desc))),
@@ -657,7 +647,7 @@ impl Core {
     ///
     /// Fails if the peer is unknown or unreachable.
     pub fn ping(&self, core_name: &str) -> Result<Duration> {
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         let start = self.inner.config.clock.now_us();
         match self.rpc(node, Request::Ping)? {
             Reply::Pong => Ok(Duration::from_micros(
@@ -684,9 +674,9 @@ impl Core {
     pub fn stop(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.fail_pending_rpcs();
-        // Mark the node down on the control plane first (so peers' sends
-        // start refusing), then tear the transport down.
-        let _ = self.inner.net.set_node_up(self.inner.node, false);
+        // Mark the node down first (so peers' sends start refusing),
+        // then tear the transport down.
+        self.mark_down();
         self.inner.transport.shutdown();
     }
 
@@ -705,22 +695,6 @@ impl Core {
             }
         }
         Ok(())
-    }
-
-    pub(crate) fn resolve_core(&self, core_name: &str) -> Result<u32> {
-        self.inner
-            .net
-            .node_by_name(core_name)
-            .map(|n| n.index())
-            .ok_or_else(|| FargoError::UnknownCore(core_name.to_owned()))
-    }
-
-    /// The name of the Core at a node index.
-    pub fn core_name_of(&self, node: u32) -> String {
-        self.inner
-            .net
-            .node_name(NodeId::from_index(node))
-            .unwrap_or_else(|_| format!("n{node}"))
     }
 
     /// Updates tracker knowledge after learning where a complet is now,
@@ -817,29 +791,24 @@ impl Core {
             .monitor
             .install_sampler(Arc::new(move |service: &Service| {
                 let inner = weak.upgrade()?;
-                sample_service(&inner, service)
+                sample_service(&Core { inner }, service)
             }));
     }
 }
 
 /// Measures one profiling service against the live Core state.
-fn sample_service(inner: &Arc<CoreInner>, service: &Service) -> Option<f64> {
+fn sample_service(core: &Core, service: &Service) -> Option<f64> {
+    let inner = &core.inner;
     match service {
         Service::CompletLoad => Some(inner.complets.read().len() as f64),
         Service::Bandwidth { peer } => {
-            let bw = inner
-                .net
-                .model_bandwidth(inner.node, NodeId::from_index(*peer))
-                .ok()?;
-            Some(bw.map(|b| b as f64).unwrap_or(f64::MAX / 4.0))
+            let model = core.link(inner.node.index(), *peer).model?;
+            Some(model.bandwidth.map_or(f64::MAX / 4.0, |b| b as f64))
         }
-        Service::Latency { peer } => Some(
-            inner
-                .net
-                .model_latency(inner.node, NodeId::from_index(*peer))
-                .ok()?
-                .as_secs_f64(),
-        ),
+        Service::Latency { peer } => {
+            let model = core.link(inner.node.index(), *peer).model?;
+            Some(model.latency.as_secs_f64())
+        }
         Service::MethodInvokeRate { src, dst } => {
             let total = inner.telemetry.edges.invokes((*src, *dst));
             Some(inner.monitor.rate_from_total(service, total))

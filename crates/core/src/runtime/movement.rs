@@ -138,7 +138,7 @@ impl Core {
         dest: &str,
         continuation: Option<(String, Vec<Value>)>,
     ) -> Result<()> {
-        let (dest, me) = (self.resolve_core(dest)?, self.inner.node.index());
+        let (dest, me) = (self.core_index(dest)?, self.inner.node.index());
         let Some(&root) = roots.first() else {
             return Ok(());
         };

@@ -72,7 +72,7 @@ impl Core {
         if core_name == self.inner.name {
             return self.lookup_stub(name);
         }
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         match self.rpc(
             node,
             Request::NameLookup {

@@ -205,15 +205,12 @@ impl Core {
     /// one count of what crossed a link, which both the link gauges and
     /// the traffic matrix read.
     fn outbound_links(&self) -> Vec<(String, LinkStats)> {
-        let me = self.inner.node;
-        self.inner
-            .net
-            .node_ids()
+        let me = self.inner.node.index();
+        self.members()
             .into_iter()
-            .filter(|&peer| peer != me)
-            .map(|peer| (peer, self.inner.net.link_stats(me, peer)))
+            .filter(|peer| peer.index != me)
+            .map(|peer| (peer.name, self.link(me, peer.index).stats))
             .filter(|(_, stats)| stats.messages > 0 || stats.dropped > 0)
-            .map(|(peer, stats)| (self.core_name_of(peer.index()), stats))
             .collect()
     }
 
@@ -365,7 +362,7 @@ impl Core {
         if core_name == self.inner.name {
             return Ok(self.tracker_rows());
         }
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         match self.rpc(node, Request::ListTrackers)? {
             Reply::Trackers { items } => Ok(items),
             Reply::Err(e) => Err(e),
@@ -383,7 +380,7 @@ impl Core {
         if core_name == self.inner.name {
             return Ok(self.complet_inventory());
         }
-        let node = self.resolve_core(core_name)?;
+        let node = self.core_index(core_name)?;
         match self.rpc(node, Request::ListComplets)? {
             Reply::Complets { items } => Ok(items),
             Reply::Err(e) => Err(e),

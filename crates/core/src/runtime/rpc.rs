@@ -209,13 +209,13 @@ impl Core {
         self.inner.pending.lock().len()
     }
 
-    /// Asks every other Core on the network the same question, one peer
-    /// at a time in `node_ids()` order, and returns the answers with the
-    /// node that gave them. Unreachable peers are skipped.
+    /// Asks every other member the same question, one peer at a time in
+    /// node order, and returns the answers with the node that gave them.
+    /// Unreachable peers are skipped.
     pub(crate) fn ask_peers(&self, body: &Request) -> Vec<(u32, Reply)> {
         let me = self.inner.node.index();
-        let peers = self.inner.net.node_ids().into_iter().map(|n| n.index());
-        peers
+        self.member_indices()
+            .into_iter()
             .filter(|&n| n != me)
             .filter_map(|n| Some((n, self.rpc(n, body.clone()).ok()?)))
             .collect()

@@ -90,13 +90,7 @@ impl Core {
     /// the monitor parked. Returns how many entries were handed off to
     /// new owners (0 when nothing changed).
     pub fn naming_rebalance(&self) -> usize {
-        let members: Vec<u32> = self
-            .inner
-            .net
-            .node_ids()
-            .iter()
-            .map(|n| n.index())
-            .collect();
+        let members = self.member_indices();
         let rebuilt = {
             let mut ring = self.inner.ring.lock();
             if !ring.membership_changed(&members) {
@@ -300,7 +294,7 @@ impl Core {
     /// dead ends. It asks the ring owner of `id` first (locally when this
     /// Core owns it). Without a live answer — the owner restarted without
     /// its slice, or a one-way publish was lost — it asks each other peer
-    /// in `node_ids()` order and stops at the first that names itself.
+    /// in node order and stops at the first that names itself.
     /// An owner naming `dead_end`, a Core the caller just found without
     /// the complet, is asked past in the same way, and is the answer only
     /// when no peer names itself (the complet may be on its way there).
@@ -330,7 +324,7 @@ impl Core {
                 named = Some(report);
             }
         }
-        let peers = self.inner.net.node_ids().into_iter().map(|n| n.index());
+        let peers = self.member_indices().into_iter();
         for peer in peers.filter(|&n| n != me && n != owner) {
             if let (Some(node), epoch) = self.ask_locate(peer, id, &mut hops) {
                 if node == peer {

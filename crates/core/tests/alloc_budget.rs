@@ -1,9 +1,10 @@
-//! E27: what one call costs the allocator, as counts no host can move —
-//! a time moves with the machine, an allocation count does not. A
-//! remote `get` over the fixture's transport (simnet, or loopback TCP
-//! under `FARGO_TRANSPORT=tcp`) and a local one are each counted at the
-//! allocator, process-wide, averaged over a run of sequential calls,
-//! and held to a budget.
+//! E27: what one operation costs the allocator, as counts no host can
+//! move — a time moves with the machine, an allocation count does not.
+//! A remote `get` and `add` over the fixture's transport (simnet, or
+//! loopback TCP under `FARGO_TRANSPORT=tcp`), a local `get`, a remote
+//! call returning a 256-record graph by value, and the move of a 4 KiB
+//! complet are each counted at the allocator, process-wide, averaged
+//! over a run of sequential operations, and held to a budget.
 //!
 //! This is the only test of its binary on purpose: the counts are of
 //! the whole process (a call's allocations happen on the caller's, the
@@ -56,19 +57,26 @@ static ALLOCATOR: Counting = Counting;
 /// first use on some thread is noise in the mean.
 const CALLS: u64 = 2_000;
 
-/// `(allocations, bytes)` per `get` on `counter`: the least of three
-/// runs of `CALLS` calls, after one unmeasured run. Whatever another
-/// thread allocates meanwhile only ever adds, so the least run is the
-/// call's own cost most nearly.
-fn per_get(counter: &BoundRef) -> (f64, f64) {
-    let run = || {
+/// By-value graph calls per measured run (each carries 256 records).
+const GRAPH_CALLS: u64 = 100;
+
+/// Moves per measured run: an even number, so each run ends where it
+/// began.
+const MOVES: u64 = 100;
+
+/// `(allocations, bytes)` per `op`: the least of three runs of `ops`
+/// operations, after one unmeasured run. Whatever another thread
+/// allocates meanwhile only ever adds, so the least run is the
+/// operation's own cost most nearly.
+fn per_op(ops: u64, mut op: impl FnMut()) -> (f64, f64) {
+    let mut run = || {
         let (allocs, bytes) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
-        for _ in 0..CALLS {
-            assert!(counter.call("get", &[]).unwrap().as_i64().is_some());
+        for _ in 0..ops {
+            op();
         }
         let allocs = ALLOCS.load(Ordering::SeqCst) - allocs;
         let bytes = BYTES.load(Ordering::SeqCst) - bytes;
-        (allocs as f64 / CALLS as f64, bytes as f64 / CALLS as f64)
+        (allocs as f64 / ops as f64, bytes as f64 / ops as f64)
     };
     run();
     (0..3)
@@ -78,6 +86,10 @@ fn per_get(counter: &BoundRef) -> (f64, f64) {
         })
 }
 
+fn call(r: &BoundRef, method: &str, args: &[Value]) {
+    r.call(method, args).unwrap();
+}
+
 #[test]
 fn a_call_stays_within_its_allocation_budget() {
     let (_net, _reg, cores) = cluster(2);
@@ -85,33 +97,66 @@ fn a_call_stays_within_its_allocation_budget() {
         .new_complet_at("core1", "Counter", &[])
         .expect("create at core1");
     let local = cores[0].new_complet("Counter", &[]).expect("create here");
+    let graph = cores[0]
+        .new_complet_at("core1", "GraphChunk", &[])
+        .expect("create at core1");
+    let text = Value::from("x".repeat(4096));
+    let mover = cores[0]
+        .new_complet_at("core1", "Message", &[text])
+        .expect("create at core1");
     assert_eq!(remote.call("add", &[Value::I64(1)]).unwrap(), Value::I64(1));
 
-    // The budgets: each count as measured when it was set, rounded up.
+    // The budgets, as `(allocations, bytes)` on simnet and over TCP:
+    // each count as measured when it was set, rounded up (the two
+    // hundreds-scale rows by a few allocations and a few hundred bytes).
     // Over TCP a remote call also pays for the frames read off the
-    // sockets. (The parent of the change that set them: 21.1 and 23.2
-    // allocations, 1,211 and 1,168 bytes.)
+    // sockets. (The parent of the change that set the `get` budgets:
+    // 21.1 and 23.2 allocations, 1,211 and 1,168 bytes.)
     let tcp = std::env::var("FARGO_TRANSPORT").as_deref() == Ok("tcp");
-    let (transport, remote_budget) = if tcp {
-        ("tcp", (21.0, 1_150.0))
-    } else {
-        ("simnet", (19.0, 1_250.0))
-    };
-    let local_budget = (7.0, 200.0);
-    let remote_cost = per_get(&remote);
-    let local_cost = per_get(&local);
-    eprintln!("remote get ({transport}): {remote_cost:.2?}; local get: {local_cost:.2?}");
-    let within = |(allocs, bytes): (f64, f64), (max_allocs, max_bytes): (f64, f64)| {
-        allocs <= max_allocs && bytes <= max_bytes
-    };
-    assert!(
-        within(remote_cost, remote_budget),
-        "a remote get over {transport} costs {remote_cost:.2?} (allocations, bytes), \
-         over its budget of {remote_budget:?}"
-    );
-    assert!(
-        within(local_cost, local_budget),
-        "a local get costs {local_cost:.2?} (allocations, bytes), over its budget of {local_budget:?}"
-    );
+    let transport = if tcp { "tcp" } else { "simnet" };
+    let pick = |simnet: (f64, f64), tcp_budget: (f64, f64)| if tcp { tcp_budget } else { simnet };
+    let mut moves = 0u64;
+    let rows = [
+        (
+            "remote get",
+            per_op(CALLS, || call(&remote, "get", &[])),
+            pick((19.0, 1_250.0), (21.0, 1_150.0)),
+        ),
+        (
+            "remote add",
+            per_op(CALLS, || call(&remote, "add", &[Value::I64(1)])),
+            pick((20.0, 1_250.0), (22.0, 1_200.0)),
+        ),
+        (
+            "local get",
+            per_op(CALLS, || call(&local, "get", &[])),
+            (7.0, 200.0),
+        ),
+        (
+            "by-value graph call",
+            per_op(GRAPH_CALLS, || call(&graph, "scan", &[])),
+            pick((1_060.0, 157_000.0), (1_062.0, 169_500.0)),
+        ),
+        (
+            "move of a 4 KiB complet",
+            per_op(MOVES, || {
+                moves += 1;
+                mover
+                    .move_to(if moves % 2 == 1 { "core0" } else { "core1" })
+                    .unwrap();
+            }),
+            pick((88.0, 29_000.0), (93.0, 33_000.0)),
+        ),
+    ];
+    for (what, cost, _) in &rows {
+        eprintln!("{what} ({transport}): {cost:.2?}");
+    }
+    for (what, (allocs, bytes), (max_allocs, max_bytes)) in rows {
+        assert!(
+            allocs <= max_allocs && bytes <= max_bytes,
+            "a {what} over {transport} costs {allocs:.2} allocations and {bytes:.0} bytes, \
+             over its budget of {max_allocs} and {max_bytes}"
+        );
+    }
     teardown(&cores);
 }

@@ -3,7 +3,8 @@
 //! One unit of affinity (roughly: one invocation per journal window)
 //! between complets on Cores `a` and `b` costs `pair_cost(a, b)`; the
 //! partitioner minimises the weighted sum. Costs are calibrated from the
-//! simnet substrate the Cores actually run on:
+//! links the Cores actually run on, as their directory reports them
+//! ([`Core::link`](fargo_core::Core::link)):
 //!
 //! * **latency** — the *measured* one-way delivery delay when the
 //!   Cores' envelope timing stamps have produced enough samples on the
@@ -21,7 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use simnet::Network;
+use fargo_core::LinkView;
 
 /// Assumed payload of a typical invocation envelope when converting
 /// bandwidth to a per-message serialisation cost.
@@ -47,37 +48,21 @@ fn canonical(a: u32, b: u32) -> (u32, u32) {
 }
 
 impl CostModel {
-    /// A model where every distinct pair costs 1 — useful for tests and
-    /// as a topology-blind fallback.
+    /// A model where every distinct pair costs 1, the floor an instant,
+    /// lossless link prices at — useful for tests and as a
+    /// topology-blind fallback.
     pub fn uniform(cores: &[u32]) -> CostModel {
-        let mut pair = BTreeMap::new();
-        for (i, &a) in cores.iter().enumerate() {
-            for &b in &cores[i + 1..] {
-                pair.insert(canonical(a, b), 1.0);
-            }
-        }
-        CostModel {
-            cores: cores.to_vec(),
-            pair,
-        }
+        CostModel::from_links(cores, |_, _| LinkView::default())
     }
 
-    /// Calibrates the model from the network, restricted to `cores`
-    /// (node indices of live Cores). Direction asymmetries are averaged:
-    /// invocation traffic is request/reply, so both directions pay.
-    pub fn from_network(net: &Network, cores: &[u32]) -> CostModel {
-        let ids: BTreeMap<u32, simnet::NodeId> = net
-            .node_ids()
-            .into_iter()
-            .map(|id| (id.index(), id))
-            .collect();
+    /// Calibrates the model from the directed links between `cores` (node
+    /// indices of live Cores) as `link(src, dst)` reports them, averaging
+    /// the two directions: invocation traffic is request/reply.
+    pub fn from_links(cores: &[u32], link: impl Fn(u32, u32) -> LinkView) -> CostModel {
         let mut pair = BTreeMap::new();
         for (i, &a) in cores.iter().enumerate() {
             for &b in &cores[i + 1..] {
-                let (Some(&na), Some(&nb)) = (ids.get(&a), ids.get(&b)) else {
-                    continue;
-                };
-                let cost = (directed_cost(net, na, nb) + directed_cost(net, nb, na)) / 2.0;
+                let cost = (directed_cost(&link(a, b)) + directed_cost(&link(b, a))) / 2.0;
                 pair.insert(canonical(a, b), cost);
             }
         }
@@ -102,34 +87,29 @@ impl CostModel {
     }
 }
 
-/// Expected per-message cost of the directed link `src -> dst` in
-/// microseconds: (latency + serialisation) × expected attempts.
-fn directed_cost(net: &Network, src: simnet::NodeId, dst: simnet::NodeId) -> f64 {
-    let stats = net.link_stats(src, dst);
+/// Expected per-message cost of a directed link in microseconds:
+/// (latency + serialisation) × expected attempts.
+fn directed_cost(link: &LinkView) -> f64 {
+    let (stats, model) = (&link.stats, link.model.as_ref());
     // Prefer the latency the Cores actually measured on the link (from
     // envelope timing stamps: propagation + queueing + jitter as the
     // application experienced them); fall back to the configured
     // propagation model while too few envelopes have crossed.
     let latency_us = match stats.observed_latency_us {
         Some(measured) if stats.observed_samples >= MIN_OBSERVED_SAMPLES => measured,
-        _ => net
-            .model_latency(src, dst)
-            .map_or(0.0, |d| d.as_secs_f64() * 1e6),
+        _ => model.map_or(0.0, |m| m.latency.as_secs_f64() * 1e6),
     };
-    let ser_us = net
-        .model_bandwidth(src, dst)
-        .ok()
-        .flatten()
-        .map_or(0.0, |bytes_per_sec| {
-            TYPICAL_MSG_BYTES / bytes_per_sec as f64 * 1e6
-        });
+    let bandwidth = model.and_then(|m| m.bandwidth);
+    let ser_us = bandwidth.map_or(0.0, |bytes_per_sec| {
+        TYPICAL_MSG_BYTES / bytes_per_sec as f64 * 1e6
+    });
     // Prefer the loss actually observed on the link; fall back to the
     // configured probability while the link is still quiet.
     let sent = stats.messages + stats.dropped;
     let loss = if sent >= 20 {
         stats.dropped as f64 / sent as f64
     } else {
-        net.link_config(src, dst).map_or(0.0, |c| c.loss)
+        model.map_or(0.0, |m| m.loss)
     };
     let attempts = 1.0 / (1.0 - loss.clamp(0.0, MAX_LOSS));
     // Even an instant, lossless link prices remote above local: the
@@ -140,8 +120,16 @@ fn directed_cost(net: &Network, src: simnet::NodeId, dst: simnet::NodeId) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{LinkConfig, NetworkConfig};
+    use fargo_core::{LinkConfig, LinkStats};
     use std::time::Duration;
+
+    /// A link configured as `model` that nothing has crossed yet.
+    fn configured(model: LinkConfig) -> LinkView {
+        LinkView {
+            stats: LinkStats::default(),
+            model: Some(model),
+        }
+    }
 
     #[test]
     fn uniform_prices_all_distinct_pairs_equally() {
@@ -153,16 +141,11 @@ mod tests {
 
     #[test]
     fn latency_dominates_calibration() {
-        let net = Network::new(NetworkConfig {
-            default_link: Some(LinkConfig::new(Duration::from_millis(2))),
-            ..NetworkConfig::default()
+        // 2ms everywhere but the 0-2 link, at 8ms.
+        let m = CostModel::from_links(&[0, 1, 2], |a, b| {
+            let ms = if canonical(a, b) == (0, 2) { 8 } else { 2 };
+            configured(LinkConfig::new(Duration::from_millis(ms)))
         });
-        let a = net.add_node("a").unwrap();
-        let _b = net.add_node("b").unwrap();
-        let c = net.add_node("c").unwrap();
-        net.set_link(a.id(), c.id(), LinkConfig::new(Duration::from_millis(8)))
-            .unwrap();
-        let m = CostModel::from_network(&net, &[0, 1, 2]);
         assert!(
             m.pair_cost(0, 2) > 3.0 * m.pair_cost(0, 1),
             "8ms link must price well above 2ms: {} vs {}",
@@ -173,21 +156,12 @@ mod tests {
 
     #[test]
     fn configured_loss_raises_cost_before_traffic_flows() {
-        let net = Network::new(NetworkConfig {
-            default_link: Some(LinkConfig::new(Duration::from_millis(1))),
-            ..NetworkConfig::default()
+        // 1ms everywhere; the 0-2 link loses half its packets.
+        let m = CostModel::from_links(&[0, 1, 2], |a, b| {
+            let link = LinkConfig::new(Duration::from_millis(1));
+            let loss = if canonical(a, b) == (0, 2) { 0.5 } else { 0.0 };
+            configured(link.with_loss(loss))
         });
-        let a = net.add_node("a").unwrap();
-        let b = net.add_node("b").unwrap();
-        let c = net.add_node("c").unwrap();
-        net.set_link(
-            a.id(),
-            c.id(),
-            LinkConfig::new(Duration::from_millis(1)).with_loss(0.5),
-        )
-        .unwrap();
-        let _ = b;
-        let m = CostModel::from_network(&net, &[0, 1, 2]);
         assert!(
             m.pair_cost(0, 2) > 1.5 * m.pair_cost(0, 1),
             "50% loss must roughly double the expected cost"
@@ -199,18 +173,14 @@ mod tests {
         // A link configured as 1ms that the Cores measured at ~8ms
         // (queueing the model cannot see) must price like 8ms once
         // enough samples have been fed back.
-        let net = Network::new(NetworkConfig {
-            default_link: Some(LinkConfig::new(Duration::from_millis(1))),
-            ..NetworkConfig::default()
+        let m = CostModel::from_links(&[0, 1, 2], |a, b| {
+            let mut link = configured(LinkConfig::new(Duration::from_millis(1)));
+            if canonical(a, b) == (0, 1) {
+                link.stats.observed_samples = MIN_OBSERVED_SAMPLES;
+                link.stats.observed_latency_us = Some(8_000.0);
+            }
+            link
         });
-        let a = net.add_node("a").unwrap();
-        let b = net.add_node("b").unwrap();
-        let _c = net.add_node("c").unwrap();
-        for _ in 0..MIN_OBSERVED_SAMPLES {
-            net.record_observed_latency(a.id(), b.id(), 8_000);
-            net.record_observed_latency(b.id(), a.id(), 8_000);
-        }
-        let m = CostModel::from_network(&net, &[0, 1, 2]);
         assert!(
             m.pair_cost(0, 1) > 4.0 * m.pair_cost(0, 2),
             "measured 8ms must dominate configured 1ms: {} vs {}",
@@ -221,16 +191,15 @@ mod tests {
 
     #[test]
     fn sparse_observations_keep_the_configured_model() {
-        let net = Network::new(NetworkConfig {
-            default_link: Some(LinkConfig::new(Duration::from_millis(1))),
-            ..NetworkConfig::default()
-        });
-        let a = net.add_node("a").unwrap();
-        let b = net.add_node("b").unwrap();
-        let _c = net.add_node("c").unwrap();
         // A couple of outliers must not recalibrate the link.
-        net.record_observed_latency(a.id(), b.id(), 500_000);
-        let m = CostModel::from_network(&net, &[0, 1, 2]);
+        let m = CostModel::from_links(&[0, 1, 2], |a, b| {
+            let mut link = configured(LinkConfig::new(Duration::from_millis(1)));
+            if (a, b) == (0, 1) {
+                link.stats.observed_samples = 1;
+                link.stats.observed_latency_us = Some(500_000.0);
+            }
+            link
+        });
         let ratio = m.pair_cost(0, 1) / m.pair_cost(0, 2);
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -240,10 +209,7 @@ mod tests {
 
     #[test]
     fn instant_links_still_price_remote_above_local() {
-        let net = Network::new(NetworkConfig::default());
-        net.add_node("a").unwrap();
-        net.add_node("b").unwrap();
-        let m = CostModel::from_network(&net, &[0, 1]);
+        let m = CostModel::from_links(&[0, 1], |_, _| configured(LinkConfig::lan()));
         assert!(m.pair_cost(0, 1) >= 1.0);
         assert_eq!(m.pair_cost(0, 0), 0.0);
     }

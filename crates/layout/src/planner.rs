@@ -129,8 +129,8 @@ impl Planner {
     /// placement.
     pub fn placement(&self) -> BTreeMap<CompletId, u32> {
         let mut best: BTreeMap<CompletId, (u32, u64)> = BTreeMap::new();
-        for node in self.core.network().node_ids() {
-            let Ok(entries) = self.core.shard_live_at(node.index()) else {
+        for member in self.core.members() {
+            let Ok(entries) = self.core.shard_live_at(member.index) else {
                 continue;
             };
             for (id, host, epoch) in entries {
@@ -143,16 +143,6 @@ impl Planner {
             }
         }
         best.into_iter().map(|(id, (host, _))| (id, host)).collect()
-    }
-
-    /// Node indices of Cores that are up and answering.
-    fn live_cores(&self) -> Vec<u32> {
-        let net = self.core.network();
-        net.node_ids()
-            .into_iter()
-            .filter(|&n| net.node_up(n).unwrap_or(false))
-            .map(|n| n.index())
-            .collect()
     }
 
     /// Derives the affinity graph for the given live placement; `commit`
@@ -221,14 +211,15 @@ impl Planner {
         let id = self.plan_seq.fetch_add(1, Ordering::SeqCst);
         let placement = self.placement();
         let graph = self.affinity(&placement, commit);
-        let cores = self.live_cores();
+        let up = self.core.members().into_iter().filter(|m| m.up);
+        let cores: Vec<u32> = up.map(|m| m.index).collect();
         if graph.is_empty() || cores.len() < 2 {
             return LayoutPlan {
                 id,
                 ..LayoutPlan::default()
             };
         }
-        let cost = CostModel::from_network(self.core.network(), &cores);
+        let cost = CostModel::from_links(&cores, |a, b| self.core.link(a, b));
         let target = partition(PartitionProblem {
             graph: &graph,
             cost: &cost,

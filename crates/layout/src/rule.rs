@@ -121,8 +121,7 @@ pub fn register_plan_action(engine: &ScriptEngine, rebalancer: Arc<Rebalancer>) 
                     got: format!("{args:?}"),
                 });
             };
-            let trigger = ctx.core.network().node_by_name(core);
-            rebalancer.converge(trigger.map(|n| n.index()));
+            rebalancer.converge(ctx.core.core_index(core).ok());
             Ok(())
         }),
     );

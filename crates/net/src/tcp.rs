@@ -2,7 +2,8 @@
 //!
 //! Topology: every node knows the listen address of every peer, indexed
 //! by node index (the same index order as the cluster directory). One
-//! acceptor thread takes inbound connections; each accepted connection
+//! acceptor thread blocks in `accept` (shutdown wakes it with a connect
+//! of its own); each accepted connection
 //! gets a reader thread that first expects a 4-byte *hello* payload
 //! carrying the dialer's node index — within a dial's time, and naming a
 //! peer, or it hangs up — then forwards every following frame into the
@@ -39,13 +40,6 @@ use crate::transport::{Datagram, DeliveryGate, Transport};
 /// extra shutdown latency. Data arrival wakes a read immediately; this
 /// only bounds how stale the shutdown-flag check can get.
 const POLL: Duration = Duration::from_millis(25);
-
-/// Poll cadence of the acceptor thread. Unlike the readers, the
-/// acceptor's sleep sits on the *first-message* critical path (a fresh
-/// connection is not read until accepted), so it must stay well under
-/// the smallest retransmission backoff anyone configures — otherwise
-/// every first contact between two Cores costs a spurious retransmit.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 
 /// How long an outbound dial may take before the datagram is dropped.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
@@ -88,6 +82,8 @@ struct Shared {
     /// `dropped`.
     suppressed: AtomicU64,
     gate: Option<DeliveryGate>,
+    /// Where shutdown connects to wake the acceptor out of `accept`.
+    listen_addr: SocketAddr,
 }
 
 /// Backoff state for one peer: when the next dial may happen and the
@@ -111,14 +107,24 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// Fails when the listener cannot be switched to the polling mode the
-    /// acceptor thread needs.
+    /// Fails when `peers` has no entry for `local` (every peer would hang
+    /// up on this node's hello), when another entry is not a socket
+    /// address (no dial could reach it), or when the listener has none.
     pub fn start(
         config: TcpTransportConfig,
         listener: TcpListener,
         gate: Option<DeliveryGate>,
     ) -> Result<Self, TransportError> {
-        listener.set_nonblocking(true)?;
+        let (local, peers) = (config.local as usize, &config.peers);
+        let refuse = |why: String| Err(TransportError::Io(why));
+        if local >= peers.len() {
+            return refuse(format!("node {local} is not in a table of {}", peers.len()));
+        }
+        for (i, peer) in peers.iter().enumerate().filter(|&(i, _)| i != local) {
+            if let Err(e) = peer.parse::<SocketAddr>() {
+                return refuse(format!("peer {i} ({peer:?}): {e}"));
+            }
+        }
         let (queue_tx, queue_rx) = channel::unbounded();
         let shared = Arc::new(Shared {
             local: config.local,
@@ -130,6 +136,7 @@ impl TcpTransport {
             dropped: AtomicU64::new(0),
             suppressed: AtomicU64::new(0),
             gate,
+            listen_addr: listener.local_addr()?,
         });
         spawn_acceptor(Arc::clone(&shared), listener);
         Ok(TcpTransport { shared, queue_rx })
@@ -221,7 +228,11 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&self) {
-        self.shared.down.store(true, Ordering::SeqCst);
+        if self.shared.down.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Wake the acceptor out of `accept`: it sees `down`, drops the port.
+        let _ = TcpStream::connect_timeout(&self.shared.listen_addr, CONNECT_TIMEOUT);
         // Closing the cached outbound streams unblocks the peers' reader
         // threads promptly; our own readers notice `down` within `POLL`.
         let links = std::mem::take(&mut *self.shared.links.lock());
@@ -295,14 +306,13 @@ impl Shared {
 fn spawn_acceptor(shared: Arc<Shared>, listener: TcpListener) {
     thread::Builder::new()
         .name(format!("fargo-net-accept-{}", shared.local))
-        .spawn(move || loop {
-            if shared.down.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => spawn_reader(Arc::clone(&shared), stream),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(_) => thread::sleep(ACCEPT_POLL),
+        .spawn(move || {
+            for conn in listener.incoming() {
+                match conn {
+                    _ if shared.down.load(Ordering::SeqCst) => return,
+                    Ok(stream) => spawn_reader(Arc::clone(&shared), stream),
+                    Err(_) => thread::sleep(POLL), // out of descriptors, say
+                }
             }
         })
         .expect("failed to spawn tcp acceptor thread");
@@ -390,6 +400,10 @@ fn spawn_reader(shared: Arc<Shared>, stream: TcpStream) {
 mod tests {
     use super::*;
 
+    fn listener() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
+
     fn pair() -> (TcpTransport, TcpTransport) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -447,6 +461,44 @@ mod tests {
             conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
             let read = conn.read(&mut [0u8; 1]);
             assert_eq!(read.expect("a hang-up, not a timeout"), 0);
+        }
+    }
+
+    /// A table with no entry for this node would start a transport whose
+    /// hello every peer hangs up on; it is refused at start.
+    #[test]
+    fn a_peer_table_without_this_node_is_refused() {
+        let (l0, l1) = (listener(), listener());
+        let peers = vec![l0.local_addr().unwrap().to_string()];
+        let config = TcpTransportConfig { local: 1, peers };
+        assert!(TcpTransport::start(config, l1, None).is_err());
+    }
+
+    /// A peer entry that is not a socket address would fail every dial to
+    /// that peer, seen only in `dropped_sends`; it is refused at start.
+    /// This node's own entry is never dialed, so it may be anything.
+    #[test]
+    fn a_peer_address_that_does_not_parse_is_refused() {
+        let addr0 = listener().local_addr().unwrap().to_string();
+        let start = |peers: Vec<&str>| {
+            let peers = peers.into_iter().map(str::to_owned).collect();
+            TcpTransport::start(TcpTransportConfig { local: 1, peers }, listener(), None)
+        };
+        assert!(start(vec!["core0:7000", "me"]).is_err());
+        assert!(start(vec![&addr0, "me"]).is_ok());
+    }
+
+    /// Shutdown wakes the acceptor out of `accept`, and it lets go of
+    /// the listener at once: a restart on the same address binds.
+    #[test]
+    fn shutdown_frees_the_listen_address_at_once() {
+        let (a, _b) = pair();
+        let addr = a.shared.listen_addr;
+        a.shutdown();
+        let deadline = Instant::now() + Duration::from_millis(100);
+        while TcpListener::bind(addr).is_err() {
+            assert!(Instant::now() < deadline, "{addr} still bound");
+            thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -562,7 +614,7 @@ mod tests {
             .find_map(|_| {
                 let bound = TcpListener::bind(addr1).ok();
                 if bound.is_none() {
-                    thread::sleep(ACCEPT_POLL);
+                    thread::sleep(Duration::from_millis(1));
                 }
                 bound
             })
@@ -614,7 +666,7 @@ mod tests {
             .find_map(|_| {
                 let bound = TcpListener::bind(addr1).ok();
                 if bound.is_none() {
-                    thread::sleep(ACCEPT_POLL);
+                    thread::sleep(Duration::from_millis(1));
                 }
                 bound
             })

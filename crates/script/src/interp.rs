@@ -200,10 +200,8 @@ impl ScriptEngine {
                 })?;
                 let peer_name = self.eval(towards, env, params)?;
                 let peer_name = peer_name.as_core_name()?;
-                let node = self.core.network().node_by_name(peer_name).ok_or_else(|| {
-                    ScriptError::Core(fargo_core::FargoError::UnknownCore(peer_name.to_owned()))
-                })?;
-                Ok((format!("{}:n{}", event.name, node.index()), my_name))
+                let node = self.core.core_index(peer_name)?;
+                Ok((format!("{}:n{node}", event.name), my_name))
             }
             // Keyless profile services and raw selectors pass through
             // (completLoad, memoryUse, queueLen, or a pre-built selector).
@@ -391,9 +389,7 @@ impl ScriptEngine {
             Expr::CompletsIn(inner) => {
                 let v = self.eval(inner, env, params)?;
                 let core_name = v.as_core_name()?;
-                let node = self.core.network().node_by_name(core_name).ok_or_else(|| {
-                    ScriptError::Core(fargo_core::FargoError::UnknownCore(core_name.to_owned()))
-                })?;
+                let node = self.core.core_index(core_name)?;
                 let items = self
                     .core
                     .complets_at(core_name)
@@ -402,11 +398,7 @@ impl ScriptEngine {
                     items
                         .into_iter()
                         .map(|(id, ty)| {
-                            ScriptValue::Complet(fargo_core::RefDescriptor::link(
-                                id,
-                                ty,
-                                node.index(),
-                            ))
+                            ScriptValue::Complet(fargo_core::RefDescriptor::link(id, ty, node))
                         })
                         .collect(),
                 ))

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use fargo_core::{
-    render_matrix, render_slow_log, CompletId, CompletRef, Core, FargoError, JournalKind,
+    render_matrix, render_slow_log, CompletId, CompletRef, Core, FargoError, JournalKind, Member,
     RefDescriptor, Service, Value,
 };
 use fargo_layout::{register_plan_action, Rebalancer, LAYOUT_RULES};
@@ -205,20 +205,13 @@ impl Shell {
     }
 
     fn cmd_cores(&self) -> Result<String, ShellError> {
-        let net = self.core.network();
         let mut out = String::new();
-        for node in net.node_ids() {
-            let name = net.node_name(node).unwrap_or_else(|_| node.to_string());
-            let up = net.node_up(node).unwrap_or(false);
-            let load = if up {
-                self.core
-                    .complets_at(&name)
-                    .map(|c| c.len().to_string())
-                    .unwrap_or_else(|_| "?".into())
-            } else {
-                "-".into()
+        for Member { name, up, .. } in self.core.members() {
+            let (state, load) = match up.then(|| self.core.complets_at(&name)) {
+                Some(Ok(items)) => ("up", items.len().to_string()),
+                Some(Err(_)) => ("up", "?".into()),
+                None => ("down", "-".into()),
             };
-            let state = if up { "up" } else { "down" };
             writeln!(out, "{name:<16} {state:<5} complets={load}").expect("write to string");
         }
         Ok(out)
@@ -511,27 +504,19 @@ impl Shell {
     }
 
     fn cmd_layout_live(&self) -> Result<String, ShellError> {
-        let net = self.core.network();
         let mut out = String::new();
-        for node in net.node_ids() {
-            let name = net.node_name(node).unwrap_or_else(|_| node.to_string());
-            if !net.node_up(node).unwrap_or(false) {
-                writeln!(out, "{name}: (down)").expect("write to string");
-                continue;
-            }
-            match self.core.complets_at(&name) {
-                Ok(items) if items.is_empty() => {
-                    writeln!(out, "{name}: (empty)").expect("write to string");
-                }
-                Ok(items) => {
+        for Member { name, up, .. } in self.core.members() {
+            let what = match up.then(|| self.core.complets_at(&name)) {
+                None => "(down)".to_owned(),
+                Some(Ok(items)) if items.is_empty() => "(empty)".to_owned(),
+                Some(Ok(items)) => {
                     let list: Vec<String> =
                         items.iter().map(|(id, ty)| format!("{id} {ty}")).collect();
-                    writeln!(out, "{name}: {}", list.join(", ")).expect("write to string");
+                    list.join(", ")
                 }
-                Err(e) => {
-                    writeln!(out, "{name}: unreachable ({e})").expect("write to string");
-                }
-            }
+                Some(Err(e)) => format!("unreachable ({e})"),
+            };
+            writeln!(out, "{name}: {what}").expect("write to string");
         }
         Ok(out)
     }

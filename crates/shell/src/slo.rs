@@ -87,12 +87,8 @@ impl Slo {
 /// The names of the Cores that are up: the `%1` a shipped rule script
 /// is loaded with.
 pub(crate) fn cores_up(core: &Core) -> Vec<String> {
-    let net = core.network();
-    net.node_ids()
-        .into_iter()
-        .filter(|&n| net.node_up(n).unwrap_or(false))
-        .filter_map(|n| net.node_name(n).ok())
-        .collect()
+    let members = core.members().into_iter();
+    members.filter(|m| m.up).map(|m| m.name).collect()
 }
 
 /// The `alert <rule> firing|resolved <core>` action. An edge that
@@ -123,7 +119,7 @@ fn alert_action(
         };
         if edge {
             let detail = format!("{core} value={:.4}", ctx.value.unwrap_or(0.0));
-            let peer = ctx.core.network().node_by_name(core).map(|n| n.index());
+            let peer = ctx.core.core_index(core).ok();
             ctx.core
                 .journal_note(JournalKind::Alert, rule, state, &detail, peer);
         }

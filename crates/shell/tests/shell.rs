@@ -726,3 +726,52 @@ fn plan_and_autolayout_commands_drive_the_loop() {
         c.stop();
     }
 }
+
+/// The directory over real sockets: on a loopback-TCP cluster the shell
+/// lists every Core as up, creates at one and lists it, and sees it down
+/// once it stops.
+#[test]
+fn cores_and_ls_over_loopback_tcp() {
+    let net = Network::new(NetworkConfig {
+        default_link: Some(LinkConfig::instant()),
+        ..NetworkConfig::default()
+    });
+    let reg = CompletRegistry::new();
+    Message::register(&reg);
+    let listeners: Vec<std::net::TcpListener> = (0..3)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let peers: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let cores: Vec<Core> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(i, listener)| {
+            Core::builder(&net, &format!("core{i}"))
+                .registry(&reg)
+                .tcp_transport(listener, peers.clone())
+                .spawn()
+                .unwrap()
+        })
+        .collect();
+    let shell = Shell::new(cores[0].clone());
+    let state = |core: &str| {
+        let out = shell.exec("cores").unwrap();
+        let line = out.lines().find(|l| l.starts_with(core)).unwrap();
+        line.split_whitespace().nth(1).unwrap().to_owned()
+    };
+    for core in ["core0", "core1", "core2"] {
+        assert_eq!(state(core), "up", "{core}");
+    }
+
+    shell.exec("new Message at core2 as postbox").unwrap();
+    assert!(shell.exec("ls core2").unwrap().contains("Message"));
+
+    cores[2].stop();
+    assert_eq!(state("core2"), "down");
+    for c in &cores {
+        c.stop();
+    }
+}
