@@ -3,14 +3,13 @@
 //! Topology: every node knows the listen address of every peer, indexed
 //! by node index (the same index order as the cluster directory). One
 //! acceptor thread blocks in `accept` (shutdown wakes it with a connect
-//! of its own); each accepted connection
-//! gets a reader thread that first expects a 4-byte *hello* payload
-//! carrying the dialer's node index — within a dial's time, and naming a
-//! peer, or it hangs up — then forwards every following frame into the
-//! transport's single receive queue. It reads through one buffer, so a
-//! burst of frames costs one `recv`. Outbound connections are
-//! cached per peer in a links map and lazily (re)dialed; a frame goes
-//! out in one write.
+//! of its own); each accepted connection gets a reader thread that first
+//! expects a 4-byte *hello* payload carrying the dialer's node index —
+//! within a dial's time, and naming a peer, or it hangs up — then
+//! forwards every following frame into the transport's single receive
+//! queue. It reads through one buffer, so a burst of frames costs one
+//! `recv`. Outbound connections are cached per peer in a links map and
+//! lazily (re)dialed; a frame goes out in one write.
 //!
 //! Failure philosophy: a connect refusal, reset, or short write is
 //! *packet loss*, not an error — the link is torn down, the datagram is

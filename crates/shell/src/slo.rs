@@ -107,9 +107,11 @@ fn alert_action(
             });
         };
         let pair = (core.clone(), rule.clone());
+        // Held while the edge is journaled: `health` never runs ahead of `alerts`.
+        let mut firing = firing.lock().expect("firing set");
         let edge = match state.as_str() {
-            "firing" => firing.lock().expect("firing set").insert(pair),
-            "resolved" => firing.lock().expect("firing set").remove(&pair),
+            "firing" => firing.insert(pair),
+            "resolved" => firing.remove(&pair),
             _ => {
                 return Err(ScriptError::TypeMismatch {
                     expected: "firing or resolved",
