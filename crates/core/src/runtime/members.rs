@@ -37,7 +37,7 @@ impl Core {
         let net = &self.inner.net;
         let member = |id: NodeId| Member {
             index: id.index(),
-            name: net.node_name(id).unwrap_or_else(|_| id.to_string()),
+            name: self.core_name_of(id.index()),
             up: net.node_up(id).unwrap_or(false),
         };
         net.node_ids().into_iter().map(member).collect()
