@@ -309,13 +309,12 @@ fi
 
 # The simulator is read in one place (ROADMAP item 21): after spawn, a
 # Core's members, names, up flags and links come from its directory
-# (`crates/core/src/runtime/members.rs`), and the shell, scripts, the
-# planner and the monitor ask the Core, not simnet's `Network`. A
-# `.net` that starts a line is an `inner.net` split across lines.
+# (`crates/core/src/runtime/members.rs`, whose `Directory` keeps the
+# network in a private field, so the compiler holds the rest of the
+# Core to it), and the shell, scripts, the planner and the monitor ask
+# the Core, not simnet's `Network`.
 echo "==> the simulator is read in one place"
 if grep -rn '\.network()' crates/shell/src crates/script/src crates/layout/src crates/viz/src ||
-    grep -rnE '\binner\s*\.net\b|^\s*\.net\b' crates/core/src |
-        grep -v '^crates/core/src/runtime/members\.rs:' ||
     awk '/^\[/ { deps = ($0 == "[dependencies]") }
          deps && /^simnet/ { print FILENAME ": " $0; found = 1 }
          END { exit !found }' \

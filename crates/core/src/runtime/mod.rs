@@ -66,6 +66,7 @@ use crate::reference::relocator::RelocatorRegistry;
 use crate::reference::tracker::{PointOutcome, TrackerSnapshot, TrackerTable, TrackerTarget};
 use crate::reference::{CompletRef, MetaRef};
 use crate::runtime::dispatch::Job;
+use crate::runtime::members::{directory, Directory};
 use crate::runtime::movement::HeldMove;
 use crate::runtime::reliable::{DecisionLog, ReplyCache};
 use crate::telemetry::CoreTelemetry;
@@ -105,7 +106,7 @@ pub(crate) struct CompletSlot {
 pub(crate) struct CoreInner {
     pub name: String,
     pub node: NodeId,
-    pub net: Network,
+    pub directory: Directory,
     /// The backend carrying this Core's envelopes: the simnet adapter or
     /// real TCP sockets, chosen at spawn. Everything above this field is
     /// backend-agnostic.
@@ -337,7 +338,7 @@ impl<'a> CoreBuilder<'a> {
         let inner = Arc::new(CoreInner {
             name,
             node,
-            net: self.net.clone(),
+            directory: directory(self.net),
             transport,
             registry: self.registry.unwrap_or_default(),
             relocators: self.relocators.unwrap_or_default(),
@@ -806,8 +807,8 @@ fn sample_service(core: &Core, service: &Service) -> Option<f64> {
             Some(model.bandwidth.map_or(f64::MAX / 4.0, |b| b as f64))
         }
         Service::Latency { peer } => {
-            let model = core.link(inner.node.index(), *peer).model?;
-            Some(model.latency.as_secs_f64())
+            let latency = core.link(inner.node.index(), *peer).model_latency?;
+            Some(latency.as_secs_f64())
         }
         Service::MethodInvokeRate { src, dst } => {
             let total = inner.telemetry.edges.invokes((*src, *dst));

@@ -86,8 +86,14 @@ fn per_op(ops: u64, mut op: impl FnMut()) -> (f64, f64) {
         })
 }
 
-fn call(r: &BoundRef, method: &str, args: &[Value]) {
-    r.call(method, args).unwrap();
+/// One call of `method`, its reply checked: an integer, or a list of
+/// `records` values when `records` is given.
+fn call(r: &BoundRef, method: &str, args: &[Value], records: Option<usize>) {
+    let reply = r.call(method, args).unwrap();
+    match records {
+        None => assert!(reply.as_i64().is_some(), "{method} replied {reply:?}"),
+        Some(n) => assert_eq!(reply.as_list().map(<[Value]>::len), Some(n)),
+    }
 }
 
 #[test]
@@ -119,22 +125,22 @@ fn a_call_stays_within_its_allocation_budget() {
     let rows = [
         (
             "remote get",
-            per_op(CALLS, || call(&remote, "get", &[])),
+            per_op(CALLS, || call(&remote, "get", &[], None)),
             pick((19.0, 1_250.0), (21.0, 1_150.0)),
         ),
         (
             "remote add",
-            per_op(CALLS, || call(&remote, "add", &[Value::I64(1)])),
+            per_op(CALLS, || call(&remote, "add", &[Value::I64(1)], None)),
             pick((20.0, 1_250.0), (22.0, 1_200.0)),
         ),
         (
             "local get",
-            per_op(CALLS, || call(&local, "get", &[])),
+            per_op(CALLS, || call(&local, "get", &[], None)),
             (7.0, 200.0),
         ),
         (
             "by-value graph call",
-            per_op(GRAPH_CALLS, || call(&graph, "scan", &[])),
+            per_op(GRAPH_CALLS, || call(&graph, "scan", &[], Some(256))),
             pick((1_060.0, 157_000.0), (1_062.0, 169_500.0)),
         ),
         (

@@ -97,7 +97,7 @@ fn directed_cost(link: &LinkView) -> f64 {
     // propagation model while too few envelopes have crossed.
     let latency_us = match stats.observed_latency_us {
         Some(measured) if stats.observed_samples >= MIN_OBSERVED_SAMPLES => measured,
-        _ => model.map_or(0.0, |m| m.latency.as_secs_f64() * 1e6),
+        _ => link.model_latency.map_or(0.0, |d| d.as_secs_f64() * 1e6),
     };
     let bandwidth = model.and_then(|m| m.bandwidth);
     let ser_us = bandwidth.map_or(0.0, |bytes_per_sec| {
@@ -127,6 +127,7 @@ mod tests {
     fn configured(model: LinkConfig) -> LinkView {
         LinkView {
             stats: LinkStats::default(),
+            model_latency: Some(model.latency),
             model: Some(model),
         }
     }

@@ -323,7 +323,8 @@ impl Network {
         }
     }
 
-    fn scaled(&self, d: Duration) -> Duration {
+    /// A configured duration on this network's clock (times the time scale).
+    pub fn scaled(&self, d: Duration) -> Duration {
         d.mul_f64(self.inner.config.time_scale.max(0.0))
     }
 
