@@ -307,6 +307,23 @@ if grep -rn "thread::spawn" crates/core/src; then
     exit 1
 fi
 
+# A stopped Core is gone when `stop` returns (ROADMAP item 20): every
+# thread a Core or its TCP transport starts is started by one helper per
+# crate, which records it for `stop` to join (`Core::spawn_thread` in
+# runtime/mod.rs, `Shared::spawn` in fargo-net's tcp.rs), and no loop
+# polls a shutdown flag on a 25 ms receive timeout.
+echo "==> every Core and transport thread is joined"
+spawns=$(find crates/core/src crates/net/src -name '*.rs' | sort | xargs awk '
+    /fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /thread::Builder::new\(\)/ { print FILENAME " in " f }')
+if [ "$spawns" != "$(printf '%s\n' \
+    'crates/core/src/runtime/mod.rs in spawn_thread' 'crates/net/src/tcp.rs in spawn')" ] ||
+    grep -rn 'recv_timeout(Duration::from_millis(25))' crates/core/src crates/net/src; then
+    printf '%s\n' "$spawns"
+    echo "start a thread through the helper that records it for stop to join"
+    exit 1
+fi
+
 # The simulator is read in one place (ROADMAP item 21): after spawn, a
 # Core's members, names, up flags and links come from its directory
 # (`crates/core/src/runtime/members.rs`, whose `Directory` keeps the

@@ -9,11 +9,9 @@
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::thread;
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use fargo_net::Datagram;
 use fargo_telemetry::{JournalKind, TraceContext};
 
@@ -54,80 +52,69 @@ fn panic_message(cause: &(dyn Any + Send)) -> String {
 }
 
 impl Core {
+    /// Starts the receiver: every datagram in, until the transport shuts.
     pub(super) fn spawn_receiver(&self) {
-        let core = self.clone();
-        thread::Builder::new()
-            .name(format!("fargo-core-{}", self.inner.name))
-            .spawn(move || core.receiver_loop())
-            .expect("failed to spawn core receiver thread");
+        self.spawn_thread(format!("fargo-core-{}", self.inner.name), |core| {
+            while let Ok(incoming) = core.inner.transport.recv() {
+                core.receive(incoming);
+            }
+        });
     }
 
     /// Starts the bounded worker pool. Workers share one queue; replies
     /// and notifies bypass it (handled inline on the receiver loop), so a
     /// pool saturated with jobs blocked in nested rpcs can still be
-    /// unblocked by incoming replies.
-    pub(super) fn spawn_workers(&self, work_rx: Receiver<Job>) {
+    /// unblocked by incoming replies. A worker ends when `stop` has
+    /// dropped the queue's sender and the queue is empty; jobs still
+    /// queued then are dropped unrun.
+    pub(super) fn spawn_workers(&self, work_rx: &Receiver<Job>) {
         for i in 0..self.inner.config.worker_threads {
-            let core = self.clone();
             let rx = work_rx.clone();
-            thread::Builder::new()
-                .name(format!("fargo-worker-{}-{i}", self.inner.name))
-                .spawn(move || loop {
-                    if core.inner.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    match rx.recv_timeout(Duration::from_millis(25)) {
-                        Ok(job) => {
-                            core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
-                            match job {
-                                // A panicking method fails its call, not
-                                // the worker: the caller hears at once.
-                                Job::Request(req) => {
-                                    let (origin, req_id) = (req.origin, req.req_id);
-                                    let served = AssertUnwindSafe(|| core.handle_request(req));
-                                    if let Err(cause) = panic::catch_unwind(served) {
-                                        let err = FargoError::App(panic_message(&*cause));
-                                        core.respond(origin, req_id, &[], Reply::Err(err));
-                                    }
-                                }
-                                // A panicking listener ends its delivery only.
-                                Job::Task(task) => {
-                                    let _ = panic::catch_unwind(AssertUnwindSafe(|| task(&core)));
+            self.spawn_thread(
+                format!("fargo-worker-{}-{i}", self.inner.name),
+                move |core| {
+                    while let Ok(job) = rx.recv() {
+                        if core.inner.shutdown.load(Ordering::SeqCst) {
+                            continue;
+                        }
+                        core.inner.busy_workers.fetch_add(1, Ordering::SeqCst);
+                        match job {
+                            // A panicking method fails its call, not the
+                            // worker: the caller hears at once.
+                            Job::Request(req) => {
+                                let (origin, req_id) = (req.origin, req.req_id);
+                                let served = AssertUnwindSafe(|| core.handle_request(req));
+                                if let Err(cause) = panic::catch_unwind(served) {
+                                    let err = FargoError::App(panic_message(&*cause));
+                                    core.respond(origin, req_id, &[], Reply::Err(err));
                                 }
                             }
-                            core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
+                            // A panicking listener ends its delivery only.
+                            Job::Task(task) => {
+                                let _ = panic::catch_unwind(AssertUnwindSafe(|| task(core)));
+                            }
                         }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => return,
+                        core.inner.busy_workers.fetch_sub(1, Ordering::SeqCst);
                     }
-                })
-                .expect("failed to spawn core worker thread");
+                },
+            );
         }
     }
 
     /// Hands `job` to the worker pool, or sheds it (counted once) when the
     /// queue is full: never blocks, since the receiver loop and running
-    /// jobs submit. Returns whether the pool accepted it. (The queue
-    /// cannot disconnect: `CoreInner` holds a receiver.)
+    /// jobs submit. Returns whether the pool accepted it. After `stop`
+    /// the job is dropped, uncounted.
     pub(crate) fn submit(&self, job: Job) -> bool {
-        let accepted = self.inner.work_tx.try_send(job).is_ok();
+        let senders = self.inner.senders.read();
+        let Some((work_tx, _)) = senders.as_ref() else {
+            return false;
+        };
+        let accepted = work_tx.try_send(job).is_ok();
         if !accepted {
             self.inner.telemetry.worker_rejections_total.inc();
         }
         accepted
-    }
-
-    fn receiver_loop(&self) {
-        loop {
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match self.inner.transport.recv_timeout(Duration::from_millis(25)) {
-                Ok(incoming) => self.receive(incoming),
-                Err(e) if e.is_timeout() => {}
-                Err(_) => return,
-            }
-        }
     }
 
     /// Decodes one datagram (in place — the reader walks the transport's

@@ -9,6 +9,7 @@
 //!   the chain back, repointing every tracker to the target's final
 //!   location (chain shortening).
 
+use std::sync::atomic::Ordering;
 use std::thread;
 use std::time::Duration;
 
@@ -274,6 +275,9 @@ impl Core {
                     // off briefly (never past the deadline) and
                     // re-resolve.
                     let remaining = Duration::from_micros(deadline.saturating_sub(clock.now_us()));
+                    if self.inner.shutdown.load(Ordering::SeqCst) {
+                        return Err(FargoError::ShuttingDown);
+                    }
                     if remaining.is_zero() {
                         return Err(FargoError::Timeout);
                     }
@@ -367,7 +371,7 @@ impl Core {
                     );
                     let accounting = t.accounting;
                     let start = if accounting { t.phase_now_us() } else { 0 };
-                    let result = complet.invoke(&mut ctx, method, args);
+                    let mut result = complet.invoke(&mut ctx, method, args);
                     if accounting {
                         let exec_us = t.phase_now_us().saturating_sub(start);
                         let bytes_in: u64 = args.iter().map(|a| a.deep_size() as u64).sum();
@@ -386,9 +390,11 @@ impl Core {
                     // complet, append its newer state, and then be
                     // durably superseded by this one's stale snapshot
                     // (fold keeps the last record per id).
-                    let acked = result.is_ok() && self.inner.wal.is_some();
-                    if acked {
-                        self.wal_capture_state(id, &slot.type_name, complet.marshal());
+                    let mut acked = result.is_ok() && self.inner.wal.is_some();
+                    if acked && !self.wal_capture_state(id, &slot.type_name, complet.marshal()) {
+                        // The Core stopped mid-call: not logged, not acked.
+                        acked = false;
+                        result = Err(FargoError::ShuttingDown);
                     }
                     drop(guard);
                     if acked {
@@ -405,6 +411,9 @@ impl Core {
                 }
                 SlotState::InTransit => {
                     drop(guard);
+                    if self.inner.shutdown.load(Ordering::SeqCst) {
+                        return LocalExec::Done(Err(FargoError::ShuttingDown));
+                    }
                     polls = polls.saturating_sub(1);
                     if clock.now_us() > wait_deadline || polls == 0 {
                         return LocalExec::Done(Err(FargoError::Timeout));

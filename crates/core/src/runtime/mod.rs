@@ -40,13 +40,14 @@ pub use reliable::{DEDUP_CACHE_MAX_BYTES, DEDUP_CACHE_MAX_ENTRIES};
 pub use shards::{LocateReport, ResolveVia};
 pub use wal::RecoveryReport;
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use fargo_net::{
     DeliveryGate, SimnetTransport, TcpTransport, TcpTransportConfig, Transport, TransportError,
 };
@@ -78,6 +79,11 @@ const MOVE_DECISION_LOG: usize = 2 * 1024;
 
 /// Maximum tracker hops an invocation may traverse.
 pub(crate) const MAX_HOPS: u32 = 64;
+
+thread_local! {
+    /// The Core a thread belongs to (its `CoreInner`'s address), or 0.
+    static CORE_OF_THREAD: Cell<usize> = const { Cell::new(0) };
+}
 
 /// Smoothing factor of the monitor's exponential averages, in `(0, 1]`;
 /// higher weighs recent samples more.
@@ -129,11 +135,15 @@ pub(crate) struct CoreInner {
     pub hub: EventHub,
     pub telemetry: CoreTelemetry,
     pub shutdown: AtomicBool,
+    /// Every thread this Core started that `stop` has yet to join.
+    pub threads: Mutex<Vec<JoinHandle<()>>>,
     /// Receiver-side reply-dedup cache: the at-most-once half of the
     /// reliable messaging layer.
     pub reply_cache: ReplyCache,
-    /// Bounded queue feeding the worker pool: requests and Core tasks.
-    pub work_tx: Sender<Job>,
+    /// The bounded queue feeding the worker pool (requests and Core tasks)
+    /// and the monitor's halt, where nothing is sent: `stop` drops both, so
+    /// the workers drain the queue and end, and the monitor's wait ends.
+    pub senders: RwLock<Option<(Sender<Job>, Sender<()>)>>,
     /// A receiver handle kept only so queue depth is observable
     /// (crossbeam senders cannot report length).
     pub work_rx: Receiver<Job>,
@@ -334,6 +344,7 @@ impl<'a> CoreBuilder<'a> {
         );
         monitor.register_metrics(&telemetry.registry, &name);
         let (work_tx, work_rx) = bounded(config.worker_queue_depth);
+        let (halt_tx, halt_rx) = bounded(1);
         let members: Vec<u32> = self.net.node_ids().iter().map(|n| n.index()).collect();
         let inner = Arc::new(CoreInner {
             name,
@@ -355,8 +366,9 @@ impl<'a> CoreBuilder<'a> {
             complet_seq: AtomicU64::new(first_id),
             hub: EventHub::new(),
             shutdown: AtomicBool::new(false),
+            threads: Mutex::new(Vec::new()),
             reply_cache: ReplyCache::new(DEDUP_CACHE_MAX_ENTRIES),
-            work_tx,
+            senders: RwLock::new(Some((work_tx, halt_tx))),
             work_rx: work_rx.clone(),
             busy_workers: AtomicU64::new(0),
             move_epochs: Mutex::new(HashMap::new()),
@@ -377,9 +389,9 @@ impl<'a> CoreBuilder<'a> {
         // Recovery first: no request is served, and nothing appends to
         // the log, until the logged state is back.
         core.recover_from_wal(replay, replay_read);
-        core.spawn_workers(work_rx);
+        core.spawn_workers(&work_rx);
         core.spawn_receiver();
-        core.spawn_monitor_thread();
+        core.spawn_monitor_thread(halt_rx);
         Ok(core)
     }
 }
@@ -671,14 +683,44 @@ impl Core {
         self.stop();
     }
 
-    /// Stops the Core immediately: no more requests are served.
+    /// Stops the Core: nothing more is served, sent or logged. From outside
+    /// the Core it returns once every thread the Core and its transport
+    /// started has ended; from one of the Core's own threads (a complet
+    /// method's `ctx.core()`) it ends the others, and its own ends when its
+    /// job returns. Idempotent, also from several threads at once.
     pub fn stop(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.fail_pending_rpcs();
-        // Mark the node down first (so peers' sends start refusing),
-        // then tear the transport down.
-        self.mark_down();
-        self.inner.transport.shutdown();
+        let own = CORE_OF_THREAD.with(Cell::get) == Arc::as_ptr(&self.inner).addr();
+        // Held while joining: a concurrent `stop` returns after this one.
+        let mut threads = (!own).then(|| self.inner.threads.lock());
+        if !self.inner.shutdown.swap(true, Ordering::SeqCst) {
+            // Nothing is logged from here on, so nothing more is acked.
+            if let Some(wal) = &self.inner.wal {
+                wal.close();
+            }
+            self.inner.senders.write().take();
+            self.fail_pending_rpcs();
+            // Mark the node down first (so peers' sends start refusing),
+            // then tear the transport down, which joins its own threads.
+            self.mark_down();
+            self.inner.transport.shutdown();
+        }
+        for handle in threads.iter_mut().flat_map(|t| t.drain(..)) {
+            let _ = handle.join();
+        }
+    }
+
+    /// Starts one of this Core's threads, recorded for `stop` to join:
+    /// the one place a Core starts a thread.
+    pub(crate) fn spawn_thread(&self, name: String, body: impl FnOnce(&Core) + Send + 'static) {
+        let core = self.clone();
+        let handle = thread::Builder::new()
+            .name(name)
+            .spawn(move || {
+                CORE_OF_THREAD.with(|c| c.set(Arc::as_ptr(&core.inner).addr()));
+                body(&core);
+            })
+            .expect("failed to spawn a Core thread");
+        self.inner.threads.lock().push(handle);
     }
 
     // --- internals -------------------------------------------------------------
@@ -765,25 +807,25 @@ impl Core {
         self.learn_location(target, node, epoch);
     }
 
-    fn spawn_monitor_thread(&self) {
-        let core = self.clone();
-        thread::Builder::new()
-            .name(format!("fargo-monitor-{}", self.inner.name))
-            .spawn(move || {
-                while !core.inner.shutdown.load(Ordering::SeqCst) {
-                    thread::sleep(core.inner.config.monitor_tick);
-                    for event in core.inner.monitor.tick(core.inner.node.index()) {
-                        core.fire_event(event);
-                    }
-                    core.sweep_held_moves();
-                    core.wal_compact_if_due();
-                    // Ring refresh + shard handoff for the sharded
-                    // location service (nothing to hand off when it is
-                    // disabled: the shard stays empty).
-                    core.naming_rebalance();
+    /// Runs the monitor every `monitor_tick` until `stop` drops `halt`'s sender.
+    fn spawn_monitor_thread(&self, halt: Receiver<()>) {
+        let name = format!("fargo-monitor-{}", self.inner.name);
+        self.spawn_thread(name, move |core| {
+            let tick = core.inner.config.monitor_tick;
+            while halt.recv_timeout(tick) == Err(RecvTimeoutError::Timeout)
+                && !core.inner.shutdown.load(Ordering::SeqCst)
+            {
+                for event in core.inner.monitor.tick(core.inner.node.index()) {
+                    core.fire_event(event);
                 }
-            })
-            .expect("failed to spawn monitor thread");
+                core.sweep_held_moves();
+                core.wal_compact_if_due();
+                // Ring refresh + shard handoff for the sharded location
+                // service (nothing to hand off when it is disabled: the
+                // shard stays empty).
+                core.naming_rebalance();
+            }
+        });
     }
 
     fn install_sampler(&self) {

@@ -38,6 +38,7 @@
 //!
 //! [`CoreConfig::wal_dir`]: crate::config::CoreConfig
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use fargo_telemetry::JournalKind;
@@ -185,13 +186,18 @@ impl Core {
 
     /// Appends one record to the write-ahead log; a no-op when the log is
     /// disabled. Append failures are counted, not surfaced — durability
-    /// degrades, the running cluster does not stop.
-    pub(crate) fn wal_append(&self, record: &wal::WalRecord) {
-        let Some(wal) = &self.inner.wal else { return };
+    /// degrades, the running cluster does not stop. `false` once `stop`
+    /// closed the log: what the record stands for must not be acked.
+    pub(crate) fn wal_append(&self, record: &wal::WalRecord) -> bool {
+        let Some(wal) = &self.inner.wal else {
+            return true;
+        };
         match wal.append(record) {
             Ok(()) => self.inner.telemetry.wal_appends_total.inc(),
+            Err(_) if self.inner.shutdown.load(Ordering::SeqCst) => return false,
             Err(_) => self.inner.telemetry.wal_errors_total.inc(),
         }
+        true
     }
 
     /// Captures a resident complet's current state into the log (no-op
@@ -221,11 +227,11 @@ impl Core {
     /// Appends a `State` record from an already-marshaled state. Safe
     /// to call while the caller holds the slot lock — the invocation
     /// path does exactly that, so a concurrent invocation of the same
-    /// complet cannot interleave a newer append under this one.
-    pub(crate) fn wal_capture_state(&self, id: CompletId, type_name: &str, state: Value) {
-        if self.inner.wal.is_some() {
-            self.wal_append(&wal::WalRecord::State(self.image_of(id, type_name, state)));
-        }
+    /// complet cannot interleave a newer append under this one. `false`
+    /// as [`Core::wal_append`].
+    pub(crate) fn wal_capture_state(&self, id: CompletId, type_name: &str, state: Value) -> bool {
+        self.inner.wal.is_none()
+            || self.wal_append(&wal::WalRecord::State(self.image_of(id, type_name, state)))
     }
 
     /// The image of one resident complet: its marshaled state stamped
@@ -430,6 +436,7 @@ impl Core {
                     None,
                 );
             }
+            Err(_) if self.inner.shutdown.load(Ordering::SeqCst) => {} // closed by `stop`
             Err(_) => self.inner.telemetry.wal_errors_total.inc(),
         }
     }

@@ -182,7 +182,8 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub(crate) struct Wal {
     path: PathBuf,
-    file: Mutex<File>,
+    /// The log; `None` once [`Wal::close`]d, and every write fails then.
+    file: Mutex<Option<File>>,
     appends: AtomicU64,
     generation: u64,
     fsync: bool,
@@ -240,7 +241,7 @@ impl Wal {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(Wal {
             path,
-            file: Mutex::new(file),
+            file: Mutex::new(Some(file)),
             appends: AtomicU64::new(0),
             generation,
             fsync,
@@ -274,12 +275,18 @@ impl Wal {
     pub fn append(&self, record: &WalRecord) -> io::Result<()> {
         let frame = encode_record(record)?;
         let mut file = self.file.lock();
+        let file = file.as_mut().ok_or_else(closed)?;
         file.write_all(&frame)?;
         if self.fsync {
             file.sync_data()?;
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Closes the log once a write under way is done.
+    pub fn close(&self) {
+        self.file.lock().take();
     }
 
     /// Appends since the last [`Wal::compact`] (compaction trigger).
@@ -345,10 +352,11 @@ impl Wal {
     /// over the old log, so a crash mid-write leaves one valid log.
     fn write_image(
         &self,
-        file: &mut File,
+        file: &mut Option<File>,
         folded: &WalFold,
         extra: &[WalRecord],
     ) -> io::Result<usize> {
+        let file = file.as_mut().ok_or_else(closed)?;
         let tmp = self.path.with_extension("wal.tmp");
         let mut out = BufWriter::new(File::create(&tmp)?);
         for frame in folded.survivors.iter().chain(&folded.held) {
@@ -376,6 +384,11 @@ impl Wal {
         self.appends.store(0, Ordering::Relaxed);
         Ok(folded.survivors.len() + folded.held.len() + folded.departed.len() + extra.len())
     }
+}
+
+/// What a write to a closed log fails with.
+fn closed() -> io::Error {
+    io::Error::other("log closed")
 }
 
 /// Fsyncs a directory so a rename performed in it survives power loss.

@@ -8,7 +8,10 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use common::{fast_network, quiesce, registry, test_config};
@@ -434,6 +437,87 @@ fn kill_restart_recovers_every_acked_complet() {
     hops.sort_unstable();
     assert!(hops[N * 99 / 100] <= 2, "p99 {} hops", hops[N * 99 / 100]);
     cleanup(&root, &cores);
+}
+
+/// `Gated::gated_add` has started; the test may stop its Core.
+static GATE_ENTERED: Barrier = Barrier::new(2);
+/// The test lets `Gated::gated_add` go on.
+static GATE_RELEASED: Barrier = Barrier::new(2);
+
+define_complet! {
+    /// A counter one of whose adds waits at a gate the test opens.
+    pub complet Gated {
+        state { n: i64 = 0 }
+        fn add(&mut self, _ctx, _args) {
+            self.n += 1;
+            Ok(Value::I64(self.n))
+        }
+        fn gated_add(&mut self, _ctx, _args) {
+            GATE_ENTERED.wait();
+            GATE_RELEASED.wait();
+            self.n += 1;
+            Ok(Value::I64(self.n))
+        }
+        fn get(&mut self, _ctx, _args) {
+            Ok(Value::I64(self.n))
+        }
+    }
+}
+
+/// Every file under `root` with its bytes.
+fn dir_bytes(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read wal dir") {
+            let path = entry.expect("wal dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read wal file");
+                files.insert(path, bytes);
+            }
+        }
+    }
+    files
+}
+
+/// A stopped Core writes nothing more to its log. A call blocked in its
+/// method while another thread stops the Core finishes after `stop`
+/// returned: its state is not logged, so it is not acknowledged, and a
+/// Core restarted on the log recovers exactly the acknowledged adds.
+#[test]
+fn a_stopped_core_appends_nothing_and_acks_nothing_more() {
+    let (net, reg, cores, root) = wal_cluster(1, "stopped");
+    Gated::register(&reg);
+    let gated = cores[0].new_complet("Gated", &[]).unwrap();
+    for n in 1..=3 {
+        assert_eq!(gated.call("add", &[]).unwrap(), Value::I64(n));
+    }
+    let blocked = {
+        let gated = gated.clone();
+        thread::spawn(move || gated.call("gated_add", &[]))
+    };
+    GATE_ENTERED.wait();
+    let stopper = {
+        let core = cores[0].clone();
+        thread::spawn(move || core.stop())
+    };
+    stopper.join().expect("stopper");
+    let at_stop = dir_bytes(&root);
+    GATE_RELEASED.wait();
+    let outcome = blocked.join().expect("caller");
+    // Past a monitor tick, when a compaction would have run.
+    thread::sleep(test_config().monitor_tick * 3);
+    assert!(dir_bytes(&root) == at_stop, "the log changed after stop");
+    assert!(
+        matches!(outcome, Err(FargoError::ShuttingDown)),
+        "{outcome:?}"
+    );
+    let restarted = restart(&net, &reg, test_config(), &root, &cores[0], 0);
+    let fresh = fresh_stub(&restarted, gated.id(), "Gated");
+    assert_eq!(fresh.call("get", &[]).unwrap(), Value::I64(3));
+    cleanup(&root, &[restarted]);
 }
 
 /// Invokes already waiting at a restarting Core's endpoint when it spawns

@@ -2,8 +2,10 @@
 //! event delivery, move, continuation or call. A 3-Core cluster, warmed
 //! up so every link has its TCP reader, then holds the same number of
 //! threads at the peak of an event storm of 50 deliveries as at the
-//! peak of one of 400, with moves and pipelined calls mixed in; and
-//! after teardown the count is back where it started.
+//! peak of one of 400, with moves and pipelined calls mixed in. A stop
+//! ends a Core's threads before it returns: stopping one Core under load
+//! drops the count by that Core's threads at once, and the moment
+//! teardown returns the count is back where it started.
 //!
 //! This is the only test of its binary on purpose: `/proc/self/status`
 //! counts every thread of the process, and the harness would run any
@@ -134,14 +136,77 @@ fn the_thread_count_does_not_grow_with_the_storm() {
         );
     }
 
+    stop_one_under_load(&cores);
+
     teardown(&cores);
+    // The network's delivery scheduler is all that is left: `net` holds it.
+    assert_eq!(
+        threads(),
+        before_cluster + 1,
+        "threads when teardown returned"
+    );
     drop(cores);
     drop(net);
-    assert!(
-        wait_until(|| threads() == before_cluster),
-        "{} threads after teardown, {before_cluster} before the cluster",
-        threads()
+    assert_eq!(
+        threads(),
+        before_cluster,
+        "threads once the network is gone"
     );
     stop.store(true, Ordering::SeqCst);
     poller.join().expect("poller");
+}
+
+/// Stops `core2` while `core0` and `core1` call a complet on it: when
+/// `stop` returns, the count has dropped by its workers, receiver and
+/// monitor, and over TCP its acceptor and its readers of the two peers'
+/// links. (The peers' readers of its own links end when they see its
+/// hang-up, after that.)
+fn stop_one_under_load(cores: &[Core]) {
+    let tcp = std::env::var("FARGO_TRANSPORT").as_deref() == Ok("tcp");
+    let peers = cores.len() - 1;
+    let own = cores[2].config().worker_threads + 2 + if tcp { 1 + peers } else { 0 };
+    let target = cores[0]
+        .new_complet_at("core2", "Counter", &[])
+        .expect("create at core2")
+        .complet_ref()
+        .clone();
+    let (calls, halt) = (
+        Arc::new(AtomicUsize::new(0)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let load: Vec<_> = cores[..2]
+        .iter()
+        .map(|core| {
+            let r = core.stub(target.clone());
+            let (calls, halt) = (Arc::clone(&calls), Arc::clone(&halt));
+            thread::spawn(move || {
+                while !halt.load(Ordering::SeqCst) {
+                    if r.call("add", &[]).is_ok() {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            })
+        })
+        .collect();
+    assert!(wait_until(|| calls.load(Ordering::SeqCst) >= 100), "load");
+    let before = threads();
+    cores[2].stop();
+    let after = threads();
+    if tcp {
+        assert!(
+            before - after >= own,
+            "{before} -> {after}, {own} of core2's own"
+        );
+        assert!(
+            wait_until(|| threads() == before - own - peers),
+            "{before} -> {}, {own} of core2's own and {peers} peer readers",
+            threads()
+        );
+    } else {
+        assert_eq!(before - after, own, "core2's threads");
+    }
+    halt.store(true, Ordering::SeqCst);
+    for l in load {
+        l.join().expect("load");
+    }
 }

@@ -24,14 +24,6 @@ pub enum TransportError {
     Io(String),
 }
 
-impl TransportError {
-    /// True when this error is a blocking-receive timeout.
-    #[must_use]
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, TransportError::Net(NetError::RecvTimeout))
-    }
-}
-
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -52,6 +52,14 @@ pub trait Transport: Send + Sync {
     /// drop.
     fn send(&self, dst: u32, payload: Bytes) -> Result<(), TransportError>;
 
+    /// Blocks until a datagram arrives (the Core's receiver loop).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Closed`](simnet::NetError::Closed) once the transport
+    /// shuts down, which wakes a blocked call.
+    fn recv(&self) -> Result<Datagram, TransportError>;
+
     /// Blocks until a datagram arrives or `timeout` elapses.
     ///
     /// # Errors
@@ -61,18 +69,12 @@ pub trait Transport: Send + Sync {
     /// transport shuts down.
     fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, TransportError>;
 
-    /// Returns a queued datagram without blocking (`Ok(None)` when empty).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Closed`](simnet::NetError::Closed) once the transport
-    /// shuts down.
-    fn try_recv(&self) -> Result<Option<Datagram>, TransportError>;
-
     /// Datagrams received but not yet consumed (quiescence/backlog probe).
     fn queue_len(&self) -> usize;
 
-    /// Stops background threads and refuses further traffic. Idempotent.
+    /// Refuses further traffic, wakes a blocked [`recv`](Self::recv), and
+    /// returns once every thread the transport started has exited.
+    /// Idempotent.
     fn shutdown(&self);
 
     /// A short label for diagnostics (`"simnet"`, `"tcp"`).

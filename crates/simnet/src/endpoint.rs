@@ -96,6 +96,13 @@ impl Endpoint {
     pub fn queue_len(&self) -> usize {
         self.rx.len()
     }
+
+    /// Wakes a thread blocked in [`Endpoint::recv`] with an empty message
+    /// from this node to itself, up or down (not after a restart, which
+    /// closed this endpoint's queue).
+    pub fn wake(&self) {
+        self.net.wake(self.id, self.restarts);
+    }
 }
 
 impl fmt::Debug for Endpoint {

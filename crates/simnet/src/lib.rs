@@ -49,6 +49,6 @@ pub use endpoint::Endpoint;
 pub use error::NetError;
 pub use link::LinkConfig;
 pub use message::{Incoming, NodeId};
-pub use network::{Network, NetworkConfig};
+pub use network::{Network, NetworkConfig, INBOX_BOUND};
 pub use stats::LinkStats;
 pub use topology::Topology;

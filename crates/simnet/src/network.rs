@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel::{self, Sender, TrySendError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::endpoint::Endpoint;
@@ -53,13 +53,30 @@ struct NodeRecord {
     restarts: u64,
 }
 
+/// Datagrams an inbound queue holds — an endpoint's here and the TCP
+/// transport's alike. An arrival at a full one is dropped like a loss,
+/// and the reliable layer above retransmits.
+pub const INBOX_BOUND: usize = 1 << 16;
+
 #[derive(Debug)]
-struct LinkState {
+pub(crate) struct LinkState {
     config: LinkConfig,
     /// Instant until which the link's serialiser is occupied (bandwidth
     /// queueing): a packet starts serialising at `max(now, busy_until)`.
     busy_until: Instant,
     stats: StatsWindow,
+}
+
+/// The link table, shared with the scheduler to count drops at full queues.
+pub(crate) type Links = Arc<Mutex<HashMap<(NodeId, NodeId), LinkState>>>;
+
+/// Puts `msg` into its queue; a full one drops it, counted on its link.
+pub(crate) fn deliver(links: &Links, to: &Sender<Incoming>, msg: Incoming) {
+    if let Err(TrySendError::Full(msg)) = to.try_send(msg) {
+        if let Some(link) = links.lock().get_mut(&(msg.src, msg.dst)) {
+            link.stats.record_drop();
+        }
+    }
 }
 
 /// What [`Network::admit`] did with one payload.
@@ -77,7 +94,7 @@ pub(crate) struct Inner {
     config: NetworkConfig,
     nodes: RwLock<Vec<NodeRecord>>,
     names: RwLock<HashMap<String, NodeId>>,
-    links: Mutex<HashMap<(NodeId, NodeId), LinkState>>,
+    links: Links,
     scheduler: Scheduler,
     rng: Mutex<crate::rng::Rng>,
     seq: AtomicU64,
@@ -100,13 +117,14 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         let seed = config.seed;
         let in_flight = Arc::new(AtomicU64::new(0));
+        let links = Links::default();
         Network {
             inner: Arc::new(Inner {
                 config,
                 nodes: RwLock::new(Vec::new()),
                 names: RwLock::new(HashMap::new()),
-                links: Mutex::new(HashMap::new()),
-                scheduler: Scheduler::spawn(in_flight.clone()),
+                scheduler: Scheduler::spawn(in_flight.clone(), links.clone()),
+                links,
                 rng: Mutex::new(crate::rng::Rng::seed_from_u64(seed)),
                 seq: AtomicU64::new(0),
                 in_flight,
@@ -126,7 +144,7 @@ impl Network {
         }
         let mut nodes = self.inner.nodes.write();
         let id = NodeId(nodes.len() as u32);
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::bounded(INBOX_BOUND);
         nodes.push(NodeRecord {
             name: name.to_owned(),
             up: true,
@@ -154,7 +172,7 @@ impl Network {
         let rec = nodes
             .get_mut(id.0 as usize)
             .ok_or(NetError::UnknownNode(id))?;
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::bounded(INBOX_BOUND);
         rec.tx = tx;
         rec.up = true;
         rec.restarts += 1;
@@ -419,7 +437,7 @@ impl Network {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
         };
         let Some(deliver_at) = deliver_at else {
-            let _ = to.send(msg);
+            deliver(&self.inner.links, &to, msg);
             return Ok(());
         };
         self.inner.in_flight.fetch_add(1, Ordering::SeqCst);
@@ -462,6 +480,22 @@ impl Network {
     pub fn in_flight(&self) -> u64 {
         self.inner.in_flight.load(Ordering::SeqCst)
     }
+
+    /// Queues an empty message from `id` to itself, unless a restart since
+    /// its `restarts`-th endpoint replaced the queue (or it is full: then
+    /// a receiver has a message to take anyway).
+    pub(crate) fn wake(&self, id: NodeId, restarts: u64) {
+        let nodes = self.inner.nodes.read();
+        if let Some(rec) = nodes.get(id.0 as usize).filter(|r| r.restarts == restarts) {
+            let _ = rec.tx.try_send(Incoming {
+                src: id,
+                dst: id,
+                payload: Bytes::new(),
+                delivered_at: Instant::now(),
+                seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -500,6 +534,23 @@ mod tests {
         let m = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(m.payload.as_ref(), b"hi");
         assert_eq!(m.src, a.id());
+    }
+
+    /// A receiver that does not drain holds `INBOX_BOUND` messages; what
+    /// arrives beyond that is dropped and counted on its link as a loss.
+    #[test]
+    fn a_full_queue_drops_and_counts_the_excess() {
+        let n = net();
+        let a = n.add_node("a").unwrap();
+        let b = n.add_node("b").unwrap();
+        for _ in 0..INBOX_BOUND + 10 {
+            a.send(b.id(), b"x".to_vec()).unwrap();
+        }
+        while n.in_flight() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(b.queue_len(), INBOX_BOUND);
+        assert_eq!(n.link_stats(a.id(), b.id()).dropped, 10);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
 use crate::message::Incoming;
+use crate::network::{deliver, Links};
 
 /// A packet scheduled for future delivery.
 #[derive(Debug)]
@@ -62,12 +63,12 @@ impl Scheduler {
     /// Spawns the delivery thread. `in_flight` is decremented once per
     /// packet after it lands in its destination queue (including the
     /// shutdown flush), pairing with the increment the sender performs at
-    /// submission time.
-    pub fn spawn(in_flight: Arc<AtomicU64>) -> Self {
+    /// submission time. A delivery into a full queue counts on `links`.
+    pub fn spawn(in_flight: Arc<AtomicU64>, links: Links) -> Self {
         let (tx, rx) = channel::unbounded::<Scheduled>();
         let handle = thread::Builder::new()
             .name("simnet-scheduler".into())
-            .spawn(move || run(rx, &in_flight))
+            .spawn(move || run(rx, &in_flight, &links))
             .expect("failed to spawn simnet scheduler thread");
         Scheduler {
             tx,
@@ -93,7 +94,7 @@ impl Drop for Scheduler {
     }
 }
 
-fn run(rx: Receiver<Scheduled>, in_flight: &AtomicU64) {
+fn run(rx: Receiver<Scheduled>, in_flight: &AtomicU64, links: &Links) {
     let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
     let mut seq = 0u64;
     loop {
@@ -102,7 +103,7 @@ fn run(rx: Receiver<Scheduled>, in_flight: &AtomicU64) {
         while heap.peek().is_some_and(|e| e.at <= now) {
             let entry = heap.pop().expect("peeked entry must exist");
             // A closed receiver just means the endpoint is gone.
-            let _ = entry.item.to.send(entry.item.msg);
+            deliver(links, &entry.item.to, entry.item.msg);
             in_flight.fetch_sub(1, AtomicOrdering::SeqCst);
         }
         // Wait for the next due time or a new submission.
@@ -124,7 +125,7 @@ fn run(rx: Receiver<Scheduled>, in_flight: &AtomicU64) {
                 // Waiting out the due times would block shutdown;
                 // flush remaining packets immediately, earliest first.
                 while let Some(entry) = heap.pop() {
-                    let _ = entry.item.to.send(entry.item.msg);
+                    deliver(links, &entry.item.to, entry.item.msg);
                     in_flight.fetch_sub(1, AtomicOrdering::SeqCst);
                 }
                 return;
@@ -155,7 +156,7 @@ mod tests {
 
     #[test]
     fn delivers_in_time_order() {
-        let sched = Scheduler::spawn(counter(2));
+        let sched = Scheduler::spawn(counter(2), Links::default());
         let (tx, rx) = channel::unbounded();
         let now = Instant::now();
         sched.submit(Scheduled {
@@ -176,7 +177,7 @@ mod tests {
 
     #[test]
     fn immediate_delivery() {
-        let sched = Scheduler::spawn(counter(1));
+        let sched = Scheduler::spawn(counter(1), Links::default());
         let (tx, rx) = channel::unbounded();
         sched.submit(Scheduled {
             deliver_at: Instant::now(),
@@ -191,7 +192,7 @@ mod tests {
         let (tx, rx) = channel::unbounded();
         let pending = counter(1);
         {
-            let sched = Scheduler::spawn(pending.clone());
+            let sched = Scheduler::spawn(pending.clone(), Links::default());
             sched.submit(Scheduled {
                 deliver_at: Instant::now() + Duration::from_secs(30),
                 msg: msg(9),

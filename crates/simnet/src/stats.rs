@@ -17,7 +17,7 @@ pub(crate) struct StatsWindow {
     pub messages: u64,
     /// Total payload bytes ever sent on this link.
     pub bytes: u64,
-    /// Total messages dropped by the loss model.
+    /// Total messages dropped by the loss model or a full receive queue.
     pub dropped: u64,
     /// Sum of receiver-observed one-way delivery latencies (µs), fed
     /// back by the application layer from envelope timing stamps.
@@ -111,7 +111,7 @@ pub struct LinkStats {
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Messages dropped by the loss model.
+    /// Messages dropped by the loss model or a full receive queue.
     pub dropped: u64,
     /// Observed throughput (bytes/s) over the recent window.
     pub throughput: f64,
