@@ -1015,13 +1015,15 @@ impl Core {
 
 #[cfg(test)]
 mod tests {
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     use fargo_wire::{CompletId, RefDescriptor, Value};
     use simnet::{LinkConfig, Network, NetworkConfig};
 
-    use crate::proto::{CompletPacket, Reply};
+    use crate::error::FargoError;
+    use crate::proto::{CompletPacket, Header, Reply, Wire};
     use crate::runtime::wal::{Wal, WalHeld, WalRecord};
     use crate::runtime::Core;
     use crate::{CompletRef, CompletRegistry, CoreConfig};
@@ -1059,6 +1061,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// Every file under `dir`, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// `stop` raises its flag and closes the log before it takes the node
+    /// down, so a prepare already past the worker's shutdown check can
+    /// finish in between. Frozen there, the destination logs nothing of
+    /// the stream and sends nothing, its `PrepareOk` included: a move
+    /// acked by a Core that did not log it would be lost by its restart.
+    #[test]
+    fn a_prepare_in_the_stop_window_is_neither_logged_nor_acked() {
+        let dir = scratch("stopped-prepare");
+        let net = Network::new(NetworkConfig {
+            default_link: Some(LinkConfig::instant()),
+            ..NetworkConfig::default()
+        });
+        let source = net.add_node("source").unwrap().id();
+        let reg = CompletRegistry::new();
+        HeldCounter::register(&reg);
+        let core = Core::builder(&net, "dest")
+            .registry(&reg)
+            .config(CoreConfig::default().with_wal_dir(&dir))
+            .spawn()
+            .unwrap();
+        core.inner.shutdown.store(true, Ordering::SeqCst);
+        core.inner.wal.as_ref().expect("a durable Core").close();
+        let (logged, sent) = (dir_bytes(&dir), net.link_stats(core.node(), source));
+
+        let packet = CompletPacket {
+            id: CompletId::new(source.index(), 1),
+            type_name: "HeldCounter".into(),
+            state: Value::map([("n", Value::from(3))]),
+            epoch: 1,
+            names: vec![],
+        };
+        let reply = core.handle_move_prepare(source.index(), vec![packet], None);
+        assert_eq!(dir_bytes(&dir), logged, "the Held record reached the log");
+        let head = Header::Reply(1, &[]);
+        let acked = core.send(source.index(), "reply", &head, |w| reply.put(w));
+        assert!(matches!(acked, Err(FargoError::ShuttingDown)), "{acked:?}");
+        let now = net.link_stats(core.node(), source);
+        assert_eq!(now.messages, sent.messages, "a reply went out");
+
+        // Thawed, so that `stop` runs whole and joins the Core's threads.
+        core.inner.shutdown.store(false, Ordering::SeqCst);
+        core.stop();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Crash window between `install_arrival`'s State appends and the

@@ -87,8 +87,14 @@ impl Core {
 
     /// Hands one encoded envelope to the transport and counts it by
     /// kind. What crossed which link is counted once, by the network's
-    /// admission.
+    /// admission. Once `stop` has raised its flag nothing goes out: it
+    /// raises it before it closes the log, so a reply built after a
+    /// refused append (a `PrepareOk` for an unlogged `Held`, a commit
+    /// whose `Decision` was not written) never acknowledges it.
     pub(crate) fn transmit(&self, node: u32, kind: &'static str, frame: Bytes) -> Result<()> {
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(FargoError::ShuttingDown);
+        }
         self.inner.telemetry.record_msg_out(kind, frame.len());
         self.inner
             .transport
@@ -149,16 +155,13 @@ impl Core {
             rx,
             budget,
         };
-        // Checked after the slot is registered: `stop` raises the flag
-        // and then empties the table, so a request that slips past the
-        // flag is still in the table when it is emptied.
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(FargoError::ShuttingDown);
-        }
         // First transmission happens at issue time, so the request ages
         // (and the peer works on it) while the caller does other things.
-        // A synchronous send failure (unknown or down node) is
-        // definitive — retransmitting cannot answer it.
+        // A synchronous send failure (unknown or down node, or `stop`) is
+        // definitive — retransmitting cannot answer it. `transmit` reads
+        // the shutdown flag after the slot is registered: `stop` raises
+        // the flag and then empties the table, so a request that slips
+        // past the flag is still in the table when it is emptied.
         let head = self.request_head(req_id, pending.trace);
         let (frame, body) = self.frame(&head, body);
         pending.body = body;
